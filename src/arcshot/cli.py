@@ -87,9 +87,8 @@ def _cmd_plan(args) -> int:
                        margin=config.margin, collision_step=config.collision_step)
 
     out = _out_dir(args)
-    arc = generate_arc(spec)
     svg = render.render_scene(
-        world, config.quad, arc=arc, discontinuities=result.discontinuities,
+        world, config.quad, arc=result.arc, discontinuities=result.discontinuities,
         final_path=result.final_path,
         trees=result.trees if args.overlay_tree else None,
         width=config.render_width)

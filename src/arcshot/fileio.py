@@ -37,7 +37,7 @@ class RunConfig:
     rrt: RrtParams = RrtParams()
     follow: FollowConfig = FollowConfig()
     margin: int = 2
-    collision_step: float | None = None  # None -> quad.body_radius
+    collision_step: float | None = None  # None -> validation step, quad.body_radius / 2
     render_width: int = 900
 
     def __post_init__(self):

@@ -78,17 +78,17 @@ class Node:
 class Tree:
     """Append-only RRT node store.
 
-    Positions live in a growing numpy buffer so nearest-neighbor and
-    neighbor-radius scans run vectorized; parents and costs stay in plain
-    lists. Node ids are insertion indices, root is 0.
+    Positions and costs from the root live in growing numpy buffers so
+    nearest-neighbor and neighbor-radius scans run vectorized; parents stay
+    in a plain list. Node ids are insertion indices, root is 0.
     """
 
     def __init__(self, root: Vec3):
         self._buf = np.empty((64, 3), dtype=float)
         self._buf[0] = root.as_array()
+        self._cost = np.zeros(64, dtype=float)
         self._count = 1
         self.parents: list[int | None] = [None]
-        self.costs: list[float] = [0.0]
 
     def __len__(self) -> int:
         return self._count
@@ -99,24 +99,28 @@ class Tree:
         return self._buf[:self._count]
 
     @property
-    def cost_array(self) -> np.ndarray:
-        return np.array(self.costs)
+    def costs(self) -> np.ndarray:
+        """(n,) view of every node's path cost from the root."""
+        return self._cost[:self._count]
+
+    cost_array = costs
 
     def add(self, position: Vec3, parent: int) -> int:
         if not 0 <= parent < self._count:
             raise ValueError(f"parent id {parent} not in tree of size {self._count}")
         if self._count == len(self._buf):
             self._buf = np.vstack([self._buf, np.empty_like(self._buf)])
+            self._cost = np.concatenate([self._cost, np.empty_like(self._cost)])
         self._buf[self._count] = position.as_array()
         edge = float(np.linalg.norm(self._buf[self._count] - self._buf[parent]))
         self.parents.append(parent)
-        self.costs.append(self.costs[parent] + edge)
+        self._cost[self._count] = self._cost[parent] + edge
         self._count += 1
         return self._count - 1
 
     def node(self, node_id: int) -> Node:
         return Node(Vec3.from_array(self._buf[node_id]),
-                    self.parents[node_id], self.costs[node_id])
+                    self.parents[node_id], float(self._cost[node_id]))
 
     def path_from_root(self, node_id: int) -> list[Vec3]:
         chain = []
@@ -183,18 +187,41 @@ def extend(from_point: Vec3, toward: Vec3, extend_dist: float) -> Vec3:
     return from_point + offset.scaled(extend_dist / length)
 
 
+def _edge_points(origins: np.ndarray, end: np.ndarray,
+                 step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Samples of every edge origins[i] -> end, stacked in one array, and the
+    row where each edge's samples start.
+
+    Edge i gets exactly the points `CollisionModel.segment_points` builds for
+    it: n = max(1, ceil(length / step)) intervals, t = k * (1 / n) as in
+    numpy's linspace, and the last t exactly 1.
+    """
+    d = origins - end
+    lengths = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2])
+    n = np.maximum(np.ceil(lengths / step), 1.0)
+    counts = n.astype(np.intp) + 1
+    last = np.cumsum(counts) - 1
+    first = last - counts + 1
+    edge = np.repeat(np.arange(len(origins)), counts)
+    t = (np.arange(last[-1] + 1) - first[edge]) * (1.0 / n)[edge]
+    t[last] = 1.0
+    return origins[edge] + t[:, None] * (end - origins)[edge], first
+
+
 def _best_parent(tree: Tree, x_new: Vec3, radius: float,
                  model: CollisionModel, step: float) -> int | None:
-    dists = np.linalg.norm(tree.positions - x_new.as_array(), axis=1)
+    end = x_new.as_array()
+    dists = np.linalg.norm(tree.positions - end, axis=1)
     candidates = np.flatnonzero(dists <= radius)
     if candidates.size == 0:
         return None
     totals = tree.cost_array[candidates] + dists[candidates]
     # stable sort keeps insertion order within cost ties
-    for idx in candidates[np.argsort(totals, kind="stable")]:
-        if model.segment_free(Vec3.from_array(tree.positions[idx]), x_new, step):
-            return int(idx)
-    return None
+    order = candidates[np.argsort(totals, kind="stable")]
+    pts, first = _edge_points(tree.positions[order], end, step)
+    edge_free = np.logical_and.reduceat(model.free_points(pts), first)
+    winner = int(np.argmax(edge_free))
+    return int(order[winner]) if edge_free[winner] else None
 
 
 def best_parent(tree: Tree, x_new: Vec3, radius: float, world: World,
@@ -230,12 +257,13 @@ def rrt_star_run(d: Discontinuity, world: World, quad: QuadModel, params: RrtPar
     The rng stream is derived from (seed, discontinuity index, window level),
     so every attempt is reproducible and independent of the others.
     """
-    model = collision_model(world, quad)
     step = quad.body_radius if collision_step is None else collision_step
 
     window = initial_window(d, params.window_pad, world.bounds)
     for _ in range(level):
         window = expand_window(window, params.window_growth, world.bounds)
+    # every sample, node and edge of the attempt lies in the convex window
+    model = collision_model(world, quad).within(window.box)
 
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=params.seed, spawn_key=(disc_index, level)))
@@ -265,7 +293,7 @@ def rrt_star_run(d: Discontinuity, world: World, quad: QuadModel, params: RrtPar
 
         goal_dist = x_new.distance_to(exit_)
         if goal_dist <= params.goal_radius and model.segment_free(x_new, exit_, step):
-            candidate = tree.costs[node_id] + goal_dist
+            candidate = float(tree.costs[node_id]) + goal_dist
             if candidate < best_cost:
                 best_cost = candidate
                 best_node = node_id

@@ -45,6 +45,7 @@ class PlanReport:
 
 @dataclass
 class PlanResult:
+    arc: GlobalPath
     final_path: GlobalPath
     discontinuities: list[Discontinuity]
     local_paths: list[LocalPath]
@@ -149,4 +150,4 @@ def plan_shot(world: World, quad: QuadModel, spec: ArcShotSpec, params: RrtParam
         collision_step=collision_step,
         validation_step=validation_step,
     )
-    return PlanResult(final, discontinuities, local_paths, report, trees)
+    return PlanResult(arc, final, discontinuities, local_paths, report, trees)

@@ -7,9 +7,11 @@ points count as colliding (obstacles are closed sets).
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from typing import Union
 
 import numpy as np
@@ -181,6 +183,19 @@ def inflate(obstacle: Obstacle, quad: QuadModel) -> Obstacle:
     return obstacle.expanded(g)
 
 
+# Culling pad, meters: interpolated points may stray from their box by rounding.
+CULL_PAD = 1e-6
+
+
+def _bounding_box(o: Obstacle) -> tuple[float, ...]:
+    """(min x, min y, min z, max x, max y, max z) of an obstacle."""
+    if isinstance(o, Cylinder):
+        c = o.base_center
+        return (c.x - o.radius, c.y - o.radius, c.z,
+                c.x + o.radius, c.y + o.radius, c.z + o.height)
+    return (o.min.x, o.min.y, o.min.z, o.max.x, o.max.y, o.max.z)
+
+
 class CollisionModel:
     """Point/segment c-free queries against one world inflated for one vehicle.
 
@@ -193,6 +208,10 @@ class CollisionModel:
         self.quad = quad
         self.inflated = tuple(inflate(o, quad) for o in world.obstacles)
 
+        self._is_cyl = np.array([isinstance(o, Cylinder) for o in self.inflated],
+                                dtype=bool)
+        self._extent = np.array([_bounding_box(o) for o in self.inflated],
+                                dtype=float).reshape(len(self.inflated), 6)
         cyls = [o for o in self.inflated if isinstance(o, Cylinder)]
         boxes = [o for o in self.inflated if isinstance(o, AxisBox)]
         self._cyl = np.array(
@@ -206,6 +225,25 @@ class CollisionModel:
                                  dtype=float).reshape(len(boxes), 3)
         self._lo = world.bounds.min.as_array()
         self._hi = world.bounds.max.as_array()
+
+    def within(self, box: AxisBox) -> "CollisionModel":
+        """This model restricted to the inflated obstacles whose bounding box
+        touches `box` (closed, padded by CULL_PAD).
+
+        Any point inside `box` gets the same `free_points` answer from the
+        result as from this model, at the cost of only the kept obstacles.
+        """
+        lo = box.min.as_array() - CULL_PAD
+        hi = box.max.as_array() + CULL_PAD
+        keep = np.all((self._extent[:, :3] <= hi) & (self._extent[:, 3:] >= lo), axis=1)
+        local = copy.copy(self)
+        local.inflated = tuple(compress(self.inflated, keep))
+        local._is_cyl = self._is_cyl[keep]
+        local._extent = self._extent[keep]
+        local._cyl = self._cyl[keep[self._is_cyl]]
+        local._box_min = self._box_min[keep[~self._is_cyl]]
+        local._box_max = self._box_max[keep[~self._is_cyl]]
+        return local
 
     def free_points(self, pts: np.ndarray) -> np.ndarray:
         """Boolean mask over an (n, 3) array: True where the point is in c-free."""

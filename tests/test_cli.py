@@ -30,6 +30,20 @@ def test_plan_bundled_scenario(tmp_path, capsys):
     assert "planned" in capsys.readouterr().out
 
 
+def test_demo_outputs_match_committed_bytes(tmp_path):
+    # `out/plan` and `out/exec` hold the README quick-start outputs
+    golden = SCENARIO_DIR.parent / "out"
+    assert cli.main(["plan", *demo_args(tmp_path / "plan")]) == cli.EXIT_OK
+    assert cli.main(["execute", "--world", str(DEMO / "world.json"),
+                     "--path", str(tmp_path / "plan" / "path.json"),
+                     "--config", str(DEMO / "config.json"),
+                     "--out", str(tmp_path / "exec")]) == cli.EXIT_OK
+    for artifact in ("plan/path.json", "plan/report.json", "plan/plan.svg",
+                     "exec/trajectory.json", "exec/execute.svg"):
+        assert (tmp_path / artifact).read_bytes() == (golden / artifact).read_bytes(), \
+            artifact
+
+
 def test_plan_is_byte_identical_across_runs(tmp_path):
     for name in ("a", "b"):
         assert cli.main(["plan", *demo_args(tmp_path / name)]) == cli.EXIT_OK

@@ -6,12 +6,12 @@ from hypothesis import strategies as st
 from arcshot.discontinuity import Discontinuity, find_discontinuities
 from arcshot.errors import DegenerateExtend, LocalPlanFailed
 from arcshot.local_planner import (LocalPath, Node, RrtParams, SearchWindow,
-                                   Tree, best_parent, expand_window, extend,
-                                   initial_window, nearest_vertex, plan_local,
-                                   plan_local_run, rrt_star, rrt_star_run,
-                                   sample)
+                                   Tree, _best_parent, _edge_points, best_parent,
+                                   expand_window, extend, initial_window,
+                                   nearest_vertex, plan_local, plan_local_run,
+                                   rrt_star, rrt_star_run, sample)
 from arcshot.shot import Pose4, generate_arc
-from arcshot.world import AxisBox, Cylinder, Vec3, collision_model
+from arcshot.world import AxisBox, Cylinder, QuadModel, Vec3, collision_model
 from conftest import demo_shot, demo_world, make_world, wall_shot, wall_world
 
 BIG_BOUNDS = AxisBox(Vec3(-100, -100, -100), Vec3(100, 100, 100))
@@ -180,6 +180,92 @@ def test_best_parent_ignores_nodes_outside_radius(quad):
     world = make_world()
     tree = Tree(Vec3(0, 0, 2))
     assert best_parent(tree, Vec3(5, 0, 2), 1.0, world, quad) is None
+
+
+def sequential_best_parent(tree, x_new, radius, model, step):
+    """Reference for `_best_parent`: walk the in-radius candidates in stable
+    cost order and return the first whose edge is free, one segment at a time."""
+    dists = np.linalg.norm(tree.positions - x_new.as_array(), axis=1)
+    candidates = np.flatnonzero(dists <= radius)
+    totals = tree.costs[candidates] + dists[candidates]
+    for idx in candidates[np.argsort(totals, kind="stable")]:
+        if model.segment_free(Vec3.from_array(tree.positions[idx]), x_new, step):
+            return int(idx)
+    return None
+
+
+_coord = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)
+_point = st.tuples(_coord, _coord, _coord)
+
+
+@st.composite
+def _axis_multiple_edge(draw):
+    """An edge along one axis whose length is a whole number of steps."""
+    step = draw(st.sampled_from([0.1, 0.15, 0.25, 0.3, 0.375, 1.0]))
+    k = draw(st.integers(0, 40))
+    axis = draw(st.integers(0, 2))
+    origin = [draw(_coord), draw(_coord), draw(_coord)]
+    origin[axis] = 0.0
+    end = list(origin)
+    end[axis] = k * step * draw(st.sampled_from([1.0, -1.0]))
+    return [tuple(origin)], tuple(end), step
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(
+    st.tuples(st.lists(_point, min_size=1, max_size=8), _point,
+              st.floats(1e-3, 5.0, allow_nan=False)),
+    _axis_multiple_edge()))
+def test_edge_points_match_segment_points_bit_for_bit(case):
+    origins, end, step = case
+    model = collision_model(make_world(), QuadModel())
+    pts, first = _edge_points(np.array(origins, dtype=float), np.array(end), step)
+    bounds = list(first[1:]) + [len(pts)]
+    for origin, lo, hi in zip(origins, first, bounds):
+        expected = model.segment_points(Vec3(*origin), Vec3(*end), step)
+        assert pts[lo:hi].tobytes() == expected.tobytes()
+
+
+def _random_case(seed: int, grid: bool):
+    """A world, a tree and a query point; on a grid, cost ties and edges of a
+    whole number of steps are common."""
+    rng = np.random.default_rng(seed)
+
+    def coords(n):
+        pts = rng.uniform((-5, -5, 0), (5, 5, 5), size=(n, 3))
+        return np.round(pts * 4) / 4 if grid else pts
+
+    obstacles = []
+    for (x, y, z), r, h in zip(coords(rng.integers(0, 10)), rng.uniform(0.1, 1.5, 10),
+                               rng.uniform(0.5, 5.0, 10)):
+        if rng.random() < 0.5:
+            obstacles.append(Cylinder(Vec3(x, y, z), r, h))
+        else:
+            obstacles.append(AxisBox(Vec3(x, y, z), Vec3(x + r, y + h / 2, z + h)))
+    world = make_world(tuple(obstacles), lo=(-6, -6, 0), hi=(6, 6, 6))
+    positions = coords(int(rng.integers(1, 60)) + 1)
+    tree = Tree(Vec3.from_array(positions[0]))
+    for p in positions[1:]:
+        tree.add(Vec3.from_array(p), int(rng.integers(0, len(tree))))
+    x_new = Vec3.from_array(coords(1)[0])
+    radius = float(rng.choice([2.0, 4.0, 6.0]) if grid else rng.uniform(1.5, 6.0))
+    step = float(rng.choice([0.125, 0.25, 0.5]) if grid else rng.uniform(0.05, 0.6))
+    return world, tree, x_new, radius, step
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_best_parent_matches_sequential_oracle(seed, grid):
+    quad = QuadModel(body_radius=0.2, safety_margin=0.1)
+    world, tree, x_new, radius, step = _random_case(seed, grid)
+    model = collision_model(world, quad)
+    expected = sequential_best_parent(tree, x_new, radius, model, step)
+    assert _best_parent(tree, x_new, radius, model, step) == expected
+    assert best_parent(tree, x_new, radius, world, quad, step) == expected
+    # culled to a box holding the tree and x_new, as in an RRT* attempt
+    pts = np.vstack([tree.positions, x_new.as_array()])
+    box = AxisBox(Vec3.from_array(pts.min(axis=0)), Vec3.from_array(pts.max(axis=0)))
+    assert _best_parent(tree, x_new, radius, model.within(box), step) == expected
 
 
 # rrt_star -------------------------------------------------------------------

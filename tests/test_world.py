@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcshot.world import (AxisBox, Cylinder, QuadModel, Vec3, World, inflate,
-                           is_free, segment_free)
+from arcshot.world import (AxisBox, CollisionModel, Cylinder, QuadModel, Vec3, World,
+                           inflate, is_free, segment_free)
 from conftest import make_world
 
 
@@ -173,6 +173,72 @@ def test_is_free_is_pure():
     quad = QuadModel()
     p = Vec3(0.2, 0.2, 1.0)
     assert is_free(world, quad, p) == is_free(world, quad, p)
+
+
+# within (culled models) -----------------------------------------------------
+
+# Quarter-meter grid coordinates and a 0.5 m growth keep inflation exact, so
+# obstacles often end exactly on a face, edge or corner of the query box.
+_quarters = st.integers(-24, 24).map(lambda k: k * 0.25)
+
+
+@st.composite
+def _grid_obstacle(draw):
+    x, y = draw(_quarters), draw(_quarters)
+    z = draw(st.integers(0, 12).map(lambda k: k * 0.25))
+    if draw(st.booleans()):
+        return Cylinder(Vec3(x, y, z), draw(st.integers(1, 12).map(lambda k: k * 0.25)),
+                        draw(st.integers(1, 16).map(lambda k: k * 0.25)))
+    size = st.integers(0, 16).map(lambda k: k * 0.25)
+    return AxisBox(Vec3(x, y, z), Vec3(x + draw(size), y + draw(size), z + draw(size)))
+
+
+@st.composite
+def _grid_box(draw):
+    lo = [draw(_quarters) for _ in range(3)]
+    return AxisBox(Vec3(*lo), Vec3(*(v + draw(st.integers(0, 20).map(lambda k: k * 0.25))
+                                     for v in lo)))
+
+
+def _probe_points(box: AxisBox, fractions: np.ndarray) -> np.ndarray:
+    """Interior points at `fractions`, the same points pushed onto each face,
+    and the eight corners."""
+    lo, hi = box.min.as_array(), box.max.as_array()
+    inner = lo + fractions * (hi - lo)
+    faces = []
+    for axis in range(3):
+        for bound in (lo, hi):
+            on_face = inner.copy()
+            on_face[:, axis] = bound[axis]
+            faces.append(on_face)
+    corners = np.array([[(lo, hi)[i >> a & 1][a] for a in range(3)] for i in range(8)])
+    return np.vstack([inner, *faces, corners])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_grid_obstacle(), max_size=8), _grid_box(),
+       st.lists(st.tuples(*[st.floats(0.0, 1.0)] * 3), min_size=1, max_size=6))
+def test_within_matches_full_model_inside_its_box(obstacles, box, fractions):
+    world = make_world(tuple(obstacles), lo=(-8.0, -8.0, -1.0), hi=(8.0, 8.0, 8.0))
+    quad = QuadModel(body_radius=0.25, safety_margin=0.25)
+    full = CollisionModel(world, quad)
+    local = full.within(box)
+    pts = _probe_points(box, np.array(fractions))
+    assert np.array_equal(local.free_points(pts), full.free_points(pts))
+    assert set(local.inflated) <= set(full.inflated)
+
+
+def test_within_keeps_touching_obstacles_and_drops_distant_ones():
+    quad = QuadModel(body_radius=0.25, safety_margin=0.25)
+    touching = AxisBox(Vec3(2.5, 0.0, 0.0), Vec3(3.0, 1.0, 1.0))     # inflated min.x = 2
+    corner = Cylinder(Vec3(3.0, 3.0, 0.0), 0.5, 1.0)                 # inflated bbox from (2, 2)
+    distant = Cylinder(Vec3(-6.0, -6.0, 0.0), 0.5, 1.0)
+    world = make_world((touching, corner, distant))
+    local = CollisionModel(world, quad).within(AxisBox(Vec3(0.0, 0.0, 0.0),
+                                                       Vec3(2.0, 2.0, 2.0)))
+    assert local.inflated == (inflate(touching, quad), inflate(corner, quad))
+    assert not local.point_free(Vec3(2.0, 0.5, 0.5))   # on the shared face
+    assert local.point_free(Vec3(2.0, 2.0, 0.5))       # bbox corner, outside the disk
 
 
 # segment_free ---------------------------------------------------------------
