@@ -11,13 +11,13 @@ from .errors import (ArcshotError, DegenerateArc, DegenerateExtend,
                      SchemaError, SpliceMismatch, TimeoutExceeded,
                      UnresolvableSpan, VacuousBench, ValidationFailed)
 from .executor import FollowConfig, SimState, VelocityCommand, command_for, follow
-from .local_planner import (LocalPath, Node, RrtParams, SearchWindow, Tree,
-                            best_parent, expand_window, extend, initial_window,
-                            nearest_vertex, plan_local, rrt_star, sample)
+from .local_planner import (LocalPath, RrtParams, SearchWindow, Tree,
+                            expand_window, extend, initial_window, nearest_vertex,
+                            plan_local_run, rrt_star_run, sample)
 from .pipeline import PlanReport, PlanResult, plan_shot, splice, validate
 from .shot import (ArcShotSpec, GlobalPath, Pose4, face_target, generate_arc,
                    wrap_to_pi)
-from .world import (AxisBox, Cylinder, Obstacle, QuadModel, Vec3, World,
-                    inflate, is_free, segment_free)
+from .world import (AxisBox, CollisionModel, Cylinder, Obstacle, QuadModel, Vec3,
+                    World, collision_model, inflate)
 
 __version__ = "0.1.0"

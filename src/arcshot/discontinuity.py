@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import EndpointBlocked, UnresolvableSpan
 from .shot import GlobalPath, Pose4
 from .world import QuadModel, World, collision_model
@@ -66,7 +68,9 @@ def find_discontinuities(path: GlobalPath, world: World, quad: QuadModel,
     if margin < 1:
         raise ValueError(f"margin must be >= 1, got {margin}")
     model = collision_model(world, quad)
-    free = [model.point_free(pose.position) for pose in path.poses]
+    free = model.free_points(np.array(
+        [(p.position.x, p.position.y, p.position.z) for p in path.poses],
+        dtype=float)).tolist()
     n = len(free)
     if not free[0]:
         raise EndpointBlocked(0)

@@ -262,14 +262,9 @@ def path_from_json(data: Any, path: str = "path") -> GlobalPath:
     return _build(path, GlobalPath, poses=tuple(poses))
 
 
-def path_to_json(path_obj: GlobalPath, times: list[float] | None = None) -> dict:
-    poses = []
-    for i, pose in enumerate(path_obj.poses):
-        entry = {"x": pose.position.x, "y": pose.position.y,
-                 "z": pose.position.z, "yaw": pose.yaw}
-        if times is not None:
-            entry["t"] = times[i]
-        poses.append(entry)
+def path_to_json(path_obj: GlobalPath) -> dict:
+    poses = [{"x": pose.position.x, "y": pose.position.y,
+              "z": pose.position.z, "yaw": pose.yaw} for pose in path_obj.poses]
     return {"schema": PATH_SCHEMA, "poses": poses}
 
 
@@ -277,9 +272,8 @@ def load_path(file: Path) -> GlobalPath:
     return path_from_json(_read_json(file))
 
 
-def save_path(path_obj: GlobalPath, file: Path,
-              times: list[float] | None = None) -> None:
-    _write_json(file, path_to_json(path_obj, times))
+def save_path(path_obj: GlobalPath, file: Path) -> None:
+    _write_json(file, path_to_json(path_obj))
 
 
 def trajectory_to_json(log: list[SimState]) -> dict:

@@ -13,13 +13,14 @@ only picks the best parent for the node it inserts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .discontinuity import Discontinuity
 from .errors import DegenerateExtend, LocalPlanFailed
-from .world import AxisBox, CollisionModel, QuadModel, Vec3, World, collision_model
+from .world import (AxisBox, CollisionModel, QuadModel, Vec3, World, collision_model,
+                    edge_points)
 
 
 @dataclass(frozen=True)
@@ -66,15 +67,6 @@ class SearchWindow:
     level: int = 0
 
 
-@dataclass(frozen=True)
-class Node:
-    """Tree entry: position, parent id (None for the root), cost from root."""
-
-    position: Vec3
-    parent: int | None
-    cost: float
-
-
 class Tree:
     """Append-only RRT node store.
 
@@ -103,8 +95,6 @@ class Tree:
         """(n,) view of every node's path cost from the root."""
         return self._cost[:self._count]
 
-    cost_array = costs
-
     def add(self, position: Vec3, parent: int) -> int:
         if not 0 <= parent < self._count:
             raise ValueError(f"parent id {parent} not in tree of size {self._count}")
@@ -117,10 +107,6 @@ class Tree:
         self._cost[self._count] = self._cost[parent] + edge
         self._count += 1
         return self._count - 1
-
-    def node(self, node_id: int) -> Node:
-        return Node(Vec3.from_array(self._buf[node_id]),
-                    self.parents[node_id], float(self._cost[node_id]))
 
     def path_from_root(self, node_id: int) -> list[Vec3]:
         chain = []
@@ -187,60 +173,33 @@ def extend(from_point: Vec3, toward: Vec3, extend_dist: float) -> Vec3:
     return from_point + offset.scaled(extend_dist / length)
 
 
-def _edge_points(origins: np.ndarray, end: np.ndarray,
-                 step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Samples of every edge origins[i] -> end, stacked in one array, and the
-    row where each edge's samples start.
-
-    Edge i gets exactly the points `CollisionModel.segment_points` builds for
-    it: n = max(1, ceil(length / step)) intervals, t = k * (1 / n) as in
-    numpy's linspace, and the last t exactly 1.
-    """
-    d = origins - end
-    lengths = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2])
-    n = np.maximum(np.ceil(lengths / step), 1.0)
-    counts = n.astype(np.intp) + 1
-    last = np.cumsum(counts) - 1
-    first = last - counts + 1
-    edge = np.repeat(np.arange(len(origins)), counts)
-    t = (np.arange(last[-1] + 1) - first[edge]) * (1.0 / n)[edge]
-    t[last] = 1.0
-    return origins[edge] + t[:, None] * (end - origins)[edge], first
-
-
 def _best_parent(tree: Tree, x_new: Vec3, radius: float,
                  model: CollisionModel, step: float) -> int | None:
+    """Cheapest in-radius node whose straight edge to `x_new` is collision-free.
+
+    Minimizes node cost plus edge length; ties resolve to the earliest
+    insertion. The sample points of every candidate edge are classified in one
+    `free_points` call. Returns None when every in-radius edge is blocked.
+    """
     end = x_new.as_array()
     dists = np.linalg.norm(tree.positions - end, axis=1)
     candidates = np.flatnonzero(dists <= radius)
     if candidates.size == 0:
         return None
-    totals = tree.cost_array[candidates] + dists[candidates]
+    totals = tree.costs[candidates] + dists[candidates]
     # stable sort keeps insertion order within cost ties
     order = candidates[np.argsort(totals, kind="stable")]
-    pts, first = _edge_points(tree.positions[order], end, step)
+    pts, first = edge_points(tree.positions[order], end, step)
     edge_free = np.logical_and.reduceat(model.free_points(pts), first)
     winner = int(np.argmax(edge_free))
     return int(order[winner]) if edge_free[winner] else None
 
 
-def best_parent(tree: Tree, x_new: Vec3, radius: float, world: World,
-                quad: QuadModel, step: float | None = None) -> int | None:
-    """Cheapest in-radius node whose straight edge to `x_new` is collision-free.
-
-    Minimizes node cost plus edge length; ties resolve to the earliest
-    insertion. Returns None when every in-radius edge is blocked.
-    """
-    if radius <= 0:
-        raise ValueError(f"radius must be > 0, got {radius}")
-    model = collision_model(world, quad)
-    return _best_parent(tree, x_new, radius, model,
-                        quad.body_radius if step is None else step)
-
-
 @dataclass
 class RrtRunResult:
-    """One windowed RRT* attempt, kept around for reporting and wiring checks."""
+    """One windowed RRT* attempt: its best path (None if it found none), tree,
+    window and loop count. `plan_local_run` returns the winning attempt with
+    `loops` summed over every attempt it made."""
 
     path: LocalPath | None
     tree: Tree
@@ -250,15 +209,13 @@ class RrtRunResult:
 
 
 def rrt_star_run(d: Discontinuity, world: World, quad: QuadModel, params: RrtParams,
-                 level: int, disc_index: int = 0,
-                 collision_step: float | None = None) -> RrtRunResult:
-    """Run the full RRT* loop once inside the level-expanded window.
+                 level: int, step: float, disc_index: int = 0) -> RrtRunResult:
+    """Run the full RRT* loop once inside the level-expanded window, checking
+    edges at samples at most `step` apart.
 
     The rng stream is derived from (seed, discontinuity index, window level),
     so every attempt is reproducible and independent of the others.
     """
-    step = quad.body_radius if collision_step is None else collision_step
-
     window = initial_window(d, params.window_pad, world.bounds)
     for _ in range(level):
         window = expand_window(window, params.window_growth, world.bounds)
@@ -306,39 +263,19 @@ def rrt_star_run(d: Discontinuity, world: World, quad: QuadModel, params: RrtPar
                         params.max_loops, best_costs)
 
 
-def rrt_star(d: Discontinuity, world: World, quad: QuadModel, params: RrtParams,
-             level: int, disc_index: int = 0,
-             collision_step: float | None = None) -> LocalPath | None:
-    """Best detour found in `max_loops` iterations, or None."""
-    return rrt_star_run(d, world, quad, params, level, disc_index, collision_step).path
-
-
-@dataclass
-class LocalPlanOutcome:
-    path: LocalPath
-    level: int
-    loops: int
-    tree: Tree
-
-
 def plan_local_run(d: Discontinuity, world: World, quad: QuadModel,
-                   params: RrtParams, disc_index: int = 0,
-                   collision_step: float | None = None) -> LocalPlanOutcome:
-    """Retry rrt_star with a growing window until it succeeds.
+                   params: RrtParams, step: float, disc_index: int = 0) -> RrtRunResult:
+    """Retry rrt_star_run with a growing window until it succeeds.
 
     Levels 0 .. fail_limit-1 are attempted in order; the first success wins.
-    Raises LocalPlanFailed once the expansion budget is spent.
+    Returns the winning attempt with `loops` summed over every attempt made;
+    its `window.level` is the expansion level. Raises LocalPlanFailed once the
+    expansion budget is spent.
     """
     loops = 0
     for level in range(params.fail_limit):
-        result = rrt_star_run(d, world, quad, params, level, disc_index, collision_step)
+        result = rrt_star_run(d, world, quad, params, level, step, disc_index)
         loops += result.loops
         if result.path is not None:
-            return LocalPlanOutcome(result.path, level, loops, result.tree)
+            return replace(result, loops=loops)
     raise LocalPlanFailed(disc_index, params.fail_limit)
-
-
-def plan_local(d: Discontinuity, world: World, quad: QuadModel, params: RrtParams,
-               disc_index: int = 0, collision_step: float | None = None) -> LocalPath:
-    """First successful detour across window expansions; raises LocalPlanFailed."""
-    return plan_local_run(d, world, quad, params, disc_index, collision_step).path

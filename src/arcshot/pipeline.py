@@ -98,9 +98,10 @@ def plan_shot(world: World, quad: QuadModel, spec: ArcShotSpec, params: RrtParam
     densely validates the result. Raises EndpointBlocked, LocalPlanFailed
     (carrying the discontinuity index), or ValidationFailed.
 
-    Detour edges are checked at the final-validation step (body_radius / 2 by
-    default, finer than the general-purpose collision step) so a grazing edge
-    cannot pass planning and then flunk the safety gate.
+    Both steps default here and nowhere else. Detour edges are checked at the
+    final-validation step (body_radius / 2 by default) unless collision_step
+    says otherwise, so a grazing edge cannot pass planning and then flunk the
+    safety gate.
     """
     validation_step = quad.body_radius / 2 if validation_step is None else validation_step
     collision_step = validation_step if collision_step is None else collision_step
@@ -113,18 +114,17 @@ def plan_shot(world: World, quad: QuadModel, spec: ArcShotSpec, params: RrtParam
     disc_reports: list[DiscontinuityReport] = []
     for i, d in enumerate(discontinuities):
         started = time.perf_counter()
-        outcome = plan_local_run(d, world, quad, params, disc_index=i,
-                                 collision_step=collision_step)
+        result = plan_local_run(d, world, quad, params, step=collision_step, disc_index=i)
         duration = time.perf_counter() - started
-        local_paths.append(outcome.path)
-        trees.append(outcome.tree)
+        local_paths.append(result.path)
+        trees.append(result.tree)
         disc_reports.append(DiscontinuityReport(
             entry_index=d.entry_index,
             exit_index=d.exit_index,
-            node_count=len(outcome.tree),
-            loops=outcome.loops,
-            expansion_level=outcome.level,
-            cost=outcome.path.cost,
+            node_count=len(result.tree),
+            loops=result.loops,
+            expansion_level=result.window.level,
+            cost=result.path.cost,
             duration_s=duration,
         ))
 

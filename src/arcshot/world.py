@@ -265,20 +265,14 @@ class CollisionModel:
         return free
 
     def point_free(self, p: Vec3) -> bool:
+        """True iff the vehicle can exist at `p`: inside bounds, outside every
+        inflated obstacle. Points on an obstacle boundary count as colliding."""
         return bool(self.free_points(p.as_array()[None, :])[0])
 
-    def segment_points(self, a: Vec3, b: Vec3, step: float) -> np.ndarray:
-        """Inclusive samples along a->b spaced at most `step` apart."""
-        if step <= 0:
-            raise ValueError(f"collision step must be > 0, got {step}")
-        length = a.distance_to(b)
-        n = max(1, math.ceil(length / step))
-        ts = np.linspace(0.0, 1.0, n + 1)
-        return a.as_array()[None, :] + ts[:, None] * (b.as_array() - a.as_array())
-
-    def segment_free(self, a: Vec3, b: Vec3, step: float | None = None) -> bool:
-        step = self.quad.body_radius if step is None else step
-        return bool(self.free_points(self.segment_points(a, b, step)).all())
+    def segment_free(self, a: Vec3, b: Vec3, step: float) -> bool:
+        """True iff every sample `edge_points` takes along a->b is in c-free."""
+        pts, _ = edge_points(a.as_array()[None, :], b.as_array(), step)
+        return bool(self.free_points(pts).all())
 
 
 @lru_cache(maxsize=256)
@@ -291,17 +285,24 @@ def collision_model(world: World, quad: QuadModel) -> CollisionModel:
     return _cached_model(world, quad)
 
 
-def is_free(world: World, quad: QuadModel, p: Vec3) -> bool:
-    """True iff the vehicle can exist at `p`: inside bounds, outside every
-    inflated obstacle. Points on an obstacle boundary count as colliding."""
-    return collision_model(world, quad).point_free(p)
+def edge_points(origins: np.ndarray, end: np.ndarray,
+                step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Samples of every edge origins[i] -> end, stacked in one array, and the
+    row where each edge's samples start.
 
-
-def segment_free(world: World, quad: QuadModel, a: Vec3, b: Vec3,
-                 step: float | None = None) -> bool:
-    """True iff `is_free` holds at a, b, and interpolated points spaced <= step.
-
-    Defaults to step = body_radius: a sphere cannot slip between samples
-    closer than its own radius.
+    Edge i gets n = max(1, ceil(length / step)) intervals spaced at most
+    `step` apart: t = k * (1 / n), as in numpy's linspace, with the last t
+    exactly 1, so both endpoints are always sampled.
     """
-    return collision_model(world, quad).segment_free(a, b, step)
+    if step <= 0:
+        raise ValueError(f"collision step must be > 0, got {step}")
+    d = origins - end
+    lengths = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2])
+    n = np.maximum(np.ceil(lengths / step), 1.0)
+    counts = n.astype(np.intp) + 1
+    last = np.cumsum(counts) - 1
+    first = last - counts + 1
+    edge = np.repeat(np.arange(len(origins)), counts)
+    t = (np.arange(last[-1] + 1) - first[edge]) * (1.0 / n)[edge]
+    t[last] = 1.0
+    return origins[edge] + t[:, None] * (end - origins)[edge], first

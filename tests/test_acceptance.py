@@ -222,7 +222,7 @@ def test_criterion_5_near_optimal_in_the_open():
     within = 0
     for seed in range(100):
         params = RrtParams(extend_dist=distance / 10, max_loops=500, seed=seed)
-        run = rrt_star_run(d, world, quad, params, level=0)
+        run = rrt_star_run(d, world, quad, params, level=0, step=quad.body_radius)
         if run.path is not None and run.path.cost <= 1.15 * distance:
             within += 1
     elapsed = time.perf_counter() - started

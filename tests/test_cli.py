@@ -2,6 +2,7 @@ import json
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -31,17 +32,34 @@ def test_plan_bundled_scenario(tmp_path, capsys):
 
 
 def test_demo_outputs_match_committed_bytes(tmp_path):
-    # `out/plan` and `out/exec` hold the README quick-start outputs
-    golden = SCENARIO_DIR.parent / "out"
+    # `tests/golden` holds the README quick-start outputs of plan, execute, render
+    golden = Path(__file__).parent / "golden"
+    plan_path = str(tmp_path / "plan" / "path.json")
     assert cli.main(["plan", *demo_args(tmp_path / "plan")]) == cli.EXIT_OK
     assert cli.main(["execute", "--world", str(DEMO / "world.json"),
-                     "--path", str(tmp_path / "plan" / "path.json"),
-                     "--config", str(DEMO / "config.json"),
+                     "--path", plan_path, "--config", str(DEMO / "config.json"),
                      "--out", str(tmp_path / "exec")]) == cli.EXIT_OK
+    assert cli.main(["render", "--world", str(DEMO / "world.json"),
+                     "--shot", str(DEMO / "shot.json"), "--path", plan_path,
+                     "--out", str(tmp_path / "render")]) == cli.EXIT_OK
     for artifact in ("plan/path.json", "plan/report.json", "plan/plan.svg",
-                     "exec/trajectory.json", "exec/execute.svg"):
+                     "exec/trajectory.json", "exec/execute.svg", "render/render.svg"):
         assert (tmp_path / artifact).read_bytes() == (golden / artifact).read_bytes(), \
             artifact
+
+
+def test_benchmark_tracer_still_wraps_the_planner(tmp_path, monkeypatch):
+    # perfbench wraps functions by the names callers look them up; a rename
+    # would silently drop their spans from traced benchmark runs
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    import tracing
+
+    with tracing.installed(tracing.Tracer()) as tracer:
+        tracer.begin_op(0)
+        assert cli.main(["plan", *demo_args(tmp_path / "plan")]) == cli.EXIT_OK
+        tracer.end_op()
+    for name in ("local_planner.rrt_star_run", "local_planner.best_parent"):
+        assert tracing.span_ms(tracer, name), name
 
 
 def test_plan_is_byte_identical_across_runs(tmp_path):

@@ -4,7 +4,7 @@ import pytest
 from arcshot.discontinuity import Discontinuity, find_discontinuities
 from arcshot.errors import EndpointBlocked
 from arcshot.shot import ArcShotSpec, GlobalPath, Pose4, generate_arc
-from arcshot.world import AxisBox, Cylinder, Vec3, is_free
+from arcshot.world import AxisBox, Cylinder, Vec3, collision_model
 from conftest import make_world
 
 
@@ -53,7 +53,7 @@ def test_single_cylinder_blocks_three_middle_samples(quad):
     world = make_world((Cylinder(Vec3(0.0, 0.0, 0.0), 1.0, 5.0),),
                        target=(0.0, 5.0, 1.0))
     path = straight_path()
-    flags = [is_free(world, quad, p.position) for p in path.poses]
+    flags = [collision_model(world, quad).point_free(p.position) for p in path.poses]
     assert [i for i, ok in enumerate(flags) if not ok] == [9, 10, 11]
 
     discs = find_discontinuities(path, world, quad, margin=2)
@@ -71,7 +71,7 @@ def test_touching_padded_runs_merge_into_one(quad):
                         Cylinder(Vec3(2.0, 0.0, 0.0), 1.0, 5.0)),
                        target=(0.0, 5.0, 1.0))
     path = straight_path()
-    flags = [is_free(world, quad, p.position) for p in path.poses]
+    flags = [collision_model(world, quad).point_free(p.position) for p in path.poses]
     assert [i for i, ok in enumerate(flags) if not ok] == [7, 8, 9, 11, 12, 13]
 
     discs = find_discontinuities(path, world, quad, margin=2)
@@ -88,7 +88,7 @@ def test_padding_walks_outward_through_a_nearby_run(quad):
                         AxisBox(Vec3(-3.7, -1, 0), Vec3(-2.8, 1, 5))),
                        target=(0.0, 5.0, 1.0))
     path = straight_path()
-    flags = [is_free(world, quad, p.position) for p in path.poses]
+    flags = [collision_model(world, quad).point_free(p.position) for p in path.poses]
     discs = find_discontinuities(path, world, quad, margin=1)
     got = [(d.entry_index, d.exit_index) for d in discs]
     assert got == reference_spans(flags, 1)
@@ -142,7 +142,7 @@ def test_matches_reference_scan_on_random_worlds(quad):
     while checked < 40:
         world = _random_scan_world(rng)
         path = generate_arc(_random_arc(rng))
-        flags = [is_free(world, quad, p.position) for p in path.poses]
+        flags = [collision_model(world, quad).point_free(p.position) for p in path.poses]
         if not (flags[0] and flags[-1]):
             continue
         checked += 1

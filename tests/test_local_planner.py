@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,13 +7,12 @@ from hypothesis import strategies as st
 
 from arcshot.discontinuity import Discontinuity, find_discontinuities
 from arcshot.errors import DegenerateExtend, LocalPlanFailed
-from arcshot.local_planner import (LocalPath, Node, RrtParams, SearchWindow,
-                                   Tree, _best_parent, _edge_points, best_parent,
-                                   expand_window, extend, initial_window,
-                                   nearest_vertex, plan_local, plan_local_run,
-                                   rrt_star, rrt_star_run, sample)
+from arcshot.local_planner import (LocalPath, RrtParams, SearchWindow, Tree,
+                                   _best_parent, expand_window, extend,
+                                   initial_window, nearest_vertex, plan_local_run,
+                                   rrt_star_run, sample)
 from arcshot.shot import Pose4, generate_arc
-from arcshot.world import AxisBox, Cylinder, QuadModel, Vec3, collision_model
+from arcshot.world import AxisBox, Cylinder, QuadModel, Vec3, collision_model, edge_points
 from conftest import demo_shot, demo_world, make_world, wall_shot, wall_world
 
 BIG_BOUNDS = AxisBox(Vec3(-100, -100, -100), Vec3(100, 100, 100))
@@ -149,12 +150,13 @@ def test_extend_rejects_degenerate_input():
         extend(Vec3(1, 1, 1), Vec3(1, 1, 1), 0.5)
 
 
-# best_parent ----------------------------------------------------------------
+# _best_parent ---------------------------------------------------------------
 
 def test_best_parent_single_node_tree(quad):
     world = make_world()
     tree = Tree(Vec3(0, 0, 2))
-    assert best_parent(tree, Vec3(1, 0, 2), 2.0, world, quad) == 0
+    model = collision_model(world, quad)
+    assert _best_parent(tree, Vec3(1, 0, 2), 2.0, model, quad.body_radius) == 0
 
 
 def test_best_parent_breaks_cost_ties_by_insertion_order(quad):
@@ -167,19 +169,22 @@ def test_best_parent_breaks_cost_ties_by_insertion_order(quad):
     root_total = tree.costs[0] + Vec3(0, 0, 2).distance_to(x_new)
     child_total = tree.costs[child] + Vec3(1, 0, 2).distance_to(x_new)
     assert root_total == pytest.approx(child_total)
-    assert best_parent(tree, x_new, 2.0, world, quad) == 0
+    model = collision_model(world, quad)
+    assert _best_parent(tree, x_new, 2.0, model, quad.body_radius) == 0
 
 
 def test_best_parent_skips_blocked_edges(quad):
     world = make_world((AxisBox(Vec3(0.9, -5, 0), Vec3(1.1, 5, 8)),))
     tree = Tree(Vec3(0, 0, 2))
-    assert best_parent(tree, Vec3(2.2, 0, 2), 3.0, world, quad) is None
+    model = collision_model(world, quad)
+    assert _best_parent(tree, Vec3(2.2, 0, 2), 3.0, model, quad.body_radius) is None
 
 
 def test_best_parent_ignores_nodes_outside_radius(quad):
     world = make_world()
     tree = Tree(Vec3(0, 0, 2))
-    assert best_parent(tree, Vec3(5, 0, 2), 1.0, world, quad) is None
+    model = collision_model(world, quad)
+    assert _best_parent(tree, Vec3(5, 0, 2), 1.0, model, quad.body_radius) is None
 
 
 def sequential_best_parent(tree, x_new, radius, model, step):
@@ -192,6 +197,14 @@ def sequential_best_parent(tree, x_new, radius, model, step):
         if model.segment_free(Vec3.from_array(tree.positions[idx]), x_new, step):
             return int(idx)
     return None
+
+
+def segment_points(a: Vec3, b: Vec3, step: float) -> np.ndarray:
+    """Reference for `edge_points`: inclusive samples along a->b spaced at most
+    `step` apart, in numpy's linspace form."""
+    n = max(1, math.ceil(a.distance_to(b) / step))
+    ts = np.linspace(0.0, 1.0, n + 1)
+    return a.as_array()[None, :] + ts[:, None] * (b.as_array() - a.as_array())
 
 
 _coord = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)
@@ -218,11 +231,10 @@ def _axis_multiple_edge(draw):
     _axis_multiple_edge()))
 def test_edge_points_match_segment_points_bit_for_bit(case):
     origins, end, step = case
-    model = collision_model(make_world(), QuadModel())
-    pts, first = _edge_points(np.array(origins, dtype=float), np.array(end), step)
+    pts, first = edge_points(np.array(origins, dtype=float), np.array(end), step)
     bounds = list(first[1:]) + [len(pts)]
     for origin, lo, hi in zip(origins, first, bounds):
-        expected = model.segment_points(Vec3(*origin), Vec3(*end), step)
+        expected = segment_points(Vec3(*origin), Vec3(*end), step)
         assert pts[lo:hi].tobytes() == expected.tobytes()
 
 
@@ -261,14 +273,13 @@ def test_best_parent_matches_sequential_oracle(seed, grid):
     model = collision_model(world, quad)
     expected = sequential_best_parent(tree, x_new, radius, model, step)
     assert _best_parent(tree, x_new, radius, model, step) == expected
-    assert best_parent(tree, x_new, radius, world, quad, step) == expected
     # culled to a box holding the tree and x_new, as in an RRT* attempt
     pts = np.vstack([tree.positions, x_new.as_array()])
     box = AxisBox(Vec3.from_array(pts.min(axis=0)), Vec3.from_array(pts.max(axis=0)))
     assert _best_parent(tree, x_new, radius, model.within(box), step) == expected
 
 
-# rrt_star -------------------------------------------------------------------
+# rrt_star_run ---------------------------------------------------------------
 
 def empty_world_disc(distance=6.0):
     world = make_world(lo=(-20, -20, 0), hi=(20, 20, 10))
@@ -280,7 +291,8 @@ def empty_world_disc(distance=6.0):
 def test_rrt_star_finds_near_straight_paths_in_the_open(quad):
     world, d = empty_world_disc()
     for seed in range(5):
-        lp = rrt_star(d, world, quad, RrtParams(extend_dist=1.0, seed=seed), 0)
+        lp = rrt_star_run(d, world, quad, RrtParams(extend_dist=1.0, seed=seed), 0,
+                          step=quad.body_radius).path
         assert lp is not None
         assert lp.positions[0] == d.entry_pose.position
         assert lp.positions[-1] == d.exit_pose.position
@@ -300,7 +312,8 @@ def test_rrt_star_returns_none_for_an_enclosed_exit(quad):
     world = make_world(shell)
     assert collision_model(world, quad).point_free(exit_p)
     d = disc_between(Vec3(0, 0, 2), exit_p)
-    assert rrt_star(d, world, quad, RrtParams(seed=3, max_loops=300), 0) is None
+    params = RrtParams(seed=3, max_loops=300)
+    assert rrt_star_run(d, world, quad, params, 0, step=quad.body_radius).path is None
 
 
 def test_rrt_star_detour_survives_dense_revalidation(quad):
@@ -311,8 +324,7 @@ def test_rrt_star_detour_survives_dense_revalidation(quad):
     step = quad.body_radius / 2
     model = collision_model(world, quad)
     for seed in range(5):
-        lp = rrt_star(d, world, quad, RrtParams(seed=seed), 0,
-                      collision_step=step)
+        lp = rrt_star_run(d, world, quad, RrtParams(seed=seed), 0, step=step).path
         assert lp is not None
         for a, b in zip(lp.positions, lp.positions[1:]):
             assert model.segment_free(a, b, step / 2)
@@ -323,7 +335,7 @@ def test_rrt_star_tree_invariants(quad):
     arc = generate_arc(demo_shot())
     d = find_discontinuities(arc, world, quad)[0]
     params = RrtParams(seed=8)
-    run = rrt_star_run(d, world, quad, params, 0)
+    run = rrt_star_run(d, world, quad, params, 0, step=quad.body_radius)
     tree = run.tree
     model = collision_model(world, quad)
 
@@ -350,7 +362,7 @@ def test_rrt_star_tree_invariants(quad):
 
 def test_rrt_star_best_cost_trace_is_monotone(quad):
     world, d = empty_world_disc()
-    run = rrt_star_run(d, world, quad, RrtParams(seed=4), 0)
+    run = rrt_star_run(d, world, quad, RrtParams(seed=4), 0, step=quad.body_radius)
     trace = run.best_costs
     assert len(trace) == 500
     for earlier, later in zip(trace, trace[1:]):
@@ -362,23 +374,23 @@ def test_rrt_star_is_deterministic(quad):
     arc = generate_arc(demo_shot())
     d = find_discontinuities(arc, world, quad)[0]
     params = RrtParams(seed=17)
-    a = rrt_star_run(d, world, quad, params, 0)
-    b = rrt_star_run(d, world, quad, params, 0)
+    a = rrt_star_run(d, world, quad, params, 0, step=quad.body_radius)
+    b = rrt_star_run(d, world, quad, params, 0, step=quad.body_radius)
     assert len(a.tree) == len(b.tree)
     assert a.path is not None and b.path is not None
     assert a.path.positions == b.path.positions
     assert a.path.cost == b.path.cost
     # a different discontinuity index derives a different stream
-    c = rrt_star_run(d, world, quad, params, 0, disc_index=1)
+    c = rrt_star_run(d, world, quad, params, 0, step=quad.body_radius, disc_index=1)
     assert c.path is None or c.path.positions != a.path.positions
 
 
-# plan_local -----------------------------------------------------------------
+# plan_local_run -------------------------------------------------------------
 
 def test_plan_local_succeeds_at_level_zero_when_easy(quad):
     world, d = empty_world_disc()
-    out = plan_local_run(d, world, quad, RrtParams(seed=2))
-    assert out.level == 0
+    out = plan_local_run(d, world, quad, RrtParams(seed=2), step=quad.body_radius)
+    assert out.window.level == 0
     assert out.loops == 500
     assert out.path.cost < 9.0
 
@@ -395,10 +407,10 @@ def wall_disc(quad):
 def test_plan_local_expands_past_a_wide_wall(quad):
     world, d = wall_disc(quad)
     # level 0 alone cannot cross: the wall covers the whole initial window
-    assert rrt_star(d, world, quad, WALL_PARAMS, 0) is None
-    out = plan_local_run(d, world, quad, WALL_PARAMS)
-    assert out.level >= 1
-    assert out.loops == (out.level + 1) * WALL_PARAMS.max_loops
+    assert rrt_star_run(d, world, quad, WALL_PARAMS, 0, step=quad.body_radius).path is None
+    out = plan_local_run(d, world, quad, WALL_PARAMS, step=quad.body_radius)
+    assert out.window.level >= 1
+    assert out.loops == (out.window.level + 1) * WALL_PARAMS.max_loops
 
 
 def test_plan_local_fail_limit_one_gives_up_immediately(quad):
@@ -406,7 +418,7 @@ def test_plan_local_fail_limit_one_gives_up_immediately(quad):
     import dataclasses
     params = dataclasses.replace(WALL_PARAMS, fail_limit=1)
     with pytest.raises(LocalPlanFailed) as err:
-        plan_local(d, world, quad, params, disc_index=0)
+        plan_local_run(d, world, quad, params, step=quad.body_radius, disc_index=0)
     assert err.value.discontinuity_index == 0
     assert err.value.levels_tried == 1
 
@@ -435,8 +447,9 @@ def test_tree_node_accessor_and_root_path():
     tree = Tree(Vec3(0, 0, 0))
     a = tree.add(Vec3(1, 0, 0), 0)
     b = tree.add(Vec3(1, 1, 0), a)
-    node = tree.node(b)
-    assert node == Node(Vec3(1, 1, 0), a, pytest.approx(2.0))
+    assert tree.parents[b] == a
+    assert Vec3.from_array(tree.positions[b]) == Vec3(1, 1, 0)
+    assert tree.costs[b] == pytest.approx(2.0)
     assert tree.path_from_root(b) == [Vec3(0, 0, 0), Vec3(1, 0, 0), Vec3(1, 1, 0)]
 
 

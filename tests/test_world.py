@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arcshot.world import (AxisBox, CollisionModel, Cylinder, QuadModel, Vec3, World,
-                           inflate, is_free, segment_free)
+                           collision_model, inflate)
 from conftest import make_world
 
 
@@ -100,25 +100,25 @@ def test_inflate_is_monotone(cx, cy, r, h, px, py, pz, body, margin):
         assert point_in_box(inflate(box, quad), p)
 
 
-# is_free --------------------------------------------------------------------
+# point_free -----------------------------------------------------------------
 
 def test_is_free_empty_world():
     world = make_world()
     quad = QuadModel()
-    assert is_free(world, quad, Vec3(3.0, -4.0, 5.0))
+    assert collision_model(world, quad).point_free(Vec3(3.0, -4.0, 5.0))
 
 
 def test_is_free_rejects_out_of_bounds():
     world = make_world()
     quad = QuadModel()
-    assert not is_free(world, quad, Vec3(16.0, 0.0, 5.0))
-    assert not is_free(world, quad, Vec3(0.0, 0.0, -0.1))
+    assert not collision_model(world, quad).point_free(Vec3(16.0, 0.0, 5.0))
+    assert not collision_model(world, quad).point_free(Vec3(0.0, 0.0, -0.1))
 
 
 def test_is_free_inside_inflated_cylinder():
     world = make_world((Cylinder(Vec3(0.0, 0.0, 0.0), 1.0, 5.0),))
     quad = QuadModel(body_radius=0.3, safety_margin=0.2)
-    assert not is_free(world, quad, Vec3(0.0, 0.0, 2.5))  # on the axis
+    assert not collision_model(world, quad).point_free(Vec3(0.0, 0.0, 2.5))  # on the axis
 
 
 def test_is_free_near_inflated_boundary():
@@ -129,7 +129,7 @@ def test_is_free_near_inflated_boundary():
     inflated = inflate(cyl, quad)
     for dist, expected in ((1.49, False), (1.51, True)):
         p = Vec3(dist, 0.0, 2.0)
-        assert is_free(world, quad, p) is expected
+        assert collision_model(world, quad).point_free(p) is expected
         # closed-form point-in-cylinder oracle agrees
         assert point_in_cylinder(inflated, p) is (not expected)
 
@@ -137,7 +137,7 @@ def test_is_free_near_inflated_boundary():
 def test_is_free_boundary_counts_as_collision():
     world = make_world((Cylinder(Vec3(0.0, 0.0, 0.0), 1.0, 5.0),))
     quad = QuadModel(body_radius=0.3, safety_margin=0.2)
-    assert not is_free(world, quad, Vec3(1.5, 0.0, 2.0))
+    assert not collision_model(world, quad).point_free(Vec3(1.5, 0.0, 2.0))
 
 
 def _random_world(rng) -> World:
@@ -156,14 +156,14 @@ def _random_world(rng) -> World:
 
 
 def test_free_points_keep_clearance_from_raw_surfaces():
-    # is_free => distance to every raw obstacle surface >= growth
+    # point_free => distance to every raw obstacle surface >= growth
     rng = np.random.default_rng(2024)
     quad = QuadModel(body_radius=0.3, safety_margin=0.2)
     for _ in range(20):
         world = _random_world(rng)
         for _ in range(200):
             p = Vec3(rng.uniform(-15, 15), rng.uniform(-15, 15), rng.uniform(0, 10))
-            if is_free(world, quad, p):
+            if collision_model(world, quad).point_free(p):
                 clearance = min(dist_to_obstacle(o, p) for o in world.obstacles)
                 assert clearance >= quad.growth - 1e-9
 
@@ -172,7 +172,8 @@ def test_is_free_is_pure():
     world = make_world((Cylinder(Vec3(1.0, 1.0, 0.0), 1.0, 4.0),))
     quad = QuadModel()
     p = Vec3(0.2, 0.2, 1.0)
-    assert is_free(world, quad, p) == is_free(world, quad, p)
+    model = collision_model(world, quad)
+    assert model.point_free(p) == model.point_free(p)
 
 
 # within (culled models) -----------------------------------------------------
@@ -246,13 +247,13 @@ def test_within_keeps_touching_obstacles_and_drops_distant_ones():
 def test_segment_free_in_empty_world():
     world = make_world()
     quad = QuadModel()
-    assert segment_free(world, quad, Vec3(-5, 0, 2), Vec3(5, 0, 2), 0.5)
+    assert collision_model(world, quad).segment_free(Vec3(-5, 0, 2), Vec3(5, 0, 2), 0.5)
 
 
 def test_segment_through_cylinder_axis_is_blocked():
     world = make_world((Cylinder(Vec3(0.0, 0.0, 0.0), 1.0, 5.0),))
     quad = QuadModel()
-    assert not segment_free(world, quad, Vec3(-5, 0, 2), Vec3(5, 0, 2), 0.5)
+    assert not collision_model(world, quad).segment_free(Vec3(-5, 0, 2), Vec3(5, 0, 2), 0.5)
 
 
 def test_grazing_segment_matches_fine_sampling_oracle():
@@ -261,8 +262,8 @@ def test_grazing_segment_matches_fine_sampling_oracle():
     quad = QuadModel(body_radius=0.3, safety_margin=0.2)  # inflated r=1.5
     a, b = Vec3(-3.0, 1.4, 2.0), Vec3(3.0, 1.4, 2.0)
     step = 0.2
-    coarse = segment_free(world, quad, a, b, step)
-    fine = segment_free(world, quad, a, b, step / 10)
+    coarse = collision_model(world, quad).segment_free(a, b, step)
+    fine = collision_model(world, quad).segment_free(a, b, step / 10)
     assert coarse is fine is False
 
 
@@ -270,7 +271,8 @@ def test_segment_endpoints_checked():
     world = make_world((Cylinder(Vec3(0.0, 0.0, 0.0), 1.0, 5.0),))
     quad = QuadModel()
     # start point sits inside the inflated cylinder
-    assert not segment_free(world, quad, Vec3(0.5, 0, 2), Vec3(5, 0, 2), 0.25)
+    assert not collision_model(world, quad).segment_free(Vec3(0.5, 0, 2), Vec3(5, 0, 2),
+                                                         0.25)
 
 
 def test_coarse_sampling_is_optimistic():
@@ -285,23 +287,24 @@ def test_coarse_sampling_is_optimistic():
             if a.distance_to(b) == 0.0:
                 continue
             step = a.distance_to(b) / 6  # divides evenly: halving nests points
-            fine = segment_free(world, quad, a, b, step / 2)
-            coarse = segment_free(world, quad, a, b, step)
+            fine = collision_model(world, quad).segment_free(a, b, step / 2)
+            coarse = collision_model(world, quad).segment_free(a, b, step)
             if fine:
                 assert coarse
 
 
 def test_segment_free_default_step_is_body_radius():
-    # a gap the default step would sample: obstacle thinner than body_radius
+    # a gap a body_radius step would sample: obstacle thinner than body_radius
     world = make_world((AxisBox(Vec3(-0.05, -5, 0), Vec3(0.05, 5, 5)),))
     quad = QuadModel(body_radius=0.3, safety_margin=0.0)
-    assert not segment_free(world, quad, Vec3(-3, 0, 2), Vec3(3, 0, 2))
+    assert not collision_model(world, quad).segment_free(Vec3(-3, 0, 2), Vec3(3, 0, 2),
+                                                         quad.body_radius)
 
 
 def test_segment_free_requires_positive_step():
     world = make_world()
     with pytest.raises(ValueError):
-        segment_free(world, QuadModel(), Vec3(0, 0, 1), Vec3(1, 0, 1), 0.0)
+        collision_model(world, QuadModel()).segment_free(Vec3(0, 0, 1), Vec3(1, 0, 1), 0.0)
 
 
 # type invariants ------------------------------------------------------------
