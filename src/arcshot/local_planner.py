@@ -95,13 +95,14 @@ class Tree:
         """(n,) view of every node's path cost from the root."""
         return self._cost[:self._count]
 
-    def add(self, position: Vec3, parent: int) -> int:
+    def add(self, position: np.ndarray, parent: int) -> int:
+        """Append the node at `position` (a length-3 row) under `parent`."""
         if not 0 <= parent < self._count:
             raise ValueError(f"parent id {parent} not in tree of size {self._count}")
         if self._count == len(self._buf):
             self._buf = np.vstack([self._buf, np.empty_like(self._buf)])
             self._cost = np.concatenate([self._cost, np.empty_like(self._cost)])
-        self._buf[self._count] = position.as_array()
+        self._buf[self._count] = position
         edge = float(np.linalg.norm(self._buf[self._count] - self._buf[parent]))
         self.parents.append(parent)
         self._cost[self._count] = self._cost[parent] + edge
@@ -149,50 +150,73 @@ def expand_window(window: SearchWindow, growth: float, bounds: AxisBox) -> Searc
     return SearchWindow(box=box, level=window.level + 1)
 
 
-def sample(window: SearchWindow, rng: np.random.Generator) -> Vec3:
-    """Uniform position inside the window; advances the rng deterministically."""
+def sample(window: SearchWindow, rng: np.random.Generator, count: int) -> np.ndarray:
+    """(count, 3) uniform positions inside the window, drawn in one call.
+
+    Consumes the rng exactly as `count` successive single-point draws would.
+    """
     lo = window.box.min.as_array()
     hi = window.box.max.as_array()
-    return Vec3.from_array(rng.uniform(lo, hi))
+    return rng.uniform(lo, hi, size=(count, 3))
 
 
-def nearest_vertex(tree: Tree, p: Vec3) -> int:
+def nearest_vertex(tree: Tree, p: np.ndarray) -> int:
     """Id of the node closest to `p`; ties go to the earliest insertion."""
-    deltas = tree.positions - p.as_array()
+    deltas = tree.positions - p
     return int(np.argmin(np.einsum("ij,ij->i", deltas, deltas)))
 
 
-def extend(from_point: Vec3, toward: Vec3, extend_dist: float) -> Vec3:
+def _norm(v: np.ndarray) -> float:
+    """Euclidean length summed x, y, z in order, bit for bit `Vec3.norm`."""
+    x, y, z = v.tolist()
+    return math.sqrt(x * x + y * y + z * z)
+
+
+def extend(from_point: np.ndarray, toward: np.ndarray, extend_dist: float) -> np.ndarray:
     """Steer from `from_point` toward `toward` by at most `extend_dist`."""
     offset = toward - from_point
-    length = offset.norm()
+    length = _norm(offset)
     if length == 0.0:
         raise DegenerateExtend(f"cannot extend from {from_point} toward itself")
     if length <= extend_dist:
         return toward
-    return from_point + offset.scaled(extend_dist / length)
+    return from_point + offset * (extend_dist / length)
 
 
-def _best_parent(tree: Tree, x_new: Vec3, radius: float,
+def _best_parent(tree: Tree, x_new: np.ndarray, radius: float,
                  model: CollisionModel, step: float) -> int | None:
     """Cheapest in-radius node whose straight edge to `x_new` is collision-free.
 
     Minimizes node cost plus edge length; ties resolve to the earliest
-    insertion. The sample points of every candidate edge are classified in one
-    `free_points` call. Returns None when every in-radius edge is blocked.
+    insertion. Returns None when every in-radius edge is blocked.
+
+    Candidates whose last edge sample is blocked are dropped first, with one
+    `free_points` call; that sample is `origin + (x_new - origin)`, which may
+    differ from `x_new` in the last bit, so it is tested rather than `x_new`.
+    The cheapest remaining edge is then checked alone, and only if it is
+    blocked are the others classified, in one batch.
     """
-    end = x_new.as_array()
-    dists = np.linalg.norm(tree.positions - end, axis=1)
+    dists = np.linalg.norm(tree.positions - x_new, axis=1)
     candidates = np.flatnonzero(dists <= radius)
     if candidates.size == 0:
         return None
     totals = tree.costs[candidates] + dists[candidates]
     # stable sort keeps insertion order within cost ties
     order = candidates[np.argsort(totals, kind="stable")]
-    pts, first = edge_points(tree.positions[order], end, step)
+    origins = tree.positions[order]
+    reachable = model.free_points(origins + (x_new - origins))
+    order, origins = order[reachable], origins[reachable]
+    if order.size == 0:
+        return None
+    pts, _ = edge_points(origins[:1], x_new, step)
+    if model.free_points(pts).all():
+        return int(order[0])
+    if order.size == 1:
+        return None
+    pts, first = edge_points(origins[1:], x_new, step)
     edge_free = np.logical_and.reduceat(model.free_points(pts), first)
     winner = int(np.argmax(edge_free))
-    return int(order[winner]) if edge_free[winner] else None
+    return int(order[1 + winner]) if edge_free[winner] else None
 
 
 @dataclass
@@ -227,6 +251,7 @@ def rrt_star_run(d: Discontinuity, world: World, quad: QuadModel, params: RrtPar
 
     entry = d.entry_pose.position
     exit_ = d.exit_pose.position
+    exit_row = exit_.as_array()
     tree = Tree(entry)
     radius = params.neighbor_radius
 
@@ -234,11 +259,9 @@ def rrt_star_run(d: Discontinuity, world: World, quad: QuadModel, params: RrtPar
     best_node: int | None = None
     best_costs = []
 
-    for _ in range(params.max_loops):
-        x_rand = sample(window, rng)
-        near_id = nearest_vertex(tree, x_rand)
-        near_pos = Vec3.from_array(tree.positions[near_id])
-        if x_rand == near_pos:  # degenerate window collapses onto the tree
+    for x_rand in sample(window, rng, params.max_loops):
+        near_pos = tree.positions[nearest_vertex(tree, x_rand)]
+        if (x_rand == near_pos).all():  # degenerate window collapses onto the tree
             best_costs.append(best_cost)
             continue
         x_new = extend(near_pos, x_rand, params.extend_dist)
@@ -248,8 +271,9 @@ def rrt_star_run(d: Discontinuity, world: World, quad: QuadModel, params: RrtPar
             continue
         node_id = tree.add(x_new, parent)
 
-        goal_dist = x_new.distance_to(exit_)
-        if goal_dist <= params.goal_radius and model.segment_free(x_new, exit_, step):
+        goal_dist = _norm(x_new - exit_row)
+        if (goal_dist <= params.goal_radius
+                and model.segment_free(Vec3.from_array(x_new), exit_, step)):
             candidate = float(tree.costs[node_id]) + goal_dist
             if candidate < best_cost:
                 best_cost = candidate

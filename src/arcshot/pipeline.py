@@ -5,11 +5,13 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
+import numpy as np
+
 from .discontinuity import DEFAULT_MARGIN, Discontinuity, find_discontinuities
 from .errors import SpliceMismatch, ValidationFailed
 from .local_planner import LocalPath, RrtParams, Tree, plan_local_run
 from .shot import ArcShotSpec, GlobalPath, Pose4, face_target, generate_arc
-from .world import QuadModel, World, collision_model
+from .world import QuadModel, World, collision_model, edge_points
 
 SPLICE_TOLERANCE = 1e-6
 
@@ -78,14 +80,18 @@ def splice(path: GlobalPath, d: Discontinuity, lp: LocalPath) -> GlobalPath:
 def validate(path: GlobalPath, world: World, quad: QuadModel, step: float) -> int | None:
     """Densely re-check every consecutive segment.
 
-    Returns the index of the first offending segment, or None when the whole
-    path is collision-free at the given step.
+    The sample points of all segments are classified in one `free_points`
+    call against the full model. Returns the index of the first offending
+    segment, or None when the whole path is collision-free at the given step.
     """
+    if len(path) < 2:
+        return None
     model = collision_model(world, quad)
-    for i in range(len(path) - 1):
-        if not model.segment_free(path[i].position, path[i + 1].position, step):
-            return i
-    return None
+    positions = np.array([(p.position.x, p.position.y, p.position.z)
+                          for p in path.poses], dtype=float)
+    pts, first = edge_points(positions[:-1], positions[1:], step)
+    blocked = np.flatnonzero(~np.logical_and.reduceat(model.free_points(pts), first))
+    return int(blocked[0]) if blocked.size else None
 
 
 def plan_shot(world: World, quad: QuadModel, spec: ArcShotSpec, params: RrtParams,

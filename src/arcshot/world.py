@@ -288,7 +288,9 @@ def collision_model(world: World, quad: QuadModel) -> CollisionModel:
 def edge_points(origins: np.ndarray, end: np.ndarray,
                 step: float) -> tuple[np.ndarray, np.ndarray]:
     """Samples of every edge origins[i] -> end, stacked in one array, and the
-    row where each edge's samples start.
+    row where each edge's samples start. `end` is one (3,) point shared by
+    every edge or an (n, 3) array with edge i ending at end[i]; either way
+    each edge gets the same bits as it would alone.
 
     Edge i gets n = max(1, ceil(length / step)) intervals spaced at most
     `step` apart: t = k * (1 / n), as in numpy's linspace, with the last t

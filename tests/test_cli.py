@@ -58,7 +58,9 @@ def test_benchmark_tracer_still_wraps_the_planner(tmp_path, monkeypatch):
         tracer.begin_op(0)
         assert cli.main(["plan", *demo_args(tmp_path / "plan")]) == cli.EXIT_OK
         tracer.end_op()
-    for name in ("local_planner.rrt_star_run", "local_planner.best_parent"):
+    # nearest_vertex and extend spans also feed loop_growth, nearest_ms, extend_ms
+    for name in ("local_planner.rrt_star_run", "local_planner.best_parent",
+                 "local_planner.nearest_vertex", "local_planner.extend"):
         assert tracing.span_ms(tracer, name), name
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arcshot.discontinuity import Discontinuity, find_discontinuities
@@ -16,6 +16,8 @@ from arcshot.world import AxisBox, Cylinder, QuadModel, Vec3, collision_model, e
 from conftest import demo_shot, demo_world, make_world, wall_shot, wall_world
 
 BIG_BOUNDS = AxisBox(Vec3(-100, -100, -100), Vec3(100, 100, 100))
+_coord = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)
+_point = st.tuples(_coord, _coord, _coord)
 
 
 def disc_between(a: Vec3, b: Vec3) -> Discontinuity:
@@ -38,7 +40,7 @@ def test_initial_window_degenerate_point_box():
     w = initial_window(d, 0.0, BIG_BOUNDS)
     assert w.box.min == w.box.max == p
     rng = np.random.default_rng(0)
-    assert sample(w, rng) == p
+    assert Vec3.from_array(sample(w, rng, 1)[0]) == p
 
 
 def test_initial_window_clamped_to_world_bounds():
@@ -84,16 +86,27 @@ def test_expand_window_requires_growth_above_one():
 def test_sample_is_uniform_in_the_unit_box():
     w = SearchWindow(AxisBox(Vec3(0, 0, 0), Vec3(1, 1, 1)))
     rng = np.random.default_rng(123)
-    pts = np.array([sample(w, rng).as_array() for _ in range(10_000)])
+    pts = sample(w, rng, 10_000)
     for axis in range(3):
         assert abs(pts[:, axis].mean() - 0.5) < 0.02
     assert pts.min() >= 0.0 and pts.max() <= 1.0
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 50), _point, _point)
+def test_one_sample_draw_equals_single_draws(seed, count, a, b):
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    w = SearchWindow(AxisBox(Vec3.from_array(lo), Vec3.from_array(hi)))
+    batch = sample(w, np.random.default_rng(seed), count)
+    rng = np.random.default_rng(seed)
+    singles = np.array([rng.uniform(lo, hi) for _ in range(count)]).reshape(count, 3)
+    assert batch.tobytes() == singles.tobytes()
+
+
 def test_sample_sequences_repeat_with_the_seed():
     w = SearchWindow(AxisBox(Vec3(-2, 0, 1), Vec3(3, 4, 2)))
-    first = [sample(w, np.random.default_rng(5)) for _ in range(10)]
-    second = [sample(w, np.random.default_rng(5)) for _ in range(10)]
+    first = [sample(w, np.random.default_rng(5), 1).tolist() for _ in range(10)]
+    second = [sample(w, np.random.default_rng(5), 1).tolist() for _ in range(10)]
     assert first == second
 
 
@@ -101,13 +114,13 @@ def test_sample_sequences_repeat_with_the_seed():
 
 def test_nearest_on_single_node_tree():
     tree = Tree(Vec3(1, 2, 3))
-    assert nearest_vertex(tree, Vec3(50, 50, 50)) == 0
+    assert nearest_vertex(tree, np.array([50.0, 50.0, 50.0])) == 0
 
 
 def test_nearest_prefers_earlier_insertion_on_ties():
     tree = Tree(Vec3(0, 0, 0))
-    tree.add(Vec3(10, 0, 0), 0)
-    assert nearest_vertex(tree, Vec3(5, 0, 0)) == 0
+    tree.add(np.array([10.0, 0.0, 0.0]), 0)
+    assert nearest_vertex(tree, np.array([5.0, 0.0, 0.0])) == 0
 
 
 def test_nearest_matches_linear_scan_oracle():
@@ -115,22 +128,27 @@ def test_nearest_matches_linear_scan_oracle():
     tree = Tree(Vec3(0, 0, 0))
     for _ in range(199):
         parent = int(rng.integers(0, len(tree)))
-        tree.add(Vec3(*rng.uniform(-10, 10, 3)), parent)
+        tree.add(rng.uniform(-10, 10, 3), parent)
     for _ in range(50):
-        q = Vec3(*rng.uniform(-12, 12, 3))
+        q = rng.uniform(-12, 12, 3)
         want = min(range(len(tree)),
-                   key=lambda i: Vec3.from_array(tree.positions[i]).distance_to(q))
+                   key=lambda i: Vec3.from_array(tree.positions[i]).distance_to(
+                       Vec3.from_array(q)))
         assert nearest_vertex(tree, q) == want
 
 
 # extend ---------------------------------------------------------------------
 
+def row(x, y, z) -> np.ndarray:
+    return np.array([x, y, z], dtype=float)
+
+
 def test_extend_steps_toward_distant_points():
-    assert extend(Vec3(0, 0, 0), Vec3(10, 0, 0), 1.0) == Vec3(1, 0, 0)
+    assert extend(row(0, 0, 0), row(10, 0, 0), 1.0).tolist() == [1, 0, 0]
 
 
 def test_extend_returns_nearby_points_directly():
-    assert extend(Vec3(0, 0, 0), Vec3(0.5, 0, 0), 1.0) == Vec3(0.5, 0, 0)
+    assert extend(row(0, 0, 0), row(0.5, 0, 0), 1.0).tolist() == [0.5, 0, 0]
 
 
 @settings(max_examples=200, deadline=None)
@@ -141,13 +159,13 @@ def test_extend_travels_min_of_step_and_distance(ax, ay, az, bx, by, bz, step):
     a, b = Vec3(ax, ay, az), Vec3(bx, by, bz)
     if a.distance_to(b) == 0.0:
         return
-    moved = extend(a, b, step).distance_to(a)
+    moved = Vec3.from_array(extend(a.as_array(), b.as_array(), step)).distance_to(a)
     assert moved == pytest.approx(min(step, a.distance_to(b)), rel=1e-9)
 
 
 def test_extend_rejects_degenerate_input():
     with pytest.raises(DegenerateExtend):
-        extend(Vec3(1, 1, 1), Vec3(1, 1, 1), 0.5)
+        extend(row(1, 1, 1), row(1, 1, 1), 0.5)
 
 
 # _best_parent ---------------------------------------------------------------
@@ -156,18 +174,18 @@ def test_best_parent_single_node_tree(quad):
     world = make_world()
     tree = Tree(Vec3(0, 0, 2))
     model = collision_model(world, quad)
-    assert _best_parent(tree, Vec3(1, 0, 2), 2.0, model, quad.body_radius) == 0
+    assert _best_parent(tree, row(1, 0, 2), 2.0, model, quad.body_radius) == 0
 
 
 def test_best_parent_breaks_cost_ties_by_insertion_order(quad):
     # root: 0 + 1.5 vs child: 1 + 0.5 -> tie at 1.5, root wins
     world = make_world()
     tree = Tree(Vec3(0, 0, 2))
-    child = tree.add(Vec3(1, 0, 2), 0)
+    child = tree.add(row(1, 0, 2), 0)
     assert tree.costs[child] == pytest.approx(1.0)
-    x_new = Vec3(1.5, 0, 2)
-    root_total = tree.costs[0] + Vec3(0, 0, 2).distance_to(x_new)
-    child_total = tree.costs[child] + Vec3(1, 0, 2).distance_to(x_new)
+    x_new = row(1.5, 0, 2)
+    root_total = tree.costs[0] + Vec3(0, 0, 2).distance_to(Vec3.from_array(x_new))
+    child_total = tree.costs[child] + Vec3(1, 0, 2).distance_to(Vec3.from_array(x_new))
     assert root_total == pytest.approx(child_total)
     model = collision_model(world, quad)
     assert _best_parent(tree, x_new, 2.0, model, quad.body_radius) == 0
@@ -177,24 +195,25 @@ def test_best_parent_skips_blocked_edges(quad):
     world = make_world((AxisBox(Vec3(0.9, -5, 0), Vec3(1.1, 5, 8)),))
     tree = Tree(Vec3(0, 0, 2))
     model = collision_model(world, quad)
-    assert _best_parent(tree, Vec3(2.2, 0, 2), 3.0, model, quad.body_radius) is None
+    assert _best_parent(tree, row(2.2, 0, 2), 3.0, model, quad.body_radius) is None
 
 
 def test_best_parent_ignores_nodes_outside_radius(quad):
     world = make_world()
     tree = Tree(Vec3(0, 0, 2))
     model = collision_model(world, quad)
-    assert _best_parent(tree, Vec3(5, 0, 2), 1.0, model, quad.body_radius) is None
+    assert _best_parent(tree, row(5, 0, 2), 1.0, model, quad.body_radius) is None
 
 
 def sequential_best_parent(tree, x_new, radius, model, step):
     """Reference for `_best_parent`: walk the in-radius candidates in stable
     cost order and return the first whose edge is free, one segment at a time."""
-    dists = np.linalg.norm(tree.positions - x_new.as_array(), axis=1)
+    dists = np.linalg.norm(tree.positions - x_new, axis=1)
     candidates = np.flatnonzero(dists <= radius)
     totals = tree.costs[candidates] + dists[candidates]
     for idx in candidates[np.argsort(totals, kind="stable")]:
-        if model.segment_free(Vec3.from_array(tree.positions[idx]), x_new, step):
+        if model.segment_free(Vec3.from_array(tree.positions[idx]),
+                              Vec3.from_array(x_new), step):
             return int(idx)
     return None
 
@@ -205,10 +224,6 @@ def segment_points(a: Vec3, b: Vec3, step: float) -> np.ndarray:
     n = max(1, math.ceil(a.distance_to(b) / step))
     ts = np.linspace(0.0, 1.0, n + 1)
     return a.as_array()[None, :] + ts[:, None] * (b.as_array() - a.as_array())
-
-
-_coord = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)
-_point = st.tuples(_coord, _coord, _coord)
 
 
 @st.composite
@@ -224,18 +239,33 @@ def _axis_multiple_edge(draw):
     return [tuple(origin)], tuple(end), step
 
 
+_step = st.floats(1e-3, 5.0, allow_nan=False)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(
-    st.tuples(st.lists(_point, min_size=1, max_size=8), _point,
-              st.floats(1e-3, 5.0, allow_nan=False)),
-    _axis_multiple_edge()))
+    st.tuples(st.lists(_point, min_size=1, max_size=8), _point, _step),
+    _axis_multiple_edge(),
+    # one end per edge
+    st.tuples(st.lists(st.tuples(_point, _point), min_size=1, max_size=8), _step).map(
+        lambda c: ([o for o, _ in c[0]], [e for _, e in c[0]], c[1]))))
 def test_edge_points_match_segment_points_bit_for_bit(case):
     origins, end, step = case
-    pts, first = edge_points(np.array(origins, dtype=float), np.array(end), step)
+    end = np.array(end, dtype=float)
+    pts, first = edge_points(np.array(origins, dtype=float), end, step)
     bounds = list(first[1:]) + [len(pts)]
-    for origin, lo, hi in zip(origins, first, bounds):
-        expected = segment_points(Vec3(*origin), Vec3(*end), step)
+    ends = np.broadcast_to(end, (len(origins), 3))
+    for origin, e, lo, hi in zip(origins, ends, first, bounds):
+        expected = segment_points(Vec3(*origin), Vec3.from_array(e), step)
         assert pts[lo:hi].tobytes() == expected.tobytes()
+
+
+def _grow_tree(positions: np.ndarray, rng: np.random.Generator) -> Tree:
+    """Tree over `positions` in order, each node under a random earlier one."""
+    tree = Tree(Vec3.from_array(positions[0]))
+    for p in positions[1:]:
+        tree.add(p, int(rng.integers(0, len(tree))))
+    return tree
 
 
 def _random_case(seed: int, grid: bool):
@@ -255,11 +285,8 @@ def _random_case(seed: int, grid: bool):
         else:
             obstacles.append(AxisBox(Vec3(x, y, z), Vec3(x + r, y + h / 2, z + h)))
     world = make_world(tuple(obstacles), lo=(-6, -6, 0), hi=(6, 6, 6))
-    positions = coords(int(rng.integers(1, 60)) + 1)
-    tree = Tree(Vec3.from_array(positions[0]))
-    for p in positions[1:]:
-        tree.add(Vec3.from_array(p), int(rng.integers(0, len(tree))))
-    x_new = Vec3.from_array(coords(1)[0])
+    tree = _grow_tree(coords(int(rng.integers(1, 60)) + 1), rng)
+    x_new = coords(1)[0]
     radius = float(rng.choice([2.0, 4.0, 6.0]) if grid else rng.uniform(1.5, 6.0))
     step = float(rng.choice([0.125, 0.25, 0.5]) if grid else rng.uniform(0.05, 0.6))
     return world, tree, x_new, radius, step
@@ -274,9 +301,93 @@ def test_best_parent_matches_sequential_oracle(seed, grid):
     expected = sequential_best_parent(tree, x_new, radius, model, step)
     assert _best_parent(tree, x_new, radius, model, step) == expected
     # culled to a box holding the tree and x_new, as in an RRT* attempt
-    pts = np.vstack([tree.positions, x_new.as_array()])
+    pts = np.vstack([tree.positions, x_new])
     box = AxisBox(Vec3.from_array(pts.min(axis=0)), Vec3.from_array(pts.max(axis=0)))
     assert _best_parent(tree, x_new, radius, model.within(box), step) == expected
+
+
+BP_QUAD = QuadModel(body_radius=0.2, safety_margin=0.1)
+
+
+def _assert_matches_oracle(world, tree, x_new, radius, step):
+    model = collision_model(world, BP_QUAD)
+    expected = sequential_best_parent(tree, x_new, radius, model, step)
+    assert _best_parent(tree, x_new, radius, model, step) == expected
+    return expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_best_parent_falls_back_when_the_cheapest_edge_is_blocked(seed):
+    # the root costs nothing, so root -> x_new is the cheapest edge; a box
+    # centred on its midpoint blocks it
+    rng = np.random.default_rng(seed)
+    root = rng.uniform(-4, 4, 3)
+    u = rng.normal(size=3)
+    x_new = root + rng.uniform(1.5, 3.0) * u / np.linalg.norm(u)
+    mid, half = (root + x_new) / 2, rng.uniform(0.05, 0.3, 3)
+    world = make_world((AxisBox(Vec3.from_array(mid - half), Vec3.from_array(mid + half)),),
+                       lo=(-10, -10, -10), hi=(10, 10, 10))
+    model = collision_model(world, BP_QUAD)
+    assume(model.free_points(np.vstack([root, x_new])).all())
+    others = x_new + rng.uniform(-3, 3, size=(int(rng.integers(1, 30)), 3))
+    tree = _grow_tree(np.vstack([root, others]), rng)
+    step = float(rng.uniform(0.05, 0.4))
+    dists = np.linalg.norm(tree.positions - x_new, axis=1)
+    near = np.flatnonzero(dists <= 4.0)
+    cheapest = near[np.argsort(tree.costs[near] + dists[near], kind="stable")[0]]
+    assume(not model.segment_free(Vec3.from_array(tree.positions[cheapest]),
+                                  Vec3.from_array(x_new), step))
+    _assert_matches_oracle(world, tree, x_new, 4.0, step)
+
+
+def _random_obstacle(rng):
+    lo = rng.uniform(-3, 3, 3)
+    if rng.random() < 0.5:
+        return Cylinder(Vec3.from_array(lo), float(rng.uniform(0.1, 1.0)),
+                        float(rng.uniform(0.5, 3.0)))
+    return AxisBox(Vec3.from_array(lo), Vec3.from_array(lo + rng.uniform(0.1, 2.0, 3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_best_parent_rejects_a_new_node_inside_an_obstacle(seed):
+    rng = np.random.default_rng(seed)
+    world = make_world(tuple(_random_obstacle(rng) for _ in range(int(rng.integers(1, 4)))),
+                       lo=(-10, -10, -10), hi=(10, 10, 10))
+    inflated = collision_model(world, BP_QUAD).inflated[0]
+    if isinstance(inflated, Cylinder):
+        c = inflated.base_center
+        r, a = inflated.radius * rng.uniform(0, 0.95), rng.uniform(0, 2 * np.pi)
+        x_new = np.array([c.x + r * np.cos(a), c.y + r * np.sin(a),
+                          c.z + inflated.height * rng.uniform(0.05, 0.95)])
+    else:
+        lo, hi = inflated.min.as_array(), inflated.max.as_array()
+        x_new = lo + (hi - lo) * rng.uniform(0.05, 0.95, 3)
+    tree = _grow_tree(x_new + rng.uniform(-3, 3, size=(int(rng.integers(1, 30)), 3)), rng)
+    assert _assert_matches_oracle(world, tree, x_new, 4.0,
+                                  float(rng.uniform(0.05, 0.4))) is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_best_parent_on_an_obstacle_face_tests_the_last_edge_sample(seed):
+    # x_new lies exactly on a face of an inflated box and every node on its
+    # free side: an edge is free iff its last sample, origin + (x_new - origin),
+    # rounds off the face, which x_new itself never does
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(-6, 6, 3)
+    raw = AxisBox(Vec3.from_array(lo), Vec3.from_array(lo + rng.uniform(1, 4, 3)))
+    world = make_world((raw,), lo=(-20, -20, -20), hi=(20, 20, 20))
+    box = collision_model(world, BP_QUAD).inflated[0]
+    bmin, bmax = box.min.as_array(), box.max.as_array()
+    axis, outward = int(rng.integers(0, 3)), float(rng.choice([-1.0, 1.0]))
+    x_new = bmin + (bmax - bmin) * rng.uniform(0.2, 0.8, 3)
+    x_new[axis] = bmax[axis] if outward > 0 else bmin[axis]
+    nodes = x_new + rng.uniform(-2, 2, size=(int(rng.integers(1, 30)), 3))
+    nodes[:, axis] = x_new[axis] + outward * rng.uniform(0.05, 2.5, len(nodes))
+    tree = _grow_tree(nodes, rng)
+    _assert_matches_oracle(world, tree, x_new, 4.0, float(rng.uniform(0.05, 0.4)))
 
 
 # rrt_star_run ---------------------------------------------------------------
@@ -440,13 +551,13 @@ def test_rrt_params_validation():
 def test_tree_rejects_unknown_parents():
     tree = Tree(Vec3(0, 0, 0))
     with pytest.raises(ValueError):
-        tree.add(Vec3(1, 0, 0), 5)
+        tree.add(row(1, 0, 0), 5)
 
 
 def test_tree_node_accessor_and_root_path():
     tree = Tree(Vec3(0, 0, 0))
-    a = tree.add(Vec3(1, 0, 0), 0)
-    b = tree.add(Vec3(1, 1, 0), a)
+    a = tree.add(row(1, 0, 0), 0)
+    b = tree.add(row(1, 1, 0), a)
     assert tree.parents[b] == a
     assert Vec3.from_array(tree.positions[b]) == Vec3(1, 1, 0)
     assert tree.costs[b] == pytest.approx(2.0)

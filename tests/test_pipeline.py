@@ -1,13 +1,16 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcshot.discontinuity import Discontinuity
 from arcshot.errors import EndpointBlocked, LocalPlanFailed, SpliceMismatch
 from arcshot.local_planner import LocalPath, RrtParams
 from arcshot.pipeline import plan_shot, splice, validate
 from arcshot.shot import GlobalPath, Pose4, face_target, generate_arc
-from arcshot.world import Cylinder, Vec3
+from arcshot.world import AxisBox, Cylinder, QuadModel, Vec3, collision_model
 from conftest import demo_shot, demo_world, make_world, wall_shot, wall_world
 
 
@@ -89,6 +92,39 @@ def test_validate_finer_step_never_passes_where_coarser_failed(quad):
     coarse = validate(path, world, quad, 1.0)
     assert coarse is not None
     assert validate(path, world, quad, 0.25) is not None
+
+
+def sequential_validate(path, world, quad, step):
+    """Reference for `validate`: one `segment_free` call per segment."""
+    model = collision_model(world, quad)
+    for i in range(len(path) - 1):
+        if not model.segment_free(path[i].position, path[i + 1].position, step):
+            return i
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_validate_matches_the_per_segment_oracle(seed):
+    # random walks through a few obstacles: often several blocked segments,
+    # sometimes none, sometimes a single pose
+    rng = np.random.default_rng(seed)
+    obstacles = []
+    for _ in range(int(rng.integers(0, 5))):
+        lo = rng.uniform((-5, -5, 0), (5, 5, 4))
+        if rng.random() < 0.5:
+            obstacles.append(Cylinder(Vec3.from_array(lo), float(rng.uniform(0.1, 1.2)),
+                                      float(rng.uniform(0.5, 4.0))))
+        else:
+            obstacles.append(AxisBox(Vec3.from_array(lo),
+                                     Vec3.from_array(lo + rng.uniform(0.1, 2.5, 3))))
+    world = make_world(tuple(obstacles), lo=(-8, -8, 0), hi=(8, 8, 8))
+    steps = rng.uniform(-1.5, 1.5, size=(int(rng.integers(1, 30)), 3))
+    walk = rng.uniform((-6, -6, 1), (6, 6, 7)) + np.cumsum(steps, axis=0)
+    path = GlobalPath(tuple(Pose4(Vec3.from_array(p), 0.0) for p in walk))
+    quad = QuadModel(body_radius=float(rng.uniform(0.1, 0.4)), safety_margin=0.1)
+    step = float(rng.uniform(0.05, 0.5))
+    assert validate(path, world, quad, step) == sequential_validate(path, world, quad, step)
 
 
 # plan_shot ------------------------------------------------------------------
