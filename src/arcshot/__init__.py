@@ -10,7 +10,7 @@ from .errors import (ArcshotError, DegenerateArc, DegenerateExtend,
                      DegenerateHeading, EndpointBlocked, LocalPlanFailed,
                      SchemaError, SpliceMismatch, TimeoutExceeded,
                      UnresolvableSpan, VacuousBench, ValidationFailed)
-from .executor import FollowConfig, SimState, VelocityCommand, command_for, follow
+from .executor import FollowConfig, SimState, command_for, follow
 from .local_planner import (LocalPath, RrtParams, SearchWindow, Tree,
                             expand_window, extend, initial_window, nearest_vertex,
                             plan_local_run, rrt_star_run, sample)

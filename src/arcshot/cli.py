@@ -15,6 +15,8 @@ import sys
 from json import JSONDecodeError
 from pathlib import Path
 
+import numpy as np
+
 from . import bench as bench_mod
 from . import fileio, render
 from .errors import (ArcshotError, DegenerateArc, DegenerateHeading,
@@ -139,16 +141,17 @@ def _cmd_execute(args) -> int:
                               trajectory=log, width=config.render_width)
     (out / "execute.svg").write_text(svg, encoding="utf-8")
 
+    sim_time_s = float(log[-1, 4])
     _emit(
         args,
-        (f"executed {len(path)} waypoints in {log[-1].time:.2f} s "
+        (f"executed {len(path)} waypoints in {sim_time_s:.2f} s "
          f"({len(log)} states)\n"
          f"wrote {out / 'trajectory.json'}, {out / 'execute.svg'}"),
         {
             "status": "ok",
             "waypoints": len(path),
             "states": len(log),
-            "sim_time_s": log[-1].time,
+            "sim_time_s": sim_time_s,
             "out_dir": str(out),
         },
     )
@@ -188,8 +191,9 @@ def _cmd_render(args) -> int:
     final_path = fileio.load_path(Path(args.path)) if args.path else None
     trajectory = None
     if args.trajectory:
-        log_path = fileio.load_path(Path(args.trajectory))
-        trajectory = [SimState(p.position, p.yaw, 0.0) for p in log_path.poses]
+        poses = fileio.load_path(Path(args.trajectory)).poses
+        trajectory = np.array([(p.position.x, p.position.y, p.position.z, p.yaw, 0.0)
+                               for p in poses])
 
     out = _out_dir(args)
     svg = render.render_scene(world, config.quad, arc=arc,

@@ -1,13 +1,24 @@
 """Kinematic waypoint follower: takeoff, then track the path with velocity
-commands, integrated with explicit Euler at a fixed rate."""
+commands, integrated with explicit Euler at a fixed rate.
+
+The loop runs on plain floats and logs one row (x, y, z, yaw, t) per state.
+`SimState` and `Vec3` appear only at the start state, the API boundary, and
+where `Vec3` raises its own error on a coordinate that overflowed.
+"""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import TimeoutExceeded
-from .shot import GlobalPath, Pose4, wrap_to_pi
+from .shot import GlobalPath, wrap_to_pi
 from .world import QuadModel, Vec3
+
+# Column order of a state log row.
+LOG_COLUMNS = ("x", "y", "z", "yaw", "t")
 
 
 @dataclass(frozen=True)
@@ -15,12 +26,6 @@ class SimState:
     position: Vec3
     yaw: float
     time: float = 0.0
-
-
-@dataclass(frozen=True)
-class VelocityCommand:
-    linear: Vec3
-    yaw_rate: float
 
 
 @dataclass(frozen=True)
@@ -47,54 +52,62 @@ class FollowConfig:
                 f"k_p * dt must be < 1 for stable tracking, got {self.k_p * self.dt}")
 
 
-def command_for(state: SimState, target: Pose4, cfg: FollowConfig,
-                quad: QuadModel) -> VelocityCommand:
-    """Saturated proportional command toward a waypoint pose."""
-    err = target.position - state.position
-    speed = cfg.k_p * err.norm()
-    if speed > quad.max_speed:
-        linear = err.scaled(quad.max_speed / err.norm())
-    else:
-        linear = err.scaled(cfg.k_p)
-    yaw_err = wrap_to_pi(target.yaw - state.yaw)
+def command_for(ex: float, ey: float, ez: float, norm: float, yaw_err: float,
+                cfg: FollowConfig, quad: QuadModel) -> tuple[float, float, float, float]:
+    """Saturated proportional command (vx, vy, vz, yaw_rate) for the position
+    error (ex, ey, ez), whose length is `norm`, and a wrapped yaw error."""
+    k = quad.max_speed / norm if cfg.k_p * norm > quad.max_speed else cfg.k_p
     yaw_rate = max(-quad.max_yaw_rate, min(quad.max_yaw_rate, cfg.k_p * yaw_err))
-    return VelocityCommand(linear, yaw_rate)
+    return ex * k, ey * k, ez * k, yaw_rate
 
 
 def follow(path: GlobalPath, start: SimState, cfg: FollowConfig, quad: QuadModel,
-           max_time: float | None = None) -> list[SimState]:
-    """Simulate takeoff plus waypoint tracking; returns the state log.
+           max_time: float | None = None) -> np.ndarray:
+    """Simulate takeoff plus waypoint tracking; returns the state log as an
+    (n, 5) array with columns LOG_COLUMNS, the start state first.
 
     Phase 1 climbs to a virtual waypoint directly above the start at the
     first waypoint's altitude; phase 2 walks the waypoints in order, switching
     whenever the vehicle is within the waypoint tolerance. Raises
-    TimeoutExceeded (carrying the partial log) if max_time elapses first.
+    TimeoutExceeded (carrying the partial log) if max_time elapses first, and
+    ValueError where `Vec3` arithmetic would meet a non-finite coordinate.
     """
     if len(path) == 0:
         raise ValueError("cannot follow an empty path")
     max_time = cfg.max_time if max_time is None else max_time
+    dt, tolerance = cfg.dt, cfg.waypoint_tolerance
 
     first = path[0]
-    takeoff = Pose4(Vec3(start.position.x, start.position.y, first.position.z),
-                    first.yaw)
-    targets = [takeoff, *path.poses]
+    p = start.position
+    targets = [(p.x, p.y, first.position.z, first.yaw)]
+    targets += [(q.position.x, q.position.y, q.position.z, q.yaw) for q in path.poses]
 
-    state = start
-    log = [state]
+    x, y, z, yaw, t = p.x, p.y, p.z, start.yaw, start.time
+    log = [x, y, z, yaw, t]
     active = 0
+    tx, ty, tz, tyaw = targets[0]
     while True:
-        while (active < len(targets)
-               and state.position.distance_to(targets[active].position)
-               <= cfg.waypoint_tolerance):
+        ex, ey, ez = tx - x, ty - y, tz - z
+        norm = math.sqrt(ex * ex + ey * ey + ez * ez)
+        if not norm < math.inf:
+            # An overflowed difference, or a position the last step overflowed,
+            # raises as Vec3 does; an overflow of the norm alone goes on.
+            Vec3(x, y, z) - Vec3(tx, ty, tz)
+        if norm <= tolerance:
             active += 1
-        if active == len(targets):
-            return log
-        if state.time + cfg.dt > max_time:
-            raise TimeoutExceeded(log)
-        cmd = command_for(state, targets[active], cfg, quad)
-        state = SimState(
-            position=state.position + cmd.linear.scaled(cfg.dt),
-            yaw=wrap_to_pi(state.yaw + cmd.yaw_rate * cfg.dt),
-            time=state.time + cfg.dt,
-        )
-        log.append(state)
+            if active == len(targets):
+                return _rows(log)
+            tx, ty, tz, tyaw = targets[active]
+            continue
+        if t + dt > max_time:
+            raise TimeoutExceeded(_rows(log))
+        vx, vy, vz, yaw_rate = command_for(ex, ey, ez, norm, wrap_to_pi(tyaw - yaw),
+                                           cfg, quad)
+        x, y, z = x + vx * dt, y + vy * dt, z + vz * dt
+        yaw = wrap_to_pi(yaw + yaw_rate * dt)
+        t = t + dt
+        log += (x, y, z, yaw, t)
+
+
+def _rows(log: list[float]) -> np.ndarray:
+    return np.array(log, dtype=float).reshape(-1, len(LOG_COLUMNS))

@@ -12,9 +12,11 @@ import json
 from pathlib import Path
 from typing import Any
 
+import numpy as np
+
 from .bench import BenchSpec
 from .errors import SchemaError
-from .executor import FollowConfig, SimState
+from .executor import LOG_COLUMNS, FollowConfig
 from .local_planner import RrtParams
 from .pipeline import PlanReport
 from .shot import ArcShotSpec, GlobalPath, Pose4
@@ -262,28 +264,45 @@ def path_from_json(data: Any, path: str = "path") -> GlobalPath:
     return _build(path, GlobalPath, poses=tuple(poses))
 
 
-def path_to_json(path_obj: GlobalPath) -> dict:
-    poses = [{"x": pose.position.x, "y": pose.position.y,
-              "z": pose.position.z, "yaw": pose.yaw} for pose in path_obj.poses]
-    return {"schema": PATH_SCHEMA, "poses": poses}
-
-
 def load_path(file: Path) -> GlobalPath:
     return path_from_json(_read_json(file))
 
 
+# Pose keys in the order `json.dumps(sort_keys=True)` writes them.
+PATH_KEYS = ("x", "y", "yaw", "z")
+TRAJECTORY_KEYS = ("t", "x", "y", "yaw", "z")
+_TRAJECTORY_COLUMNS = [LOG_COLUMNS.index(k) for k in TRAJECTORY_KEYS]
+
+
+def _poses_json(keys: tuple[str, ...], values: list) -> str:
+    """Text of a path file whose poses map the sorted `keys` to consecutive
+    runs of `values` (one or more poses).
+
+    Equals `json.dumps(data, indent=2, sort_keys=True) + "\\n"` byte for byte:
+    each number is formatted by the compact C encoder, whose tokens are the
+    indented encoder's, and placed into a fixed per-pose template.
+    """
+    tokens = json.dumps(values)[1:-1].split(", ")
+    pose = "    {\n" + ",\n".join(f'      "{k}": %s' for k in keys) + "\n    }"
+    body = ",\n".join([pose] * (len(tokens) // len(keys))) % tuple(tokens)
+    return ('{\n  "poses": [\n' + body
+            + f'\n  ],\n  "schema": "{PATH_SCHEMA}"\n}}\n')
+
+
+def _write_poses(file: Path, keys: tuple[str, ...], values: list) -> None:
+    Path(file).write_text(_poses_json(keys, values), encoding="utf-8")
+
+
 def save_path(path_obj: GlobalPath, file: Path) -> None:
-    _write_json(file, path_to_json(path_obj))
+    _write_poses(file, PATH_KEYS, [
+        v for pose in path_obj.poses
+        for v in (pose.position.x, pose.position.y, pose.yaw, pose.position.z)])
 
 
-def trajectory_to_json(log: list[SimState]) -> dict:
-    poses = [{"x": s.position.x, "y": s.position.y, "z": s.position.z,
-              "yaw": s.yaw, "t": s.time} for s in log]
-    return {"schema": PATH_SCHEMA, "poses": poses}
-
-
-def save_trajectory(log: list[SimState], file: Path) -> None:
-    _write_json(file, trajectory_to_json(log))
+def save_trajectory(log: np.ndarray, file: Path) -> None:
+    """Write a state log (rows with columns LOG_COLUMNS) as a path file with times."""
+    rows = np.asarray(log, dtype=float)[:, _TRAJECTORY_COLUMNS]
+    _write_poses(file, TRAJECTORY_KEYS, rows.ravel().tolist())
 
 
 # -- config -----------------------------------------------------------------

@@ -11,7 +11,7 @@ from .discontinuity import DEFAULT_MARGIN, Discontinuity, find_discontinuities
 from .errors import SpliceMismatch, ValidationFailed
 from .local_planner import LocalPath, RrtParams, Tree, plan_local_run
 from .shot import ArcShotSpec, GlobalPath, Pose4, face_target, generate_arc
-from .world import QuadModel, World, collision_model, edge_points
+from .world import AxisBox, QuadModel, Vec3, World, collision_model, edge_points
 
 SPLICE_TOLERANCE = 1e-6
 
@@ -81,14 +81,18 @@ def validate(path: GlobalPath, world: World, quad: QuadModel, step: float) -> in
     """Densely re-check every consecutive segment.
 
     The sample points of all segments are classified in one `free_points`
-    call against the full model. Returns the index of the first offending
-    segment, or None when the whole path is collision-free at the given step.
+    call against the obstacles near the path: every sample lies in the
+    bounding box of the path's positions, up to rounding that `within`'s pad
+    covers. Returns the index of the first offending segment, or None when
+    the whole path is collision-free at the given step.
     """
     if len(path) < 2:
         return None
-    model = collision_model(world, quad)
     positions = np.array([(p.position.x, p.position.y, p.position.z)
                           for p in path.poses], dtype=float)
+    box = AxisBox(Vec3.from_array(positions.min(axis=0)),
+                  Vec3.from_array(positions.max(axis=0)))
+    model = collision_model(world, quad).within(box)
     pts, first = edge_points(positions[:-1], positions[1:], step)
     blocked = np.flatnonzero(~np.logical_and.reduceat(model.free_points(pts), first))
     return int(blocked[0]) if blocked.size else None

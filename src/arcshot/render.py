@@ -8,12 +8,13 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .bench import BenchResult
 from .discontinuity import Discontinuity
-from .executor import SimState
 from .local_planner import Tree
-from .shot import GlobalPath
-from .world import AxisBox, Cylinder, QuadModel, Vec3, World, inflate
+from .shot import GlobalPath, Pose4
+from .world import AxisBox, Cylinder, QuadModel, World, inflate
 
 
 def _f(value: float) -> str:
@@ -39,13 +40,16 @@ class _Canvas:
     def y(self, wy: float) -> float:
         return self.pad + (self.max_y - wy) * self.scale
 
-    def pt(self, p: Vec3) -> str:
-        return f"{_f(self.x(p.x))},{_f(self.y(p.y))}"
 
-
-def _polyline(canvas: _Canvas, points: Iterable[Vec3], style: str) -> str:
-    coords = " ".join(canvas.pt(p) for p in points)
+def _polyline(canvas: _Canvas, points: Iterable[tuple[float, float]],
+              style: str) -> str:
+    """Polyline through world (x, y) points."""
+    coords = " ".join(f"{_f(canvas.x(x))},{_f(canvas.y(y))}" for x, y in points)
     return f'<polyline points="{coords}" fill="none" {style}/>'
+
+
+def _xy(poses: Iterable[Pose4]) -> list[tuple[float, float]]:
+    return [(p.position.x, p.position.y) for p in poses]
 
 
 def _obstacle_svg(canvas: _Canvas, obstacle, style: str) -> str:
@@ -65,9 +69,12 @@ def render_scene(world: World, quad: QuadModel | None = None, *,
                  discontinuities: Sequence[Discontinuity] | None = None,
                  final_path: GlobalPath | None = None,
                  trees: Sequence[Tree] | None = None,
-                 trajectory: Sequence[SimState] | None = None,
+                 trajectory: np.ndarray | None = None,
                  width: int = 900) -> str:
-    """Top-down orthographic view of a scenario and any planning artifacts."""
+    """Top-down orthographic view of a scenario and any planning artifacts.
+
+    `trajectory` holds state log rows whose first two columns are x and y.
+    """
     canvas = _Canvas(world.bounds, width)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{canvas.width}" '
@@ -129,27 +136,25 @@ def render_scene(world: World, quad: QuadModel | None = None, *,
         if discontinuities:
             parts.append('<g id="discontinuities">')
             for d in discontinuities:
-                span = [p.position for p in
-                        arc.poses[d.entry_index:d.exit_index + 1]]
                 parts.append(_polyline(
-                    canvas, span,
+                    canvas, _xy(arc.poses[d.entry_index:d.exit_index + 1]),
                     'stroke="#ff9900" stroke-width="5" stroke-opacity="0.5"'))
             parts.append('</g>')
         parts.append('<g id="arc">')
-        parts.append(_polyline(canvas, (p.position for p in arc.poses),
+        parts.append(_polyline(canvas, _xy(arc.poses),
                                'stroke="#4477cc" stroke-width="1"'))
         parts.append('</g>')
 
     if final_path is not None:
         parts.append('<g id="final">')
-        parts.append(_polyline(canvas, (p.position for p in final_path.poses),
+        parts.append(_polyline(canvas, _xy(final_path.poses),
                                'stroke="#117733" stroke-width="2.5"'))
         parts.append('</g>')
 
-    if trajectory:
+    if trajectory is not None and len(trajectory):
         parts.append('<g id="trajectory">')
         parts.append(_polyline(
-            canvas, (s.position for s in trajectory),
+            canvas, np.asarray(trajectory)[:, :2].tolist(),
             'stroke="#7733aa" stroke-width="1.2" stroke-dasharray="3,3"'))
         parts.append('</g>')
 

@@ -64,6 +64,42 @@ def test_benchmark_tracer_still_wraps_the_planner(tmp_path, monkeypatch):
         assert tracing.span_ms(tracer, name), name
 
 
+def test_benchmark_tracer_still_wraps_the_replay(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    import tracing
+
+    assert cli.main(["plan", *demo_args(tmp_path / "plan")]) == cli.EXIT_OK
+    with tracing.installed(tracing.Tracer()) as tracer:
+        tracer.begin_op(0)
+        assert cli.main(["execute", "--world", str(DEMO / "world.json"),
+                         "--path", str(tmp_path / "plan" / "path.json"),
+                         "--config", str(DEMO / "config.json"),
+                         "--out", str(tmp_path / "exec")]) == cli.EXIT_OK
+        tracer.end_op()
+    for name in ("executor.follow", "fileio.save", "render.render_scene"):
+        assert tracing.span_ms(tracer, name), name
+    # the executor.follow span's value is the number of logged states
+    op = tracer.ops[0]
+    states = op["value"][op["name"] == tracer.names.index("executor.follow")]
+    poses = json.loads((tmp_path / "exec" / "trajectory.json").read_text())["poses"]
+    assert states.tolist() == [len(poses)]
+
+
+def test_execute_overflow_is_a_schema_error_without_a_trajectory(tmp_path, capsys):
+    # the replay meets an infinite coordinate difference between the two poses
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"schema": "path/1", "poses": [
+        {"x": 1.7e308, "y": 0.0, "z": 2.0, "yaw": 0.0},
+        {"x": -1.7e308, "y": 0.0, "z": 2.0, "yaw": 0.0}]}))
+    out = tmp_path / "exec"
+    code = cli.main(["execute", "--world", str(DEMO / "world.json"),
+                     "--path", str(path), "--out", str(out)])
+    assert code == cli.EXIT_SCHEMA
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err == {"kind": "ValueError", "message": "Vec3.x must be finite, got inf"}
+    assert not (out / "trajectory.json").exists()
+
+
 def test_plan_is_byte_identical_across_runs(tmp_path):
     for name in ("a", "b"):
         assert cli.main(["plan", *demo_args(tmp_path / name)]) == cli.EXIT_OK

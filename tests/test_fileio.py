@@ -3,11 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcshot import fileio
 from arcshot.bench import BenchSpec
 from arcshot.errors import SchemaError
-from arcshot.executor import SimState
 from arcshot.local_planner import RrtParams
 from arcshot.pipeline import plan_shot
 from arcshot.shot import GlobalPath, Pose4
@@ -47,7 +48,7 @@ def test_path_round_trip_is_lossless(tmp_path):
 
 
 def test_trajectory_serialization_keeps_time(tmp_path):
-    log = [SimState(Vec3(0, 0, 0), 0.0, 0.0), SimState(Vec3(0, 0, 1), 0.1, 0.02)]
+    log = np.array([(0, 0, 0, 0.0, 0.0), (0, 0, 1, 0.1, 0.02)])
     file = tmp_path / "traj.json"
     fileio.save_trajectory(log, file)
     data = json.loads(file.read_text())
@@ -55,6 +56,52 @@ def test_trajectory_serialization_keeps_time(tmp_path):
     assert data["poses"][1]["t"] == 0.02
     # a trajectory file parses as a plain path too
     assert len(fileio.load_path(file)) == 2
+
+
+def indented_json(keys, values) -> str:
+    """Reference for the pose writer: the indented encoder on built dicts."""
+    m = len(keys)
+    poses = [dict(zip(keys, values[i:i + m])) for i in range(0, len(values), m)]
+    return json.dumps({"schema": "path/1", "poses": poses}, indent=2,
+                      sort_keys=True) + "\n"
+
+
+_NUMBER = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2250738585072014e-308, 1e16, 1e-7,
+                     1e-5, 9999999999999998.0, 0.1, 1.7976931348623157e308]),
+    st.integers(-10 ** 20, 10 ** 20),
+    st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([fileio.PATH_KEYS, fileio.TRAJECTORY_KEYS]),
+       st.integers(1, 40), st.data())
+def test_pose_writer_equals_the_indented_encoder(keys, count, data):
+    assert list(keys) == sorted(keys)
+    values = data.draw(st.lists(_NUMBER, min_size=count * len(keys),
+                                max_size=count * len(keys)))
+    assert fileio._poses_json(keys, values) == indented_json(keys, values)
+
+
+def test_pose_writer_equals_the_indented_encoder_on_many_poses():
+    rng = np.random.default_rng(5)
+    rows = rng.normal(scale=10.0, size=(3000, 5)) ** 3
+    values = rows.ravel().tolist()
+    assert (fileio._poses_json(fileio.TRAJECTORY_KEYS, values)
+            == indented_json(fileio.TRAJECTORY_KEYS, values))
+
+
+def test_trajectory_file_equals_the_indented_encoder(tmp_path):
+    # what save_trajectory used to write: one dict per state, time included
+    log = np.random.default_rng(8).uniform(-20, 20, size=(50, 5))
+    file = tmp_path / "traj.json"
+    fileio.save_trajectory(log, file)
+    poses = [{"x": x, "y": y, "z": z, "yaw": yaw, "t": t}
+             for x, y, z, yaw, t in log.tolist()]
+    assert file.read_text() == json.dumps({"schema": "path/1", "poses": poses},
+                                          indent=2, sort_keys=True) + "\n"
 
 
 def test_config_defaults_and_partial_files(tmp_path):

@@ -1,12 +1,12 @@
 import re
 
+import numpy as np
+
 from arcshot.bench import BenchResult, BenchRow
-from arcshot.executor import SimState
 from arcshot.local_planner import RrtParams
 from arcshot.pipeline import plan_shot
 from arcshot.render import render_bench_chart, render_scene
 from arcshot.shot import generate_arc
-from arcshot.world import Vec3
 from conftest import demo_shot, demo_world, make_world
 
 
@@ -52,7 +52,7 @@ def test_tree_overlay_edge_count_matches_the_report(quad):
 def test_scene_render_is_deterministic(quad):
     world = demo_world()
     arc = generate_arc(demo_shot())
-    log = [SimState(Vec3(8, 0, 0), 0.0, 0.0), SimState(Vec3(8, 0, 1), 0.0, 0.5)]
+    log = np.array([(8, 0, 0, 0.0, 0.0), (8, 0, 1, 0.0, 0.5)])
     a = render_scene(world, quad, arc=arc, trajectory=log)
     b = render_scene(world, quad, arc=arc, trajectory=log)
     assert a == b
