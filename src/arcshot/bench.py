@@ -19,7 +19,7 @@ from .errors import LocalPlanFailed, VacuousBench
 from .local_planner import RrtParams, Tree
 from .pipeline import plan_shot
 from .shot import ArcShotSpec, generate_arc
-from .world import QuadModel, World
+from .world import CollisionModel
 
 
 @dataclass(frozen=True)
@@ -74,18 +74,18 @@ def _rep_seed(base_seed: int, max_loops: int, repetition: int) -> int:
     return int(seq.generate_state(1, dtype=np.uint64)[0])
 
 
-def run_bench(world: World, quad: QuadModel, spec: ArcShotSpec, params: RrtParams,
+def run_bench(model: CollisionModel, spec: ArcShotSpec, params: RrtParams,
               bench: BenchSpec, margin: int = 2,
               collision_step: float | None = None,
               keep_trees: bool = False) -> BenchResult:
-    """Sweep loop budgets over one scenario.
+    """Sweep loop budgets over one scenario, planning every repetition on `model`.
 
     Rejects scenarios whose arc is unobstructed (VacuousBench): there would be
     nothing to time. Failed repetitions count against the success rate and
     still contribute their duration; costs average over successes only.
     """
     arc = generate_arc(spec)
-    if not find_discontinuities(arc, world, quad, margin):
+    if not find_discontinuities(arc, model, margin):
         raise VacuousBench("the arc is collision-free; nothing to benchmark")
 
     samples: list[BenchSample] = []
@@ -96,8 +96,7 @@ def run_bench(world: World, quad: QuadModel, spec: ArcShotSpec, params: RrtParam
                 seed=_rep_seed(params.seed, max_loops, rep))
             started = time.perf_counter()
             try:
-                result = plan_shot(world, quad, spec, run_params, margin,
-                                   collision_step)
+                result = plan_shot(model, spec, run_params, margin, collision_step)
                 cost = sum(lp.cost for lp in result.local_paths)
                 trees = result.trees if keep_trees else []
             except LocalPlanFailed:

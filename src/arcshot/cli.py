@@ -25,7 +25,7 @@ from .errors import (ArcshotError, DegenerateArc, DegenerateHeading,
 from .executor import SimState, follow
 from .pipeline import plan_shot
 from .shot import generate_arc
-from .world import Vec3
+from .world import CollisionModel, Vec3
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -84,13 +84,14 @@ def _cmd_plan(args) -> int:
     world = fileio.load_world(Path(args.world))
     spec = fileio.load_shot(Path(args.shot))
     config = _load_run_config(args)
+    model = CollisionModel(world, config.quad)
 
-    result = plan_shot(world, config.quad, spec, config.rrt,
+    result = plan_shot(model, spec, config.rrt,
                        margin=config.margin, collision_step=config.collision_step)
 
     out = _out_dir(args)
     svg = render.render_scene(
-        world, config.quad, arc=result.arc, discontinuities=result.discontinuities,
+        model, arc=result.arc, discontinuities=result.discontinuities,
         final_path=result.final_path,
         trees=result.trees if args.overlay_tree else None,
         width=config.render_width)
@@ -137,7 +138,7 @@ def _cmd_execute(args) -> int:
         raise
 
     fileio.save_trajectory(log, out / "trajectory.json")
-    svg = render.render_scene(world, config.quad, final_path=path,
+    svg = render.render_scene(CollisionModel(world, config.quad), final_path=path,
                               trajectory=log, width=config.render_width)
     (out / "execute.svg").write_text(svg, encoding="utf-8")
 
@@ -164,7 +165,7 @@ def _cmd_bench(args) -> int:
     config = _load_run_config(args)
     bench_spec = fileio.load_bench(Path(args.bench))
 
-    result = bench_mod.run_bench(world, config.quad, spec, config.rrt,
+    result = bench_mod.run_bench(CollisionModel(world, config.quad), spec, config.rrt,
                                  bench_spec, margin=config.margin,
                                  collision_step=config.collision_step)
 
@@ -196,7 +197,7 @@ def _cmd_render(args) -> int:
                                for p in poses])
 
     out = _out_dir(args)
-    svg = render.render_scene(world, config.quad, arc=arc,
+    svg = render.render_scene(CollisionModel(world, config.quad), arc=arc,
                               final_path=final_path, trajectory=trajectory,
                               width=config.render_width)
     (out / "render.svg").write_text(svg, encoding="utf-8")

@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import EndpointBlocked, UnresolvableSpan
 from .shot import GlobalPath, Pose4
-from .world import QuadModel, World, collision_model
+# collision_model stays importable here for perfbench/tracing.py, which wraps it
+from .world import CollisionModel, collision_model
 
 DEFAULT_MARGIN = 2
 
@@ -58,16 +59,15 @@ def _blocked_runs(free: list[bool]) -> list[tuple[int, int]]:
     return runs
 
 
-def find_discontinuities(path: GlobalPath, world: World, quad: QuadModel,
+def find_discontinuities(path: GlobalPath, model: CollisionModel,
                          margin: int = DEFAULT_MARGIN) -> list[Discontinuity]:
-    """Scan the path against the world and extract padded blocked spans.
+    """Scan the path against the model and extract padded blocked spans.
 
     Raises EndpointBlocked if either path endpoint is itself colliding, and
     UnresolvableSpan if no collision-free bracketing sample exists.
     """
     if margin < 1:
         raise ValueError(f"margin must be >= 1, got {margin}")
-    model = collision_model(world, quad)
     free = model.free_points(np.array(
         [(p.position.x, p.position.y, p.position.z) for p in path.poses],
         dtype=float)).tolist()

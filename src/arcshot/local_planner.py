@@ -19,8 +19,8 @@ import numpy as np
 
 from .discontinuity import Discontinuity
 from .errors import DegenerateExtend, LocalPlanFailed
-from .world import (AxisBox, CollisionModel, QuadModel, Vec3, World, collision_model,
-                    edge_points)
+# collision_model stays importable here for perfbench/tracing.py, which wraps it
+from .world import AxisBox, CollisionModel, Vec3, collision_model, edge_points
 
 
 @dataclass(frozen=True)
@@ -232,7 +232,7 @@ class RrtRunResult:
     best_costs: list[float] = field(default_factory=list)
 
 
-def rrt_star_run(d: Discontinuity, world: World, quad: QuadModel, params: RrtParams,
+def rrt_star_run(d: Discontinuity, model: CollisionModel, params: RrtParams,
                  level: int, step: float, disc_index: int = 0) -> RrtRunResult:
     """Run the full RRT* loop once inside the level-expanded window, checking
     edges at samples at most `step` apart.
@@ -240,11 +240,11 @@ def rrt_star_run(d: Discontinuity, world: World, quad: QuadModel, params: RrtPar
     The rng stream is derived from (seed, discontinuity index, window level),
     so every attempt is reproducible and independent of the others.
     """
-    window = initial_window(d, params.window_pad, world.bounds)
+    window = initial_window(d, params.window_pad, model.world.bounds)
     for _ in range(level):
-        window = expand_window(window, params.window_growth, world.bounds)
+        window = expand_window(window, params.window_growth, model.world.bounds)
     # every sample, node and edge of the attempt lies in the convex window
-    model = collision_model(world, quad).within(window.box)
+    model = model.within(window.box)
 
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=params.seed, spawn_key=(disc_index, level)))
@@ -287,8 +287,8 @@ def rrt_star_run(d: Discontinuity, world: World, quad: QuadModel, params: RrtPar
                         params.max_loops, best_costs)
 
 
-def plan_local_run(d: Discontinuity, world: World, quad: QuadModel,
-                   params: RrtParams, step: float, disc_index: int = 0) -> RrtRunResult:
+def plan_local_run(d: Discontinuity, model: CollisionModel, params: RrtParams,
+                   step: float, disc_index: int = 0) -> RrtRunResult:
     """Retry rrt_star_run with a growing window until it succeeds.
 
     Levels 0 .. fail_limit-1 are attempted in order; the first success wins.
@@ -298,7 +298,7 @@ def plan_local_run(d: Discontinuity, world: World, quad: QuadModel,
     """
     loops = 0
     for level in range(params.fail_limit):
-        result = rrt_star_run(d, world, quad, params, level, step, disc_index)
+        result = rrt_star_run(d, model, params, level, step, disc_index)
         loops += result.loops
         if result.path is not None:
             return replace(result, loops=loops)

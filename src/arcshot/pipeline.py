@@ -11,7 +11,8 @@ from .discontinuity import DEFAULT_MARGIN, Discontinuity, find_discontinuities
 from .errors import SpliceMismatch, ValidationFailed
 from .local_planner import LocalPath, RrtParams, Tree, plan_local_run
 from .shot import ArcShotSpec, GlobalPath, Pose4, face_target, generate_arc
-from .world import AxisBox, QuadModel, Vec3, World, collision_model, edge_points
+# collision_model stays importable here for perfbench/tracing.py, which wraps it
+from .world import AxisBox, CollisionModel, QuadModel, Vec3, collision_model, edge_points
 
 SPLICE_TOLERANCE = 1e-6
 
@@ -77,7 +78,7 @@ def splice(path: GlobalPath, d: Discontinuity, lp: LocalPath) -> GlobalPath:
     return GlobalPath(poses, path.spec)
 
 
-def validate(path: GlobalPath, world: World, quad: QuadModel, step: float) -> int | None:
+def validate(path: GlobalPath, model: CollisionModel, step: float) -> int | None:
     """Densely re-check every consecutive segment.
 
     The sample points of all segments are classified in one `free_points`
@@ -92,39 +93,37 @@ def validate(path: GlobalPath, world: World, quad: QuadModel, step: float) -> in
                           for p in path.poses], dtype=float)
     box = AxisBox(Vec3.from_array(positions.min(axis=0)),
                   Vec3.from_array(positions.max(axis=0)))
-    model = collision_model(world, quad).within(box)
+    local = model.within(box)
     pts, first = edge_points(positions[:-1], positions[1:], step)
-    blocked = np.flatnonzero(~np.logical_and.reduceat(model.free_points(pts), first))
+    blocked = np.flatnonzero(~np.logical_and.reduceat(local.free_points(pts), first))
     return int(blocked[0]) if blocked.size else None
 
 
-def plan_shot(world: World, quad: QuadModel, spec: ArcShotSpec, params: RrtParams,
-              margin: int = DEFAULT_MARGIN, collision_step: float | None = None,
-              validation_step: float | None = None) -> PlanResult:
-    """Run the whole planning pipeline for one arc shot.
+def plan_shot(model: CollisionModel, spec: ArcShotSpec, params: RrtParams,
+              margin: int = DEFAULT_MARGIN, collision_step: float | None = None) -> PlanResult:
+    """Run the whole planning pipeline for one arc shot against `model`.
 
     Generates the desired arc, finds blocked spans, plans a detour for each
     (rng streams keyed by discontinuity order), splices, re-aims yaw, and
     densely validates the result. Raises EndpointBlocked, LocalPlanFailed
     (carrying the discontinuity index), or ValidationFailed.
 
-    Both steps default here and nowhere else. Detour edges are checked at the
-    final-validation step (body_radius / 2 by default) unless collision_step
-    says otherwise, so a grazing edge cannot pass planning and then flunk the
-    safety gate.
+    Final validation samples every segment at body_radius / 2. Detour edges
+    are checked at that same step unless collision_step says otherwise, so a
+    grazing edge cannot pass planning and then flunk the safety gate.
     """
-    validation_step = quad.body_radius / 2 if validation_step is None else validation_step
+    validation_step = model.quad.body_radius / 2
     collision_step = validation_step if collision_step is None else collision_step
 
     arc = generate_arc(spec)
-    discontinuities = find_discontinuities(arc, world, quad, margin)
+    discontinuities = find_discontinuities(arc, model, margin)
 
     local_paths: list[LocalPath] = []
     trees: list[Tree] = []
     disc_reports: list[DiscontinuityReport] = []
     for i, d in enumerate(discontinuities):
         started = time.perf_counter()
-        result = plan_local_run(d, world, quad, params, step=collision_step, disc_index=i)
+        result = plan_local_run(d, model, params, step=collision_step, disc_index=i)
         duration = time.perf_counter() - started
         local_paths.append(result.path)
         trees.append(result.tree)
@@ -144,7 +143,7 @@ def plan_shot(world: World, quad: QuadModel, spec: ArcShotSpec, params: RrtParam
                         key=lambda pair: pair[0].entry_index, reverse=True):
         final = splice(final, d, lp)
 
-    offending = validate(final, world, quad, validation_step)
+    offending = validate(final, model, validation_step)
     if offending is not None:
         raise ValidationFailed(offending)
 
@@ -155,7 +154,7 @@ def plan_shot(world: World, quad: QuadModel, spec: ArcShotSpec, params: RrtParam
         total_duration_s=sum(r.duration_s for r in disc_reports),
         seed=params.seed,
         params=params,
-        quad=quad,
+        quad=model.quad,
         margin=margin,
         collision_step=collision_step,
         validation_step=validation_step,

@@ -14,7 +14,7 @@ from .bench import BenchResult
 from .discontinuity import Discontinuity
 from .local_planner import Tree
 from .shot import GlobalPath, Pose4
-from .world import AxisBox, Cylinder, QuadModel, World, inflate
+from .world import AxisBox, CollisionModel, Cylinder
 
 
 def _f(value: float) -> str:
@@ -64,7 +64,7 @@ def _obstacle_svg(canvas: _Canvas, obstacle, style: str) -> str:
             f'width="{_f(w)}" height="{_f(h)}" {style}/>')
 
 
-def render_scene(world: World, quad: QuadModel | None = None, *,
+def render_scene(model: CollisionModel, *,
                  arc: GlobalPath | None = None,
                  discontinuities: Sequence[Discontinuity] | None = None,
                  final_path: GlobalPath | None = None,
@@ -73,8 +73,10 @@ def render_scene(world: World, quad: QuadModel | None = None, *,
                  width: int = 900) -> str:
     """Top-down orthographic view of a scenario and any planning artifacts.
 
+    Draws `model.world` with `model.inflated` dashed around its obstacles.
     `trajectory` holds state log rows whose first two columns are x and y.
     """
+    world = model.world
     canvas = _Canvas(world.bounds, width)
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{canvas.width}" '
@@ -92,14 +94,12 @@ def render_scene(world: World, quad: QuadModel | None = None, *,
         f'fill="none" stroke="#222222" stroke-width="1"/>')
     parts.append('</g>')
 
-    if quad is not None:
-        parts.append('<g id="inflated">')
-        for o in world.obstacles:
-            parts.append(_obstacle_svg(
-                canvas, inflate(o, quad),
-                'fill="none" stroke="#c06060" stroke-width="1" '
-                'stroke-dasharray="6,4"'))
-        parts.append('</g>')
+    parts.append('<g id="inflated">')
+    for o in model.inflated:
+        parts.append(_obstacle_svg(
+            canvas, o,
+            'fill="none" stroke="#c06060" stroke-width="1" stroke-dasharray="6,4"'))
+    parts.append('</g>')
 
     parts.append('<g id="obstacles">')
     for o in world.obstacles:

@@ -1,8 +1,8 @@
 """World model: bounds, obstacles, c-space inflation and collision queries.
 
 Obstacles are grown by the vehicle's bounding-sphere radius plus a safety
-margin so every later check can treat the vehicle as a point. Boundary
-points count as colliding (obstacles are closed sets).
+margin so every later check can treat the vehicle as a point. A point on an
+inflated obstacle's surface collides; a point on a world-bounds face is free.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import compress
 from typing import Union
 
@@ -199,8 +198,8 @@ def _bounding_box(o: Obstacle) -> tuple[float, ...]:
 class CollisionModel:
     """Point/segment c-free queries against one world inflated for one vehicle.
 
-    Obstacle parameters are packed into arrays so batches of points can be
-    classified in a single vectorized pass.
+    `inflated` lists the inflated obstacles in world order; their parameters
+    are packed into arrays so batches of points are classified in one pass.
     """
 
     def __init__(self, world: World, quad: QuadModel):
@@ -266,7 +265,7 @@ class CollisionModel:
 
     def point_free(self, p: Vec3) -> bool:
         """True iff the vehicle can exist at `p`: inside bounds, outside every
-        inflated obstacle. Points on an obstacle boundary count as colliding."""
+        inflated obstacle; bounds faces count as free, inflated surfaces not."""
         return bool(self.free_points(p.as_array()[None, :])[0])
 
     def segment_free(self, a: Vec3, b: Vec3, step: float) -> bool:
@@ -275,14 +274,9 @@ class CollisionModel:
         return bool(self.free_points(pts).all())
 
 
-@lru_cache(maxsize=256)
-def _cached_model(world: World, quad: QuadModel) -> CollisionModel:
-    return CollisionModel(world, quad)
-
-
 def collision_model(world: World, quad: QuadModel) -> CollisionModel:
-    """Shared-cache accessor; World and QuadModel are immutable so reuse is safe."""
-    return _cached_model(world, quad)
+    """A new `CollisionModel(world, quad)`; nothing is cached."""
+    return CollisionModel(world, quad)
 
 
 def edge_points(origins: np.ndarray, end: np.ndarray,

@@ -17,8 +17,7 @@ from arcshot.local_planner import RrtParams, rrt_star_run
 from arcshot.pipeline import plan_shot, validate
 from arcshot.shot import (CLOCKWISE, COUNTERCLOCKWISE, ArcShotSpec, Pose4,
                           generate_arc, wrap_to_pi)
-from arcshot.world import (AxisBox, Cylinder, QuadModel, Vec3, World,
-                           collision_model)
+from arcshot.world import AxisBox, CollisionModel, Cylinder, QuadModel, Vec3, World
 from conftest import SCENARIO_DIR, demo_shot, demo_world, make_world, wall_shot, wall_world
 from test_discontinuity import reference_spans
 
@@ -159,13 +158,13 @@ def test_criterion_3_matches_the_reference_scan():
     compared = 0
     for _ in range(20):
         world = _ring_world(rng)
-        model = collision_model(world, quad)
+        model = CollisionModel(world, quad)
         for _ in range(5):
             path = generate_arc(_half_arc(rng))
             flags = [model.point_free(p.position) for p in path.poses]
             assert flags[0] and flags[-1], "arc endpoints must stay clear"
             got = [(d.entry_index, d.exit_index)
-                   for d in find_discontinuities(path, world, quad, margin=2)]
+                   for d in find_discontinuities(path, model, margin=2)]
             assert got == reference_spans(flags, 2)
             compared += 1
     assert compared == 100
@@ -193,18 +192,17 @@ def test_criterion_4_dense_validation_of_random_single_obstacle_plans():
             cx, cy = reach * math.cos(angle), reach * math.sin(angle)
             obstacle = AxisBox(Vec3(cx - half, cy - half, 0.0),
                                Vec3(cx + half, cy + half, rng.uniform(4.0, 8.0)))
-        world = make_world((obstacle,))
+        model = CollisionModel(make_world((obstacle,)), quad)
         spec = ArcShotSpec(Vec3(radius, 0, rng.uniform(1.5, 3.0)),
                            Vec3(-radius, 0, rng.uniform(1.5, 3.0)),
                            Vec3(0, 0, 1.5), COUNTERCLOCKWISE, 64)
         try:
-            result = plan_shot(world, quad, spec,
+            result = plan_shot(model, spec,
                                RrtParams(seed=int(rng.integers(0, 2 ** 32))))
         except LocalPlanFailed:
             continue
         successes += 1
-        assert validate(result.final_path, world, quad,
-                        quad.body_radius / 2) is None
+        assert validate(result.final_path, model, quad.body_radius / 2) is None
     assert successes >= 40, f"only {successes}/50 scenarios planned"
     _ok(4, f"{successes}/50 plans succeeded, zero dense-validation violations")
 
@@ -213,8 +211,8 @@ def test_criterion_4_dense_validation_of_random_single_obstacle_plans():
 
 def test_criterion_5_near_optimal_in_the_open():
     started = time.perf_counter()
-    world = make_world(lo=(-20, -20, 0), hi=(20, 20, 10))
     quad = QuadModel()
+    model = CollisionModel(make_world(lo=(-20, -20, 0), hi=(20, 20, 10)), quad)
     entry = Pose4(Vec3(-3, 0, 2), 0.0)
     exit_ = Pose4(Vec3(3, 0, 2), 0.0)
     d = Discontinuity(1, 3, entry, exit_, (2,))
@@ -222,7 +220,7 @@ def test_criterion_5_near_optimal_in_the_open():
     within = 0
     for seed in range(100):
         params = RrtParams(extend_dist=distance / 10, max_loops=500, seed=seed)
-        run = rrt_star_run(d, world, quad, params, level=0, step=quad.body_radius)
+        run = rrt_star_run(d, model, params, level=0, step=quad.body_radius)
         if run.path is not None and run.path.cost <= 1.15 * distance:
             within += 1
     elapsed = time.perf_counter() - started
@@ -235,7 +233,7 @@ def test_criterion_5_near_optimal_in_the_open():
 
 @pytest.fixture(scope="module")
 def bench_result():
-    return run_bench(demo_world(), QuadModel(), demo_shot(),
+    return run_bench(CollisionModel(demo_world(), QuadModel()), demo_shot(),
                      RrtParams(seed=2025), BenchSpec((150, 500), 20),
                      keep_trees=True)
 
@@ -252,7 +250,7 @@ def test_criterion_6_loops_buy_quality_with_time(bench_result):
 
 def test_criterion_10_bench_trees_are_internally_consistent(bench_result):
     quad = QuadModel()
-    model = collision_model(demo_world(), quad)
+    model = CollisionModel(demo_world(), quad)
     params = RrtParams(seed=2025)
     radius = params.neighbor_radius
     step = quad.body_radius / 2
@@ -284,15 +282,14 @@ def test_criterion_10_bench_trees_are_internally_consistent(bench_result):
 # -- 7. window expansion -----------------------------------------------------
 
 def test_criterion_7_wall_needs_window_expansion():
-    world = wall_world()
-    quad = QuadModel()
+    model = CollisionModel(wall_world(), QuadModel())
     spec = wall_shot()
     params = RrtParams(extend_dist=1.0, goal_radius=1.0, max_loops=800, seed=1)
 
     with pytest.raises(LocalPlanFailed):
-        plan_shot(world, quad, spec, dataclasses.replace(params, fail_limit=1))
+        plan_shot(model, spec, dataclasses.replace(params, fail_limit=1))
 
-    result = plan_shot(world, quad, spec, params)
+    result = plan_shot(model, spec, params)
     level = result.report.discontinuities[0].expansion_level
     assert level >= 1
     _ok(7, f"fail_limit=1 aborts, fail_limit=4 recovers at level {level}")
@@ -305,8 +302,8 @@ def _bundled_plan():
     spec = fileio.load_shot(DEMO / "shot.json")
     config = fileio.load_config(DEMO / "config.json")
     params = dataclasses.replace(config.rrt, seed=7)
-    return world, spec, config, plan_shot(world, config.quad, spec, params,
-                                          margin=config.margin)
+    model = CollisionModel(world, config.quad)
+    return world, spec, config, plan_shot(model, spec, params, margin=config.margin)
 
 
 def test_criterion_8_repair_is_local():
@@ -331,7 +328,7 @@ def test_criterion_9_replay_avoids_raw_obstacles():
                           world.bounds.min.z), 0.0)
     log = follow(path, start, config.follow, config.quad)
     point_quad = QuadModel(body_radius=1e-9, safety_margin=0.0)
-    raw_model = collision_model(world, point_quad)
+    raw_model = CollisionModel(world, point_quad)
     free = raw_model.free_points(log[:, :3])
     elapsed = time.perf_counter() - started
     assert free.all(), f"{(~free).sum()} of {len(log)} states collide"

@@ -1,15 +1,19 @@
+import gc
 import json
 import shutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 from arcshot import cli, fileio
+from arcshot.world import CollisionModel
 from conftest import SCENARIO_DIR
 
 DEMO = SCENARIO_DIR / "demo"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def demo_args(out, seed=7):
@@ -46,6 +50,39 @@ def test_demo_outputs_match_committed_bytes(tmp_path):
                      "exec/trajectory.json", "exec/execute.svg", "render/render.svg"):
         assert (tmp_path / artifact).read_bytes() == (golden / artifact).read_bytes(), \
             artifact
+
+
+def _command_args(command, tmp_path):
+    world = ["--world", str(DEMO / "world.json"), "--config", str(DEMO / "config.json"),
+             "--out", str(tmp_path / command)]
+    if command == "plan":
+        return ["plan", *demo_args(tmp_path / command)]
+    if command == "execute":
+        return ["execute", *world, "--path", str(GOLDEN / "plan" / "path.json")]
+    if command == "render":
+        return ["render", *world, "--shot", str(DEMO / "shot.json"),
+                "--path", str(GOLDEN / "plan" / "path.json")]
+    spec = tmp_path / "bench.json"
+    spec.write_text(json.dumps({"schema": "bench/1", "loops": [60], "repetitions": 2}))
+    return ["bench", *world, "--shot", str(DEMO / "shot.json"), "--bench", str(spec)]
+
+
+@pytest.mark.parametrize("command", ["plan", "execute", "render", "bench"])
+def test_each_command_builds_one_collision_model_and_frees_it(command, tmp_path,
+                                                              monkeypatch):
+    # every stage of a command shares one model; nothing keeps it alive after
+    built = []
+    init = CollisionModel.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(weakref.ref(self))
+
+    monkeypatch.setattr(CollisionModel, "__init__", recording_init)
+    assert cli.main(_command_args(command, tmp_path)) == cli.EXIT_OK
+    assert len(built) == 1
+    gc.collect()
+    assert built[0]() is None
 
 
 def test_benchmark_tracer_still_wraps_the_planner(tmp_path, monkeypatch):

@@ -4,7 +4,7 @@ import pytest
 from arcshot.discontinuity import Discontinuity, find_discontinuities
 from arcshot.errors import EndpointBlocked
 from arcshot.shot import ArcShotSpec, GlobalPath, Pose4, generate_arc
-from arcshot.world import AxisBox, Cylinder, Vec3, collision_model
+from arcshot.world import AxisBox, CollisionModel, Cylinder, Vec3
 from conftest import make_world
 
 
@@ -45,7 +45,7 @@ def reference_spans(flags: list[bool], margin: int) -> list[tuple[int, int]]:
 
 def test_obstacle_free_world_yields_nothing(quad):
     world = make_world()
-    assert find_discontinuities(straight_path(), world, quad) == []
+    assert find_discontinuities(straight_path(), CollisionModel(world, quad)) == []
 
 
 def test_single_cylinder_blocks_three_middle_samples(quad):
@@ -53,10 +53,11 @@ def test_single_cylinder_blocks_three_middle_samples(quad):
     world = make_world((Cylinder(Vec3(0.0, 0.0, 0.0), 1.0, 5.0),),
                        target=(0.0, 5.0, 1.0))
     path = straight_path()
-    flags = [collision_model(world, quad).point_free(p.position) for p in path.poses]
+    model = CollisionModel(world, quad)
+    flags = [model.point_free(p.position) for p in path.poses]
     assert [i for i, ok in enumerate(flags) if not ok] == [9, 10, 11]
 
-    discs = find_discontinuities(path, world, quad, margin=2)
+    discs = find_discontinuities(path, model, margin=2)
     assert len(discs) == 1
     d = discs[0]
     assert (d.entry_index, d.exit_index) == (7, 13)
@@ -71,10 +72,11 @@ def test_touching_padded_runs_merge_into_one(quad):
                         Cylinder(Vec3(2.0, 0.0, 0.0), 1.0, 5.0)),
                        target=(0.0, 5.0, 1.0))
     path = straight_path()
-    flags = [collision_model(world, quad).point_free(p.position) for p in path.poses]
+    model = CollisionModel(world, quad)
+    flags = [model.point_free(p.position) for p in path.poses]
     assert [i for i, ok in enumerate(flags) if not ok] == [7, 8, 9, 11, 12, 13]
 
-    discs = find_discontinuities(path, world, quad, margin=2)
+    discs = find_discontinuities(path, model, margin=2)
     assert len(discs) == 1
     d = discs[0]
     assert (d.entry_index, d.exit_index) == (5, 15)
@@ -88,8 +90,9 @@ def test_padding_walks_outward_through_a_nearby_run(quad):
                         AxisBox(Vec3(-3.7, -1, 0), Vec3(-2.8, 1, 5))),
                        target=(0.0, 5.0, 1.0))
     path = straight_path()
-    flags = [collision_model(world, quad).point_free(p.position) for p in path.poses]
-    discs = find_discontinuities(path, world, quad, margin=1)
+    model = CollisionModel(world, quad)
+    flags = [model.point_free(p.position) for p in path.poses]
+    discs = find_discontinuities(path, model, margin=1)
     got = [(d.entry_index, d.exit_index) for d in discs]
     assert got == reference_spans(flags, 1)
     for d in discs:
@@ -100,13 +103,13 @@ def test_blocked_endpoint_is_rejected(quad):
     world = make_world((Cylinder(Vec3(-10.0, 0.0, 0.0), 1.0, 5.0),),
                        target=(0.0, 5.0, 1.0))
     with pytest.raises(EndpointBlocked) as err:
-        find_discontinuities(straight_path(), world, quad)
+        find_discontinuities(straight_path(), CollisionModel(world, quad))
     assert err.value.index == 0
 
 
 def test_margin_must_be_positive(quad):
     with pytest.raises(ValueError):
-        find_discontinuities(straight_path(), make_world(), quad, margin=0)
+        find_discontinuities(straight_path(), CollisionModel(make_world(), quad), margin=0)
 
 
 def test_discontinuity_invariant_validation():
@@ -142,11 +145,12 @@ def test_matches_reference_scan_on_random_worlds(quad):
     while checked < 40:
         world = _random_scan_world(rng)
         path = generate_arc(_random_arc(rng))
-        flags = [collision_model(world, quad).point_free(p.position) for p in path.poses]
+        model = CollisionModel(world, quad)
+        flags = [model.point_free(p.position) for p in path.poses]
         if not (flags[0] and flags[-1]):
             continue
         checked += 1
-        discs = find_discontinuities(path, world, quad, margin=2)
+        discs = find_discontinuities(path, model, margin=2)
         assert [(d.entry_index, d.exit_index) for d in discs] == \
             reference_spans(flags, 2)
         # soundness, completeness, order, disjointness

@@ -11,7 +11,7 @@ from arcshot.executor import FollowConfig, SimState, command_for, follow
 from arcshot.local_planner import RrtParams
 from arcshot.pipeline import plan_shot
 from arcshot.shot import GlobalPath, Pose4, wrap_to_pi
-from arcshot.world import QuadModel, Vec3, collision_model
+from arcshot.world import CollisionModel, QuadModel, Vec3
 from conftest import demo_shot, demo_world
 
 
@@ -137,13 +137,14 @@ def test_follow_config_stability_guard():
 
 def test_replayed_demo_plan_avoids_raw_obstacles(quad):
     world = demo_world()
-    result = plan_shot(world, quad, demo_shot(), RrtParams(extend_dist=0.2, seed=7))
+    result = plan_shot(CollisionModel(world, quad), demo_shot(),
+                       RrtParams(extend_dist=0.2, seed=7))
     path = result.final_path
     start = SimState(Vec3(path[0].position.x, path[0].position.y, 0.0), 0.0)
     log = follow(path, start, CFG, quad, max_time=120.0)
     # check against raw (uninflated) obstacles via a point-sized vehicle
     point_quad = QuadModel(body_radius=1e-9, safety_margin=0.0)
-    model = collision_model(world, point_quad)
+    model = CollisionModel(world, point_quad)
     assert model.free_points(log[:, :3]).all()
 
 

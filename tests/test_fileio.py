@@ -12,7 +12,7 @@ from arcshot.errors import SchemaError
 from arcshot.local_planner import RrtParams
 from arcshot.pipeline import plan_shot
 from arcshot.shot import GlobalPath, Pose4
-from arcshot.world import Vec3
+from arcshot.world import CollisionModel, Vec3
 from conftest import demo_shot, demo_world
 
 
@@ -180,10 +180,10 @@ def test_bench_spec_load_and_validation(tmp_path):
 
 
 def test_report_json_is_deterministic_and_has_no_wall_clock(quad):
-    world = demo_world()
+    model = CollisionModel(demo_world(), quad)
     params = RrtParams(extend_dist=0.2, seed=3)
-    a = plan_shot(world, quad, demo_shot(), params)
-    b = plan_shot(world, quad, demo_shot(), params)
+    a = plan_shot(model, demo_shot(), params)
+    b = plan_shot(model, demo_shot(), params)
     ja, jb = fileio.report_to_json(a.report), fileio.report_to_json(b.report)
     assert ja == jb
     assert "duration" not in json.dumps(ja)

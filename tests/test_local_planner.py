@@ -12,7 +12,7 @@ from arcshot.local_planner import (LocalPath, RrtParams, SearchWindow, Tree,
                                    initial_window, nearest_vertex, plan_local_run,
                                    rrt_star_run, sample)
 from arcshot.shot import Pose4, generate_arc
-from arcshot.world import AxisBox, Cylinder, QuadModel, Vec3, collision_model, edge_points
+from arcshot.world import AxisBox, CollisionModel, Cylinder, QuadModel, Vec3, edge_points
 from conftest import demo_shot, demo_world, make_world, wall_shot, wall_world
 
 BIG_BOUNDS = AxisBox(Vec3(-100, -100, -100), Vec3(100, 100, 100))
@@ -173,7 +173,7 @@ def test_extend_rejects_degenerate_input():
 def test_best_parent_single_node_tree(quad):
     world = make_world()
     tree = Tree(Vec3(0, 0, 2))
-    model = collision_model(world, quad)
+    model = CollisionModel(world, quad)
     assert _best_parent(tree, row(1, 0, 2), 2.0, model, quad.body_radius) == 0
 
 
@@ -187,21 +187,21 @@ def test_best_parent_breaks_cost_ties_by_insertion_order(quad):
     root_total = tree.costs[0] + Vec3(0, 0, 2).distance_to(Vec3.from_array(x_new))
     child_total = tree.costs[child] + Vec3(1, 0, 2).distance_to(Vec3.from_array(x_new))
     assert root_total == pytest.approx(child_total)
-    model = collision_model(world, quad)
+    model = CollisionModel(world, quad)
     assert _best_parent(tree, x_new, 2.0, model, quad.body_radius) == 0
 
 
 def test_best_parent_skips_blocked_edges(quad):
     world = make_world((AxisBox(Vec3(0.9, -5, 0), Vec3(1.1, 5, 8)),))
     tree = Tree(Vec3(0, 0, 2))
-    model = collision_model(world, quad)
+    model = CollisionModel(world, quad)
     assert _best_parent(tree, row(2.2, 0, 2), 3.0, model, quad.body_radius) is None
 
 
 def test_best_parent_ignores_nodes_outside_radius(quad):
     world = make_world()
     tree = Tree(Vec3(0, 0, 2))
-    model = collision_model(world, quad)
+    model = CollisionModel(world, quad)
     assert _best_parent(tree, row(5, 0, 2), 1.0, model, quad.body_radius) is None
 
 
@@ -297,7 +297,7 @@ def _random_case(seed: int, grid: bool):
 def test_best_parent_matches_sequential_oracle(seed, grid):
     quad = QuadModel(body_radius=0.2, safety_margin=0.1)
     world, tree, x_new, radius, step = _random_case(seed, grid)
-    model = collision_model(world, quad)
+    model = CollisionModel(world, quad)
     expected = sequential_best_parent(tree, x_new, radius, model, step)
     assert _best_parent(tree, x_new, radius, model, step) == expected
     # culled to a box holding the tree and x_new, as in an RRT* attempt
@@ -310,7 +310,7 @@ BP_QUAD = QuadModel(body_radius=0.2, safety_margin=0.1)
 
 
 def _assert_matches_oracle(world, tree, x_new, radius, step):
-    model = collision_model(world, BP_QUAD)
+    model = CollisionModel(world, BP_QUAD)
     expected = sequential_best_parent(tree, x_new, radius, model, step)
     assert _best_parent(tree, x_new, radius, model, step) == expected
     return expected
@@ -328,7 +328,7 @@ def test_best_parent_falls_back_when_the_cheapest_edge_is_blocked(seed):
     mid, half = (root + x_new) / 2, rng.uniform(0.05, 0.3, 3)
     world = make_world((AxisBox(Vec3.from_array(mid - half), Vec3.from_array(mid + half)),),
                        lo=(-10, -10, -10), hi=(10, 10, 10))
-    model = collision_model(world, BP_QUAD)
+    model = CollisionModel(world, BP_QUAD)
     assume(model.free_points(np.vstack([root, x_new])).all())
     others = x_new + rng.uniform(-3, 3, size=(int(rng.integers(1, 30)), 3))
     tree = _grow_tree(np.vstack([root, others]), rng)
@@ -355,7 +355,7 @@ def test_best_parent_rejects_a_new_node_inside_an_obstacle(seed):
     rng = np.random.default_rng(seed)
     world = make_world(tuple(_random_obstacle(rng) for _ in range(int(rng.integers(1, 4)))),
                        lo=(-10, -10, -10), hi=(10, 10, 10))
-    inflated = collision_model(world, BP_QUAD).inflated[0]
+    inflated = CollisionModel(world, BP_QUAD).inflated[0]
     if isinstance(inflated, Cylinder):
         c = inflated.base_center
         r, a = inflated.radius * rng.uniform(0, 0.95), rng.uniform(0, 2 * np.pi)
@@ -379,7 +379,7 @@ def test_best_parent_on_an_obstacle_face_tests_the_last_edge_sample(seed):
     lo = rng.uniform(-6, 6, 3)
     raw = AxisBox(Vec3.from_array(lo), Vec3.from_array(lo + rng.uniform(1, 4, 3)))
     world = make_world((raw,), lo=(-20, -20, -20), hi=(20, 20, 20))
-    box = collision_model(world, BP_QUAD).inflated[0]
+    box = CollisionModel(world, BP_QUAD).inflated[0]
     bmin, bmax = box.min.as_array(), box.max.as_array()
     axis, outward = int(rng.integers(0, 3)), float(rng.choice([-1.0, 1.0]))
     x_new = bmin + (bmax - bmin) * rng.uniform(0.2, 0.8, 3)
@@ -401,8 +401,9 @@ def empty_world_disc(distance=6.0):
 
 def test_rrt_star_finds_near_straight_paths_in_the_open(quad):
     world, d = empty_world_disc()
+    model = CollisionModel(world, quad)
     for seed in range(5):
-        lp = rrt_star_run(d, world, quad, RrtParams(extend_dist=1.0, seed=seed), 0,
+        lp = rrt_star_run(d, model, RrtParams(extend_dist=1.0, seed=seed), 0,
                           step=quad.body_radius).path
         assert lp is not None
         assert lp.positions[0] == d.entry_pose.position
@@ -420,11 +421,11 @@ def test_rrt_star_returns_none_for_an_enclosed_exit(quad):
         AxisBox(Vec3(3.4, -1.6, 0.4), Vec3(6.6, 1.6, 0.6)),
         AxisBox(Vec3(3.4, -1.6, 3.4), Vec3(6.6, 1.6, 3.6)),
     )
-    world = make_world(shell)
-    assert collision_model(world, quad).point_free(exit_p)
+    model = CollisionModel(make_world(shell), quad)
+    assert model.point_free(exit_p)
     d = disc_between(Vec3(0, 0, 2), exit_p)
     params = RrtParams(seed=3, max_loops=300)
-    assert rrt_star_run(d, world, quad, params, 0, step=quad.body_radius).path is None
+    assert rrt_star_run(d, model, params, 0, step=quad.body_radius).path is None
 
 
 def test_rrt_star_detour_survives_dense_revalidation(quad):
@@ -433,22 +434,21 @@ def test_rrt_star_detour_survives_dense_revalidation(quad):
                        target=(0.0, 5.0, 1.5))
     d = disc_between(Vec3(-3, 0, 2), Vec3(3, 0, 2))
     step = quad.body_radius / 2
-    model = collision_model(world, quad)
+    model = CollisionModel(world, quad)
     for seed in range(5):
-        lp = rrt_star_run(d, world, quad, RrtParams(seed=seed), 0, step=step).path
+        lp = rrt_star_run(d, model, RrtParams(seed=seed), 0, step=step).path
         assert lp is not None
         for a, b in zip(lp.positions, lp.positions[1:]):
             assert model.segment_free(a, b, step / 2)
 
 
 def test_rrt_star_tree_invariants(quad):
-    world = demo_world()
+    model = CollisionModel(demo_world(), quad)
     arc = generate_arc(demo_shot())
-    d = find_discontinuities(arc, world, quad)[0]
+    d = find_discontinuities(arc, model)[0]
     params = RrtParams(seed=8)
-    run = rrt_star_run(d, world, quad, params, 0, step=quad.body_radius)
+    run = rrt_star_run(d, model, params, 0, step=quad.body_radius)
     tree = run.tree
-    model = collision_model(world, quad)
 
     # cost consistency: stored costs equal recomputed root sums
     recomputed = [0.0] * len(tree)
@@ -473,7 +473,8 @@ def test_rrt_star_tree_invariants(quad):
 
 def test_rrt_star_best_cost_trace_is_monotone(quad):
     world, d = empty_world_disc()
-    run = rrt_star_run(d, world, quad, RrtParams(seed=4), 0, step=quad.body_radius)
+    run = rrt_star_run(d, CollisionModel(world, quad), RrtParams(seed=4), 0,
+                       step=quad.body_radius)
     trace = run.best_costs
     assert len(trace) == 500
     for earlier, later in zip(trace, trace[1:]):
@@ -481,18 +482,18 @@ def test_rrt_star_best_cost_trace_is_monotone(quad):
 
 
 def test_rrt_star_is_deterministic(quad):
-    world = demo_world()
+    model = CollisionModel(demo_world(), quad)
     arc = generate_arc(demo_shot())
-    d = find_discontinuities(arc, world, quad)[0]
+    d = find_discontinuities(arc, model)[0]
     params = RrtParams(seed=17)
-    a = rrt_star_run(d, world, quad, params, 0, step=quad.body_radius)
-    b = rrt_star_run(d, world, quad, params, 0, step=quad.body_radius)
+    a = rrt_star_run(d, model, params, 0, step=quad.body_radius)
+    b = rrt_star_run(d, model, params, 0, step=quad.body_radius)
     assert len(a.tree) == len(b.tree)
     assert a.path is not None and b.path is not None
     assert a.path.positions == b.path.positions
     assert a.path.cost == b.path.cost
     # a different discontinuity index derives a different stream
-    c = rrt_star_run(d, world, quad, params, 0, step=quad.body_radius, disc_index=1)
+    c = rrt_star_run(d, model, params, 0, step=quad.body_radius, disc_index=1)
     assert c.path is None or c.path.positions != a.path.positions
 
 
@@ -500,7 +501,8 @@ def test_rrt_star_is_deterministic(quad):
 
 def test_plan_local_succeeds_at_level_zero_when_easy(quad):
     world, d = empty_world_disc()
-    out = plan_local_run(d, world, quad, RrtParams(seed=2), step=quad.body_radius)
+    out = plan_local_run(d, CollisionModel(world, quad), RrtParams(seed=2),
+                         step=quad.body_radius)
     assert out.window.level == 0
     assert out.loops == 500
     assert out.path.cost < 9.0
@@ -510,26 +512,26 @@ WALL_PARAMS = RrtParams(extend_dist=1.0, goal_radius=1.0, max_loops=800, seed=1)
 
 
 def wall_disc(quad):
-    world = wall_world()
+    model = CollisionModel(wall_world(), quad)
     arc = generate_arc(wall_shot())
-    return world, find_discontinuities(arc, world, quad)[0]
+    return model, find_discontinuities(arc, model)[0]
 
 
 def test_plan_local_expands_past_a_wide_wall(quad):
-    world, d = wall_disc(quad)
+    model, d = wall_disc(quad)
     # level 0 alone cannot cross: the wall covers the whole initial window
-    assert rrt_star_run(d, world, quad, WALL_PARAMS, 0, step=quad.body_radius).path is None
-    out = plan_local_run(d, world, quad, WALL_PARAMS, step=quad.body_radius)
+    assert rrt_star_run(d, model, WALL_PARAMS, 0, step=quad.body_radius).path is None
+    out = plan_local_run(d, model, WALL_PARAMS, step=quad.body_radius)
     assert out.window.level >= 1
     assert out.loops == (out.window.level + 1) * WALL_PARAMS.max_loops
 
 
 def test_plan_local_fail_limit_one_gives_up_immediately(quad):
-    world, d = wall_disc(quad)
+    model, d = wall_disc(quad)
     import dataclasses
     params = dataclasses.replace(WALL_PARAMS, fail_limit=1)
     with pytest.raises(LocalPlanFailed) as err:
-        plan_local_run(d, world, quad, params, step=quad.body_radius, disc_index=0)
+        plan_local_run(d, model, params, step=quad.body_radius, disc_index=0)
     assert err.value.discontinuity_index == 0
     assert err.value.levels_tried == 1
 

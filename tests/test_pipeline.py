@@ -10,7 +10,7 @@ from arcshot.errors import EndpointBlocked, LocalPlanFailed, SpliceMismatch
 from arcshot.local_planner import LocalPath, RrtParams
 from arcshot.pipeline import plan_shot, splice, validate
 from arcshot.shot import GlobalPath, Pose4, face_target, generate_arc
-from arcshot.world import AxisBox, Cylinder, QuadModel, Vec3, collision_model
+from arcshot.world import AxisBox, CollisionModel, Cylinder, QuadModel, Vec3
 from conftest import demo_shot, demo_world, make_world, wall_shot, wall_world
 
 
@@ -73,7 +73,7 @@ def test_splice_requires_a_shot_spec_for_yaw():
 def test_validate_passes_a_clean_arc(quad):
     world = make_world()
     arc = generate_arc(demo_shot())
-    assert validate(arc, world, quad, quad.body_radius / 2) is None
+    assert validate(arc, CollisionModel(world, quad), quad.body_radius / 2) is None
 
 
 def test_validate_reports_the_first_offending_segment(quad):
@@ -81,22 +81,21 @@ def test_validate_reports_the_first_offending_segment(quad):
                        target=(0.0, 5.0, 1.0))
     poses = tuple(Pose4(Vec3(x, 0.0, 2.0), 0.0) for x in (-5.0, -3.0, 3.0, 5.0))
     path = GlobalPath(poses)
-    assert validate(path, world, quad, 0.15) == 1
+    assert validate(path, CollisionModel(world, quad), 0.15) == 1
 
 
 def test_validate_finer_step_never_passes_where_coarser_failed(quad):
-    world = make_world((Cylinder(Vec3(0.0, 0.0, 0.0), 1.0, 5.0),),
-                       target=(0.0, 5.0, 1.0))
+    model = CollisionModel(make_world((Cylinder(Vec3(0.0, 0.0, 0.0), 1.0, 5.0),),
+                                      target=(0.0, 5.0, 1.0)), quad)
     poses = tuple(Pose4(Vec3(x, 0.0, 2.0), 0.0) for x in (-6.0, 0.0, 6.0))
     path = GlobalPath(poses)
-    coarse = validate(path, world, quad, 1.0)
+    coarse = validate(path, model, 1.0)
     assert coarse is not None
-    assert validate(path, world, quad, 0.25) is not None
+    assert validate(path, model, 0.25) is not None
 
 
-def sequential_validate(path, world, quad, step):
+def sequential_validate(path, model, step):
     """Reference for `validate`: one `segment_free` call per segment."""
-    model = collision_model(world, quad)
     for i in range(len(path) - 1):
         if not model.segment_free(path[i].position, path[i + 1].position, step):
             return i
@@ -127,7 +126,8 @@ def test_validate_matches_the_per_segment_oracle(seed):
     path = GlobalPath(tuple(Pose4(Vec3.from_array(p), 0.0) for p in walk))
     quad = QuadModel(body_radius=float(rng.uniform(0.1, 0.4)), safety_margin=0.1)
     step = float(rng.uniform(0.05, 0.5))
-    assert validate(path, world, quad, step) == sequential_validate(path, world, quad, step)
+    model = CollisionModel(world, quad)
+    assert validate(path, model, step) == sequential_validate(path, model, step)
 
 
 # plan_shot ------------------------------------------------------------------
@@ -135,7 +135,7 @@ def test_validate_matches_the_per_segment_oracle(seed):
 def test_plan_shot_in_an_empty_world_returns_the_arc(quad):
     world = make_world()
     spec = demo_shot()
-    result = plan_shot(world, quad, spec, RrtParams(seed=0))
+    result = plan_shot(CollisionModel(world, quad), spec, RrtParams(seed=0))
     arc = generate_arc(spec)
     assert result.final_path.poses == arc.poses
     assert result.discontinuities == []
@@ -145,9 +145,9 @@ def test_plan_shot_in_an_empty_world_returns_the_arc(quad):
 
 
 def test_plan_shot_demo_repairs_exactly_one_span(quad):
-    world = demo_world()
+    model = CollisionModel(demo_world(), quad)
     spec = demo_shot()
-    result = plan_shot(world, quad, spec, RrtParams(extend_dist=0.2, seed=7))
+    result = plan_shot(model, spec, RrtParams(extend_dist=0.2, seed=7))
     assert len(result.discontinuities) == 1
     d = result.discontinuities[0]
     arc = generate_arc(spec)
@@ -159,7 +159,7 @@ def test_plan_shot_demo_repairs_exactly_one_span(quad):
     assert final.poses[-tail:] == arc.poses[d.exit_index:]
 
     # spliced result is densely safe and keeps the camera on target
-    assert validate(final, world, quad, quad.body_radius / 2) is None
+    assert validate(final, model, quad.body_radius / 2) is None
     for pose in final.poses:
         off_x = spec.target.x - pose.position.x
         off_y = spec.target.y - pose.position.y
@@ -174,7 +174,7 @@ def test_plan_shot_two_obstacles_two_spans(quad):
         Cylinder(Vec3(-5.0, 6.2, 0.0), 0.6, 5.0),
     ))
     spec = demo_shot()
-    result = plan_shot(world, quad, spec, RrtParams(extend_dist=0.3, seed=3))
+    result = plan_shot(CollisionModel(world, quad), spec, RrtParams(extend_dist=0.3, seed=3))
     assert len(result.discontinuities) == 2
     arc = generate_arc(spec)
     spans = [(d.entry_index, d.exit_index) for d in result.discontinuities]
@@ -192,7 +192,7 @@ def test_plan_shot_two_obstacles_two_spans(quad):
 def test_plan_shot_propagates_endpoint_blocked(quad):
     world = make_world((Cylinder(Vec3(8.0, 0.0, 0.0), 1.0, 5.0),))
     with pytest.raises(EndpointBlocked):
-        plan_shot(world, quad, demo_shot(), RrtParams(seed=0))
+        plan_shot(CollisionModel(world, quad), demo_shot(), RrtParams(seed=0))
 
 
 def test_plan_shot_annotates_local_failures(quad):
@@ -200,14 +200,14 @@ def test_plan_shot_annotates_local_failures(quad):
     params = RrtParams(extend_dist=1.0, goal_radius=1.0, max_loops=400,
                        fail_limit=1, seed=0)
     with pytest.raises(LocalPlanFailed) as err:
-        plan_shot(world, quad, wall_shot(), params)
+        plan_shot(CollisionModel(world, quad), wall_shot(), params)
     assert err.value.discontinuity_index == 0
 
 
 def test_plan_shot_report_snapshot(quad):
     world = demo_world()
     params = RrtParams(extend_dist=0.2, seed=11)
-    result = plan_shot(world, quad, demo_shot(), params, margin=2)
+    result = plan_shot(CollisionModel(world, quad), demo_shot(), params, margin=2)
     report = result.report
     assert report.seed == 11
     assert report.params == params
@@ -221,10 +221,10 @@ def test_plan_shot_report_snapshot(quad):
 
 
 def test_plan_shot_is_deterministic(quad):
-    world = demo_world()
+    model = CollisionModel(demo_world(), quad)
     params = RrtParams(extend_dist=0.2, seed=5)
-    a = plan_shot(world, quad, demo_shot(), params)
-    b = plan_shot(world, quad, demo_shot(), params)
+    a = plan_shot(model, demo_shot(), params)
+    b = plan_shot(model, demo_shot(), params)
     assert a.final_path.poses == b.final_path.poses
     assert [lp.cost for lp in a.local_paths] == [lp.cost for lp in b.local_paths]
     assert a.report.total_nodes == b.report.total_nodes

@@ -7,6 +7,7 @@ from arcshot.local_planner import RrtParams
 from arcshot.pipeline import plan_shot
 from arcshot.render import render_bench_chart, render_scene
 from arcshot.shot import generate_arc
+from arcshot.world import CollisionModel
 from conftest import demo_shot, demo_world, make_world
 
 
@@ -19,17 +20,17 @@ def _group(svg: str, gid: str) -> str:
 def test_arc_polyline_has_one_vertex_per_sample(quad):
     world = make_world()
     arc = generate_arc(demo_shot())
-    svg = render_scene(world, quad, arc=arc)
+    svg = render_scene(CollisionModel(world, quad), arc=arc)
     polyline = _group(svg, "arc")
     points = re.search(r'points="([^"]+)"', polyline).group(1).split()
     assert len(points) == arc.spec.sample_count
 
 
 def test_plan_render_highlights_each_discontinuity_once(quad):
-    world = demo_world()
-    result = plan_shot(world, quad, demo_shot(), RrtParams(extend_dist=0.2, seed=7))
+    model = CollisionModel(demo_world(), quad)
+    result = plan_shot(model, demo_shot(), RrtParams(extend_dist=0.2, seed=7))
     arc = generate_arc(demo_shot())
-    svg = render_scene(world, quad, arc=arc,
+    svg = render_scene(model, arc=arc,
                        discontinuities=result.discontinuities,
                        final_path=result.final_path)
     spans = _group(svg, "discontinuities")
@@ -38,9 +39,9 @@ def test_plan_render_highlights_each_discontinuity_once(quad):
 
 
 def test_tree_overlay_edge_count_matches_the_report(quad):
-    world = demo_world()
-    result = plan_shot(world, quad, demo_shot(), RrtParams(extend_dist=0.2, seed=7))
-    svg = render_scene(world, quad, arc=generate_arc(demo_shot()),
+    model = CollisionModel(demo_world(), quad)
+    result = plan_shot(model, demo_shot(), RrtParams(extend_dist=0.2, seed=7))
+    svg = render_scene(model, arc=generate_arc(demo_shot()),
                        discontinuities=result.discontinuities,
                        final_path=result.final_path, trees=result.trees)
     edges = _group(svg, "tree").count("<line")
@@ -50,19 +51,18 @@ def test_tree_overlay_edge_count_matches_the_report(quad):
 
 
 def test_scene_render_is_deterministic(quad):
-    world = demo_world()
+    model = CollisionModel(demo_world(), quad)
     arc = generate_arc(demo_shot())
     log = np.array([(8, 0, 0, 0.0, 0.0), (8, 0, 1, 0.0, 0.5)])
-    a = render_scene(world, quad, arc=arc, trajectory=log)
-    b = render_scene(world, quad, arc=arc, trajectory=log)
+    a = render_scene(model, arc=arc, trajectory=log)
+    b = render_scene(model, arc=arc, trajectory=log)
     assert a == b
     assert '<g id="obstacles">' in a and '<g id="inflated">' in a
     assert '<g id="trajectory">' in a
 
 
 def test_raw_and_inflated_obstacles_both_drawn(quad):
-    world = demo_world()
-    svg = render_scene(world, quad)
+    svg = render_scene(CollisionModel(demo_world(), quad))
     assert _group(svg, "obstacles").count("<circle") == 2
     assert _group(svg, "obstacles").count("<rect") == 1
     inflated = _group(svg, "inflated")

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcshot.world import (AxisBox, CollisionModel, Cylinder, QuadModel, Vec3, World,
-                           collision_model, inflate)
+from arcshot.world import AxisBox, CollisionModel, Cylinder, QuadModel, Vec3, World, inflate
 from conftest import make_world
 
 
@@ -105,20 +104,20 @@ def test_inflate_is_monotone(cx, cy, r, h, px, py, pz, body, margin):
 def test_is_free_empty_world():
     world = make_world()
     quad = QuadModel()
-    assert collision_model(world, quad).point_free(Vec3(3.0, -4.0, 5.0))
+    assert CollisionModel(world, quad).point_free(Vec3(3.0, -4.0, 5.0))
 
 
 def test_is_free_rejects_out_of_bounds():
     world = make_world()
-    quad = QuadModel()
-    assert not collision_model(world, quad).point_free(Vec3(16.0, 0.0, 5.0))
-    assert not collision_model(world, quad).point_free(Vec3(0.0, 0.0, -0.1))
+    model = CollisionModel(world, QuadModel())
+    assert not model.point_free(Vec3(16.0, 0.0, 5.0))
+    assert not model.point_free(Vec3(0.0, 0.0, -0.1))
 
 
 def test_is_free_inside_inflated_cylinder():
     world = make_world((Cylinder(Vec3(0.0, 0.0, 0.0), 1.0, 5.0),))
     quad = QuadModel(body_radius=0.3, safety_margin=0.2)
-    assert not collision_model(world, quad).point_free(Vec3(0.0, 0.0, 2.5))  # on the axis
+    assert not CollisionModel(world, quad).point_free(Vec3(0.0, 0.0, 2.5))  # on the axis
 
 
 def test_is_free_near_inflated_boundary():
@@ -127,9 +126,10 @@ def test_is_free_near_inflated_boundary():
     world = make_world((cyl,))
     quad = QuadModel(body_radius=0.3, safety_margin=0.2)
     inflated = inflate(cyl, quad)
+    model = CollisionModel(world, quad)
     for dist, expected in ((1.49, False), (1.51, True)):
         p = Vec3(dist, 0.0, 2.0)
-        assert collision_model(world, quad).point_free(p) is expected
+        assert model.point_free(p) is expected
         # closed-form point-in-cylinder oracle agrees
         assert point_in_cylinder(inflated, p) is (not expected)
 
@@ -137,7 +137,20 @@ def test_is_free_near_inflated_boundary():
 def test_is_free_boundary_counts_as_collision():
     world = make_world((Cylinder(Vec3(0.0, 0.0, 0.0), 1.0, 5.0),))
     quad = QuadModel(body_radius=0.3, safety_margin=0.2)
-    assert not collision_model(world, quad).point_free(Vec3(1.5, 0.0, 2.0))
+    assert not CollisionModel(world, quad).point_free(Vec3(1.5, 0.0, 2.0))
+
+
+def test_bounds_faces_are_free_and_inflated_box_faces_are_blocked():
+    # bounds are (-15, -15, 0)..(15, 15, 10); the box inflates by 0.5 to
+    # (1.5, -1.5, -0.5)..(4.5, 1.5, 3.5)
+    world = make_world((AxisBox(Vec3(2.0, -1.0, 0.0), Vec3(4.0, 1.0, 3.0)),))
+    model = CollisionModel(world, QuadModel(body_radius=0.3, safety_margin=0.2))
+    for p in (Vec3(-15.0, 0.0, 5.0), Vec3(0.0, 15.0, 5.0), Vec3(0.0, 0.0, 0.0),
+              Vec3(0.0, 0.0, 10.0), Vec3(15.0, -15.0, 10.0)):
+        assert model.point_free(p), p
+    for p in (Vec3(1.5, 0.0, 2.0), Vec3(4.5, 0.0, 2.0), Vec3(3.0, -1.5, 2.0),
+              Vec3(3.0, 1.5, 2.0), Vec3(3.0, 0.0, 3.5), Vec3(1.5, 1.5, 3.5)):
+        assert not model.point_free(p), p
 
 
 def _random_world(rng) -> World:
@@ -161,9 +174,10 @@ def test_free_points_keep_clearance_from_raw_surfaces():
     quad = QuadModel(body_radius=0.3, safety_margin=0.2)
     for _ in range(20):
         world = _random_world(rng)
+        model = CollisionModel(world, quad)
         for _ in range(200):
             p = Vec3(rng.uniform(-15, 15), rng.uniform(-15, 15), rng.uniform(0, 10))
-            if collision_model(world, quad).point_free(p):
+            if model.point_free(p):
                 clearance = min(dist_to_obstacle(o, p) for o in world.obstacles)
                 assert clearance >= quad.growth - 1e-9
 
@@ -172,7 +186,7 @@ def test_is_free_is_pure():
     world = make_world((Cylinder(Vec3(1.0, 1.0, 0.0), 1.0, 4.0),))
     quad = QuadModel()
     p = Vec3(0.2, 0.2, 1.0)
-    model = collision_model(world, quad)
+    model = CollisionModel(world, quad)
     assert model.point_free(p) == model.point_free(p)
 
 
@@ -247,13 +261,13 @@ def test_within_keeps_touching_obstacles_and_drops_distant_ones():
 def test_segment_free_in_empty_world():
     world = make_world()
     quad = QuadModel()
-    assert collision_model(world, quad).segment_free(Vec3(-5, 0, 2), Vec3(5, 0, 2), 0.5)
+    assert CollisionModel(world, quad).segment_free(Vec3(-5, 0, 2), Vec3(5, 0, 2), 0.5)
 
 
 def test_segment_through_cylinder_axis_is_blocked():
     world = make_world((Cylinder(Vec3(0.0, 0.0, 0.0), 1.0, 5.0),))
     quad = QuadModel()
-    assert not collision_model(world, quad).segment_free(Vec3(-5, 0, 2), Vec3(5, 0, 2), 0.5)
+    assert not CollisionModel(world, quad).segment_free(Vec3(-5, 0, 2), Vec3(5, 0, 2), 0.5)
 
 
 def test_grazing_segment_matches_fine_sampling_oracle():
@@ -262,8 +276,9 @@ def test_grazing_segment_matches_fine_sampling_oracle():
     quad = QuadModel(body_radius=0.3, safety_margin=0.2)  # inflated r=1.5
     a, b = Vec3(-3.0, 1.4, 2.0), Vec3(3.0, 1.4, 2.0)
     step = 0.2
-    coarse = collision_model(world, quad).segment_free(a, b, step)
-    fine = collision_model(world, quad).segment_free(a, b, step / 10)
+    model = CollisionModel(world, quad)
+    coarse = model.segment_free(a, b, step)
+    fine = model.segment_free(a, b, step / 10)
     assert coarse is fine is False
 
 
@@ -271,7 +286,7 @@ def test_segment_endpoints_checked():
     world = make_world((Cylinder(Vec3(0.0, 0.0, 0.0), 1.0, 5.0),))
     quad = QuadModel()
     # start point sits inside the inflated cylinder
-    assert not collision_model(world, quad).segment_free(Vec3(0.5, 0, 2), Vec3(5, 0, 2),
+    assert not CollisionModel(world, quad).segment_free(Vec3(0.5, 0, 2), Vec3(5, 0, 2),
                                                          0.25)
 
 
@@ -281,14 +296,15 @@ def test_coarse_sampling_is_optimistic():
     quad = QuadModel()
     for _ in range(10):
         world = _random_world(rng)
+        model = CollisionModel(world, quad)
         for _ in range(30):
             a = Vec3(rng.uniform(-12, 12), rng.uniform(-12, 12), rng.uniform(0, 9))
             b = Vec3(rng.uniform(-12, 12), rng.uniform(-12, 12), rng.uniform(0, 9))
             if a.distance_to(b) == 0.0:
                 continue
             step = a.distance_to(b) / 6  # divides evenly: halving nests points
-            fine = collision_model(world, quad).segment_free(a, b, step / 2)
-            coarse = collision_model(world, quad).segment_free(a, b, step)
+            fine = model.segment_free(a, b, step / 2)
+            coarse = model.segment_free(a, b, step)
             if fine:
                 assert coarse
 
@@ -297,14 +313,14 @@ def test_segment_free_default_step_is_body_radius():
     # a gap a body_radius step would sample: obstacle thinner than body_radius
     world = make_world((AxisBox(Vec3(-0.05, -5, 0), Vec3(0.05, 5, 5)),))
     quad = QuadModel(body_radius=0.3, safety_margin=0.0)
-    assert not collision_model(world, quad).segment_free(Vec3(-3, 0, 2), Vec3(3, 0, 2),
+    assert not CollisionModel(world, quad).segment_free(Vec3(-3, 0, 2), Vec3(3, 0, 2),
                                                          quad.body_radius)
 
 
 def test_segment_free_requires_positive_step():
     world = make_world()
     with pytest.raises(ValueError):
-        collision_model(world, QuadModel()).segment_free(Vec3(0, 0, 1), Vec3(1, 0, 1), 0.0)
+        CollisionModel(world, QuadModel()).segment_free(Vec3(0, 0, 1), Vec3(1, 0, 1), 0.0)
 
 
 # type invariants ------------------------------------------------------------
