@@ -163,7 +163,7 @@ def sample(window: SearchWindow, rng: np.random.Generator, count: int) -> np.nda
 def nearest_vertex(tree: Tree, p: np.ndarray) -> int:
     """Id of the node closest to `p`; ties go to the earliest insertion."""
     deltas = tree.positions - p
-    return int(np.argmin(np.einsum("ij,ij->i", deltas, deltas)))
+    return int(np.einsum("ij,ij->i", deltas, deltas).argmin())
 
 
 def _norm(v: np.ndarray) -> float:
@@ -190,33 +190,37 @@ def _best_parent(tree: Tree, x_new: np.ndarray, radius: float,
     Minimizes node cost plus edge length; ties resolve to the earliest
     insertion. Returns None when every in-radius edge is blocked.
 
-    Candidates whose last edge sample is blocked are dropped first, with one
-    `free_points` call; that sample is `origin + (x_new - origin)`, which may
-    differ from `x_new` in the last bit, so it is tested rather than `x_new`.
-    The cheapest remaining edge is then checked alone, and only if it is
-    blocked are the others classified, in one batch.
+    One `free_points` call classifies the cheapest edge's samples together
+    with every other candidate's last edge sample, `origin + (x_new - origin)`.
+    That sample may differ from `x_new` in the last bit, so it is tested
+    rather than `x_new`; it is also the last row `edge_points` gives the edge.
+    Only if the cheapest edge is blocked are the other edges whose last
+    sample is free classified, in one batch.
     """
-    dists = np.linalg.norm(tree.positions - x_new, axis=1)
-    candidates = np.flatnonzero(dists <= radius)
+    d = tree.positions - x_new
+    # the add.reduce np.linalg.norm(d, axis=1) runs, without its dispatch
+    dists = np.sqrt((d * d).sum(axis=1))
+    candidates = (dists <= radius).nonzero()[0]
     if candidates.size == 0:
         return None
     totals = tree.costs[candidates] + dists[candidates]
     # stable sort keeps insertion order within cost ties
-    order = candidates[np.argsort(totals, kind="stable")]
+    order = candidates[totals.argsort(kind="stable")]
     origins = tree.positions[order]
-    reachable = model.free_points(origins + (x_new - origins))
-    order, origins = order[reachable], origins[reachable]
+    cheapest, _ = edge_points(origins[:1], x_new, step)
+    others = origins[1:]
+    free = model.free_points(np.concatenate((cheapest, others + (x_new - others))))
+    k = len(cheapest)
+    if free[:k].all():
+        return int(order[0])
+    reachable = free[k:]
+    order, origins = order[1:][reachable], others[reachable]
     if order.size == 0:
         return None
-    pts, _ = edge_points(origins[:1], x_new, step)
-    if model.free_points(pts).all():
-        return int(order[0])
-    if order.size == 1:
-        return None
-    pts, first = edge_points(origins[1:], x_new, step)
+    pts, first = edge_points(origins, x_new, step)
     edge_free = np.logical_and.reduceat(model.free_points(pts), first)
-    winner = int(np.argmax(edge_free))
-    return int(order[1 + winner]) if edge_free[winner] else None
+    winner = int(edge_free.argmax())
+    return int(order[winner]) if edge_free[winner] else None
 
 
 @dataclass

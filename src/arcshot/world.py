@@ -10,6 +10,7 @@ from __future__ import annotations
 import copy
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from typing import Union
 
@@ -200,30 +201,46 @@ class CollisionModel:
 
     `inflated` lists the inflated obstacles in world order; their parameters
     are packed into arrays so batches of points are classified in one pass.
+    The arrays are packed on first use, so a model that is only drawn never
+    packs them.
     """
 
     def __init__(self, world: World, quad: QuadModel):
         self.world = world
         self.quad = quad
         self.inflated = tuple(inflate(o, quad) for o in world.obstacles)
+        self._lo = world.bounds.min.as_array()
+        self._hi = world.bounds.max.as_array()
 
-        self._is_cyl = np.array([isinstance(o, Cylinder) for o in self.inflated],
-                                dtype=bool)
-        self._extent = np.array([_bounding_box(o) for o in self.inflated],
-                                dtype=float).reshape(len(self.inflated), 6)
+    @cached_property
+    def _is_cyl(self) -> np.ndarray:
+        return np.array([isinstance(o, Cylinder) for o in self.inflated], dtype=bool)
+
+    @cached_property
+    def _extent(self) -> np.ndarray:
+        return np.array([_bounding_box(o) for o in self.inflated],
+                        dtype=float).reshape(len(self.inflated), 6)
+
+    @cached_property
+    def _cyl(self) -> np.ndarray:
         cyls = [o for o in self.inflated if isinstance(o, Cylinder)]
-        boxes = [o for o in self.inflated if isinstance(o, AxisBox)]
-        self._cyl = np.array(
+        return np.array(
             [[c.base_center.x, c.base_center.y, c.radius * c.radius,
               c.base_center.z, c.base_center.z + c.height] for c in cyls],
             dtype=float,
         ).reshape(len(cyls), 5)
-        self._box_min = np.array([[b.min.x, b.min.y, b.min.z] for b in boxes],
-                                 dtype=float).reshape(len(boxes), 3)
-        self._box_max = np.array([[b.max.x, b.max.y, b.max.z] for b in boxes],
-                                 dtype=float).reshape(len(boxes), 3)
-        self._lo = world.bounds.min.as_array()
-        self._hi = world.bounds.max.as_array()
+
+    @cached_property
+    def _box_min(self) -> np.ndarray:
+        boxes = [o for o in self.inflated if isinstance(o, AxisBox)]
+        return np.array([[b.min.x, b.min.y, b.min.z] for b in boxes],
+                        dtype=float).reshape(len(boxes), 3)
+
+    @cached_property
+    def _box_max(self) -> np.ndarray:
+        boxes = [o for o in self.inflated if isinstance(o, AxisBox)]
+        return np.array([[b.max.x, b.max.y, b.max.z] for b in boxes],
+                        dtype=float).reshape(len(boxes), 3)
 
     def within(self, box: AxisBox) -> "CollisionModel":
         """This model restricted to the inflated obstacles whose bounding box
@@ -246,20 +263,19 @@ class CollisionModel:
 
     def free_points(self, pts: np.ndarray) -> np.ndarray:
         """Boolean mask over an (n, 3) array: True where the point is in c-free."""
-        pts = np.atleast_2d(pts)
-        free = np.all((pts >= self._lo) & (pts <= self._hi), axis=1)
-        if self._cyl.size:
-            dx = pts[:, 0, None] - self._cyl[:, 0]
-            dy = pts[:, 1, None] - self._cyl[:, 1]
+        # the bounds test stays even for a model culled to a window clipped to
+        # the bounds: a computed point can leave that window by an ulp
+        free = ((pts >= self._lo) & (pts <= self._hi)).all(axis=1)
+        cyl = self._cyl
+        if cyl.size:
+            dx = pts[:, 0, None] - cyl[:, 0]
+            dy = pts[:, 1, None] - cyl[:, 1]
             z = pts[:, 2, None]
-            hit = ((dx * dx + dy * dy <= self._cyl[:, 2])
-                   & (z >= self._cyl[:, 3]) & (z <= self._cyl[:, 4]))
+            hit = (dx * dx + dy * dy <= cyl[:, 2]) & (z >= cyl[:, 3]) & (z <= cyl[:, 4])
             free &= ~hit.any(axis=1)
         if self._box_min.size:
-            inside = np.all(
-                (pts[:, None, :] >= self._box_min) & (pts[:, None, :] <= self._box_max),
-                axis=2,
-            )
+            p = pts[:, None, :]
+            inside = ((p >= self._box_min) & (p <= self._box_max)).all(axis=2)
             free &= ~inside.any(axis=1)
         return free
 
@@ -292,6 +308,14 @@ def edge_points(origins: np.ndarray, end: np.ndarray,
     """
     if step <= 0:
         raise ValueError(f"collision step must be > 0, got {step}")
+    if len(origins) == 1:
+        # the same arithmetic on one edge, without the per-edge indexing
+        diff = end - origins
+        x, y, z = diff[0].tolist()
+        n = float(max(math.ceil(math.sqrt(x * x + y * y + z * z) / step), 1))
+        t = np.arange(n + 1.0) * (1.0 / n)
+        t[-1] = 1.0
+        return origins + t[:, None] * diff, np.zeros(1, dtype=np.intp)
     d = origins - end
     lengths = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2])
     n = np.maximum(np.ceil(lengths / step), 1.0)

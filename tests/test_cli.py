@@ -6,6 +6,7 @@ import sys
 import weakref
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from arcshot import cli, fileio
@@ -85,6 +86,26 @@ def test_each_command_builds_one_collision_model_and_frees_it(command, tmp_path,
     assert built[0]() is None
 
 
+@pytest.mark.parametrize("command", ["execute", "render"])
+def test_drawing_commands_never_pack_the_model(command, tmp_path, monkeypatch):
+    # these commands only draw model.inflated; the packed query arrays are
+    # built on first use, so they must never be built here
+    built = []
+    init = CollisionModel.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self)
+
+    monkeypatch.setattr(CollisionModel, "__init__", recording_init)
+    assert cli.main(_command_args(command, tmp_path)) == cli.EXIT_OK
+    model, = built
+    packed = {"_is_cyl", "_extent", "_cyl", "_box_min", "_box_max"}
+    assert not packed & vars(model).keys()
+    model.within(model.world.bounds)    # the first query packs them all
+    assert packed <= vars(model).keys()
+
+
 def test_benchmark_tracer_still_wraps_the_planner(tmp_path, monkeypatch):
     # perfbench wraps functions by the names callers look them up; a rename
     # would silently drop their spans from traced benchmark runs
@@ -99,6 +120,13 @@ def test_benchmark_tracer_still_wraps_the_planner(tmp_path, monkeypatch):
     for name in ("local_planner.rrt_star_run", "local_planner.best_parent",
                  "local_planner.nearest_vertex", "local_planner.extend"):
         assert tracing.span_ms(tracer, name), name
+    # best-parent collision work must reach the wrapped model.free_points: x_new
+    # lies within extend_dist < neighbour radius of a node, so every call has a
+    # candidate and classifies it
+    op = tracer.ops[0]
+    best = np.flatnonzero(op["name"] == tracer.names.index("local_planner.best_parent"))
+    checked = op["parent"][op["name"] == tracer.names.index("world.free_points")]
+    assert best.size and np.isin(best, checked).all()
 
 
 def test_benchmark_tracer_still_wraps_the_replay(tmp_path, monkeypatch):

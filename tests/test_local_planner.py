@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from arcshot.discontinuity import Discontinuity, find_discontinuities
 from arcshot.errors import DegenerateExtend, LocalPlanFailed
@@ -260,6 +261,34 @@ def test_edge_points_match_segment_points_bit_for_bit(case):
         assert pts[lo:hi].tobytes() == expected.tobytes()
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.tuples(st.lists(_point, min_size=1, max_size=1), _point, _step),
+                 _axis_multiple_edge()),
+       _point, _point, st.booleans())
+def test_one_origin_edge_points_equal_the_multi_origin_rows(edge, other, other_end,
+                                                           end_as_row):
+    # one origin takes a fast path; alongside another edge it takes the
+    # general one, with one shared end or one end per edge
+    origins, end, step = edge
+    end = np.array(end, dtype=float)
+    alone, first = edge_points(np.array(origins, dtype=float),
+                               end[None, :] if end_as_row else end, step)
+    assert first.tolist() == [0]
+    pair = np.array([origins[0], other], dtype=float)
+    shared, starts = edge_points(pair, end, step)
+    assert alone.tobytes() == shared[:starts[1]].tobytes()
+    own, starts = edge_points(pair, np.array([end, other_end], dtype=float), step)
+    assert alone.tobytes() == own[:starts[1]].tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 80), st.just(3)),
+                  elements=st.floats(-1e150, 1e150, allow_nan=False)))
+def test_candidate_distances_equal_linalg_norm(d):
+    # _best_parent's distance form runs the same add.reduce as np.linalg.norm
+    assert np.sqrt((d * d).sum(axis=1)).tobytes() == np.linalg.norm(d, axis=1).tobytes()
+
+
 def _grow_tree(positions: np.ndarray, rng: np.random.Generator) -> Tree:
     """Tree over `positions` in order, each node under a random earlier one."""
     tree = Tree(Vec3.from_array(positions[0]))
@@ -388,6 +417,47 @@ def test_best_parent_on_an_obstacle_face_tests_the_last_edge_sample(seed):
     nodes[:, axis] = x_new[axis] + outward * rng.uniform(0.05, 2.5, len(nodes))
     tree = _grow_tree(nodes, rng)
     _assert_matches_oracle(world, tree, x_new, 4.0, float(rng.uniform(0.05, 0.4)))
+
+
+def _cheapest_endpoint_blocked_case(seed: int):
+    """A `_random_case` variant: x_new on a face of an inflated box, every node
+    on its free side and within the radius, and the root's last edge sample
+    rounding onto the face while another node's stays off it. The root costs
+    nothing, so its edge is the cheapest. None if the draws never give that."""
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(-6, 6, 3)
+    raw = AxisBox(Vec3.from_array(lo), Vec3.from_array(lo + rng.uniform(1, 4, 3)))
+    world = make_world((raw,), lo=(-20, -20, -20), hi=(20, 20, 20))
+    model = CollisionModel(world, BP_QUAD)
+    box = model.inflated[0]
+    bmin, bmax = box.min.as_array(), box.max.as_array()
+    for _ in range(20):
+        axis, outward = int(rng.integers(0, 3)), float(rng.choice([-1.0, 1.0]))
+        x_new = bmin + (bmax - bmin) * rng.uniform(0.2, 0.8, 3)
+        x_new[axis] = bmax[axis] if outward > 0 else bmin[axis]
+        nodes = x_new + rng.uniform(-2, 2, size=(int(rng.integers(2, 30)), 3))
+        nodes[:, axis] = x_new[axis] + outward * rng.uniform(0.05, 2.5, len(nodes))
+        ends_free = model.free_points(nodes + (x_new - nodes))
+        if ends_free.any() and not ends_free.all():
+            root = int(np.argmin(ends_free))
+            nodes = np.vstack([nodes[root], np.delete(nodes, root, axis=0)])
+            return world, _grow_tree(nodes, rng), x_new, float(rng.uniform(0.05, 0.4))
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_best_parent_when_the_cheapest_endpoint_is_blocked(seed):
+    # the fused check finds the cheapest edge blocked at its endpoint; the
+    # answer then comes from the other candidates' reachable rows and batch
+    case = _cheapest_endpoint_blocked_case(seed)
+    assume(case is not None)
+    world, tree, x_new, step = case
+    dists = np.linalg.norm(tree.positions - x_new, axis=1)
+    assert (dists <= 4.0).all()
+    assert np.argsort(tree.costs + dists, kind="stable")[0] == 0
+    expected = _assert_matches_oracle(world, tree, x_new, 4.0, step)
+    assert expected not in (None, 0)
 
 
 # rrt_star_run ---------------------------------------------------------------

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -5,13 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arcshot import fileio
 from arcshot.discontinuity import Discontinuity
 from arcshot.errors import EndpointBlocked, LocalPlanFailed, SpliceMismatch
 from arcshot.local_planner import LocalPath, RrtParams
 from arcshot.pipeline import plan_shot, splice, validate
 from arcshot.shot import GlobalPath, Pose4, face_target, generate_arc
 from arcshot.world import AxisBox, CollisionModel, Cylinder, QuadModel, Vec3
-from conftest import demo_shot, demo_world, make_world, wall_shot, wall_world
+from conftest import SCENARIO_DIR, demo_shot, demo_world, make_world, wall_shot, wall_world
 
 
 def fake_disc(path: GlobalPath, entry: int, exit_: int) -> Discontinuity:
@@ -228,3 +231,38 @@ def test_plan_shot_is_deterministic(quad):
     assert a.final_path.poses == b.final_path.poses
     assert [lp.cost for lp in a.local_paths] == [lp.cost for lp in b.local_paths]
     assert a.report.total_nodes == b.report.total_nodes
+
+
+# Each winning RRT* tree as sha256 over its positions bytes, costs bytes and
+# parents (int64, root -1). report.json keeps only counts and costs, so these
+# catch drift in the nodes the final path does not use; a change that moves
+# any node's bits on purpose re-records them and says why.
+TREE_SHA256 = {
+    "demo": ["cad5d8961f8f28fa24e7bae010acb8838757830b3fba8323a52bbafaba077ce0"],
+    "wall": ["048f89543978c4568fddf1cbd2e6ac2bc07b90a8fe270f0b0d6271270f3b0d51"],
+}
+
+
+def _tree_sha256(tree) -> str:
+    digest = hashlib.sha256(tree.positions.tobytes())
+    digest.update(tree.costs.tobytes())
+    digest.update(np.array([-1] + tree.parents[1:], dtype=np.int64).tobytes())
+    return digest.hexdigest()
+
+
+def _pinned_plan(case: str):
+    if case == "demo":    # the README quick start: bundled files, seed 7
+        demo = SCENARIO_DIR / "demo"
+        config = fileio.load_config(demo / "config.json")
+        model = CollisionModel(fileio.load_world(demo / "world.json"), config.quad)
+        return plan_shot(model, fileio.load_shot(demo / "shot.json"),
+                         dataclasses.replace(config.rrt, seed=7), margin=config.margin)
+    # acceptance criterion 7: levels 0 and 1 fail, level 2 wins
+    params = RrtParams(extend_dist=1.0, goal_radius=1.0, max_loops=800, seed=1)
+    return plan_shot(CollisionModel(wall_world(), QuadModel()), wall_shot(), params)
+
+
+@pytest.mark.parametrize("case", sorted(TREE_SHA256))
+def test_rrt_star_trees_keep_their_recorded_bytes(case):
+    result = _pinned_plan(case)
+    assert [_tree_sha256(t) for t in result.trees] == TREE_SHA256[case]

@@ -243,6 +243,52 @@ def test_within_matches_full_model_inside_its_box(obstacles, box, fractions):
     assert set(local.inflated) <= set(full.inflated)
 
 
+def _reference_free_points(model: CollisionModel, pts: np.ndarray) -> np.ndarray:
+    """The original `CollisionModel.free_points`, the oracle for the lean one."""
+    pts = np.atleast_2d(pts)
+    free = np.all((pts >= model._lo) & (pts <= model._hi), axis=1)
+    if model._cyl.size:
+        dx = pts[:, 0, None] - model._cyl[:, 0]
+        dy = pts[:, 1, None] - model._cyl[:, 1]
+        z = pts[:, 2, None]
+        hit = ((dx * dx + dy * dy <= model._cyl[:, 2])
+               & (z >= model._cyl[:, 3]) & (z <= model._cyl[:, 4]))
+        free &= ~hit.any(axis=1)
+    if model._box_min.size:
+        inside = np.all(
+            (pts[:, None, :] >= model._box_min) & (pts[:, None, :] <= model._box_max),
+            axis=2,
+        )
+        free &= ~inside.any(axis=1)
+    return free
+
+
+def _bounding_box(o) -> AxisBox:
+    if isinstance(o, Cylinder):
+        c = o.base_center
+        return AxisBox(Vec3(c.x - o.radius, c.y - o.radius, c.z),
+                       Vec3(c.x + o.radius, c.y + o.radius, c.z + o.height))
+    return o
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_grid_obstacle(), max_size=8), _grid_box(),
+       st.lists(st.tuples(*[st.floats(0.0, 1.0)] * 3), min_size=1, max_size=3))
+def test_free_points_matches_the_reference(obstacles, box, fractions):
+    # probes inside and on the faces, edges and corners of the world bounds,
+    # a query box and every inflated obstacle's bounding box (box faces,
+    # cylinder tops and bottoms, the planes tangent to a cylinder's side)
+    world = make_world(tuple(obstacles), lo=(-8.0, -8.0, -1.0), hi=(8.0, 8.0, 8.0))
+    full = CollisionModel(world, QuadModel(body_radius=0.25, safety_margin=0.25))
+    boxes = [world.bounds, box, *(_bounding_box(o) for o in full.inflated)]
+    pts = np.vstack([_probe_points(b, np.array(fractions)) for b in boxes])
+    for model in (full, full.within(box)):
+        assert model.free_points(pts).tobytes() == _reference_free_points(model, pts).tobytes()
+        for row in pts:
+            assert (model.free_points(row[None, :]).tobytes()
+                    == _reference_free_points(model, row).tobytes())
+
+
 def test_within_keeps_touching_obstacles_and_drops_distant_ones():
     quad = QuadModel(body_radius=0.25, safety_margin=0.25)
     touching = AxisBox(Vec3(2.5, 0.0, 0.0), Vec3(3.0, 1.0, 1.0))     # inflated min.x = 2
