@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discontinuity import find_discontinuities
+from .discontinuity import DEFAULT_MARGIN, find_discontinuities
 from .errors import LocalPlanFailed, VacuousBench
-from .local_planner import RrtParams, Tree
+from .local_planner import RrtParams
 from .pipeline import plan_shot
 from .shot import ArcShotSpec, generate_arc
 from .world import CollisionModel
@@ -47,7 +47,6 @@ class BenchSample:
     repetition: int
     duration_s: float
     cost: float | None  # None when the plan failed
-    trees: list[Tree]
 
 
 @dataclass
@@ -75,9 +74,8 @@ def _rep_seed(base_seed: int, max_loops: int, repetition: int) -> int:
 
 
 def run_bench(model: CollisionModel, spec: ArcShotSpec, params: RrtParams,
-              bench: BenchSpec, margin: int = 2,
-              collision_step: float | None = None,
-              keep_trees: bool = False) -> BenchResult:
+              bench: BenchSpec, margin: int = DEFAULT_MARGIN,
+              collision_step: float | None = None) -> BenchResult:
     """Sweep loop budgets over one scenario, planning every repetition on `model`.
 
     Rejects scenarios whose arc is unobstructed (VacuousBench): there would be
@@ -98,12 +96,10 @@ def run_bench(model: CollisionModel, spec: ArcShotSpec, params: RrtParams,
             try:
                 result = plan_shot(model, spec, run_params, margin, collision_step)
                 cost = sum(lp.cost for lp in result.local_paths)
-                trees = result.trees if keep_trees else []
             except LocalPlanFailed:
                 cost = None
-                trees = []
             duration = time.perf_counter() - started
-            samples.append(BenchSample(max_loops, rep, duration, cost, trees))
+            samples.append(BenchSample(max_loops, rep, duration, cost))
 
     rows = []
     for max_loops in bench.loops:

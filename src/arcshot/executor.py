@@ -61,21 +61,20 @@ def command_for(ex: float, ey: float, ez: float, norm: float, yaw_err: float,
     return ex * k, ey * k, ez * k, yaw_rate
 
 
-def follow(path: GlobalPath, start: SimState, cfg: FollowConfig, quad: QuadModel,
-           max_time: float | None = None) -> np.ndarray:
+def follow(path: GlobalPath, start: SimState, cfg: FollowConfig,
+           quad: QuadModel) -> np.ndarray:
     """Simulate takeoff plus waypoint tracking; returns the state log as an
     (n, 5) array with columns LOG_COLUMNS, the start state first.
 
     Phase 1 climbs to a virtual waypoint directly above the start at the
     first waypoint's altitude; phase 2 walks the waypoints in order, switching
     whenever the vehicle is within the waypoint tolerance. Raises
-    TimeoutExceeded (carrying the partial log) if max_time elapses first, and
+    TimeoutExceeded (carrying the partial log) if cfg.max_time elapses first, and
     ValueError where `Vec3` arithmetic would meet a non-finite coordinate.
     """
     if len(path) == 0:
         raise ValueError("cannot follow an empty path")
-    max_time = cfg.max_time if max_time is None else max_time
-    dt, tolerance = cfg.dt, cfg.waypoint_tolerance
+    dt, tolerance, max_time = cfg.dt, cfg.waypoint_tolerance, cfg.max_time
 
     first = path[0]
     p = start.position

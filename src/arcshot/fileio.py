@@ -3,22 +3,31 @@
 Everything is JSON with a `schema` tag per file. Loaders validate every
 field and raise SchemaError with the offending field path; writers emit
 sorted, indented JSON so identical inputs produce identical bytes.
+
+World, shot, config and bench files are declared once, by the dataclasses
+they build: a record's keys are its fields, a key is required exactly when
+its field has no default, and the field's annotation picks the parser
+(`_FIELD_CODECS`, or a nested record for a dataclass). The exceptions are
+listed in one place, above `_Record`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import typing
 from pathlib import Path
 from typing import Any
 
 import numpy as np
 
 from .bench import BenchSpec
+from .discontinuity import DEFAULT_MARGIN
 from .errors import SchemaError
 from .executor import LOG_COLUMNS, FollowConfig
 from .local_planner import RrtParams
 from .pipeline import PlanReport
+from .render import DEFAULT_WIDTH
 from .shot import ArcShotSpec, GlobalPath, Pose4
 from .world import AxisBox, Cylinder, Obstacle, QuadModel, Vec3, World
 
@@ -38,9 +47,9 @@ class RunConfig:
     quad: QuadModel = QuadModel()
     rrt: RrtParams = RrtParams()
     follow: FollowConfig = FollowConfig()
-    margin: int = 2
+    margin: int = DEFAULT_MARGIN
     collision_step: float | None = None  # None -> validation step, quad.body_radius / 2
-    render_width: int = 900
+    render_width: int = DEFAULT_WIDTH
 
     def __post_init__(self):
         if self.margin < 1:
@@ -51,54 +60,64 @@ class RunConfig:
             raise ValueError(f"render_width must be >= 100, got {self.render_width}")
 
 
-def _expect_mapping(value: Any, path: str) -> dict:
+def _at(path) -> str:
+    """Text of a field path: a string, or a (parent path, key or list index)
+    pair, which loaders pass so that the text is only built when they raise."""
+    if isinstance(path, str):
+        return path
+    parent, key = path
+    if isinstance(key, int):
+        return f"{_at(parent)}[{key}]"
+    return f"{_at(parent)}.{key}"
+
+
+def _expect_mapping(value: Any, path) -> dict:
     if not isinstance(value, dict):
-        raise SchemaError(f"{path}: expected an object, got {type(value).__name__}")
+        raise SchemaError(f"{_at(path)}: expected an object, got {type(value).__name__}")
     return value
 
 
-def _expect_list(value: Any, path: str) -> list:
+def _expect_list(value: Any, path) -> list:
     if not isinstance(value, list):
-        raise SchemaError(f"{path}: expected an array, got {type(value).__name__}")
+        raise SchemaError(f"{_at(path)}: expected an array, got {type(value).__name__}")
     return value
 
 
-def _expect_number(value: Any, path: str) -> float:
+def _expect_number(value: Any, path) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{path}: expected a number, got {value!r}")
+        raise SchemaError(f"{_at(path)}: expected a number, got {value!r}")
     return float(value)
 
 
-def _expect_int(value: Any, path: str) -> int:
+def _expect_int(value: Any, path) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise SchemaError(f"{path}: expected an integer, got {value!r}")
+        raise SchemaError(f"{_at(path)}: expected an integer, got {value!r}")
     return value
 
 
-def _expect_str(value: Any, path: str) -> str:
+def _expect_str(value: Any, path) -> str:
     if not isinstance(value, str):
-        raise SchemaError(f"{path}: expected a string, got {value!r}")
+        raise SchemaError(f"{_at(path)}: expected a string, got {value!r}")
     return value
 
 
-def _expect_vec3(value: Any, path: str) -> Vec3:
+def _expect_vec3(value: Any, path) -> Vec3:
     items = _expect_list(value, path)
     if len(items) != 3:
-        raise SchemaError(f"{path}: expected [x, y, z], got {len(items)} values")
-    coords = [_expect_number(v, f"{path}[{i}]") for i, v in enumerate(items)]
-    try:
-        return Vec3(*coords)
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+        raise SchemaError(f"{_at(path)}: expected [x, y, z], got {len(items)} values")
+    x, y, z = items
+    return _build(path, Vec3, x=_expect_number(x, (path, 0)),
+                  y=_expect_number(y, (path, 1)), z=_expect_number(z, (path, 2)))
 
 
-def _check_keys(obj: dict, allowed: set[str], required: set[str], path: str) -> None:
+def _check_keys(obj: dict, allowed, required, path) -> None:
+    """Name the first missing key in `required`'s order, else the first unknown key."""
     for key in required:
         if key not in obj:
-            raise SchemaError(f"{path}.{key}: required field is missing")
+            raise SchemaError(f"{_at(path)}.{key}: required field is missing")
     for key in obj:
         if key not in allowed:
-            raise SchemaError(f"{path}.{key}: unknown field")
+            raise SchemaError(f"{_at(path)}.{key}: unknown field")
 
 
 def _check_schema(obj: dict, expected: str, path: str) -> None:
@@ -107,12 +126,12 @@ def _check_schema(obj: dict, expected: str, path: str) -> None:
         raise SchemaError(f"{path}.schema: expected {expected!r}, got {tag!r}")
 
 
-def _build(path: str, factory, **kwargs):
+def _build(path, factory, **kwargs):
     """Construct a domain object, mapping invariant violations to SchemaError."""
     try:
         return factory(**kwargs)
     except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
+        raise SchemaError(f"{_at(path)}: {exc}") from exc
 
 
 def _read_json(file: Path) -> Any:
@@ -124,75 +143,109 @@ def _write_json(file: Path, data: Any) -> None:
                           encoding="utf-8")
 
 
-# -- world ------------------------------------------------------------------
+# -- world, shot, config and bench files -------------------------------------
+# The exceptions to "a record's keys are its dataclass fields":
+# - every file carries a `schema` tag, checked before its keys;
+# - shot/1 names `sample_count` `samples`, and requires `direction` although
+#   the dataclass defaults it;
+# - world/1 obstacles are a list tagged by `kind`, and a box obstacle needs
+#   positive extent in every axis (`_expect_obstacle`).
 
-def _obstacle_from_json(obj: Any, path: str) -> Obstacle:
-    mapping = _expect_mapping(obj, path)
-    kind = _expect_str(mapping.get("kind"), f"{path}.kind")
-    if kind == "cylinder":
-        _check_keys(mapping, {"kind", "base_center", "radius", "height"},
-                    {"base_center", "radius", "height"}, path)
-        return _build(
-            path, Cylinder,
-            base_center=_expect_vec3(mapping["base_center"], f"{path}.base_center"),
-            radius=_expect_number(mapping["radius"], f"{path}.radius"),
-            height=_expect_number(mapping["height"], f"{path}.height"),
-        )
-    if kind == "box":
-        _check_keys(mapping, {"kind", "min", "max"}, {"min", "max"}, path)
-        box = _build(path, AxisBox,
-                     min=_expect_vec3(mapping["min"], f"{path}.min"),
-                     max=_expect_vec3(mapping["max"], f"{path}.max"))
-        if (box.min.x == box.max.x or box.min.y == box.max.y
-                or box.min.z == box.max.z):
-            raise SchemaError(f"{path}: box obstacle needs positive extent")
-        return box
-    raise SchemaError(f"{path}.kind: expected 'cylinder' or 'box', got {kind!r}")
+def _same(value):
+    return value
+
+
+class _Record:
+    """Loads and dumps one dataclass as a JSON object. `tag` is a (key, value)
+    pair that is written first and allowed on load, where the caller checks
+    it; `keys` renames fields; `required` requires keys of defaulted fields."""
+
+    def __init__(self, cls, tag: tuple[str, str] | None = None,
+                 keys: dict[str, str] | None = None, required: tuple[str, ...] = ()):
+        hints = typing.get_type_hints(cls)
+        self.cls, self.tag = cls, tag
+        self.fields = []  # (key, field name, load, dump) in declared order
+        self.required = []  # keys in declared order
+        for f in dataclasses.fields(cls):
+            key = (keys or {}).get(f.name, f.name)
+            self.fields.append((key, f.name, *_field_codec(hints[f.name])))
+            if key in required or (f.default is dataclasses.MISSING
+                                   and f.default_factory is dataclasses.MISSING):
+                self.required.append(key)
+        self.allowed = {key for key, *_ in self.fields} | ({tag[0]} if tag else set())
+
+    def load(self, value: Any, path):
+        obj = _expect_mapping(value, path)
+        _check_keys(obj, self.allowed, self.required, path)
+        kwargs = {}
+        for key, name, load, _ in self.fields:
+            if key in obj:
+                kwargs[name] = load(obj[key], (path, key))
+        return _build(path, self.cls, **kwargs)
+
+    def load_file(self, data: Any, path: str):
+        _check_schema(_expect_mapping(data, path), self.tag[1], path)
+        return self.load(data, path)
+
+    def dump(self, record) -> dict:
+        data = dict([self.tag]) if self.tag else {}
+        for key, name, _, dump in self.fields:
+            data[key] = dump(getattr(record, name))
+        return data
+
+
+def _expect_obstacle(value: Any, path) -> Obstacle:
+    kind = _expect_str(_expect_mapping(value, path).get("kind"), (path, "kind"))
+    if kind not in _OBSTACLES:
+        raise SchemaError(f"{_at(path)}.kind: expected 'cylinder' or 'box', got {kind!r}")
+    obstacle = _OBSTACLES[kind].load(value, path)
+    if kind == "box" and (obstacle.min.x == obstacle.max.x
+                          or obstacle.min.y == obstacle.max.y
+                          or obstacle.min.z == obstacle.max.z):
+        raise SchemaError(f"{_at(path)}: box obstacle needs positive extent")
+    return obstacle
+
+
+def _list_of(load_item):
+    """Loader of a JSON array into a tuple whose items `load_item` loads."""
+    return lambda value, path: tuple([load_item(v, (path, i))
+                                      for i, v in enumerate(_expect_list(value, path))])
+
+
+# (load, dump) per field annotation; any other dataclass is a nested record
+_FIELD_CODECS = {
+    float: (_expect_number, _same),
+    int: (_expect_int, _same),
+    str: (_expect_str, _same),
+    float | None: (lambda v, path: None if v is None else _expect_number(v, path), _same),
+    Vec3: (_expect_vec3, lambda v: [v.x, v.y, v.z]),
+    tuple[int, ...]: (_list_of(_expect_int), list),
+    tuple[Obstacle, ...]: (_list_of(_expect_obstacle),
+                           lambda obstacles: [_OBSTACLES[_KIND[type(o)]].dump(o)
+                                              for o in obstacles]),
+}
+
+
+def _field_codec(hint) -> tuple:
+    if hint in _FIELD_CODECS:
+        return _FIELD_CODECS[hint]
+    if not dataclasses.is_dataclass(hint):
+        raise TypeError(f"no file codec for fields of type {hint!r}")
+    record = _Record(hint)
+    return record.load, record.dump
+
+
+_KIND = {Cylinder: "cylinder", AxisBox: "box"}
+_OBSTACLES = {kind: _Record(cls, tag=("kind", kind)) for cls, kind in _KIND.items()}
+_WORLD = _Record(World, tag=("schema", WORLD_SCHEMA))
+_SHOT = _Record(ArcShotSpec, tag=("schema", SHOT_SCHEMA),
+                keys={"sample_count": "samples"}, required=("direction",))
+_CONFIG = _Record(RunConfig, tag=("schema", CONFIG_SCHEMA))
+_BENCH = _Record(BenchSpec, tag=("schema", BENCH_SCHEMA))
 
 
 def world_from_json(data: Any, path: str = "world") -> World:
-    obj = _expect_mapping(data, path)
-    _check_schema(obj, WORLD_SCHEMA, path)
-    _check_keys(obj, {"schema", "bounds", "target", "obstacles"},
-                {"schema", "bounds", "target", "obstacles"}, path)
-    bounds_obj = _expect_mapping(obj["bounds"], f"{path}.bounds")
-    _check_keys(bounds_obj, {"min", "max"}, {"min", "max"}, f"{path}.bounds")
-    bounds = _build(f"{path}.bounds", AxisBox,
-                    min=_expect_vec3(bounds_obj["min"], f"{path}.bounds.min"),
-                    max=_expect_vec3(bounds_obj["max"], f"{path}.bounds.max"))
-    obstacles = tuple(
-        _obstacle_from_json(o, f"{path}.obstacles[{i}]")
-        for i, o in enumerate(_expect_list(obj["obstacles"], f"{path}.obstacles"))
-    )
-    return _build(path, World, bounds=bounds, obstacles=obstacles,
-                  target=_expect_vec3(obj["target"], f"{path}.target"))
-
-
-def world_to_json(world: World) -> dict:
-    obstacles = []
-    for o in world.obstacles:
-        if isinstance(o, Cylinder):
-            obstacles.append({
-                "kind": "cylinder",
-                "base_center": [o.base_center.x, o.base_center.y, o.base_center.z],
-                "radius": o.radius,
-                "height": o.height,
-            })
-        else:
-            obstacles.append({
-                "kind": "box",
-                "min": [o.min.x, o.min.y, o.min.z],
-                "max": [o.max.x, o.max.y, o.max.z],
-            })
-    return {
-        "schema": WORLD_SCHEMA,
-        "bounds": {
-            "min": [world.bounds.min.x, world.bounds.min.y, world.bounds.min.z],
-            "max": [world.bounds.max.x, world.bounds.max.y, world.bounds.max.z],
-        },
-        "target": [world.target.x, world.target.y, world.target.z],
-        "obstacles": obstacles,
-    }
+    return _WORLD.load_file(data, path)
 
 
 def load_world(file: Path) -> World:
@@ -200,39 +253,11 @@ def load_world(file: Path) -> World:
 
 
 def save_world(world: World, file: Path) -> None:
-    _write_json(file, world_to_json(world))
+    _write_json(file, _WORLD.dump(world))
 
-
-# -- shot -------------------------------------------------------------------
 
 def shot_from_json(data: Any, path: str = "shot") -> ArcShotSpec:
-    obj = _expect_mapping(data, path)
-    _check_schema(obj, SHOT_SCHEMA, path)
-    _check_keys(obj, {"schema", "start", "end", "target", "direction", "samples"},
-                {"schema", "start", "end", "target", "direction"}, path)
-    direction = _expect_str(obj["direction"], f"{path}.direction")
-    samples = _expect_int(obj.get("samples", 64), f"{path}.samples")
-    try:
-        return ArcShotSpec(
-            start=_expect_vec3(obj["start"], f"{path}.start"),
-            end=_expect_vec3(obj["end"], f"{path}.end"),
-            target=_expect_vec3(obj["target"], f"{path}.target"),
-            direction=direction,
-            sample_count=samples,
-        )
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from exc
-
-
-def shot_to_json(spec: ArcShotSpec) -> dict:
-    return {
-        "schema": SHOT_SCHEMA,
-        "start": [spec.start.x, spec.start.y, spec.start.z],
-        "end": [spec.end.x, spec.end.y, spec.end.z],
-        "target": [spec.target.x, spec.target.y, spec.target.z],
-        "direction": spec.direction,
-        "samples": spec.sample_count,
-    }
+    return _SHOT.load_file(data, path)
 
 
 def load_shot(file: Path) -> ArcShotSpec:
@@ -240,7 +265,25 @@ def load_shot(file: Path) -> ArcShotSpec:
 
 
 def save_shot(spec: ArcShotSpec, file: Path) -> None:
-    _write_json(file, shot_to_json(spec))
+    _write_json(file, _SHOT.dump(spec))
+
+
+def config_from_json(data: Any, path: str = "config") -> RunConfig:
+    return _CONFIG.load_file(data, path)
+
+
+def load_config(file: Path | None) -> RunConfig:
+    if file is None:
+        return RunConfig()
+    return config_from_json(_read_json(file))
+
+
+def bench_from_json(data: Any, path: str = "bench") -> BenchSpec:
+    return _BENCH.load_file(data, path)
+
+
+def load_bench(file: Path) -> BenchSpec:
+    return bench_from_json(_read_json(file))
 
 
 # -- path / trajectory ------------------------------------------------------
@@ -248,11 +291,11 @@ def save_shot(spec: ArcShotSpec, file: Path) -> None:
 def path_from_json(data: Any, path: str = "path") -> GlobalPath:
     obj = _expect_mapping(data, path)
     _check_schema(obj, PATH_SCHEMA, path)
-    _check_keys(obj, {"schema", "poses"}, {"schema", "poses"}, path)
+    _check_keys(obj, {"schema", "poses"}, ("schema", "poses"), path)
     poses = []
     for i, entry in enumerate(_expect_list(obj["poses"], f"{path}.poses")):
         p = _expect_mapping(entry, f"{path}.poses[{i}]")
-        _check_keys(p, {"x", "y", "z", "yaw", "t"}, {"x", "y", "z", "yaw"},
+        _check_keys(p, {"x", "y", "z", "yaw", "t"}, ("x", "y", "z", "yaw"),
                     f"{path}.poses[{i}]")
         poses.append(_build(
             f"{path}.poses[{i}]", Pose4,
@@ -303,72 +346,6 @@ def save_trajectory(log: np.ndarray, file: Path) -> None:
     """Write a state log (rows with columns LOG_COLUMNS) as a path file with times."""
     rows = np.asarray(log, dtype=float)[:, _TRAJECTORY_COLUMNS]
     _write_poses(file, TRAJECTORY_KEYS, rows.ravel().tolist())
-
-
-# -- config -----------------------------------------------------------------
-
-_QUAD_FIELDS = {"body_radius", "safety_margin", "max_speed", "max_yaw_rate"}
-_RRT_FIELDS = {"extend_dist", "neighbor_factor", "max_loops", "goal_radius",
-               "window_pad", "window_growth", "fail_limit", "seed"}
-_FOLLOW_FIELDS = {"dt", "k_p", "waypoint_tolerance", "max_time"}
-_RRT_INT_FIELDS = {"max_loops", "fail_limit", "seed"}
-
-
-def _section(obj: dict, name: str, fields: set[str], int_fields: set[str],
-             factory, path: str):
-    section = _expect_mapping(obj.get(name, {}), f"{path}.{name}")
-    _check_keys(section, fields, set(), f"{path}.{name}")
-    kwargs = {}
-    for key, value in section.items():
-        field_path = f"{path}.{name}.{key}"
-        kwargs[key] = (_expect_int(value, field_path) if key in int_fields
-                       else _expect_number(value, field_path))
-    return _build(f"{path}.{name}", factory, **kwargs)
-
-
-def config_from_json(data: Any, path: str = "config") -> RunConfig:
-    obj = _expect_mapping(data, path)
-    _check_schema(obj, CONFIG_SCHEMA, path)
-    _check_keys(obj, {"schema", "quad", "rrt", "follow", "margin",
-                      "collision_step", "render_width"}, {"schema"}, path)
-    quad = _section(obj, "quad", _QUAD_FIELDS, set(), QuadModel, path)
-    rrt = _section(obj, "rrt", _RRT_FIELDS, _RRT_INT_FIELDS, RrtParams, path)
-    follow = _section(obj, "follow", _FOLLOW_FIELDS, set(), FollowConfig, path)
-    step = obj.get("collision_step")
-    if step is not None:
-        step = _expect_number(step, f"{path}.collision_step")
-    return _build(
-        path, RunConfig, quad=quad, rrt=rrt, follow=follow,
-        margin=_expect_int(obj.get("margin", 2), f"{path}.margin"),
-        collision_step=step,
-        render_width=_expect_int(obj.get("render_width", 900),
-                                 f"{path}.render_width"),
-    )
-
-
-def load_config(file: Path | None) -> RunConfig:
-    if file is None:
-        return RunConfig()
-    return config_from_json(_read_json(file))
-
-
-# -- bench ------------------------------------------------------------------
-
-def bench_from_json(data: Any, path: str = "bench") -> BenchSpec:
-    obj = _expect_mapping(data, path)
-    _check_schema(obj, BENCH_SCHEMA, path)
-    _check_keys(obj, {"schema", "loops", "repetitions"},
-                {"schema", "loops", "repetitions"}, path)
-    loops = tuple(
-        _expect_int(v, f"{path}.loops[{i}]")
-        for i, v in enumerate(_expect_list(obj["loops"], f"{path}.loops"))
-    )
-    return _build(path, BenchSpec, loops=loops,
-                  repetitions=_expect_int(obj["repetitions"], f"{path}.repetitions"))
-
-
-def load_bench(file: Path) -> BenchSpec:
-    return bench_from_json(_read_json(file))
 
 
 # -- plan report ------------------------------------------------------------

@@ -13,7 +13,7 @@ only picks the best parent for the node it inserts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -233,7 +233,6 @@ class RrtRunResult:
     tree: Tree
     window: SearchWindow
     loops: int
-    best_costs: list[float] = field(default_factory=list)
 
 
 def rrt_star_run(d: Discontinuity, model: CollisionModel, params: RrtParams,
@@ -261,17 +260,14 @@ def rrt_star_run(d: Discontinuity, model: CollisionModel, params: RrtParams,
 
     best_cost = math.inf
     best_node: int | None = None
-    best_costs = []
 
     for x_rand in sample(window, rng, params.max_loops):
         near_pos = tree.positions[nearest_vertex(tree, x_rand)]
         if (x_rand == near_pos).all():  # degenerate window collapses onto the tree
-            best_costs.append(best_cost)
             continue
         x_new = extend(near_pos, x_rand, params.extend_dist)
         parent = _best_parent(tree, x_new, radius, model, step)
         if parent is None:
-            best_costs.append(best_cost)
             continue
         node_id = tree.add(x_new, parent)
 
@@ -282,13 +278,12 @@ def rrt_star_run(d: Discontinuity, model: CollisionModel, params: RrtParams,
             if candidate < best_cost:
                 best_cost = candidate
                 best_node = node_id
-        best_costs.append(best_cost)
 
     if best_node is None:
-        return RrtRunResult(None, tree, window, params.max_loops, best_costs)
+        return RrtRunResult(None, tree, window, params.max_loops)
     positions = tuple(tree.path_from_root(best_node)) + (exit_,)
     return RrtRunResult(LocalPath(positions, best_cost), tree, window,
-                        params.max_loops, best_costs)
+                        params.max_loops)
 
 
 def plan_local_run(d: Discontinuity, model: CollisionModel, params: RrtParams,

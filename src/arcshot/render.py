@@ -16,6 +16,8 @@ from .local_planner import Tree
 from .shot import GlobalPath, Pose4
 from .world import AxisBox, CollisionModel, Cylinder
 
+DEFAULT_WIDTH = 900  # pixels
+
 
 def _f(value: float) -> str:
     return f"{value:.3f}"
@@ -70,7 +72,7 @@ def render_scene(model: CollisionModel, *,
                  final_path: GlobalPath | None = None,
                  trees: Sequence[Tree] | None = None,
                  trajectory: np.ndarray | None = None,
-                 width: int = 900) -> str:
+                 width: int = DEFAULT_WIDTH) -> str:
     """Top-down orthographic view of a scenario and any planning artifacts.
 
     Draws `model.world` with `model.inflated` dashed around its obstacles.

@@ -2,13 +2,14 @@
 PASS line with the measured evidence (run with -s to see them live)."""
 
 import dataclasses
+import itertools
 import math
 import time
 
 import numpy as np
 import pytest
 
-from arcshot import cli, fileio
+from arcshot import bench, cli, fileio
 from arcshot.bench import BenchSpec, run_bench
 from arcshot.discontinuity import Discontinuity, find_discontinuities
 from arcshot.errors import LocalPlanFailed
@@ -234,8 +235,7 @@ def test_criterion_5_near_optimal_in_the_open():
 @pytest.fixture(scope="module")
 def bench_result():
     return run_bench(CollisionModel(demo_world(), QuadModel()), demo_shot(),
-                     RrtParams(seed=2025), BenchSpec((150, 500), 20),
-                     keep_trees=True)
+                     RrtParams(seed=2025), BenchSpec((150, 500), 20))
 
 
 def test_criterion_6_loops_buy_quality_with_time(bench_result):
@@ -248,15 +248,18 @@ def test_criterion_6_loops_buy_quality_with_time(bench_result):
            f"500 loops: {slow.mean_duration_s:.3f}s/{slow.mean_cost:.3f}m")
 
 
-def test_criterion_10_bench_trees_are_internally_consistent(bench_result):
+def test_criterion_10_bench_trees_are_internally_consistent():
     quad = QuadModel()
     model = CollisionModel(demo_world(), quad)
     params = RrtParams(seed=2025)
     radius = params.neighbor_radius
     step = quad.body_radius / 2
     trees_checked = 0
-    for sample_run in bench_result.samples:
-        for tree in sample_run.trees:
+    # the 40 plans of the criterion-6 sweep, seeded as run_bench seeds them
+    for loops, rep in itertools.product((150, 500), range(20)):
+        run_params = dataclasses.replace(
+            params, max_loops=loops, seed=bench._rep_seed(2025, loops, rep))
+        for tree in plan_shot(model, demo_shot(), run_params).trees:
             positions = tree.positions
             costs = np.array(tree.costs)
             recomputed = np.zeros(len(tree))

@@ -1,5 +1,5 @@
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -70,7 +70,7 @@ def test_yaw_command_saturates():
 def test_takeoff_only_run_is_pure_vertical(quad):
     path = GlobalPath((Pose4(Vec3(2.0, -1.0, 2.0), 1.0),))
     start = SimState(Vec3(2.0, -1.0, 0.0), 0.0)
-    log = follow(path, start, CFG, quad, max_time=60.0)
+    log = follow(path, start, replace(CFG, max_time=60.0), quad)
     zs = log[:, 2].tolist()
     assert all(x == 2.0 and y == -1.0 for x, y in log[:, :2].tolist())
     assert zs == sorted(zs)
@@ -80,14 +80,14 @@ def test_takeoff_only_run_is_pure_vertical(quad):
 def test_two_waypoint_path_converges(quad):
     path = GlobalPath((Pose4(Vec3(0, 0, 2), 0.0), Pose4(Vec3(4, 0, 2), 0.0)))
     start = SimState(Vec3(0, 0, 0), 0.0)
-    log = follow(path, start, CFG, quad, max_time=120.0)
+    log = follow(path, start, CFG, quad)
     assert position(log[-1]).distance_to(Vec3(4, 0, 2)) <= CFG.waypoint_tolerance
 
 
 def test_commands_respect_limits_along_the_whole_log(quad):
     path = GlobalPath((Pose4(Vec3(0, 0, 2), 0.0), Pose4(Vec3(6, 3, 2), 2.0)))
     start = SimState(Vec3(0, 0, 0), -2.0)
-    log = follow(path, start, CFG, quad, max_time=120.0)
+    log = follow(path, start, CFG, quad)
     for a, b in zip(log, log[1:]):
         assert position(a).distance_to(position(b)) <= \
             quad.max_speed * CFG.dt + 1e-12
@@ -100,7 +100,7 @@ def test_waypoints_are_reached_in_order(quad):
     path = GlobalPath((Pose4(Vec3(1, 0, 2), 0.0), Pose4(Vec3(2, 1, 2), 0.0),
                        Pose4(Vec3(3, 0, 2), 0.0)))
     start = SimState(Vec3(0, 0, 0), 0.0)
-    log = follow(path, start, CFG, quad, max_time=120.0)
+    log = follow(path, start, CFG, quad)
     first_hit = []
     for pose in path.poses:
         hit = next(i for i, row in enumerate(log)
@@ -113,8 +113,8 @@ def test_waypoints_are_reached_in_order(quad):
 def test_follow_is_deterministic(quad):
     path = GlobalPath((Pose4(Vec3(0, 0, 2), 0.0), Pose4(Vec3(4, 2, 3), 1.0)))
     start = SimState(Vec3(0, 0, 0), 0.0)
-    a = follow(path, start, CFG, quad, max_time=120.0)
-    b = follow(path, start, CFG, quad, max_time=120.0)
+    a = follow(path, start, CFG, quad)
+    b = follow(path, start, CFG, quad)
     assert a.tobytes() == b.tobytes()
 
 
@@ -122,7 +122,7 @@ def test_timeout_carries_the_partial_log(quad):
     path = GlobalPath((Pose4(Vec3(10, 10, 5), 0.0),))
     start = SimState(Vec3(-10, -10, 0), 0.0)
     with pytest.raises(TimeoutExceeded) as err:
-        follow(path, start, CFG, quad, max_time=1.0)
+        follow(path, start, replace(CFG, max_time=1.0), quad)
     log = err.value.log
     assert len(log) > 1
     assert log[-1, 4] <= 1.0
@@ -141,7 +141,7 @@ def test_replayed_demo_plan_avoids_raw_obstacles(quad):
                        RrtParams(extend_dist=0.2, seed=7))
     path = result.final_path
     start = SimState(Vec3(path[0].position.x, path[0].position.y, 0.0), 0.0)
-    log = follow(path, start, CFG, quad, max_time=120.0)
+    log = follow(path, start, CFG, quad)
     # check against raw (uninflated) obstacles via a point-sized vehicle
     point_quad = QuadModel(body_radius=1e-9, safety_margin=0.0)
     model = CollisionModel(world, point_quad)
@@ -172,8 +172,7 @@ def reference_command_for(state: SimState, target: Pose4, cfg: FollowConfig,
 
 
 def reference_follow(path: GlobalPath, start: SimState, cfg: FollowConfig,
-                     quad: QuadModel, max_time: float | None = None) -> list[SimState]:
-    max_time = cfg.max_time if max_time is None else max_time
+                     quad: QuadModel) -> list[SimState]:
     first = path[0]
     takeoff = Pose4(Vec3(start.position.x, start.position.y, first.position.z),
                     first.yaw)
@@ -188,7 +187,7 @@ def reference_follow(path: GlobalPath, start: SimState, cfg: FollowConfig,
             active += 1
         if active == len(targets):
             return log
-        if state.time + cfg.dt > max_time:
+        if state.time + cfg.dt > cfg.max_time:
             raise TimeoutExceeded(log)
         cmd = reference_command_for(state, targets[active], cfg, quad)
         state = SimState(
@@ -214,9 +213,9 @@ def _outcome(run):
         return "error", str(exc)
 
 
-def assert_replays_match(path, start, cfg, quad, max_time=None):
-    want = _outcome(lambda: reference_follow(path, start, cfg, quad, max_time))
-    got = _outcome(lambda: follow(path, start, cfg, quad, max_time))
+def assert_replays_match(path, start, cfg, quad):
+    want = _outcome(lambda: reference_follow(path, start, cfg, quad))
+    got = _outcome(lambda: follow(path, start, cfg, quad))
     assert got == want
     return got[0]
 
@@ -242,7 +241,8 @@ def replay_cases(draw):
     # slow vehicles far from the path saturate and time out with partial logs
     quad = QuadModel(max_speed=draw(st.floats(0.2, 6.0)),
                      max_yaw_rate=draw(st.floats(0.1, 3.0)))
-    return GlobalPath(poses), start, cfg, quad, draw(st.floats(0.2, 12.0))
+    max_time = draw(st.floats(0.2, 12.0))
+    return GlobalPath(poses), start, replace(cfg, max_time=max_time), quad
 
 
 @settings(max_examples=150, deadline=None)
@@ -258,7 +258,7 @@ def test_reference_cases_cover_saturation_and_timeouts():
     start = SimState(Vec3(0.0, 0.0, 0.0), math.pi)
     far = GlobalPath((Pose4(Vec3(9.0, -9.0, 3.0), -math.pi + 1e-9),))
     near = GlobalPath((Pose4(Vec3(0.1, 0.0, 0.3), -math.pi + 1e-9),))
-    assert assert_replays_match(far, start, CFG, quad, max_time=2.0) == "timeout"
+    assert assert_replays_match(far, start, replace(CFG, max_time=2.0), quad) == "timeout"
     assert assert_replays_match(near, start, CFG, quad) == "ok"
     # a waypoint exactly one tolerance away counts as reached
     at_tolerance = GlobalPath((Pose4(Vec3(0.0, 0.0, CFG.waypoint_tolerance), 0.0),))
@@ -299,4 +299,4 @@ def test_float_follow_overflows_like_the_vec3_reference(start_x, target_x, quad,
     path = GlobalPath((Pose4(Vec3(start_x, 0.0, 1.0), 0.0),
                        Pose4(Vec3(target_x, 0.0, 1.0), 0.0)))
     start = SimState(Vec3(start_x, 0.0, 1.0), 0.0)
-    assert assert_replays_match(path, start, cfg, quad, max_time=1.0) == outcome
+    assert assert_replays_match(path, start, replace(cfg, max_time=1.0), quad) == outcome

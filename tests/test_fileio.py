@@ -1,5 +1,11 @@
+import copy
+import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,12 +14,14 @@ from hypothesis import strategies as st
 
 from arcshot import fileio
 from arcshot.bench import BenchSpec
-from arcshot.errors import SchemaError
+from arcshot.errors import ArcshotError, SchemaError
+from arcshot.executor import FollowConfig
 from arcshot.local_planner import RrtParams
 from arcshot.pipeline import plan_shot
 from arcshot.shot import GlobalPath, Pose4
-from arcshot.world import CollisionModel, Vec3
+from arcshot.world import CollisionModel, QuadModel, Vec3
 from conftest import demo_shot, demo_world
+import schema_reference
 
 
 def test_world_round_trip(tmp_path):
@@ -188,3 +196,311 @@ def test_report_json_is_deterministic_and_has_no_wall_clock(quad):
     assert ja == jb
     assert "duration" not in json.dumps(ja)
     assert ja["totals"]["nodes"] == a.report.total_nodes
+
+
+# -- the record codec against the hand-written loaders it replaced -----------
+
+REFERENCE_LOADERS = {
+    "world/1": (fileio.world_from_json, schema_reference.world_from_json),
+    "shot/1": (fileio.shot_from_json, schema_reference.shot_from_json),
+    "config/1": (fileio.config_from_json, schema_reference.config_from_json),
+    "bench/1": (fileio.bench_from_json, schema_reference.bench_from_json),
+}
+
+
+def _num(lo, hi):
+    """JSON numbers in [lo, hi]: integers where the range holds any, and floats."""
+    ints = [st.integers(math.ceil(lo), math.floor(hi))] if math.ceil(lo) <= hi else []
+    return st.one_of(*ints, st.floats(lo, hi))
+
+
+def _vec(lo=-30, hi=30):
+    return st.lists(_num(lo, hi), min_size=3, max_size=3)
+
+
+@st.composite
+def _cylinders(draw):
+    return {"kind": "cylinder", "base_center": draw(_vec()),
+            "radius": draw(_num(0.01, 9)), "height": draw(_num(0.01, 9))}
+
+
+@st.composite
+def _boxes(draw):
+    lo = draw(_vec())
+    return {"kind": "box", "min": lo,
+            "max": [v + draw(_num(0.01, 9)) for v in lo]}
+
+
+@st.composite
+def world_files(draw, min_obstacles=0):
+    return {"schema": "world/1",
+            "bounds": {"min": draw(_vec(-30, -2)), "max": draw(_vec(2, 30))},
+            "target": draw(_vec(-1, 1)),
+            "obstacles": draw(st.lists(st.one_of(_cylinders(), _boxes()),
+                                       min_size=min_obstacles, max_size=3))}
+
+
+@st.composite
+def shot_files(draw):
+    target = draw(_vec(-9, 9))
+    data = {"schema": "shot/1",
+            "start": [target[0] + draw(_num(1, 20)), target[1], draw(_num(0, 9))],
+            "end": [target[0] - draw(_num(1, 20)), target[1], draw(_num(0, 9))],
+            "target": target,
+            "direction": draw(st.sampled_from(["clockwise", "counterclockwise"]))}
+    if draw(st.booleans()):
+        data["samples"] = draw(st.integers(2, 200))
+    return data
+
+
+CONFIG_VALUES = {
+    "quad": {"body_radius": _num(0.05, 1), "safety_margin": _num(0, 1),
+             "max_speed": _num(0.5, 5), "max_yaw_rate": _num(0.5, 3)},
+    "rrt": {"extend_dist": _num(0.1, 2), "neighbor_factor": _num(1.5, 3),
+            "max_loops": st.integers(1, 5000), "goal_radius": _num(0.1, 2),
+            "window_pad": _num(0, 3), "window_growth": _num(1.2, 3),
+            "fail_limit": st.integers(1, 9), "seed": st.integers(0, 2 ** 64 - 1)},
+    "follow": {"dt": _num(0.005, 0.05), "k_p": _num(0.1, 10),
+               "waypoint_tolerance": _num(0.05, 1), "max_time": _num(1, 300)},
+    "": {"margin": st.integers(1, 5), "collision_step": st.one_of(st.none(), _num(0.01, 1)),
+         "render_width": st.integers(100, 2000)},
+}
+
+
+@st.composite
+def config_files(draw):
+    data = {"schema": "config/1"}
+    for section, values in CONFIG_VALUES.items():
+        if draw(st.booleans()):
+            keys = draw(st.lists(st.sampled_from(sorted(values)), unique=True))
+            fields = {key: draw(values[key]) for key in keys}
+            data.update({section: fields} if section else fields)
+    return data
+
+
+@st.composite
+def bench_files(draw):
+    return {"schema": "bench/1",
+            "loops": draw(st.lists(st.integers(1, 5000), min_size=1, max_size=4)),
+            "repetitions": draw(st.integers(1, 50))}
+
+
+REQUIRED = {
+    "world/1": ("schema", "bounds", "target", "obstacles"), "bounds": ("min", "max"),
+    "cylinder": ("kind", "base_center", "radius", "height"), "box": ("kind", "min", "max"),
+    "shot/1": ("schema", "start", "end", "target", "direction"),
+    "config/1": ("schema",), "quad": (), "rrt": (), "follow": (),
+    "bench/1": ("schema", "loops", "repetitions"),
+}
+VEC_KEYS = {"min", "max", "target", "start", "end", "base_center"}
+INT_KEYS = {"samples", "max_loops", "fail_limit", "seed", "margin", "render_width",
+            "repetitions", "loops"}
+OUT_OF_RANGE = {
+    "radius": [0, -1.5], "height": [0, -2], "samples": [1, 0, -4],
+    "repetitions": [0, -1], "loops": [0, -3], "margin": [0, -2],
+    "collision_step": [0, -0.5], "render_width": [99, 0],
+    "body_radius": [0, -1], "safety_margin": [-0.1], "max_speed": [0, -1],
+    "max_yaw_rate": [0, -0.5], "extend_dist": [0, -1], "neighbor_factor": [1, 0.5],
+    "max_loops": [0, -10], "goal_radius": [0, -1], "window_pad": [-1],
+    "window_growth": [1, 0.5], "fail_limit": [0], "seed": [-1, 2 ** 64],
+    "dt": [0, -0.01], "k_p": [0, -1, 1000], "waypoint_tolerance": [0, -0.1],
+    "max_time": [0, -5], "direction": ["sideways", "Clockwise"],
+}
+
+
+def _walk(value, loc=()):
+    """(location, value) of every value in a JSON tree, the root first."""
+    yield loc, value
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield from _walk(item, loc + (key,))
+
+
+def _key(loc) -> str:
+    return next(k for k in reversed(loc) if isinstance(k, str))
+
+
+def _get(data, loc):
+    for key in loc:
+        data = data[key]
+    return data
+
+
+def _replaced(data, loc, value):
+    if not loc:
+        return value
+    _get(data, loc[:-1])[loc[-1]] = value
+    return data
+
+
+def _category(value) -> str:
+    if isinstance(value, bool) or value is None:
+        return repr(value)
+    return "number" if isinstance(value, (int, float)) else type(value).__name__
+
+
+def _missing_key(draw, data):
+    required = [(obj, REQUIRED[obj.get("kind") or obj.get("schema") or loc[-1]])
+                for loc, obj in _walk(data) if isinstance(obj, dict)]
+    obj, keys = draw(st.sampled_from([(obj, keys) for obj, keys in required if keys]))
+    del obj[draw(st.sampled_from(keys))]
+    return data
+
+
+def _unknown_key(draw, data):
+    obj = draw(st.sampled_from([v for _, v in _walk(data) if isinstance(v, dict)]))
+    key = draw(st.sampled_from(
+        [k for k in ("extra", "Min", "sample_count", "kind", "schema", "t")
+         if k not in obj]))
+    obj[key] = draw(st.sampled_from([1, "x", None]))
+    return data
+
+
+def _wrong_type(draw, data):
+    loc, value = draw(st.sampled_from(list(_walk(data))))
+    valid = {_category(value)}
+    if loc and _key(loc) == "collision_step":
+        valid |= {"number", "None"}
+    pool = [v for v in (None, True, 3, "x", [], {}) if _category(v) not in valid]
+    if loc and _key(loc) in INT_KEYS and _category(value) == "number":
+        pool.append(2.5)
+    return _replaced(data, loc, draw(st.sampled_from(pool)))
+
+
+def _wrong_length(draw, data):
+    loc = draw(st.sampled_from(
+        [loc for loc, v in _walk(data) if loc and loc[-1] in VEC_KEYS]))
+    length = draw(st.sampled_from([0, 1, 2, 4, 5]))
+    return _replaced(data, loc, draw(st.lists(_num(-9, 9), min_size=length,
+                                              max_size=length)))
+
+
+def _bad_kind(draw, data):
+    obstacle = draw(st.sampled_from(data["obstacles"]))
+    obstacle["kind"] = draw(st.sampled_from(["sphere", "", "Box", "cylinders"]))
+    return data
+
+
+def _out_of_range(draw, data):
+    """One value out of its field's range: a number, a coordinate, or a
+    relation between fields (bounds, target, box extent, arc radius)."""
+    numbers = [(loc, OUT_OF_RANGE[_key(loc)]) for loc, v in _walk(data)
+               if loc and _key(loc) in OUT_OF_RANGE and not isinstance(v, (dict, list))]
+    coordinates = [(loc, [math.inf, -math.inf, math.nan]) for loc, v in _walk(data)
+                   if len(loc) > 1 and loc[-2] in VEC_KEYS]
+    relations = []
+    schema = data["schema"]
+    if schema == "config/1":  # a value the file left at its default
+        numbers += [(((section,) if section else ()) + (key,), OUT_OF_RANGE[key])
+                    for section, values in CONFIG_VALUES.items() for key in values]
+        for section in ("quad", "rrt", "follow"):
+            data.setdefault(section, {})
+    if schema == "bench/1":
+        relations.append((("loops",), [[]]))
+    if schema == "world/1":
+        lo, hi = data["bounds"]["min"], data["bounds"]["max"]
+        for axis in range(3):
+            relations += [(("bounds", "max", axis), [lo[axis], lo[axis] - 1]),
+                          (("target", axis), [hi[axis] + 1, lo[axis] - 1])]
+            relations += [(("obstacles", i, "max", axis),
+                           [o["min"][axis], o["min"][axis] - 1])
+                          for i, o in enumerate(data["obstacles"]) if o["kind"] == "box"]
+    if schema == "shot/1":
+        relations += [((end,), [list(data["target"])]) for end in ("start", "end")]
+    places = draw(st.sampled_from([g for g in (numbers, coordinates, relations) if g]))
+    loc, values = draw(st.sampled_from(places))
+    return _replaced(data, loc, draw(st.sampled_from(values)))
+
+
+FILES = {"world/1": world_files(), "shot/1": shot_files(),
+         "config/1": config_files(), "bench/1": bench_files()}
+# fault -> (injector, the file kinds it applies to)
+FAULTS = {
+    "missing key": (_missing_key, FILES),
+    "unknown key": (_unknown_key, FILES),
+    "wrong type": (_wrong_type, FILES),
+    "wrong length": (_wrong_length, ("world/1", "shot/1")),
+    "bad kind": (_bad_kind, ("world/1",)),
+    "out of range": (_out_of_range, FILES),
+}
+
+
+def _outcome(load, data):
+    try:
+        load(data)
+    except ArcshotError as exc:  # SchemaError, or DegenerateArc for a shot on the axis
+        return type(exc).__name__, str(exc)
+    return ("ok",)
+
+
+@pytest.mark.parametrize("fault, schema", [
+    (fault, schema) for fault, (_, schemas) in FAULTS.items() for schema in schemas])
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_one_fault_raises_the_reference_error(fault, schema, data):
+    inject = FAULTS[fault][0]
+    file = data.draw(world_files(min_obstacles=1) if fault == "bad kind" else FILES[schema])
+    new, reference = REFERENCE_LOADERS[schema]
+    assert _outcome(new, copy.deepcopy(file)) == ("ok",)
+    broken = inject(data.draw, copy.deepcopy(file))
+    want = _outcome(reference, copy.deepcopy(broken))
+    assert want[0] != "ok", f"{fault} left the file valid: {broken}"
+    assert _outcome(new, broken) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(world_files(), shot_files()))
+def test_writers_equal_the_reference_writers(file):
+    if file["schema"] == "world/1":
+        world = fileio.world_from_json(file)
+        want, got = schema_reference.world_to_json(world), fileio._WORLD.dump(world)
+    else:
+        spec = fileio.shot_from_json(file)
+        want, got = schema_reference.shot_to_json(spec), fileio._SHOT.dump(spec)
+    assert json.dumps(got, indent=2, sort_keys=True) == json.dumps(want, indent=2,
+                                                                   sort_keys=True)
+
+
+@pytest.mark.parametrize("section, name", [
+    (section, f.name)
+    for section, cls in (("quad", QuadModel), ("rrt", RrtParams), ("follow", FollowConfig))
+    for f in dataclasses.fields(cls)])
+def test_every_config_field_loads_under_its_own_name(section, name):
+    default = getattr(getattr(fileio.RunConfig(), section), name)
+    value = default + 1 if isinstance(default, int) else default + 0.25
+    config = fileio.config_from_json({"schema": "config/1", section: {name: value}})
+    loaded = getattr(config, section)
+    assert getattr(loaded, name) == value
+    assert type(getattr(loaded, name)) is type(default)
+    assert loaded == dataclasses.replace(type(loaded)(), **{name: value})
+
+
+def test_missing_keys_are_reported_in_declared_order_under_any_hash_seed():
+    code = ("from arcshot import fileio\n"
+            "for load, data in ((fileio.shot_from_json, {'schema': 'shot/1'}),\n"
+            "                   (fileio.world_from_json, {'schema': 'world/1'})):\n"
+            "    try:\n"
+            "        load(data)\n"
+            "    except fileio.SchemaError as exc:\n"
+            "        print(exc)\n")
+    src = str(Path(fileio.__file__).resolve().parents[1])
+    outputs = [
+        subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                       check=True, env={**os.environ, "PYTHONPATH": src,
+                                        "PYTHONHASHSEED": seed}).stdout
+        for seed in ("1", "2")]
+    assert outputs[0] == outputs[1] == ("shot.start: required field is missing\n"
+                                        "world.bounds: required field is missing\n")
+
+
+def test_several_faults_report_the_first_declared_field():
+    payload = {"schema": "shot/1", "start": [1, 2], "end": "x", "target": [0, 0, 0],
+               "direction": 5, "extra": 1}
+    with pytest.raises(SchemaError) as err:
+        fileio.shot_from_json(payload)
+    assert str(err.value) == "shot.extra: unknown field"
+    del payload["extra"]
+    with pytest.raises(SchemaError) as err:
+        fileio.shot_from_json(payload)
+    assert str(err.value) == "shot.start: expected [x, y, z], got 2 values"

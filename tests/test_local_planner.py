@@ -541,16 +541,6 @@ def test_rrt_star_tree_invariants(quad):
         assert run.window.box.contains(Vec3.from_array(tree.positions[i]))
 
 
-def test_rrt_star_best_cost_trace_is_monotone(quad):
-    world, d = empty_world_disc()
-    run = rrt_star_run(d, CollisionModel(world, quad), RrtParams(seed=4), 0,
-                       step=quad.body_radius)
-    trace = run.best_costs
-    assert len(trace) == 500
-    for earlier, later in zip(trace, trace[1:]):
-        assert later <= earlier
-
-
 def test_rrt_star_is_deterministic(quad):
     model = CollisionModel(demo_world(), quad)
     arc = generate_arc(demo_shot())
