@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import typing
 from pathlib import Path
 from typing import Any
@@ -83,10 +84,22 @@ def _expect_list(value: Any, path) -> list:
     return value
 
 
-def _expect_number(value: Any, path) -> float:
+def _as_float(value: Any, path) -> float:
+    """A JSON number as a float, which may be NaN or infinite."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{_at(path)}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise SchemaError(
+            f"{_at(path)}: expected a number, got an integer too large for a float") from None
+
+
+def _expect_number(value: Any, path) -> float:
+    number = _as_float(value, path)
+    if not math.isfinite(number):
+        raise SchemaError(f"{_at(path)}: expected a finite number, got {number!r}")
+    return number
 
 
 def _expect_int(value: Any, path) -> int:
@@ -106,8 +119,9 @@ def _expect_vec3(value: Any, path) -> Vec3:
     if len(items) != 3:
         raise SchemaError(f"{_at(path)}: expected [x, y, z], got {len(items)} values")
     x, y, z = items
-    return _build(path, Vec3, x=_expect_number(x, (path, 0)),
-                  y=_expect_number(y, (path, 1)), z=_expect_number(z, (path, 2)))
+    # Vec3 itself rejects a non-finite component, naming it
+    return _build(path, Vec3, x=_as_float(x, (path, 0)),
+                  y=_as_float(y, (path, 1)), z=_as_float(z, (path, 2)))
 
 
 def _check_keys(obj: dict, allowed, required, path) -> None:

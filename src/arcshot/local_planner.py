@@ -3,7 +3,8 @@
 Two departures from textbook RRT* shape this module. First, samples are
 confined to a window slightly larger than the discontinuity's bounding box;
 each failed attempt restarts the search in a window scaled up by a fixed
-factor, so effort stays local until the obstacle demands more room. Second,
+factor, so effort stays local until the obstacle demands more room; a level
+that one inflated box provably walls off is skipped unrun. Second,
 the parent of every new node is chosen among all neighbors within the steer
 step times an expansion factor, favoring long straight edges where the world
 allows them. Existing nodes are never rewired through new ones: each loop
@@ -20,7 +21,7 @@ import numpy as np
 from .discontinuity import Discontinuity
 from .errors import DegenerateExtend, LocalPlanFailed
 # collision_model stays importable here for perfbench/tracing.py, which wraps it
-from .world import AxisBox, CollisionModel, Vec3, collision_model, edge_points
+from .world import CULL_PAD, AxisBox, CollisionModel, Vec3, collision_model, edge_points
 
 
 @dataclass(frozen=True)
@@ -223,6 +224,40 @@ def _best_parent(tree: Tree, x_new: np.ndarray, radius: float,
     return int(order[winner]) if edge_free[winner] else None
 
 
+def level_window(d: Discontinuity, model: CollisionModel, params: RrtParams,
+                 level: int) -> tuple[SearchWindow, CollisionModel]:
+    """The search window of expansion `level` and `model` culled to it.
+
+    Every sample, node and edge of an attempt lies in the convex window, up
+    to rounding that `within`'s pad covers.
+    """
+    window = initial_window(d, params.window_pad, model.world.bounds)
+    for _ in range(level):
+        window = expand_window(window, params.window_growth, model.world.bounds)
+    return window, model.within(window.box)
+
+
+def walled_off(d: Discontinuity, window: SearchWindow, model: CollisionModel,
+               step: float) -> bool:
+    """True when one inflated box of `model` proves that an attempt in
+    `window`, checking edges at samples at most `step` apart, cannot connect
+    the entry to the exit.
+
+    Every point an attempt tests lies in the box spanned by the window and
+    both endpoints, up to rounding far below CULL_PAD. If one inflated box
+    covers that span, padded by CULL_PAD, in two axes and its slab along the
+    third lies strictly between entry and exit, each edge chain from entry to
+    exit has samples on both sides of the slab. Successive samples are at
+    most `step` apart, up to the same rounding, so with the slab thicker than
+    `step` plus the pad one of them lands inside the box and is blocked.
+    """
+    entry = d.entry_pose.position.as_array()
+    exit_ = d.exit_pose.position.as_array()
+    lo = np.minimum.reduce((window.box.min.as_array(), entry, exit_)) - CULL_PAD
+    hi = np.maximum.reduce((window.box.max.as_array(), entry, exit_)) + CULL_PAD
+    return model.separates(entry, exit_, lo, hi, step + CULL_PAD)
+
+
 @dataclass
 class RrtRunResult:
     """One windowed RRT* attempt: its best path (None if it found none), tree,
@@ -243,12 +278,7 @@ def rrt_star_run(d: Discontinuity, model: CollisionModel, params: RrtParams,
     The rng stream is derived from (seed, discontinuity index, window level),
     so every attempt is reproducible and independent of the others.
     """
-    window = initial_window(d, params.window_pad, model.world.bounds)
-    for _ in range(level):
-        window = expand_window(window, params.window_growth, model.world.bounds)
-    # every sample, node and edge of the attempt lies in the convex window
-    model = model.within(window.box)
-
+    window, model = level_window(d, model, params, level)
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=params.seed, spawn_key=(disc_index, level)))
 
@@ -291,12 +321,18 @@ def plan_local_run(d: Discontinuity, model: CollisionModel, params: RrtParams,
     """Retry rrt_star_run with a growing window until it succeeds.
 
     Levels 0 .. fail_limit-1 are attempted in order; the first success wins.
-    Returns the winning attempt with `loops` summed over every attempt made;
+    A level that `walled_off` proves hopeless is skipped: it counts the
+    `max_loops` a failed attempt reports, and since each level draws from its
+    own rng stream, the others plan exactly as if it had run.
+    Returns the winning attempt with `loops` summed over every level tried;
     its `window.level` is the expansion level. Raises LocalPlanFailed once the
     expansion budget is spent.
     """
     loops = 0
     for level in range(params.fail_limit):
+        if walled_off(d, *level_window(d, model, params, level), step):
+            loops += params.max_loops
+            continue
         result = rrt_star_run(d, model, params, level, step, disc_index)
         loops += result.loops
         if result.path is not None:

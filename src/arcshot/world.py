@@ -261,6 +261,20 @@ class CollisionModel:
         local._box_max = self._box_max[keep[~self._is_cyl]]
         return local
 
+    def separates(self, a: np.ndarray, b: np.ndarray, lo: np.ndarray,
+                  hi: np.ndarray, thickness: float) -> bool:
+        """True iff, for some axis, one inflated box contains the box
+        [`lo`, `hi`] in the other two axes, is thicker than `thickness` along
+        it, and has its slab along it strictly between points `a` and `b`.
+
+        Such a box cuts every path from `a` to `b` inside [`lo`, `hi`].
+        """
+        bmin, bmax = self._box_min, self._box_max
+        covers = (bmin <= lo) & (bmax >= hi)  # (boxes, axes)
+        covers_others = covers[:, [1, 2, 0]] & covers[:, [2, 0, 1]]
+        between = ((a < bmin) & (bmax < b)) | ((b < bmin) & (bmax < a))
+        return bool((covers_others & (bmax - bmin > thickness) & between).any())
+
     def free_points(self, pts: np.ndarray) -> np.ndarray:
         """Boolean mask over an (n, 3) array: True where the point is in c-free."""
         # the bounds test stays even for a model culled to a window clipped to

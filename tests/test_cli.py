@@ -218,6 +218,19 @@ def test_invalid_field_is_a_schema_error(tmp_path, capsys):
     assert "obstacles[0]" in err["error"]["message"]
 
 
+def test_integer_too_large_for_a_float_is_a_schema_error(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"schema": "config/1", "follow": {"dt": 1' + "0" * 400 + "}}")
+    out = tmp_path / "out"
+    code = cli.main(["plan", "--world", str(DEMO / "world.json"), "--shot",
+                     str(DEMO / "shot.json"), "--config", str(config), "--out", str(out)])
+    assert code == cli.EXIT_SCHEMA
+    assert json.loads(capsys.readouterr().err)["error"] == {
+        "kind": "SchemaError",
+        "message": "config.follow.dt: expected a number, got an integer too large for a float"}
+    assert not out.exists()
+
+
 def test_blocked_endpoint_exit_code(tmp_path, capsys):
     world = json.loads((DEMO / "world.json").read_text())
     world["obstacles"].append({"kind": "cylinder", "base_center": [8.0, 0.0, 0.0],

@@ -166,6 +166,23 @@ def test_config_schema_error_names_the_nested_field():
     assert "config.rrt" in str(err.value)
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"schema": "config/1", "quad": {"body_radius": NaN}}',
+     "config.quad.body_radius: expected a finite number, got nan"),
+    ('{"schema": "world/1", "bounds": {"min": [0, 0, 0], "max": [9, 9, 9]},'
+     ' "target": [1, 2, 1], "obstacles": [{"kind": "cylinder",'
+     ' "base_center": [1, 1, 0], "radius": Infinity, "height": 2}]}',
+     "world.obstacles[0].radius: expected a finite number, got inf"),
+], ids=["config", "world"])
+def test_non_finite_numbers_are_schema_errors(text, message):
+    # json.loads accepts NaN and Infinity; the range checks would let NaN by
+    data = json.loads(text)
+    load = fileio.config_from_json if data["schema"] == "config/1" else fileio.world_from_json
+    with pytest.raises(SchemaError) as err:
+        load(data)
+    assert str(err.value) == message
+
+
 def test_config_rejects_unknown_keys():
     payload = {"schema": "config/1", "rrt": {"extend_distance": 1.0}}
     with pytest.raises(SchemaError) as err:

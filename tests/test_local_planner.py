@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,14 +7,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from arcshot import local_planner
 from arcshot.discontinuity import Discontinuity, find_discontinuities
 from arcshot.errors import DegenerateExtend, LocalPlanFailed
 from arcshot.local_planner import (LocalPath, RrtParams, SearchWindow, Tree,
                                    _best_parent, expand_window, extend,
-                                   initial_window, nearest_vertex, plan_local_run,
-                                   rrt_star_run, sample)
+                                   initial_window, level_window, nearest_vertex,
+                                   plan_local_run, rrt_star_run, sample, walled_off)
 from arcshot.shot import Pose4, generate_arc
-from arcshot.world import AxisBox, CollisionModel, Cylinder, QuadModel, Vec3, edge_points
+from arcshot.world import (CULL_PAD, AxisBox, CollisionModel, Cylinder, QuadModel, Vec3, World,
+                           edge_points)
 from conftest import demo_shot, demo_world, make_world, wall_shot, wall_world
 
 BIG_BOUNDS = AxisBox(Vec3(-100, -100, -100), Vec3(100, 100, 100))
@@ -588,12 +591,144 @@ def test_plan_local_expands_past_a_wide_wall(quad):
 
 def test_plan_local_fail_limit_one_gives_up_immediately(quad):
     model, d = wall_disc(quad)
-    import dataclasses
     params = dataclasses.replace(WALL_PARAMS, fail_limit=1)
     with pytest.raises(LocalPlanFailed) as err:
         plan_local_run(d, model, params, step=quad.body_radius, disc_index=0)
     assert err.value.discontinuity_index == 0
     assert err.value.levels_tried == 1
+
+
+def test_plan_local_never_runs_a_walled_off_level(quad, monkeypatch):
+    model, d = wall_disc(quad)
+    levels = []
+    run = local_planner.rrt_star_run
+
+    def recording(d, model, params, level, *args, **kwargs):
+        levels.append(level)
+        return run(d, model, params, level, *args, **kwargs)
+
+    monkeypatch.setattr(local_planner, "rrt_star_run", recording)
+    out = plan_local_run(d, model, WALL_PARAMS, step=quad.body_radius)
+    assert levels == list(range(1, out.window.level + 1))
+    assert out.loops == (out.window.level + 1) * WALL_PARAMS.max_loops
+
+    levels.clear()
+    params = dataclasses.replace(WALL_PARAMS, fail_limit=1)
+    with pytest.raises(LocalPlanFailed) as err:
+        plan_local_run(d, model, params, step=quad.body_radius)
+    assert err.value.levels_tried == 1
+    assert levels == []
+
+
+# walled_off -------------------------------------------------------------------
+
+OPEN_BOUNDS = dict(lo=(-20, -20, -20), hi=(20, 20, 20))
+# inflated by the default quad's 0.5: x -1..1, y -5.5..5.5, z -5.5..5.5
+SLAB = AxisBox(Vec3(-0.5, -5, -5), Vec3(0.5, 5, 5))
+
+
+def certified(obstacles, a=Vec3(-3, 0, 0), b=Vec3(3, 0, 0), step=0.15):
+    """walled_off at level 0 of the default window (x -4..4, y and z -1..1)."""
+    model = CollisionModel(make_world(obstacles, **OPEN_BOUNDS), QuadModel())
+    d = disc_between(a, b)
+    return walled_off(d, *level_window(d, model, RrtParams(), 0), step)
+
+
+def _swap(v: Vec3, axis: int) -> Vec3:
+    c = [v.x, v.y, v.z]
+    c[0], c[axis] = c[axis], c[0]
+    return Vec3(*c)
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_walled_off_fires_on_a_thick_slab_across_the_window(axis):
+    slab = AxisBox(_swap(SLAB.min, axis), _swap(SLAB.max, axis))
+    assert certified([slab], _swap(Vec3(-3, 0, 0), axis), _swap(Vec3(3, 0, 0), axis))
+    assert certified([slab], _swap(Vec3(3, 0, 0), axis), _swap(Vec3(-3, 0, 0), axis))
+
+
+def test_walled_off_needs_a_slab_thicker_than_the_step():
+    assert not certified([SLAB], step=2.0)  # the inflated slab is exactly 2.0 thick
+    assert certified([SLAB], step=2.0 - 2e-6)
+
+
+def test_walled_off_needs_the_cover_to_exceed_the_window_by_the_pad():
+    # the window's top in y is 1.0; the inflated slab ends just past it
+    short = AxisBox(SLAB.min, Vec3(0.5, 0.5 + CULL_PAD / 2, 5))
+    assert not certified([short])
+    padded = AxisBox(SLAB.min, Vec3(0.5, 0.5 + 2 * CULL_PAD, 5))
+    assert certified([padded])
+
+
+def test_walled_off_needs_entry_and_exit_on_both_sides():
+    assert not certified([SLAB], b=Vec3(-1.5, 0, 0))
+    assert not certified([SLAB], a=Vec3(1.5, 0, 0))
+
+
+def test_walled_off_ignores_cylinders():
+    # this pillar walls the window off too, but only boxes are certified
+    assert not certified([Cylinder(Vec3(0, 0, -20), 3.0, 40.0)])
+
+
+def test_walled_off_never_fires_on_the_demo(quad):
+    model = CollisionModel(demo_world(), quad)
+    d, = find_discontinuities(generate_arc(demo_shot()), model)
+    for level in range(RrtParams().fail_limit):
+        assert not walled_off(d, *level_window(d, model, RrtParams(), level),
+                              quad.body_radius / 2)
+
+
+@st.composite
+def _single_box_spans(draw):
+    """(model, discontinuity, params, step): one box, entry and exit in a
+    random order along a random axis, near the box or across it."""
+    axis = draw(st.sampled_from([0, 1, 2]))
+
+    def along(a, b, c):
+        v = [b, c]
+        v.insert(axis, a)
+        return Vec3(*v)
+
+    half = draw(st.floats(0.05, 1.0))
+    # past the world bounds in both other axes, except perhaps on one side
+    reach = [draw(st.floats(20.5, 28.0)) for _ in range(4)]
+    short = draw(st.none() | st.sampled_from([0, 1, 2, 3]))
+    if short is not None:
+        reach[short] = draw(st.floats(-0.5, 3.0))
+    box = AxisBox(along(-half, -reach[0], -reach[1]), along(half, reach[2], reach[3]))
+    bound = st.floats(2.0, 20.0)
+    lo = along(-20.0, -draw(bound), -draw(bound))
+    hi = along(20.0, draw(bound), draw(bound))
+    side = st.floats(-1.0, 1.0)
+    far = st.floats(1.2, 5.0) if draw(st.booleans()) else st.floats(-5.0, 5.0)
+    ends = [along(-draw(st.floats(1.2, 5.0)), draw(side), draw(side)),
+            along(draw(far), draw(side), draw(side))]
+    if draw(st.booleans()):
+        ends.reverse()
+    world = World(AxisBox(lo, hi), (box,), Vec3(0.0, 0.0, 0.0))
+    params = RrtParams(extend_dist=draw(st.floats(0.3, 2.5)),
+                       goal_radius=draw(st.floats(0.3, 2.0)), max_loops=150,
+                       window_pad=draw(st.floats(0.2, 1.5)),
+                       window_growth=draw(st.floats(1.2, 2.0)),
+                       seed=draw(st.integers(0, 2 ** 32)))
+    return (CollisionModel(world, QuadModel()), disc_between(*ends), params,
+            draw(st.floats(0.1, 2.5)))
+
+
+def test_a_walled_off_level_never_finds_a_path():
+    fired = []
+
+    @settings(max_examples=100, deadline=None)
+    @given(_single_box_spans())
+    def check(case):
+        model, d, params, step = case
+        for level in range(3):
+            if walled_off(d, *level_window(d, model, params, level), step):
+                fired.append(level)
+                assert rrt_star_run(d, model, params, level, step).path is None
+
+    check()
+    assert len(fired) >= 60
 
 
 # params / tree validation ---------------------------------------------------

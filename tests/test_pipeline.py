@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcshot import fileio
+from arcshot import fileio, local_planner
 from arcshot.discontinuity import Discontinuity
 from arcshot.errors import EndpointBlocked, LocalPlanFailed, SpliceMismatch
 from arcshot.local_planner import LocalPath, RrtParams
@@ -250,19 +250,45 @@ def _tree_sha256(tree) -> str:
     return digest.hexdigest()
 
 
-def _pinned_plan(case: str):
-    if case == "demo":    # the README quick start: bundled files, seed 7
+def _plan(case: str, seed: int):
+    if case == "demo":    # the README quick start plans the bundled files at seed 7
         demo = SCENARIO_DIR / "demo"
         config = fileio.load_config(demo / "config.json")
         model = CollisionModel(fileio.load_world(demo / "world.json"), config.quad)
         return plan_shot(model, fileio.load_shot(demo / "shot.json"),
-                         dataclasses.replace(config.rrt, seed=7), margin=config.margin)
-    # acceptance criterion 7: levels 0 and 1 fail, level 2 wins
-    params = RrtParams(extend_dist=1.0, goal_radius=1.0, max_loops=800, seed=1)
+                         dataclasses.replace(config.rrt, seed=seed), margin=config.margin)
+    # acceptance criterion 7 at seed 1: levels 0 and 1 fail, level 2 wins
+    params = RrtParams(extend_dist=1.0, goal_radius=1.0, max_loops=800, seed=seed)
     return plan_shot(CollisionModel(wall_world(), QuadModel()), wall_shot(), params)
 
 
 @pytest.mark.parametrize("case", sorted(TREE_SHA256))
 def test_rrt_star_trees_keep_their_recorded_bytes(case):
-    result = _pinned_plan(case)
+    result = _plan(case, {"demo": 7, "wall": 1}[case])
     assert [_tree_sha256(t) for t in result.trees] == TREE_SHA256[case]
+
+
+def _plan_facts(result):
+    """Final path, report without its wall-clock durations, winning trees."""
+    report = dataclasses.replace(
+        result.report, total_duration_s=0.0,
+        discontinuities=tuple(dataclasses.replace(r, duration_s=0.0)
+                              for r in result.report.discontinuities))
+    return result.final_path, report, [_tree_sha256(t) for t in result.trees]
+
+
+@pytest.mark.parametrize("case, seed", [(case, seed) for case in ("demo", "wall")
+                                        for seed in (11, 12, 13)])
+def test_skipping_walled_off_levels_changes_no_plan(case, seed, monkeypatch):
+    fired = []
+    certify = local_planner.walled_off
+
+    def recording(*args):
+        fired.append(certify(*args))
+        return fired[-1]
+
+    monkeypatch.setattr(local_planner, "walled_off", recording)
+    with_skips = _plan_facts(_plan(case, seed))
+    monkeypatch.setattr(local_planner, "walled_off", lambda *args: False)
+    assert _plan_facts(_plan(case, seed)) == with_skips
+    assert any(fired) == (case == "wall")
