@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .discontinuity import DEFAULT_MARGIN, find_discontinuities
-from .errors import LocalPlanFailed, VacuousBench
+from .errors import LocalPlanFailed, VacuousBench, ValidationFailed
 from .local_planner import RrtParams
 from .pipeline import plan_shot
 from .shot import ArcShotSpec, generate_arc
@@ -79,8 +79,10 @@ def run_bench(model: CollisionModel, spec: ArcShotSpec, params: RrtParams,
     """Sweep loop budgets over one scenario, planning every repetition on `model`.
 
     Rejects scenarios whose arc is unobstructed (VacuousBench): there would be
-    nothing to time. Failed repetitions count against the success rate and
-    still contribute their duration; costs average over successes only.
+    nothing to time. A repetition fails when its planner gives up or its
+    spliced path fails validation; failed repetitions count against the
+    success rate and still contribute their duration; costs average over
+    successes only.
     """
     arc = generate_arc(spec)
     if not find_discontinuities(arc, model, margin):
@@ -96,7 +98,7 @@ def run_bench(model: CollisionModel, spec: ArcShotSpec, params: RrtParams,
             try:
                 result = plan_shot(model, spec, run_params, margin, collision_step)
                 cost = sum(lp.cost for lp in result.local_paths)
-            except LocalPlanFailed:
+            except (LocalPlanFailed, ValidationFailed):
                 cost = None
             duration = time.perf_counter() - started
             samples.append(BenchSample(max_loops, rep, duration, cost))

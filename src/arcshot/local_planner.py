@@ -71,14 +71,15 @@ class SearchWindow:
 class Tree:
     """Append-only RRT node store.
 
-    Positions and costs from the root live in growing numpy buffers so
-    nearest-neighbor and neighbor-radius scans run vectorized; parents stay
-    in a plain list. Node ids are insertion indices, root is 0.
+    Positions live in a growing (3, capacity) buffer, one contiguous row per
+    axis, and costs from the root in a growing vector, so the full-tree
+    distance scans run as flat vector passes; parents stay in a plain list.
+    Node ids are insertion indices, root is 0.
     """
 
     def __init__(self, root: Vec3):
-        self._buf = np.empty((64, 3), dtype=float)
-        self._buf[0] = root.as_array()
+        self._xyz = np.empty((3, 64), dtype=float)
+        self._xyz[:, 0] = root.as_array()
         self._cost = np.zeros(64, dtype=float)
         self._count = 1
         self.parents: list[int | None] = [None]
@@ -87,9 +88,14 @@ class Tree:
         return self._count
 
     @property
+    def xyz(self) -> np.ndarray:
+        """(3, n) view of all node positions, one row per axis."""
+        return self._xyz[:, :self._count]
+
+    @property
     def positions(self) -> np.ndarray:
         """(n, 3) view of all node positions in insertion order."""
-        return self._buf[:self._count]
+        return self._xyz[:, :self._count].T
 
     @property
     def costs(self) -> np.ndarray:
@@ -100,11 +106,13 @@ class Tree:
         """Append the node at `position` (a length-3 row) under `parent`."""
         if not 0 <= parent < self._count:
             raise ValueError(f"parent id {parent} not in tree of size {self._count}")
-        if self._count == len(self._buf):
-            self._buf = np.vstack([self._buf, np.empty_like(self._buf)])
+        if self._count == self._xyz.shape[1]:
+            self._xyz = np.hstack([self._xyz, np.empty_like(self._xyz)])
             self._cost = np.concatenate([self._cost, np.empty_like(self._cost)])
-        self._buf[self._count] = position
-        edge = float(np.linalg.norm(self._buf[self._count] - self._buf[parent]))
+        self._xyz[:, self._count] = position
+        # norm of the contiguous column difference: the cost bits the recorded
+        # tree hashes pin
+        edge = float(np.linalg.norm(self._xyz[:, self._count] - self._xyz[:, parent]))
         self.parents.append(parent)
         self._cost[self._count] = self._cost[parent] + edge
         self._count += 1
@@ -114,7 +122,7 @@ class Tree:
         chain = []
         cursor: int | None = node_id
         while cursor is not None:
-            chain.append(Vec3.from_array(self._buf[cursor]))
+            chain.append(Vec3.from_array(self._xyz[:, cursor]))
             cursor = self.parents[cursor]
         chain.reverse()
         return chain
@@ -162,9 +170,31 @@ def sample(window: SearchWindow, rng: np.random.Generator, count: int) -> np.nda
 
 
 def nearest_vertex(tree: Tree, p: np.ndarray) -> int:
-    """Id of the node closest to `p`; ties go to the earliest insertion."""
-    deltas = tree.positions - p
-    return int(np.einsum("ij,ij->i", deltas, deltas).argmin())
+    """Id of the node closest to `p`; ties go to the earliest insertion.
+
+    Squared distances sum x, z, y in that order: bit for bit what
+    `np.einsum("ij,ij->i", d, d)` gives on C-ordered (n, 3) rows, the scan
+    the recorded trees were grown with. Summing x, y, z instead resolves
+    some 1-ulp near-ties the other way.
+    """
+    q = tree.xyz - p[:, None]
+    q *= q
+    dist2 = q[0]
+    dist2 += q[2]
+    dist2 += q[1]
+    return int(dist2.argmin())
+
+
+def _distances(tree: Tree, p: np.ndarray) -> np.ndarray:
+    """(n,) distances from `p` to every node, bit for bit
+    `np.linalg.norm(tree.positions - p, axis=1)`: its add.reduce sums each
+    (n, 3) row x, y, z in order."""
+    q = tree.xyz - p[:, None]
+    q *= q
+    dists = q[0]
+    dists += q[1]
+    dists += q[2]
+    return np.sqrt(dists, out=dists)
 
 
 def _norm(v: np.ndarray) -> float:
@@ -198,9 +228,7 @@ def _best_parent(tree: Tree, x_new: np.ndarray, radius: float,
     Only if the cheapest edge is blocked are the other edges whose last
     sample is free classified, in one batch.
     """
-    d = tree.positions - x_new
-    # the add.reduce np.linalg.norm(d, axis=1) runs, without its dispatch
-    dists = np.sqrt((d * d).sum(axis=1))
+    dists = _distances(tree, x_new)
     candidates = (dists <= radius).nonzero()[0]
     if candidates.size == 0:
         return None

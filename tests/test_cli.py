@@ -288,6 +288,25 @@ def test_bench_small_sweep_writes_all_artifacts(tmp_path):
     assert (out / "bench.svg").exists()
 
 
+def test_bench_counts_a_repetition_that_fails_validation_as_failed(tmp_path):
+    # a collision step this coarse lets RRT* edges cut an obstacle corner that
+    # dense validation then catches; the sweep must go on without that plan
+    config = json.loads((DEMO / "config.json").read_text())
+    config["collision_step"] = 0.6
+    coarse = tmp_path / "config.json"
+    coarse.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    code = cli.main(["bench", "--world", str(DEMO / "world.json"),
+                     "--shot", str(DEMO / "shot.json"), "--config", str(coarse),
+                     "--bench", str(DEMO / "bench.json"), "--seed", "3",
+                     "--out", str(out)])
+    assert code == cli.EXIT_OK
+    result = json.loads((out / "bench.json").read_text())
+    failed = [s for s in result["samples"] if s["cost"] is None]
+    assert failed and len(failed) < len(result["samples"])
+    assert min(r["success_rate"] for r in result["rows"]) < 1.0
+
+
 def test_render_subcommand(tmp_path):
     plan_out = tmp_path / "plan"
     assert cli.main(["plan", *demo_args(plan_out)]) == cli.EXIT_OK

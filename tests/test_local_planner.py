@@ -11,7 +11,7 @@ from arcshot import local_planner
 from arcshot.discontinuity import Discontinuity, find_discontinuities
 from arcshot.errors import DegenerateExtend, LocalPlanFailed
 from arcshot.local_planner import (LocalPath, RrtParams, SearchWindow, Tree,
-                                   _best_parent, expand_window, extend,
+                                   _best_parent, _distances, expand_window, extend,
                                    initial_window, level_window, nearest_vertex,
                                    plan_local_run, rrt_star_run, sample, walled_off)
 from arcshot.shot import Pose4, generate_arc
@@ -139,6 +139,71 @@ def test_nearest_matches_linear_scan_oracle():
                    key=lambda i: Vec3.from_array(tree.positions[i]).distance_to(
                        Vec3.from_array(q)))
         assert nearest_vertex(tree, q) == want
+
+
+# coordinates: ordinary, with a full 53-bit mantissa (so sums of squares
+# round), subnormal, and large but with finite squared distances
+_wide = st.one_of(st.floats(-10.0, 10.0),
+                  st.integers(0, 2 ** 32 - 1).map(
+                      lambda seed: np.random.default_rng(seed).uniform(-10.0, 10.0)),
+                  st.floats(-1e-300, 1e-300), st.floats(-1e150, 1e150))
+
+
+@st.composite
+def _near_tie_tree(draw):
+    """Query point and tree rows where distance ties are common: every row
+    after the first either is new or remakes an earlier row j, most often the
+    nearest so far, as a copy (an exact tie), a 1-ulp step, a mirror image
+    about the query (a tie up to rounding), or a permutation of j's offset
+    from the query (the same three squares summed in another order)."""
+    p = draw(hnp.arrays(np.float64, 3, elements=_wide))
+    rows = [draw(hnp.arrays(np.float64, 3, elements=_wide))]
+    for _ in range(draw(st.integers(0, 30))):
+        if draw(st.integers(0, 3)):
+            j = min(rows, key=lambda r: float(((r - p) ** 2).sum()))
+        else:
+            j = rows[draw(st.integers(0, len(rows) - 1))]
+        kind = draw(st.sampled_from(("new", "copy", "ulp", "mirror", "permute")))
+        if kind == "new":
+            rows.append(draw(hnp.arrays(np.float64, 3, elements=_wide)))
+        elif kind == "copy":
+            rows.append(j.copy())
+        elif kind == "ulp":
+            toward = draw(st.sampled_from((-np.inf, np.inf)))
+            rows.append(np.nextafter(j, toward))
+        elif kind == "mirror":
+            rows.append(p - (j - p))
+        else:
+            swap = draw(st.sampled_from(((0, 2, 1), (1, 0, 2), (2, 1, 0), (1, 2, 0), (2, 0, 1))))
+            rows.append(p + (j - p)[list(swap)])
+    return p, np.array(rows)
+
+
+def _einsum_nearest(tree: Tree, p: np.ndarray) -> int:
+    """Reference nearest scan: einsum over C-ordered (n, 3) rows. Its summing
+    order follows the memory layout, so the rows are made C-ordered here."""
+    d = np.ascontiguousarray(tree.positions - p)
+    return int(np.einsum("ij,ij->i", d, d).argmin())
+
+
+@settings(max_examples=400, deadline=None)
+@given(_near_tie_tree())
+def test_nearest_breaks_near_ties_as_einsum_does(case):
+    # the per-axis scan picks the node the (n, 3) einsum scan picks, or a
+    # 1-ulp near-tie would grow a different tree
+    p, rows = case
+    tree = _grow_tree(rows, np.random.default_rng(0))
+    assert nearest_vertex(tree, p) == _einsum_nearest(tree, p)
+
+
+def test_nearest_sums_squares_in_einsum_order():
+    # two nodes whose offsets hold the same three squares in another order:
+    # summed x, z, y node 0 is nearer, summed x, y, z node 1 would be
+    rows = np.array([[0.6, 0.3, 0.7], [0.6, 0.7, 0.3]])
+    q = rows * rows
+    assert (q[0, 0] + q[0, 2]) + q[0, 1] < (q[0, 0] + q[0, 1]) + q[0, 2]
+    tree = _grow_tree(rows, np.random.default_rng(0))
+    assert nearest_vertex(tree, np.zeros(3)) == _einsum_nearest(tree, np.zeros(3)) == 0
 
 
 # extend ---------------------------------------------------------------------
@@ -285,11 +350,13 @@ def test_one_origin_edge_points_equal_the_multi_origin_rows(edge, other, other_e
 
 
 @settings(max_examples=300, deadline=None)
-@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 80), st.just(3)),
-                  elements=st.floats(-1e150, 1e150, allow_nan=False)))
-def test_candidate_distances_equal_linalg_norm(d):
-    # _best_parent's distance form runs the same add.reduce as np.linalg.norm
-    assert np.sqrt((d * d).sum(axis=1)).tobytes() == np.linalg.norm(d, axis=1).tobytes()
+@given(hnp.arrays(np.float64, st.tuples(st.integers(1, 80), st.just(3)), elements=_wide),
+       hnp.arrays(np.float64, 3, elements=_wide))
+def test_candidate_distances_equal_linalg_norm(rows, p):
+    # _best_parent's per-axis distance pass gives np.linalg.norm's bits
+    tree = _grow_tree(rows, np.random.default_rng(0))
+    want = np.linalg.norm(np.ascontiguousarray(tree.positions - p), axis=1)
+    assert _distances(tree, p).tobytes() == want.tobytes()
 
 
 def _grow_tree(positions: np.ndarray, rng: np.random.Generator) -> Tree:

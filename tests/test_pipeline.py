@@ -239,6 +239,8 @@ def test_plan_shot_is_deterministic(quad):
 # any node's bits on purpose re-records them and says why.
 TREE_SHA256 = {
     "demo": ["cad5d8961f8f28fa24e7bae010acb8838757830b3fba8323a52bbafaba077ce0"],
+    # 1409 nodes: the tree buffer doubles past 64, 128, 256, 512 and 1024
+    "demo-2000": ["cb023b5d388308ea33a27d33c2d967039c973d555e8e1919f19dcedfb38dc01f"],
     "wall": ["048f89543978c4568fddf1cbd2e6ac2bc07b90a8fe270f0b0d6271270f3b0d51"],
 }
 
@@ -251,12 +253,15 @@ def _tree_sha256(tree) -> str:
 
 
 def _plan(case: str, seed: int):
-    if case == "demo":    # the README quick start plans the bundled files at seed 7
+    if case.startswith("demo"):  # the README quick start plans the bundled files at seed 7
         demo = SCENARIO_DIR / "demo"
         config = fileio.load_config(demo / "config.json")
         model = CollisionModel(fileio.load_world(demo / "world.json"), config.quad)
-        return plan_shot(model, fileio.load_shot(demo / "shot.json"),
-                         dataclasses.replace(config.rrt, seed=seed), margin=config.margin)
+        rrt = dataclasses.replace(config.rrt, seed=seed)
+        if case == "demo-2000":
+            rrt = dataclasses.replace(rrt, max_loops=2000)
+        return plan_shot(model, fileio.load_shot(demo / "shot.json"), rrt,
+                         margin=config.margin)
     # acceptance criterion 7 at seed 1: levels 0 and 1 fail, level 2 wins
     params = RrtParams(extend_dist=1.0, goal_radius=1.0, max_loops=800, seed=seed)
     return plan_shot(CollisionModel(wall_world(), QuadModel()), wall_shot(), params)
@@ -264,7 +269,7 @@ def _plan(case: str, seed: int):
 
 @pytest.mark.parametrize("case", sorted(TREE_SHA256))
 def test_rrt_star_trees_keep_their_recorded_bytes(case):
-    result = _plan(case, {"demo": 7, "wall": 1}[case])
+    result = _plan(case, {"demo": 7, "demo-2000": 7, "wall": 1}[case])
     assert [_tree_sha256(t) for t in result.trees] == TREE_SHA256[case]
 
 
