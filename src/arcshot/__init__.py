@@ -18,6 +18,6 @@ from .pipeline import PlanReport, PlanResult, plan_shot, splice, validate
 from .shot import (ArcShotSpec, GlobalPath, Pose4, face_target, generate_arc,
                    wrap_to_pi)
 from .world import (AxisBox, CollisionModel, Cylinder, Obstacle, QuadModel, Vec3,
-                    World, inflate)
+                    World)
 
 __version__ = "0.1.0"

@@ -21,6 +21,8 @@ from .pipeline import plan_shot
 from .shot import ArcShotSpec, generate_arc
 from .world import CollisionModel
 
+BENCH_RESULT_SCHEMA = "bench_result/1"
+
 
 @dataclass(frozen=True)
 class BenchSpec:
@@ -141,28 +143,4 @@ def format_table(result: BenchResult) -> str:
 
 
 def result_to_json(result: BenchResult) -> dict:
-    return {
-        "schema": "bench_result/1",
-        "host": result.host,
-        "seed": result.seed,
-        "rows": [
-            {
-                "max_loops": r.max_loops,
-                "mean_duration_s": r.mean_duration_s,
-                "min_duration_s": r.min_duration_s,
-                "max_duration_s": r.max_duration_s,
-                "mean_cost": r.mean_cost,
-                "success_rate": r.success_rate,
-            }
-            for r in result.rows
-        ],
-        "samples": [
-            {
-                "max_loops": s.max_loops,
-                "repetition": s.repetition,
-                "duration_s": s.duration_s,
-                "cost": s.cost,
-            }
-            for s in result.samples
-        ],
-    }
+    return {"schema": BENCH_RESULT_SCHEMA, **dataclasses.asdict(result)}

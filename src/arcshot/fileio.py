@@ -38,7 +38,6 @@ PATH_SCHEMA = "path/1"
 CONFIG_SCHEMA = "config/1"
 BENCH_SCHEMA = "bench/1"
 REPORT_SCHEMA = "plan_report/1"
-BENCH_RESULT_SCHEMA = "bench_result/1"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -318,6 +317,8 @@ def path_from_json(data: Any, path: str = "path") -> GlobalPath:
                           _expect_number(p["z"], f"{path}.poses[{i}].z")),
             yaw=_expect_number(p["yaw"], f"{path}.poses[{i}].yaw"),
         ))
+        if "t" in p:
+            _expect_number(p["t"], f"{path}.poses[{i}].t")
     return _build(path, GlobalPath, poses=tuple(poses))
 
 

@@ -110,9 +110,10 @@ class Tree:
             self._xyz = np.hstack([self._xyz, np.empty_like(self._xyz)])
             self._cost = np.concatenate([self._cost, np.empty_like(self._cost)])
         self._xyz[:, self._count] = position
-        # norm of the contiguous column difference: the cost bits the recorded
-        # tree hashes pin
-        edge = float(np.linalg.norm(self._xyz[:, self._count] - self._xyz[:, parent]))
+        # numpy's own 1-D norm, sqrt(d . d): the cost bits the recorded tree
+        # hashes pin
+        d = self._xyz[:, self._count] - self._xyz[:, parent]
+        edge = math.sqrt(d.dot(d))
         self.parents.append(parent)
         self._cost[self._count] = self._cost[parent] + edge
         self._count += 1

@@ -6,6 +6,7 @@ inputs always produce identical bytes.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -14,7 +15,8 @@ from .bench import BenchResult
 from .discontinuity import Discontinuity
 from .local_planner import Tree
 from .shot import GlobalPath, Pose4
-from .world import AxisBox, CollisionModel, Cylinder
+from .world import (AXIS_X, AXIS_Y, INDEX, MAX, MIN, RADIUS, AxisBox, CollisionModel,
+                    obstacle_rows)
 
 DEFAULT_WIDTH = 900  # pixels
 
@@ -54,16 +56,23 @@ def _xy(poses: Iterable[Pose4]) -> list[tuple[float, float]]:
     return [(p.position.x, p.position.y) for p in poses]
 
 
-def _obstacle_svg(canvas: _Canvas, obstacle, style: str) -> str:
-    if isinstance(obstacle, Cylinder):
-        c = obstacle.base_center
-        return (f'<circle cx="{_f(canvas.x(c.x))}" cy="{_f(canvas.y(c.y))}" '
-                f'r="{_f(obstacle.radius * canvas.scale)}" {style}/>')
-    w = (obstacle.max.x - obstacle.min.x) * canvas.scale
-    h = (obstacle.max.y - obstacle.min.y) * canvas.scale
-    return (f'<rect x="{_f(canvas.x(obstacle.min.x))}" '
-            f'y="{_f(canvas.y(obstacle.max.y))}" '
-            f'width="{_f(w)}" height="{_f(h)}" {style}/>')
+def _obstacle_layer(canvas: _Canvas, rows: np.ndarray, style: str) -> list[str]:
+    """A circle or rect per packed obstacle row (`world.obstacle_rows`), in
+    world order."""
+    rows = rows[np.argsort(rows[:, INDEX])]
+    lo, hi = rows[:, MIN].T, rows[:, MAX].T
+    # the canvas mapping on whole columns gives the bits it gives each float
+    columns = (canvas.x(lo[0]), canvas.y(hi[1]), (hi[0] - lo[0]) * canvas.scale,
+               (hi[1] - lo[1]) * canvas.scale, canvas.x(rows[:, AXIS_X]),
+               canvas.y(rows[:, AXIS_Y]), rows[:, RADIUS] * canvas.scale)
+    elements = []
+    for x, y, w, h, cx, cy, r in zip(*(c.tolist() for c in columns)):
+        if math.isnan(r):
+            elements.append(f'<rect x="{_f(x)}" y="{_f(y)}" width="{_f(w)}" '
+                            f'height="{_f(h)}" {style}/>')
+        else:
+            elements.append(f'<circle cx="{_f(cx)}" cy="{_f(cy)}" r="{_f(r)}" {style}/>')
+    return elements
 
 
 def render_scene(model: CollisionModel, *,
@@ -97,16 +106,14 @@ def render_scene(model: CollisionModel, *,
     parts.append('</g>')
 
     parts.append('<g id="inflated">')
-    for o in model.inflated:
-        parts.append(_obstacle_svg(
-            canvas, o,
-            'fill="none" stroke="#c06060" stroke-width="1" stroke-dasharray="6,4"'))
+    parts += _obstacle_layer(
+        canvas, model.inflated,
+        'fill="none" stroke="#c06060" stroke-width="1" stroke-dasharray="6,4"')
     parts.append('</g>')
 
     parts.append('<g id="obstacles">')
-    for o in world.obstacles:
-        parts.append(_obstacle_svg(
-            canvas, o, 'fill="#9a9a9a" stroke="#5a5a5a" stroke-width="1"'))
+    parts += _obstacle_layer(canvas, obstacle_rows(world.obstacles),
+                             'fill="#9a9a9a" stroke="#5a5a5a" stroke-width="1"')
     parts.append('</g>')
 
     parts.append('<g id="target">')

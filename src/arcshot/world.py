@@ -7,12 +7,9 @@ inflated obstacle's surface collides; a point on a world-bounds face is free.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import compress
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -162,85 +159,74 @@ class World:
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
 
 
-def inflate(obstacle: Obstacle, quad: QuadModel) -> Obstacle:
-    """Grow an obstacle by the vehicle's bounding radius plus safety margin.
-
-    Cylinders grow radially and upward; their base also drops by the growth
-    amount but never below ground (z=0), so pillars stay grounded. Boxes grow
-    outward in every axis.
-    """
-    g = quad.growth
-    if isinstance(obstacle, Cylinder):
-        base = obstacle.base_center
-        top = base.z + obstacle.height + g
-        # never raise the base: keeps inflation monotone for sunken cylinders
-        new_base_z = min(base.z, max(0.0, base.z - g))
-        return Cylinder(
-            base_center=Vec3(base.x, base.y, new_base_z),
-            radius=obstacle.radius + g,
-            height=top - new_base_z,
-        )
-    return obstacle.expanded(g)
-
-
 # Culling pad, meters: interpolated points may stray from their box by rounding.
 CULL_PAD = 1e-6
 
+# Columns of a packed obstacle row: its closed bounding box (MIN, MAX, whose z
+# columns are a cylinder's BOTTOM and TOP), then a cylinder's axis, radius and
+# squared radius, which are NaN for a box, then its INDEX in
+# `World.obstacles`. Cylinder rows come first, then box rows, each in world
+# order.
+MIN, MAX = slice(0, 3), slice(3, 6)
+BOTTOM, TOP = 2, 5
+AXIS_X, AXIS_Y, RADIUS, RADIUS_SQ, INDEX = range(6, 11)
 
-def _bounding_box(o: Obstacle) -> tuple[float, ...]:
-    """(min x, min y, min z, max x, max y, max z) of an obstacle."""
-    if isinstance(o, Cylinder):
-        c = o.base_center
-        return (c.x - o.radius, c.y - o.radius, c.z,
-                c.x + o.radius, c.y + o.radius, c.z + o.height)
-    return (o.min.x, o.min.y, o.min.z, o.max.x, o.max.y, o.max.z)
+
+def _cylinder_rows(x, y, bottom, top, radius, index) -> np.ndarray:
+    return np.column_stack((x - radius, y - radius, bottom, x + radius, y + radius,
+                            top, x, y, radius, radius * radius, index))
+
+
+def obstacle_rows(obstacles: Sequence[Obstacle]) -> np.ndarray:
+    """The obstacles as packed rows, as they are (not inflated)."""
+    cyl = np.array([(o.base_center.x, o.base_center.y, o.base_center.z, o.radius,
+                     o.height, i)
+                    for i, o in enumerate(obstacles) if isinstance(o, Cylinder)],
+                   dtype=float).reshape(-1, 6)
+    box = np.array([(o.min.x, o.min.y, o.min.z, o.max.x, o.max.y, o.max.z,
+                     math.nan, math.nan, math.nan, math.nan, i)
+                    for i, o in enumerate(obstacles) if isinstance(o, AxisBox)],
+                   dtype=float).reshape(-1, 11)
+    x, y, z, r, h, index = cyl.T
+    return np.vstack((_cylinder_rows(x, y, z, z + h, r, index), box))
 
 
 class CollisionModel:
     """Point/segment c-free queries against one world inflated for one vehicle.
 
-    `inflated` lists the inflated obstacles in world order; their parameters
-    are packed into arrays so batches of points are classified in one pass.
-    The arrays are packed on first use, so a model that is only drawn never
-    packs them.
+    `inflated` holds the inflated obstacles as packed rows (layout above), so
+    batches of points are classified in one pass per obstacle kind.
+    Cylinders grow radially and upward; their base also drops by the growth
+    but never below ground (z=0), so pillars stay grounded. Boxes grow
+    outward in every axis.
     """
 
     def __init__(self, world: World, quad: QuadModel):
+        rows = obstacle_rows(world.obstacles)
+        g = quad.growth
+        n = np.count_nonzero(rows[:, RADIUS] > 0)
+        cyl, box = rows[:n], rows[n:]
+        z = cyl[:, BOTTOM]
+        lowered = np.where(z - g > 0.0, z - g, 0.0)
+        # min(z, max(0, z - g)), signed zeros included: never raise the base,
+        # which keeps inflation monotone for sunken cylinders
+        bottom = np.where(lowered < z, lowered, z)
+        top = cyl[:, TOP] + g
+        inflated = np.vstack((
+            _cylinder_rows(cyl[:, AXIS_X], cyl[:, AXIS_Y], bottom,
+                           bottom + (top - bottom), cyl[:, RADIUS] + g, cyl[:, INDEX]),
+            np.column_stack((box[:, MIN] - g, box[:, MAX] + g, box[:, AXIS_X:])),
+        ))
+        self._adopt(world, quad, inflated)
+
+    def _adopt(self, world: World, quad: QuadModel, inflated: np.ndarray) -> None:
         self.world = world
         self.quad = quad
-        self.inflated = tuple(inflate(o, quad) for o in world.obstacles)
+        self.inflated = inflated
+        n = np.count_nonzero(inflated[:, RADIUS] > 0)
+        self._cyl, self._box = inflated[:n], inflated[n:]
         self._lo = world.bounds.min.as_array()
         self._hi = world.bounds.max.as_array()
-
-    @cached_property
-    def _is_cyl(self) -> np.ndarray:
-        return np.array([isinstance(o, Cylinder) for o in self.inflated], dtype=bool)
-
-    @cached_property
-    def _extent(self) -> np.ndarray:
-        return np.array([_bounding_box(o) for o in self.inflated],
-                        dtype=float).reshape(len(self.inflated), 6)
-
-    @cached_property
-    def _cyl(self) -> np.ndarray:
-        cyls = [o for o in self.inflated if isinstance(o, Cylinder)]
-        return np.array(
-            [[c.base_center.x, c.base_center.y, c.radius * c.radius,
-              c.base_center.z, c.base_center.z + c.height] for c in cyls],
-            dtype=float,
-        ).reshape(len(cyls), 5)
-
-    @cached_property
-    def _box_min(self) -> np.ndarray:
-        boxes = [o for o in self.inflated if isinstance(o, AxisBox)]
-        return np.array([[b.min.x, b.min.y, b.min.z] for b in boxes],
-                        dtype=float).reshape(len(boxes), 3)
-
-    @cached_property
-    def _box_max(self) -> np.ndarray:
-        boxes = [o for o in self.inflated if isinstance(o, AxisBox)]
-        return np.array([[b.max.x, b.max.y, b.max.z] for b in boxes],
-                        dtype=float).reshape(len(boxes), 3)
 
     def within(self, box: AxisBox) -> "CollisionModel":
         """This model restricted to the inflated obstacles whose bounding box
@@ -251,14 +237,10 @@ class CollisionModel:
         """
         lo = box.min.as_array() - CULL_PAD
         hi = box.max.as_array() + CULL_PAD
-        keep = np.all((self._extent[:, :3] <= hi) & (self._extent[:, 3:] >= lo), axis=1)
-        local = copy.copy(self)
-        local.inflated = tuple(compress(self.inflated, keep))
-        local._is_cyl = self._is_cyl[keep]
-        local._extent = self._extent[keep]
-        local._cyl = self._cyl[keep[self._is_cyl]]
-        local._box_min = self._box_min[keep[~self._is_cyl]]
-        local._box_max = self._box_max[keep[~self._is_cyl]]
+        rows = self.inflated
+        keep = np.all((rows[:, MIN] <= hi) & (rows[:, MAX] >= lo), axis=1)
+        local = object.__new__(CollisionModel)
+        local._adopt(self.world, self.quad, rows[keep])
         return local
 
     def separates(self, a: np.ndarray, b: np.ndarray, lo: np.ndarray,
@@ -269,7 +251,7 @@ class CollisionModel:
 
         Such a box cuts every path from `a` to `b` inside [`lo`, `hi`].
         """
-        bmin, bmax = self._box_min, self._box_max
+        bmin, bmax = self._box[:, MIN], self._box[:, MAX]
         covers = (bmin <= lo) & (bmax >= hi)  # (boxes, axes)
         covers_others = covers[:, [1, 2, 0]] & covers[:, [2, 0, 1]]
         between = ((a < bmin) & (bmax < b)) | ((b < bmin) & (bmax < a))
@@ -282,14 +264,16 @@ class CollisionModel:
         free = ((pts >= self._lo) & (pts <= self._hi)).all(axis=1)
         cyl = self._cyl
         if cyl.size:
-            dx = pts[:, 0, None] - cyl[:, 0]
-            dy = pts[:, 1, None] - cyl[:, 1]
+            dx = pts[:, 0, None] - cyl[:, AXIS_X]
+            dy = pts[:, 1, None] - cyl[:, AXIS_Y]
             z = pts[:, 2, None]
-            hit = (dx * dx + dy * dy <= cyl[:, 2]) & (z >= cyl[:, 3]) & (z <= cyl[:, 4])
+            hit = ((dx * dx + dy * dy <= cyl[:, RADIUS_SQ])
+                   & (z >= cyl[:, BOTTOM]) & (z <= cyl[:, TOP]))
             free &= ~hit.any(axis=1)
-        if self._box_min.size:
+        box = self._box
+        if box.size:
             p = pts[:, None, :]
-            inside = ((p >= self._box_min) & (p <= self._box_max)).all(axis=2)
+            inside = ((p >= box[:, MIN]) & (p <= box[:, MAX])).all(axis=2)
             free &= ~inside.any(axis=1)
         return free
 

@@ -86,26 +86,6 @@ def test_each_command_builds_one_collision_model_and_frees_it(command, tmp_path,
     assert built[0]() is None
 
 
-@pytest.mark.parametrize("command", ["execute", "render"])
-def test_drawing_commands_never_pack_the_model(command, tmp_path, monkeypatch):
-    # these commands only draw model.inflated; the packed query arrays are
-    # built on first use, so they must never be built here
-    built = []
-    init = CollisionModel.__init__
-
-    def recording_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        built.append(self)
-
-    monkeypatch.setattr(CollisionModel, "__init__", recording_init)
-    assert cli.main(_command_args(command, tmp_path)) == cli.EXIT_OK
-    model, = built
-    packed = {"_is_cyl", "_extent", "_cyl", "_box_min", "_box_max"}
-    assert not packed & vars(model).keys()
-    model.within(model.world.bounds)    # the first query packs them all
-    assert packed <= vars(model).keys()
-
-
 def test_benchmark_tracer_still_wraps_the_planner(tmp_path, monkeypatch):
     # perfbench wraps functions by the names callers look them up; a rename
     # would silently drop their spans from traced benchmark runs
@@ -127,6 +107,8 @@ def test_benchmark_tracer_still_wraps_the_planner(tmp_path, monkeypatch):
     best = np.flatnonzero(op["name"] == tracer.names.index("local_planner.best_parent"))
     checked = op["parent"][op["name"] == tracer.names.index("world.free_points")]
     assert best.size and np.isin(best, checked).all()
+    # the point-obstacle pair count multiplies by len(model.inflated)
+    assert op["counters"]["point_obstacle_pairs"] > 0
 
 
 def test_benchmark_tracer_still_wraps_the_replay(tmp_path, monkeypatch):

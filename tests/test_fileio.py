@@ -183,6 +183,22 @@ def test_non_finite_numbers_are_schema_errors(text, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("t, message", [
+    ("abc", "path.poses[1].t: expected a number, got 'abc'"),
+    ([1, 2], "path.poses[1].t: expected a number, got [1, 2]"),
+    (True, "path.poses[1].t: expected a number, got True"),
+    (math.inf, "path.poses[1].t: expected a finite number, got inf"),
+])
+def test_path_pose_time_must_be_a_finite_number(t, message):
+    pose = {"x": 0.0, "y": 0.0, "z": 1.0, "yaw": 0.0}
+    payload = {"schema": "path/1", "poses": [{**pose, "t": 0.0}, {**pose, "t": t}]}
+    with pytest.raises(SchemaError) as err:
+        fileio.path_from_json(payload)
+    assert str(err.value) == message
+    del payload["poses"][1]["t"]    # a pose without `t` is a plain path pose
+    assert len(fileio.path_from_json(payload)) == 2
+
+
 def test_config_rejects_unknown_keys():
     payload = {"schema": "config/1", "rrt": {"extend_distance": 1.0}}
     with pytest.raises(SchemaError) as err:

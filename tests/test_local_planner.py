@@ -15,9 +15,10 @@ from arcshot.local_planner import (LocalPath, RrtParams, SearchWindow, Tree,
                                    initial_window, level_window, nearest_vertex,
                                    plan_local_run, rrt_star_run, sample, walled_off)
 from arcshot.shot import Pose4, generate_arc
-from arcshot.world import (CULL_PAD, AxisBox, CollisionModel, Cylinder, QuadModel, Vec3, World,
-                           edge_points)
+from arcshot.world import (CULL_PAD, MAX, MIN, AxisBox, CollisionModel, Cylinder, QuadModel,
+                           Vec3, World, edge_points)
 from conftest import demo_shot, demo_world, make_world, wall_shot, wall_world
+from world_reference import inflate
 
 BIG_BOUNDS = AxisBox(Vec3(-100, -100, -100), Vec3(100, 100, 100))
 _coord = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)
@@ -454,7 +455,7 @@ def test_best_parent_rejects_a_new_node_inside_an_obstacle(seed):
     rng = np.random.default_rng(seed)
     world = make_world(tuple(_random_obstacle(rng) for _ in range(int(rng.integers(1, 4)))),
                        lo=(-10, -10, -10), hi=(10, 10, 10))
-    inflated = CollisionModel(world, BP_QUAD).inflated[0]
+    inflated = inflate(world.obstacles[0], BP_QUAD)
     if isinstance(inflated, Cylinder):
         c = inflated.base_center
         r, a = inflated.radius * rng.uniform(0, 0.95), rng.uniform(0, 2 * np.pi)
@@ -478,8 +479,8 @@ def test_best_parent_on_an_obstacle_face_tests_the_last_edge_sample(seed):
     lo = rng.uniform(-6, 6, 3)
     raw = AxisBox(Vec3.from_array(lo), Vec3.from_array(lo + rng.uniform(1, 4, 3)))
     world = make_world((raw,), lo=(-20, -20, -20), hi=(20, 20, 20))
-    box = CollisionModel(world, BP_QUAD).inflated[0]
-    bmin, bmax = box.min.as_array(), box.max.as_array()
+    box, = CollisionModel(world, BP_QUAD).inflated
+    bmin, bmax = box[MIN], box[MAX]
     axis, outward = int(rng.integers(0, 3)), float(rng.choice([-1.0, 1.0]))
     x_new = bmin + (bmax - bmin) * rng.uniform(0.2, 0.8, 3)
     x_new[axis] = bmax[axis] if outward > 0 else bmin[axis]
@@ -499,8 +500,8 @@ def _cheapest_endpoint_blocked_case(seed: int):
     raw = AxisBox(Vec3.from_array(lo), Vec3.from_array(lo + rng.uniform(1, 4, 3)))
     world = make_world((raw,), lo=(-20, -20, -20), hi=(20, 20, 20))
     model = CollisionModel(world, BP_QUAD)
-    box = model.inflated[0]
-    bmin, bmax = box.min.as_array(), box.max.as_array()
+    box, = model.inflated
+    bmin, bmax = box[MIN], box[MAX]
     for _ in range(20):
         axis, outward = int(rng.integers(0, 3)), float(rng.choice([-1.0, 1.0]))
         x_new = bmin + (bmax - bmin) * rng.uniform(0.2, 0.8, 3)

@@ -1,14 +1,17 @@
 import re
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arcshot.bench import BenchResult, BenchRow
 from arcshot.local_planner import RrtParams
 from arcshot.pipeline import plan_shot
-from arcshot.render import render_bench_chart, render_scene
+from arcshot.render import _Canvas, _f, render_bench_chart, render_scene
 from arcshot.shot import generate_arc
-from arcshot.world import CollisionModel
+from arcshot.world import AxisBox, CollisionModel, Cylinder, QuadModel, Vec3
 from conftest import demo_shot, demo_world, make_world
+from world_reference import inflate
 
 
 def _group(svg: str, gid: str) -> str:
@@ -68,6 +71,48 @@ def test_raw_and_inflated_obstacles_both_drawn(quad):
     inflated = _group(svg, "inflated")
     assert inflated.count("<circle") == 2
     assert "stroke-dasharray" in inflated
+
+
+def _reference_layer(canvas: _Canvas, obstacles, style: str) -> str:
+    """A layer's group text as render drew it from obstacle dataclasses."""
+    text = "\n"
+    for o in obstacles:
+        if isinstance(o, Cylinder):
+            c = o.base_center
+            text += (f'<circle cx="{_f(canvas.x(c.x))}" cy="{_f(canvas.y(c.y))}" '
+                     f'r="{_f(o.radius * canvas.scale)}" {style}/>\n')
+        else:
+            w = (o.max.x - o.min.x) * canvas.scale
+            h = (o.max.y - o.min.y) * canvas.scale
+            text += (f'<rect x="{_f(canvas.x(o.min.x))}" y="{_f(canvas.y(o.max.y))}" '
+                     f'width="{_f(w)}" height="{_f(h)}" {style}/>\n')
+    return text
+
+
+_coord = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-12, 12))
+
+
+@st.composite
+def _obstacle(draw):
+    lo = Vec3(draw(_coord), draw(_coord), draw(st.floats(-2, 6)))
+    if draw(st.booleans()):
+        return Cylinder(lo, draw(st.floats(0.01, 3)), draw(st.floats(0.01, 5)))
+    size = st.one_of(st.just(0.0), st.floats(0, 4))
+    return AxisBox(lo, Vec3(lo.x + draw(size), lo.y + draw(size), lo.z + draw(size)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_obstacle(), max_size=6), st.floats(0.01, 1.0))
+def test_obstacle_layers_draw_each_obstacle_in_world_order(obstacles, body):
+    quad = QuadModel(body_radius=body)
+    world = make_world(tuple(obstacles))
+    svg = render_scene(CollisionModel(world, quad))
+    canvas = _Canvas(world.bounds, 900)
+    assert _group(svg, "obstacles") == _reference_layer(
+        canvas, obstacles, 'fill="#9a9a9a" stroke="#5a5a5a" stroke-width="1"')
+    assert _group(svg, "inflated") == _reference_layer(
+        canvas, [inflate(o, quad) for o in obstacles],
+        'fill="none" stroke="#c06060" stroke-width="1" stroke-dasharray="6,4"')
 
 
 def test_bench_chart_marks_every_row():

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arcshot.world import AxisBox, CollisionModel, Cylinder, QuadModel, Vec3, World, inflate
+from arcshot.world import (AXIS_X, AXIS_Y, BOTTOM, CULL_PAD, INDEX, MAX, MIN, RADIUS,
+                           RADIUS_SQ, TOP, AxisBox, CollisionModel, Cylinder, QuadModel,
+                           Vec3, World)
 from conftest import make_world
+from world_reference import bounding_box, inflate, inflated_rows, packed_arrays
 
 
 # independent closed-form oracles -------------------------------------------
@@ -43,40 +46,61 @@ def dist_to_obstacle(o, p: Vec3) -> float:
     return dist_to_cylinder(o, p) if isinstance(o, Cylinder) else dist_to_box(o, p)
 
 
+def point_in_row(row: np.ndarray, p: Vec3) -> bool:
+    """Closed-form membership of `p` in a packed obstacle row."""
+    x0, y0, z0, x1, y1, z1, cx, cy, r, _, _ = row.tolist()
+    if not z0 <= p.z <= z1:
+        return False
+    if math.isnan(r):
+        return x0 <= p.x <= x1 and y0 <= p.y <= y1
+    return math.hypot(p.x - cx, p.y - cy) <= r
+
+
+def inflated_row(obstacle, quad: QuadModel) -> np.ndarray:
+    """The packed row of `obstacle` inflated, alone in a world."""
+    row, = CollisionModel(make_world((obstacle,)), quad).inflated
+    return row
+
+
 # inflate --------------------------------------------------------------------
 
 def test_inflate_cylinder_grows_radius_and_top():
     c = Cylinder(Vec3(2.0, 3.0, 0.0), 1.0, 3.0)
-    grown = inflate(c, QuadModel(body_radius=0.3, safety_margin=0.2))
-    assert grown.radius == pytest.approx(1.5)
-    assert grown.height == pytest.approx(3.5)
-    assert grown.base_center == c.base_center  # grounded base stays put
+    grown = inflated_row(c, QuadModel(body_radius=0.3, safety_margin=0.2))
+    assert grown[RADIUS] == pytest.approx(1.5)
+    assert grown[RADIUS_SQ] == pytest.approx(1.5 ** 2)
+    assert grown[TOP] - grown[BOTTOM] == pytest.approx(3.5)
+    # grounded base stays put
+    assert (grown[AXIS_X], grown[AXIS_Y], grown[BOTTOM]) == (2.0, 3.0, 0.0)
+    assert grown[MIN].tolist() == pytest.approx([0.5, 1.5, 0.0])
+    assert grown[MAX].tolist() == pytest.approx([3.5, 4.5, 3.5])
 
 
 def test_inflate_box_pushes_every_face_outward():
     box = AxisBox(Vec3(0.0, 0.0, 0.0), Vec3(1.0, 1.0, 1.0))
-    grown = inflate(box, QuadModel(body_radius=0.25, safety_margin=0.0))
-    assert grown.min == Vec3(-0.25, -0.25, -0.25)
-    assert grown.max == Vec3(1.25, 1.25, 1.25)
+    grown = inflated_row(box, QuadModel(body_radius=0.25, safety_margin=0.0))
+    assert grown[MIN].tolist() == [-0.25, -0.25, -0.25]
+    assert grown[MAX].tolist() == [1.25, 1.25, 1.25]
+    assert np.isnan(grown[AXIS_X:INDEX]).all()
 
 
 def test_inflate_zero_growth_is_identity():
     eps = 1e-12
     quad = QuadModel(body_radius=eps, safety_margin=0.0)
     c = Cylinder(Vec3(0.0, 0.0, 0.0), 2.0, 4.0)
-    grown = inflate(c, quad)
-    assert grown.radius == pytest.approx(2.0, rel=1e-9)
-    assert grown.height == pytest.approx(4.0, rel=1e-9)
+    grown = inflated_row(c, quad)
+    assert grown[RADIUS] == pytest.approx(2.0, rel=1e-9)
+    assert grown[TOP] - grown[BOTTOM] == pytest.approx(4.0, rel=1e-9)
     box = AxisBox(Vec3(-1.0, -1.0, 0.0), Vec3(1.0, 1.0, 2.0))
-    grown_box = inflate(box, quad)
-    assert grown_box.min.x == pytest.approx(-1.0, rel=1e-9)
-    assert grown_box.max.z == pytest.approx(2.0, rel=1e-9)
+    grown_box = inflated_row(box, quad)
+    assert grown_box[MIN][0] == pytest.approx(-1.0, rel=1e-9)
+    assert grown_box[MAX][2] == pytest.approx(2.0, rel=1e-9)
 
 
 def test_inflate_is_pure():
     c = Cylinder(Vec3(0.0, 0.0, 0.0), 1.0, 3.0)
     quad = QuadModel()
-    assert inflate(c, quad) == inflate(c, quad)
+    assert inflated_row(c, quad).tobytes() == inflated_row(c, quad).tobytes()
     assert c.radius == 1.0 and c.height == 3.0
 
 
@@ -93,10 +117,60 @@ def test_inflate_is_monotone(cx, cy, r, h, px, py, pz, body, margin):
     c = Cylinder(Vec3(cx, cy, 0.0), r, h)
     p = Vec3(px, py, pz)
     if point_in_cylinder(c, p):
-        assert point_in_cylinder(inflate(c, quad), p)
+        assert point_in_row(inflated_row(c, quad), p)
     box = AxisBox(Vec3(cx - r, cy - r, 0.0), Vec3(cx + r, cy + r, h))
     if point_in_box(box, p):
-        assert point_in_box(inflate(box, quad), p)
+        assert point_in_row(inflated_row(box, quad), p)
+
+
+_coord = st.floats(-6, 6)
+
+
+@st.composite
+def _any_world(draw):
+    """(world, quad, query box): cylinders sunken, grounded at 0 or -0.0,
+    standing at exactly the growth, or floating; boxes of any size down to
+    zero; either kind, or both, may be absent. The query box is random or
+    has a corner within a few CULL_PADs of an obstacle's."""
+    quad = QuadModel(body_radius=draw(st.floats(0.01, 1.0)),
+                     safety_margin=draw(st.floats(0.0, 1.0)))
+    obstacles = []
+    for is_cylinder in draw(st.lists(st.booleans(), max_size=8)):
+        lo = Vec3(draw(_coord), draw(_coord), draw(st.one_of(
+            st.sampled_from([0.0, -0.0, quad.growth]), st.floats(-3, 3))))
+        if is_cylinder:
+            obstacles.append(Cylinder(lo, draw(st.floats(0.01, 3)), draw(st.floats(0.01, 5))))
+        else:
+            obstacles.append(AxisBox(lo, Vec3(*(v + draw(st.floats(0, 4))
+                                                for v in (lo.x, lo.y, lo.z)))))
+    size = [draw(st.floats(0, 6)) for _ in range(3)]
+    if obstacles and draw(st.booleans()):
+        # a corner within a few pads of a corner of an inflated bounding box
+        bb = bounding_box(inflate(draw(st.sampled_from(obstacles)), quad))
+        near = st.sampled_from([-1.5, -0.5, 0.0, 0.5, 1.5]).map(lambda k: k * CULL_PAD)
+        if draw(st.booleans()):
+            box_lo = [bb[3 + k] + draw(near) for k in range(3)]
+        else:
+            box_lo = [bb[k] + draw(near) - size[k] for k in range(3)]
+    else:
+        box_lo = [draw(_coord) for _ in range(3)]
+    box = AxisBox(Vec3(*box_lo), Vec3(*(v + d for v, d in zip(box_lo, size))))
+    return make_world(tuple(obstacles)), quad, box
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_world())
+def test_pack_equals_the_per_obstacle_oracle(case):
+    world, quad, box = case
+    full = CollisionModel(world, quad)
+    assert full.inflated.tobytes() == inflated_rows(world.obstacles, quad).tobytes()
+    # within keeps exactly the rows whose bounding box touches the padded box
+    lo = [v - CULL_PAD for v in (box.min.x, box.min.y, box.min.z)]
+    hi = [v + CULL_PAD for v in (box.max.x, box.max.y, box.max.z)]
+    keep = [all(row[k] <= hi[k] and row[3 + k] >= lo[k] for k in range(3))
+            for row in full.inflated.tolist()]
+    local = full.within(box)
+    assert local.inflated.tobytes() == full.inflated[np.array(keep, dtype=bool)].tobytes()
 
 
 # point_free -----------------------------------------------------------------
@@ -125,13 +199,13 @@ def test_is_free_near_inflated_boundary():
     cyl = Cylinder(Vec3(0.0, 0.0, 0.0), 1.0, 5.0)
     world = make_world((cyl,))
     quad = QuadModel(body_radius=0.3, safety_margin=0.2)
-    inflated = inflate(cyl, quad)
     model = CollisionModel(world, quad)
+    inflated, = model.inflated
     for dist, expected in ((1.49, False), (1.51, True)):
         p = Vec3(dist, 0.0, 2.0)
         assert model.point_free(p) is expected
         # closed-form point-in-cylinder oracle agrees
-        assert point_in_cylinder(inflated, p) is (not expected)
+        assert point_in_row(inflated, p) is (not expected)
 
 
 def test_is_free_boundary_counts_as_collision():
@@ -240,35 +314,32 @@ def test_within_matches_full_model_inside_its_box(obstacles, box, fractions):
     local = full.within(box)
     pts = _probe_points(box, np.array(fractions))
     assert np.array_equal(local.free_points(pts), full.free_points(pts))
-    assert set(local.inflated) <= set(full.inflated)
+    assert ({row.tobytes() for row in local.inflated}
+            <= {row.tobytes() for row in full.inflated})
 
 
 def _reference_free_points(model: CollisionModel, pts: np.ndarray) -> np.ndarray:
-    """The original `CollisionModel.free_points`, the oracle for the lean one."""
+    """The original `CollisionModel.free_points` on the query arrays it once
+    packed from the obstacles `model` keeps, the oracle for the lean one."""
+    kept = [model.world.obstacles[int(i)] for i in model.inflated[:, INDEX]]
+    cyl, box_min, box_max = packed_arrays(kept, model.quad)
     pts = np.atleast_2d(pts)
-    free = np.all((pts >= model._lo) & (pts <= model._hi), axis=1)
-    if model._cyl.size:
-        dx = pts[:, 0, None] - model._cyl[:, 0]
-        dy = pts[:, 1, None] - model._cyl[:, 1]
+    free = np.all((pts >= model.world.bounds.min.as_array())
+                  & (pts <= model.world.bounds.max.as_array()), axis=1)
+    if cyl.size:
+        dx = pts[:, 0, None] - cyl[:, 0]
+        dy = pts[:, 1, None] - cyl[:, 1]
         z = pts[:, 2, None]
-        hit = ((dx * dx + dy * dy <= model._cyl[:, 2])
-               & (z >= model._cyl[:, 3]) & (z <= model._cyl[:, 4]))
+        hit = ((dx * dx + dy * dy <= cyl[:, 2])
+               & (z >= cyl[:, 3]) & (z <= cyl[:, 4]))
         free &= ~hit.any(axis=1)
-    if model._box_min.size:
+    if box_min.size:
         inside = np.all(
-            (pts[:, None, :] >= model._box_min) & (pts[:, None, :] <= model._box_max),
+            (pts[:, None, :] >= box_min) & (pts[:, None, :] <= box_max),
             axis=2,
         )
         free &= ~inside.any(axis=1)
     return free
-
-
-def _bounding_box(o) -> AxisBox:
-    if isinstance(o, Cylinder):
-        c = o.base_center
-        return AxisBox(Vec3(c.x - o.radius, c.y - o.radius, c.z),
-                       Vec3(c.x + o.radius, c.y + o.radius, c.z + o.height))
-    return o
 
 
 @settings(max_examples=100, deadline=None)
@@ -280,7 +351,9 @@ def test_free_points_matches_the_reference(obstacles, box, fractions):
     # cylinder tops and bottoms, the planes tangent to a cylinder's side)
     world = make_world(tuple(obstacles), lo=(-8.0, -8.0, -1.0), hi=(8.0, 8.0, 8.0))
     full = CollisionModel(world, QuadModel(body_radius=0.25, safety_margin=0.25))
-    boxes = [world.bounds, box, *(_bounding_box(o) for o in full.inflated)]
+    boxes = [world.bounds, box,
+             *(AxisBox(Vec3(*b[:3]), Vec3(*b[3:]))
+               for b in (bounding_box(inflate(o, full.quad)) for o in obstacles))]
     pts = np.vstack([_probe_points(b, np.array(fractions)) for b in boxes])
     for model in (full, full.within(box)):
         assert model.free_points(pts).tobytes() == _reference_free_points(model, pts).tobytes()
@@ -297,7 +370,9 @@ def test_within_keeps_touching_obstacles_and_drops_distant_ones():
     world = make_world((touching, corner, distant))
     local = CollisionModel(world, quad).within(AxisBox(Vec3(0.0, 0.0, 0.0),
                                                        Vec3(2.0, 2.0, 2.0)))
-    assert local.inflated == (inflate(touching, quad), inflate(corner, quad))
+    expected = inflated_rows(world.obstacles, quad)
+    assert (local.inflated.tobytes()
+            == expected[np.isin(expected[:, INDEX], [0, 1])].tobytes())
     assert not local.point_free(Vec3(2.0, 0.5, 0.5))   # on the shared face
     assert local.point_free(Vec3(2.0, 2.0, 0.5))       # bbox corner, outside the disk
 
