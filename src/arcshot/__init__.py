@@ -9,7 +9,7 @@ from .discontinuity import Discontinuity, find_discontinuities
 from .errors import (ArcshotError, DegenerateArc, DegenerateExtend,
                      DegenerateHeading, EndpointBlocked, LocalPlanFailed,
                      SchemaError, SpliceMismatch, TimeoutExceeded,
-                     UnresolvableSpan, VacuousBench, ValidationFailed)
+                     VacuousBench, ValidationFailed)
 from .executor import FollowConfig, SimState, command_for, follow
 from .local_planner import (LocalPath, RrtParams, SearchWindow, Tree,
                             expand_window, extend, initial_window, nearest_vertex,

@@ -76,8 +76,7 @@ def _rep_seed(base_seed: int, max_loops: int, repetition: int) -> int:
 
 
 def run_bench(model: CollisionModel, spec: ArcShotSpec, params: RrtParams,
-              bench: BenchSpec, margin: int = DEFAULT_MARGIN,
-              collision_step: float | None = None) -> BenchResult:
+              bench: BenchSpec, margin: int = DEFAULT_MARGIN) -> BenchResult:
     """Sweep loop budgets over one scenario, planning every repetition on `model`.
 
     Rejects scenarios whose arc is unobstructed (VacuousBench): there would be
@@ -98,7 +97,7 @@ def run_bench(model: CollisionModel, spec: ArcShotSpec, params: RrtParams,
                 seed=_rep_seed(params.seed, max_loops, rep))
             started = time.perf_counter()
             try:
-                result = plan_shot(model, spec, run_params, margin, collision_step)
+                result = plan_shot(model, spec, run_params, margin)
                 cost = sum(lp.cost for lp in result.local_paths)
             except (LocalPlanFailed, ValidationFailed):
                 cost = None

@@ -86,8 +86,7 @@ def _cmd_plan(args) -> int:
     config = _load_run_config(args)
     model = CollisionModel(world, config.quad)
 
-    result = plan_shot(model, spec, config.rrt,
-                       margin=config.margin, collision_step=config.collision_step)
+    result = plan_shot(model, spec, config.rrt, margin=config.margin)
 
     out = _out_dir(args)
     svg = render.render_scene(
@@ -166,8 +165,7 @@ def _cmd_bench(args) -> int:
     bench_spec = fileio.load_bench(Path(args.bench))
 
     result = bench_mod.run_bench(CollisionModel(world, config.quad), spec, config.rrt,
-                                 bench_spec, margin=config.margin,
-                                 collision_step=config.collision_step)
+                                 bench_spec, margin=config.margin)
 
     out = _out_dir(args)
     table = bench_mod.format_table(result)

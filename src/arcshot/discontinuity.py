@@ -1,9 +1,16 @@
 """Blocked-span extraction: find where the desired path crosses obstacles.
 
-Each maximal run of colliding samples becomes one discontinuity, padded by a
-sample-count margin on both sides and widened until the bracketing poses are
-collision-free. Spans that end up sharing samples merge, so every blocked
-stretch gets exactly one local-planner query.
+Segment i joins samples i and i+1 and is tested with the same segment check
+as final validation. Each blocked segment is padded by a sample-count margin
+on both sides, and padded spans that share a sample merge, so a run of blocked
+segments becomes one discontinuity and every blocked stretch gets exactly one
+local-planner query.
+
+With a margin of at least 1, the segment just outside each end of a merged
+span is free, or that end is an end of the path, which is checked first: a
+blocked segment there would have been padded into the span and merged. So
+each detour attaches where a free segment of the path ends, and no bracket
+has to walk outward.
 """
 
 from __future__ import annotations
@@ -12,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EndpointBlocked, UnresolvableSpan
+from .errors import EndpointBlocked
 from .shot import GlobalPath, Pose4
 # collision_model stays importable here for perfbench/tracing.py, which wraps it
 from .world import CollisionModel, collision_model
@@ -22,85 +29,45 @@ DEFAULT_MARGIN = 2
 
 @dataclass(frozen=True)
 class Discontinuity:
-    """One obstructed stretch of the path with collision-free attachment poses.
-
-    `blocked_range` holds the indices that actually failed the check; after a
-    merge it can skip over free samples caught between two nearby runs.
-    """
+    """One obstructed stretch of the path with collision-free attachment poses."""
 
     entry_index: int
     exit_index: int
     entry_pose: Pose4
     exit_pose: Pose4
-    blocked_range: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.blocked_range:
-            raise ValueError("Discontinuity needs at least one blocked sample")
-        if not (self.entry_index < min(self.blocked_range)
-                and max(self.blocked_range) < self.exit_index):
+        if not 0 <= self.entry_index < self.exit_index:
             raise ValueError(
-                f"entry {self.entry_index} / exit {self.exit_index} must bracket "
-                f"blocked samples {self.blocked_range}")
-
-
-def _blocked_runs(free: list[bool]) -> list[tuple[int, int]]:
-    """Maximal runs of consecutive blocked samples as (first, last) pairs."""
-    runs = []
-    start = None
-    for i, ok in enumerate(free):
-        if not ok and start is None:
-            start = i
-        elif ok and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(free) - 1))
-    return runs
+                f"need 0 <= entry {self.entry_index} < exit {self.exit_index}")
 
 
 def find_discontinuities(path: GlobalPath, model: CollisionModel,
                          margin: int = DEFAULT_MARGIN) -> list[Discontinuity]:
-    """Scan the path against the model and extract padded blocked spans.
+    """Scan the path's segments at `model.check_step` and extract padded
+    blocked spans.
 
-    Raises EndpointBlocked if either path endpoint is itself colliding, and
-    UnresolvableSpan if no collision-free bracketing sample exists.
+    Raises EndpointBlocked if either path endpoint is itself colliding.
     """
     if margin < 1:
         raise ValueError(f"margin must be >= 1, got {margin}")
-    free = model.free_points(np.array(
-        [(p.position.x, p.position.y, p.position.z) for p in path.poses],
-        dtype=float)).tolist()
-    n = len(free)
-    if not free[0]:
+    positions = path.position_array()
+    ends = model.free_points(positions[[0, -1]])
+    if not ends[0]:
         raise EndpointBlocked(0)
-    if not free[-1]:
-        raise EndpointBlocked(n - 1)
+    if not ends[1]:
+        raise EndpointBlocked(len(positions) - 1)
 
+    free = model.segments_free(positions, model.check_step)
+    last = len(free)  # index of the last sample
     spans: list[list[int]] = []
-    for run_start, run_end in _blocked_runs(free):
-        entry = max(0, run_start - margin)
-        exit_ = min(n - 1, run_end + margin)
-        # padding may land inside another blocked run; keep walking outward
-        while entry >= 0 and not free[entry]:
-            entry -= 1
-        while exit_ < n and not free[exit_]:
-            exit_ += 1
-        if entry < 0 or exit_ >= n:
-            raise UnresolvableSpan(
-                f"no collision-free bracket for blocked run [{run_start}, {run_end}]")
+    for i in np.flatnonzero(~free).tolist():
+        # segment i joins samples i and i+1; pad both sides by `margin`
+        entry, exit_ = max(0, i + 1 - margin), min(last, i + margin)
         if spans and entry <= spans[-1][1]:
-            spans[-1][1] = max(spans[-1][1], exit_)
+            spans[-1][1] = exit_
         else:
             spans.append([entry, exit_])
 
-    return [
-        Discontinuity(
-            entry_index=entry,
-            exit_index=exit_,
-            entry_pose=path.poses[entry],
-            exit_pose=path.poses[exit_],
-            blocked_range=tuple(i for i in range(entry, exit_ + 1) if not free[i]),
-        )
-        for entry, exit_ in spans
-    ]
+    return [Discontinuity(entry, exit_, path.poses[entry], path.poses[exit_])
+            for entry, exit_ in spans]

@@ -27,10 +27,6 @@ class EndpointBlocked(ArcshotError):
         super().__init__(f"path endpoint at sample {index} is in collision")
 
 
-class UnresolvableSpan(ArcshotError):
-    """No collision-free entry or exit sample exists within the path."""
-
-
 class LocalPlanFailed(ArcshotError):
     """All window expansions were exhausted without finding a detour."""
 

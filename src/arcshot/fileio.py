@@ -48,14 +48,11 @@ class RunConfig:
     rrt: RrtParams = RrtParams()
     follow: FollowConfig = FollowConfig()
     margin: int = DEFAULT_MARGIN
-    collision_step: float | None = None  # None -> validation step, quad.body_radius / 2
     render_width: int = DEFAULT_WIDTH
 
     def __post_init__(self):
         if self.margin < 1:
             raise ValueError(f"margin must be >= 1, got {self.margin}")
-        if self.collision_step is not None and self.collision_step <= 0:
-            raise ValueError(f"collision_step must be > 0, got {self.collision_step}")
         if self.render_width < 100:
             raise ValueError(f"render_width must be >= 100, got {self.render_width}")
 
@@ -230,7 +227,6 @@ _FIELD_CODECS = {
     float: (_expect_number, _same),
     int: (_expect_int, _same),
     str: (_expect_str, _same),
-    float | None: (lambda v, path: None if v is None else _expect_number(v, path), _same),
     Vec3: (_expect_vec3, lambda v: [v.x, v.y, v.z]),
     tuple[int, ...]: (_list_of(_expect_int), list),
     tuple[Obstacle, ...]: (_list_of(_expect_obstacle),
@@ -372,8 +368,9 @@ def report_to_json(report: PlanReport) -> dict:
         "schema": REPORT_SCHEMA,
         "seed": report.seed,
         "margin": report.margin,
-        "collision_step": report.collision_step,
-        "validation_step": report.validation_step,
+        # planner and validation share one step; both keys keep the report/1 layout
+        "collision_step": report.step,
+        "validation_step": report.step,
         "params": dataclasses.asdict(report.params),
         "quad": dataclasses.asdict(report.quad),
         "discontinuities": [

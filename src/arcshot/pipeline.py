@@ -12,7 +12,7 @@ from .errors import SpliceMismatch, ValidationFailed
 from .local_planner import LocalPath, RrtParams, Tree, plan_local_run
 from .shot import ArcShotSpec, GlobalPath, Pose4, face_target, generate_arc
 # collision_model stays importable here for perfbench/tracing.py, which wraps it
-from .world import AxisBox, CollisionModel, QuadModel, Vec3, collision_model, edge_points
+from .world import CollisionModel, QuadModel, collision_model
 
 SPLICE_TOLERANCE = 1e-6
 
@@ -42,8 +42,7 @@ class PlanReport:
     params: RrtParams
     quad: QuadModel
     margin: int
-    collision_step: float
-    validation_step: float
+    step: float  # segment check spacing of scan, detour edges and validation
 
 
 @dataclass
@@ -79,28 +78,17 @@ def splice(path: GlobalPath, d: Discontinuity, lp: LocalPath) -> GlobalPath:
 
 
 def validate(path: GlobalPath, model: CollisionModel, step: float) -> int | None:
-    """Densely re-check every consecutive segment.
+    """Densely re-check every consecutive segment with `segments_free`.
 
-    The sample points of all segments are classified in one `free_points`
-    call against the obstacles near the path: every sample lies in the
-    bounding box of the path's positions, up to rounding that `within`'s pad
-    covers. Returns the index of the first offending segment, or None when
-    the whole path is collision-free at the given step.
+    Returns the index of the first offending segment, or None when the whole
+    path is collision-free at the given step.
     """
-    if len(path) < 2:
-        return None
-    positions = np.array([(p.position.x, p.position.y, p.position.z)
-                          for p in path.poses], dtype=float)
-    box = AxisBox(Vec3.from_array(positions.min(axis=0)),
-                  Vec3.from_array(positions.max(axis=0)))
-    local = model.within(box)
-    pts, first = edge_points(positions[:-1], positions[1:], step)
-    blocked = np.flatnonzero(~np.logical_and.reduceat(local.free_points(pts), first))
+    blocked = np.flatnonzero(~model.segments_free(path.position_array(), step))
     return int(blocked[0]) if blocked.size else None
 
 
 def plan_shot(model: CollisionModel, spec: ArcShotSpec, params: RrtParams,
-              margin: int = DEFAULT_MARGIN, collision_step: float | None = None) -> PlanResult:
+              margin: int = DEFAULT_MARGIN) -> PlanResult:
     """Run the whole planning pipeline for one arc shot against `model`.
 
     Generates the desired arc, finds blocked spans, plans a detour for each
@@ -108,12 +96,11 @@ def plan_shot(model: CollisionModel, spec: ArcShotSpec, params: RrtParams,
     densely validates the result. Raises EndpointBlocked, LocalPlanFailed
     (carrying the discontinuity index), or ValidationFailed.
 
-    Final validation samples every segment at body_radius / 2. Detour edges
-    are checked at that same step unless collision_step says otherwise, so a
-    grazing edge cannot pass planning and then flunk the safety gate.
+    The scan, the detour edges and final validation all check segments at
+    `model.check_step`, so a stretch one stage accepts is not rejected by
+    another; validation stays as the safety gate.
     """
-    validation_step = model.quad.body_radius / 2
-    collision_step = validation_step if collision_step is None else collision_step
+    step = model.check_step
 
     arc = generate_arc(spec)
     discontinuities = find_discontinuities(arc, model, margin)
@@ -123,7 +110,7 @@ def plan_shot(model: CollisionModel, spec: ArcShotSpec, params: RrtParams,
     disc_reports: list[DiscontinuityReport] = []
     for i, d in enumerate(discontinuities):
         started = time.perf_counter()
-        result = plan_local_run(d, model, params, step=collision_step, disc_index=i)
+        result = plan_local_run(d, model, params, step=step, disc_index=i)
         duration = time.perf_counter() - started
         local_paths.append(result.path)
         trees.append(result.tree)
@@ -143,7 +130,7 @@ def plan_shot(model: CollisionModel, spec: ArcShotSpec, params: RrtParams,
                         key=lambda pair: pair[0].entry_index, reverse=True):
         final = splice(final, d, lp)
 
-    offending = validate(final, model, validation_step)
+    offending = validate(final, model, step)
     if offending is not None:
         raise ValidationFailed(offending)
 
@@ -156,7 +143,6 @@ def plan_shot(model: CollisionModel, spec: ArcShotSpec, params: RrtParams,
         params=params,
         quad=model.quad,
         margin=margin,
-        collision_step=collision_step,
-        validation_step=validation_step,
+        step=step,
     )
     return PlanResult(arc, final, discontinuities, local_paths, report, trees)

@@ -10,6 +10,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .errors import DegenerateArc, DegenerateHeading
 from .world import Vec3
 
@@ -78,6 +80,11 @@ class GlobalPath:
 
     def __getitem__(self, i: int) -> Pose4:
         return self.poses[i]
+
+    def position_array(self) -> np.ndarray:
+        """The poses' positions as an (n, 3) float array."""
+        return np.array([(p.position.x, p.position.y, p.position.z)
+                         for p in self.poses], dtype=float)
 
 
 def face_target(p: Vec3, target: Vec3) -> float:

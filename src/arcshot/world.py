@@ -282,10 +282,31 @@ class CollisionModel:
         inflated obstacle; bounds faces count as free, inflated surfaces not."""
         return bool(self.free_points(p.as_array()[None, :])[0])
 
+    @property
+    def check_step(self) -> float:
+        """Sample spacing of every segment check: the blocked-span scan, the
+        planner's edges and final validation all use it, so they agree."""
+        return self.quad.body_radius / 2
+
     def segment_free(self, a: Vec3, b: Vec3, step: float) -> bool:
         """True iff every sample `edge_points` takes along a->b is in c-free."""
         pts, _ = edge_points(a.as_array()[None, :], b.as_array(), step)
         return bool(self.free_points(pts).all())
+
+    def segments_free(self, positions: np.ndarray, step: float) -> np.ndarray:
+        """Mask over the n-1 segments of an (n, 3) polyline: True where every
+        sample `edge_points` takes along positions[i] -> positions[i+1] is free.
+
+        All samples are classified in one `free_points` call against the
+        obstacles near the polyline: every sample lies in the bounding box of
+        the positions, up to rounding that `within`'s pad covers.
+        """
+        if len(positions) < 2:
+            return np.ones(0, dtype=bool)
+        box = AxisBox(Vec3.from_array(positions.min(axis=0)),
+                      Vec3.from_array(positions.max(axis=0)))
+        pts, first = edge_points(positions[:-1], positions[1:], step)
+        return np.logical_and.reduceat(self.within(box).free_points(pts), first)
 
 
 def collision_model(world: World, quad: QuadModel) -> CollisionModel:

@@ -213,17 +213,13 @@ def config_from_json(data: Any, path: str = "config") -> RunConfig:
     obj = _expect_mapping(data, path)
     _check_schema(obj, CONFIG_SCHEMA, path)
     _check_keys(obj, {"schema", "quad", "rrt", "follow", "margin",
-                      "collision_step", "render_width"}, {"schema"}, path)
+                      "render_width"}, {"schema"}, path)
     quad = _section(obj, "quad", _QUAD_FIELDS, set(), QuadModel, path)
     rrt = _section(obj, "rrt", _RRT_FIELDS, _RRT_INT_FIELDS, RrtParams, path)
     follow = _section(obj, "follow", _FOLLOW_FIELDS, set(), FollowConfig, path)
-    step = obj.get("collision_step")
-    if step is not None:
-        step = _expect_number(step, f"{path}.collision_step")
     return _build(
         path, RunConfig, quad=quad, rrt=rrt, follow=follow,
         margin=_expect_int(obj.get("margin", 2), f"{path}.margin"),
-        collision_step=step,
         render_width=_expect_int(obj.get("render_width", 900),
                                  f"{path}.render_width"),
     )

@@ -20,7 +20,8 @@ from arcshot.shot import (CLOCKWISE, COUNTERCLOCKWISE, ArcShotSpec, Pose4,
                           generate_arc, wrap_to_pi)
 from arcshot.world import AxisBox, CollisionModel, Cylinder, QuadModel, Vec3, World
 from conftest import SCENARIO_DIR, demo_shot, demo_world, make_world, wall_shot, wall_world
-from test_discontinuity import reference_spans
+from test_discontinuity import (only_sample_hits, reference_spans, sample_reference_spans,
+                                segment_flags)
 
 DEMO = SCENARIO_DIR / "demo"
 
@@ -157,6 +158,7 @@ def test_criterion_3_matches_the_reference_scan():
     rng = np.random.default_rng(333)
     quad = QuadModel()
     compared = 0
+    differs = []
     for _ in range(20):
         world = _ring_world(rng)
         model = CollisionModel(world, quad)
@@ -166,10 +168,19 @@ def test_criterion_3_matches_the_reference_scan():
             assert flags[0] and flags[-1], "arc endpoints must stay clear"
             got = [(d.entry_index, d.exit_index)
                    for d in find_discontinuities(path, model, margin=2)]
-            assert got == reference_spans(flags, 2)
+            seg_free = segment_flags(path, model)
+            assert got == reference_spans(seg_free, 2)
+            old = sample_reference_spans(flags, 2)
+            if got != old:
+                # only a segment blocked between two free samples, which the
+                # per-sample scan cannot see and validation rejects
+                assert not only_sample_hits(flags, seg_free)
+                differs.append((got, old))
             compared += 1
     assert compared == 100
-    _ok(3, "spans equal the per-sample scan + merge reference on 20x5 cases")
+    assert differs == [([(14, 17)], [])]
+    _ok(3, "spans equal the segment scan + merge reference on 20x5 cases; "
+           "one case finds a span the per-sample scan missed")
 
 
 # -- 4. local-planner safety -------------------------------------------------
@@ -216,7 +227,7 @@ def test_criterion_5_near_optimal_in_the_open():
     model = CollisionModel(make_world(lo=(-20, -20, 0), hi=(20, 20, 10)), quad)
     entry = Pose4(Vec3(-3, 0, 2), 0.0)
     exit_ = Pose4(Vec3(3, 0, 2), 0.0)
-    d = Discontinuity(1, 3, entry, exit_, (2,))
+    d = Discontinuity(1, 3, entry, exit_)
     distance = entry.position.distance_to(exit_.position)
     within = 0
     for seed in range(100):

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from arcshot import cli, fileio
+from arcshot import cli, fileio, pipeline
 from arcshot.world import CollisionModel
 from conftest import SCENARIO_DIR
 
@@ -213,6 +213,22 @@ def test_integer_too_large_for_a_float_is_a_schema_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_config_that_sets_collision_step_is_a_schema_error(tmp_path, capsys):
+    # config/1 no longer has a planner step: every segment check runs at
+    # body_radius / 2, so the key is refused like any other unknown field
+    config = json.loads((DEMO / "config.json").read_text())
+    config["collision_step"] = 0.6
+    bad = tmp_path / "config.json"
+    bad.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    code = cli.main(["plan", "--world", str(DEMO / "world.json"), "--shot",
+                     str(DEMO / "shot.json"), "--config", str(bad), "--out", str(out)])
+    assert code == cli.EXIT_SCHEMA
+    assert json.loads(capsys.readouterr().err)["error"] == {
+        "kind": "SchemaError", "message": "config.collision_step: unknown field"}
+    assert not out.exists()
+
+
 def test_blocked_endpoint_exit_code(tmp_path, capsys):
     world = json.loads((DEMO / "world.json").read_text())
     world["obstacles"].append({"kind": "cylinder", "base_center": [8.0, 0.0, 0.0],
@@ -270,16 +286,22 @@ def test_bench_small_sweep_writes_all_artifacts(tmp_path):
     assert (out / "bench.svg").exists()
 
 
-def test_bench_counts_a_repetition_that_fails_validation_as_failed(tmp_path):
-    # a collision step this coarse lets RRT* edges cut an obstacle corner that
-    # dense validation then catches; the sweep must go on without that plan
-    config = json.loads((DEMO / "config.json").read_text())
-    config["collision_step"] = 0.6
-    coarse = tmp_path / "config.json"
-    coarse.write_text(json.dumps(config))
+def test_bench_counts_a_repetition_that_fails_validation_as_failed(tmp_path, monkeypatch):
+    # the scan, the planner and validation share one segment check, so a
+    # planned detour passes validation; the safety gate is made to reject the
+    # second path it sees, and the sweep must go on without that plan
+    calls = []
+    real_validate = pipeline.validate
+
+    def validate_rejecting_once(path, model, step):
+        calls.append(step)
+        return 0 if len(calls) == 2 else real_validate(path, model, step)
+
+    monkeypatch.setattr(pipeline, "validate", validate_rejecting_once)
     out = tmp_path / "out"
     code = cli.main(["bench", "--world", str(DEMO / "world.json"),
-                     "--shot", str(DEMO / "shot.json"), "--config", str(coarse),
+                     "--shot", str(DEMO / "shot.json"),
+                     "--config", str(DEMO / "config.json"),
                      "--bench", str(DEMO / "bench.json"), "--seed", "3",
                      "--out", str(out)])
     assert code == cli.EXIT_OK

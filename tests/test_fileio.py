@@ -295,8 +295,7 @@ CONFIG_VALUES = {
             "fail_limit": st.integers(1, 9), "seed": st.integers(0, 2 ** 64 - 1)},
     "follow": {"dt": _num(0.005, 0.05), "k_p": _num(0.1, 10),
                "waypoint_tolerance": _num(0.05, 1), "max_time": _num(1, 300)},
-    "": {"margin": st.integers(1, 5), "collision_step": st.one_of(st.none(), _num(0.01, 1)),
-         "render_width": st.integers(100, 2000)},
+    "": {"margin": st.integers(1, 5), "render_width": st.integers(100, 2000)},
 }
 
 
@@ -331,7 +330,7 @@ INT_KEYS = {"samples", "max_loops", "fail_limit", "seed", "margin", "render_widt
 OUT_OF_RANGE = {
     "radius": [0, -1.5], "height": [0, -2], "samples": [1, 0, -4],
     "repetitions": [0, -1], "loops": [0, -3], "margin": [0, -2],
-    "collision_step": [0, -0.5], "render_width": [99, 0],
+    "render_width": [99, 0],
     "body_radius": [0, -1], "safety_margin": [-0.1], "max_speed": [0, -1],
     "max_yaw_rate": [0, -0.5], "extend_dist": [0, -1], "neighbor_factor": [1, 0.5],
     "max_loops": [0, -10], "goal_radius": [0, -1], "window_pad": [-1],
@@ -393,8 +392,6 @@ def _unknown_key(draw, data):
 def _wrong_type(draw, data):
     loc, value = draw(st.sampled_from(list(_walk(data))))
     valid = {_category(value)}
-    if loc and _key(loc) == "collision_step":
-        valid |= {"number", "None"}
     pool = [v for v in (None, True, 3, "x", [], {}) if _category(v) not in valid]
     if loc and _key(loc) in INT_KEYS and _category(value) == "number":
         pool.append(2.5)

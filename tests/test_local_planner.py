@@ -26,7 +26,7 @@ _point = st.tuples(_coord, _coord, _coord)
 
 
 def disc_between(a: Vec3, b: Vec3) -> Discontinuity:
-    return Discontinuity(0, 2, Pose4(a, 0.0), Pose4(b, 0.0), (1,))
+    return Discontinuity(0, 2, Pose4(a, 0.0), Pose4(b, 0.0))
 
 
 # windows --------------------------------------------------------------------

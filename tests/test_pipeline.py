@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arcshot import fileio, local_planner
@@ -12,14 +12,14 @@ from arcshot.discontinuity import Discontinuity
 from arcshot.errors import EndpointBlocked, LocalPlanFailed, SpliceMismatch
 from arcshot.local_planner import LocalPath, RrtParams
 from arcshot.pipeline import plan_shot, splice, validate
-from arcshot.shot import GlobalPath, Pose4, face_target, generate_arc
+from arcshot.shot import ArcShotSpec, GlobalPath, Pose4, face_target, generate_arc
 from arcshot.world import AxisBox, CollisionModel, Cylinder, QuadModel, Vec3
 from conftest import SCENARIO_DIR, demo_shot, demo_world, make_world, wall_shot, wall_world
+from test_discontinuity import thin_obstacles
 
 
 def fake_disc(path: GlobalPath, entry: int, exit_: int) -> Discontinuity:
-    return Discontinuity(entry, exit_, path[entry], path[exit_],
-                         tuple(range(entry + 1, exit_)))
+    return Discontinuity(entry, exit_, path[entry], path[exit_])
 
 
 # splice ---------------------------------------------------------------------
@@ -198,6 +198,35 @@ def test_plan_shot_propagates_endpoint_blocked(quad):
         plan_shot(CollisionModel(world, quad), demo_shot(), RrtParams(seed=0))
 
 
+@pytest.mark.parametrize("samples", [8, 10, 12, 16])
+def test_plan_shot_repairs_a_thin_wall_between_samples(samples, quad):
+    # inflated to 1.1 m thick, the wall falls between two arc samples: the
+    # blocked-span scan must see the segment that validation would reject
+    world = dataclasses.replace(
+        demo_world(), obstacles=(AxisBox(Vec3(-0.05, 7, 0), Vec3(0.05, 9, 5)),))
+    model = CollisionModel(world, quad)
+    spec = ArcShotSpec(Vec3(8, 0, 2), Vec3(-8, 0, 2), world.target,
+                       "counterclockwise", samples)
+    assert all(model.point_free(p.position) for p in generate_arc(spec).poses)
+    result = plan_shot(model, spec, RrtParams())
+    assert len(result.discontinuities) == 1
+    assert validate(result.final_path, model, model.check_step) is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(thin_obstacles, st.floats(6.0, 10.0), st.floats(1.0, 4.0),
+       st.integers(6, 70), st.integers(0, 2 ** 32 - 1))
+def test_plan_shot_never_rejects_its_own_plan(obstacles, radius, z, samples, seed):
+    model = CollisionModel(make_world(tuple(obstacles)), QuadModel())
+    spec = ArcShotSpec(Vec3(radius, 0.0, z), Vec3(-radius, 0.0, z),
+                       Vec3(0.0, 0.0, 1.5), "counterclockwise", samples)
+    assume(model.point_free(spec.start) and model.point_free(spec.end))
+    try:
+        plan_shot(model, spec, RrtParams(max_loops=60, seed=seed))
+    except LocalPlanFailed:
+        pass  # a small loop budget may give up; it must not plan unsafely
+
+
 def test_plan_shot_annotates_local_failures(quad):
     world = wall_world()
     params = RrtParams(extend_dist=1.0, goal_radius=1.0, max_loops=400,
@@ -216,7 +245,7 @@ def test_plan_shot_report_snapshot(quad):
     assert report.params == params
     assert report.quad == quad
     assert report.margin == 2
-    assert report.collision_step == pytest.approx(quad.body_radius / 2)
+    assert report.step == quad.body_radius / 2
     assert report.total_loops == sum(r.loops for r in report.discontinuities)
     assert report.total_nodes == sum(len(t) for t in result.trees)
     for r in report.discontinuities:
