@@ -4,7 +4,9 @@ Two departures from textbook RRT* shape this module. First, samples are
 confined to a window slightly larger than the discontinuity's bounding box;
 each failed attempt restarts the search in a window scaled up by a fixed
 factor, so effort stays local until the obstacle demands more room; a level
-that one inflated box provably walls off is skipped unrun. Second,
+that one inflated box provably walls off is skipped unrun, including a level
+whose window ends exactly on the box's closed face, which the planner's
+rounding provably never passes (`walled_off`). Second,
 the parent of every new node is chosen among all neighbors within the steer
 step times an expansion factor, favoring long straight edges where the world
 allows them. Existing nodes are never rewired through new ones: each loop
@@ -279,11 +281,33 @@ def walled_off(d: Discontinuity, window: SearchWindow, model: CollisionModel,
     exit has samples on both sides of the slab. Successive samples are at
     most `step` apart, up to the same rounding, so with the slab thicker than
     `step` plus the pad one of them lands inside the box and is blocked.
+
+    Some faces of the span need no pad, because no tested coordinate passes
+    them at all. Each coordinate an attempt tests is the entry's, the exit's,
+    or fl(a + fl(t * fl(b - a))) with t in [0, 1] and a, b window bounds or
+    earlier such values: `rng.uniform`'s lo + (hi - lo) * u with
+    u <= 1 - 2**-53, `extend` with t = extend_dist / length, `edge_points`
+    with t = k * (1 / n) and the last t exactly 1 (the goal segment too), and
+    `_best_parent`'s others + (x_new - others). For a, b >= 0 that value is
+    at least 0 and at most succ(max(a, b)); it is at most max(a, b) itself
+    when max(a, b) has an even significand, because its only overshoot is a
+    tie at max + ulp/2, and ties round to even. By induction, on an axis
+    whose span is all >= 0, no tested coordinate exceeds a top `hi` with an
+    even significand, and an inflated box face at `hi` is closed, so it
+    blocks. Negating every value gives the bottom face of an axis whose span
+    is all <= 0. Without the sign and parity conditions the bound is false:
+    0.015199091831556488 + (0.6837413448974007 - 0.015199091831556488) is
+    0.6837413448974008, one ulp above the larger operand.
     """
     entry = d.entry_pose.position.as_array()
     exit_ = d.exit_pose.position.as_array()
-    lo = np.minimum.reduce((window.box.min.as_array(), entry, exit_)) - CULL_PAD
-    hi = np.maximum.reduce((window.box.max.as_array(), entry, exit_)) + CULL_PAD
+    lo = np.minimum.reduce((window.box.min.as_array(), entry, exit_))
+    hi = np.maximum.reduce((window.box.max.as_array(), entry, exit_))
+    # a float64's significand is even when its lowest stored bit is 0
+    exact_lo = (hi <= 0) & ((lo.view(np.int64) & 1) == 0)
+    exact_hi = (lo >= 0) & ((hi.view(np.int64) & 1) == 0)
+    lo = np.where(exact_lo, lo, lo - CULL_PAD)
+    hi = np.where(exact_hi, hi, hi + CULL_PAD)
     return model.separates(entry, exit_, lo, hi, step + CULL_PAD)
 
 

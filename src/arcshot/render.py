@@ -15,8 +15,7 @@ from .bench import BenchResult
 from .discontinuity import Discontinuity
 from .local_planner import Tree
 from .shot import GlobalPath, Pose4
-from .world import (AXIS_X, AXIS_Y, INDEX, MAX, MIN, RADIUS, AxisBox, CollisionModel,
-                    obstacle_rows)
+from .world import AXIS_X, AXIS_Y, INDEX, MAX, MIN, RADIUS, AxisBox, CollisionModel
 
 DEFAULT_WIDTH = 900  # pixels
 
@@ -84,7 +83,8 @@ def render_scene(model: CollisionModel, *,
                  width: int = DEFAULT_WIDTH) -> str:
     """Top-down orthographic view of a scenario and any planning artifacts.
 
-    Draws `model.world` with `model.inflated` dashed around its obstacles.
+    Draws `model.raw`, the obstacles of `model.world`, with `model.inflated`
+    dashed around them.
     `trajectory` holds state log rows whose first two columns are x and y.
     """
     world = model.world
@@ -112,7 +112,7 @@ def render_scene(model: CollisionModel, *,
     parts.append('</g>')
 
     parts.append('<g id="obstacles">')
-    parts += _obstacle_layer(canvas, obstacle_rows(world.obstacles),
+    parts += _obstacle_layer(canvas, model.raw,
                              'fill="#9a9a9a" stroke="#5a5a5a" stroke-width="1"')
     parts.append('</g>')
 

@@ -195,7 +195,8 @@ class CollisionModel:
     """Point/segment c-free queries against one world inflated for one vehicle.
 
     `inflated` holds the inflated obstacles as packed rows (layout above), so
-    batches of points are classified in one pass per obstacle kind.
+    batches of points are classified in one pass per obstacle kind; `raw`
+    holds the same obstacles as they are, row for row.
     Cylinders grow radially and upward; their base also drops by the growth
     but never below ground (z=0), so pillars stay grounded. Boxes grow
     outward in every axis.
@@ -217,12 +218,14 @@ class CollisionModel:
                            bottom + (top - bottom), cyl[:, RADIUS] + g, cyl[:, INDEX]),
             np.column_stack((box[:, MIN] - g, box[:, MAX] + g, box[:, AXIS_X:])),
         ))
-        self._adopt(world, quad, inflated)
+        self._adopt(world, quad, inflated, rows)
 
-    def _adopt(self, world: World, quad: QuadModel, inflated: np.ndarray) -> None:
+    def _adopt(self, world: World, quad: QuadModel, inflated: np.ndarray,
+               raw: np.ndarray) -> None:
         self.world = world
         self.quad = quad
         self.inflated = inflated
+        self.raw = raw
         n = np.count_nonzero(inflated[:, RADIUS] > 0)
         self._cyl, self._box = inflated[:n], inflated[n:]
         self._lo = world.bounds.min.as_array()
@@ -240,7 +243,7 @@ class CollisionModel:
         rows = self.inflated
         keep = np.all((rows[:, MIN] <= hi) & (rows[:, MAX] >= lo), axis=1)
         local = object.__new__(CollisionModel)
-        local._adopt(self.world, self.quad, rows[keep])
+        local._adopt(self.world, self.quad, rows[keep], self.raw[keep])
         return local
 
     def separates(self, a: np.ndarray, b: np.ndarray, lo: np.ndarray,

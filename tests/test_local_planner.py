@@ -677,7 +677,8 @@ def test_plan_local_never_runs_a_walled_off_level(quad, monkeypatch):
 
     monkeypatch.setattr(local_planner, "rrt_star_run", recording)
     out = plan_local_run(d, model, WALL_PARAMS, step=quad.body_radius)
-    assert levels == list(range(1, out.window.level + 1))
+    # levels 0 and 1 are walled off: 1 by the wall's closed top face at 3.5 m
+    assert levels == [2]
     assert out.loops == (out.window.level + 1) * WALL_PARAMS.max_loops
 
     levels.clear()
@@ -728,6 +729,43 @@ def test_walled_off_needs_the_cover_to_exceed_the_window_by_the_pad():
     assert certified([padded])
 
 
+# entry and exit at z = 2 give a window z span of 1..3, all >= 0; 3.0 has an
+# even significand
+UP_A, UP_B = Vec3(-3, 0, 2), Vec3(3, 0, 2)
+
+
+def _topped(top):
+    """SLAB with its inflated top face at z = `top` (the growth 0.5 is exact)."""
+    return AxisBox(SLAB.min, Vec3(SLAB.max.x, SLAB.max.y, top - 0.5))
+
+
+def _even(x):
+    """True where a float64's significand is even: its lowest stored bit is 0."""
+    return (np.asarray(x, dtype=np.float64).view(np.int64) & 1) == 0
+
+
+def test_walled_off_takes_a_closed_face_on_an_even_one_signed_window_face():
+    assert _even(3.0)
+    assert certified([_topped(3.0)], UP_A, UP_B)
+    assert not certified([_topped(float(np.nextafter(3.0, 0)))], UP_A, UP_B)
+    # the mirror: z span -3..-1, the inflated bottom face at -3.0
+    low = AxisBox(Vec3(SLAB.min.x, SLAB.min.y, -2.5), SLAB.max)
+    assert certified([low], Vec3(-3, 0, -2), Vec3(3, 0, -2))
+
+
+def test_walled_off_pads_an_odd_or_mixed_sign_window_face():
+    # endpoints one ulp above 2 put the window top one ulp above 3: odd
+    z = float(np.nextafter(2.0, 3))
+    top = z + 1.0
+    assert not _even(top) and top == float(np.nextafter(3.0, 4))
+    a, b = Vec3(-3, 0, z), Vec3(3, 0, z)
+    assert not certified([_topped(top)], a, b)
+    assert certified([_topped(top + 2 * CULL_PAD)], a, b)
+    # y spans -1..1: a face on the even top 1.0 still needs the pad
+    assert _even(1.0)
+    assert not certified([AxisBox(SLAB.min, Vec3(0.5, 0.5, 5))])
+
+
 def test_walled_off_needs_entry_and_exit_on_both_sides():
     assert not certified([SLAB], b=Vec3(-1.5, 0, 0))
     assert not certified([SLAB], a=Vec3(1.5, 0, 0))
@@ -749,13 +787,18 @@ def test_walled_off_never_fires_on_the_demo(quad):
 @st.composite
 def _single_box_spans(draw):
     """(model, discontinuity, params, step): one box, entry and exit in a
-    random order along a random axis, near the box or across it."""
-    axis = draw(st.sampled_from([0, 1, 2]))
+    random order along a random axis, near the box or across it.
 
-    def along(a, b, c):
-        v = [b, c]
-        v.insert(axis, a)
-        return Vec3(*v)
+    Often one of the other two axes is one-signed, as z is above the ground,
+    and the inflated box's face on it lies exactly on one level's window
+    face, as the wall's top does on level 1 of `wall-expand`."""
+    axis = draw(st.sampled_from([0, 1, 2]))
+    others = [i for i in range(3) if i != axis]
+
+    def along(v):
+        c = [0.0] * 3
+        c[axis], c[others[0]], c[others[1]] = v
+        return Vec3(*c)
 
     half = draw(st.floats(0.05, 1.0))
     # past the world bounds in both other axes, except perhaps on one side
@@ -763,40 +806,181 @@ def _single_box_spans(draw):
     short = draw(st.none() | st.sampled_from([0, 1, 2, 3]))
     if short is not None:
         reach[short] = draw(st.floats(-0.5, 3.0))
-    box = AxisBox(along(-half, -reach[0], -reach[1]), along(half, reach[2], reach[3]))
+    box_lo, box_hi = [-half, -reach[0], -reach[1]], [half, reach[2], reach[3]]
     bound = st.floats(2.0, 20.0)
-    lo = along(-20.0, -draw(bound), -draw(bound))
-    hi = along(20.0, draw(bound), draw(bound))
+    lo = [-20.0, -draw(bound), -draw(bound)]
+    hi = [20.0, draw(bound), draw(bound)]
     side = st.floats(-1.0, 1.0)
     far = st.floats(1.2, 5.0) if draw(st.booleans()) else st.floats(-5.0, 5.0)
-    ends = [along(-draw(st.floats(1.2, 5.0)), draw(side), draw(side)),
-            along(draw(far), draw(side), draw(side))]
+    ends = [[-draw(st.floats(1.2, 5.0)), draw(side), draw(side)],
+            [draw(far), draw(side), draw(side)]]
+    flat = draw(st.none() | st.sampled_from([1, 2]))
+    if flat is not None:
+        up = draw(st.booleans())
+        (lo if up else hi)[flat] = 0.0
+        for end in ends:
+            end[flat] = draw(st.floats(0.5, 2.0)) * (1.0 if up else -1.0)
     if draw(st.booleans()):
         ends.reverse()
-    world = World(AxisBox(lo, hi), (box,), Vec3(0.0, 0.0, 0.0))
     params = RrtParams(extend_dist=draw(st.floats(0.3, 2.5)),
                        goal_radius=draw(st.floats(0.3, 2.0)), max_loops=150,
                        window_pad=draw(st.floats(0.2, 1.5)),
                        window_growth=draw(st.floats(1.2, 2.0)),
                        seed=draw(st.integers(0, 2 ** 32)))
-    return (CollisionModel(world, QuadModel()), disc_between(*ends), params,
-            draw(st.floats(0.1, 2.5)))
+    d = disc_between(along(ends[0]), along(ends[1]))
+    quad = QuadModel()
+    bounds = AxisBox(along(lo), along(hi))
+    if flat is not None:
+        # windows are nested, so a face on level 2's leaves levels 0 and 1
+        # covered as well
+        open_world = CollisionModel(World(bounds, (), Vec3(0, 0, 0)), quad)
+        window, _ = level_window(d, open_world, params, draw(st.sampled_from([2, 1, 0])))
+        k = others[flat - 1]
+        # the window face is at least 0.7 from 0, so the growth adds back exactly
+        if up:
+            box_hi[flat] = window.box.max.as_array()[k] - quad.growth
+            box_lo[flat] = min(box_lo[flat], box_hi[flat])
+        else:
+            box_lo[flat] = window.box.min.as_array()[k] + quad.growth
+            box_hi[flat] = max(box_hi[flat], box_lo[flat])
+    world = World(bounds, (AxisBox(along(box_lo), along(box_hi)),), Vec3(0, 0, 0))
+    return CollisionModel(world, quad), d, params, draw(st.floats(0.1, 2.5))
+
+
+def _span(d, window):
+    """The box spanned by `window` and both endpoints, as (lo, hi)."""
+    ends = (d.entry_pose.position.as_array(), d.exit_pose.position.as_array())
+    return (np.minimum.reduce((window.box.min.as_array(), *ends)),
+            np.maximum.reduce((window.box.max.as_array(), *ends)))
+
+
+def _padded_walled_off(d, window, model, step):
+    """`walled_off` with CULL_PAD on every face of the span."""
+    lo, hi = _span(d, window)
+    return model.separates(d.entry_pose.position.as_array(),
+                           d.exit_pose.position.as_array(),
+                           lo - CULL_PAD, hi + CULL_PAD, step + CULL_PAD)
 
 
 def test_a_walled_off_level_never_finds_a_path():
-    fired = []
+    fired, exact = [], []
 
     @settings(max_examples=100, deadline=None)
     @given(_single_box_spans())
     def check(case):
         model, d, params, step = case
         for level in range(3):
-            if walled_off(d, *level_window(d, model, params, level), step):
+            window, local = level_window(d, model, params, level)
+            padded = _padded_walled_off(d, window, local, step)
+            if walled_off(d, window, local, step):
                 fired.append(level)
+                if not padded:
+                    exact.append(level)
                 assert rrt_star_run(d, model, params, level, step).path is None
+            else:
+                assert not padded
 
     check()
     assert len(fired) >= 60
+    assert len(exact) >= 8
+
+
+def test_no_tested_coordinate_passes_an_unpadded_span_face(monkeypatch):
+    # the induction behind walled_off's closed-face rule, against every point
+    # an attempt hands to free_points
+    seen = []
+    free_points = CollisionModel.free_points
+
+    def recording(self, pts):
+        seen.append(pts.copy())
+        return free_points(self, pts)
+
+    monkeypatch.setattr(CollisionModel, "free_points", recording)
+
+    def unpadded_faces(d, model, params, level, step):
+        lo, hi = _span(d, level_window(d, model, params, level)[0])
+        top = (lo >= 0) & _even(hi)
+        bottom = (hi <= 0) & _even(lo)
+        seen.clear()
+        rrt_star_run(d, model, params, level, step)
+        pts = np.concatenate(seen)
+        assert (pts[:, top] <= hi[top]).all()
+        assert (pts[:, bottom] >= lo[bottom]).all()
+        return pts, top | bottom
+
+    # level 1 of the acceptance wall: z spans 0.5..3.5, the inflated top
+    model, d = wall_disc(QuadModel())
+    pts, faces = unpadded_faces(d, model, WALL_PARAMS, 1, 0.15)
+    assert faces[2] and pts[:, 2].max() > 3.4
+
+    checked = []
+
+    @settings(max_examples=40, deadline=None)
+    @given(_single_box_spans())
+    def check(case):
+        model, d, params, step = case
+        for level in range(3):
+            checked.append(unpadded_faces(d, model, params, level, step)[1].sum())
+
+    check()
+    assert sum(checked) >= 30
+
+
+def _succ(x: float) -> float:
+    return float(np.nextafter(x, math.inf))
+
+
+@st.composite
+def _interpolations(draw):
+    """(a, b, t) with a, b >= 0. Half are t = 1 with b - a a rounding tie,
+    the one way a + t * (b - a) can pass max(a, b)."""
+    b = draw(st.floats(0.0, 1e300))
+    if draw(st.booleans()):
+        # b - a lies halfway between two floats while it stays in b's binade
+        return (2 * draw(st.integers(0, 2 ** 20)) + 1) * float(np.spacing(b)) / 2, b, 1.0
+    return draw(st.floats(0.0, 1e300)), b, draw(st.floats(0.0, 1.0))
+
+
+def test_nonnegative_interpolation_passes_its_larger_end_only_on_an_odd_tie():
+    overshoots = []
+
+    @settings(max_examples=1000, deadline=None)
+    @given(_interpolations())
+    def check(case):
+        a, b, t = case
+        # the form of every coordinate an attempt computes
+        v = a + t * (b - a)
+        top = max(a, b)
+        assert 0.0 <= v <= _succ(top)
+        if v > top:
+            assert not _even(top)
+            overshoots.append(v)
+
+    check()
+    assert len(overshoots) >= 15
+
+
+def test_the_interpolation_bound_needs_its_sign_and_parity_conditions():
+    # odd significand: the last sample edge_points takes passes the edge's end
+    a, b = 0.015199091831556488, 0.6837413448974007
+    assert not _even(b)
+    pts, _ = edge_points(np.array([[a, 0.0, 0.0]]), np.array([b, 0.0, 0.0]), 0.1)
+    assert pts[-1, 0] == _succ(b)
+    # mixed signs: an even significand is passed too
+    a, b = -0.4535801222885679, 0.7884287034284043
+    assert _even(b) and a + (b - a) == _succ(b)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 2 ** 53))
+def test_edge_sample_fractions_stay_at_most_one(n):
+    # edge_points' t = k * (1 / n) rises with k, so k = n - 1 bounds every k < n
+    assert (n - 1.0) * (1.0 / n) <= 1.0
+    if n <= 4000:
+        # from 0 to 1 along x each sample's x is its t, on both code paths
+        for origins in (np.zeros((1, 3)), np.zeros((2, 3))):
+            pts, _ = edge_points(origins, np.array([1.0, 0.0, 0.0]), 1.0 / n)
+            assert (pts[:, 0] <= 1.0).all() and pts[-1, 0] == 1.0
 
 
 # params / tree validation ---------------------------------------------------

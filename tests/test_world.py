@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from arcshot.world import (AXIS_X, AXIS_Y, BOTTOM, CULL_PAD, INDEX, MAX, MIN, RADIUS,
                            RADIUS_SQ, TOP, AxisBox, CollisionModel, Cylinder, QuadModel,
-                           Vec3, World)
+                           Vec3, World, obstacle_rows)
 from conftest import make_world
 from world_reference import bounding_box, inflate, inflated_rows, packed_arrays
 
@@ -171,6 +171,9 @@ def test_pack_equals_the_per_obstacle_oracle(case):
             for row in full.inflated.tolist()]
     local = full.within(box)
     assert local.inflated.tobytes() == full.inflated[np.array(keep, dtype=bool)].tobytes()
+    assert full.raw.tobytes() == obstacle_rows(world.obstacles).tobytes()
+    assert full.raw[:, INDEX].tolist() == full.inflated[:, INDEX].tolist()
+    assert local.raw.tobytes() == full.raw[np.array(keep, dtype=bool)].tobytes()
 
 
 # point_free -----------------------------------------------------------------
