@@ -230,12 +230,22 @@ def _best_parent(tree: Tree, x_new: np.ndarray, radius: float,
     rather than `x_new`; it is also the last row `edge_points` gives the edge.
     Only if the cheapest edge is blocked are the other edges whose last
     sample is free classified, in one batch.
+
+    When `model.ball_free(x_new, radius)` holds, no edge is classified: the
+    cheapest candidate wins. Every point handed to `free_points` above, an
+    `edge_points` row or `origin + (x_new - origin)`, lies on the segment
+    from a candidate to `x_new`, up to rounding far below CULL_PAD, and every
+    candidate lies within `radius` of `x_new`. So each such point is within
+    `radius` + CULL_PAD of `x_new`, `free_points` would mark every edge free,
+    and the first index `argmin` gives is the one the stable sort puts first.
     """
     dists = _distances(tree, x_new)
     candidates = (dists <= radius).nonzero()[0]
     if candidates.size == 0:
         return None
     totals = tree.costs[candidates] + dists[candidates]
+    if model.ball_free(x_new, radius):
+        return int(candidates[totals.argmin()])
     # stable sort keeps insertion order within cost ties
     order = candidates[totals.argsort(kind="stable")]
     origins = tree.positions[order]
@@ -280,7 +290,9 @@ def walled_off(d: Discontinuity, window: SearchWindow, model: CollisionModel,
     third lies strictly between entry and exit, each edge chain from entry to
     exit has samples on both sides of the slab. Successive samples are at
     most `step` apart, up to the same rounding, so with the slab thicker than
-    `step` plus the pad one of them lands inside the box and is blocked.
+    `step` plus the pad one of them lands inside the box and is blocked. An
+    edge that `_best_parent` accepts by `ball_free` is not sampled, but every
+    sample `edge_points` would take along it is free, so it is no exception.
 
     Some faces of the span need no pad, because no tested coordinate passes
     them at all. Each coordinate an attempt tests is the entry's, the exit's,

@@ -7,6 +7,7 @@ inflated obstacle's surface collides; a point on a world-bounds face is free.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence, Union
@@ -245,6 +246,49 @@ class CollisionModel:
         local = object.__new__(CollisionModel)
         local._adopt(self.world, self.quad, rows[keep], self.raw[keep])
         return local
+
+    def ball_free(self, center: np.ndarray, r: float) -> bool:
+        """True when every point within `r` + CULL_PAD of `center` (a (3,)
+        row) gets a True `free_points` answer from this model; False says
+        nothing.
+
+        It holds when the cube of that half width round `center` lies in the
+        bounds and the ball misses every inflated obstacle: a cylinder by a
+        vertical gap or by a horizontal distance from its axis beyond its
+        radius plus the half width, a box by a Euclidean distance beyond the
+        half width. Its own rounding is a few ulps of the coordinates, far
+        below CULL_PAD, so every point within `r` of `center`, up to rounding
+        far below the pad, is free. One scalar pass over this model's rows,
+        which stops at the first it cannot clear, keeps the test cheap on a
+        model culled with `within`.
+        """
+        reach = r + CULL_PAD
+        x, y, z = center.tolist()
+        (lx, ly, lz), (hx, hy, hz), cylinders, boxes = self._scalar_rows
+        if not (lx <= x - reach and x + reach <= hx and ly <= y - reach
+                and y + reach <= hy and lz <= z - reach and z + reach <= hz):
+            return False
+        for ax, ay, bottom, top, radius in cylinders:
+            if bottom <= z + reach and z - reach <= top:
+                dx, dy, far = x - ax, y - ay, radius + reach
+                if dx * dx + dy * dy <= far * far:
+                    return False
+        for x0, y0, z0, x1, y1, z1 in boxes:
+            dx = max(x0 - x, x - x1, 0.0)
+            dy = max(y0 - y, y - y1, 0.0)
+            dz = max(z0 - z, z - z1, 0.0)
+            if dx * dx + dy * dy + dz * dz <= reach * reach:
+                return False
+        return True
+
+    @functools.cached_property
+    def _scalar_rows(self) -> tuple[list, list, list, list]:
+        """`ball_free`'s inputs as Python floats, built on its first call:
+        the bounds' min and max, the cylinders as (axis x, axis y, bottom, top,
+        radius) and the boxes as (MIN, MAX)."""
+        return (self._lo.tolist(), self._hi.tolist(),
+                self._cyl[:, [AXIS_X, AXIS_Y, BOTTOM, TOP, RADIUS]].tolist(),
+                self._box[:, :6].tolist())
 
     def separates(self, a: np.ndarray, b: np.ndarray, lo: np.ndarray,
                   hi: np.ndarray, thickness: float) -> bool:

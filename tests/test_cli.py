@@ -92,6 +92,14 @@ def test_benchmark_tracer_still_wraps_the_planner(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
     import tracing
 
+    results = []
+    ball_free = CollisionModel.ball_free
+
+    def recording(self, center, r):
+        results.append(ball_free(self, center, r))
+        return results[-1]
+
+    monkeypatch.setattr(CollisionModel, "ball_free", recording)
     with tracing.installed(tracing.Tracer()) as tracer:
         tracer.begin_op(0)
         assert cli.main(["plan", *demo_args(tmp_path / "plan")]) == cli.EXIT_OK
@@ -102,11 +110,17 @@ def test_benchmark_tracer_still_wraps_the_planner(tmp_path, monkeypatch):
         assert tracing.span_ms(tracer, name), name
     # best-parent collision work must reach the wrapped model.free_points: x_new
     # lies within extend_dist < neighbour radius of a node, so every call has a
-    # candidate and classifies it
+    # candidate and asks for one clearance test, in span order; a call whose
+    # ball is not cleared classifies its edges
     op = tracer.ops[0]
     best = np.flatnonzero(op["name"] == tracer.names.index("local_planner.best_parent"))
     checked = op["parent"][op["name"] == tracer.names.index("world.free_points")]
-    assert best.size and np.isin(best, checked).all()
+    cleared = np.array(results)
+    assert cleared.size == best.size and cleared.any()
+    assert np.isin(best[~cleared], checked).all()
+    assert np.isin(best, checked).any()
+    # a cleared call classifies nothing
+    assert not np.isin(best[cleared], checked).any()
     # the point-obstacle pair count multiplies by len(model.inflated)
     assert op["counters"]["point_obstacle_pairs"] > 0
 

@@ -380,6 +380,39 @@ def test_within_keeps_touching_obstacles_and_drops_distant_ones():
     assert local.point_free(Vec3(2.0, 2.0, 0.5))       # bbox corner, outside the disk
 
 
+# ball_free ------------------------------------------------------------------
+
+# (point touched, outward direction) on the model below
+_BALL_TOUCHES = {
+    "box face": ((2.5, 1.5, 1.5), (1, 0, 0)),
+    "box corner": ((2.5, 2.5, 2.5), (1, 1, 1)),
+    "cylinder side": ((-2.0, -3.0, -1.0), (1, 0, 0)),
+    "cylinder top": ((-3.0, -3.0, 0.5), (0, 0, 1)),
+    "cylinder bottom": ((-3.0, -3.0, -2.0), (0, 0, -1)),
+    "bounds low x": ((-10.0, 5.0, 5.0), (1, 0, 0)),
+    "bounds high x": ((10.0, 5.0, 5.0), (-1, 0, 0)),
+    "bounds low y": ((-5.0, -10.0, 5.0), (0, 1, 0)),
+    "bounds high y": ((-5.0, 10.0, 5.0), (0, -1, 0)),
+    "bounds low z": ((-5.0, 5.0, -10.0), (0, 0, 1)),
+    "bounds high z": ((-5.0, 5.0, 10.0), (0, 0, -1)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_BALL_TOUCHES))
+def test_ball_free_clears_a_ball_past_its_pad_and_no_nearer(kind):
+    # inflated by 0.5: the box spans 0.5..2.5, the sunken cylinder has its
+    # axis at (-3, -3), radius 1, bottom -2 and top 0.5
+    world = make_world((AxisBox(Vec3(1, 1, 1), Vec3(2, 2, 2)),
+                        Cylinder(Vec3(-3, -3, -2), 0.5, 2.0)),
+                       lo=(-10, -10, -10), hi=(10, 10, 10))
+    model = CollisionModel(world, QuadModel())
+    touch, outward = _BALL_TOUCHES[kind]
+    outward = np.array(outward, dtype=float) / np.linalg.norm(outward)
+    r = 0.7
+    for beyond, free in ((CULL_PAD / 2, False), (2 * CULL_PAD, True)):
+        assert model.ball_free(np.array(touch) + (r + beyond) * outward, r) is free
+
+
 # segment_free ---------------------------------------------------------------
 
 def test_segment_free_in_empty_world():
