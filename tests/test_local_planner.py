@@ -607,8 +607,7 @@ def _ball_case(seed: int):
     else:
         center, toward, mode = rng.uniform(lo, hi), _unit(rng.normal(size=3)), 0
     n = int(rng.integers(2, 20))
-    aims = np.where(rng.random((n, 1)) < 0.5, toward,
-                    rng.normal(size=(n, 3)) / np.sqrt(3))
+    aims = np.where(rng.random((n, 1)) < 0.5, toward, rng.normal(size=(n, 3)))
     aims /= np.linalg.norm(aims, axis=1, keepdims=True)
     scale = np.where(rng.random(n) < 0.8, 1.0, rng.uniform(0.0, 1.0, n))
     origins = center + r * scale[:, None] * aims
