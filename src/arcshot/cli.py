@@ -75,8 +75,11 @@ def _out_dir(args) -> Path:
 def _load_run_config(args) -> fileio.RunConfig:
     config = fileio.load_config(Path(args.config) if args.config else None)
     if getattr(args, "seed", None) is not None:
-        config = dataclasses.replace(
-            config, rrt=dataclasses.replace(config.rrt, seed=args.seed))
+        try:
+            rrt = dataclasses.replace(config.rrt, seed=args.seed)
+        except ValueError as exc:
+            raise SchemaError(f"--seed: {exc}") from exc
+        config = dataclasses.replace(config, rrt=rrt)
     return config
 
 
@@ -253,12 +256,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
-    except JSONDecodeError as exc:
+    except (JSONDecodeError, UnicodeDecodeError, FileNotFoundError) as exc:
         return _fail(exc, EXIT_PARSE)
-    except FileNotFoundError as exc:
-        return _fail(exc, EXIT_PARSE)
-    except ValueError as exc:
-        return _fail(exc, EXIT_SCHEMA)
     except ArcshotError as exc:
         for klass, code in _ERROR_EXITS:
             if isinstance(exc, klass):

@@ -315,7 +315,19 @@ def path_from_json(data: Any, path: str = "path") -> GlobalPath:
         ))
         if "t" in p:
             _expect_number(p["t"], f"{path}.poses[{i}].t")
+    _check_finite_steps(poses, path)
     return _build(path, GlobalPath, poses=tuple(poses))
+
+
+def _check_finite_steps(poses: list[Pose4], path: str) -> None:
+    """Each position must differ from the one before by a finite amount on
+    every axis: following a path steers along those differences."""
+    coords = [(q.position.x, q.position.y, q.position.z) for q in poses]
+    for i in range(1, len(coords)):
+        for axis, a, b in zip("xyz", coords[i - 1], coords[i]):
+            if not math.isfinite(b - a):
+                raise SchemaError(f"{path}.poses[{i}].{axis}: expected a finite "
+                                  f"difference from poses[{i - 1}], got {b - a!r}")
 
 
 def load_path(file: Path) -> GlobalPath:

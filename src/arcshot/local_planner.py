@@ -224,39 +224,36 @@ def _best_parent(tree: Tree, x_new: np.ndarray, radius: float,
     Minimizes node cost plus edge length; ties resolve to the earliest
     insertion. Returns None when every in-radius edge is blocked.
 
-    One `free_points` call classifies the cheapest edge's samples together
-    with every other candidate's last edge sample, `origin + (x_new - origin)`.
-    That sample may differ from `x_new` in the last bit, so it is tested
-    rather than `x_new`; it is also the last row `edge_points` gives the edge.
-    Only if the cheapest edge is blocked are the other edges whose last
-    sample is free classified, in one batch.
+    When `model.segment_clear` certifies the cheapest candidate's edge, it
+    wins with no point classified: every point `free_points` would see for
+    that edge, an `edge_points` row or `origin + (x_new - origin)`, is an
+    interpolation between the two ends that the certificate covers, so the
+    sequential rule accepts the first candidate in cost order, the first
+    index `argmin` gives. The ball of radius `dists[best]` round `x_new`
+    contains that edge, so every call whose ball lies CULL_PAD clear of the
+    obstacles and the bounds is certified, up to rounding far below the
+    pad, and with it every call whose whole neighbour ball does.
 
-    When `model.ball_free(x_new, radius)` holds, no edge is classified: the
-    cheapest candidate wins. Every point handed to `free_points` above, an
-    `edge_points` row or `origin + (x_new - origin)`, lies on the segment
-    from a candidate to `x_new`, up to rounding far below CULL_PAD, and every
-    candidate lies within `radius` of `x_new`. So each such point is within
-    `radius` + CULL_PAD of `x_new`, `free_points` would mark every edge free,
-    and the first index `argmin` gives is the one the stable sort puts first.
+    Otherwise one `free_points` call classifies the last edge sample of
+    every candidate, `origin + (x_new - origin)`. That sample may differ
+    from `x_new` in the last bit, so it is tested rather than `x_new`; it is
+    also the last row `edge_points` gives the edge. Then one batch
+    classifies the edges of the candidates whose last sample is free, and
+    the first free one in stable cost order wins.
     """
     dists = _distances(tree, x_new)
     candidates = (dists <= radius).nonzero()[0]
     if candidates.size == 0:
         return None
     totals = tree.costs[candidates] + dists[candidates]
-    if model.ball_free(x_new, radius):
-        return int(candidates[totals.argmin()])
+    best = int(candidates[totals.argmin()])
+    if model.segment_clear(tree.xyz[:, best], x_new):
+        return best
     # stable sort keeps insertion order within cost ties
     order = candidates[totals.argsort(kind="stable")]
     origins = tree.positions[order]
-    cheapest, _ = edge_points(origins[:1], x_new, step)
-    others = origins[1:]
-    free = model.free_points(np.concatenate((cheapest, others + (x_new - others))))
-    k = len(cheapest)
-    if free[:k].all():
-        return int(order[0])
-    reachable = free[k:]
-    order, origins = order[1:][reachable], others[reachable]
+    reachable = model.free_points(origins + (x_new - origins))
+    order, origins = order[reachable], origins[reachable]
     if order.size == 0:
         return None
     pts, first = edge_points(origins, x_new, step)
@@ -291,8 +288,9 @@ def walled_off(d: Discontinuity, window: SearchWindow, model: CollisionModel,
     exit has samples on both sides of the slab. Successive samples are at
     most `step` apart, up to the same rounding, so with the slab thicker than
     `step` plus the pad one of them lands inside the box and is blocked. An
-    edge that `_best_parent` accepts by `ball_free` is not sampled, but every
-    sample `edge_points` would take along it is free, so it is no exception.
+    edge that `_best_parent` accepts by `segment_clear` is not sampled, but
+    every sample `edge_points` would take along it is free, so it is no
+    exception.
 
     Some faces of the span need no pad, because no tested coordinate passes
     them at all. Each coordinate an attempt tests is the entry's, the exit's,

@@ -247,48 +247,68 @@ class CollisionModel:
         local._adopt(self.world, self.quad, rows[keep], self.raw[keep])
         return local
 
-    def ball_free(self, center: np.ndarray, r: float) -> bool:
-        """True when every point within `r` + CULL_PAD of `center` (a (3,)
-        row) gets a True `free_points` answer from this model; False says
-        nothing.
+    def segment_clear(self, a: np.ndarray, b: np.ndarray) -> bool:
+        """True when every point `edge_points` would sample along a->b (two
+        (3,) rows) gets a True `free_points` answer from this model; False
+        says nothing.
 
-        It holds when the cube of that half width round `center` lies in the
-        bounds and the ball misses every inflated obstacle: a cylinder by a
-        vertical gap or by a horizontal distance from its axis beyond its
-        radius plus the half width, a box by a Euclidean distance beyond the
-        half width. Its own rounding is a few ulps of the coordinates, far
-        below CULL_PAD, so every point within `r` of `center`, up to rounding
-        far below the pad, is free. One scalar pass over this model's rows,
-        which stops at the first it cannot clear, keeps the test cheap on a
-        model culled with `within`.
+        It holds when the closed segment lies in the bounds shrunk by
+        CULL_PAD and misses every inflated obstacle grown by CULL_PAD: a box
+        by a slab test, a cylinder by clipping the segment to its z-range
+        and testing the clipped part against its disk in the plane
+        (Ericson, *Real-Time Collision Detection*, 2004, 5.3). A sample is
+        fl(a + fl(t * fl(b - a))) with t in [0, 1], the segment's point at t
+        up to a few ulps of the coordinates, and this test's own rounding is
+        of the same size, both far below CULL_PAD; so every sample lies in
+        the bounds and outside every inflated obstacle.
+
+        A bounds bottom of exactly 0.0 (the ground) is not shrunk: when both
+        ends have z >= 0, no sample's z is below 0 (`walled_off`'s lemma on
+        interpolated coordinates), so every sample passes that face. One
+        scalar pass over this model's rows, which stops at the first it
+        cannot clear, keeps the test cheap on a model culled with `within`.
         """
-        reach = r + CULL_PAD
-        x, y, z = center.tolist()
+        ax, ay, az = a.tolist()
+        bx, by, bz = b.tolist()
         (lx, ly, lz), (hx, hy, hz), cylinders, boxes = self._scalar_rows
-        if not (lx <= x - reach and x + reach <= hx and ly <= y - reach
-                and y + reach <= hy and lz <= z - reach and z + reach <= hz):
+        if not (lx <= ax <= hx and lx <= bx <= hx and ly <= ay <= hy
+                and ly <= by <= hy and lz <= az <= hz and lz <= bz <= hz):
             return False
-        for ax, ay, bottom, top, radius in cylinders:
-            if bottom <= z + reach and z - reach <= top:
-                dx, dy, far = x - ax, y - ay, radius + reach
-                if dx * dx + dy * dy <= far * far:
+        dx, dy, dz = bx - ax, by - ay, bz - az
+        dd = dx * dx + dy * dy
+        for cx, cy, bottom, top, radius in cylinders:
+            t0, t1 = _clip(az, dz, bottom, top, 0.0, 1.0)
+            if t0 <= t1:
+                # the clipped part's closest point to the axis in the plane
+                ex, ey = cx - ax, cy - ay
+                t = (ex * dx + ey * dy) / dd if dd > 0.0 else t0
+                t = t0 if t < t0 else t1 if t > t1 else t
+                ex, ey = ex - t * dx, ey - t * dy
+                if ex * ex + ey * ey <= radius * radius:
                     return False
         for x0, y0, z0, x1, y1, z1 in boxes:
-            dx = max(x0 - x, x - x1, 0.0)
-            dy = max(y0 - y, y - y1, 0.0)
-            dz = max(z0 - z, z - z1, 0.0)
-            if dx * dx + dy * dy + dz * dz <= reach * reach:
-                return False
+            t0, t1 = _clip(ax, dx, x0, x1, 0.0, 1.0)
+            if t0 <= t1:
+                t0, t1 = _clip(ay, dy, y0, y1, t0, t1)
+                if t0 <= t1:
+                    t0, t1 = _clip(az, dz, z0, z1, t0, t1)
+                    if t0 <= t1:
+                        return False
         return True
 
     @functools.cached_property
     def _scalar_rows(self) -> tuple[list, list, list, list]:
-        """`ball_free`'s inputs as Python floats, built on its first call:
-        the bounds' min and max, the cylinders as (axis x, axis y, bottom, top,
-        radius) and the boxes as (MIN, MAX)."""
-        return (self._lo.tolist(), self._hi.tolist(),
-                self._cyl[:, [AXIS_X, AXIS_Y, BOTTOM, TOP, RADIUS]].tolist(),
-                self._box[:, :6].tolist())
+        """`segment_clear`'s inputs as Python floats, built on its first
+        call: the bounds' min and max moved in by CULL_PAD (a bottom at 0.0
+        stays), then the cylinders as (axis x, axis y, bottom, top, radius)
+        and the boxes as (MIN, MAX), grown by CULL_PAD."""
+        lo, hi = self._lo + CULL_PAD, self._hi - CULL_PAD
+        if self._lo[2] == 0.0:
+            lo[2] = 0.0
+        cyl = self._cyl[:, [AXIS_X, AXIS_Y, BOTTOM, TOP, RADIUS]]
+        return (lo.tolist(), hi.tolist(),
+                (cyl + (0.0, 0.0, -CULL_PAD, CULL_PAD, CULL_PAD)).tolist(),
+                (self._box[:, :6] + ((-CULL_PAD,) * 3 + (CULL_PAD,) * 3)).tolist())
 
     def separates(self, a: np.ndarray, b: np.ndarray, lo: np.ndarray,
                   hi: np.ndarray, thickness: float) -> bool:
@@ -359,6 +379,18 @@ class CollisionModel:
 def collision_model(world: World, quad: QuadModel) -> CollisionModel:
     """A new `CollisionModel(world, quad)`; nothing is cached."""
     return CollisionModel(world, quad)
+
+
+def _clip(p: float, d: float, lo: float, hi: float, t0: float,
+          t1: float) -> tuple[float, float]:
+    """The part of [t0, t1] where p + t * d lies in [lo, hi]; empty (first
+    above second) when there is none."""
+    if d == 0.0:
+        return (t0, t1) if lo <= p <= hi else (1.0, 0.0)
+    u, v = (lo - p) / d, (hi - p) / d
+    if u > v:
+        u, v = v, u
+    return (u if u > t0 else t0), (v if v < t1 else t1)
 
 
 def edge_points(origins: np.ndarray, end: np.ndarray,

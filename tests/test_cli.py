@@ -93,13 +93,13 @@ def test_benchmark_tracer_still_wraps_the_planner(tmp_path, monkeypatch):
     import tracing
 
     results = []
-    ball_free = CollisionModel.ball_free
+    segment_clear = CollisionModel.segment_clear
 
-    def recording(self, center, r):
-        results.append(ball_free(self, center, r))
+    def recording(self, a, b):
+        results.append(segment_clear(self, a, b))
         return results[-1]
 
-    monkeypatch.setattr(CollisionModel, "ball_free", recording)
+    monkeypatch.setattr(CollisionModel, "segment_clear", recording)
     with tracing.installed(tracing.Tracer()) as tracer:
         tracer.begin_op(0)
         assert cli.main(["plan", *demo_args(tmp_path / "plan")]) == cli.EXIT_OK
@@ -110,8 +110,8 @@ def test_benchmark_tracer_still_wraps_the_planner(tmp_path, monkeypatch):
         assert tracing.span_ms(tracer, name), name
     # best-parent collision work must reach the wrapped model.free_points: x_new
     # lies within extend_dist < neighbour radius of a node, so every call has a
-    # candidate and asks for one clearance test, in span order; a call whose
-    # ball is not cleared classifies its edges
+    # candidate and asks for one certificate of its cheapest edge, in span
+    # order; a call whose edge is not certified classifies its edges
     op = tracer.ops[0]
     best = np.flatnonzero(op["name"] == tracer.names.index("local_planner.best_parent"))
     checked = op["parent"][op["name"] == tracer.names.index("world.free_points")]
@@ -119,7 +119,7 @@ def test_benchmark_tracer_still_wraps_the_planner(tmp_path, monkeypatch):
     assert cleared.size == best.size and cleared.any()
     assert np.isin(best[~cleared], checked).all()
     assert np.isin(best, checked).any()
-    # a cleared call classifies nothing
+    # a certified call classifies nothing
     assert not np.isin(best[cleared], checked).any()
     # the point-obstacle pair count multiplies by len(model.inflated)
     assert op["counters"]["point_obstacle_pairs"] > 0
@@ -147,7 +147,8 @@ def test_benchmark_tracer_still_wraps_the_replay(tmp_path, monkeypatch):
 
 
 def test_execute_overflow_is_a_schema_error_without_a_trajectory(tmp_path, capsys):
-    # the replay meets an infinite coordinate difference between the two poses
+    # the replay would meet an infinite coordinate difference between the two
+    # poses; the path loader refuses such a path before anything runs
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"schema": "path/1", "poses": [
         {"x": 1.7e308, "y": 0.0, "z": 2.0, "yaw": 0.0},
@@ -157,8 +158,38 @@ def test_execute_overflow_is_a_schema_error_without_a_trajectory(tmp_path, capsy
                      "--path", str(path), "--out", str(out)])
     assert code == cli.EXIT_SCHEMA
     err = json.loads(capsys.readouterr().err)["error"]
-    assert err == {"kind": "ValueError", "message": "Vec3.x must be finite, got inf"}
+    assert err == {"kind": "SchemaError", "message":
+                   "path.poses[1].x: expected a finite difference from poses[0], got -inf"}
     assert not (out / "trajectory.json").exists()
+
+
+def test_an_internal_value_error_exits_1(tmp_path, capsys, monkeypatch):
+    # only input faults map to exit 3; a ValueError the program raises on
+    # valid inputs is its own fault
+    def broken(*args, **kwargs):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(cli, "plan_shot", broken)
+    assert cli.main(["plan", *demo_args(tmp_path / "out")]) == cli.EXIT_INTERNAL
+    assert json.loads(capsys.readouterr().err)["error"] == {"kind": "ValueError",
+                                                            "message": "internal"}
+
+
+def test_a_seed_out_of_range_is_a_schema_error(tmp_path, capsys):
+    code = cli.main(["plan", *demo_args(tmp_path / "out", seed=-1)])
+    assert code == cli.EXIT_SCHEMA
+    assert json.loads(capsys.readouterr().err)["error"] == {
+        "kind": "SchemaError",
+        "message": "--seed: seed must be an unsigned 64-bit integer, got -1"}
+
+
+def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    bad = tmp_path / "world.json"
+    bad.write_bytes(b'{"schema": "world/1\xff"}')
+    code = cli.main(["plan", "--world", str(bad), "--shot", str(DEMO / "shot.json"),
+                     "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_PARSE
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == "UnicodeDecodeError"
 
 
 def test_plan_is_byte_identical_across_runs(tmp_path):

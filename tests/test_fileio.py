@@ -199,6 +199,25 @@ def test_path_pose_time_must_be_a_finite_number(t, message):
     assert len(fileio.path_from_json(payload)) == 2
 
 
+@pytest.mark.parametrize("first, second, message", [
+    ((1.7e308, 0.0, 2.0), (-1.7e308, 0.0, 2.0),
+     "path.poses[1].x: expected a finite difference from poses[0], got -inf"),
+    ((0.0, -1e308, 2.0), (0.0, 1e308, 2.0),
+     "path.poses[1].y: expected a finite difference from poses[0], got inf"),
+    ((0.0, 0.0, -1.7976931348623157e308), (0.0, 0.0, 1e292),
+     "path.poses[1].z: expected a finite difference from poses[0], got inf"),
+])
+def test_path_poses_must_differ_by_finite_amounts(first, second, message):
+    # following a path steers along the differences of consecutive poses
+    poses = [dict(zip("xyz", p), yaw=0.0) for p in (first, second)]
+    with pytest.raises(SchemaError) as err:
+        fileio.path_from_json({"schema": "path/1", "poses": poses})
+    assert str(err.value) == message
+    # the same extremes a finite step apart load
+    near = [dict(zip("xyz", p), yaw=0.0) for p in (first, first)]
+    assert len(fileio.path_from_json({"schema": "path/1", "poses": near})) == 2
+
+
 def test_config_rejects_unknown_keys():
     payload = {"schema": "config/1", "rrt": {"extend_distance": 1.0}}
     with pytest.raises(SchemaError) as err:

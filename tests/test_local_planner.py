@@ -531,11 +531,10 @@ def test_best_parent_when_the_cheapest_endpoint_is_blocked(seed):
     assert expected not in (None, 0)
 
 
-# ball_free ------------------------------------------------------------------
+# segment_clear ----------------------------------------------------------------
 
-# how far beyond r a touching ball's center sits from what it touches: from
-# touching at r itself, through rounding-sized gaps the test's CULL_PAD must
-# cover, to just clear of r + CULL_PAD
+# how far a touching segment lies from what it touches: from touching, through
+# rounding-sized gaps the test's CULL_PAD must cover, to just clear of CULL_PAD
 _TOUCH = (0.0, 1e-15, 1e-12, CULL_PAD - 1e-9, CULL_PAD, CULL_PAD + 1e-12,
           CULL_PAD + 1e-9, CULL_PAD + 1e-7)
 
@@ -544,14 +543,20 @@ def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _ball_case(seed: int):
-    """(model, center, r, origins, step, touching): boxes and cylinders, some
-    sunken, in bounds that may reach below ground, and a ball that mostly
-    touches a box face or corner, a cylinder's side, top or bottom, or a
-    bounds face (`_TOUCH`). Most origins lie on the ball's rim, half of them
-    toward what it touches."""
+def _segment_case(seed: int):
+    """(model, a, b, toward, step, touching, grounded): boxes and
+    cylinders, some sunken, in bounds that reach below ground or stop at it
+    (a bottom of 0.0 or -0.0), and a segment a->b that mostly touches a box
+    face or corner, a cylinder's side, top or bottom, or a bounds face
+    (`_TOUCH`), lying in the plane that supports it there; `toward` is the
+    unit normal of that plane toward what it touches. Some segments are
+    axis-parallel, some have zero length, some lie on a ground at z = 0
+    (`grounded`), and some have one end below ground."""
     rng = np.random.default_rng(seed)
     lo = rng.uniform((-8, -8, -3), (-4, -4, 0))
+    ground = rng.random() < 0.3
+    if ground:
+        lo[2] = rng.choice([0.0, -0.0])
     hi = rng.uniform((4, 4, 3), (8, 8, 8))
     obstacles = []
     for _ in range(int(rng.integers(1, 5))):
@@ -567,103 +572,131 @@ def _ball_case(seed: int):
     world = World(AxisBox(Vec3.from_array(lo), Vec3.from_array(hi)), tuple(obstacles),
                   Vec3.from_array((lo + hi) / 2))
     model = CollisionModel(world, BP_QUAD)
-    r = float(rng.uniform(0.05, 1.5))
-    gap = r + float(rng.choice(_TOUCH))
+    gap = float(rng.choice(_TOUCH))
     rows = model.inflated
     boxes, cylinders = rows[np.isnan(rows[:, RADIUS])], rows[rows[:, RADIUS] > 0]
-    mode = int(rng.integers(6))
+    mode = int(rng.integers(7))
     if mode == 1 and len(boxes):        # a box face
         row = boxes[rng.integers(len(boxes))]
         axis, side = int(rng.integers(3)), int(rng.integers(2))
-        center = rng.uniform(row[MIN], row[MAX])
-        center[axis] = row[MAX][axis] + gap if side else row[MIN][axis] - gap
-        toward = np.eye(3)[axis] * (-1.0 if side else 1.0)
+        p = rng.uniform(row[MIN], row[MAX])
+        p[axis] = row[MAX][axis] + gap if side else row[MIN][axis] - gap
+        outward = np.eye(3)[axis] * (1.0 if side else -1.0)
     elif mode == 2 and len(boxes):      # a box corner or edge
         row = boxes[rng.integers(len(boxes))]
         outward = _unit(rng.uniform(0.0, 1.0, 3) * (rng.random(3) < 0.7) + 1e-3)
         signs = rng.choice([-1.0, 1.0], 3)
-        corner = np.where(signs > 0, row[MAX], row[MIN])
-        center = corner + gap * outward * signs
-        toward = -outward * signs
+        p = np.where(signs > 0, row[MAX], row[MIN]) + gap * outward * signs
+        outward = outward * signs
     elif mode == 3 and len(cylinders):  # a cylinder's side
         row = cylinders[rng.integers(len(cylinders))]
         a = rng.uniform(0, 2 * np.pi)
-        radial = np.array([np.cos(a), np.sin(a), 0.0])
-        center = np.array([row[AXIS_X], row[AXIS_Y],
-                           rng.uniform(row[BOTTOM], row[TOP])]) + (row[RADIUS] + gap) * radial
-        toward = -radial
+        outward = np.array([np.cos(a), np.sin(a), 0.0])
+        p = np.array([row[AXIS_X], row[AXIS_Y],
+                      rng.uniform(row[BOTTOM], row[TOP])]) + (row[RADIUS] + gap) * outward
     elif mode == 4 and len(cylinders):  # a cylinder's top or bottom
         row = cylinders[rng.integers(len(cylinders))]
         a, k = rng.uniform(0, 2 * np.pi), row[RADIUS] * np.sqrt(rng.uniform())
         up = bool(rng.integers(2))
-        center = np.array([row[AXIS_X] + k * np.cos(a), row[AXIS_Y] + k * np.sin(a),
-                           row[TOP] + gap if up else row[BOTTOM] - gap])
-        toward = np.array([0.0, 0.0, -1.0 if up else 1.0])
+        p = np.array([row[AXIS_X] + k * np.cos(a), row[AXIS_Y] + k * np.sin(a),
+                      row[TOP] + gap if up else row[BOTTOM] - gap])
+        outward = np.array([0.0, 0.0, 1.0 if up else -1.0])
     elif mode == 5:                     # a bounds face
         axis, side = int(rng.integers(3)), int(rng.integers(2))
-        center = rng.uniform(lo, hi)
-        center[axis] = hi[axis] - gap if side else lo[axis] + gap
-        toward = np.eye(3)[axis] * (1.0 if side else -1.0)
+        p = rng.uniform(lo, hi)
+        p[axis] = hi[axis] - gap if side else lo[axis] + gap
+        outward = np.eye(3)[axis] * (-1.0 if side else 1.0)
     else:
-        center, toward, mode = rng.uniform(lo, hi), _unit(rng.normal(size=3)), 0
-    n = int(rng.integers(2, 20))
-    aims = np.where(rng.random((n, 1)) < 0.5, toward, rng.normal(size=(n, 3)))
-    aims /= np.linalg.norm(aims, axis=1, keepdims=True)
-    scale = np.where(rng.random(n) < 0.8, 1.0, rng.uniform(0.0, 1.0, n))
-    origins = center + r * scale[:, None] * aims
+        p, outward, mode = rng.uniform(lo, hi), _unit(rng.normal(size=3)), 0
+    if rng.random() < 0.3:
+        # the coordinate axis closest to the plane; in it for a face
+        u = np.eye(3)[int(np.argmin(np.abs(outward)))]
+    else:
+        u = _unit(np.cross(outward, rng.normal(size=3)))
+    length = 0.0 if rng.random() < 0.1 else float(rng.uniform(0.0, 3.0))
+    before = length * float(rng.choice([0.0, rng.uniform(), 1.0]))
+    a, b = p - before * u, p + (length - before) * u
+    grounded = ground and rng.random() < 0.3
+    if grounded:                        # lying on the ground
+        a[2] = b[2] = 0.0
+    elif rng.random() < 0.1:            # one end below ground
+        (a, b)[int(rng.integers(2))][2] = -float(rng.choice([5e-324, 1e-12, 1e-3, 0.5]))
     step = float(rng.uniform(0.05, 0.5))
-    return model, center, r, origins, step, mode > 0
+    return model, a, b, -outward, step, mode > 0, grounded
 
 
-def _check_ball(seed: int) -> tuple[bool, bool]:
-    """Whether `ball_free` clears `_ball_case(seed)`'s ball, on the model and
-    culled round the ball, and whether it touches; a cleared ball must free
-    every point `_best_parent` would classify for in-radius origins."""
-    model, center, r, origins, step, touching = _ball_case(seed)
-    tree = _grow_tree(origins, np.random.default_rng(0))
-    near = origins[_distances(tree, center) <= r]
+def _check_segment(seed: int) -> tuple[bool, bool, bool]:
+    """Whether `segment_clear` certifies `_segment_case(seed)`'s segment on
+    the model, whether it touches and whether it lies on the ground. A
+    segment certified on the model, or on the model culled round it, must
+    free every point `_best_parent` would classify for that edge, and those
+    points moved half the pad toward what the segment touches: the pad, not
+    luck in the rounding, keeps them free. On a ground at z = 0 the move
+    stops at the ground, which is not padded."""
+    model, a, b, toward, step, touching, grounded = _segment_case(seed)
     cleared = []
-    for m in (model, model.within(AxisBox(Vec3.from_array(center - r),
-                                          Vec3.from_array(center + r)))):
-        cleared.append(m.ball_free(center, r))
-        if cleared[-1] and len(near):
-            pts, _ = edge_points(near, center, step)
-            assert m.free_points(pts).all()
-            assert m.free_points(near + (center - near)).all()
-    return cleared[0], touching
+    for m in (model, model.within(AxisBox(Vec3.from_array(np.minimum(a, b)),
+                                          Vec3.from_array(np.maximum(a, b))))):
+        cleared.append(m.segment_clear(a, b))
+        if cleared[-1]:
+            pts, _ = edge_points(a[None, :], b, step)
+            assert model.free_points(pts).all()
+            assert model.free_points((a + (b - a))[None, :]).all()
+            moved = pts + CULL_PAD / 2 * toward
+            if model.world.bounds.min.z == 0.0:
+                moved[:, 2] = np.maximum(moved[:, 2], 0.0)
+            assert model.free_points(moved).all()
+    return cleared[0], touching, grounded
 
 
-def test_a_free_ball_frees_every_best_parent_point():
+def test_a_clear_segment_frees_every_edge_point():
     # the floors count a fixed seed sweep, so no loaded module can move them
     # (hypothesis seeds its draws with constants from every loaded module)
-    cleared, touching = np.array([_check_ball(seed) for seed in range(400)]).T
+    cleared, touching, grounded = np.array([_check_segment(seed) for seed in range(400)]).T
     assert cleared.sum() >= 100
     assert (cleared & touching).sum() >= 40
+    assert (cleared & grounded).sum() >= 10
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
     def check(seed):
-        _check_ball(seed)
+        _check_segment(seed)
 
     check()
 
 
+def _cheapest(tree: Tree, x_new: np.ndarray, radius: float) -> int | None:
+    """The in-radius node of least cost plus distance, as `_best_parent`
+    picks it; None when no node lies within the radius."""
+    dists = _distances(tree, x_new)
+    near = np.flatnonzero(dists <= radius)
+    return int(near[(tree.costs[near] + dists[near]).argmin()]) if near.size else None
+
+
 def _clustered_case(seed: int):
     """A `_random_case` world with a small radius and the tree's nodes near
-    x_new, so the clearance test often holds; on a grid, cost ties are common."""
+    x_new, so the certificate often holds; on a grid, cost ties are common.
+    A third of the cases add a box across the cheapest edge, whose
+    certificate then fails."""
     rng = np.random.default_rng(seed)
     world, _, x_new, _, step = _random_case(int(rng.integers(2 ** 32)), bool(rng.integers(2)))
     radius = float(rng.uniform(0.2, 1.2))
     nodes = x_new + rng.uniform(-1.5, 1.5, size=(int(rng.integers(1, 30)), 3)) * radius
     if rng.random() < 0.5:
         nodes = np.round(nodes * 8) / 8
-    return world, _grow_tree(nodes, rng), x_new, radius, step
+    tree = _grow_tree(nodes, rng)
+    best = _cheapest(tree, x_new, radius)
+    if rng.random() < 1 / 3 and best is not None:
+        mid, half = (tree.positions[best] + x_new) / 2, rng.uniform(0.01, 0.1, 3)
+        world = dataclasses.replace(world, obstacles=world.obstacles + (
+            AxisBox(Vec3.from_array(mid - half), Vec3.from_array(mid + half)),))
+    return world, tree, x_new, radius, step
 
 
 def _best_parent_agrees(seed: int) -> bool | None:
     """`_clustered_case(seed)` against the sequential oracle, on the model
-    and culled round the tree as in an attempt. Whether its ball was cleared;
-    None when no node lies within the radius."""
+    and culled round the tree as in an attempt. Whether the cheapest edge
+    was certified; None when no node lies within the radius."""
     world, tree, x_new, radius, step = _clustered_case(seed)
     model = CollisionModel(world, BP_QUAD)
     expected = sequential_best_parent(tree, x_new, radius, model, step)
@@ -672,12 +705,11 @@ def _best_parent_agrees(seed: int) -> bool | None:
     local = model.within(AxisBox(Vec3.from_array(pts.min(axis=0)),
                                  Vec3.from_array(pts.max(axis=0))))
     assert _best_parent(tree, x_new, radius, local, step) == expected
-    if not (_distances(tree, x_new) <= radius).any():
-        return None
-    return model.ball_free(x_new, radius)
+    best = _cheapest(tree, x_new, radius)
+    return None if best is None else model.segment_clear(tree.positions[best], x_new)
 
 
-def test_best_parent_matches_the_oracle_with_and_without_a_free_ball():
+def test_best_parent_matches_the_oracle_with_and_without_a_certificate():
     # a fixed seed sweep carries the floors, as above
     cleared = [_best_parent_agrees(seed) for seed in range(300)]
     assert cleared.count(True) >= 100

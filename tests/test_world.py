@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from arcshot.world import (AXIS_X, AXIS_Y, BOTTOM, CULL_PAD, INDEX, MAX, MIN, RADIUS,
                            RADIUS_SQ, TOP, AxisBox, CollisionModel, Cylinder, QuadModel,
-                           Vec3, World, obstacle_rows)
+                           Vec3, World, edge_points, obstacle_rows)
 from conftest import make_world
 from world_reference import bounding_box, inflate, inflated_rows, packed_arrays
 
@@ -380,9 +380,9 @@ def test_within_keeps_touching_obstacles_and_drops_distant_ones():
     assert local.point_free(Vec3(2.0, 2.0, 0.5))       # bbox corner, outside the disk
 
 
-# ball_free ------------------------------------------------------------------
+# segment_clear ----------------------------------------------------------------
 
-# (point touched, outward direction) on the model below
+# (point touched, outward direction) on the model `_touch_model` builds
 _BALL_TOUCHES = {
     "box face": ((2.5, 1.5, 1.5), (1, 0, 0)),
     "box corner": ((2.5, 2.5, 2.5), (1, 1, 1)),
@@ -398,19 +398,107 @@ _BALL_TOUCHES = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(_BALL_TOUCHES))
-def test_ball_free_clears_a_ball_past_its_pad_and_no_nearer(kind):
+def _touch_model() -> CollisionModel:
     # inflated by 0.5: the box spans 0.5..2.5, the sunken cylinder has its
     # axis at (-3, -3), radius 1, bottom -2 and top 0.5
     world = make_world((AxisBox(Vec3(1, 1, 1), Vec3(2, 2, 2)),
                         Cylinder(Vec3(-3, -3, -2), 0.5, 2.0)),
                        lo=(-10, -10, -10), hi=(10, 10, 10))
-    model = CollisionModel(world, QuadModel())
+    return CollisionModel(world, QuadModel())
+
+
+def _touching(kind: str) -> tuple[np.ndarray, np.ndarray]:
     touch, outward = _BALL_TOUCHES[kind]
-    outward = np.array(outward, dtype=float) / np.linalg.norm(outward)
+    return np.array(touch, dtype=float), np.array(outward, dtype=float) / np.linalg.norm(outward)
+
+
+def _across(outward: np.ndarray) -> np.ndarray:
+    """A unit direction perpendicular to `outward`, parallel to no axis."""
+    u = np.cross(outward, (0.3, 0.5, 0.8))
+    return u / np.linalg.norm(u)
+
+
+@pytest.mark.parametrize("kind", sorted(_BALL_TOUCHES))
+def test_ball_free_clears_a_ball_past_its_pad_and_no_nearer(kind):
+    # every edge in a ball that stays CULL_PAD clear is certified: the radius
+    # toward what the ball touches, a diameter along and one across that
+    # direction, and the center alone; a ball nearer than the pad leaves the
+    # radius toward what it touches uncertified, in either direction
+    model = _touch_model()
+    touch, outward = _touching(kind)
+    across = _across(outward)
     r = 0.7
     for beyond, free in ((CULL_PAD / 2, False), (2 * CULL_PAD, True)):
-        assert model.ball_free(np.array(touch) + (r + beyond) * outward, r) is free
+        center = touch + (r + beyond) * outward
+        rim = center - r * outward
+        assert model.segment_clear(center, rim) is free
+        assert model.segment_clear(rim, center) is free
+    for a, b in ((center + r * outward, rim), (center - r * across, center + r * across),
+                 (center, center)):
+        assert model.segment_clear(a, b)
+
+
+def _plane_segment(touch, outward, beyond, shape):
+    """A segment `beyond` off the touched point in the plane that supports
+    the obstacle there, so its nearest point to the obstacle is that far."""
+    p = touch + beyond * outward
+    if shape == "zero length":
+        return p, p.copy()
+    if shape == "axis-parallel":
+        # a coordinate axis in the face's plane; at the corner, along x,
+        # which passes the box's top edge at sqrt(2/3) of `beyond`: still
+        # past the pad at twice the pad, and inside it at half the pad
+        u = np.eye(3)[int(np.argmin(np.abs(outward)))]
+    else:
+        u = _across(outward)
+    return (p, p + 0.9 * u) if shape == "ending there" else (p - 0.9 * u, p + 0.9 * u)
+
+
+@pytest.mark.parametrize("shape", ["axis-parallel", "oblique", "ending there", "zero length"])
+@pytest.mark.parametrize("kind", sorted(_BALL_TOUCHES))
+def test_segment_clear_clears_a_segment_past_its_pad_and_no_nearer(kind, shape):
+    model = _touch_model()
+    touch, outward = _touching(kind)
+    for beyond, free in ((CULL_PAD / 2, False), (2 * CULL_PAD, True)):
+        a, b = _plane_segment(touch, outward, beyond, shape)
+        assert model.segment_clear(a, b) is free
+        assert model.segment_clear(b, a) is free
+        if free:
+            assert model.free_points(edge_points(a[None, :], b, 0.05)[0]).all()
+
+
+@pytest.mark.parametrize("bottom", [0.0, -0.0])
+def test_segment_clear_takes_a_ground_at_zero_unpadded_when_both_ends_are_on_it(bottom):
+    # no interpolation between two ends at z >= 0 goes below 0, so a segment
+    # lying on the ground is certified; an end below it never is
+    world = make_world((Cylinder(Vec3(3, 3, 0), 0.5, 2.0),), lo=(-10, -10, bottom))
+    model = CollisionModel(world, QuadModel())
+    on = np.array([-3.0, 1.0, 0.0]), np.array([4.0, -2.0, 0.0])
+    assert model.segment_clear(*on)
+    assert model.free_points(edge_points(on[0][None, :], on[1], 0.05)[0]).all()
+    assert model.segment_clear(np.array([-3.0, 1.0, -0.0]), np.array([1.0, 1.0, 0.0]))
+    # a grounded pillar, inflated to radius 1, is padded as usual
+    assert model.segment_clear(np.array([3.0, 4.0 + 2 * CULL_PAD, 0.0]),
+                               np.array([-3.0, 4.0 + 2 * CULL_PAD, 0.0]))
+    assert not model.segment_clear(np.array([3.0, 4.0 + CULL_PAD / 2, 0.0]),
+                                   np.array([-3.0, 4.0 + CULL_PAD / 2, 0.0]))
+    for below in (-5e-324, -1e-12, -0.5):
+        for a, b in ((np.array([-3.0, 1.0, below]), np.array([4.0, -2.0, 2.0])),
+                     (np.array([-3.0, 1.0, 2.0]), np.array([4.0, -2.0, below]))):
+            assert not model.segment_clear(a, b)
+            assert not model.free_points(np.vstack([a, b])).all()
+
+
+@pytest.mark.parametrize("bottom", [5e-324, 1e-9, -1e-9, -3.0])
+def test_segment_clear_pads_any_other_bounds_bottom(bottom):
+    model = CollisionModel(make_world(lo=(-10, -10, bottom)), QuadModel())
+    assert not model.segment_clear(np.array([-3.0, 1.0, bottom]),
+                                   np.array([4.0, -2.0, bottom]))
+    lifted = bottom + 2 * CULL_PAD
+    assert model.segment_clear(np.array([-3.0, 1.0, lifted]), np.array([4.0, -2.0, lifted]))
+    if bottom < -1.0:
+        # bounds below ground: an end below z = 0 needs no exemption
+        assert model.segment_clear(np.array([-3.0, 1.0, -1.0]), np.array([4.0, -2.0, 2.0]))
 
 
 # segment_free ---------------------------------------------------------------
