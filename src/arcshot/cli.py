@@ -11,11 +11,10 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from json import JSONDecodeError
 from pathlib import Path
-
-import numpy as np
 
 from . import bench as bench_mod
 from . import fileio, render
@@ -129,8 +128,11 @@ def _cmd_execute(args) -> int:
     config = _load_run_config(args)
 
     ground = world.bounds.min.z
-    first = path[0]
-    start = SimState(Vec3(first.position.x, first.position.y, ground), first.yaw)
+    x, y, z, yaw = path.rows[0].tolist()
+    if not math.isfinite(z - ground):
+        raise SchemaError(f"path.poses[0].z: expected a finite difference from "
+                          f"world.bounds.min.z, got {z - ground!r}")
+    start = SimState(Vec3(x, y, ground), yaw)
 
     out = _out_dir(args)
     try:
@@ -193,9 +195,7 @@ def _cmd_render(args) -> int:
     final_path = fileio.load_path(Path(args.path)) if args.path else None
     trajectory = None
     if args.trajectory:
-        poses = fileio.load_path(Path(args.trajectory)).poses
-        trajectory = np.array([(p.position.x, p.position.y, p.position.z, p.yaw, 0.0)
-                               for p in poses])
+        trajectory = fileio.load_path(Path(args.trajectory)).rows
 
     out = _out_dir(args)
     svg = render.render_scene(CollisionModel(world, config.quad), arc=arc,

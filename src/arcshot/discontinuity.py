@@ -69,5 +69,5 @@ def find_discontinuities(path: GlobalPath, model: CollisionModel,
         else:
             spans.append([entry, exit_])
 
-    return [Discontinuity(entry, exit_, path.poses[entry], path.poses[exit_])
+    return [Discontinuity(entry, exit_, path[entry], path[exit_])
             for entry, exit_ in spans]

@@ -72,14 +72,11 @@ def follow(path: GlobalPath, start: SimState, cfg: FollowConfig,
     TimeoutExceeded (carrying the partial log) if cfg.max_time elapses first, and
     ValueError where `Vec3` arithmetic would meet a non-finite coordinate.
     """
-    if len(path) == 0:
-        raise ValueError("cannot follow an empty path")
     dt, tolerance, max_time = cfg.dt, cfg.waypoint_tolerance, cfg.max_time
 
-    first = path[0]
     p = start.position
-    targets = [(p.x, p.y, first.position.z, first.yaw)]
-    targets += [(q.position.x, q.position.y, q.position.z, q.yaw) for q in path.poses]
+    targets = path.rows.tolist()
+    targets.insert(0, [p.x, p.y, *targets[0][2:]])
 
     x, y, z, yaw, t = p.x, p.y, p.z, start.yaw, start.time
     log = [x, y, z, yaw, t]

@@ -29,7 +29,7 @@ from .executor import LOG_COLUMNS, FollowConfig
 from .local_planner import RrtParams
 from .pipeline import PlanReport
 from .render import DEFAULT_WIDTH
-from .shot import ArcShotSpec, GlobalPath, Pose4
+from .shot import ArcShotSpec, GlobalPath
 from .world import AxisBox, Cylinder, Obstacle, QuadModel, Vec3, World
 
 WORLD_SCHEMA = "world/1"
@@ -301,42 +301,34 @@ def path_from_json(data: Any, path: str = "path") -> GlobalPath:
     obj = _expect_mapping(data, path)
     _check_schema(obj, PATH_SCHEMA, path)
     _check_keys(obj, {"schema", "poses"}, ("schema", "poses"), path)
-    poses = []
+    values = []
     for i, entry in enumerate(_expect_list(obj["poses"], f"{path}.poses")):
-        p = _expect_mapping(entry, f"{path}.poses[{i}]")
-        _check_keys(p, {"x", "y", "z", "yaw", "t"}, ("x", "y", "z", "yaw"),
-                    f"{path}.poses[{i}]")
-        poses.append(_build(
-            f"{path}.poses[{i}]", Pose4,
-            position=Vec3(_expect_number(p["x"], f"{path}.poses[{i}].x"),
-                          _expect_number(p["y"], f"{path}.poses[{i}].y"),
-                          _expect_number(p["z"], f"{path}.poses[{i}].z")),
-            yaw=_expect_number(p["yaw"], f"{path}.poses[{i}].yaw"),
-        ))
-        if "t" in p:
-            _expect_number(p["t"], f"{path}.poses[{i}].t")
-    _check_finite_steps(poses, path)
-    return _build(path, GlobalPath, poses=tuple(poses))
-
-
-def _check_finite_steps(poses: list[Pose4], path: str) -> None:
-    """Each position must differ from the one before by a finite amount on
-    every axis: following a path steers along those differences."""
-    coords = [(q.position.x, q.position.y, q.position.z) for q in poses]
-    for i in range(1, len(coords)):
-        for axis, a, b in zip("xyz", coords[i - 1], coords[i]):
-            if not math.isfinite(b - a):
-                raise SchemaError(f"{path}.poses[{i}].{axis}: expected a finite "
-                                  f"difference from poses[{i - 1}], got {b - a!r}")
+        at = f"{path}.poses[{i}]"
+        _check_keys(_expect_mapping(entry, at), _POSE_KEYS, _POSE_KEYS[:4], at)
+        # only trajectory logs carry `t`; a pose without one passes as t = 0
+        values += [_expect_number(entry.get(key, 0.0), (at, key)) for key in _POSE_KEYS]
+    rows = np.reshape(values, (-1, len(_POSE_KEYS)))[:, :4]
+    # following a path steers along the steps between consecutive positions
+    with np.errstate(over="ignore"):
+        steps = np.diff(rows[:, :3], axis=0)
+    bad = np.argwhere(~np.isfinite(steps))
+    if bad.size:
+        i, axis = bad[0].tolist()
+        raise SchemaError(f"{path}.poses[{i + 1}].{'xyz'[axis]}: expected a finite "
+                          f"difference from poses[{i}], got {float(steps[i, axis])!r}")
+    return _build(path, GlobalPath, rows=rows)
 
 
 def load_path(file: Path) -> GlobalPath:
     return path_from_json(_read_json(file))
 
 
+# A pose's keys as the path loader reads them: a path row's columns, then time.
+_POSE_KEYS = ("x", "y", "z", "yaw", "t")
 # Pose keys in the order `json.dumps(sort_keys=True)` writes them.
 PATH_KEYS = ("x", "y", "yaw", "z")
 TRAJECTORY_KEYS = ("t", "x", "y", "yaw", "z")
+_PATH_COLUMNS = [0, 1, 3, 2]  # PATH_KEYS' columns in an (x, y, z, yaw) path row
 _TRAJECTORY_COLUMNS = [LOG_COLUMNS.index(k) for k in TRAJECTORY_KEYS]
 
 
@@ -360,9 +352,7 @@ def _write_poses(file: Path, keys: tuple[str, ...], values: list) -> None:
 
 
 def save_path(path_obj: GlobalPath, file: Path) -> None:
-    _write_poses(file, PATH_KEYS, [
-        v for pose in path_obj.poses
-        for v in (pose.position.x, pose.position.y, pose.yaw, pose.position.z)])
+    _write_poses(file, PATH_KEYS, path_obj.rows[:, _PATH_COLUMNS].ravel().tolist())
 
 
 def save_trajectory(log: np.ndarray, file: Path) -> None:

@@ -121,26 +121,34 @@ class Tree:
         self._count += 1
         return self._count - 1
 
-    def path_from_root(self, node_id: int) -> list[Vec3]:
+    def path_from_root(self, node_id: int) -> np.ndarray:
+        """(k, 3) positions from the root down to `node_id`."""
         chain = []
         cursor: int | None = node_id
         while cursor is not None:
-            chain.append(Vec3.from_array(self._xyz[:, cursor]))
+            chain.append(cursor)
             cursor = self.parents[cursor]
-        chain.reverse()
-        return chain
+        return self._xyz[:, chain[::-1]].T
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalPath:
-    """Collision-free detour from a discontinuity entry to its exit."""
+    """Collision-free detour from a discontinuity entry to its exit: read-only
+    (k, 3) positions, k >= 2, and cost; paths equal by both."""
 
-    positions: tuple[Vec3, ...]
+    positions: np.ndarray
     cost: float
 
     def __post_init__(self):
-        if len(self.positions) < 2:
-            raise ValueError("LocalPath needs at least entry and exit positions")
+        positions = np.array(self.positions, dtype=float)
+        if positions.ndim != 2 or positions.shape[1] != 3 or len(positions) < 2:
+            raise ValueError("LocalPath needs (k, 3) positions, k >= 2, from entry to exit")
+        positions.flags.writeable = False
+        object.__setattr__(self, "positions", positions)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, LocalPath) and self.cost == other.cost
+                and np.array_equal(self.positions, other.positions))
 
 
 def initial_window(d: Discontinuity, pad: float, bounds: AxisBox) -> SearchWindow:
@@ -374,7 +382,7 @@ def rrt_star_run(d: Discontinuity, model: CollisionModel, params: RrtParams,
 
     if best_node is None:
         return RrtRunResult(None, tree, window, params.max_loops)
-    positions = tuple(tree.path_from_root(best_node)) + (exit_,)
+    positions = np.vstack((tree.path_from_root(best_node), exit_row))
     return RrtRunResult(LocalPath(positions, best_cost), tree, window,
                         params.max_loops)
 

@@ -10,9 +10,9 @@ import numpy as np
 from .discontinuity import DEFAULT_MARGIN, Discontinuity, find_discontinuities
 from .errors import SpliceMismatch, ValidationFailed
 from .local_planner import LocalPath, RrtParams, Tree, plan_local_run
-from .shot import ArcShotSpec, GlobalPath, Pose4, face_target, generate_arc
+from .shot import ArcShotSpec, GlobalPath, aimed_row, generate_arc
 # collision_model stays importable here for perfbench/tracing.py, which wraps it
-from .world import CollisionModel, QuadModel, collision_model
+from .world import CollisionModel, QuadModel, Vec3, collision_model
 
 SPLICE_TOLERANCE = 1e-6
 
@@ -60,21 +60,22 @@ def splice(path: GlobalPath, d: Discontinuity, lp: LocalPath) -> GlobalPath:
 
     Inserted samples keep the detour's own spacing and get target-facing yaw.
     """
-    entry = d.entry_pose.position
-    exit_ = d.exit_pose.position
-    if lp.positions[0].distance_to(entry) > SPLICE_TOLERANCE:
+    entry, exit_ = d.entry_pose.position, d.exit_pose.position
+    first, last = (Vec3.from_array(p) for p in lp.positions[[0, -1]])
+    if first.distance_to(entry) > SPLICE_TOLERANCE:
         raise SpliceMismatch(
-            f"local path starts {lp.positions[0]} but discontinuity enters at {entry}")
-    if lp.positions[-1].distance_to(exit_) > SPLICE_TOLERANCE:
+            f"local path starts {first} but discontinuity enters at {entry}")
+    if last.distance_to(exit_) > SPLICE_TOLERANCE:
         raise SpliceMismatch(
-            f"local path ends {lp.positions[-1]} but discontinuity exits at {exit_}")
+            f"local path ends {last} but discontinuity exits at {exit_}")
     if path.spec is None:
         raise SpliceMismatch("path carries no shot spec; cannot aim inserted samples")
 
     target = path.spec.target
-    inserted = tuple(Pose4(p, face_target(p, target)) for p in lp.positions[1:-1])
-    poses = path.poses[:d.entry_index + 1] + inserted + path.poses[d.exit_index:]
-    return GlobalPath(poses, path.spec)
+    inserted = [aimed_row(x, y, z, target) for x, y, z in lp.positions[1:-1].tolist()]
+    return GlobalPath(np.concatenate((path.rows[:d.entry_index + 1],
+                                      np.reshape(inserted, (-1, 4)),
+                                      path.rows[d.exit_index:])), path.spec)
 
 
 def validate(path: GlobalPath, model: CollisionModel, step: float) -> int | None:

@@ -14,7 +14,7 @@ import numpy as np
 from .bench import BenchResult
 from .discontinuity import Discontinuity
 from .local_planner import Tree
-from .shot import GlobalPath, Pose4
+from .shot import GlobalPath
 from .world import AXIS_X, AXIS_Y, INDEX, MAX, MIN, RADIUS, AxisBox, CollisionModel
 
 DEFAULT_WIDTH = 900  # pixels
@@ -44,15 +44,11 @@ class _Canvas:
         return self.pad + (self.max_y - wy) * self.scale
 
 
-def _polyline(canvas: _Canvas, points: Iterable[tuple[float, float]],
+def _polyline(canvas: _Canvas, points: Iterable[Sequence[float]],
               style: str) -> str:
     """Polyline through world (x, y) points."""
     coords = " ".join(f"{_f(canvas.x(x))},{_f(canvas.y(y))}" for x, y in points)
     return f'<polyline points="{coords}" fill="none" {style}/>'
-
-
-def _xy(poses: Iterable[Pose4]) -> list[tuple[float, float]]:
-    return [(p.position.x, p.position.y) for p in poses]
 
 
 def _obstacle_layer(canvas: _Canvas, rows: np.ndarray, style: str) -> list[str]:
@@ -146,17 +142,17 @@ def render_scene(model: CollisionModel, *,
             parts.append('<g id="discontinuities">')
             for d in discontinuities:
                 parts.append(_polyline(
-                    canvas, _xy(arc.poses[d.entry_index:d.exit_index + 1]),
+                    canvas, arc.rows[d.entry_index:d.exit_index + 1, :2].tolist(),
                     'stroke="#ff9900" stroke-width="5" stroke-opacity="0.5"'))
             parts.append('</g>')
         parts.append('<g id="arc">')
-        parts.append(_polyline(canvas, _xy(arc.poses),
+        parts.append(_polyline(canvas, arc.rows[:, :2].tolist(),
                                'stroke="#4477cc" stroke-width="1"'))
         parts.append('</g>')
 
     if final_path is not None:
         parts.append('<g id="final">')
-        parts.append(_polyline(canvas, _xy(final_path.poses),
+        parts.append(_polyline(canvas, final_path.rows[:, :2].tolist(),
                                'stroke="#117733" stroke-width="2.5"'))
         parts.append('</g>')
 

@@ -63,38 +63,48 @@ class ArcShotSpec:
             raise DegenerateArc("shot end sits on the target's vertical axis")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GlobalPath:
-    """Ordered pose sequence tracing a desired or final shot."""
+    """Ordered pose sequence of a desired or final shot: read-only (n, 4) float
+    rows (x, y, z, yaw), yaw wrapped as `Pose4` wraps it; `path[i]` is a `Pose4`."""
 
-    poses: tuple[Pose4, ...]
+    rows: np.ndarray
     spec: Optional[ArcShotSpec] = None
 
     def __post_init__(self):
-        object.__setattr__(self, "poses", tuple(self.poses))
-        if len(self.poses) < 1:
+        rows = np.array(self.rows, dtype=float)
+        if rows.size == 0:
             raise ValueError("GlobalPath needs at least one pose")
+        if rows.ndim != 2 or rows.shape[1] != 4 or not np.isfinite(rows).all():
+            raise ValueError(f"GlobalPath needs finite (n, 4) rows, got shape {rows.shape}")
+        rows[:, 3] = [wrap_to_pi(yaw) for yaw in rows[:, 3].tolist()]
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, GlobalPath) and self.spec == other.spec
+                and np.array_equal(self.rows, other.rows))
 
     def __len__(self) -> int:
-        return len(self.poses)
+        return len(self.rows)
 
     def __getitem__(self, i: int) -> Pose4:
-        return self.poses[i]
+        x, y, z, yaw = self.rows[i].tolist()
+        return Pose4(Vec3(x, y, z), yaw)
 
     def position_array(self) -> np.ndarray:
-        """The poses' positions as an (n, 3) float array."""
-        return np.array([(p.position.x, p.position.y, p.position.z)
-                         for p in self.poses], dtype=float)
+        """Read-only (n, 3) view of the rows' positions."""
+        return self.rows[:, :3]
 
 
-def face_target(p: Vec3, target: Vec3) -> float:
-    """Yaw that points the camera's forward axis at the target, horizontally."""
-    dx = target.x - p.x
-    dy = target.y - p.y
+def aimed_row(x: float, y: float, z: float, target: Vec3) -> tuple[float, ...]:
+    """Path row (x, y, z, yaw) whose yaw faces the target horizontally."""
+    dx = target.x - x
+    dy = target.y - y
     if dx == 0.0 and dy == 0.0:
         raise DegenerateHeading(
-            f"position {p} is horizontally coincident with target {target}")
-    return wrap_to_pi(math.atan2(dy, dx))
+            f"position {Vec3(x, y, z)} is horizontally coincident with target {target}")
+    return x, y, z, wrap_to_pi(math.atan2(dy, dx))
 
 
 def _sweep(angle_start: float, angle_end: float, direction: str) -> float:
@@ -115,8 +125,9 @@ def generate_arc(spec: ArcShotSpec) -> GlobalPath:
 
     In the horizontal plane centered on the target, the polar angle sweeps
     uniformly from the start's angle to the end's angle in the requested
-    direction while radius and altitude interpolate linearly. Every pose's
-    yaw faces the target.
+    direction while radius and altitude interpolate linearly. Every row's
+    yaw faces the target. Each sample uses libm's `math.cos`, `math.sin` and
+    `math.atan2`, whose bits numpy's versions need not match.
     """
     r0 = spec.start.horizontal_distance_to(spec.target)
     r1 = spec.end.horizontal_distance_to(spec.target)
@@ -128,15 +139,12 @@ def generate_arc(spec: ArcShotSpec) -> GlobalPath:
     sweep = _sweep(a0, a1, spec.direction)
 
     n = spec.sample_count
-    poses = []
+    rows = []
     for i in range(n):
         t = i / (n - 1)
         angle = a0 + sweep * t
         radius = r0 + (r1 - r0) * t
-        pos = Vec3(
-            spec.target.x + radius * math.cos(angle),
-            spec.target.y + radius * math.sin(angle),
-            spec.start.z + (spec.end.z - spec.start.z) * t,
-        )
-        poses.append(Pose4(pos, face_target(pos, spec.target)))
-    return GlobalPath(tuple(poses), spec)
+        rows.append(aimed_row(spec.target.x + radius * math.cos(angle),
+                              spec.target.y + radius * math.sin(angle),
+                              spec.start.z + (spec.end.z - spec.start.z) * t, spec.target))
+    return GlobalPath(rows, spec)

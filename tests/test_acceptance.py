@@ -109,8 +109,8 @@ def test_criterion_2_arc_properties_hold_on_100_random_specs():
         for got, want in ((path[0].position, start), (path[-1].position, end)):
             assert got.distance_to(want) <= rel * max(1.0, want.norm())
 
-        angles = [math.atan2(p.position.y - target.y, p.position.x - target.x)
-                  for p in path.poses]
+        angles = [math.atan2(y - target.y, x - target.x)
+                  for x, y, _, _ in path.rows.tolist()]
         deltas = [wrap_to_pi(b - a) for a, b in zip(angles, angles[1:])]
         sign = 1.0 if direction == COUNTERCLOCKWISE else -1.0
         r0 = start.horizontal_distance_to(target)
@@ -118,7 +118,8 @@ def test_criterion_2_arc_properties_hold_on_100_random_specs():
         for i, d in enumerate(deltas):
             assert math.copysign(1.0, d) == sign
             assert abs(d - deltas[0]) <= rel * abs(deltas[0]) + 1e-12
-        for i, pose in enumerate(path.poses):
+        for i in range(len(path)):
+            pose = path[i]
             t = i / n
             want_r = r0 + (r1 - r0) * t
             want_z = start.z + (end.z - start.z) * t
@@ -164,7 +165,7 @@ def test_criterion_3_matches_the_reference_scan():
         model = CollisionModel(world, quad)
         for _ in range(5):
             path = generate_arc(_half_arc(rng))
-            flags = [model.point_free(p.position) for p in path.poses]
+            flags = model.free_points(path.position_array()).tolist()
             assert flags[0] and flags[-1], "arc endpoints must stay clear"
             got = [(d.entry_index, d.exit_index)
                    for d in find_discontinuities(path, model, margin=2)]
@@ -326,9 +327,9 @@ def test_criterion_8_repair_is_local():
     assert len(result.discontinuities) == 1
     d = result.discontinuities[0]
     final = result.final_path
-    assert final.poses[:d.entry_index + 1] == arc.poses[:d.entry_index + 1]
+    assert np.array_equal(final.rows[:d.entry_index + 1], arc.rows[:d.entry_index + 1])
     tail = len(arc) - d.exit_index
-    assert final.poses[-tail:] == arc.poses[d.exit_index:]
+    assert np.array_equal(final.rows[-tail:], arc.rows[d.exit_index:])
     _ok(8, f"poses outside [{d.entry_index}, {d.exit_index}] equal the raw arc")
 
 

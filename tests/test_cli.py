@@ -104,9 +104,12 @@ def test_benchmark_tracer_still_wraps_the_planner(tmp_path, monkeypatch):
         tracer.begin_op(0)
         assert cli.main(["plan", *demo_args(tmp_path / "plan")]) == cli.EXIT_OK
         tracer.end_op()
-    # nearest_vertex and extend spans also feed loop_growth, nearest_ms, extend_ms
+    # nearest_vertex and extend spans also feed loop_growth, nearest_ms, extend_ms;
+    # the path layers feed arc_ms, scan_ms, splice_ms, validate_ms, load_ms, save_ms
     for name in ("local_planner.rrt_star_run", "local_planner.best_parent",
-                 "local_planner.nearest_vertex", "local_planner.extend"):
+                 "local_planner.nearest_vertex", "local_planner.extend",
+                 "shot.generate_arc", "discontinuity.find_discontinuities",
+                 "pipeline.splice", "pipeline.validate", "fileio.load", "fileio.save"):
         assert tracing.span_ms(tracer, name), name
     # best-parent collision work must reach the wrapped model.free_points: x_new
     # lies within extend_dist < neighbour radius of a node, so every call has a
@@ -137,7 +140,7 @@ def test_benchmark_tracer_still_wraps_the_replay(tmp_path, monkeypatch):
                          "--config", str(DEMO / "config.json"),
                          "--out", str(tmp_path / "exec")]) == cli.EXIT_OK
         tracer.end_op()
-    for name in ("executor.follow", "fileio.save", "render.render_scene"):
+    for name in ("executor.follow", "fileio.load", "fileio.save", "render.render_scene"):
         assert tracing.span_ms(tracer, name), name
     # the executor.follow span's value is the number of logged states
     op = tracer.ops[0]
@@ -161,6 +164,46 @@ def test_execute_overflow_is_a_schema_error_without_a_trajectory(tmp_path, capsy
     assert err == {"kind": "SchemaError", "message":
                    "path.poses[1].x: expected a finite difference from poses[0], got -inf"}
     assert not (out / "trajectory.json").exists()
+
+
+def test_execute_climb_overflow_is_a_schema_error_before_any_output(tmp_path, capsys):
+    # the takeoff climbs from the bounds bottom to the first pose; an infinite
+    # climb is an input fault, found before the output directory is made
+    world = json.loads((DEMO / "world.json").read_text())
+    world["bounds"]["min"][2] = -1e308
+    world_file = tmp_path / "world.json"
+    world_file.write_text(json.dumps(world))
+    path = tmp_path / "high.json"
+    path.write_text(json.dumps({"schema": "path/1", "poses": [
+        {"x": 8.0, "y": 0.0, "z": 1e308, "yaw": 0.0}]}))
+    out = tmp_path / "exec"
+    code = cli.main(["execute", "--world", str(world_file), "--path", str(path),
+                     "--out", str(out)])
+    assert code == cli.EXIT_SCHEMA
+    assert json.loads(capsys.readouterr().err)["error"] == {
+        "kind": "SchemaError", "message": "path.poses[0].z: expected a finite "
+                                          "difference from world.bounds.min.z, got inf"}
+    assert not out.exists()
+
+
+def _group(svg: str, name: str) -> str:
+    start = svg.index(f'<g id="{name}">')
+    return svg[start:svg.index("</g>", start) + len("</g>")]
+
+
+def test_render_trajectory_draws_the_execute_trajectory_group(tmp_path):
+    # `render --trajectory` reads a trajectory file as a path file and draws
+    # its x, y as execute does
+    out = tmp_path / "render"
+    assert cli.main(["render", "--world", str(DEMO / "world.json"),
+                     "--config", str(DEMO / "config.json"),
+                     "--trajectory", str(GOLDEN / "exec" / "trajectory.json"),
+                     "--out", str(out)]) == cli.EXIT_OK
+    got = _group((out / "render.svg").read_text(encoding="utf-8"), "trajectory")
+    want = _group((GOLDEN / "exec" / "execute.svg").read_text(encoding="utf-8"),
+                  "trajectory")
+    assert got.count("<polyline") == 1
+    assert got == want
 
 
 def test_an_internal_value_error_exits_1(tmp_path, capsys, monkeypatch):

@@ -14,18 +14,18 @@ from conftest import make_world
 
 def straight_path(n=21, x0=-10.0, x1=10.0, z=2.0) -> GlobalPath:
     xs = np.linspace(x0, x1, n)
-    return GlobalPath(tuple(Pose4(Vec3(float(x), 0.0, z), 0.0) for x in xs))
+    return GlobalPath([(x, 0.0, z, 0.0) for x in xs.tolist()])
 
 
 def segment_flags(path: GlobalPath, model: CollisionModel) -> list[bool]:
     """Free flag of every segment i (samples i -> i+1), one `segment_free`
     call each against the whole model."""
-    return [model.segment_free(a.position, b.position, model.check_step)
-            for a, b in zip(path.poses, path.poses[1:])]
+    return [model.segment_free(path[i].position, path[i + 1].position, model.check_step)
+            for i in range(len(path) - 1)]
 
 
 def sample_flags(path: GlobalPath, model: CollisionModel) -> list[bool]:
-    return [model.point_free(p.position) for p in path.poses]
+    return [model.point_free(path[i].position) for i in range(len(path))]
 
 
 def blocked_segments(path: GlobalPath, model: CollisionModel) -> tuple[int, ...]:
@@ -124,7 +124,7 @@ def test_obstacle_free_world_yields_nothing(quad):
 
 
 def test_one_pose_path_yields_nothing(quad):
-    path = GlobalPath((Pose4(Vec3(0.0, 0.0, 2.0), 0.0),))
+    path = GlobalPath([(0.0, 0.0, 2.0, 0.0)])
     assert find_discontinuities(path, CollisionModel(make_world(), quad)) == []
 
 

@@ -68,7 +68,7 @@ def test_yaw_command_saturates():
 
 
 def test_takeoff_only_run_is_pure_vertical(quad):
-    path = GlobalPath((Pose4(Vec3(2.0, -1.0, 2.0), 1.0),))
+    path = GlobalPath([(2.0, -1.0, 2.0, 1.0)])
     start = SimState(Vec3(2.0, -1.0, 0.0), 0.0)
     log = follow(path, start, replace(CFG, max_time=60.0), quad)
     zs = log[:, 2].tolist()
@@ -78,14 +78,14 @@ def test_takeoff_only_run_is_pure_vertical(quad):
 
 
 def test_two_waypoint_path_converges(quad):
-    path = GlobalPath((Pose4(Vec3(0, 0, 2), 0.0), Pose4(Vec3(4, 0, 2), 0.0)))
+    path = GlobalPath([(0, 0, 2, 0.0), (4, 0, 2, 0.0)])
     start = SimState(Vec3(0, 0, 0), 0.0)
     log = follow(path, start, CFG, quad)
     assert position(log[-1]).distance_to(Vec3(4, 0, 2)) <= CFG.waypoint_tolerance
 
 
 def test_commands_respect_limits_along_the_whole_log(quad):
-    path = GlobalPath((Pose4(Vec3(0, 0, 2), 0.0), Pose4(Vec3(6, 3, 2), 2.0)))
+    path = GlobalPath([(0, 0, 2, 0.0), (6, 3, 2, 2.0)])
     start = SimState(Vec3(0, 0, 0), -2.0)
     log = follow(path, start, CFG, quad)
     for a, b in zip(log, log[1:]):
@@ -97,21 +97,20 @@ def test_commands_respect_limits_along_the_whole_log(quad):
 
 
 def test_waypoints_are_reached_in_order(quad):
-    path = GlobalPath((Pose4(Vec3(1, 0, 2), 0.0), Pose4(Vec3(2, 1, 2), 0.0),
-                       Pose4(Vec3(3, 0, 2), 0.0)))
+    path = GlobalPath([(1, 0, 2, 0.0), (2, 1, 2, 0.0), (3, 0, 2, 0.0)])
     start = SimState(Vec3(0, 0, 0), 0.0)
     log = follow(path, start, CFG, quad)
     first_hit = []
-    for pose in path.poses:
+    for waypoint in path.position_array():
         hit = next(i for i, row in enumerate(log)
-                   if position(row).distance_to(pose.position)
+                   if position(row).distance_to(position(waypoint))
                    <= CFG.waypoint_tolerance)
         first_hit.append(hit)
     assert first_hit == sorted(first_hit)
 
 
 def test_follow_is_deterministic(quad):
-    path = GlobalPath((Pose4(Vec3(0, 0, 2), 0.0), Pose4(Vec3(4, 2, 3), 1.0)))
+    path = GlobalPath([(0, 0, 2, 0.0), (4, 2, 3, 1.0)])
     start = SimState(Vec3(0, 0, 0), 0.0)
     a = follow(path, start, CFG, quad)
     b = follow(path, start, CFG, quad)
@@ -119,7 +118,7 @@ def test_follow_is_deterministic(quad):
 
 
 def test_timeout_carries_the_partial_log(quad):
-    path = GlobalPath((Pose4(Vec3(10, 10, 5), 0.0),))
+    path = GlobalPath([(10, 10, 5, 0.0)])
     start = SimState(Vec3(-10, -10, 0), 0.0)
     with pytest.raises(TimeoutExceeded) as err:
         follow(path, start, replace(CFG, max_time=1.0), quad)
@@ -176,7 +175,7 @@ def reference_follow(path: GlobalPath, start: SimState, cfg: FollowConfig,
     first = path[0]
     takeoff = Pose4(Vec3(start.position.x, start.position.y, first.position.z),
                     first.yaw)
-    targets = [takeoff, *path.poses]
+    targets = [takeoff, *(path[i] for i in range(len(path)))]
     state = start
     log = [state]
     active = 0
@@ -230,9 +229,8 @@ _YAW = st.one_of(
 
 @st.composite
 def replay_cases(draw):
-    poses = tuple(Pose4(Vec3(draw(_COORD), draw(_COORD), draw(st.floats(0.5, 8.0))),
-                        draw(_YAW))
-                  for _ in range(draw(st.integers(1, 5))))
+    rows = [(draw(_COORD), draw(_COORD), draw(st.floats(0.5, 8.0)), draw(_YAW))
+            for _ in range(draw(st.integers(1, 5)))]
     start = SimState(Vec3(draw(_COORD), draw(_COORD), draw(st.floats(0.0, 3.0))),
                      draw(_YAW), draw(st.sampled_from([0.0, 0.37, 5.0])))
     dt = draw(st.floats(0.01, 0.05))
@@ -242,7 +240,7 @@ def replay_cases(draw):
     quad = QuadModel(max_speed=draw(st.floats(0.2, 6.0)),
                      max_yaw_rate=draw(st.floats(0.1, 3.0)))
     max_time = draw(st.floats(0.2, 12.0))
-    return GlobalPath(poses), start, replace(cfg, max_time=max_time), quad
+    return GlobalPath(rows), start, replace(cfg, max_time=max_time), quad
 
 
 @settings(max_examples=150, deadline=None)
@@ -256,12 +254,12 @@ def test_reference_cases_cover_saturation_and_timeouts():
     # of the saturation test, the timeout and completion
     quad = QuadModel(max_speed=0.5)
     start = SimState(Vec3(0.0, 0.0, 0.0), math.pi)
-    far = GlobalPath((Pose4(Vec3(9.0, -9.0, 3.0), -math.pi + 1e-9),))
-    near = GlobalPath((Pose4(Vec3(0.1, 0.0, 0.3), -math.pi + 1e-9),))
+    far = GlobalPath([(9.0, -9.0, 3.0, -math.pi + 1e-9)])
+    near = GlobalPath([(0.1, 0.0, 0.3, -math.pi + 1e-9)])
     assert assert_replays_match(far, start, replace(CFG, max_time=2.0), quad) == "timeout"
     assert assert_replays_match(near, start, CFG, quad) == "ok"
     # a waypoint exactly one tolerance away counts as reached
-    at_tolerance = GlobalPath((Pose4(Vec3(0.0, 0.0, CFG.waypoint_tolerance), 0.0),))
+    at_tolerance = GlobalPath([(0.0, 0.0, CFG.waypoint_tolerance, 0.0)])
     assert assert_replays_match(at_tolerance, start, CFG, quad) == "ok"
     assert len(follow(at_tolerance, start, CFG, quad)) == 1
 
@@ -296,7 +294,6 @@ def test_command_matches_the_vec3_reference(err, dt, k_p_dt, max_yaw_rate, state
 ])
 def test_float_follow_overflows_like_the_vec3_reference(start_x, target_x, quad, cfg,
                                                         outcome):
-    path = GlobalPath((Pose4(Vec3(start_x, 0.0, 1.0), 0.0),
-                       Pose4(Vec3(target_x, 0.0, 1.0), 0.0)))
+    path = GlobalPath([(start_x, 0.0, 1.0, 0.0), (target_x, 0.0, 1.0, 0.0)])
     start = SimState(Vec3(start_x, 0.0, 1.0), 0.0)
     assert assert_replays_match(path, start, replace(cfg, max_time=1.0), quad) == outcome

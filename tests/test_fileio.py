@@ -18,8 +18,8 @@ from arcshot.errors import ArcshotError, SchemaError
 from arcshot.executor import FollowConfig
 from arcshot.local_planner import RrtParams
 from arcshot.pipeline import plan_shot
-from arcshot.shot import GlobalPath, Pose4
-from arcshot.world import CollisionModel, QuadModel, Vec3
+from arcshot.shot import GlobalPath
+from arcshot.world import CollisionModel, QuadModel
 from conftest import demo_shot, demo_world
 import schema_reference
 
@@ -40,14 +40,14 @@ def test_shot_round_trip(tmp_path):
 
 def test_path_round_trip_is_lossless(tmp_path):
     rng = np.random.default_rng(31)
-    poses = tuple(
-        Pose4(Vec3(*rng.uniform(-20, 20, 3)), float(rng.uniform(-math.pi, math.pi)))
-        for _ in range(40))
-    path = GlobalPath(poses)
+    rows = [(*rng.uniform(-20, 20, 3), float(rng.uniform(-math.pi, math.pi)))
+            for _ in range(40)]
+    path = GlobalPath(rows)
     file = tmp_path / "path.json"
     fileio.save_path(path, file)
     loaded = fileio.load_path(file)
-    assert loaded.poses == path.poses  # exact float equality
+    assert np.array_equal(loaded.rows, path.rows)  # exact float equality
+    assert loaded == path
 
     # writing the loaded path again reproduces identical bytes
     file2 = tmp_path / "again.json"

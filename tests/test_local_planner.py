@@ -739,8 +739,8 @@ def test_rrt_star_finds_near_straight_paths_in_the_open(quad):
         lp = rrt_star_run(d, model, RrtParams(extend_dist=1.0, seed=seed), 0,
                           step=quad.body_radius).path
         assert lp is not None
-        assert lp.positions[0] == d.entry_pose.position
-        assert lp.positions[-1] == d.exit_pose.position
+        assert Vec3.from_array(lp.positions[0]) == d.entry_pose.position
+        assert Vec3.from_array(lp.positions[-1]) == d.exit_pose.position
         assert lp.cost <= 6.9
 
 
@@ -772,7 +772,7 @@ def test_rrt_star_detour_survives_dense_revalidation(quad):
         lp = rrt_star_run(d, model, RrtParams(seed=seed), 0, step=step).path
         assert lp is not None
         for a, b in zip(lp.positions, lp.positions[1:]):
-            assert model.segment_free(a, b, step / 2)
+            assert model.segment_free(Vec3.from_array(a), Vec3.from_array(b), step / 2)
 
 
 def test_rrt_star_tree_invariants(quad):
@@ -813,11 +813,12 @@ def test_rrt_star_is_deterministic(quad):
     b = rrt_star_run(d, model, params, 0, step=quad.body_radius)
     assert len(a.tree) == len(b.tree)
     assert a.path is not None and b.path is not None
-    assert a.path.positions == b.path.positions
+    assert np.array_equal(a.path.positions, b.path.positions)
     assert a.path.cost == b.path.cost
+    assert a.path == b.path
     # a different discontinuity index derives a different stream
     c = rrt_star_run(d, model, params, 0, step=quad.body_radius, disc_index=1)
-    assert c.path is None or c.path.positions != a.path.positions
+    assert c.path is None or not np.array_equal(c.path.positions, a.path.positions)
 
 
 # plan_local_run -------------------------------------------------------------
@@ -1232,9 +1233,14 @@ def test_tree_node_accessor_and_root_path():
     assert tree.parents[b] == a
     assert Vec3.from_array(tree.positions[b]) == Vec3(1, 1, 0)
     assert tree.costs[b] == pytest.approx(2.0)
-    assert tree.path_from_root(b) == [Vec3(0, 0, 0), Vec3(1, 0, 0), Vec3(1, 1, 0)]
+    assert tree.path_from_root(b).tolist() == [[0, 0, 0], [1, 0, 0], [1, 1, 0]]
 
 
 def test_local_path_needs_two_positions():
     with pytest.raises(ValueError):
-        LocalPath((Vec3(0, 0, 0),), 0.0)
+        LocalPath(np.zeros((1, 3)), 0.0)
+    with pytest.raises(ValueError):
+        LocalPath(np.zeros((2, 2)), 0.0)
+    lp = LocalPath([(0.0, 0.0, 0.0), (1.0, 0.0, 0.0)], 1.0)
+    with pytest.raises(ValueError, match="read-only"):
+        lp.positions[0, 0] = 1.0

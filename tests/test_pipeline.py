@@ -12,7 +12,7 @@ from arcshot.discontinuity import Discontinuity
 from arcshot.errors import EndpointBlocked, LocalPlanFailed, SpliceMismatch
 from arcshot.local_planner import LocalPath, RrtParams
 from arcshot.pipeline import plan_shot, splice, validate
-from arcshot.shot import ArcShotSpec, GlobalPath, Pose4, face_target, generate_arc
+from arcshot.shot import ArcShotSpec, GlobalPath, aimed_row, generate_arc
 from arcshot.world import AxisBox, CollisionModel, Cylinder, QuadModel, Vec3
 from conftest import SCENARIO_DIR, demo_shot, demo_world, make_world, wall_shot, wall_world
 from test_discontinuity import thin_obstacles
@@ -27,12 +27,12 @@ def fake_disc(path: GlobalPath, entry: int, exit_: int) -> Discontinuity:
 def test_splice_straight_detour_drops_the_blocked_samples():
     arc = generate_arc(demo_shot())
     d = fake_disc(arc, 10, 16)
-    lp = LocalPath((d.entry_pose.position, d.exit_pose.position),
+    lp = LocalPath(arc.position_array()[[10, 16]],
                    d.entry_pose.position.distance_to(d.exit_pose.position))
     out = splice(arc, d, lp)
     assert len(out) == len(arc) - (16 - 10 - 1)
-    assert out.poses[:11] == arc.poses[:11]
-    assert out.poses[11:] == arc.poses[16:]
+    assert np.array_equal(out.rows[:11], arc.rows[:11])
+    assert np.array_equal(out.rows[11:], arc.rows[16:])
 
 
 def test_splice_inserts_the_detour_interior_verbatim():
@@ -43,15 +43,17 @@ def test_splice_inserts_the_detour_interior_verbatim():
         (d.entry_pose.position, *interior),
         (*interior, d.exit_pose.position)))
     out = splice(arc, d, LocalPath(
-        (d.entry_pose.position, *interior, d.exit_pose.position), cost))
-    replaced = out.poses[21:21 + len(interior)]
+        [p.as_array() for p in (d.entry_pose.position, *interior, d.exit_pose.position)],
+        cost))
+    replaced = [out[i] for i in range(21, 21 + len(interior))]
     assert tuple(p.position for p in replaced) == interior
     target = arc.spec.target
     for pose in replaced:
-        assert pose.yaw == face_target(pose.position, target)
+        p = pose.position
+        assert pose.yaw == aimed_row(p.x, p.y, p.z, target)[3]
     # outside the span nothing moved
-    assert out.poses[:21] == arc.poses[:21]
-    assert out.poses[21 + len(interior):] == arc.poses[30:]
+    assert np.array_equal(out.rows[:21], arc.rows[:21])
+    assert np.array_equal(out.rows[21 + len(interior):], arc.rows[30:])
 
 
 def test_splice_rejects_mismatched_endpoints():
@@ -59,14 +61,14 @@ def test_splice_rejects_mismatched_endpoints():
     d = fake_disc(arc, 10, 16)
     off = d.entry_pose.position + Vec3(1e-4, 0, 0)
     with pytest.raises(SpliceMismatch):
-        splice(arc, d, LocalPath((off, d.exit_pose.position), 1.0))
+        splice(arc, d, LocalPath([off.as_array(), d.exit_pose.position.as_array()], 1.0))
 
 
 def test_splice_requires_a_shot_spec_for_yaw():
     arc = generate_arc(demo_shot())
-    bare = GlobalPath(arc.poses)  # no spec attached
+    bare = GlobalPath(arc.rows)  # no spec attached
     d = fake_disc(bare, 10, 16)
-    lp = LocalPath((d.entry_pose.position, d.exit_pose.position), 1.0)
+    lp = LocalPath(bare.position_array()[[10, 16]], 1.0)
     with pytest.raises(SpliceMismatch):
         splice(bare, d, lp)
 
@@ -82,16 +84,14 @@ def test_validate_passes_a_clean_arc(quad):
 def test_validate_reports_the_first_offending_segment(quad):
     world = make_world((Cylinder(Vec3(0.0, 0.0, 0.0), 1.0, 5.0),),
                        target=(0.0, 5.0, 1.0))
-    poses = tuple(Pose4(Vec3(x, 0.0, 2.0), 0.0) for x in (-5.0, -3.0, 3.0, 5.0))
-    path = GlobalPath(poses)
+    path = GlobalPath([(x, 0.0, 2.0, 0.0) for x in (-5.0, -3.0, 3.0, 5.0)])
     assert validate(path, CollisionModel(world, quad), 0.15) == 1
 
 
 def test_validate_finer_step_never_passes_where_coarser_failed(quad):
     model = CollisionModel(make_world((Cylinder(Vec3(0.0, 0.0, 0.0), 1.0, 5.0),),
                                       target=(0.0, 5.0, 1.0)), quad)
-    poses = tuple(Pose4(Vec3(x, 0.0, 2.0), 0.0) for x in (-6.0, 0.0, 6.0))
-    path = GlobalPath(poses)
+    path = GlobalPath([(x, 0.0, 2.0, 0.0) for x in (-6.0, 0.0, 6.0)])
     coarse = validate(path, model, 1.0)
     assert coarse is not None
     assert validate(path, model, 0.25) is not None
@@ -126,7 +126,7 @@ def test_validate_matches_the_per_segment_oracle(seed):
     world = make_world(tuple(obstacles), lo=(-30, -30, 0), hi=(30, 30, 8))
     steps = rng.uniform(-1.5, 1.5, size=(int(rng.integers(1, 30)), 3))
     walk = rng.uniform((-6, -6, 1), (6, 6, 7)) + np.cumsum(steps, axis=0)
-    path = GlobalPath(tuple(Pose4(Vec3.from_array(p), 0.0) for p in walk))
+    path = GlobalPath(np.column_stack((walk, np.zeros(len(walk)))))
     quad = QuadModel(body_radius=float(rng.uniform(0.1, 0.4)), safety_margin=0.1)
     step = float(rng.uniform(0.05, 0.5))
     model = CollisionModel(world, quad)
@@ -140,7 +140,8 @@ def test_plan_shot_in_an_empty_world_returns_the_arc(quad):
     spec = demo_shot()
     result = plan_shot(CollisionModel(world, quad), spec, RrtParams(seed=0))
     arc = generate_arc(spec)
-    assert result.final_path.poses == arc.poses
+    assert np.array_equal(result.final_path.rows, arc.rows)
+    assert result.final_path == arc
     assert result.discontinuities == []
     assert result.local_paths == []
     assert result.report.total_nodes == 0
@@ -157,17 +158,17 @@ def test_plan_shot_demo_repairs_exactly_one_span(quad):
 
     # locality of repair: untouched outside [entry, exit]
     final = result.final_path
-    assert final.poses[:d.entry_index + 1] == arc.poses[:d.entry_index + 1]
+    assert np.array_equal(final.rows[:d.entry_index + 1], arc.rows[:d.entry_index + 1])
     tail = len(arc) - d.exit_index
-    assert final.poses[-tail:] == arc.poses[d.exit_index:]
+    assert np.array_equal(final.rows[-tail:], arc.rows[d.exit_index:])
 
     # spliced result is densely safe and keeps the camera on target
     assert validate(final, model, quad.body_radius / 2) is None
-    for pose in final.poses:
-        off_x = spec.target.x - pose.position.x
-        off_y = spec.target.y - pose.position.y
+    for x, y, _, yaw in final.rows.tolist():
+        off_x = spec.target.x - x
+        off_y = spec.target.y - y
         norm = math.hypot(off_x, off_y)
-        dot = (math.cos(pose.yaw) * off_x + math.sin(pose.yaw) * off_y) / norm
+        dot = (math.cos(yaw) * off_x + math.sin(yaw) * off_y) / norm
         assert dot >= 1.0 - 1e-9
 
 
@@ -185,10 +186,9 @@ def test_plan_shot_two_obstacles_two_spans(quad):
     outside = [i for i in range(len(arc))
                if not any(lo <= i <= hi for lo, hi in spans)]
     final = result.final_path
-    arc_positions = {
-        (p.position.x, p.position.y, p.position.z) for p in final.poses}
+    arc_positions = {tuple(p) for p in final.position_array().tolist()}
     for i in outside:
-        p = arc.poses[i].position
+        p = arc[i].position
         assert (p.x, p.y, p.z) in arc_positions
 
 
@@ -207,7 +207,7 @@ def test_plan_shot_repairs_a_thin_wall_between_samples(samples, quad):
     model = CollisionModel(world, quad)
     spec = ArcShotSpec(Vec3(8, 0, 2), Vec3(-8, 0, 2), world.target,
                        "counterclockwise", samples)
-    assert all(model.point_free(p.position) for p in generate_arc(spec).poses)
+    assert model.free_points(generate_arc(spec).position_array()).all()
     result = plan_shot(model, spec, RrtParams())
     assert len(result.discontinuities) == 1
     assert validate(result.final_path, model, model.check_step) is None
@@ -257,7 +257,7 @@ def test_plan_shot_is_deterministic(quad):
     params = RrtParams(extend_dist=0.2, seed=5)
     a = plan_shot(model, demo_shot(), params)
     b = plan_shot(model, demo_shot(), params)
-    assert a.final_path.poses == b.final_path.poses
+    assert np.array_equal(a.final_path.rows, b.final_path.rows)
     assert [lp.cost for lp in a.local_paths] == [lp.cost for lp in b.local_paths]
     assert a.report.total_nodes == b.report.total_nodes
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from arcshot.errors import DegenerateArc, DegenerateHeading
 from arcshot.shot import (CLOCKWISE, COUNTERCLOCKWISE, ArcShotSpec, GlobalPath,
-                          Pose4, face_target, generate_arc, wrap_to_pi)
+                          Pose4, aimed_row, generate_arc, wrap_to_pi)
 from arcshot.world import Vec3
 
 REL = 1e-9
@@ -36,21 +36,21 @@ def test_wrap_to_pi_is_periodic(angle, k):
     assert abs(difference) < 1e-9
 
 
-# face_target ----------------------------------------------------------------
+# aimed_row: a position and the yaw that faces the target -------------------
 
 def test_face_target_cardinal_and_diagonal_headings():
-    assert face_target(Vec3(5, 0, 2), Vec3(0, 0, 0)) == math.pi
-    assert face_target(Vec3(0, -3, 1), Vec3(0, 0, 0)) == math.pi / 2
-    assert face_target(Vec3(1, 1, 0), Vec3(0, 0, 0)) == -3 * math.pi / 4
+    assert aimed_row(5.0, 0.0, 2.0, Vec3(0, 0, 0)) == (5.0, 0.0, 2.0, math.pi)
+    assert aimed_row(0, -3, 1, Vec3(0, 0, 0))[3] == math.pi / 2
+    assert aimed_row(1, 1, 0, Vec3(0, 0, 0))[3] == -3 * math.pi / 4
 
 
 def test_face_target_ignores_altitude():
-    assert face_target(Vec3(5, 0, 9), Vec3(0, 0, 0)) == math.pi
+    assert aimed_row(5, 0, 9, Vec3(0, 0, 0))[3] == math.pi
 
 
 def test_face_target_degenerate_heading():
-    with pytest.raises(DegenerateHeading):
-        face_target(Vec3(2, 3, 5), Vec3(2, 3, 0))
+    with pytest.raises(DegenerateHeading, match=r"position Vec3\(x=2, y=3, z=5\)"):
+        aimed_row(2, 3, 5, Vec3(2, 3, 0))
 
 
 # generate_arc: spec examples ------------------------------------------------
@@ -81,8 +81,9 @@ def test_arc_radius_and_altitude_interpolate_linearly():
     spec = ArcShotSpec(Vec3(4, 0, 1), Vec3(0, 2, 3), Vec3(0, 0, 0),
                        COUNTERCLOCKWISE, 5)
     path = generate_arc(spec)
-    radii = [p.position.horizontal_distance_to(spec.target) for p in path.poses]
-    zs = [p.position.z for p in path.poses]
+    radii = [math.hypot(x - spec.target.x, y - spec.target.y)
+             for x, y, _, _ in path.rows.tolist()]
+    zs = path.rows[:, 2].tolist()
     for i, (r, z) in enumerate(zip(radii, zs)):
         t = i / 4
         assert r == pytest.approx(4.0 + (2.0 - 4.0) * t, rel=REL)
@@ -126,8 +127,7 @@ def _random_spec(rng) -> ArcShotSpec:
 
 
 def _polar_angles(path: GlobalPath, target: Vec3) -> list[float]:
-    return [math.atan2(p.position.y - target.y, p.position.x - target.x)
-            for p in path.poses]
+    return [math.atan2(y - target.y, x - target.x) for x, y, _, _ in path.rows.tolist()]
 
 
 def _deltas(angles: list[float]) -> list[float]:
@@ -166,9 +166,9 @@ def test_radial_distance_is_linear_in_sample_index():
         r0 = spec.start.horizontal_distance_to(spec.target)
         r1 = spec.end.horizontal_distance_to(spec.target)
         n = len(path) - 1
-        for i, pose in enumerate(path.poses):
+        for i, (x, y, _, _) in enumerate(path.rows.tolist()):
             want = r0 + (r1 - r0) * i / n
-            assert pose.position.horizontal_distance_to(spec.target) == \
+            assert math.hypot(x - spec.target.x, y - spec.target.y) == \
                 pytest.approx(want, rel=REL)
 
 
@@ -176,11 +176,11 @@ def test_every_yaw_faces_the_target():
     rng = np.random.default_rng(14)
     for _ in range(50):
         spec = _random_spec(rng)
-        for pose in generate_arc(spec).poses:
-            off_x = spec.target.x - pose.position.x
-            off_y = spec.target.y - pose.position.y
+        for x, y, _, yaw in generate_arc(spec).rows.tolist():
+            off_x = spec.target.x - x
+            off_y = spec.target.y - y
             norm = math.hypot(off_x, off_y)
-            dot = (math.cos(pose.yaw) * off_x + math.sin(pose.yaw) * off_y) / norm
+            dot = (math.cos(yaw) * off_x + math.sin(yaw) * off_y) / norm
             assert dot >= 1.0 - REL
 
 
@@ -193,10 +193,9 @@ def test_reversal_symmetry():
         backward = generate_arc(ArcShotSpec(
             spec.end, spec.start, spec.target, flipped[spec.direction],
             spec.sample_count))
-        for a, b in zip(forward.poses, reversed(backward.poses)):
-            assert a.position.x == pytest.approx(b.position.x, rel=REL, abs=1e-9)
-            assert a.position.y == pytest.approx(b.position.y, rel=REL, abs=1e-9)
-            assert a.position.z == pytest.approx(b.position.z, rel=REL, abs=1e-9)
+        for a, b in zip(forward.rows.tolist(), backward.rows[::-1].tolist()):
+            for u, v in zip(a[:3], b[:3]):  # x, y, z
+                assert u == pytest.approx(v, rel=REL, abs=1e-9)
 
 
 # pose normalization ---------------------------------------------------------
@@ -208,5 +207,63 @@ def test_pose_normalizes_yaw_on_construction():
 
 
 def test_global_path_requires_poses():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least one pose"):
         GlobalPath(())
+    with pytest.raises(ValueError, match="at least one pose"):
+        GlobalPath(np.empty((0, 4)))
+
+
+# GlobalPath rows ------------------------------------------------------------
+
+def _bits(values) -> list[int]:
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def test_global_path_wraps_each_row_yaw_as_pose4_does():
+    rng = np.random.default_rng(16)
+    yaws = [math.pi, -math.pi, 3 * math.pi, -3 * math.pi, 1e300, -1e300, 0.0, -0.0,
+            math.tau, *rng.uniform(-10, 10, 200), *rng.uniform(-1e9, 1e9, 50)]
+    path = GlobalPath([(1.0, 2.0, 3.0, yaw) for yaw in yaws])
+    assert path.rows[1, 3] == math.pi  # -pi maps to pi
+    # Pose4 wraps with math.remainder; compare every bit, the sign of zero too
+    want = [Pose4(Vec3(1.0, 2.0, 3.0), yaw).yaw for yaw in yaws]
+    assert _bits(path.rows[:, 3]) == _bits(want)
+    assert _bits([path[i].yaw for i in range(len(yaws))]) == _bits(want)
+    assert path[-1] == Pose4(Vec3(1.0, 2.0, 3.0), yaws[-1])
+
+
+def test_global_path_rows_are_read_only_and_not_shared():
+    source = np.array([[1.0, 2.0, 3.0, 0.5], [4.0, 5.0, 6.0, 0.25]])
+    path = GlobalPath(source)
+    with pytest.raises(ValueError, match="read-only"):
+        path.rows[0, 0] = 9.0
+    with pytest.raises(ValueError, match="read-only"):
+        path.position_array()[1, 2] = 9.0
+    source[0, 0] = 9.0
+    assert path.rows.tolist() == [[1.0, 2.0, 3.0, 0.5], [4.0, 5.0, 6.0, 0.25]]
+    assert np.shares_memory(path.position_array(), path.rows)
+
+
+@pytest.mark.parametrize("column", range(4))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_global_path_rejects_a_non_finite_row(column, bad):
+    row = [1.0, 2.0, 3.0, 0.5]
+    row[column] = bad
+    with pytest.raises(ValueError, match="finite"):
+        GlobalPath([(0.0, 0.0, 0.0, 0.0), row])
+
+
+def test_global_path_rejects_rows_of_the_wrong_shape():
+    with pytest.raises(ValueError, match=r"finite \(n, 4\) rows, got shape \(1, 3\)"):
+        GlobalPath([(0.0, 0.0, 0.0)])
+
+
+def test_global_paths_compare_by_rows_and_spec():
+    spec = quarter_spec(COUNTERCLOCKWISE)
+    arc = generate_arc(spec)
+    assert arc == generate_arc(spec)
+    assert arc == GlobalPath(arc.rows.copy(), spec)
+    assert arc != GlobalPath(arc.rows)  # no spec
+    moved = arc.rows.copy()
+    moved[3, 2] += 1e-9
+    assert arc != GlobalPath(moved, spec)
