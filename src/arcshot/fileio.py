@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import operator
 import typing
 from pathlib import Path
 from typing import Any
@@ -222,6 +223,75 @@ def _list_of(load_item):
                                       for i, v in enumerate(_expect_list(value, path))])
 
 
+_expect_obstacles = _list_of(_expect_obstacle)
+_CYLINDER_KEYS = {"kind", "base_center", "radius", "height"}
+_BOX_KEYS = {"kind", "min", "max"}
+_NUMBER_TYPES = {int, float}
+
+
+def _is_vec3(value) -> bool:
+    return type(value) is list and len(value) == 3
+
+
+def _obstacles_in_bulk(value: Any) -> tuple[Obstacle, ...] | None:
+    """The obstacles `_expect_obstacles` loads, checked as whole arrays, or
+    None where any check fails, so the caller can name the fault with it.
+
+    Passes exactly the lists that loader passes and whose every number is a
+    plain int or float: numpy converts an int to the float `float()` gives,
+    and raises OverflowError where `float()` does.
+    """
+    if type(value) is not list:
+        return None
+    is_box, cylinders, boxes = [], [], []
+    for entry in value:
+        if type(entry) is not dict:
+            return None
+        keys = entry.keys()
+        if keys == _CYLINDER_KEYS and entry["kind"] == "cylinder":
+            center = entry["base_center"]
+            if not _is_vec3(center):
+                return None
+            cylinders += center
+            cylinders += (entry["radius"], entry["height"])
+            is_box.append(False)
+        elif keys == _BOX_KEYS and entry["kind"] == "box":
+            lo, hi = entry["min"], entry["max"]
+            if not (_is_vec3(lo) and _is_vec3(hi)):
+                return None
+            boxes += lo
+            boxes += hi
+            is_box.append(True)
+        else:
+            return None
+    if not set(map(type, cylinders + boxes)) <= _NUMBER_TYPES:
+        return None
+    try:
+        cyl = np.array(cylinders, dtype=float).reshape(-1, 5)
+        box = np.array(boxes, dtype=float).reshape(-1, 2, 3)
+    except OverflowError:
+        return None
+    # a box needs min < max on every axis; -0.0 against 0.0 is no extent
+    if not (np.isfinite(cyl).all() and np.isfinite(box).all()
+            and (cyl[:, 3:] > 0).all() and (box[:, 0] < box[:, 1]).all()):
+        return None
+    cyl_rows, box_rows = iter(cyl.tolist()), iter(box.reshape(-1, 6).tolist())
+    obstacles = []
+    for kind_is_box in is_box:
+        if kind_is_box:
+            x0, y0, z0, x1, y1, z1 = next(box_rows)
+            obstacles.append(AxisBox(Vec3(x0, y0, z0), Vec3(x1, y1, z1)))
+        else:
+            x, y, z, radius, height = next(cyl_rows)
+            obstacles.append(Cylinder(Vec3(x, y, z), radius, height))
+    return tuple(obstacles)
+
+
+def _load_obstacles(value: Any, path) -> tuple[Obstacle, ...]:
+    obstacles = _obstacles_in_bulk(value)
+    return _expect_obstacles(value, path) if obstacles is None else obstacles
+
+
 # (load, dump) per field annotation; any other dataclass is a nested record
 _FIELD_CODECS = {
     float: (_expect_number, _same),
@@ -229,7 +299,7 @@ _FIELD_CODECS = {
     str: (_expect_str, _same),
     Vec3: (_expect_vec3, lambda v: [v.x, v.y, v.z]),
     tuple[int, ...]: (_list_of(_expect_int), list),
-    tuple[Obstacle, ...]: (_list_of(_expect_obstacle),
+    tuple[Obstacle, ...]: (_load_obstacles,
                            lambda obstacles: [_OBSTACLES[_KIND[type(o)]].dump(o)
                                               for o in obstacles]),
 }
@@ -297,16 +367,46 @@ def load_bench(file: Path) -> BenchSpec:
 
 # -- path / trajectory ------------------------------------------------------
 
+def _pose_values_in_bulk(poses: Any) -> np.ndarray | None:
+    """The (n, 5) values (x, y, z, yaw, t) of the poses the per-pose checks in
+    `path_from_json` load, checked as one array, or None where any check
+    fails, so the caller can name the fault with those checks."""
+    if type(poses) is not list:
+        return None
+    values = []
+    for entry in poses:
+        if type(entry) is not dict:
+            return None
+        keys = entry.keys()
+        if keys == _TIMED_POSE_KEYS:
+            values += _timed_pose(entry)
+        elif keys == _UNTIMED_POSE_KEYS:
+            values += _untimed_pose(entry)
+            values.append(0.0)
+        else:
+            return None
+    if not set(map(type, values)) <= _NUMBER_TYPES:
+        return None
+    try:
+        rows = np.array(values, dtype=float).reshape(-1, len(_POSE_KEYS))
+    except OverflowError:
+        return None
+    return rows if np.isfinite(rows).all() else None
+
+
 def path_from_json(data: Any, path: str = "path") -> GlobalPath:
     obj = _expect_mapping(data, path)
     _check_schema(obj, PATH_SCHEMA, path)
     _check_keys(obj, {"schema", "poses"}, ("schema", "poses"), path)
-    values = []
-    for i, entry in enumerate(_expect_list(obj["poses"], f"{path}.poses")):
-        at = f"{path}.poses[{i}]"
-        _check_keys(_expect_mapping(entry, at), _POSE_KEYS, _POSE_KEYS[:4], at)
-        # only trajectory logs carry `t`; a pose without one passes as t = 0
-        values += [_expect_number(entry.get(key, 0.0), (at, key)) for key in _POSE_KEYS]
+    values = _pose_values_in_bulk(obj["poses"])
+    if values is None:
+        values = []
+        for i, entry in enumerate(_expect_list(obj["poses"], f"{path}.poses")):
+            at = f"{path}.poses[{i}]"
+            _check_keys(_expect_mapping(entry, at), _POSE_KEYS, _POSE_KEYS[:4], at)
+            # only trajectory logs carry `t`; a pose without one passes as t = 0
+            values += [_expect_number(entry.get(key, 0.0), (at, key))
+                       for key in _POSE_KEYS]
     rows = np.reshape(values, (-1, len(_POSE_KEYS)))[:, :4]
     # following a path steers along the steps between consecutive positions
     with np.errstate(over="ignore"):
@@ -325,6 +425,9 @@ def load_path(file: Path) -> GlobalPath:
 
 # A pose's keys as the path loader reads them: a path row's columns, then time.
 _POSE_KEYS = ("x", "y", "z", "yaw", "t")
+_TIMED_POSE_KEYS, _UNTIMED_POSE_KEYS = set(_POSE_KEYS), set(_POSE_KEYS[:4])
+_timed_pose, _untimed_pose = (operator.itemgetter(*_POSE_KEYS),
+                              operator.itemgetter(*_POSE_KEYS[:4]))
 # Pose keys in the order `json.dumps(sort_keys=True)` writes them.
 PATH_KEYS = ("x", "y", "yaw", "z")
 TRAJECTORY_KEYS = ("t", "x", "y", "yaw", "z")

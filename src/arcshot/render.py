@@ -6,8 +6,7 @@ inputs always produce identical bytes.
 
 from __future__ import annotations
 
-import math
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -44,30 +43,41 @@ class _Canvas:
         return self.pad + (self.max_y - wy) * self.scale
 
 
-def _polyline(canvas: _Canvas, points: Iterable[Sequence[float]],
-              style: str) -> str:
-    """Polyline through world (x, y) points."""
-    coords = " ".join(f"{_f(canvas.x(x))},{_f(canvas.y(y))}" for x, y in points)
+def _columns(template: str, columns: Sequence[np.ndarray], sep: str) -> str:
+    """`template`, whose fields take one value from each of `columns` in turn,
+    filled once per row and joined by `sep`. `"%.3f" % v` formats as `_f(v)`."""
+    values = np.column_stack(columns).ravel().tolist()
+    return sep.join([template] * len(columns[0])) % tuple(values)
+
+
+def _polyline(canvas: _Canvas, points: np.ndarray, style: str) -> str:
+    """Polyline through the world (x, y) rows of `points`."""
+    coords = _columns("%.3f,%.3f", (canvas.x(points[:, 0]), canvas.y(points[:, 1])), " ")
     return f'<polyline points="{coords}" fill="none" {style}/>'
 
 
 def _obstacle_layer(canvas: _Canvas, rows: np.ndarray, style: str) -> list[str]:
     """A circle or rect per packed obstacle row (`world.obstacle_rows`), in
-    world order."""
+    world order, as one element of the returned list (none for no rows)."""
+    if not len(rows):
+        return []
     rows = rows[np.argsort(rows[:, INDEX])]
     lo, hi = rows[:, MIN].T, rows[:, MAX].T
-    # the canvas mapping on whole columns gives the bits it gives each float
-    columns = (canvas.x(lo[0]), canvas.y(hi[1]), (hi[0] - lo[0]) * canvas.scale,
-               (hi[1] - lo[1]) * canvas.scale, canvas.x(rows[:, AXIS_X]),
-               canvas.y(rows[:, AXIS_Y]), rows[:, RADIUS] * canvas.scale)
-    elements = []
-    for x, y, w, h, cx, cy, r in zip(*(c.tolist() for c in columns)):
-        if math.isnan(r):
-            elements.append(f'<rect x="{_f(x)}" y="{_f(y)}" width="{_f(w)}" '
-                            f'height="{_f(h)}" {style}/>')
-        else:
-            elements.append(f'<circle cx="{_f(cx)}" cy="{_f(cy)}" r="{_f(r)}" {style}/>')
-    return elements
+    # the canvas mapping on whole columns gives the bits it gives each float;
+    # a row holds a rect's x, y, width and height, or a circle's cx, cy and r
+    values = np.column_stack((canvas.x(lo[0]), canvas.y(hi[1]), (hi[0] - lo[0]) * canvas.scale,
+                              (hi[1] - lo[1]) * canvas.scale))
+    is_box = np.isnan(rows[:, RADIUS])
+    circles = rows[~is_box]
+    values[~is_box, :3] = np.column_stack((canvas.x(circles[:, AXIS_X]),
+                                           canvas.y(circles[:, AXIS_Y]),
+                                           circles[:, RADIUS] * canvas.scale))
+    used = is_box[:, None] | np.array([True, True, True, False])
+    style = style.replace("%", "%%")
+    rect = f'<rect x="%.3f" y="%.3f" width="%.3f" height="%.3f" {style}/>'
+    circle = f'<circle cx="%.3f" cy="%.3f" r="%.3f" {style}/>'
+    template = "\n".join([rect if box else circle for box in is_box.tolist()])
+    return [template % tuple(values[used].tolist())]
 
 
 def render_scene(model: CollisionModel, *,
@@ -125,16 +135,13 @@ def render_scene(model: CollisionModel, *,
     if trees:
         parts.append('<g id="tree">')
         for tree in trees:
-            positions = tree.positions
-            for child in range(1, len(tree)):
-                parent = tree.parents[child]
-                x1 = canvas.x(positions[parent][0])
-                y1 = canvas.y(positions[parent][1])
-                x2 = canvas.x(positions[child][0])
-                y2 = canvas.y(positions[child][1])
-                parts.append(
-                    f'<line x1="{_f(x1)}" y1="{_f(y1)}" x2="{_f(x2)}" '
-                    f'y2="{_f(y2)}" stroke="#b8b8b8" stroke-width="0.6"/>')
+            if len(tree) > 1:
+                parent, child = tree.positions[tree.parents[1:]], tree.positions[1:]
+                parts.append(_columns(
+                    '<line x1="%.3f" y1="%.3f" x2="%.3f" y2="%.3f" '
+                    'stroke="#b8b8b8" stroke-width="0.6"/>',
+                    (canvas.x(parent[:, 0]), canvas.y(parent[:, 1]),
+                     canvas.x(child[:, 0]), canvas.y(child[:, 1])), "\n"))
         parts.append('</g>')
 
     if arc is not None:
@@ -142,24 +149,24 @@ def render_scene(model: CollisionModel, *,
             parts.append('<g id="discontinuities">')
             for d in discontinuities:
                 parts.append(_polyline(
-                    canvas, arc.rows[d.entry_index:d.exit_index + 1, :2].tolist(),
+                    canvas, arc.rows[d.entry_index:d.exit_index + 1, :2],
                     'stroke="#ff9900" stroke-width="5" stroke-opacity="0.5"'))
             parts.append('</g>')
         parts.append('<g id="arc">')
-        parts.append(_polyline(canvas, arc.rows[:, :2].tolist(),
+        parts.append(_polyline(canvas, arc.rows[:, :2],
                                'stroke="#4477cc" stroke-width="1"'))
         parts.append('</g>')
 
     if final_path is not None:
         parts.append('<g id="final">')
-        parts.append(_polyline(canvas, final_path.rows[:, :2].tolist(),
+        parts.append(_polyline(canvas, final_path.rows[:, :2],
                                'stroke="#117733" stroke-width="2.5"'))
         parts.append('</g>')
 
     if trajectory is not None and len(trajectory):
         parts.append('<g id="trajectory">')
         parts.append(_polyline(
-            canvas, np.asarray(trajectory)[:, :2].tolist(),
+            canvas, np.asarray(trajectory, dtype=float)[:, :2],
             'stroke="#7733aa" stroke-width="1.2" stroke-dasharray="3,3"'))
         parts.append('</g>')
 

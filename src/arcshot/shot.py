@@ -77,7 +77,10 @@ class GlobalPath:
             raise ValueError("GlobalPath needs at least one pose")
         if rows.ndim != 2 or rows.shape[1] != 4 or not np.isfinite(rows).all():
             raise ValueError(f"GlobalPath needs finite (n, 4) rows, got shape {rows.shape}")
-        rows[:, 3] = [wrap_to_pi(yaw) for yaw in rows[:, 3].tolist()]
+        # `wrap_to_pi` returns a yaw in (-pi, pi] as it is, so wrap only the rest
+        yaws = rows[:, 3]
+        outside = ~((yaws > -math.pi) & (yaws <= math.pi))
+        yaws[outside] = [wrap_to_pi(yaw) for yaw in yaws[outside].tolist()]
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
 

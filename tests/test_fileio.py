@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from arcshot.executor import FollowConfig
 from arcshot.local_planner import RrtParams
 from arcshot.pipeline import plan_shot
 from arcshot.shot import GlobalPath
-from arcshot.world import CollisionModel, QuadModel
+from arcshot.world import CollisionModel, Cylinder, QuadModel
 from conftest import demo_shot, demo_world
 import schema_reference
 
@@ -553,3 +554,200 @@ def test_several_faults_report_the_first_declared_field():
     with pytest.raises(SchemaError) as err:
         fileio.shot_from_json(payload)
     assert str(err.value) == "shot.start: expected [x, y, z], got 2 values"
+
+
+# -- the bulk loaders against the per-field checks they stand in front of -----
+
+GOLDEN = Path(__file__).parent / "golden"
+# JSON numbers as a file may hold them: integers (also above 2^53, where a
+# float rounds them), -0.0, and floats
+_COORD = st.one_of(st.floats(-30, 30), st.integers(-30, 30),
+                   st.integers(-2 ** 1020, 2 ** 1020),
+                   st.sampled_from([0.0, -0.0, 2 ** 53 + 1, -(2 ** 53 + 1), 2 ** 60 + 3,
+                                    2 ** 1000 + 1, 1e300]))
+_SIZE = st.one_of(st.floats(0.01, 9), st.integers(1, 9),
+                  st.sampled_from([5e-324, 2 ** 53 + 1, 2 ** 1000]))
+
+
+@st.composite
+def _bulk_obstacles(draw):
+    lo = draw(st.lists(_COORD, min_size=3, max_size=3))
+    if draw(st.booleans()):
+        return {"kind": "cylinder", "base_center": lo, "radius": draw(_SIZE),
+                "height": draw(_SIZE)}
+    # a huge integer plus a small size can round to the same float: no extent
+    return {"kind": "box", "min": lo, "max": [v + draw(_SIZE) for v in lo]}
+
+
+def _floats(obstacle) -> list:
+    if isinstance(obstacle, Cylinder):
+        c = obstacle.base_center
+        return [c.x, c.y, c.z, obstacle.radius, obstacle.height]
+    lo, hi = obstacle.min, obstacle.max
+    return [lo.x, lo.y, lo.z, hi.x, hi.y, hi.z]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_bulk_obstacles(), max_size=8))
+def test_bulk_obstacles_equal_the_per_field_codec(obstacles):
+    try:
+        want = fileio._expect_obstacles(copy.deepcopy(obstacles), "world.obstacles")
+    except SchemaError:
+        assert fileio._obstacles_in_bulk(obstacles) is None
+        return
+    got = fileio._obstacles_in_bulk(obstacles)
+    assert got == want
+    assert all(type(v) is float for o in got for v in _floats(o))
+    # the same bits: -0.0 stays -0.0
+    assert np.array([v for o in got for v in _floats(o)]).tobytes() == np.array(
+        [v for o in want for v in _floats(o)]).tobytes()
+    file = {"schema": "world/1", "bounds": {"min": [-1e301, -1e301, -1e301],
+                                            "max": [1e301, 1e301, 1e301]},
+            "target": [0, 0, 1], "obstacles": obstacles}
+    assert fileio.world_from_json(file) == schema_reference.world_from_json(file)
+
+
+def _clutter_file(count: int = 1003) -> dict:
+    """A world file shaped like the benchmark's clutter: cylinders at odd
+    indices, boxes at even ones."""
+    rng = np.random.default_rng(18)
+    obstacles = []
+    for i in range(count):
+        x, y = np.round(rng.uniform(-24, 24, size=2), 6).tolist()
+        size, height = np.round(rng.uniform((0.2, 1.0), (0.5, 6.0)), 6).tolist()
+        if i % 2:
+            obstacles.append({"kind": "cylinder", "base_center": [x, y, 0.0],
+                              "radius": size, "height": height})
+        else:
+            obstacles.append({"kind": "box", "min": [x - size, y - size, 0],
+                              "max": [x + size, y + size, height]})
+    return {"schema": "world/1", "bounds": {"min": [-25, -25, 0], "max": [25, 25, 10]},
+            "target": [0, 0, 1.5], "obstacles": obstacles}
+
+
+def _set(key, index, value):
+    def fault(obstacle):
+        obstacle[key][index] = value
+    return fault
+
+
+# fault -> (index of the faulty obstacle, change to it); 901 is a cylinder
+DEEP_FAULTS = {
+    "negative radius": (901, lambda o: o.update(radius=-0.5)),
+    "zero height": (901, lambda o: o.update(height=0)),
+    "bool coordinate": (901, _set("base_center", 1, True)),
+    "string coordinate": (900, _set("max", 2, "3")),
+    "short vector": (900, lambda o: o["min"].pop()),
+    "missing key": (901, lambda o: o.pop("height")),
+    "unknown key": (900, lambda o: o.update(radius=1.0)),
+    "unknown kind": (900, lambda o: o.update(kind="sphere")),
+    "a cylinder key in a box": (900, lambda o: o.update(base_center=o.pop("min"))),
+    "signed zero extent": (900, lambda o: (o["min"].__setitem__(0, -0.0),
+                                           o["max"].__setitem__(0, 0.0))),
+    "min above max": (900, lambda o: o["max"].__setitem__(1, o["min"][1] - 1)),
+}
+
+
+@pytest.mark.parametrize("fault", DEEP_FAULTS)
+def test_a_fault_deep_in_a_large_world_raises_the_reference_message(fault):
+    index, change = DEEP_FAULTS[fault]
+    file = _clutter_file()
+    change(file["obstacles"][index])
+    with pytest.raises(SchemaError) as want:
+        schema_reference.world_from_json(copy.deepcopy(file))
+    with pytest.raises(SchemaError) as got:
+        fileio.world_from_json(file)
+    assert str(got.value) == str(want.value)
+    assert f"world.obstacles[{index}]" in str(got.value)
+
+
+@pytest.mark.parametrize("index, key, value, message", [
+    (901, "radius", math.nan,
+     "world.obstacles[901].radius: expected a finite number, got nan"),
+    (900, "min", [1.0, math.inf, 0.0],
+     "world.obstacles[900].min: Vec3.y must be finite, got inf"),
+    (901, "height", 2 ** 1024, "world.obstacles[901].height: expected a number, "
+     "got an integer too large for a float"),
+    (900, "max", [1.0, 2.0, -2 ** 1024], "world.obstacles[900].max[2]: expected a number, "
+     "got an integer too large for a float"),
+])
+def test_a_non_finite_number_deep_in_a_large_world_names_its_field(index, key, value,
+                                                                   message):
+    file = _clutter_file()
+    file["obstacles"][index][key] = value
+    with pytest.raises(SchemaError) as err:
+        fileio.world_from_json(file)
+    assert str(err.value) == message
+
+
+def _counting(monkeypatch, name) -> list:
+    """Record the calls to the fileio function `name`, which still runs."""
+    calls, original = [], getattr(fileio, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+    monkeypatch.setattr(fileio, name, counted)
+    return calls
+
+
+def test_a_valid_clutter_world_takes_the_bulk_path(monkeypatch):
+    file = _clutter_file()
+    want = schema_reference.world_from_json(copy.deepcopy(file))
+    per_field = _counting(monkeypatch, "_expect_obstacles")
+    assert fileio.world_from_json(copy.deepcopy(file)) == want
+    assert per_field == []
+    # a faulty file goes to the per-field checks, which name the fault
+    file["obstacles"][500]["kind"] = "sphere"
+    with pytest.raises(SchemaError):
+        fileio.world_from_json(file)
+    assert len(per_field) == 1
+
+
+@pytest.mark.parametrize("name", ["plan/path.json", "exec/trajectory.json"])
+def test_golden_paths_take_the_bulk_path(monkeypatch, name):
+    data = json.loads((GOLDEN / name).read_text())
+    per_field = _counting(monkeypatch, "_expect_number")
+    path = fileio.path_from_json(data)
+    assert per_field == []
+    assert len(path) == len(data["poses"]) > 50
+    monkeypatch.setattr(fileio, "_pose_values_in_bulk", lambda poses: None)
+    assert fileio.path_from_json(data) == path
+    assert len(per_field) == 5 * len(path)
+
+
+# pose values as a file may hold them, and some that no path may hold
+_POSE_VALUE = st.one_of(st.floats(-1e3, 1e3), st.integers(-10, 10),
+                        st.sampled_from([-0.0, 2 ** 53 + 1, 1e308, -1.7e308]),
+                        st.sampled_from([math.nan, math.inf, True, "1", None, 2 ** 1024]))
+
+
+@st.composite
+def _pose_lists(draw):
+    poses = []
+    for _ in range(draw(st.integers(0, 6))):
+        keys = ["x", "y", "z", "yaw"] + (["t"] if draw(st.booleans()) else [])
+        keys = draw(st.permutations(keys))
+        if draw(st.integers(0, 9)) == 0:   # a missing or an unknown key
+            keys = keys[1:] if draw(st.booleans()) else keys + ["w"]
+        poses.append({key: draw(_POSE_VALUE) for key in keys})
+    if poses and draw(st.integers(0, 9)) == 0:
+        poses[draw(st.integers(0, len(poses) - 1))] = draw(st.sampled_from([[], 1, "x"]))
+    return poses
+
+
+def _path_outcome(data):
+    try:
+        return ("ok", fileio.path_from_json(data).rows.tobytes())
+    except SchemaError as exc:
+        return ("SchemaError", str(exc))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_pose_lists())
+def test_bulk_poses_load_as_the_per_pose_checks_do(poses):
+    data = {"schema": "path/1", "poses": poses}
+    got = _path_outcome(copy.deepcopy(data))
+    with mock.patch.object(fileio, "_pose_values_in_bulk", lambda poses: None):
+        want = _path_outcome(data)
+    assert got == want

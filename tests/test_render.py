@@ -5,12 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arcshot.bench import BenchResult, BenchRow
-from arcshot.local_planner import RrtParams
+from arcshot.local_planner import RrtParams, Tree
 from arcshot.pipeline import plan_shot
-from arcshot.render import _Canvas, _f, render_bench_chart, render_scene
+from arcshot.render import (_Canvas, _f, _obstacle_layer, _polyline, render_bench_chart,
+                            render_scene)
 from arcshot.shot import generate_arc
-from arcshot.world import AxisBox, CollisionModel, Cylinder, QuadModel, Vec3
+from arcshot.world import AxisBox, CollisionModel, Cylinder, QuadModel, Vec3, obstacle_rows
 from conftest import demo_shot, demo_world, make_world
+import render_reference
 from world_reference import inflate
 
 
@@ -113,6 +115,88 @@ def test_obstacle_layers_draw_each_obstacle_in_world_order(obstacles, body):
     assert _group(svg, "inflated") == _reference_layer(
         canvas, [inflate(o, quad) for o in obstacles],
         'fill="none" stroke="#c06060" stroke-width="1" stroke-dasharray="6,4"')
+
+
+# -- column formatting against the per-element oracle --------------------------
+
+# -0.0, values that round to +-0.000 or sit on a rounding tie, and large values
+_SPECIAL = st.sampled_from([0.0, -0.0, 1e-4, -1e-4, 4.9999e-4, -4.9999e-4, 5e-4, -5e-4,
+                            0.0005000001, -0.0015, 2.5e-3, 5e-324, 123456.0005,
+                            1e15, -1e15, 3e300, -3e300])
+_VALUE = st.one_of(_SPECIAL, st.floats(-50, 50), st.floats(allow_nan=False,
+                                                            allow_infinity=False))
+
+
+@st.composite
+def _canvases(draw):
+    """A random canvas, or one that maps world x to pixels as they are
+    (a pad of 0.0 or -0.0 and a scale of 1), so -0.0 and tiny values reach
+    the formatter unchanged."""
+    if draw(st.booleans()):
+        return _Canvas(AxisBox(Vec3(0.0, 0.0, 0.0), Vec3(900.0, 900.0, 1.0)), 900,
+                       pad=draw(st.sampled_from([0.0, -0.0])))
+    lo = draw(st.floats(-1e6, 1e6))
+    span = draw(st.floats(1e-3, 1e6))
+    return _Canvas(AxisBox(Vec3(lo, lo, 0.0), Vec3(lo + span, lo + span, 1.0)),
+                   draw(st.integers(100, 2000)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_canvases(), st.lists(st.tuples(_VALUE, _VALUE), max_size=12))
+def test_polyline_equals_the_per_point_reference(canvas, points):
+    style = 'stroke="#4477cc" stroke-width="1"'
+    rows = np.array(points, dtype=float).reshape(-1, 2)
+    with np.errstate(over="ignore"):
+        assert _polyline(canvas, rows, style) == render_reference.polyline(canvas, points,
+                                                                           style)
+
+
+@st.composite
+def _raw_obstacle(draw):
+    lo = Vec3(draw(_VALUE), draw(_VALUE), draw(_VALUE))
+    if draw(st.booleans()):
+        size = st.one_of(st.sampled_from([5e-324, 1e-4, 4.9999e-4]), st.floats(1e-3, 1e6))
+        return Cylinder(lo, draw(size), draw(size))
+    size = st.one_of(st.sampled_from([0.0, -0.0, 1e-4]), st.floats(0, 1e6))
+    return AxisBox(lo, Vec3(lo.x + draw(size), lo.y + draw(size), lo.z + draw(size)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_canvases(), st.lists(_raw_obstacle(), max_size=8))
+def test_obstacle_layer_equals_the_per_element_reference(canvas, obstacles):
+    style = 'fill="#9a9a9a" stroke="#5a5a5a" stroke-width="1"'
+    with np.errstate(over="ignore"):
+        rows = obstacle_rows(obstacles)
+        want = render_reference.obstacle_layer(canvas, rows, style)
+        got = _obstacle_layer(canvas, rows, style)
+    # one element per layer, so render joins the same lines
+    assert got == (["\n".join(want)] if want else [])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(_VALUE, _VALUE, st.integers(0, 10 ** 6)), max_size=10))
+def test_tree_overlay_equals_the_per_edge_reference(nodes):
+    tree = Tree(Vec3(0.0, -0.0, 0.0))
+    world = make_world()
+    with np.errstate(over="ignore"):
+        for x, y, parent in nodes:
+            tree.add(np.array([x, y, 0.0]), parent % len(tree))
+        # a root-only tree draws no edge
+        svg = render_scene(CollisionModel(world, QuadModel()),
+                           trees=[tree, Tree(Vec3(1.0, 1.0, 1.0))])
+        lines = render_reference.tree_lines(_Canvas(world.bounds, 900), tree)
+    assert _group(svg, "tree") == "".join(f"\n{line}" for line in lines) + "\n"
+
+
+def test_planned_tree_overlay_equals_the_per_edge_reference(quad):
+    model = CollisionModel(demo_world(), quad)
+    result = plan_shot(model, demo_shot(), RrtParams(extend_dist=0.2, seed=7))
+    svg = render_scene(model, trees=result.trees)
+    canvas = _Canvas(model.world.bounds, 900)
+    lines = [line for tree in result.trees
+             for line in render_reference.tree_lines(canvas, tree)]
+    assert len(lines) > 100
+    assert _group(svg, "tree") == "".join(f"\n{line}" for line in lines) + "\n"
 
 
 def test_bench_chart_marks_every_row():

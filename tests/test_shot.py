@@ -36,6 +36,23 @@ def test_wrap_to_pi_is_periodic(angle, k):
     assert abs(difference) < 1e-9
 
 
+_SEAMS = [math.pi, -math.pi, math.nextafter(math.pi, 0), math.nextafter(math.pi, 4),
+          math.nextafter(-math.pi, 0), math.nextafter(-math.pi, -4), 0.0, -0.0,
+          5e-324, -5e-324, math.tau, -math.tau, 3 * math.pi, -3 * math.pi]
+_YAW = st.one_of(st.sampled_from(_SEAMS), st.floats(-7, 7),
+                 st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_YAW, min_size=1, max_size=12))
+def test_path_rows_wrap_each_yaw_as_wrap_to_pi_does(yaws):
+    # GlobalPath wraps only yaws outside (-pi, pi]; inside it the wrap is the identity
+    rows = [(0.0, 0.0, 0.0, yaw) for yaw in yaws]
+    got = GlobalPath(rows).rows[:, 3]
+    want = np.array([wrap_to_pi(yaw) for yaw in yaws])
+    assert got.tobytes() == want.tobytes()  # the same bits, -0.0 included
+
+
 # aimed_row: a position and the yaw that faces the target -------------------
 
 def test_face_target_cardinal_and_diagonal_headings():
