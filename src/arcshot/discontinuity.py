@@ -58,7 +58,7 @@ def find_discontinuities(path: GlobalPath, model: CollisionModel,
     if not ends[1]:
         raise EndpointBlocked(len(positions) - 1)
 
-    free = model.segments_free(positions, model.check_step)
+    free = model.segments_free(positions)
     last = len(free)  # index of the last sample
     spans: list[list[int]] = []
     for i in np.flatnonzero(~free).tolist():

@@ -62,11 +62,13 @@ class RrtParams:
         return self.extend_dist * self.neighbor_factor
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SearchWindow:
-    """Region where new nodes may be sampled; `level` counts expansions."""
+    """Box [`lo`, `hi`] (two (3,) rows) where new nodes may be sampled;
+    `level` counts expansions."""
 
-    box: AxisBox
+    lo: np.ndarray
+    hi: np.ndarray
     level: int = 0
 
 
@@ -151,23 +153,29 @@ class LocalPath:
                 and np.array_equal(self.positions, other.positions))
 
 
+def _clamped(lo: np.ndarray, hi: np.ndarray, bounds: AxisBox, level: int) -> SearchWindow:
+    """The window [`lo`, `hi`] clamped to `bounds`. Python's `max`/`min`
+    rule, that the first operand wins a tie, decides a 0.0/-0.0 tie."""
+    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
+        raise ValueError(f"search window must be finite, got {lo} .. {hi}")
+    b_lo, b_hi = bounds.min.as_array(), bounds.max.as_array()
+    return SearchWindow(np.where(b_lo > lo, b_lo, lo), np.where(b_hi < hi, b_hi, hi), level)
+
+
 def initial_window(d: Discontinuity, pad: float, bounds: AxisBox) -> SearchWindow:
     """Bounding box of the entry/exit poses, padded, clamped to world bounds."""
-    a = d.entry_pose.position
-    b = d.exit_pose.position
-    box = AxisBox(
-        Vec3(min(a.x, b.x), min(a.y, b.y), min(a.z, b.z)),
-        Vec3(max(a.x, b.x), max(a.y, b.y), max(a.z, b.z)),
-    ).expanded(pad).clipped_to(bounds)
-    return SearchWindow(box=box, level=0)
+    a = d.entry_pose.position.as_array()
+    b = d.exit_pose.position.as_array()
+    return _clamped(np.where(b < a, b, a) - pad, np.where(b > a, b, a) + pad, bounds, 0)
 
 
 def expand_window(window: SearchWindow, growth: float, bounds: AxisBox) -> SearchWindow:
     """Scale the window about its center, clamp to bounds, bump the level."""
     if growth <= 1:
         raise ValueError(f"growth must be > 1, got {growth}")
-    box = window.box.scaled_about_center(growth).clipped_to(bounds)
-    return SearchWindow(box=box, level=window.level + 1)
+    center = (window.lo + window.hi) / 2.0
+    half = (window.hi - window.lo) / 2.0 * growth
+    return _clamped(center - half, center + half, bounds, window.level + 1)
 
 
 def sample(window: SearchWindow, rng: np.random.Generator, count: int) -> np.ndarray:
@@ -175,9 +183,7 @@ def sample(window: SearchWindow, rng: np.random.Generator, count: int) -> np.nda
 
     Consumes the rng exactly as `count` successive single-point draws would.
     """
-    lo = window.box.min.as_array()
-    hi = window.box.max.as_array()
-    return rng.uniform(lo, hi, size=(count, 3))
+    return rng.uniform(window.lo, window.hi, size=(count, 3))
 
 
 def nearest_vertex(tree: Tree, p: np.ndarray) -> int:
@@ -226,7 +232,7 @@ def extend(from_point: np.ndarray, toward: np.ndarray, extend_dist: float) -> np
 
 
 def _best_parent(tree: Tree, x_new: np.ndarray, radius: float,
-                 model: CollisionModel, step: float) -> int | None:
+                 model: CollisionModel) -> int | None:
     """Cheapest in-radius node whose straight edge to `x_new` is collision-free.
 
     Minimizes node cost plus edge length; ties resolve to the earliest
@@ -264,7 +270,7 @@ def _best_parent(tree: Tree, x_new: np.ndarray, radius: float,
     order, origins = order[reachable], origins[reachable]
     if order.size == 0:
         return None
-    pts, first = edge_points(origins, x_new, step)
+    pts, first = edge_points(origins, x_new, model.check_step)
     edge_free = np.logical_and.reduceat(model.free_points(pts), first)
     winner = int(edge_free.argmax())
     return int(order[winner]) if edge_free[winner] else None
@@ -280,22 +286,22 @@ def level_window(d: Discontinuity, model: CollisionModel, params: RrtParams,
     window = initial_window(d, params.window_pad, model.world.bounds)
     for _ in range(level):
         window = expand_window(window, params.window_growth, model.world.bounds)
-    return window, model.within(window.box)
+    return window, model.within(window.lo, window.hi)
 
 
-def walled_off(d: Discontinuity, window: SearchWindow, model: CollisionModel,
-               step: float) -> bool:
+def walled_off(d: Discontinuity, window: SearchWindow, model: CollisionModel) -> bool:
     """True when one inflated box of `model` proves that an attempt in
-    `window`, checking edges at samples at most `step` apart, cannot connect
-    the entry to the exit.
+    `window`, checking edges at samples at most `model.check_step` apart,
+    cannot connect the entry to the exit.
 
     Every point an attempt tests lies in the box spanned by the window and
     both endpoints, up to rounding far below CULL_PAD. If one inflated box
     covers that span, padded by CULL_PAD, in two axes and its slab along the
     third lies strictly between entry and exit, each edge chain from entry to
     exit has samples on both sides of the slab. Successive samples are at
-    most `step` apart, up to the same rounding, so with the slab thicker than
-    `step` plus the pad one of them lands inside the box and is blocked. An
+    most `model.check_step` apart, up to the same rounding, so with the slab
+    thicker than that step plus the pad one of them lands inside the box and
+    is blocked. A model culled by `within` keeps its quad, so its step. An
     edge that `_best_parent` accepts by `segment_clear` is not sampled, but
     every sample `edge_points` would take along it is free, so it is no
     exception.
@@ -319,14 +325,14 @@ def walled_off(d: Discontinuity, window: SearchWindow, model: CollisionModel,
     """
     entry = d.entry_pose.position.as_array()
     exit_ = d.exit_pose.position.as_array()
-    lo = np.minimum.reduce((window.box.min.as_array(), entry, exit_))
-    hi = np.maximum.reduce((window.box.max.as_array(), entry, exit_))
+    lo = np.minimum.reduce((window.lo, entry, exit_))
+    hi = np.maximum.reduce((window.hi, entry, exit_))
     # a float64's significand is even when its lowest stored bit is 0
     exact_lo = (hi <= 0) & ((lo.view(np.int64) & 1) == 0)
     exact_hi = (lo >= 0) & ((hi.view(np.int64) & 1) == 0)
     lo = np.where(exact_lo, lo, lo - CULL_PAD)
     hi = np.where(exact_hi, hi, hi + CULL_PAD)
-    return model.separates(entry, exit_, lo, hi, step + CULL_PAD)
+    return model.separates(entry, exit_, lo, hi, model.check_step + CULL_PAD)
 
 
 @dataclass
@@ -342,9 +348,9 @@ class RrtRunResult:
 
 
 def rrt_star_run(d: Discontinuity, model: CollisionModel, params: RrtParams,
-                 level: int, step: float, disc_index: int = 0) -> RrtRunResult:
+                 level: int, disc_index: int = 0) -> RrtRunResult:
     """Run the full RRT* loop once inside the level-expanded window, checking
-    edges at samples at most `step` apart.
+    edges at samples at most `model.check_step` apart.
 
     The rng stream is derived from (seed, discontinuity index, window level),
     so every attempt is reproducible and independent of the others.
@@ -353,10 +359,8 @@ def rrt_star_run(d: Discontinuity, model: CollisionModel, params: RrtParams,
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=params.seed, spawn_key=(disc_index, level)))
 
-    entry = d.entry_pose.position
-    exit_ = d.exit_pose.position
-    exit_row = exit_.as_array()
-    tree = Tree(entry)
+    exit_row = d.exit_pose.position.as_array()
+    tree = Tree(d.entry_pose.position)
     radius = params.neighbor_radius
 
     best_cost = math.inf
@@ -367,14 +371,13 @@ def rrt_star_run(d: Discontinuity, model: CollisionModel, params: RrtParams,
         if (x_rand == near_pos).all():  # degenerate window collapses onto the tree
             continue
         x_new = extend(near_pos, x_rand, params.extend_dist)
-        parent = _best_parent(tree, x_new, radius, model, step)
+        parent = _best_parent(tree, x_new, radius, model)
         if parent is None:
             continue
         node_id = tree.add(x_new, parent)
 
         goal_dist = _norm(x_new - exit_row)
-        if (goal_dist <= params.goal_radius
-                and model.segment_free(Vec3.from_array(x_new), exit_, step)):
+        if goal_dist <= params.goal_radius and model.segment_free(x_new, exit_row):
             candidate = float(tree.costs[node_id]) + goal_dist
             if candidate < best_cost:
                 best_cost = candidate
@@ -388,7 +391,7 @@ def rrt_star_run(d: Discontinuity, model: CollisionModel, params: RrtParams,
 
 
 def plan_local_run(d: Discontinuity, model: CollisionModel, params: RrtParams,
-                   step: float, disc_index: int = 0) -> RrtRunResult:
+                   disc_index: int = 0) -> RrtRunResult:
     """Retry rrt_star_run with a growing window until it succeeds.
 
     Levels 0 .. fail_limit-1 are attempted in order; the first success wins.
@@ -401,10 +404,10 @@ def plan_local_run(d: Discontinuity, model: CollisionModel, params: RrtParams,
     """
     loops = 0
     for level in range(params.fail_limit):
-        if walled_off(d, *level_window(d, model, params, level), step):
+        if walled_off(d, *level_window(d, model, params, level)):
             loops += params.max_loops
             continue
-        result = rrt_star_run(d, model, params, level, step, disc_index)
+        result = rrt_star_run(d, model, params, level, disc_index)
         loops += result.loops
         if result.path is not None:
             return replace(result, loops=loops)

@@ -78,13 +78,13 @@ def splice(path: GlobalPath, d: Discontinuity, lp: LocalPath) -> GlobalPath:
                                       path.rows[d.exit_index:])), path.spec)
 
 
-def validate(path: GlobalPath, model: CollisionModel, step: float) -> int | None:
+def validate(path: GlobalPath, model: CollisionModel) -> int | None:
     """Densely re-check every consecutive segment with `segments_free`.
 
     Returns the index of the first offending segment, or None when the whole
-    path is collision-free at the given step.
+    path is collision-free at `model.check_step`.
     """
-    blocked = np.flatnonzero(~model.segments_free(path.position_array(), step))
+    blocked = np.flatnonzero(~model.segments_free(path.position_array()))
     return int(blocked[0]) if blocked.size else None
 
 
@@ -101,8 +101,6 @@ def plan_shot(model: CollisionModel, spec: ArcShotSpec, params: RrtParams,
     `model.check_step`, so a stretch one stage accepts is not rejected by
     another; validation stays as the safety gate.
     """
-    step = model.check_step
-
     arc = generate_arc(spec)
     discontinuities = find_discontinuities(arc, model, margin)
 
@@ -111,7 +109,7 @@ def plan_shot(model: CollisionModel, spec: ArcShotSpec, params: RrtParams,
     disc_reports: list[DiscontinuityReport] = []
     for i, d in enumerate(discontinuities):
         started = time.perf_counter()
-        result = plan_local_run(d, model, params, step=step, disc_index=i)
+        result = plan_local_run(d, model, params, disc_index=i)
         duration = time.perf_counter() - started
         local_paths.append(result.path)
         trees.append(result.tree)
@@ -131,7 +129,7 @@ def plan_shot(model: CollisionModel, spec: ArcShotSpec, params: RrtParams,
                         key=lambda pair: pair[0].entry_index, reverse=True):
         final = splice(final, d, lp)
 
-    offending = validate(final, model, step)
+    offending = validate(final, model)
     if offending is not None:
         raise ValidationFailed(offending)
 
@@ -144,6 +142,6 @@ def plan_shot(model: CollisionModel, spec: ArcShotSpec, params: RrtParams,
         params=params,
         quad=model.quad,
         margin=margin,
-        step=step,
+        step=model.check_step,
     )
     return PlanResult(arc, final, discontinuities, local_paths, report, trees)

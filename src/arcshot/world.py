@@ -71,32 +71,10 @@ class AxisBox:
                 and self.min.y <= p.y <= self.max.y
                 and self.min.z <= p.z <= self.max.z)
 
-    def center(self) -> Vec3:
-        return Vec3((self.min.x + self.max.x) / 2.0,
-                    (self.min.y + self.max.y) / 2.0,
-                    (self.min.z + self.max.z) / 2.0)
-
     def expanded(self, amount: float) -> "AxisBox":
         return AxisBox(
             Vec3(self.min.x - amount, self.min.y - amount, self.min.z - amount),
             Vec3(self.max.x + amount, self.max.y + amount, self.max.z + amount),
-        )
-
-    def scaled_about_center(self, factor: float) -> "AxisBox":
-        c = self.center()
-        hx = (self.max.x - self.min.x) / 2.0 * factor
-        hy = (self.max.y - self.min.y) / 2.0 * factor
-        hz = (self.max.z - self.min.z) / 2.0 * factor
-        return AxisBox(Vec3(c.x - hx, c.y - hy, c.z - hz),
-                       Vec3(c.x + hx, c.y + hy, c.z + hz))
-
-    def clipped_to(self, other: "AxisBox") -> "AxisBox":
-        """Intersection with `other`; the boxes must overlap."""
-        return AxisBox(
-            Vec3(max(self.min.x, other.min.x), max(self.min.y, other.min.y),
-                 max(self.min.z, other.min.z)),
-            Vec3(min(self.max.x, other.max.x), min(self.max.y, other.max.y),
-                 min(self.max.z, other.max.z)),
         )
 
 
@@ -232,15 +210,17 @@ class CollisionModel:
         self._lo = world.bounds.min.as_array()
         self._hi = world.bounds.max.as_array()
 
-    def within(self, box: AxisBox) -> "CollisionModel":
+    def within(self, lo: np.ndarray, hi: np.ndarray) -> "CollisionModel":
         """This model restricted to the inflated obstacles whose bounding box
-        touches `box` (closed, padded by CULL_PAD).
+        touches the box [`lo`, `hi`] (two (3,) rows; closed, padded by
+        CULL_PAD).
 
-        Any point inside `box` gets the same `free_points` answer from the
+        Any point inside that box gets the same `free_points` answer from the
         result as from this model, at the cost of only the kept obstacles.
+        The result has the same quad, so the same `check_step`.
         """
-        lo = box.min.as_array() - CULL_PAD
-        hi = box.max.as_array() + CULL_PAD
+        lo = lo - CULL_PAD
+        hi = hi + CULL_PAD
         rows = self.inflated
         keep = np.all((rows[:, MIN] <= hi) & (rows[:, MAX] >= lo), axis=1)
         local = object.__new__(CollisionModel)
@@ -351,18 +331,21 @@ class CollisionModel:
 
     @property
     def check_step(self) -> float:
-        """Sample spacing of every segment check: the blocked-span scan, the
-        planner's edges and final validation all use it, so they agree."""
+        """Sample spacing of every segment check, and the only one: the
+        blocked-span scan, the planner's edges and final validation all read
+        it from the model, so they agree."""
         return self.quad.body_radius / 2
 
-    def segment_free(self, a: Vec3, b: Vec3, step: float) -> bool:
-        """True iff every sample `edge_points` takes along a->b is in c-free."""
-        pts, _ = edge_points(a.as_array()[None, :], b.as_array(), step)
+    def segment_free(self, a: np.ndarray, b: np.ndarray) -> bool:
+        """True iff every sample `edge_points` takes along a->b (two (3,)
+        rows) at `check_step` is in c-free."""
+        pts, _ = edge_points(a[None, :], b, self.check_step)
         return bool(self.free_points(pts).all())
 
-    def segments_free(self, positions: np.ndarray, step: float) -> np.ndarray:
+    def segments_free(self, positions: np.ndarray) -> np.ndarray:
         """Mask over the n-1 segments of an (n, 3) polyline: True where every
-        sample `edge_points` takes along positions[i] -> positions[i+1] is free.
+        sample `edge_points` takes along positions[i] -> positions[i+1] at
+        `check_step` is free.
 
         All samples are classified in one `free_points` call against the
         obstacles near the polyline: every sample lies in the bounding box of
@@ -370,10 +353,9 @@ class CollisionModel:
         """
         if len(positions) < 2:
             return np.ones(0, dtype=bool)
-        box = AxisBox(Vec3.from_array(positions.min(axis=0)),
-                      Vec3.from_array(positions.max(axis=0)))
-        pts, first = edge_points(positions[:-1], positions[1:], step)
-        return np.logical_and.reduceat(self.within(box).free_points(pts), first)
+        pts, first = edge_points(positions[:-1], positions[1:], self.check_step)
+        local = self.within(positions.min(axis=0), positions.max(axis=0))
+        return np.logical_and.reduceat(local.free_points(pts), first)
 
 
 def collision_model(world: World, quad: QuadModel) -> CollisionModel:

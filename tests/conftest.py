@@ -1,5 +1,6 @@
 """Shared scenario builders for the test suite."""
 
+import math
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,20 @@ def wall_world() -> World:
 def wall_shot() -> ArcShotSpec:
     return ArcShotSpec(Vec3(10.0, 0.0, 2.0), Vec3(-10.0, 0.0, 2.0),
                        Vec3(0.0, 0.0, 1.0), "counterclockwise", 64)
+
+
+def spaced_quad(step: float, growth: float) -> QuadModel:
+    """A quad whose growth is exactly `growth` and whose `check_step` is
+    `step`, or growth / 2, the coarsest spacing that growth allows, when
+    `step` is coarser; an ulp finer when no margin adds up to the growth.
+    Quads of one growth inflate every obstacle alike."""
+    body = min(2.0 * step, growth)
+    while True:
+        margin = growth - body
+        for m in (margin, math.nextafter(margin, math.inf), math.nextafter(margin, 0.0)):
+            if body + m == growth:
+                return QuadModel(body_radius=body, safety_margin=m)
+        body = math.nextafter(body, 0.0)
 
 
 @pytest.fixture

@@ -215,7 +215,7 @@ def test_criterion_4_dense_validation_of_random_single_obstacle_plans():
         except LocalPlanFailed:
             continue
         successes += 1
-        assert validate(result.final_path, model, quad.body_radius / 2) is None
+        assert validate(result.final_path, model) is None
     assert successes >= 40, f"only {successes}/50 scenarios planned"
     _ok(4, f"{successes}/50 plans succeeded, zero dense-validation violations")
 
@@ -233,7 +233,7 @@ def test_criterion_5_near_optimal_in_the_open():
     within = 0
     for seed in range(100):
         params = RrtParams(extend_dist=distance / 10, max_loops=500, seed=seed)
-        run = rrt_star_run(d, model, params, level=0, step=quad.body_radius)
+        run = rrt_star_run(d, model, params, level=0)
         if run.path is not None and run.path.cost <= 1.15 * distance:
             within += 1
     elapsed = time.perf_counter() - started
@@ -265,7 +265,6 @@ def test_criterion_10_bench_trees_are_internally_consistent():
     model = CollisionModel(demo_world(), quad)
     params = RrtParams(seed=2025)
     radius = params.neighbor_radius
-    step = quad.body_radius / 2
     trees_checked = 0
     # the 40 plans of the criterion-6 sweep, seeded as run_bench seeds them
     for loops, rep in itertools.product((150, 500), range(20)):
@@ -286,9 +285,7 @@ def test_criterion_10_bench_trees_are_internally_consistent():
                 cheaper = np.flatnonzero(
                     (dists <= radius) & (totals < costs[j] - 1e-9 * max(1.0, costs[j])))
                 for i in cheaper:
-                    assert not model.segment_free(
-                        Vec3.from_array(positions[i]),
-                        Vec3.from_array(positions[j]), step)
+                    assert not model.segment_free(positions[i], positions[j])
             trees_checked += 1
     assert trees_checked == 40
     _ok(10, f"{trees_checked} bench trees: costs consistent, parents optimal")

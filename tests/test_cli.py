@@ -381,9 +381,9 @@ def test_bench_counts_a_repetition_that_fails_validation_as_failed(tmp_path, mon
     calls = []
     real_validate = pipeline.validate
 
-    def validate_rejecting_once(path, model, step):
-        calls.append(step)
-        return 0 if len(calls) == 2 else real_validate(path, model, step)
+    def validate_rejecting_once(path, model):
+        calls.append(path)
+        return 0 if len(calls) == 2 else real_validate(path, model)
 
     monkeypatch.setattr(pipeline, "validate", validate_rejecting_once)
     out = tmp_path / "out"

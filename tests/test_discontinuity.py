@@ -20,7 +20,8 @@ def straight_path(n=21, x0=-10.0, x1=10.0, z=2.0) -> GlobalPath:
 def segment_flags(path: GlobalPath, model: CollisionModel) -> list[bool]:
     """Free flag of every segment i (samples i -> i+1), one `segment_free`
     call each against the whole model."""
-    return [model.segment_free(path[i].position, path[i + 1].position, model.check_step)
+    positions = path.position_array()
+    return [model.segment_free(positions[i], positions[i + 1])
             for i in range(len(path) - 1)]
 
 
@@ -29,7 +30,7 @@ def sample_flags(path: GlobalPath, model: CollisionModel) -> list[bool]:
 
 
 def blocked_segments(path: GlobalPath, model: CollisionModel) -> tuple[int, ...]:
-    free = model.segments_free(path.position_array(), model.check_step)
+    free = model.segments_free(path.position_array())
     return tuple(np.flatnonzero(~free).tolist())
 
 
@@ -103,7 +104,7 @@ def only_sample_hits(flags: list[bool], seg_free: list[bool]) -> bool:
 def assert_spans_cover_exactly_the_blocked_segments(path, model, discs):
     """Sound, complete, ordered, disjoint: every blocked segment lies inside a
     span, and the segments just outside each bracket are free."""
-    free = model.segments_free(path.position_array(), model.check_step).tolist()
+    free = model.segments_free(path.position_array()).tolist()
     inside = [False] * len(free)
     previous_exit = -1
     for d in discs:

@@ -17,7 +17,8 @@ from arcshot.local_planner import (LocalPath, RrtParams, SearchWindow, Tree,
 from arcshot.shot import Pose4, generate_arc
 from arcshot.world import (AXIS_X, AXIS_Y, BOTTOM, CULL_PAD, MAX, MIN, RADIUS, TOP, AxisBox,
                            CollisionModel, Cylinder, QuadModel, Vec3, World, edge_points)
-from conftest import demo_shot, demo_world, make_world, wall_shot, wall_world
+from conftest import demo_shot, demo_world, make_world, spaced_quad, wall_shot, wall_world
+import window_reference
 from world_reference import inflate
 
 BIG_BOUNDS = AxisBox(Vec3(-100, -100, -100), Vec3(100, 100, 100))
@@ -29,13 +30,17 @@ def disc_between(a: Vec3, b: Vec3) -> Discontinuity:
     return Discontinuity(0, 2, Pose4(a, 0.0), Pose4(b, 0.0))
 
 
+def window(lo, hi, level: int = 0) -> SearchWindow:
+    return SearchWindow(np.array(lo, dtype=float), np.array(hi, dtype=float), level)
+
+
 # windows --------------------------------------------------------------------
 
 def test_initial_window_pads_the_entry_exit_box():
     d = disc_between(Vec3(0, 0, 2), Vec3(4, 0, 2))
     w = initial_window(d, 1.0, BIG_BOUNDS)
-    assert w.box.min == Vec3(-1, -1, 1)
-    assert w.box.max == Vec3(5, 1, 3)
+    assert w.lo.tolist() == [-1, -1, 1]
+    assert w.hi.tolist() == [5, 1, 3]
     assert w.level == 0
 
 
@@ -43,7 +48,7 @@ def test_initial_window_degenerate_point_box():
     p = Vec3(2, 2, 2)
     d = disc_between(p, p)
     w = initial_window(d, 0.0, BIG_BOUNDS)
-    assert w.box.min == w.box.max == p
+    assert w.lo.tolist() == w.hi.tolist() == [2, 2, 2]
     rng = np.random.default_rng(0)
     assert Vec3.from_array(sample(w, rng, 1)[0]) == p
 
@@ -52,44 +57,127 @@ def test_initial_window_clamped_to_world_bounds():
     bounds = AxisBox(Vec3(0, 0, 0), Vec3(10, 10, 5))
     d = disc_between(Vec3(0.5, 0.5, 4.5), Vec3(2, 2, 4.5))
     w = initial_window(d, 2.0, bounds)
-    assert w.box.min == Vec3(0, 0, 2.5)
-    assert w.box.max == Vec3(4, 4, 5)
+    assert w.lo.tolist() == [0, 0, 2.5]
+    assert w.hi.tolist() == [4, 4, 5]
 
 
 def test_expand_window_scales_about_center():
-    box = AxisBox(Vec3(-2, -1, -1), Vec3(2, 1, 1))
-    w = expand_window(SearchWindow(box), 1.5, BIG_BOUNDS)
-    assert w.box.min == Vec3(-3, -1.5, -1.5)
-    assert w.box.max == Vec3(3, 1.5, 1.5)
+    w = expand_window(window((-2, -1, -1), (2, 1, 1)), 1.5, BIG_BOUNDS)
+    assert w.lo.tolist() == [-3, -1.5, -1.5]
+    assert w.hi.tolist() == [3, 1.5, 1.5]
     assert w.level == 1
 
 
 def test_expand_window_is_a_clamp_fixpoint_at_full_bounds():
     bounds = AxisBox(Vec3(-1, -1, -1), Vec3(1, 1, 1))
-    w = SearchWindow(bounds, level=3)
-    grown = expand_window(w, 2.0, bounds)
-    assert grown.box == bounds
+    grown = expand_window(window((-1, -1, -1), (1, 1, 1), level=3), 2.0, bounds)
+    assert grown.lo.tolist() == [-1, -1, -1]
+    assert grown.hi.tolist() == [1, 1, 1]
     assert grown.level == 4
 
 
 def test_expanding_twice_composes_growth_factors():
-    box = AxisBox(Vec3(-1, -1, -1), Vec3(1, 1, 1))
-    twice = expand_window(expand_window(SearchWindow(box), 1.5, BIG_BOUNDS),
-                          1.5, BIG_BOUNDS)
-    once_squared = expand_window(SearchWindow(box), 2.25, BIG_BOUNDS)
-    assert twice.box.min.x == pytest.approx(once_squared.box.min.x)
-    assert twice.box.max.y == pytest.approx(once_squared.box.max.y)
+    box = window((-1, -1, -1), (1, 1, 1))
+    twice = expand_window(expand_window(box, 1.5, BIG_BOUNDS), 1.5, BIG_BOUNDS)
+    once_squared = expand_window(box, 2.25, BIG_BOUNDS)
+    assert twice.lo[0] == pytest.approx(once_squared.lo[0])
+    assert twice.hi[1] == pytest.approx(once_squared.hi[1])
 
 
 def test_expand_window_requires_growth_above_one():
     with pytest.raises(ValueError):
-        expand_window(SearchWindow(BIG_BOUNDS), 1.0, BIG_BOUNDS)
+        expand_window(window((-1, -1, -1), (1, 1, 1)), 1.0, BIG_BOUNDS)
+
+
+def _corners(box: AxisBox) -> tuple[bytes, bytes]:
+    return (np.array([box.min.x, box.min.y, box.min.z]).tobytes(),
+            np.array([box.max.x, box.max.y, box.max.z]).tobytes())
+
+
+def _window_case(seed: int):
+    """(discontinuity, pad, growth, level, bounds) drawn from `seed`. Bounds
+    faces and coordinates are often 0.0 or -0.0, boxes often degenerate in
+    some axis, pads often zero of either sign and growths often the least
+    above 1; entry and exit lie in the bounds, often on a face."""
+    rng = np.random.default_rng(seed)
+
+    def pick(options):
+        return options[int(rng.integers(len(options)))]
+
+    lo = [pick([0.0, -0.0, float(rng.uniform(-50.0, 10.0))]) for _ in range(3)]
+    hi = [v + pick([0.0, float(rng.uniform(0.0, 60.0))]) for v in lo]
+
+    def inside(v, w):
+        return pick([v, w, float(rng.uniform(v, w))] + ([0.0, -0.0] if v <= 0.0 <= w else []))
+
+    ends = [Vec3(*(inside(v, w) for v, w in zip(lo, hi))) for _ in range(2)]
+    if rng.random() < 0.2:
+        ends[1] = ends[0]
+    pad = pick([0.0, -0.0, float(rng.uniform(0.0, 1e-3)), float(rng.uniform(0.0, 30.0))])
+    least = float(np.nextafter(1.0, 2.0))
+    growth = pick([least, least + float(rng.uniform(0.0, 3.0))])
+    bounds = AxisBox(Vec3(*lo), Vec3(*hi))
+    return disc_between(*ends), pad, growth, int(rng.integers(4)), bounds
+
+
+def _window_matches_reference(seed: int) -> tuple[bool, bool, bool, bool]:
+    """Every level of `_window_case(seed)` up to its own against the
+    `AxisBox` reference, bit for bit. Returns whether some window was
+    clamped to a bounds face, was degenerate in some axis, held a -0.0, and
+    differed from np.minimum/np.maximum on a 0.0/-0.0 tie."""
+    d, pad, growth, level, bounds = _window_case(seed)
+    first = w = initial_window(d, pad, bounds)
+    box = window_reference.initial_window(d, pad, bounds)
+    b_lo, b_hi = bounds.min.as_array(), bounds.max.as_array()
+    clamped = degenerate = negative_zero = False
+    for k in range(level + 1):
+        if k:
+            w = expand_window(w, growth, bounds)
+            box = window_reference.expand_window(box, growth, bounds)
+        assert (w.lo.tobytes(), w.hi.tobytes()) == _corners(box)
+        assert w.level == k
+        corners = np.concatenate((w.lo, w.hi))
+        clamped |= bool((w.lo == b_lo).any() or (w.hi == b_hi).any())
+        degenerate |= bool((w.lo == w.hi).any())
+        negative_zero |= bool(np.signbit(corners[corners == 0.0]).any())
+    a, b = d.entry_pose.position.as_array(), d.exit_pose.position.as_array()
+    naive = (np.maximum(np.minimum(a, b) - pad, b_lo).tobytes(),
+             np.minimum(np.maximum(a, b) + pad, b_hi).tobytes())
+    return clamped, degenerate, negative_zero, naive != (first.lo.tobytes(), first.hi.tobytes())
+
+
+def test_windows_equal_the_axis_box_reference():
+    # a fixed seed sweep carries the floors, as in the best-parent tests
+    counts = np.sum([_window_matches_reference(seed) for seed in range(500)], axis=0)
+    clamped, degenerate, negative_zero, tie = counts.tolist()
+    assert clamped >= 250 and degenerate >= 200 and negative_zero >= 150 and tie >= 80
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def check(seed):
+        _window_matches_reference(seed)
+
+    check()
+
+
+def test_a_window_that_overflows_is_refused():
+    # the reference's Vec3 refuses an infinite corner; so do the rows
+    huge = AxisBox(Vec3(-1e308, -1e308, -1e308), Vec3(1e308, 1e308, 1e308))
+    d = disc_between(Vec3(-1e308, 0, 0), Vec3(1e308, 0, 0))
+    with np.errstate(over="ignore"):
+        for build in (initial_window, window_reference.initial_window):
+            with pytest.raises(ValueError):
+                build(d, 1e308, huge)
+        with pytest.raises(ValueError):
+            expand_window(initial_window(d, 0.0, huge), 1.5, huge)
+        with pytest.raises(ValueError):
+            window_reference.expand_window(huge, 1.5, huge)
 
 
 # sampling -------------------------------------------------------------------
 
 def test_sample_is_uniform_in_the_unit_box():
-    w = SearchWindow(AxisBox(Vec3(0, 0, 0), Vec3(1, 1, 1)))
+    w = window((0, 0, 0), (1, 1, 1))
     rng = np.random.default_rng(123)
     pts = sample(w, rng, 10_000)
     for axis in range(3):
@@ -101,7 +189,7 @@ def test_sample_is_uniform_in_the_unit_box():
 @given(st.integers(0, 2 ** 32 - 1), st.integers(0, 50), _point, _point)
 def test_one_sample_draw_equals_single_draws(seed, count, a, b):
     lo, hi = np.minimum(a, b), np.maximum(a, b)
-    w = SearchWindow(AxisBox(Vec3.from_array(lo), Vec3.from_array(hi)))
+    w = SearchWindow(lo, hi)
     batch = sample(w, np.random.default_rng(seed), count)
     rng = np.random.default_rng(seed)
     singles = np.array([rng.uniform(lo, hi) for _ in range(count)]).reshape(count, 3)
@@ -109,7 +197,7 @@ def test_one_sample_draw_equals_single_draws(seed, count, a, b):
 
 
 def test_sample_sequences_repeat_with_the_seed():
-    w = SearchWindow(AxisBox(Vec3(-2, 0, 1), Vec3(3, 4, 2)))
+    w = window((-2, 0, 1), (3, 4, 2))
     first = [sample(w, np.random.default_rng(5), 1).tolist() for _ in range(10)]
     second = [sample(w, np.random.default_rng(5), 1).tolist() for _ in range(10)]
     assert first == second
@@ -244,7 +332,7 @@ def test_best_parent_single_node_tree(quad):
     world = make_world()
     tree = Tree(Vec3(0, 0, 2))
     model = CollisionModel(world, quad)
-    assert _best_parent(tree, row(1, 0, 2), 2.0, model, quad.body_radius) == 0
+    assert _best_parent(tree, row(1, 0, 2), 2.0, model) == 0
 
 
 def test_best_parent_breaks_cost_ties_by_insertion_order(quad):
@@ -258,32 +346,31 @@ def test_best_parent_breaks_cost_ties_by_insertion_order(quad):
     child_total = tree.costs[child] + Vec3(1, 0, 2).distance_to(Vec3.from_array(x_new))
     assert root_total == pytest.approx(child_total)
     model = CollisionModel(world, quad)
-    assert _best_parent(tree, x_new, 2.0, model, quad.body_radius) == 0
+    assert _best_parent(tree, x_new, 2.0, model) == 0
 
 
 def test_best_parent_skips_blocked_edges(quad):
     world = make_world((AxisBox(Vec3(0.9, -5, 0), Vec3(1.1, 5, 8)),))
     tree = Tree(Vec3(0, 0, 2))
     model = CollisionModel(world, quad)
-    assert _best_parent(tree, row(2.2, 0, 2), 3.0, model, quad.body_radius) is None
+    assert _best_parent(tree, row(2.2, 0, 2), 3.0, model) is None
 
 
 def test_best_parent_ignores_nodes_outside_radius(quad):
     world = make_world()
     tree = Tree(Vec3(0, 0, 2))
     model = CollisionModel(world, quad)
-    assert _best_parent(tree, row(5, 0, 2), 1.0, model, quad.body_radius) is None
+    assert _best_parent(tree, row(5, 0, 2), 1.0, model) is None
 
 
-def sequential_best_parent(tree, x_new, radius, model, step):
+def sequential_best_parent(tree, x_new, radius, model):
     """Reference for `_best_parent`: walk the in-radius candidates in stable
     cost order and return the first whose edge is free, one segment at a time."""
     dists = np.linalg.norm(tree.positions - x_new, axis=1)
     candidates = np.flatnonzero(dists <= radius)
     totals = tree.costs[candidates] + dists[candidates]
     for idx in candidates[np.argsort(totals, kind="stable")]:
-        if model.segment_free(Vec3.from_array(tree.positions[idx]),
-                              Vec3.from_array(x_new), step):
+        if model.segment_free(tree.positions[idx], x_new):
             return int(idx)
     return None
 
@@ -395,24 +482,29 @@ def _random_case(seed: int, grid: bool):
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.booleans())
 def test_best_parent_matches_sequential_oracle(seed, grid):
-    quad = QuadModel(body_radius=0.2, safety_margin=0.1)
     world, tree, x_new, radius, step = _random_case(seed, grid)
-    model = CollisionModel(world, quad)
-    expected = sequential_best_parent(tree, x_new, radius, model, step)
-    assert _best_parent(tree, x_new, radius, model, step) == expected
+    model = bp_model(world, step)
+    expected = sequential_best_parent(tree, x_new, radius, model)
+    assert _best_parent(tree, x_new, radius, model) == expected
     # culled to a box holding the tree and x_new, as in an RRT* attempt
     pts = np.vstack([tree.positions, x_new])
-    box = AxisBox(Vec3.from_array(pts.min(axis=0)), Vec3.from_array(pts.max(axis=0)))
-    assert _best_parent(tree, x_new, radius, model.within(box), step) == expected
+    local = model.within(pts.min(axis=0), pts.max(axis=0))
+    assert _best_parent(tree, x_new, radius, local) == expected
 
 
 BP_QUAD = QuadModel(body_radius=0.2, safety_margin=0.1)
 
 
+def bp_model(world: World, step: float) -> CollisionModel:
+    """`world` inflated as BP_QUAD inflates it, checked `step` apart, or
+    BP_QUAD.growth / 2 apart when `step` is coarser than that growth allows."""
+    return CollisionModel(world, spaced_quad(step, BP_QUAD.growth))
+
+
 def _assert_matches_oracle(world, tree, x_new, radius, step):
-    model = CollisionModel(world, BP_QUAD)
-    expected = sequential_best_parent(tree, x_new, radius, model, step)
-    assert _best_parent(tree, x_new, radius, model, step) == expected
+    model = bp_model(world, step)
+    expected = sequential_best_parent(tree, x_new, radius, model)
+    assert _best_parent(tree, x_new, radius, model) == expected
     return expected
 
 
@@ -436,8 +528,7 @@ def test_best_parent_falls_back_when_the_cheapest_edge_is_blocked(seed):
     dists = np.linalg.norm(tree.positions - x_new, axis=1)
     near = np.flatnonzero(dists <= 4.0)
     cheapest = near[np.argsort(tree.costs[near] + dists[near], kind="stable")[0]]
-    assume(not model.segment_free(Vec3.from_array(tree.positions[cheapest]),
-                                  Vec3.from_array(x_new), step))
+    assume(not bp_model(world, step).segment_free(tree.positions[cheapest], x_new))
     _assert_matches_oracle(world, tree, x_new, 4.0, step)
 
 
@@ -635,8 +726,7 @@ def _check_segment(seed: int) -> tuple[bool, bool, bool]:
     stops at the ground, which is not padded."""
     model, a, b, toward, step, touching, grounded = _segment_case(seed)
     cleared = []
-    for m in (model, model.within(AxisBox(Vec3.from_array(np.minimum(a, b)),
-                                          Vec3.from_array(np.maximum(a, b))))):
+    for m in (model, model.within(np.minimum(a, b), np.maximum(a, b))):
         cleared.append(m.segment_clear(a, b))
         if cleared[-1]:
             pts, _ = edge_points(a[None, :], b, step)
@@ -698,13 +788,12 @@ def _best_parent_agrees(seed: int) -> bool | None:
     and culled round the tree as in an attempt. Whether the cheapest edge
     was certified; None when no node lies within the radius."""
     world, tree, x_new, radius, step = _clustered_case(seed)
-    model = CollisionModel(world, BP_QUAD)
-    expected = sequential_best_parent(tree, x_new, radius, model, step)
-    assert _best_parent(tree, x_new, radius, model, step) == expected
+    model = bp_model(world, step)
+    expected = sequential_best_parent(tree, x_new, radius, model)
+    assert _best_parent(tree, x_new, radius, model) == expected
     pts = np.vstack([tree.positions, x_new])
-    local = model.within(AxisBox(Vec3.from_array(pts.min(axis=0)),
-                                 Vec3.from_array(pts.max(axis=0))))
-    assert _best_parent(tree, x_new, radius, local, step) == expected
+    local = model.within(pts.min(axis=0), pts.max(axis=0))
+    assert _best_parent(tree, x_new, radius, local) == expected
     best = _cheapest(tree, x_new, radius)
     return None if best is None else model.segment_clear(tree.positions[best], x_new)
 
@@ -736,8 +825,7 @@ def test_rrt_star_finds_near_straight_paths_in_the_open(quad):
     world, d = empty_world_disc()
     model = CollisionModel(world, quad)
     for seed in range(5):
-        lp = rrt_star_run(d, model, RrtParams(extend_dist=1.0, seed=seed), 0,
-                          step=quad.body_radius).path
+        lp = rrt_star_run(d, model, RrtParams(extend_dist=1.0, seed=seed), 0).path
         assert lp is not None
         assert Vec3.from_array(lp.positions[0]) == d.entry_pose.position
         assert Vec3.from_array(lp.positions[-1]) == d.exit_pose.position
@@ -758,7 +846,7 @@ def test_rrt_star_returns_none_for_an_enclosed_exit(quad):
     assert model.point_free(exit_p)
     d = disc_between(Vec3(0, 0, 2), exit_p)
     params = RrtParams(seed=3, max_loops=300)
-    assert rrt_star_run(d, model, params, 0, step=quad.body_radius).path is None
+    assert rrt_star_run(d, model, params, 0).path is None
 
 
 def test_rrt_star_detour_survives_dense_revalidation(quad):
@@ -766,13 +854,16 @@ def test_rrt_star_detour_survives_dense_revalidation(quad):
     world = make_world((Cylinder(Vec3(0, 0.9, 0), 0.5, 5.0),),
                        target=(0.0, 5.0, 1.5))
     d = disc_between(Vec3(-3, 0, 2), Vec3(3, 0, 2))
-    step = quad.body_radius / 2
     model = CollisionModel(world, quad)
+    # the same inflation, checked at half the planner's step
+    dense = CollisionModel(world, QuadModel(body_radius=0.15, safety_margin=0.35))
+    assert dense.check_step == model.check_step / 2
+    assert dense.inflated.tobytes() == model.inflated.tobytes()
     for seed in range(5):
-        lp = rrt_star_run(d, model, RrtParams(seed=seed), 0, step=step).path
+        lp = rrt_star_run(d, model, RrtParams(seed=seed), 0).path
         assert lp is not None
         for a, b in zip(lp.positions, lp.positions[1:]):
-            assert model.segment_free(Vec3.from_array(a), Vec3.from_array(b), step / 2)
+            assert dense.segment_free(a, b)
 
 
 def test_rrt_star_tree_invariants(quad):
@@ -780,7 +871,7 @@ def test_rrt_star_tree_invariants(quad):
     arc = generate_arc(demo_shot())
     d = find_discontinuities(arc, model)[0]
     params = RrtParams(seed=8)
-    run = rrt_star_run(d, model, params, 0, step=quad.body_radius)
+    run = rrt_star_run(d, model, params, 0)
     tree = run.tree
 
     # cost consistency: stored costs equal recomputed root sums
@@ -794,14 +885,12 @@ def test_rrt_star_tree_invariants(quad):
         assert tree.costs[i] == pytest.approx(recomputed[i], rel=1e-9)
 
     # edge validity at the configured collision step
+    assert model.check_step == quad.body_radius / 2
     for i in range(1, len(tree)):
-        assert model.segment_free(
-            Vec3.from_array(tree.positions[tree.parents[i]]),
-            Vec3.from_array(tree.positions[i]), quad.body_radius / 2)
+        assert model.segment_free(tree.positions[tree.parents[i]], tree.positions[i])
 
     # window containment
-    for i in range(len(tree)):
-        assert run.window.box.contains(Vec3.from_array(tree.positions[i]))
+    assert ((run.window.lo <= tree.positions) & (tree.positions <= run.window.hi)).all()
 
 
 def test_rrt_star_is_deterministic(quad):
@@ -809,15 +898,15 @@ def test_rrt_star_is_deterministic(quad):
     arc = generate_arc(demo_shot())
     d = find_discontinuities(arc, model)[0]
     params = RrtParams(seed=17)
-    a = rrt_star_run(d, model, params, 0, step=quad.body_radius)
-    b = rrt_star_run(d, model, params, 0, step=quad.body_radius)
+    a = rrt_star_run(d, model, params, 0)
+    b = rrt_star_run(d, model, params, 0)
     assert len(a.tree) == len(b.tree)
     assert a.path is not None and b.path is not None
     assert np.array_equal(a.path.positions, b.path.positions)
     assert a.path.cost == b.path.cost
     assert a.path == b.path
     # a different discontinuity index derives a different stream
-    c = rrt_star_run(d, model, params, 0, step=quad.body_radius, disc_index=1)
+    c = rrt_star_run(d, model, params, 0, disc_index=1)
     assert c.path is None or not np.array_equal(c.path.positions, a.path.positions)
 
 
@@ -825,8 +914,7 @@ def test_rrt_star_is_deterministic(quad):
 
 def test_plan_local_succeeds_at_level_zero_when_easy(quad):
     world, d = empty_world_disc()
-    out = plan_local_run(d, CollisionModel(world, quad), RrtParams(seed=2),
-                         step=quad.body_radius)
+    out = plan_local_run(d, CollisionModel(world, quad), RrtParams(seed=2))
     assert out.window.level == 0
     assert out.loops == 500
     assert out.path.cost < 9.0
@@ -844,8 +932,8 @@ def wall_disc(quad):
 def test_plan_local_expands_past_a_wide_wall(quad):
     model, d = wall_disc(quad)
     # level 0 alone cannot cross: the wall covers the whole initial window
-    assert rrt_star_run(d, model, WALL_PARAMS, 0, step=quad.body_radius).path is None
-    out = plan_local_run(d, model, WALL_PARAMS, step=quad.body_radius)
+    assert rrt_star_run(d, model, WALL_PARAMS, 0).path is None
+    out = plan_local_run(d, model, WALL_PARAMS)
     assert out.window.level >= 1
     assert out.loops == (out.window.level + 1) * WALL_PARAMS.max_loops
 
@@ -854,7 +942,7 @@ def test_plan_local_fail_limit_one_gives_up_immediately(quad):
     model, d = wall_disc(quad)
     params = dataclasses.replace(WALL_PARAMS, fail_limit=1)
     with pytest.raises(LocalPlanFailed) as err:
-        plan_local_run(d, model, params, step=quad.body_radius, disc_index=0)
+        plan_local_run(d, model, params, disc_index=0)
     assert err.value.discontinuity_index == 0
     assert err.value.levels_tried == 1
 
@@ -869,7 +957,7 @@ def test_plan_local_never_runs_a_walled_off_level(quad, monkeypatch):
         return run(d, model, params, level, *args, **kwargs)
 
     monkeypatch.setattr(local_planner, "rrt_star_run", recording)
-    out = plan_local_run(d, model, WALL_PARAMS, step=quad.body_radius)
+    out = plan_local_run(d, model, WALL_PARAMS)
     # levels 0 and 1 are walled off: 1 by the wall's closed top face at 3.5 m
     assert levels == [2]
     assert out.loops == (out.window.level + 1) * WALL_PARAMS.max_loops
@@ -877,7 +965,7 @@ def test_plan_local_never_runs_a_walled_off_level(quad, monkeypatch):
     levels.clear()
     params = dataclasses.replace(WALL_PARAMS, fail_limit=1)
     with pytest.raises(LocalPlanFailed) as err:
-        plan_local_run(d, model, params, step=quad.body_radius)
+        plan_local_run(d, model, params)
     assert err.value.levels_tried == 1
     assert levels == []
 
@@ -889,11 +977,11 @@ OPEN_BOUNDS = dict(lo=(-20, -20, -20), hi=(20, 20, 20))
 SLAB = AxisBox(Vec3(-0.5, -5, -5), Vec3(0.5, 5, 5))
 
 
-def certified(obstacles, a=Vec3(-3, 0, 0), b=Vec3(3, 0, 0), step=0.15):
+def certified(obstacles, a=Vec3(-3, 0, 0), b=Vec3(3, 0, 0), quad=QuadModel()):
     """walled_off at level 0 of the default window (x -4..4, y and z -1..1)."""
-    model = CollisionModel(make_world(obstacles, **OPEN_BOUNDS), QuadModel())
+    model = CollisionModel(make_world(obstacles, **OPEN_BOUNDS), quad)
     d = disc_between(a, b)
-    return walled_off(d, *level_window(d, model, RrtParams(), 0), step)
+    return walled_off(d, *level_window(d, model, RrtParams(), 0))
 
 
 def _swap(v: Vec3, axis: int) -> Vec3:
@@ -910,8 +998,72 @@ def test_walled_off_fires_on_a_thick_slab_across_the_window(axis):
 
 
 def test_walled_off_needs_a_slab_thicker_than_the_step():
-    assert not certified([SLAB], step=2.0)  # the inflated slab is exactly 2.0 thick
-    assert certified([SLAB], step=2.0 - 2e-6)
+    # a box inflates by the growth on each side, and a quad of that growth
+    # checks at most growth / 2 apart, so only a growth below 2/3 of CULL_PAD
+    # leaves a slab no thicker than the step plus the pad: a flat slab
+    # inflated by 5 * 2**-23 is exactly 10 * 2**-23 thick
+    growth = 5 * 2.0 ** -23
+    flat = AxisBox(Vec3(0, -5, -5), Vec3(0, 5, 5))
+    step = 2 * growth - CULL_PAD
+    assert step + CULL_PAD == 2 * growth
+    for s, walls in ((step, False), (step - 2e-13, True)):
+        quad = spaced_quad(s, growth)
+        assert quad.body_radius / 2 == s and quad.growth == growth
+        assert certified([flat], quad=quad) is walls
+
+
+def _slab_case(seed: int):
+    """(slab, entry, exit, growth, two body radii) drawn from `seed`: a slab
+    across the default window along a random axis and two quads of one
+    growth below 2/3 of CULL_PAD, with the inflated slab's thickness mostly
+    near their check_step + CULL_PAD, or the slab flat."""
+    rng = np.random.default_rng(seed)
+    axis = int(rng.integers(3))
+    growth = float(rng.uniform(1e-7, 6.6e-7))
+    bodies = rng.uniform(0.0, growth, 2)
+    # inflated, the slab is 2 * growth thicker: mostly near the thresholds
+    thickness = max(0.0, CULL_PAD - 2 * growth + float(rng.uniform(-0.1, 0.6)) * growth)
+    x = float(rng.uniform(-1.0, 1.0))
+    lo, hi = np.full(3, -5.0), np.full(3, 5.0)
+    lo[axis], hi[axis] = x, x + float(rng.choice([0.0, thickness]))
+    ends = [Vec3(-3, 0, 0), Vec3(3, 0, 0)]
+    if rng.random() < 0.5:
+        ends.reverse()
+    return (AxisBox(Vec3.from_array(lo), Vec3.from_array(hi)), _swap(ends[0], axis),
+            _swap(ends[1], axis), growth, bodies.tolist())
+
+
+def _slab_walls_off_past_the_step(seed: int) -> tuple[int, int]:
+    """`walled_off` on `_slab_case(seed)` fires for each quad exactly when
+    the inflated slab is thicker than that quad's check_step + CULL_PAD.
+    Returns how many of the two quads it fired for, and whether they
+    disagree."""
+    slab, a, b, growth, bodies = _slab_case(seed)
+    axis = int(np.argmax(np.abs(b.as_array() - a.as_array())))
+    fired = []
+    for body in bodies:
+        quad = spaced_quad(body / 2, growth)
+        model = CollisionModel(make_world([slab], **OPEN_BOUNDS), quad)
+        row, = model.inflated
+        thick = row[MAX][axis] - row[MIN][axis] > model.check_step + CULL_PAD
+        fired.append(certified([slab], a, b, quad=quad))
+        assert fired[-1] is bool(thick)
+    return sum(fired), fired[0] != fired[1]
+
+
+def test_walled_off_flips_where_the_slab_passes_the_step_and_pad():
+    # a fixed seed sweep carries the floors, as in the best-parent tests
+    fired, flipped = np.sum([_slab_walls_off_past_the_step(seed) for seed in range(300)],
+                            axis=0)
+    assert 100 <= fired <= 500  # of 600: both answers are common
+    assert flipped >= 30
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def check(seed):
+        _slab_walls_off_past_the_step(seed)
+
+    check()
 
 
 def test_walled_off_needs_the_cover_to_exceed_the_window_by_the_pad():
@@ -973,13 +1125,14 @@ def test_walled_off_never_fires_on_the_demo(quad):
     model = CollisionModel(demo_world(), quad)
     d, = find_discontinuities(generate_arc(demo_shot()), model)
     for level in range(RrtParams().fail_limit):
-        assert not walled_off(d, *level_window(d, model, RrtParams(), level),
-                              quad.body_radius / 2)
+        assert not walled_off(d, *level_window(d, model, RrtParams(), level))
 
 
 def _single_box_span(seed: int):
-    """(model, discontinuity, params, step) drawn from `seed`: one box, entry
-    and exit in a random order along a random axis, near the box or across it.
+    """(model, discontinuity, params) drawn from `seed`: one box, entry and
+    exit in a random order along a random axis, near the box or across it.
+    The model checks segments at a drawn step, or at the coarsest its
+    growth allows.
 
     Often one of the other two axes is one-signed, as z is above the ground,
     and the inflated box's face on it lies exactly on one level's window
@@ -1032,43 +1185,43 @@ def _single_box_span(seed: int):
         k = others[flat - 1]
         # the window face is at least 0.7 from 0, so the growth adds back exactly
         if up:
-            box_hi[flat] = window.box.max.as_array()[k] - quad.growth
+            box_hi[flat] = window.hi[k] - quad.growth
             box_lo[flat] = min(box_lo[flat], box_hi[flat])
         else:
-            box_lo[flat] = window.box.min.as_array()[k] + quad.growth
+            box_lo[flat] = window.lo[k] + quad.growth
             box_hi[flat] = max(box_hi[flat], box_lo[flat])
     world = World(bounds, (AxisBox(along(box_lo), along(box_hi)),), Vec3(0, 0, 0))
-    return CollisionModel(world, quad), d, params, u(0.1, 2.5)
+    return CollisionModel(world, spaced_quad(u(0.1, 2.5), quad.growth)), d, params
 
 
 def _span(d, window):
     """The box spanned by `window` and both endpoints, as (lo, hi)."""
     ends = (d.entry_pose.position.as_array(), d.exit_pose.position.as_array())
-    return (np.minimum.reduce((window.box.min.as_array(), *ends)),
-            np.maximum.reduce((window.box.max.as_array(), *ends)))
+    return (np.minimum.reduce((window.lo, *ends)),
+            np.maximum.reduce((window.hi, *ends)))
 
 
-def _padded_walled_off(d, window, model, step):
+def _padded_walled_off(d, window, model):
     """`walled_off` with CULL_PAD on every face of the span."""
     lo, hi = _span(d, window)
     return model.separates(d.entry_pose.position.as_array(),
                            d.exit_pose.position.as_array(),
-                           lo - CULL_PAD, hi + CULL_PAD, step + CULL_PAD)
+                           lo - CULL_PAD, hi + CULL_PAD, model.check_step + CULL_PAD)
 
 
 def _walled_off_levels(seed: int) -> tuple[int, int]:
     """Levels 0-2 of `_single_box_span(seed)`: every level `walled_off`
     certifies runs and finds no path, and every level the all-padded rule
     certifies is certified. Returns (certified, certified by a closed face)."""
-    model, d, params, step = _single_box_span(seed)
+    model, d, params = _single_box_span(seed)
     fired = exact = 0
     for level in range(3):
         window, local = level_window(d, model, params, level)
-        padded = _padded_walled_off(d, window, local, step)
-        if walled_off(d, window, local, step):
+        padded = _padded_walled_off(d, window, local)
+        if walled_off(d, window, local):
             fired += 1
             exact += not padded
-            assert rrt_star_run(d, model, params, level, step).path is None
+            assert rrt_star_run(d, model, params, level).path is None
         else:
             assert not padded
     return fired, exact
@@ -1100,12 +1253,12 @@ def test_no_tested_coordinate_passes_an_unpadded_span_face(monkeypatch):
 
     monkeypatch.setattr(CollisionModel, "free_points", recording)
 
-    def unpadded_faces(d, model, params, level, step):
+    def unpadded_faces(d, model, params, level):
         lo, hi = _span(d, level_window(d, model, params, level)[0])
         top = (lo >= 0) & _even(hi)
         bottom = (hi <= 0) & _even(lo)
         seen.clear()
-        rrt_star_run(d, model, params, level, step)
+        rrt_star_run(d, model, params, level)
         pts = np.concatenate(seen)
         assert (pts[:, top] <= hi[top]).all()
         assert (pts[:, bottom] >= lo[bottom]).all()
@@ -1113,12 +1266,12 @@ def test_no_tested_coordinate_passes_an_unpadded_span_face(monkeypatch):
 
     # level 1 of the acceptance wall: z spans 0.5..3.5, the inflated top
     model, d = wall_disc(QuadModel())
-    pts, faces = unpadded_faces(d, model, WALL_PARAMS, 1, 0.15)
+    pts, faces = unpadded_faces(d, model, WALL_PARAMS, 1)
     assert faces[2] and pts[:, 2].max() > 3.4
 
     def faces_checked(seed):
-        model, d, params, step = _single_box_span(seed)
-        return sum(unpadded_faces(d, model, params, level, step)[1].sum()
+        model, d, params = _single_box_span(seed)
+        return sum(unpadded_faces(d, model, params, level)[1].sum()
                    for level in range(3))
 
     # a fixed seed sweep carries the floor, as in the test above

@@ -1,12 +1,16 @@
 import dataclasses
 import hashlib
+import importlib
+import inspect
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import arcshot
 from arcshot import fileio, local_planner
 from arcshot.discontinuity import Discontinuity
 from arcshot.errors import EndpointBlocked, LocalPlanFailed, SpliceMismatch
@@ -14,7 +18,8 @@ from arcshot.local_planner import LocalPath, RrtParams
 from arcshot.pipeline import plan_shot, splice, validate
 from arcshot.shot import ArcShotSpec, GlobalPath, aimed_row, generate_arc
 from arcshot.world import AxisBox, CollisionModel, Cylinder, QuadModel, Vec3
-from conftest import SCENARIO_DIR, demo_shot, demo_world, make_world, wall_shot, wall_world
+from conftest import (SCENARIO_DIR, demo_shot, demo_world, make_world, spaced_quad, wall_shot,
+                      wall_world)
 from test_discontinuity import thin_obstacles
 
 
@@ -78,29 +83,56 @@ def test_splice_requires_a_shot_spec_for_yaw():
 def test_validate_passes_a_clean_arc(quad):
     world = make_world()
     arc = generate_arc(demo_shot())
-    assert validate(arc, CollisionModel(world, quad), quad.body_radius / 2) is None
+    assert validate(arc, CollisionModel(world, quad)) is None
 
 
 def test_validate_reports_the_first_offending_segment(quad):
     world = make_world((Cylinder(Vec3(0.0, 0.0, 0.0), 1.0, 5.0),),
                        target=(0.0, 5.0, 1.0))
     path = GlobalPath([(x, 0.0, 2.0, 0.0) for x in (-5.0, -3.0, 3.0, 5.0)])
-    assert validate(path, CollisionModel(world, quad), 0.15) == 1
+    model = CollisionModel(world, quad)
+    assert model.check_step == 0.15
+    assert validate(path, model) == 1
 
 
 def test_validate_finer_step_never_passes_where_coarser_failed(quad):
-    model = CollisionModel(make_world((Cylinder(Vec3(0.0, 0.0, 0.0), 1.0, 5.0),),
-                                      target=(0.0, 5.0, 1.0)), quad)
+    # two quads of the default growth: checks 0.25 and 0.125 apart
+    world = make_world((Cylinder(Vec3(0.0, 0.0, 0.0), 1.0, 5.0),), target=(0.0, 5.0, 1.0))
+    coarse, fine = (CollisionModel(world, QuadModel(body, quad.growth - body))
+                    for body in (0.5, 0.25))
+    assert (coarse.check_step, fine.check_step) == (0.25, 0.125)
+    assert coarse.inflated.tobytes() == fine.inflated.tobytes()
     path = GlobalPath([(x, 0.0, 2.0, 0.0) for x in (-6.0, 0.0, 6.0)])
-    coarse = validate(path, model, 1.0)
-    assert coarse is not None
-    assert validate(path, model, 0.25) is not None
+    assert validate(path, coarse) is not None
+    assert validate(path, fine) is not None
 
 
-def sequential_validate(path, model, step):
+def test_only_edge_points_takes_a_check_spacing():
+    # the collision model owns the segment-check spacing (check_step), so the
+    # scan, the planner and validation cannot be handed different ones; the
+    # sampler is the one function that takes a spacing
+    takers = []
+    for info in pkgutil.iter_modules(arcshot.__path__):
+        module = importlib.import_module(f"arcshot.{info.name}")
+        for name, obj in vars(module).items():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(obj):
+                functions = [(f"{name}.{attr}", f) for attr, f in vars(obj).items()
+                             if inspect.isfunction(f)]
+            else:
+                functions = [(name, obj)] if inspect.isfunction(obj) else []
+            takers += [f"{module.__name__}.{qualified}" for qualified, f in functions
+                       if "step" in inspect.signature(f).parameters]
+    # the report records the spacing a plan was checked at, for report/1
+    assert takers == ["arcshot.pipeline.PlanReport.__init__", "arcshot.world.edge_points"]
+
+
+def sequential_validate(path, model):
     """Reference for `validate`: one `segment_free` call per segment."""
+    positions = path.position_array()
     for i in range(len(path) - 1):
-        if not model.segment_free(path[i].position, path[i + 1].position, step):
+        if not model.segment_free(positions[i], positions[i + 1]):
             return i
     return None
 
@@ -127,10 +159,9 @@ def test_validate_matches_the_per_segment_oracle(seed):
     steps = rng.uniform(-1.5, 1.5, size=(int(rng.integers(1, 30)), 3))
     walk = rng.uniform((-6, -6, 1), (6, 6, 7)) + np.cumsum(steps, axis=0)
     path = GlobalPath(np.column_stack((walk, np.zeros(len(walk)))))
-    quad = QuadModel(body_radius=float(rng.uniform(0.1, 0.4)), safety_margin=0.1)
-    step = float(rng.uniform(0.05, 0.5))
-    model = CollisionModel(world, quad)
-    assert validate(path, model, step) == sequential_validate(path, model, step)
+    growth = QuadModel(body_radius=float(rng.uniform(0.1, 0.4)), safety_margin=0.1).growth
+    model = CollisionModel(world, spaced_quad(float(rng.uniform(0.05, 0.5)), growth))
+    assert validate(path, model) == sequential_validate(path, model)
 
 
 # plan_shot ------------------------------------------------------------------
@@ -163,7 +194,7 @@ def test_plan_shot_demo_repairs_exactly_one_span(quad):
     assert np.array_equal(final.rows[-tail:], arc.rows[d.exit_index:])
 
     # spliced result is densely safe and keeps the camera on target
-    assert validate(final, model, quad.body_radius / 2) is None
+    assert validate(final, model) is None
     for x, y, _, yaw in final.rows.tolist():
         off_x = spec.target.x - x
         off_y = spec.target.y - y
@@ -210,7 +241,7 @@ def test_plan_shot_repairs_a_thin_wall_between_samples(samples, quad):
     assert model.free_points(generate_arc(spec).position_array()).all()
     result = plan_shot(model, spec, RrtParams())
     assert len(result.discontinuities) == 1
-    assert validate(result.final_path, model, model.check_step) is None
+    assert validate(result.final_path, model) is None
 
 
 @settings(max_examples=100, deadline=None)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from arcshot.world import (AXIS_X, AXIS_Y, BOTTOM, CULL_PAD, INDEX, MAX, MIN, RADIUS,
                            RADIUS_SQ, TOP, AxisBox, CollisionModel, Cylinder, QuadModel,
                            Vec3, World, edge_points, obstacle_rows)
-from conftest import make_world
+from conftest import make_world, spaced_quad
 from world_reference import bounding_box, inflate, inflated_rows, packed_arrays
 
 
@@ -169,7 +169,7 @@ def test_pack_equals_the_per_obstacle_oracle(case):
     hi = [v + CULL_PAD for v in (box.max.x, box.max.y, box.max.z)]
     keep = [all(row[k] <= hi[k] and row[3 + k] >= lo[k] for k in range(3))
             for row in full.inflated.tolist()]
-    local = full.within(box)
+    local = full.within(box.min.as_array(), box.max.as_array())
     assert local.inflated.tobytes() == full.inflated[np.array(keep, dtype=bool)].tobytes()
     assert full.raw.tobytes() == obstacle_rows(world.obstacles).tobytes()
     assert full.raw[:, INDEX].tolist() == full.inflated[:, INDEX].tolist()
@@ -314,7 +314,7 @@ def test_within_matches_full_model_inside_its_box(obstacles, box, fractions):
     world = make_world(tuple(obstacles), lo=(-8.0, -8.0, -1.0), hi=(8.0, 8.0, 8.0))
     quad = QuadModel(body_radius=0.25, safety_margin=0.25)
     full = CollisionModel(world, quad)
-    local = full.within(box)
+    local = full.within(box.min.as_array(), box.max.as_array())
     pts = _probe_points(box, np.array(fractions))
     assert np.array_equal(local.free_points(pts), full.free_points(pts))
     assert ({row.tobytes() for row in local.inflated}
@@ -358,7 +358,7 @@ def test_free_points_matches_the_reference(obstacles, box, fractions):
              *(AxisBox(Vec3(*b[:3]), Vec3(*b[3:]))
                for b in (bounding_box(inflate(o, full.quad)) for o in obstacles))]
     pts = np.vstack([_probe_points(b, np.array(fractions)) for b in boxes])
-    for model in (full, full.within(box)):
+    for model in (full, full.within(box.min.as_array(), box.max.as_array())):
         assert model.free_points(pts).tobytes() == _reference_free_points(model, pts).tobytes()
         for row in pts:
             assert (model.free_points(row[None, :]).tobytes()
@@ -371,8 +371,7 @@ def test_within_keeps_touching_obstacles_and_drops_distant_ones():
     corner = Cylinder(Vec3(3.0, 3.0, 0.0), 0.5, 1.0)                 # inflated bbox from (2, 2)
     distant = Cylinder(Vec3(-6.0, -6.0, 0.0), 0.5, 1.0)
     world = make_world((touching, corner, distant))
-    local = CollisionModel(world, quad).within(AxisBox(Vec3(0.0, 0.0, 0.0),
-                                                       Vec3(2.0, 2.0, 2.0)))
+    local = CollisionModel(world, quad).within(np.zeros(3), np.full(3, 2.0))
     expected = inflated_rows(world.obstacles, quad)
     assert (local.inflated.tobytes()
             == expected[np.isin(expected[:, INDEX], [0, 1])].tobytes())
@@ -503,36 +502,39 @@ def test_segment_clear_pads_any_other_bounds_bottom(bottom):
 
 # segment_free ---------------------------------------------------------------
 
+def row(x, y, z) -> np.ndarray:
+    return np.array([x, y, z], dtype=float)
+
+
 def test_segment_free_in_empty_world():
     world = make_world()
     quad = QuadModel()
-    assert CollisionModel(world, quad).segment_free(Vec3(-5, 0, 2), Vec3(5, 0, 2), 0.5)
+    assert CollisionModel(world, quad).segment_free(row(-5, 0, 2), row(5, 0, 2))
 
 
 def test_segment_through_cylinder_axis_is_blocked():
     world = make_world((Cylinder(Vec3(0.0, 0.0, 0.0), 1.0, 5.0),))
     quad = QuadModel()
-    assert not CollisionModel(world, quad).segment_free(Vec3(-5, 0, 2), Vec3(5, 0, 2), 0.5)
+    assert not CollisionModel(world, quad).segment_free(row(-5, 0, 2), row(5, 0, 2))
 
 
 def test_grazing_segment_matches_fine_sampling_oracle():
-    # closest approach = inflated radius - step/2; both resolutions agree here
+    # closest approach = inflated radius - step/2; both resolutions agree here.
+    # Two quads of growth 0.5 (inflated r=1.5) check 0.2 and 0.02 apart.
     world = make_world((Cylinder(Vec3(0.0, 0.0, 0.0), 1.0, 5.0),))
-    quad = QuadModel(body_radius=0.3, safety_margin=0.2)  # inflated r=1.5
-    a, b = Vec3(-3.0, 1.4, 2.0), Vec3(3.0, 1.4, 2.0)
-    step = 0.2
-    model = CollisionModel(world, quad)
-    coarse = model.segment_free(a, b, step)
-    fine = model.segment_free(a, b, step / 10)
-    assert coarse is fine is False
+    a, b = row(-3.0, 1.4, 2.0), row(3.0, 1.4, 2.0)
+    coarse, fine = (CollisionModel(world, QuadModel(body_radius=body, safety_margin=0.5 - body))
+                    for body in (0.4, 0.04))
+    assert (coarse.check_step, fine.check_step) == (0.2, 0.02)
+    assert coarse.inflated.tobytes() == fine.inflated.tobytes()
+    assert coarse.segment_free(a, b) is fine.segment_free(a, b) is False
 
 
 def test_segment_endpoints_checked():
     world = make_world((Cylinder(Vec3(0.0, 0.0, 0.0), 1.0, 5.0),))
     quad = QuadModel()
     # start point sits inside the inflated cylinder
-    assert not CollisionModel(world, quad).segment_free(Vec3(0.5, 0, 2), Vec3(5, 0, 2),
-                                                         0.25)
+    assert not CollisionModel(world, quad).segment_free(row(0.5, 0, 2), row(5, 0, 2))
 
 
 def test_coarse_sampling_is_optimistic():
@@ -548,24 +550,117 @@ def test_coarse_sampling_is_optimistic():
             if a.distance_to(b) == 0.0:
                 continue
             step = a.distance_to(b) / 6  # divides evenly: halving nests points
-            fine = model.segment_free(a, b, step / 2)
-            coarse = model.segment_free(a, b, step)
+            # spacings up to 5 m, which no quad of this growth checks at
+            fine, coarse = (model.free_points(edge_points(a.as_array()[None, :], b.as_array(),
+                                                          s)[0]).all()
+                            for s in (step / 2, step))
             if fine:
                 assert coarse
 
 
-def test_segment_free_default_step_is_body_radius():
-    # a gap a body_radius step would sample: obstacle thinner than body_radius
+def _spacing_case(seed: int):
+    """(world, two quads of one growth, polyline) drawn from `seed`: one to
+    three cylinders and boxes, some thin, and a polyline whose vertices
+    cluster round one of them or line up along a graze of it, with repeated
+    vertices and single-vertex polylines now and then."""
+    rng = np.random.default_rng(seed)
+    world = _random_world(rng)
+    if rng.random() < 0.5:
+        x = rng.uniform(-6, 6)
+        world = make_world(world.obstacles + (AxisBox(
+            Vec3(x, rng.uniform(-8, -2), 0.0),
+            Vec3(x + rng.uniform(0.0, 0.1), rng.uniform(2, 8), rng.uniform(1, 8))),))
+    growth = float(rng.uniform(0.05, 0.8))
+    # one spacing near the coarsest the growth allows, one finer
+    quads = [spaced_quad(float(rng.uniform(*share)) * growth / 2, growth)
+             for share in ((0.5, 1.0), (0.02, 0.5))]
+    rows = CollisionModel(world, quads[0]).inflated
+    row = rows[int(rng.integers(len(rows)))]
+    if rng.random() < 0.7:
+        # vertices along a line that grazes the inflated obstacle a little
+        # inside its side or one of its edges, where sparser samples can
+        # step over it
+        depth = float(10 ** rng.uniform(-6, -2))
+        tilt = float(rng.uniform(-0.3, 0.3))
+        if row[RADIUS] > 0:
+            a = rng.uniform(0, 2 * np.pi)
+            p = np.array([row[AXIS_X] + (row[RADIUS] - depth) * np.cos(a),
+                          row[AXIS_Y] + (row[RADIUS] - depth) * np.sin(a),
+                          rng.uniform(row[BOTTOM], row[TOP])])
+            u = np.array([-np.sin(a), np.cos(a), tilt])
+        else:
+            i, j, k = rng.permutation(3)
+            si, sj = rng.choice([-1.0, 1.0], 2)
+            p = rng.uniform(row[MIN], row[MAX])
+            p[i] = (row[MAX] if si > 0 else row[MIN])[i] - si * depth
+            p[j] = (row[MAX] if sj > 0 else row[MIN])[j] - sj * depth
+            u = si * np.eye(3)[i] - sj * np.eye(3)[j] + tilt * np.eye(3)[k]
+        u /= np.linalg.norm(u)
+        t = np.sort(rng.uniform(-3, 3, int(rng.integers(2, 7))))
+        positions = p + t[:, None] * u
+    else:
+        middle = (row[MIN] + row[MAX]) / 2
+        reach = (row[MAX] - row[MIN]) / 2 + 1.0
+        positions = middle + rng.uniform(-1, 1, size=(int(rng.integers(1, 12)), 3)) * reach
+    if len(positions) > 2 and rng.random() < 0.3:
+        positions[1] = positions[0]
+    positions[:, 2] = np.clip(positions[:, 2], 0.0, 10.0)
+    return world, quads, positions
+
+
+def _spacing_follows_the_quad(seed: int) -> tuple[int, int]:
+    """`segments_free` of `_spacing_case(seed)` against one `edge_points`
+    sampling at body_radius / 2 per segment, on each model and on its copy
+    culled to the polyline. Returns the blocked segments and the segments
+    whose answer differs between the two quads."""
+    world, quads, positions = _spacing_case(seed)
+    answers = []
+    for quad in quads:
+        model = CollisionModel(world, quad)
+        expected = [bool(model.free_points(edge_points(a[None, :], b,
+                                                       quad.body_radius / 2)[0]).all())
+                    for a, b in zip(positions, positions[1:])]
+        local = model.within(positions.min(axis=0), positions.max(axis=0))
+        assert model.segments_free(positions).tolist() == expected
+        assert local.segments_free(positions).tolist() == expected
+        assert [model.segment_free(a, b) for a, b in zip(positions, positions[1:])] == expected
+        answers.append(np.array(expected, dtype=bool))
+    return int((~answers[0]).sum()), int((answers[0] != answers[1]).sum())
+
+
+def test_the_segment_check_spacing_follows_the_quad():
+    # quads of one growth inflate alike and differ only in their spacing; a
+    # fixed seed sweep carries the floors, as in the planner's properties
+    blocked, differ = np.sum([_spacing_follows_the_quad(seed) for seed in range(400)], axis=0)
+    assert blocked >= 400
+    assert differ >= 20
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def check(seed):
+        _spacing_follows_the_quad(seed)
+
+    check()
+
+
+def test_segment_free_samples_at_the_models_check_step():
+    # an obstacle thinner than body_radius, inflated by it: the model checks
+    # half a body radius apart, and its answer is that sampling's
     world = make_world((AxisBox(Vec3(-0.05, -5, 0), Vec3(0.05, 5, 5)),))
     quad = QuadModel(body_radius=0.3, safety_margin=0.0)
-    assert not CollisionModel(world, quad).segment_free(Vec3(-3, 0, 2), Vec3(3, 0, 2),
-                                                         quad.body_radius)
+    model = CollisionModel(world, quad)
+    assert model.check_step == quad.body_radius / 2
+    a, b = row(-3, 0, 2), row(3, 0, 2)
+    pts, _ = edge_points(a[None, :], b, quad.body_radius / 2)
+    assert len(pts) == 41
+    assert not model.free_points(pts).all()
+    assert not model.segment_free(a, b)
 
 
-def test_segment_free_requires_positive_step():
-    world = make_world()
-    with pytest.raises(ValueError):
-        CollisionModel(world, QuadModel()).segment_free(Vec3(0, 0, 1), Vec3(1, 0, 1), 0.0)
+def test_edge_points_requires_positive_step():
+    for step in (0.0, -0.1):
+        with pytest.raises(ValueError):
+            edge_points(row(0, 0, 1)[None, :], row(1, 0, 1), step)
 
 
 # type invariants ------------------------------------------------------------
