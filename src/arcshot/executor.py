@@ -38,16 +38,17 @@ class FollowConfig:
     max_time: float = 120.0
 
     def __post_init__(self):
-        if self.dt <= 0:
+        # negated comparisons, so NaN fails them too
+        if not self.dt > 0:
             raise ValueError(f"dt must be > 0, got {self.dt}")
-        if self.k_p <= 0:
+        if not self.k_p > 0:
             raise ValueError(f"k_p must be > 0, got {self.k_p}")
-        if self.waypoint_tolerance <= 0:
+        if not self.waypoint_tolerance > 0:
             raise ValueError(
                 f"waypoint_tolerance must be > 0, got {self.waypoint_tolerance}")
-        if self.max_time <= 0:
+        if not self.max_time > 0:
             raise ValueError(f"max_time must be > 0, got {self.max_time}")
-        if self.k_p * self.dt >= 1.0:
+        if not self.k_p * self.dt < 1.0:
             raise ValueError(
                 f"k_p * dt must be < 1 for stable tracking, got {self.k_p * self.dt}")
 

@@ -106,13 +106,14 @@ class QuadModel:
     max_yaw_rate: float = 1.5
 
     def __post_init__(self):
-        if self.body_radius <= 0:
+        # negated comparisons, so NaN fails them too
+        if not self.body_radius > 0:
             raise ValueError(f"QuadModel.body_radius must be > 0, got {self.body_radius}")
-        if self.safety_margin < 0:
+        if not self.safety_margin >= 0:
             raise ValueError(f"QuadModel.safety_margin must be >= 0, got {self.safety_margin}")
-        if self.max_speed <= 0:
+        if not self.max_speed > 0:
             raise ValueError(f"QuadModel.max_speed must be > 0, got {self.max_speed}")
-        if self.max_yaw_rate <= 0:
+        if not self.max_yaw_rate > 0:
             raise ValueError(f"QuadModel.max_yaw_rate must be > 0, got {self.max_yaw_rate}")
 
     @property
@@ -227,10 +228,10 @@ class CollisionModel:
         local._adopt(self.world, self.quad, rows[keep], self.raw[keep])
         return local
 
-    def segment_clear(self, a: np.ndarray, b: np.ndarray) -> bool:
+    def segment_clear(self, a, b) -> bool:
         """True when every point `edge_points` would sample along a->b (two
-        (3,) rows) gets a True `free_points` answer from this model; False
-        says nothing.
+        points of three floats, (3,) rows or sequences) gets a True
+        `free_points` answer from this model; False says nothing.
 
         It holds when the closed segment lies in the bounds shrunk by
         CULL_PAD and misses every inflated obstacle grown by CULL_PAD: a box
@@ -248,8 +249,8 @@ class CollisionModel:
         scalar pass over this model's rows, which stops at the first it
         cannot clear, keeps the test cheap on a model culled with `within`.
         """
-        ax, ay, az = a.tolist()
-        bx, by, bz = b.tolist()
+        ax, ay, az = a
+        bx, by, bz = b
         (lx, ly, lz), (hx, hy, hz), cylinders, boxes = self._scalar_rows
         if not (lx <= ax <= hx and lx <= bx <= hx and ly <= ay <= hy
                 and ly <= by <= hy and lz <= az <= hz and lz <= bz <= hz):

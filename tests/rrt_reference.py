@@ -1,0 +1,123 @@
+"""The RRT* loop that the blocked loop replaced: `rrt_star_run` with one
+full-tree `nearest_vertex` scan and one full-tree `_distances` pass in
+`_best_parent` per loop, on numpy rows, with `extend` on numpy rows.
+
+Kept as the oracle the blocked loop is checked against: on the same inputs it
+must grow the same tree (positions, costs and parents, bit for bit), return
+the same path and cost, and report the same loop count. It shares `Tree`,
+`sample` and `level_window` with the planner, which the blocked loop left as
+they were.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from arcshot.discontinuity import Discontinuity
+from arcshot.errors import DegenerateExtend
+from arcshot.local_planner import (LocalPath, RrtParams, RrtRunResult, Tree, level_window,
+                                   sample)
+from arcshot.world import CollisionModel, edge_points
+
+
+def nearest_vertex(tree: Tree, p: np.ndarray) -> int:
+    """Id of the node closest to `p`; ties go to the earliest insertion.
+    Squared distances sum x, z, y in that order, as
+    `np.einsum("ij,ij->i", d, d)` does on C-ordered (n, 3) rows."""
+    q = tree.xyz - p[:, None]
+    q *= q
+    dist2 = q[0]
+    dist2 += q[2]
+    dist2 += q[1]
+    return int(dist2.argmin())
+
+
+def _distances(tree: Tree, p: np.ndarray) -> np.ndarray:
+    """(n,) distances from `p` to every node, bit for bit
+    `np.linalg.norm(tree.positions - p, axis=1)`."""
+    q = tree.xyz - p[:, None]
+    q *= q
+    dists = q[0]
+    dists += q[1]
+    dists += q[2]
+    return np.sqrt(dists, out=dists)
+
+
+def _norm(v: np.ndarray) -> float:
+    x, y, z = v.tolist()
+    return math.sqrt(x * x + y * y + z * z)
+
+
+def extend(from_point: np.ndarray, toward: np.ndarray, extend_dist: float) -> np.ndarray:
+    offset = toward - from_point
+    length = _norm(offset)
+    if length == 0.0:
+        raise DegenerateExtend(f"cannot extend from {from_point} toward itself")
+    if length <= extend_dist:
+        return toward
+    return from_point + offset * (extend_dist / length)
+
+
+def _best_parent(tree: Tree, x_new: np.ndarray, radius: float,
+                 model: CollisionModel) -> int | None:
+    """Cheapest in-radius node whose straight edge to `x_new` is free: the
+    certified cheapest candidate, or the first free edge in stable cost
+    order after a last-sample pre-filter."""
+    dists = _distances(tree, x_new)
+    candidates = (dists <= radius).nonzero()[0]
+    if candidates.size == 0:
+        return None
+    totals = tree.costs[candidates] + dists[candidates]
+    best = int(candidates[totals.argmin()])
+    if model.segment_clear(tree.xyz[:, best], x_new):
+        return best
+    order = candidates[totals.argsort(kind="stable")]
+    origins = tree.positions[order]
+    reachable = model.free_points(origins + (x_new - origins))
+    order, origins = order[reachable], origins[reachable]
+    if order.size == 0:
+        return None
+    pts, first = edge_points(origins, x_new, model.check_step)
+    edge_free = np.logical_and.reduceat(model.free_points(pts), first)
+    winner = int(edge_free.argmax())
+    return int(order[winner]) if edge_free[winner] else None
+
+
+def rrt_star_run(d: Discontinuity, model: CollisionModel, params: RrtParams,
+                 level: int, disc_index: int = 0) -> RrtRunResult:
+    """One RRT* attempt in the level-expanded window, one sample per loop."""
+    window, model = level_window(d, model, params, level)
+    rng = np.random.default_rng(
+        np.random.SeedSequence(entropy=params.seed, spawn_key=(disc_index, level)))
+
+    exit_row = d.exit_pose.position.as_array()
+    tree = Tree(d.entry_pose.position)
+    radius = params.neighbor_radius
+
+    best_cost = math.inf
+    best_node: int | None = None
+
+    for x_rand in sample(window, rng, params.max_loops):
+        near_pos = tree.positions[nearest_vertex(tree, x_rand)]
+        if (x_rand == near_pos).all():
+            continue
+        x_new = extend(near_pos, x_rand, params.extend_dist)
+        parent = _best_parent(tree, x_new, radius, model)
+        if parent is None:
+            continue
+        node_id = tree.add(x_new, parent)
+
+        goal_dist = _norm(x_new - exit_row)
+        if goal_dist <= params.goal_radius and model.segment_free(x_new, exit_row):
+            candidate = float(tree.costs[node_id]) + goal_dist
+            if candidate < best_cost:
+                best_cost = candidate
+                best_node = node_id
+
+    if best_node is None:
+        return RrtRunResult(None, tree, window, params.max_loops)
+    positions = np.vstack((tree.path_from_root(best_node), exit_row))
+    return RrtRunResult(LocalPath(positions, best_cost), tree, window,
+                        params.max_loops)

@@ -128,6 +128,25 @@ def test_benchmark_tracer_still_wraps_the_planner(tmp_path, monkeypatch):
     assert op["counters"]["point_obstacle_pairs"] > 0
 
 
+def test_each_traced_attempt_makes_one_nearest_vertex_call_per_loop(tmp_path, monkeypatch):
+    # perfbench's loop_growth takes a loop to be the gap between successive
+    # nearest_vertex calls under an attempt, so the blocked loop still makes
+    # one call per loop of the budget, degenerate samples included
+    monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
+    import tracing
+
+    with tracing.installed(tracing.Tracer()) as tracer:
+        tracer.begin_op(0)
+        assert cli.main(["plan", *demo_args(tmp_path / "plan")]) == cli.EXIT_OK
+        tracer.end_op()
+    op = tracer.ops[0]
+    attempts = np.flatnonzero(op["name"] == tracer.names.index("local_planner.rrt_star_run"))
+    nearest = op["parent"][op["name"] == tracer.names.index("local_planner.nearest_vertex")]
+    max_loops = fileio.load_config(DEMO / "config.json").rrt.max_loops
+    assert attempts.size >= 1
+    assert [int((nearest == a).sum()) for a in attempts] == [max_loops] * attempts.size
+
+
 def test_benchmark_tracer_still_wraps_the_replay(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
     import tracing

@@ -134,6 +134,12 @@ def test_follow_config_stability_guard():
         FollowConfig(waypoint_tolerance=0.0)
 
 
+@pytest.mark.parametrize("field", ["dt", "k_p", "waypoint_tolerance", "max_time"])
+def test_follow_config_rejects_nan(field):
+    with pytest.raises(ValueError, match=rf"^{field} must be .*, got nan$"):
+        FollowConfig(**{field: math.nan})
+
+
 def test_replayed_demo_plan_avoids_raw_obstacles(quad):
     world = demo_world()
     result = plan_shot(CollisionModel(world, quad), demo_shot(),

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 
@@ -18,6 +19,7 @@ from arcshot.shot import Pose4, generate_arc
 from arcshot.world import (AXIS_X, AXIS_Y, BOTTOM, CULL_PAD, MAX, MIN, RADIUS, TOP, AxisBox,
                            CollisionModel, Cylinder, QuadModel, Vec3, World, edge_points)
 from conftest import demo_shot, demo_world, make_world, spaced_quad, wall_shot, wall_world
+import rrt_reference
 import window_reference
 from world_reference import inflate
 
@@ -295,6 +297,125 @@ def test_nearest_sums_squares_in_einsum_order():
     assert nearest_vertex(tree, np.zeros(3)) == _einsum_nearest(tree, np.zeros(3)) == 0
 
 
+def _split_nearest_agrees(rows: np.ndarray, p: np.ndarray) -> collections.Counter:
+    """At every block boundary `count` of the tree over `rows`: a block scan
+    of `p` over the first `count` nodes, then `nearest_vertex` with that
+    answer once the rest are added, must pick the oracle's full-scan node.
+    Counts the boundaries where the best node before it and the best node
+    after it tie exactly or differ by 1 ulp in squared distance."""
+    seen = collections.Counter()
+    for count in range(1, len(rows)):
+        tree = _grow_tree(rows[:count], np.random.default_rng(count))
+        dist2 = local_planner._square_distances(tree, p[None])[0]
+        near = int(dist2.argmin())
+        for r in rows[count:]:
+            tree.add(r, 0)
+        got = nearest_vertex(tree, p.tolist(), (near, float(dist2[near]), count))
+        assert got == rrt_reference.nearest_vertex(tree, p) == nearest_vertex(tree, p)
+        old, new = dist2[near], local_planner._square_distances(tree, p[None])[0, count:].min()
+        seen["exact_tie"] += bool(old == new)
+        seen["ulp_tie"] += bool(new in (np.nextafter(old, -np.inf), np.nextafter(old, np.inf)))
+    return seen
+
+
+def _tie_case(seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_near_tie_tree`'s rows drawn with numpy: on a 0.25 m grid or not, each
+    row after the first new or remade from the nearest so far (or another
+    row) as a copy, a 1-ulp step, a mirror image about the query or a
+    permutation of its offset from the query."""
+    rng = np.random.default_rng(seed)
+    grid = rng.random() < 0.5
+
+    def point():
+        v = rng.uniform(-3, 3, 3)
+        return np.round(v * 4) / 4 if grid else v
+
+    p, rows = point(), [point()]
+    for _ in range(int(rng.integers(1, 25))):
+        j = (min(rows, key=lambda r: float(((r - p) ** 2).sum())) if rng.random() < 0.75
+             else rows[int(rng.integers(len(rows)))])
+        kind = rng.integers(5)
+        if kind == 0:
+            rows.append(point())
+        elif kind == 1:
+            rows.append(j.copy())
+        elif kind == 2:
+            rows.append(np.nextafter(j, rng.choice([-np.inf, np.inf])))
+        elif kind == 3:
+            rows.append(p - (j - p))
+        else:
+            rows.append(p + (j - p)[rng.permutation(3)])
+    return np.array(rows), p
+
+
+def test_nearest_keeps_the_full_scan_answer_across_a_block_boundary():
+    # a fixed seed sweep carries the floors; 1-ulp ties come from permuted
+    # and mirrored offsets, whose squares round apart
+    seen = sum((_split_nearest_agrees(*_tie_case(seed)) for seed in range(150)),
+               collections.Counter())
+    assert seen["exact_tie"] >= 400 and seen["ulp_tie"] >= 70
+
+    @settings(max_examples=100, deadline=None)
+    @given(_near_tie_tree())
+    def check(case):
+        p, rows = case
+        _split_nearest_agrees(rows, p)
+
+    check()
+
+
+def _older_candidates_hold_every_in_radius_node(seed: int) -> int:
+    """A block of samples round a root, and nodes at the neighbour radius
+    behind each sample's new node as seen from the sample (where the
+    triangle inequality is tight), some moved by an ulp: every in-radius
+    node of a sample's new node must be in its run of `_older_candidates`.
+    Returns how many in-radius nodes lay beyond the bound without its pad."""
+    rng = np.random.default_rng(seed)
+    root = rng.uniform(-5, 5, 3)
+    extend_dist = float(rng.uniform(0.1, 2.0))
+    radius = extend_dist * float(rng.uniform(1.5, 3.0))
+    directions = rng.normal(size=(local_planner.BLOCK, 3))
+    block = root + rng.uniform(0.0, 6.0, (local_planner.BLOCK, 1)) * (
+        directions / np.linalg.norm(directions, axis=1, keepdims=True))
+    tree = Tree(Vec3.from_array(root))
+    for x_rand in block:
+        away = np.array(extend(root.tolist(), x_rand.tolist(), extend_dist)) - x_rand
+        if away.any():
+            node = x_rand + away * (1.0 + radius / np.linalg.norm(away))
+            for _ in range(3):
+                tree.add(np.nextafter(node, rng.choice([-np.inf, np.inf], 3))
+                         if rng.random() < 0.5 else node, 0)
+    dist2 = local_planner._square_distances(tree, block)
+    nearest = dist2.argmin(axis=1)
+    near_dist2 = dist2[np.arange(len(block)), nearest]
+    older, ends = local_planner._older_candidates(dist2, near_dist2, radius, extend_dist)
+    beyond, begin = 0, 0
+    for scan, x_rand, near, end in zip(dist2, block.tolist(), nearest.tolist(), ends):
+        run, begin = older[begin:end], end
+        if x_rand == tree.rows[near]:
+            continue
+        x_new = extend(tree.rows[near], x_rand, extend_dist)
+        in_radius = [i for i, dist in enumerate(_distances(tree, x_new, range(len(tree))))
+                     if dist <= radius]
+        assert set(in_radius) <= set(run)
+        bare = radius + max(math.sqrt(scan[near]) - extend_dist, 0.0)
+        beyond += int((scan[in_radius] > bare * bare).sum())
+    return beyond
+
+
+def test_older_candidates_hold_every_in_radius_node():
+    # the pad is what keeps the nodes where the bound is tight: a fixed seed
+    # sweep shows that it is needed
+    assert sum(_older_candidates_hold_every_in_radius_node(seed) for seed in range(300)) >= 40
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def check(seed):
+        _older_candidates_hold_every_in_radius_node(seed)
+
+    check()
+
+
 # extend ---------------------------------------------------------------------
 
 def row(x, y, z) -> np.ndarray:
@@ -302,11 +423,12 @@ def row(x, y, z) -> np.ndarray:
 
 
 def test_extend_steps_toward_distant_points():
-    assert extend(row(0, 0, 0), row(10, 0, 0), 1.0).tolist() == [1, 0, 0]
+    assert extend([0.0, 0.0, 0.0], [10.0, 0.0, 0.0], 1.0) == [1, 0, 0]
 
 
 def test_extend_returns_nearby_points_directly():
-    assert extend(row(0, 0, 0), row(0.5, 0, 0), 1.0).tolist() == [0.5, 0, 0]
+    toward = [0.5, 0.0, 0.0]
+    assert extend([0.0, 0.0, 0.0], toward, 1.0) is toward
 
 
 @settings(max_examples=200, deadline=None)
@@ -317,13 +439,13 @@ def test_extend_travels_min_of_step_and_distance(ax, ay, az, bx, by, bz, step):
     a, b = Vec3(ax, ay, az), Vec3(bx, by, bz)
     if a.distance_to(b) == 0.0:
         return
-    moved = Vec3.from_array(extend(a.as_array(), b.as_array(), step)).distance_to(a)
+    moved = Vec3(*extend([ax, ay, az], [bx, by, bz], step)).distance_to(a)
     assert moved == pytest.approx(min(step, a.distance_to(b)), rel=1e-9)
 
 
 def test_extend_rejects_degenerate_input():
     with pytest.raises(DegenerateExtend):
-        extend(row(1, 1, 1), row(1, 1, 1), 0.5)
+        extend([1.0, 1.0, 1.0], [1.0, 1.0, 1.0], 0.5)
 
 
 # _best_parent ---------------------------------------------------------------
@@ -439,12 +561,18 @@ def test_one_origin_edge_points_equal_the_multi_origin_rows(edge, other, other_e
 
 @settings(max_examples=300, deadline=None)
 @given(hnp.arrays(np.float64, st.tuples(st.integers(1, 80), st.just(3)), elements=_wide),
-       hnp.arrays(np.float64, 3, elements=_wide))
-def test_candidate_distances_equal_linalg_norm(rows, p):
-    # _best_parent's per-axis distance pass gives np.linalg.norm's bits
+       hnp.arrays(np.float64, 3, elements=_wide), st.integers(0, 2 ** 32 - 1))
+def test_candidate_distances_equal_linalg_norm(rows, p, seed):
+    # _best_parent's Python-float distances to any insertion-ordered subset
+    # of the tree give np.linalg.norm's bits, as the full-tree per-axis pass
+    # they replaced (the oracle) does
     tree = _grow_tree(rows, np.random.default_rng(0))
     want = np.linalg.norm(np.ascontiguousarray(tree.positions - p), axis=1)
-    assert _distances(tree, p).tobytes() == want.tobytes()
+    assert rrt_reference._distances(tree, p).tobytes() == want.tobytes()
+    assert np.array(_distances(tree, p.tolist(), range(len(tree)))).tobytes() == want.tobytes()
+    ids = np.flatnonzero(np.random.default_rng(seed).random(len(tree)) < 0.5).tolist()
+    assert np.array(_distances(tree, p.tolist(), ids), dtype=float).tobytes() == \
+        want[ids].tobytes()
 
 
 def _grow_tree(positions: np.ndarray, rng: np.random.Generator) -> Tree:
@@ -758,7 +886,7 @@ def test_a_clear_segment_frees_every_edge_point():
 def _cheapest(tree: Tree, x_new: np.ndarray, radius: float) -> int | None:
     """The in-radius node of least cost plus distance, as `_best_parent`
     picks it; None when no node lies within the radius."""
-    dists = _distances(tree, x_new)
+    dists = rrt_reference._distances(tree, x_new)
     near = np.flatnonzero(dists <= radius)
     return int(near[(tree.costs[near] + dists[near]).argmin()]) if near.size else None
 
@@ -908,6 +1036,128 @@ def test_rrt_star_is_deterministic(quad):
     # a different discontinuity index derives a different stream
     c = rrt_star_run(d, model, params, 0, disc_index=1)
     assert c.path is None or not np.array_equal(c.path.positions, a.path.positions)
+
+
+# the blocked loop against the loop it replaced ------------------------------
+
+def _grid_sample(window, rng, count):
+    """`sample` snapped to a 0.5 m grid, with a tenth of the nonzero
+    coordinates moved one ulp up or down: exact and 1-ulp distance ties are
+    common. (A zero moved one ulp would differ from a node at zero by a
+    subnormal whose square is 0, which `extend` rejects in either loop.)"""
+    pts = np.round(rng.uniform(window.lo, window.hi, size=(count, 3)) * 2) / 2
+    nudged = np.nextafter(pts, np.where(rng.random((count, 3)) < 0.5, -np.inf, np.inf))
+    return np.where((rng.random((count, 3)) < 0.1) & (pts != 0.0), nudged, pts)
+
+
+def _blocked_case(seed: int):
+    """(discontinuity, model, params, level, grid) drawn from `seed`: boxes
+    and cylinders round the entry-exit segment, budgets below BLOCK, equal to
+    it and off its multiples, a window pad that is often zero with entry and
+    exit sharing some coordinates (a window with zero-extent axes), and half
+    the cases sampled on a grid."""
+    rng = np.random.default_rng(seed)
+    entry = rng.uniform((-3, -3, 1), (3, 3, 4))
+    exit_ = entry + rng.uniform(-4, 4, 3)
+    exit_[2] = max(exit_[2], 0.5)
+    flat = rng.random() < 0.4
+    if flat:
+        shared = rng.random(3) < 0.5
+        exit_ = np.where(shared, entry, exit_)
+    obstacles = []
+    for _ in range(int(rng.integers(0, 5))):
+        at = entry + (exit_ - entry) * rng.uniform(0.2, 0.8) + rng.uniform(-1, 1, 3)
+        size = rng.uniform(0.1, 0.8, 3)
+        if rng.random() < 0.5:
+            obstacles.append(Cylinder(Vec3(at[0], at[1], max(at[2] - size[2], 0.0)),
+                                      float(size[0]), float(2 * size[2])))
+        else:
+            obstacles.append(AxisBox(Vec3.from_array(at - size), Vec3.from_array(at + size)))
+    world = make_world(tuple(obstacles), lo=(-12, -12, 0), hi=(12, 12, 10))
+    quad = QuadModel(body_radius=float(rng.uniform(0.1, 0.4)),
+                     safety_margin=float(rng.uniform(0.0, 0.3)))
+    budgets = (1, 3, local_planner.BLOCK - 1, local_planner.BLOCK,
+               2 * local_planner.BLOCK + 3, 45, 100)
+    grid = rng.random() < 0.5
+    # on a grid, a long step mostly lands x_new on x_rand, so nodes are grid points
+    params = RrtParams(extend_dist=3.0 if grid else float(rng.choice([0.2, 0.5, 1.0])),
+                       neighbor_factor=float(rng.uniform(1.5, 3.0)),
+                       max_loops=int(rng.choice(budgets)),
+                       goal_radius=float(rng.uniform(0.3, 1.5)),
+                       window_pad=0.0 if flat else float(rng.uniform(0.0, 2.0)),
+                       seed=seed)
+    d = disc_between(Vec3.from_array(entry), Vec3.from_array(exit_))
+    return d, CollisionModel(world, quad), params, int(rng.integers(0, 3)), grid
+
+
+def _run_facts(run):
+    tree = run.tree
+    path = None if run.path is None else (run.path.positions.tobytes(), run.path.cost)
+    return (tree.positions.tobytes(), tree.costs.tobytes(), tree.parents, path, run.loops,
+            run.window.lo.tobytes(), run.window.hi.tobytes(), run.window.level)
+
+
+def _blocked_run_matches_the_oracle(seed: int, monkeypatch) -> collections.Counter:
+    """`_blocked_case(seed)` run by `rrt_star_run` and by the oracle, which
+    must give the same facts. Counts what the blocked run went through:
+    degenerate samples, nearest nodes added inside the current block, exact
+    and 1-ulp ties between the best node before the block and the best node
+    added in it, and certified and fallback best-parent calls."""
+    d, model, params, level, grid = _blocked_case(seed)
+    seen = collections.Counter(short=params.max_loops < local_planner.BLOCK,
+                               ragged=params.max_loops % local_planner.BLOCK != 0)
+    nearest, segment_clear = local_planner.nearest_vertex, CollisionModel.segment_clear
+
+    def recording_nearest(tree, p, block=None):
+        near = nearest(tree, p, block)
+        count = block[2]
+        seen["degenerate"] += tree.rows[near] == p
+        seen["in_block"] += near >= count
+        if count < len(tree):
+            q = tree.xyz - np.array(p)[:, None]
+            q *= q
+            dist2 = q[0] + q[2] + q[1]
+            old, new = dist2[:count].min(), dist2[count:].min()
+            seen["exact_tie"] += bool(old == new)
+            seen["ulp_tie"] += bool(new in (np.nextafter(old, -np.inf),
+                                            np.nextafter(old, np.inf)))
+        return near
+
+    def recording_clear(self, a, b):
+        cleared = segment_clear(self, a, b)
+        seen["certified" if cleared else "fallback"] += 1
+        return cleared
+
+    with monkeypatch.context() as m:
+        if grid:
+            m.setattr(local_planner, "sample", _grid_sample)
+            m.setattr(rrt_reference, "sample", _grid_sample)
+        want = _run_facts(rrt_reference.rrt_star_run(d, model, params, level))
+        m.setattr(local_planner, "nearest_vertex", recording_nearest)
+        m.setattr(CollisionModel, "segment_clear", recording_clear)
+        got = _run_facts(rrt_star_run(d, model, params, level))
+    assert got == want
+    seen["cases"] += 1
+    return seen
+
+
+def test_blocked_loop_grows_the_oracle_tree(monkeypatch):
+    # a fixed seed sweep carries the floors, as above
+    seen = sum((_blocked_run_matches_the_oracle(seed, monkeypatch) for seed in range(200)),
+               collections.Counter())
+    # (1-ulp ties across a boundary are rare here; the test above has them)
+    assert seen["short"] >= 50 and seen["ragged"] >= 100
+    assert seen["degenerate"] >= 150
+    assert seen["exact_tie"] >= 15
+    assert seen["in_block"] >= 400
+    assert seen["certified"] >= 1200 and seen["fallback"] >= 1200
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def check(seed):
+        _blocked_run_matches_the_oracle(seed, monkeypatch)
+
+    check()
 
 
 # plan_local_run -------------------------------------------------------------
@@ -1371,6 +1621,13 @@ def test_rrt_params_validation():
     with pytest.raises(ValueError):
         RrtParams(seed=-1)
     assert RrtParams().neighbor_radius == pytest.approx(1.5)
+
+
+@pytest.mark.parametrize("field", ["extend_dist", "neighbor_factor", "goal_radius",
+                                   "window_pad", "window_growth"])
+def test_rrt_params_reject_nan(field):
+    with pytest.raises(ValueError, match=rf"^{field} must be .*, got nan$"):
+        RrtParams(**{field: math.nan})
 
 
 def test_tree_rejects_unknown_parents():

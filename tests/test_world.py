@@ -693,3 +693,9 @@ def test_quad_model_invariants():
     with pytest.raises(ValueError):
         QuadModel(safety_margin=-0.1)
     assert QuadModel(body_radius=0.4, safety_margin=0.1).growth == pytest.approx(0.5)
+
+
+@pytest.mark.parametrize("field", ["body_radius", "safety_margin", "max_speed", "max_yaw_rate"])
+def test_quad_model_rejects_nan(field):
+    with pytest.raises(ValueError, match=rf"^QuadModel\.{field} must be .*, got nan$"):
+        QuadModel(**{field: math.nan})
