@@ -22,7 +22,7 @@ from .errors import (ArcshotError, DegenerateArc, DegenerateHeading,
                      EndpointBlocked, LocalPlanFailed, SchemaError,
                      TimeoutExceeded, VacuousBench, ValidationFailed)
 from .executor import SimState, follow
-from .pipeline import plan_shot
+from .pipeline import plan_shot, validate
 from .shot import generate_arc
 from .world import CollisionModel, Vec3
 
@@ -133,6 +133,10 @@ def _cmd_execute(args) -> int:
         raise SchemaError(f"path.poses[0].z: expected a finite difference from "
                           f"world.bounds.min.z, got {z - ground!r}")
     start = SimState(Vec3(x, y, ground), yaw)
+    model = CollisionModel(world, config.quad)
+    offending = validate(path, model)
+    if offending is not None:
+        raise ValidationFailed(offending)
 
     out = _out_dir(args)
     try:
@@ -142,8 +146,8 @@ def _cmd_execute(args) -> int:
         raise
 
     fileio.save_trajectory(log, out / "trajectory.json")
-    svg = render.render_scene(CollisionModel(world, config.quad), final_path=path,
-                              trajectory=log, width=config.render_width)
+    svg = render.render_scene(model, final_path=path, trajectory=log,
+                              width=config.render_width)
     (out / "execute.svg").write_text(svg, encoding="utf-8")
 
     sim_time_s = float(log[-1, 4])

@@ -1,10 +1,10 @@
 """Blocked-span extraction: find where the desired path crosses obstacles.
 
-Segment i joins samples i and i+1 and is tested with the same segment check
-as final validation. Each blocked segment is padded by a sample-count margin
-on both sides, and padded spans that share a sample merge, so a run of blocked
-segments becomes one discontinuity and every blocked stretch gets exactly one
-local-planner query.
+Segment i joins samples i and i+1 and is tested with the model's one segment
+predicate, as every other stage tests its segments. Each blocked segment is
+padded by a sample-count margin on both sides, and padded spans that share a
+sample merge, so a run of blocked segments becomes one discontinuity and
+every blocked stretch gets exactly one local-planner query.
 
 With a margin of at least 1, the segment just outside each end of a merged
 span is free, or that end is an end of the path, which is checked first: a
@@ -44,19 +44,19 @@ class Discontinuity:
 
 def find_discontinuities(path: GlobalPath, model: CollisionModel,
                          margin: int = DEFAULT_MARGIN) -> list[Discontinuity]:
-    """Scan the path's segments at `model.check_step` and extract padded
-    blocked spans.
+    """Scan the path's segments with `model.segments_free` and extract
+    padded blocked spans.
 
-    Raises EndpointBlocked if either path endpoint is itself colliding.
+    Raises EndpointBlocked if either path endpoint, tested as a zero-length
+    segment, is not free.
     """
     if margin < 1:
         raise ValueError(f"margin must be >= 1, got {margin}")
     positions = path.position_array()
-    ends = model.free_points(positions[[0, -1]])
-    if not ends[0]:
-        raise EndpointBlocked(0)
-    if not ends[1]:
-        raise EndpointBlocked(len(positions) - 1)
+    for index in (0, len(positions) - 1):
+        end = positions[index].tolist()
+        if not model.segment_free(end, end):
+            raise EndpointBlocked(index)
 
     free = model.segments_free(positions)
     last = len(free)  # index of the last sample

@@ -23,7 +23,7 @@ import numpy as np
 from .discontinuity import Discontinuity
 from .errors import DegenerateExtend, LocalPlanFailed
 # collision_model stays importable here for perfbench/tracing.py, which wraps it
-from .world import CULL_PAD, AxisBox, CollisionModel, Vec3, collision_model, edge_points
+from .world import CULL_PAD, AxisBox, CollisionModel, Vec3, collision_model
 
 # Samples per block scan of the tree in `rrt_star_run`, set by measurement
 BLOCK = 8
@@ -108,11 +108,6 @@ class Tree:
         """(n, 3) view of all node positions in insertion order."""
         return self._xyz[:, :self._count].T
 
-    @property
-    def costs(self) -> np.ndarray:
-        """(n,) array of every node's path cost from the root."""
-        return np.array(self.node_costs)
-
     def add(self, position, parent: int) -> int:
         """Append the node at `position` (three floats) under `parent`."""
         if not 0 <= parent < self._count:
@@ -123,10 +118,10 @@ class Tree:
         column[:] = position
         row = column.tolist()
         px, py, pz = self.rows[parent]
-        # numpy's own 1-D norm, sqrt(d . d), of the elementwise difference:
-        # the cost bits the recorded tree hashes pin
-        d = np.array((row[0] - px, row[1] - py, row[2] - pz))
-        edge = math.sqrt(d.dot(d))
+        # summed x, y, z as `_distances` sums them; no BLAS call, whose bits
+        # would follow the kernel OpenBLAS picks for the CPU
+        dx, dy, dz = row[0] - px, row[1] - py, row[2] - pz
+        edge = math.sqrt(dx * dx + dy * dy + dz * dz)
         self.rows.append(row)
         self.node_costs.append(self.node_costs[parent] + edge)
         self.parents.append(parent)
@@ -306,7 +301,7 @@ def extend(from_point, toward, extend_dist: float):
 def _best_parent(tree: Tree, x_new, radius: float, model: CollisionModel,
                  near=None) -> int | None:
     """Cheapest in-radius node whose straight edge to `x_new` (three floats)
-    is collision-free.
+    passes `model.segment_free`.
 
     Minimizes node cost plus edge length; ties resolve to the earliest
     insertion. Returns None when every in-radius edge is blocked. `near`
@@ -314,46 +309,16 @@ def _best_parent(tree: Tree, x_new, radius: float, model: CollisionModel,
     superset from the block scan); None means the whole tree. Distances,
     totals and the cost order are Python floats with numpy's bits, so the
     answer is the one a full-tree pass gives.
-
-    When `model.segment_clear` certifies the cheapest candidate's edge, it
-    wins with no point classified: every point `free_points` would see for
-    that edge, an `edge_points` row or `origin + (x_new - origin)`, is an
-    interpolation between the two ends that the certificate covers, so the
-    sequential rule accepts the first candidate in cost order, the first
-    minimum of the totals. The ball of radius `dists[best]` round `x_new`
-    contains that edge, so every call whose ball lies CULL_PAD clear of the
-    obstacles and the bounds is certified, up to rounding far below the
-    pad, and with it every call whose whole neighbour ball does.
-
-    Otherwise one `free_points` call classifies the last edge sample of
-    every candidate, `origin + (x_new - origin)`. That sample may differ
-    from `x_new` in the last bit, so it is tested rather than `x_new`; it is
-    also the last row `edge_points` gives the edge. Then one batch
-    classifies the edges of the candidates whose last sample is free, and
-    the first free one in stable cost order wins.
     """
     ids = range(len(tree)) if near is None else near
-    costs = tree.node_costs
-    # (total, id) pairs in insertion order: min and sorted break cost ties
-    # by id, as argmin and the stable argsort do
+    costs, rows = tree.node_costs, tree.rows
+    # (total, id) pairs: sorting breaks cost ties by id, as a stable argsort does
     candidates = [(costs[i] + dist, i)
                   for i, dist in zip(ids, _distances(tree, x_new, ids)) if dist <= radius]
-    if not candidates:
-        return None
-    best = min(candidates)[1]
-    if model.segment_clear(tree.rows[best], x_new):
-        return best
-    order = np.array([i for _, i in sorted(candidates)])
-    x_new = np.array(x_new, dtype=float)
-    origins = tree.positions[order]
-    reachable = model.free_points(origins + (x_new - origins))
-    order, origins = order[reachable], origins[reachable]
-    if order.size == 0:
-        return None
-    pts, first = edge_points(origins, x_new, model.check_step)
-    edge_free = np.logical_and.reduceat(model.free_points(pts), first)
-    winner = int(edge_free.argmax())
-    return int(order[winner]) if edge_free[winner] else None
+    for _, i in sorted(candidates):
+        if model.segment_free(rows[i], x_new):
+            return i
+    return None
 
 
 def level_window(d: Discontinuity, model: CollisionModel, params: RrtParams,
@@ -371,41 +336,31 @@ def level_window(d: Discontinuity, model: CollisionModel, params: RrtParams,
 
 def walled_off(d: Discontinuity, window: SearchWindow, model: CollisionModel) -> bool:
     """True when one inflated box of `model` proves that an attempt in
-    `window`, checking edges at samples at most `model.check_step` apart,
-    cannot connect the entry to the exit.
+    `window` cannot connect the entry to the exit.
 
-    Every point an attempt tests lies in the box spanned by the window and
-    both endpoints, up to rounding far below CULL_PAD. If one inflated box
-    covers that span, padded by CULL_PAD, in two axes and its slab along the
-    third lies strictly between entry and exit, each edge chain from entry to
-    exit has samples on both sides of the slab. Successive samples are at
-    most `model.check_step` apart, up to the same rounding, so with the slab
-    thicker than that step plus the pad one of them lands inside the box and
-    is blocked. A model culled by `within` keeps its quad, so its step. That
-    thickness test is slack for any growth above about 6.7e-7 m: an inflated
-    box is more than 2 * growth thick and `check_step` is at most growth / 2,
-    so it can fail only when 1.5 * growth <= CULL_PAD; it stays for such tiny
-    growths, where the argument needs it. An
-    edge that `_best_parent` accepts by `segment_clear` is not sampled, but
-    every sample `edge_points` would take along it is free, so it is no
-    exception.
+    Every node of an attempt lies in the box spanned by the window and both
+    endpoints, up to rounding far below CULL_PAD, and so does every edge
+    between nodes and the goal segment, which are straight. If one inflated
+    box covers that span, padded by CULL_PAD, in two axes and its slab along
+    the third lies strictly between entry and exit, each chain of edges from
+    entry to exit is a continuous path that crosses the box, and
+    `segment_free` refuses the edge that does.
 
-    Some faces of the span need no pad, because no tested coordinate passes
-    them at all. Each coordinate an attempt tests is the entry's, the exit's,
-    or fl(a + fl(t * fl(b - a))) with t in [0, 1] and a, b window bounds or
-    earlier such values: `rng.uniform`'s lo + (hi - lo) * u with
-    u <= 1 - 2**-53, `extend` with t = extend_dist / length, `edge_points`
-    with t = k * (1 / n) and the last t exactly 1 (the goal segment too), and
-    `_best_parent`'s others + (x_new - others). For a, b >= 0 that value is
-    at least 0 and at most succ(max(a, b)); it is at most max(a, b) itself
-    when max(a, b) has an even significand, because its only overshoot is a
-    tie at max + ulp/2, and ties round to even. By induction, on an axis
-    whose span is all >= 0, no tested coordinate exceeds a top `hi` with an
-    even significand, and an inflated box face at `hi` is closed, so it
-    blocks. Negating every value gives the bottom face of an axis whose span
-    is all <= 0. Without the sign and parity conditions the bound is false:
-    0.015199091831556488 + (0.6837413448974007 - 0.015199091831556488) is
-    0.6837413448974008, one ulp above the larger operand.
+    Some faces of the span need no pad, because no node coordinate passes
+    them at all. Each is the entry's, the exit's, or fl(a + fl(t * fl(b - a)))
+    with t in [0, 1] and a, b window bounds or earlier such values:
+    `rng.uniform`'s lo + (hi - lo) * u with u <= 1 - 2**-53, and `extend`
+    with t = extend_dist / length. For a, b >= 0 that value is at least 0
+    and at most succ(max(a, b)); it is at most max(a, b) itself when
+    max(a, b) has an even significand, because its only overshoot is a tie
+    at max + ulp/2, and ties round to even. By induction, on an axis whose
+    span is all >= 0, no node coordinate exceeds a top `hi` with an even
+    significand, nor does any point of an edge, and an inflated box face at
+    `hi` is closed, so it blocks. Negating every value gives the bottom face
+    of an axis whose span is all <= 0. Without the sign and parity
+    conditions the bound is false: 0.015199091831556488 +
+    (0.6837413448974007 - 0.015199091831556488) is 0.6837413448974008, one
+    ulp above the larger operand.
     """
     entry = d.entry_pose.position.as_array()
     exit_ = d.exit_pose.position.as_array()
@@ -416,7 +371,7 @@ def walled_off(d: Discontinuity, window: SearchWindow, model: CollisionModel) ->
     exact_hi = (lo >= 0) & ((hi.view(np.int64) & 1) == 0)
     lo = np.where(exact_lo, lo, lo - CULL_PAD)
     hi = np.where(exact_hi, hi, hi + CULL_PAD)
-    return model.separates(entry, exit_, lo, hi, model.check_step + CULL_PAD)
+    return model.separates(entry, exit_, lo, hi)
 
 
 @dataclass
@@ -434,7 +389,7 @@ class RrtRunResult:
 def rrt_star_run(d: Discontinuity, model: CollisionModel, params: RrtParams,
                  level: int, disc_index: int = 0) -> RrtRunResult:
     """Run the full RRT* loop once inside the level-expanded window, checking
-    edges at samples at most `model.check_step` apart.
+    every edge with `model.segment_free`.
 
     The rng stream is derived from (seed, discontinuity index, window level),
     so every attempt is reproducible and independent of the others.
@@ -444,14 +399,17 @@ def rrt_star_run(d: Discontinuity, model: CollisionModel, params: RrtParams,
     when the block starts and the older nodes that can lie within the
     neighbour radius of its new node; each loop then looks only at those and
     at the nodes added since, on Python floats with the full scans' bits, so
-    the tree is the one a scan per loop grows.
+    the tree is the one a scan per loop grows. A sample that `extend` refuses,
+    because it lies on its nearest node or a subnormal offset from it, is
+    skipped.
     """
     window, model = level_window(d, model, params, level)
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=params.seed, spawn_key=(disc_index, level)))
 
     exit_row = d.exit_pose.position.as_array()
-    ex, ey, ez = exit_row.tolist()
+    goal = exit_row.tolist()
+    ex, ey, ez = goal
     tree = Tree(d.entry_pose.position)
     rows, costs = tree.rows, tree.node_costs
     radius = params.neighbor_radius
@@ -475,9 +433,10 @@ def rrt_star_run(d: Discontinuity, model: CollisionModel, params: RrtParams,
                                            near_dist2.tolist(), ends):
             near_ids, begin = older[begin:end], end
             near_pos = rows[nearest_vertex(tree, x_rand, (near, best, count))]
-            if x_rand == near_pos:  # degenerate window collapses onto the tree
+            try:
+                x_new = extend(near_pos, x_rand, params.extend_dist)
+            except DegenerateExtend:  # a degenerate window collapses onto the tree
                 continue
-            x_new = extend(near_pos, x_rand, params.extend_dist)
             near_ids.extend(range(count, len(tree)))
             parent = _best_parent(tree, x_new, radius, model, near_ids)
             if parent is None:
@@ -486,8 +445,7 @@ def rrt_star_run(d: Discontinuity, model: CollisionModel, params: RrtParams,
 
             dx, dy, dz = x_new[0] - ex, x_new[1] - ey, x_new[2] - ez
             goal_dist = math.sqrt(dx * dx + dy * dy + dz * dz)
-            if (goal_dist <= params.goal_radius
-                    and model.segment_free(np.array(x_new, dtype=float), exit_row)):
+            if goal_dist <= params.goal_radius and model.segment_free(x_new, goal):
                 candidate = costs[node_id] + goal_dist
                 if candidate < best_cost:
                     best_cost = candidate

@@ -42,7 +42,7 @@ class PlanReport:
     params: RrtParams
     quad: QuadModel
     margin: int
-    step: float  # segment check spacing of scan, detour edges and validation
+    step: float  # report/1's collision_step and validation_step
 
 
 @dataclass
@@ -79,12 +79,16 @@ def splice(path: GlobalPath, d: Discontinuity, lp: LocalPath) -> GlobalPath:
 
 
 def validate(path: GlobalPath, model: CollisionModel) -> int | None:
-    """Densely re-check every consecutive segment with `segments_free`.
+    """Re-check every consecutive segment with `segments_free`; a one-pose
+    path is one zero-length segment.
 
     Returns the index of the first offending segment, or None when the whole
-    path is collision-free at `model.check_step`.
+    path is collision-free.
     """
-    blocked = np.flatnonzero(~model.segments_free(path.position_array()))
+    positions = path.position_array()
+    if len(positions) == 1:
+        positions = positions[[0, 0]]
+    blocked = np.flatnonzero(~model.segments_free(positions))
     return int(blocked[0]) if blocked.size else None
 
 
@@ -97,8 +101,8 @@ def plan_shot(model: CollisionModel, spec: ArcShotSpec, params: RrtParams,
     densely validates the result. Raises EndpointBlocked, LocalPlanFailed
     (carrying the discontinuity index), or ValidationFailed.
 
-    The scan, the detour edges and final validation all check segments at
-    `model.check_step`, so a stretch one stage accepts is not rejected by
+    The scan, the detour edges and final validation all ask
+    `model.segment_free`, so a stretch one stage accepts is not rejected by
     another; validation stays as the safety gate.
     """
     arc = generate_arc(spec)

@@ -3,6 +3,8 @@
 Obstacles are grown by the vehicle's bounding-sphere radius plus a safety
 margin so every later check can treat the vehicle as a point. A point on an
 inflated obstacle's surface collides; a point on a world-bounds face is free.
+A segment is free when it keeps CULL_PAD from every inflated obstacle and
+from every bounds face but the ground (`CollisionModel.segment_free`).
 """
 
 from __future__ import annotations
@@ -34,9 +36,6 @@ class Vec3:
 
     def __sub__(self, other: "Vec3") -> "Vec3":
         return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def scaled(self, k: float) -> "Vec3":
-        return Vec3(self.x * k, self.y * k, self.z * k)
 
     def norm(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
@@ -70,12 +69,6 @@ class AxisBox:
         return (self.min.x <= p.x <= self.max.x
                 and self.min.y <= p.y <= self.max.y
                 and self.min.z <= p.z <= self.max.z)
-
-    def expanded(self, amount: float) -> "AxisBox":
-        return AxisBox(
-            Vec3(self.min.x - amount, self.min.y - amount, self.min.z - amount),
-            Vec3(self.max.x + amount, self.max.y + amount, self.max.z + amount),
-        )
 
 
 @dataclass(frozen=True)
@@ -139,7 +132,8 @@ class World:
         object.__setattr__(self, "obstacles", tuple(self.obstacles))
 
 
-# Culling pad, meters: interpolated points may stray from their box by rounding.
+# Pad, meters, of every segment test and cull: far above the rounding of
+# computed points and of the tests themselves.
 CULL_PAD = 1e-6
 
 # Columns of a packed obstacle row: its closed bounding box (MIN, MAX, whose z
@@ -213,41 +207,41 @@ class CollisionModel:
 
     def within(self, lo: np.ndarray, hi: np.ndarray) -> "CollisionModel":
         """This model restricted to the inflated obstacles whose bounding box
-        touches the box [`lo`, `hi`] (two (3,) rows; closed, padded by
+        touches the box [`lo`, `hi`] (two (3,) rows; closed, padded by twice
         CULL_PAD).
 
-        Any point inside that box gets the same `free_points` answer from the
-        result as from this model, at the cost of only the kept obstacles.
-        The result has the same quad, so the same `check_step`.
+        Any point or segment inside that box gets the same `free_points` or
+        `segment_free` answer from the result as from this model, at the cost
+        of only the kept obstacles: `segment_free` grows each row by one pad,
+        and the second covers the rounding of both tests.
         """
-        lo = lo - CULL_PAD
-        hi = hi + CULL_PAD
+        lo = lo - 2 * CULL_PAD
+        hi = hi + 2 * CULL_PAD
         rows = self.inflated
         keep = np.all((rows[:, MIN] <= hi) & (rows[:, MAX] >= lo), axis=1)
         local = object.__new__(CollisionModel)
         local._adopt(self.world, self.quad, rows[keep], self.raw[keep])
         return local
 
-    def segment_clear(self, a, b) -> bool:
-        """True when every point `edge_points` would sample along a->b (two
-        points of three floats, (3,) rows or sequences) gets a True
-        `free_points` answer from this model; False says nothing.
+    def segment_free(self, a, b) -> bool:
+        """True iff the closed segment a->b (two points of three floats,
+        (3,) rows or sequences) lies in the bounds shrunk by CULL_PAD and
+        misses every inflated obstacle grown by CULL_PAD: a box by a slab
+        test, a cylinder by clipping the segment to its z-range and testing
+        the clipped part against its disk in the plane (Ericson, *Real-Time
+        Collision Detection*, 2004, 5.3). A zero-length segment tests one
+        point.
 
-        It holds when the closed segment lies in the bounds shrunk by
-        CULL_PAD and misses every inflated obstacle grown by CULL_PAD: a box
-        by a slab test, a cylinder by clipping the segment to its z-range
-        and testing the clipped part against its disk in the plane
-        (Ericson, *Real-Time Collision Detection*, 2004, 5.3). A sample is
-        fl(a + fl(t * fl(b - a))) with t in [0, 1], the segment's point at t
-        up to a few ulps of the coordinates, and this test's own rounding is
-        of the same size, both far below CULL_PAD; so every sample lies in
-        the bounds and outside every inflated obstacle.
-
-        A bounds bottom of exactly 0.0 (the ground) is not shrunk: when both
-        ends have z >= 0, no sample's z is below 0 (`walled_off`'s lemma on
-        interpolated coordinates), so every sample passes that face. One
-        scalar pass over this model's rows, which stops at the first it
-        cannot clear, keeps the test cheap on a model culled with `within`.
+        This is the program's one segment predicate. False means an end
+        lies outside the shrunk bounds or the segment comes within CULL_PAD
+        of an inflated obstacle. True leaves every point of the segment at
+        least CULL_PAD inside the bounds and outside every inflated
+        obstacle, up to rounding far below the pad, so any point computed on
+        it gets a True `free_points` answer. A bounds bottom of exactly 0.0
+        (the ground) is not shrunk: no point between two ends with z >= 0
+        lies below 0. One scalar pass over this model's rows, which stops at
+        the first it cannot clear, keeps the test cheap on a model culled
+        with `within`.
         """
         ax, ay, az = a
         bx, by, bz = b
@@ -279,7 +273,7 @@ class CollisionModel:
 
     @functools.cached_property
     def _scalar_rows(self) -> tuple[list, list, list, list]:
-        """`segment_clear`'s inputs as Python floats, built on its first
+        """`segment_free`'s inputs as Python floats, built on its first
         call: the bounds' min and max moved in by CULL_PAD (a bottom at 0.0
         stays), then the cylinders as (axis x, axis y, bottom, top, radius)
         and the boxes as (MIN, MAX), grown by CULL_PAD."""
@@ -292,18 +286,19 @@ class CollisionModel:
                 (self._box[:, :6] + ((-CULL_PAD,) * 3 + (CULL_PAD,) * 3)).tolist())
 
     def separates(self, a: np.ndarray, b: np.ndarray, lo: np.ndarray,
-                  hi: np.ndarray, thickness: float) -> bool:
+                  hi: np.ndarray) -> bool:
         """True iff, for some axis, one inflated box contains the box
-        [`lo`, `hi`] in the other two axes, is thicker than `thickness` along
-        it, and has its slab along it strictly between points `a` and `b`.
+        [`lo`, `hi`] in the other two axes and has its slab along it
+        strictly between points `a` and `b`.
 
-        Such a box cuts every path from `a` to `b` inside [`lo`, `hi`].
+        Such a box cuts every continuous path from `a` to `b` inside
+        [`lo`, `hi`].
         """
         bmin, bmax = self._box[:, MIN], self._box[:, MAX]
         covers = (bmin <= lo) & (bmax >= hi)  # (boxes, axes)
         covers_others = covers[:, [1, 2, 0]] & covers[:, [2, 0, 1]]
         between = ((a < bmin) & (bmax < b)) | ((b < bmin) & (bmax < a))
-        return bool((covers_others & (bmax - bmin > thickness) & between).any())
+        return bool((covers_others & between).any())
 
     def free_points(self, pts: np.ndarray) -> np.ndarray:
         """Boolean mask over an (n, 3) array: True where the point is in c-free."""
@@ -325,38 +320,23 @@ class CollisionModel:
             free &= ~inside.any(axis=1)
         return free
 
-    def point_free(self, p: Vec3) -> bool:
-        """True iff the vehicle can exist at `p`: inside bounds, outside every
-        inflated obstacle; bounds faces count as free, inflated surfaces not."""
-        return bool(self.free_points(p.as_array()[None, :])[0])
-
     @property
     def check_step(self) -> float:
-        """Sample spacing of every segment check, and the only one: the
-        blocked-span scan, the planner's edges and final validation all read
-        it from the model, so they agree."""
+        """Half the vehicle radius: the spacing report/1 records as
+        `collision_step` and `validation_step`. No stage reads it. Samples
+        of a segment that `segment_free` accepts are free at this spacing,
+        as at any other."""
         return self.quad.body_radius / 2
 
-    def segment_free(self, a: np.ndarray, b: np.ndarray) -> bool:
-        """True iff every sample `edge_points` takes along a->b (two (3,)
-        rows) at `check_step` is in c-free."""
-        pts, _ = edge_points(a[None, :], b, self.check_step)
-        return bool(self.free_points(pts).all())
-
     def segments_free(self, positions: np.ndarray) -> np.ndarray:
-        """Mask over the n-1 segments of an (n, 3) polyline: True where every
-        sample `edge_points` takes along positions[i] -> positions[i+1] at
-        `check_step` is free.
-
-        All samples are classified in one `free_points` call against the
-        obstacles near the polyline: every sample lies in the bounding box of
-        the positions, up to rounding that `within`'s pad covers.
+        """Mask over the n-1 segments of an (n, 3) polyline: `segment_free`
+        of positions[i] -> positions[i+1], against the obstacles near the
+        polyline: every segment lies in the bounding box of the positions.
         """
-        if len(positions) < 2:
-            return np.ones(0, dtype=bool)
-        pts, first = edge_points(positions[:-1], positions[1:], self.check_step)
         local = self.within(positions.min(axis=0), positions.max(axis=0))
-        return np.logical_and.reduceat(local.free_points(pts), first)
+        rows = positions.tolist()
+        return np.array([local.segment_free(a, b) for a, b in zip(rows, rows[1:])],
+                        dtype=bool)
 
 
 def collision_model(world: World, quad: QuadModel) -> CollisionModel:
@@ -374,36 +354,3 @@ def _clip(p: float, d: float, lo: float, hi: float, t0: float,
     if u > v:
         u, v = v, u
     return (u if u > t0 else t0), (v if v < t1 else t1)
-
-
-def edge_points(origins: np.ndarray, end: np.ndarray,
-                step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Samples of every edge origins[i] -> end, stacked in one array, and the
-    row where each edge's samples start. `end` is one (3,) point shared by
-    every edge or an (n, 3) array with edge i ending at end[i]; either way
-    each edge gets the same bits as it would alone.
-
-    Edge i gets n = max(1, ceil(length / step)) intervals spaced at most
-    `step` apart: t = k * (1 / n), as in numpy's linspace, with the last t
-    exactly 1, so both endpoints are always sampled.
-    """
-    if step <= 0:
-        raise ValueError(f"collision step must be > 0, got {step}")
-    if len(origins) == 1:
-        # the same arithmetic on one edge, without the per-edge indexing
-        diff = end - origins
-        x, y, z = diff[0].tolist()
-        n = float(max(math.ceil(math.sqrt(x * x + y * y + z * z) / step), 1))
-        t = np.arange(n + 1.0) * (1.0 / n)
-        t[-1] = 1.0
-        return origins + t[:, None] * diff, np.zeros(1, dtype=np.intp)
-    d = origins - end
-    lengths = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2])
-    n = np.maximum(np.ceil(lengths / step), 1.0)
-    counts = n.astype(np.intp) + 1
-    last = np.cumsum(counts) - 1
-    first = last - counts + 1
-    edge = np.repeat(np.arange(len(origins)), counts)
-    t = (np.arange(last[-1] + 1) - first[edge]) * (1.0 / n)[edge]
-    t[last] = 1.0
-    return origins[edge] + t[:, None] * (end - origins)[edge], first

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import settings
 
 from arcshot.shot import ArcShotSpec
-from arcshot.world import AxisBox, Cylinder, QuadModel, Vec3, World
+from arcshot.world import AxisBox, CollisionModel, Cylinder, QuadModel, Vec3, World
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
@@ -60,6 +60,11 @@ def spaced_quad(step: float, growth: float) -> QuadModel:
             if body + m == growth:
                 return QuadModel(body_radius=body, safety_margin=m)
         body = math.nextafter(body, 0.0)
+
+
+def point_free(model: CollisionModel, p: Vec3) -> bool:
+    """`model.free_points` of the one point `p`."""
+    return bool(model.free_points(p.as_array()[None])[0])
 
 
 @pytest.fixture

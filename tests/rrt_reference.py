@@ -1,6 +1,9 @@
 """The RRT* loop that the blocked loop replaced: `rrt_star_run` with one
 full-tree `nearest_vertex` scan and one full-tree `_distances` pass in
-`_best_parent` per loop, on numpy rows, with `extend` on numpy rows.
+`_best_parent` per loop, on numpy rows, with `extend` on numpy rows. Its
+best parent is the first candidate in stable cost order whose edge passes
+`segment_free`, and it skips every sample `extend` refuses, as the blocked
+loop does.
 
 Kept as the oracle the blocked loop is checked against: on the same inputs it
 must grow the same tree (positions, costs and parents, bit for bit), return
@@ -19,7 +22,7 @@ from arcshot.discontinuity import Discontinuity
 from arcshot.errors import DegenerateExtend
 from arcshot.local_planner import (LocalPath, RrtParams, RrtRunResult, Tree, level_window,
                                    sample)
-from arcshot.world import CollisionModel, edge_points
+from arcshot.world import CollisionModel
 
 
 def nearest_vertex(tree: Tree, p: np.ndarray) -> int:
@@ -63,26 +66,14 @@ def extend(from_point: np.ndarray, toward: np.ndarray, extend_dist: float) -> np
 def _best_parent(tree: Tree, x_new: np.ndarray, radius: float,
                  model: CollisionModel) -> int | None:
     """Cheapest in-radius node whose straight edge to `x_new` is free: the
-    certified cheapest candidate, or the first free edge in stable cost
-    order after a last-sample pre-filter."""
+    first in stable cost order that `segment_free` passes."""
     dists = _distances(tree, x_new)
     candidates = (dists <= radius).nonzero()[0]
-    if candidates.size == 0:
-        return None
-    totals = tree.costs[candidates] + dists[candidates]
-    best = int(candidates[totals.argmin()])
-    if model.segment_clear(tree.xyz[:, best], x_new):
-        return best
-    order = candidates[totals.argsort(kind="stable")]
-    origins = tree.positions[order]
-    reachable = model.free_points(origins + (x_new - origins))
-    order, origins = order[reachable], origins[reachable]
-    if order.size == 0:
-        return None
-    pts, first = edge_points(origins, x_new, model.check_step)
-    edge_free = np.logical_and.reduceat(model.free_points(pts), first)
-    winner = int(edge_free.argmax())
-    return int(order[winner]) if edge_free[winner] else None
+    totals = np.array(tree.node_costs)[candidates] + dists[candidates]
+    for i in candidates[totals.argsort(kind="stable")]:
+        if model.segment_free(tree.xyz[:, i].tolist(), x_new.tolist()):
+            return int(i)
+    return None
 
 
 def rrt_star_run(d: Discontinuity, model: CollisionModel, params: RrtParams,
@@ -101,9 +92,10 @@ def rrt_star_run(d: Discontinuity, model: CollisionModel, params: RrtParams,
 
     for x_rand in sample(window, rng, params.max_loops):
         near_pos = tree.positions[nearest_vertex(tree, x_rand)]
-        if (x_rand == near_pos).all():
+        try:
+            x_new = extend(near_pos, x_rand, params.extend_dist)
+        except DegenerateExtend:
             continue
-        x_new = extend(near_pos, x_rand, params.extend_dist)
         parent = _best_parent(tree, x_new, radius, model)
         if parent is None:
             continue
@@ -111,7 +103,7 @@ def rrt_star_run(d: Discontinuity, model: CollisionModel, params: RrtParams,
 
         goal_dist = _norm(x_new - exit_row)
         if goal_dist <= params.goal_radius and model.segment_free(x_new, exit_row):
-            candidate = float(tree.costs[node_id]) + goal_dist
+            candidate = tree.node_costs[node_id] + goal_dist
             if candidate < best_cost:
                 best_cost = candidate
                 best_node = node_id

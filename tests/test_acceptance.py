@@ -179,9 +179,11 @@ def test_criterion_3_matches_the_reference_scan():
                 differs.append((got, old))
             compared += 1
     assert compared == 100
-    assert differs == [([(14, 17)], [])]
+    # the exact predicate also finds an arc segment that cuts 0.6 mm into an
+    # inflated pillar between two samples 0.15 m apart, which sampling passed
+    assert differs == [([(4, 7)], []), ([(14, 17)], [])]
     _ok(3, "spans equal the segment scan + merge reference on 20x5 cases; "
-           "one case finds a span the per-sample scan missed")
+           "two cases find a span the per-sample scan missed")
 
 
 # -- 4. local-planner safety -------------------------------------------------
@@ -272,7 +274,7 @@ def test_criterion_10_bench_trees_are_internally_consistent():
             params, max_loops=loops, seed=bench._rep_seed(2025, loops, rep))
         for tree in plan_shot(model, demo_shot(), run_params).trees:
             positions = tree.positions
-            costs = np.array(tree.costs)
+            costs = np.array(tree.node_costs)
             recomputed = np.zeros(len(tree))
             for j in range(1, len(tree)):
                 parent = tree.parents[j]

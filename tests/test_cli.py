@@ -8,10 +8,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from arcshot import cli, fileio, pipeline
-from arcshot.world import CollisionModel
+from arcshot.shot import GlobalPath
+from arcshot.world import CollisionModel, QuadModel
 from conftest import SCENARIO_DIR
+from world_reference import pad_margin
 
 DEMO = SCENARIO_DIR / "demo"
 GOLDEN = Path(__file__).parent / "golden"
@@ -92,14 +96,6 @@ def test_benchmark_tracer_still_wraps_the_planner(tmp_path, monkeypatch):
     monkeypatch.syspath_prepend(str(Path(__file__).parent.parent / "perfbench"))
     import tracing
 
-    results = []
-    segment_clear = CollisionModel.segment_clear
-
-    def recording(self, a, b):
-        results.append(segment_clear(self, a, b))
-        return results[-1]
-
-    monkeypatch.setattr(CollisionModel, "segment_clear", recording)
     with tracing.installed(tracing.Tracer()) as tracer:
         tracer.begin_op(0)
         assert cli.main(["plan", *demo_args(tmp_path / "plan")]) == cli.EXIT_OK
@@ -111,21 +107,18 @@ def test_benchmark_tracer_still_wraps_the_planner(tmp_path, monkeypatch):
                  "shot.generate_arc", "discontinuity.find_discontinuities",
                  "pipeline.splice", "pipeline.validate", "fileio.load", "fileio.save"):
         assert tracing.span_ms(tracer, name), name
-    # best-parent collision work must reach the wrapped model.free_points: x_new
-    # lies within extend_dist < neighbour radius of a node, so every call has a
-    # candidate and asks for one certificate of its cheapest edge, in span
-    # order; a call whose edge is not certified classifies its edges
+    # best-parent collision work must reach the wrapped model.segment_free:
+    # x_new lies within extend_dist < neighbour radius of a node, so every
+    # call has a candidate and tests at least the cheapest one's edge
     op = tracer.ops[0]
     best = np.flatnonzero(op["name"] == tracer.names.index("local_planner.best_parent"))
-    checked = op["parent"][op["name"] == tracer.names.index("world.free_points")]
-    cleared = np.array(results)
-    assert cleared.size == best.size and cleared.any()
-    assert np.isin(best[~cleared], checked).all()
-    assert np.isin(best, checked).any()
-    # a certified call classifies nothing
-    assert not np.isin(best[cleared], checked).any()
-    # the point-obstacle pair count multiplies by len(model.inflated)
-    assert op["counters"]["point_obstacle_pairs"] > 0
+    segments = op["parent"][op["name"] == tracer.names.index("world.segment_free")]
+    points = op["parent"][op["name"] == tracer.names.index("world.free_points")]
+    assert best.size and np.isin(best, segments).all()
+    # nothing samples an edge: no best-parent call, and no stage of a plan,
+    # classifies points
+    assert not np.isin(best, points).any()
+    assert points.size == 0 and op["counters"].get("point_obstacle_pairs", 0) == 0
 
 
 def test_each_traced_attempt_makes_one_nearest_vertex_call_per_loop(tmp_path, monkeypatch):
@@ -203,6 +196,114 @@ def test_execute_climb_overflow_is_a_schema_error_before_any_output(tmp_path, ca
         "kind": "SchemaError", "message": "path.poses[0].z: expected a finite "
                                           "difference from world.bounds.min.z, got inf"}
     assert not out.exists()
+
+
+def _execute(path_rows, out) -> int:
+    path = out.parent / f"{out.name}-path.json"
+    fileio.save_path(GlobalPath(np.asarray(path_rows, dtype=float)), path)
+    return cli.main(["execute", "--world", str(DEMO / "world.json"), "--path", str(path),
+                     "--config", str(DEMO / "config.json"), "--out", str(out)])
+
+
+def test_execute_refuses_a_path_through_an_obstacle(tmp_path, capsys):
+    # the demo pillar at (0, 8.8), radius 0.8 and 1.3 inflated, stands across
+    # the second segment; nothing is replayed or written
+    out = tmp_path / "exec"
+    rows = [(0.0, 2.0, 2.0, 0.0), (0.0, 5.0, 2.0, 0.0), (0.0, 12.0, 2.0, 0.0)]
+    assert _execute(rows, out) == cli.EXIT_VALIDATION_FAILED
+    assert json.loads(capsys.readouterr().err)["error"] == {
+        "kind": "ValidationFailed", "message": "path segment 1 is in collision", "segment": 1}
+    assert not out.exists()
+
+
+def test_execute_tests_a_one_pose_path_as_a_zero_length_segment(tmp_path, capsys):
+    # a pose inside the pillar, or on the bounds top, is refused; one beside
+    # the pillar and below the top is flown
+    for i, (x, z, code) in enumerate(((0.0, 2.0, cli.EXIT_VALIDATION_FAILED),
+                                      (3.0, 10.0, cli.EXIT_VALIDATION_FAILED),
+                                      (3.0, 9.0, cli.EXIT_OK))):
+        out = tmp_path / f"exec-{i}"
+        assert _execute([(x, 8.8, z, 0.0)], out) == code
+        assert out.exists() is (code == cli.EXIT_OK)
+    errors = [json.loads(line)["error"] for line in capsys.readouterr().err.splitlines()]
+    assert [e["segment"] for e in errors] == [0, 0]
+
+
+def _crossing_path(seed: int) -> tuple[np.ndarray, int | None]:
+    """Poses in the demo world with one segment through the middle of a raw
+    obstacle, and the first segment that `pad_margin` puts below zero; None
+    when a segment's margin lies within rounding of zero."""
+    rng = np.random.default_rng(seed)
+    world = fileio.load_world(DEMO / "world.json")
+    obstacle = world.obstacles[int(rng.integers(len(world.obstacles)))]
+    if hasattr(obstacle, "radius"):
+        c = obstacle.base_center
+        middle = np.array([c.x, c.y, c.z + obstacle.height * rng.uniform(0.2, 0.8)])
+    else:
+        middle = rng.uniform(obstacle.min.as_array(), obstacle.max.as_array())
+    u = rng.normal(size=3)
+    u *= rng.uniform(1.0, 4.0) / np.linalg.norm(u)
+    before = rng.uniform((-14, -14, 0.5), (14, 14, 9.5), size=(int(rng.integers(0, 4)), 3))
+    after = rng.uniform((-14, -14, 0.5), (14, 14, 9.5), size=(int(rng.integers(0, 4)), 3))
+    positions = np.vstack([before, middle - u, middle + u, after])
+    for i, (a, b) in enumerate(zip(positions, positions[1:])):
+        margin = pad_margin(world, QuadModel(), a, b)
+        if abs(margin) < 1e-9:
+            return positions, None
+        if margin < 0:
+            return positions, i
+    raise AssertionError("the crossing segment is blocked")
+
+
+def test_execute_refuses_every_path_that_crosses_an_obstacle(tmp_path, capsys):
+    # exit 6 names the first segment the oracle finds blocked, and no output
+    # directory is made
+    runs = iter(range(10 ** 6))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def check(seed):
+        positions, first = _crossing_path(seed)
+        assume(first is not None)
+        out = tmp_path / f"exec-{next(runs)}"
+        rows = np.column_stack((positions, np.zeros(len(positions))))
+        capsys.readouterr()
+        assert _execute(rows, out) == cli.EXIT_VALIDATION_FAILED
+        assert json.loads(capsys.readouterr().err)["error"]["segment"] == first
+        assert not out.exists()
+
+    check()
+
+
+def _plan_then_execute(seed: int, run: Path) -> bool:
+    """Plan a demo shot of another radius and height at `seed`; whatever
+    plan writes, `execute` accepts and flies. Whether the plan succeeded."""
+    rng = np.random.default_rng(seed)
+    radius, z = rng.uniform(6.5, 9.5), rng.uniform(1.0, 3.5)
+    shot = json.loads((DEMO / "shot.json").read_text())
+    run.mkdir()
+    (run / "shot.json").write_text(json.dumps(dict(shot, start=[radius, 0.0, z],
+                                                   end=[-radius, 0.0, z])))
+    world, config = ["--world", str(DEMO / "world.json")], ["--config", str(DEMO / "config.json")]
+    if cli.main(["plan", *world, *config, "--shot", str(run / "shot.json"),
+                 "--seed", str(seed), "--out", str(run / "plan")]) != cli.EXIT_OK:
+        return False
+    assert cli.main(["execute", *world, *config, "--path", str(run / "plan" / "path.json"),
+                     "--out", str(run / "exec")]) == cli.EXIT_OK
+    return True
+
+
+def test_every_path_plan_writes_executes(tmp_path):
+    # a fixed seed sweep carries the floor, as in the planner's properties
+    assert sum(_plan_then_execute(seed, tmp_path / f"sweep-{seed}") for seed in range(6)) >= 4
+    runs = iter(range(10 ** 6))
+
+    @settings(max_examples=6, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def check(seed):
+        _plan_then_execute(seed, tmp_path / f"run-{next(runs)}")
+
+    check()
 
 
 def _group(svg: str, name: str) -> str:

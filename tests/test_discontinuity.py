@@ -9,7 +9,7 @@ from arcshot.discontinuity import Discontinuity, find_discontinuities
 from arcshot.errors import EndpointBlocked
 from arcshot.shot import ArcShotSpec, GlobalPath, Pose4, generate_arc
 from arcshot.world import AxisBox, CollisionModel, Cylinder, QuadModel, Vec3
-from conftest import make_world
+from conftest import make_world, point_free
 
 
 def straight_path(n=21, x0=-10.0, x1=10.0, z=2.0) -> GlobalPath:
@@ -26,7 +26,7 @@ def segment_flags(path: GlobalPath, model: CollisionModel) -> list[bool]:
 
 
 def sample_flags(path: GlobalPath, model: CollisionModel) -> list[bool]:
-    return [model.point_free(path[i].position) for i in range(len(path))]
+    return [point_free(model, path[i].position) for i in range(len(path))]
 
 
 def blocked_segments(path: GlobalPath, model: CollisionModel) -> tuple[int, ...]:
@@ -110,8 +110,8 @@ def assert_spans_cover_exactly_the_blocked_segments(path, model, discs):
     for d in discs:
         assert d.entry_index > previous_exit
         previous_exit = d.exit_index
-        assert model.point_free(d.entry_pose.position)
-        assert model.point_free(d.exit_pose.position)
+        assert point_free(model, d.entry_pose.position)
+        assert point_free(model, d.exit_pose.position)
         for i in range(d.entry_index, d.exit_index):
             inside[i] = True
     for i, ok in enumerate(free):
@@ -212,6 +212,17 @@ def test_blocked_endpoint_is_rejected(quad):
     assert err.value.index == 0
 
 
+def test_an_endpoint_on_a_bounds_face_is_blocked_unless_it_is_the_ground(quad):
+    # the endpoints are zero-length segments: the bounds shrink by CULL_PAD,
+    # except a bottom at exactly 0.0
+    model = CollisionModel(make_world(), quad)
+    path = GlobalPath([(-5.0, 0.0, 0.0, 0.0), (0.0, 0.0, 5.0, 0.0), (5.0, 0.0, 10.0, 0.0)])
+    with pytest.raises(EndpointBlocked) as err:
+        find_discontinuities(path, model)
+    assert err.value.index == 2
+    assert find_discontinuities(GlobalPath(path.rows[:2]), model) == []
+
+
 def test_margin_must_be_positive(quad):
     with pytest.raises(ValueError):
         find_discontinuities(straight_path(), CollisionModel(make_world(), quad), margin=0)
@@ -297,7 +308,7 @@ def test_spans_cover_exactly_the_blocked_segments(obstacles, radius, z, samples,
     model = CollisionModel(make_world(tuple(obstacles)), QuadModel())
     path = generate_arc(ArcShotSpec(Vec3(radius, 0.0, z), Vec3(-radius, 0.0, z),
                                     Vec3(0.0, 0.0, 1.5), "counterclockwise", samples))
-    assume(model.point_free(path[0].position) and model.point_free(path[-1].position))
+    assume(point_free(model, path[0].position) and point_free(model, path[-1].position))
     discs = find_discontinuities(path, model, margin)
     assert [(d.entry_index, d.exit_index) for d in discs] == \
         reference_spans(segment_flags(path, model), margin)

@@ -163,14 +163,18 @@ class VelocityCommand:
     yaw_rate: float
 
 
+def scaled(v: Vec3, k: float) -> Vec3:
+    return Vec3(v.x * k, v.y * k, v.z * k)
+
+
 def reference_command_for(state: SimState, target: Pose4, cfg: FollowConfig,
                           quad: QuadModel) -> VelocityCommand:
     err = target.position - state.position
     speed = cfg.k_p * err.norm()
     if speed > quad.max_speed:
-        linear = err.scaled(quad.max_speed / err.norm())
+        linear = scaled(err, quad.max_speed / err.norm())
     else:
-        linear = err.scaled(cfg.k_p)
+        linear = scaled(err, cfg.k_p)
     yaw_err = wrap_to_pi(target.yaw - state.yaw)
     yaw_rate = max(-quad.max_yaw_rate, min(quad.max_yaw_rate, cfg.k_p * yaw_err))
     return VelocityCommand(linear, yaw_rate)
@@ -196,7 +200,7 @@ def reference_follow(path: GlobalPath, start: SimState, cfg: FollowConfig,
             raise TimeoutExceeded(log)
         cmd = reference_command_for(state, targets[active], cfg, quad)
         state = SimState(
-            position=state.position + cmd.linear.scaled(cfg.dt),
+            position=state.position + scaled(cmd.linear, cfg.dt),
             yaw=wrap_to_pi(state.yaw + cmd.yaw_rate * cfg.dt),
             time=state.time + cfg.dt,
         )

@@ -17,11 +17,12 @@ from arcshot.local_planner import (LocalPath, RrtParams, SearchWindow, Tree,
                                    plan_local_run, rrt_star_run, sample, walled_off)
 from arcshot.shot import Pose4, generate_arc
 from arcshot.world import (AXIS_X, AXIS_Y, BOTTOM, CULL_PAD, MAX, MIN, RADIUS, TOP, AxisBox,
-                           CollisionModel, Cylinder, QuadModel, Vec3, World, edge_points)
-from conftest import demo_shot, demo_world, make_world, spaced_quad, wall_shot, wall_world
+                           CollisionModel, Cylinder, QuadModel, Vec3, World)
+from conftest import (demo_shot, demo_world, make_world, point_free, spaced_quad, wall_shot,
+                      wall_world)
 import rrt_reference
 import window_reference
-from world_reference import inflate
+from world_reference import inflate, pad_margin, segment_samples
 
 BIG_BOUNDS = AxisBox(Vec3(-100, -100, -100), Vec3(100, 100, 100))
 _coord = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)
@@ -462,10 +463,10 @@ def test_best_parent_breaks_cost_ties_by_insertion_order(quad):
     world = make_world()
     tree = Tree(Vec3(0, 0, 2))
     child = tree.add(row(1, 0, 2), 0)
-    assert tree.costs[child] == pytest.approx(1.0)
+    assert tree.node_costs[child] == pytest.approx(1.0)
     x_new = row(1.5, 0, 2)
-    root_total = tree.costs[0] + Vec3(0, 0, 2).distance_to(Vec3.from_array(x_new))
-    child_total = tree.costs[child] + Vec3(1, 0, 2).distance_to(Vec3.from_array(x_new))
+    root_total = tree.node_costs[0] + Vec3(0, 0, 2).distance_to(Vec3.from_array(x_new))
+    child_total = tree.node_costs[child] + Vec3(1, 0, 2).distance_to(Vec3.from_array(x_new))
     assert root_total == pytest.approx(child_total)
     model = CollisionModel(world, quad)
     assert _best_parent(tree, x_new, 2.0, model) == 0
@@ -490,73 +491,11 @@ def sequential_best_parent(tree, x_new, radius, model):
     cost order and return the first whose edge is free, one segment at a time."""
     dists = np.linalg.norm(tree.positions - x_new, axis=1)
     candidates = np.flatnonzero(dists <= radius)
-    totals = tree.costs[candidates] + dists[candidates]
+    totals = np.array(tree.node_costs)[candidates] + dists[candidates]
     for idx in candidates[np.argsort(totals, kind="stable")]:
         if model.segment_free(tree.positions[idx], x_new):
             return int(idx)
     return None
-
-
-def segment_points(a: Vec3, b: Vec3, step: float) -> np.ndarray:
-    """Reference for `edge_points`: inclusive samples along a->b spaced at most
-    `step` apart, in numpy's linspace form."""
-    n = max(1, math.ceil(a.distance_to(b) / step))
-    ts = np.linspace(0.0, 1.0, n + 1)
-    return a.as_array()[None, :] + ts[:, None] * (b.as_array() - a.as_array())
-
-
-@st.composite
-def _axis_multiple_edge(draw):
-    """An edge along one axis whose length is a whole number of steps."""
-    step = draw(st.sampled_from([0.1, 0.15, 0.25, 0.3, 0.375, 1.0]))
-    k = draw(st.integers(0, 40))
-    axis = draw(st.integers(0, 2))
-    origin = [draw(_coord), draw(_coord), draw(_coord)]
-    origin[axis] = 0.0
-    end = list(origin)
-    end[axis] = k * step * draw(st.sampled_from([1.0, -1.0]))
-    return [tuple(origin)], tuple(end), step
-
-
-_step = st.floats(1e-3, 5.0, allow_nan=False)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(
-    st.tuples(st.lists(_point, min_size=1, max_size=8), _point, _step),
-    _axis_multiple_edge(),
-    # one end per edge
-    st.tuples(st.lists(st.tuples(_point, _point), min_size=1, max_size=8), _step).map(
-        lambda c: ([o for o, _ in c[0]], [e for _, e in c[0]], c[1]))))
-def test_edge_points_match_segment_points_bit_for_bit(case):
-    origins, end, step = case
-    end = np.array(end, dtype=float)
-    pts, first = edge_points(np.array(origins, dtype=float), end, step)
-    bounds = list(first[1:]) + [len(pts)]
-    ends = np.broadcast_to(end, (len(origins), 3))
-    for origin, e, lo, hi in zip(origins, ends, first, bounds):
-        expected = segment_points(Vec3(*origin), Vec3.from_array(e), step)
-        assert pts[lo:hi].tobytes() == expected.tobytes()
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.one_of(st.tuples(st.lists(_point, min_size=1, max_size=1), _point, _step),
-                 _axis_multiple_edge()),
-       _point, _point, st.booleans())
-def test_one_origin_edge_points_equal_the_multi_origin_rows(edge, other, other_end,
-                                                           end_as_row):
-    # one origin takes a fast path; alongside another edge it takes the
-    # general one, with one shared end or one end per edge
-    origins, end, step = edge
-    end = np.array(end, dtype=float)
-    alone, first = edge_points(np.array(origins, dtype=float),
-                               end[None, :] if end_as_row else end, step)
-    assert first.tolist() == [0]
-    pair = np.array([origins[0], other], dtype=float)
-    shared, starts = edge_points(pair, end, step)
-    assert alone.tobytes() == shared[:starts[1]].tobytes()
-    own, starts = edge_points(pair, np.array([end, other_end], dtype=float), step)
-    assert alone.tobytes() == own[:starts[1]].tobytes()
 
 
 @settings(max_examples=300, deadline=None)
@@ -655,7 +594,7 @@ def test_best_parent_falls_back_when_the_cheapest_edge_is_blocked(seed):
     step = float(rng.uniform(0.05, 0.4))
     dists = np.linalg.norm(tree.positions - x_new, axis=1)
     near = np.flatnonzero(dists <= 4.0)
-    cheapest = near[np.argsort(tree.costs[near] + dists[near], kind="stable")[0]]
+    cheapest = near[np.argsort(np.array(tree.node_costs)[near] + dists[near], kind="stable")[0]]
     assume(not bp_model(world, step).segment_free(tree.positions[cheapest], x_new))
     _assert_matches_oracle(world, tree, x_new, 4.0, step)
 
@@ -688,27 +627,6 @@ def test_best_parent_rejects_a_new_node_inside_an_obstacle(seed):
                                   float(rng.uniform(0.05, 0.4))) is None
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.integers(0, 2 ** 32 - 1))
-def test_best_parent_on_an_obstacle_face_tests_the_last_edge_sample(seed):
-    # x_new lies exactly on a face of an inflated box and every node on its
-    # free side: an edge is free iff its last sample, origin + (x_new - origin),
-    # rounds off the face, which x_new itself never does
-    rng = np.random.default_rng(seed)
-    lo = rng.uniform(-6, 6, 3)
-    raw = AxisBox(Vec3.from_array(lo), Vec3.from_array(lo + rng.uniform(1, 4, 3)))
-    world = make_world((raw,), lo=(-20, -20, -20), hi=(20, 20, 20))
-    box, = CollisionModel(world, BP_QUAD).inflated
-    bmin, bmax = box[MIN], box[MAX]
-    axis, outward = int(rng.integers(0, 3)), float(rng.choice([-1.0, 1.0]))
-    x_new = bmin + (bmax - bmin) * rng.uniform(0.2, 0.8, 3)
-    x_new[axis] = bmax[axis] if outward > 0 else bmin[axis]
-    nodes = x_new + rng.uniform(-2, 2, size=(int(rng.integers(1, 30)), 3))
-    nodes[:, axis] = x_new[axis] + outward * rng.uniform(0.05, 2.5, len(nodes))
-    tree = _grow_tree(nodes, rng)
-    _assert_matches_oracle(world, tree, x_new, 4.0, float(rng.uniform(0.05, 0.4)))
-
-
 def _cheapest_endpoint_blocked_case(seed: int):
     """A `_random_case` variant: x_new on a face of an inflated box, every node
     on its free side and within the radius, and the root's last edge sample
@@ -738,19 +656,20 @@ def _cheapest_endpoint_blocked_case(seed: int):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_best_parent_when_the_cheapest_endpoint_is_blocked(seed):
-    # the fused check finds the cheapest edge blocked at its endpoint; the
-    # answer then comes from the other candidates' reachable rows and batch
+    # x_new lies on a face of an inflated box, so every edge ends on the
+    # obstacle and none passes: no parent, although some edges' last
+    # samples, origin + (x_new - origin), round off the face, which once let
+    # the sampled check accept those edges
     case = _cheapest_endpoint_blocked_case(seed)
     assume(case is not None)
     world, tree, x_new, step = case
     dists = np.linalg.norm(tree.positions - x_new, axis=1)
     assert (dists <= 4.0).all()
-    assert np.argsort(tree.costs + dists, kind="stable")[0] == 0
-    expected = _assert_matches_oracle(world, tree, x_new, 4.0, step)
-    assert expected not in (None, 0)
+    assert np.argsort(np.array(tree.node_costs) + dists, kind="stable")[0] == 0
+    assert _assert_matches_oracle(world, tree, x_new, 4.0, step) is None
 
 
-# segment_clear ----------------------------------------------------------------
+# segment_free: the one segment predicate -------------------------------------
 
 # how far a touching segment lies from what it touches: from touching, through
 # rounding-sized gaps the test's CULL_PAD must cover, to just clear of CULL_PAD
@@ -763,7 +682,7 @@ def _unit(v: np.ndarray) -> np.ndarray:
 
 
 def _segment_case(seed: int):
-    """(model, a, b, toward, step, touching, grounded): boxes and
+    """(model, a, b, toward, touching, grounded): boxes and
     cylinders, some sunken, in bounds that reach below ground or stop at it
     (a bottom of 0.0 or -0.0), and a segment a->b that mostly touches a box
     face or corner, a cylinder's side, top or bottom, or a bounds face
@@ -840,40 +759,51 @@ def _segment_case(seed: int):
         a[2] = b[2] = 0.0
     elif rng.random() < 0.1:            # one end below ground
         (a, b)[int(rng.integers(2))][2] = -float(rng.choice([5e-324, 1e-12, 1e-3, 0.5]))
-    step = float(rng.uniform(0.05, 0.5))
-    return model, a, b, -outward, step, mode > 0, grounded
+    return model, a, b, -outward, mode > 0, grounded
+
+
+# the rounding the predicate's answers are checked to: far below CULL_PAD
+_ROUNDING = 1e-12
 
 
 def _check_segment(seed: int) -> tuple[bool, bool, bool]:
-    """Whether `segment_clear` certifies `_segment_case(seed)`'s segment on
-    the model, whether it touches and whether it lies on the ground. A
-    segment certified on the model, or on the model culled round it, must
-    free every point `_best_parent` would classify for that edge, and those
-    points moved half the pad toward what the segment touches: the pad, not
-    luck in the rounding, keeps them free. On a ground at z = 0 the move
-    stops at the ground, which is not padded."""
-    model, a, b, toward, step, touching, grounded = _segment_case(seed)
-    cleared = []
-    for m in (model, model.within(np.minimum(a, b), np.maximum(a, b))):
-        cleared.append(m.segment_clear(a, b))
-        if cleared[-1]:
-            pts, _ = edge_points(a[None, :], b, step)
+    """`segment_free` of `_segment_case(seed)`'s segment, on the model and
+    on the model culled round it, which must agree, and whether the segment
+    touches and whether it lies on the ground.
+
+    True: every point of a sampling at `check_step` and at `check_step / 16`
+    is free, and so are those points moved half the pad toward what the
+    segment touches (the pad, not luck in the rounding, keeps them free; on
+    a ground at z = 0 the move stops at the ground, which is not padded).
+    False: an end lies outside the shrunk bounds, or the segment comes
+    within CULL_PAD plus rounding of an inflated obstacle, in the measure the
+    pad grows it by; away from that rounding, the converse holds too
+    (`pad_margin`)."""
+    model, a, b, toward, touching, grounded = _segment_case(seed)
+    free = model.segment_free(a, b)
+    assert model.within(np.minimum(a, b), np.maximum(a, b)).segment_free(a, b) is free
+    step = model.check_step
+    if free:
+        for pts in (segment_samples(a, b, step), segment_samples(a, b, step / 16)):
             assert model.free_points(pts).all()
-            assert model.free_points((a + (b - a))[None, :]).all()
             moved = pts + CULL_PAD / 2 * toward
             if model.world.bounds.min.z == 0.0:
                 moved[:, 2] = np.maximum(moved[:, 2], 0.0)
             assert model.free_points(moved).all()
-    return cleared[0], touching, grounded
+        assert model.free_points((a + (b - a))[None, :]).all()
+    margin = pad_margin(model.world, model.quad, a, b)
+    assert margin > -_ROUNDING if free else margin < _ROUNDING
+    return free, touching, grounded
 
 
 def test_a_clear_segment_frees_every_edge_point():
     # the floors count a fixed seed sweep, so no loaded module can move them
     # (hypothesis seeds its draws with constants from every loaded module)
-    cleared, touching, grounded = np.array([_check_segment(seed) for seed in range(400)]).T
-    assert cleared.sum() >= 100
-    assert (cleared & touching).sum() >= 40
-    assert (cleared & grounded).sum() >= 10
+    free, touching, grounded = np.array([_check_segment(seed) for seed in range(400)]).T
+    assert free.sum() >= 100
+    assert (free & touching).sum() >= 40
+    assert (free & grounded).sum() >= 10
+    assert (~free & touching).sum() >= 100
 
     @settings(max_examples=300, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
@@ -888,14 +818,14 @@ def _cheapest(tree: Tree, x_new: np.ndarray, radius: float) -> int | None:
     picks it; None when no node lies within the radius."""
     dists = rrt_reference._distances(tree, x_new)
     near = np.flatnonzero(dists <= radius)
-    return int(near[(tree.costs[near] + dists[near]).argmin()]) if near.size else None
+    return int(near[(np.array(tree.node_costs)[near] + dists[near]).argmin()]) if near.size else None
 
 
 def _clustered_case(seed: int):
     """A `_random_case` world with a small radius and the tree's nodes near
-    x_new, so the certificate often holds; on a grid, cost ties are common.
-    A third of the cases add a box across the cheapest edge, whose
-    certificate then fails."""
+    x_new, so the cheapest edge is often free; on a grid, cost ties are
+    common. A third of the cases add a box across the cheapest edge, which
+    then fails."""
     rng = np.random.default_rng(seed)
     world, _, x_new, _, step = _random_case(int(rng.integers(2 ** 32)), bool(rng.integers(2)))
     radius = float(rng.uniform(0.2, 1.2))
@@ -914,7 +844,7 @@ def _clustered_case(seed: int):
 def _best_parent_agrees(seed: int) -> bool | None:
     """`_clustered_case(seed)` against the sequential oracle, on the model
     and culled round the tree as in an attempt. Whether the cheapest edge
-    was certified; None when no node lies within the radius."""
+    is free; None when no node lies within the radius."""
     world, tree, x_new, radius, step = _clustered_case(seed)
     model = bp_model(world, step)
     expected = sequential_best_parent(tree, x_new, radius, model)
@@ -923,7 +853,7 @@ def _best_parent_agrees(seed: int) -> bool | None:
     local = model.within(pts.min(axis=0), pts.max(axis=0))
     assert _best_parent(tree, x_new, radius, local) == expected
     best = _cheapest(tree, x_new, radius)
-    return None if best is None else model.segment_clear(tree.positions[best], x_new)
+    return None if best is None else model.segment_free(tree.positions[best], x_new)
 
 
 def test_best_parent_matches_the_oracle_with_and_without_a_certificate():
@@ -971,7 +901,7 @@ def test_rrt_star_returns_none_for_an_enclosed_exit(quad):
         AxisBox(Vec3(3.4, -1.6, 3.4), Vec3(6.6, 1.6, 3.6)),
     )
     model = CollisionModel(make_world(shell), quad)
-    assert model.point_free(exit_p)
+    assert point_free(model, exit_p)
     d = disc_between(Vec3(0, 0, 2), exit_p)
     params = RrtParams(seed=3, max_loops=300)
     assert rrt_star_run(d, model, params, 0).path is None
@@ -983,15 +913,11 @@ def test_rrt_star_detour_survives_dense_revalidation(quad):
                        target=(0.0, 5.0, 1.5))
     d = disc_between(Vec3(-3, 0, 2), Vec3(3, 0, 2))
     model = CollisionModel(world, quad)
-    # the same inflation, checked at half the planner's step
-    dense = CollisionModel(world, QuadModel(body_radius=0.15, safety_margin=0.35))
-    assert dense.check_step == model.check_step / 2
-    assert dense.inflated.tobytes() == model.inflated.tobytes()
     for seed in range(5):
         lp = rrt_star_run(d, model, RrtParams(seed=seed), 0).path
         assert lp is not None
         for a, b in zip(lp.positions, lp.positions[1:]):
-            assert dense.segment_free(a, b)
+            assert model.free_points(segment_samples(a, b, model.check_step / 16)).all()
 
 
 def test_rrt_star_tree_invariants(quad):
@@ -1010,15 +936,35 @@ def test_rrt_star_tree_invariants(quad):
         edge = Vec3.from_array(tree.positions[i]).distance_to(
             Vec3.from_array(tree.positions[parent]))
         recomputed[i] = recomputed[parent] + edge
-        assert tree.costs[i] == pytest.approx(recomputed[i], rel=1e-9)
+        assert tree.node_costs[i] == pytest.approx(recomputed[i], rel=1e-9)
 
-    # edge validity at the configured collision step
-    assert model.check_step == quad.body_radius / 2
+    # every edge passes the predicate
     for i in range(1, len(tree)):
         assert model.segment_free(tree.positions[tree.parents[i]], tree.positions[i])
 
     # window containment
     assert ((run.window.lo <= tree.positions) & (tree.positions <= run.window.hi)).all()
+
+
+def test_a_sample_a_subnormal_away_from_its_nearest_node_is_skipped(quad, monkeypatch):
+    # 5e-324 from a node at 0.0 squares to 0, so `extend` refuses the sample;
+    # the loop skips it as it skips a sample on a node, and grows the same
+    # tree from the samples after it (it once raised DegenerateExtend)
+    d = disc_between(Vec3(0, 0, 2), Vec3(3, 0, 2))
+    model = CollisionModel(make_world(), quad)
+    params = RrtParams(max_loops=40, seed=3)
+    with pytest.raises(DegenerateExtend):
+        extend([0.0, 0.0, 2.0], [5e-324, 0.0, 2.0], params.extend_dist)
+    window, _ = level_window(d, model, params, 0)
+    rest = sample(window, np.random.default_rng(1), params.max_loops - 1)
+    runs = []
+    for first in ([5e-324, 0.0, 2.0], [0.0, -5e-324, 2.0], [0.0, 0.0, 2.0]):
+        samples = np.vstack([first, rest])
+        monkeypatch.setattr(local_planner, "sample", lambda *args: samples)
+        run = rrt_star_run(d, model, params, 0)
+        assert len(run.tree) > 1
+        runs.append(_run_facts(run))
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_rrt_star_is_deterministic(quad):
@@ -1041,13 +987,13 @@ def test_rrt_star_is_deterministic(quad):
 # the blocked loop against the loop it replaced ------------------------------
 
 def _grid_sample(window, rng, count):
-    """`sample` snapped to a 0.5 m grid, with a tenth of the nonzero
-    coordinates moved one ulp up or down: exact and 1-ulp distance ties are
-    common. (A zero moved one ulp would differ from a node at zero by a
-    subnormal whose square is 0, which `extend` rejects in either loop.)"""
+    """`sample` snapped to a 0.5 m grid, with a tenth of the coordinates
+    moved one ulp up or down: exact and 1-ulp distance ties are common, and
+    a zero moved one ulp differs from a node at zero by a subnormal whose
+    square is 0, a sample `extend` refuses."""
     pts = np.round(rng.uniform(window.lo, window.hi, size=(count, 3)) * 2) / 2
     nudged = np.nextafter(pts, np.where(rng.random((count, 3)) < 0.5, -np.inf, np.inf))
-    return np.where((rng.random((count, 3)) < 0.1) & (pts != 0.0), nudged, pts)
+    return np.where(rng.random((count, 3)) < 0.1, nudged, pts)
 
 
 def _blocked_case(seed: int):
@@ -1093,25 +1039,29 @@ def _blocked_case(seed: int):
 def _run_facts(run):
     tree = run.tree
     path = None if run.path is None else (run.path.positions.tobytes(), run.path.cost)
-    return (tree.positions.tobytes(), tree.costs.tobytes(), tree.parents, path, run.loops,
-            run.window.lo.tobytes(), run.window.hi.tobytes(), run.window.level)
+    return (tree.positions.tobytes(), np.array(tree.node_costs).tobytes(), tree.parents, path,
+            run.loops, run.window.lo.tobytes(), run.window.hi.tobytes(), run.window.level)
 
 
 def _blocked_run_matches_the_oracle(seed: int, monkeypatch) -> collections.Counter:
     """`_blocked_case(seed)` run by `rrt_star_run` and by the oracle, which
     must give the same facts. Counts what the blocked run went through:
-    degenerate samples, nearest nodes added inside the current block, exact
+    degenerate samples (those that differ from their nearest node by a
+    subnormal on their own), nearest nodes added inside the current block, exact
     and 1-ulp ties between the best node before the block and the best node
-    added in it, and certified and fallback best-parent calls."""
+    added in it, and best-parent calls won by the cheapest candidate and by
+    a later one."""
     d, model, params, level, grid = _blocked_case(seed)
     seen = collections.Counter(short=params.max_loops < local_planner.BLOCK,
                                ragged=params.max_loops % local_planner.BLOCK != 0)
-    nearest, segment_clear = local_planner.nearest_vertex, CollisionModel.segment_clear
+    nearest, best_parent = local_planner.nearest_vertex, local_planner._best_parent
 
     def recording_nearest(tree, p, block=None):
         near = nearest(tree, p, block)
         count = block[2]
         seen["degenerate"] += tree.rows[near] == p
+        dx, dy, dz = (q - r for q, r in zip(p, tree.rows[near]))
+        seen["subnormal"] += tree.rows[near] != p and dx * dx + dy * dy + dz * dz == 0.0
         seen["in_block"] += near >= count
         if count < len(tree):
             q = tree.xyz - np.array(p)[:, None]
@@ -1123,10 +1073,13 @@ def _blocked_run_matches_the_oracle(seed: int, monkeypatch) -> collections.Count
                                             np.nextafter(old, np.inf)))
         return near
 
-    def recording_clear(self, a, b):
-        cleared = segment_clear(self, a, b)
-        seen["certified" if cleared else "fallback"] += 1
-        return cleared
+    def recording_best_parent(tree, x_new, radius, model, near=None):
+        parent = best_parent(tree, x_new, radius, model, near)
+        if parent is not None:
+            cheapest = min((tree.node_costs[i] + d, i)
+                           for i, d in zip(near, _distances(tree, x_new, near)) if d <= radius)
+            seen["cheapest" if parent == cheapest[1] else "later"] += 1
+        return parent
 
     with monkeypatch.context() as m:
         if grid:
@@ -1134,7 +1087,7 @@ def _blocked_run_matches_the_oracle(seed: int, monkeypatch) -> collections.Count
             m.setattr(rrt_reference, "sample", _grid_sample)
         want = _run_facts(rrt_reference.rrt_star_run(d, model, params, level))
         m.setattr(local_planner, "nearest_vertex", recording_nearest)
-        m.setattr(CollisionModel, "segment_clear", recording_clear)
+        m.setattr(local_planner, "_best_parent", recording_best_parent)
         got = _run_facts(rrt_star_run(d, model, params, level))
     assert got == want
     seen["cases"] += 1
@@ -1147,10 +1100,10 @@ def test_blocked_loop_grows_the_oracle_tree(monkeypatch):
                collections.Counter())
     # (1-ulp ties across a boundary are rare here; the test above has them)
     assert seen["short"] >= 50 and seen["ragged"] >= 100
-    assert seen["degenerate"] >= 150
+    assert seen["degenerate"] >= 150 and seen["subnormal"] >= 2
     assert seen["exact_tie"] >= 15
     assert seen["in_block"] >= 400
-    assert seen["certified"] >= 1200 and seen["fallback"] >= 1200
+    assert seen["cheapest"] >= 1200 and seen["later"] >= 100
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
@@ -1247,31 +1200,15 @@ def test_walled_off_fires_on_a_thick_slab_across_the_window(axis):
     assert certified([slab], _swap(Vec3(3, 0, 0), axis), _swap(Vec3(-3, 0, 0), axis))
 
 
-def test_walled_off_needs_a_slab_thicker_than_the_step():
-    # a box inflates by the growth on each side, and a quad of that growth
-    # checks at most growth / 2 apart, so only a growth below 2/3 of CULL_PAD
-    # leaves a slab no thicker than the step plus the pad: a flat slab
-    # inflated by 5 * 2**-23 is exactly 10 * 2**-23 thick
-    growth = 5 * 2.0 ** -23
-    flat = AxisBox(Vec3(0, -5, -5), Vec3(0, 5, 5))
-    step = 2 * growth - CULL_PAD
-    assert step + CULL_PAD == 2 * growth
-    for s, walls in ((step, False), (step - 2e-13, True)):
-        quad = spaced_quad(s, growth)
-        assert quad.body_radius / 2 == s and quad.growth == growth
-        assert certified([flat], quad=quad) is walls
-
-
 def _slab_case(seed: int):
     """(slab, entry, exit, growth, two body radii) drawn from `seed`: a slab
     across the default window along a random axis and two quads of one
-    growth below 2/3 of CULL_PAD, with the inflated slab's thickness mostly
-    near their check_step + CULL_PAD, or the slab flat."""
+    growth below 2/3 of CULL_PAD, so the inflated slab is often thinner than
+    the pad, or the slab is flat."""
     rng = np.random.default_rng(seed)
     axis = int(rng.integers(3))
     growth = float(rng.uniform(1e-7, 6.6e-7))
     bodies = rng.uniform(0.0, growth, 2)
-    # inflated, the slab is 2 * growth thicker: mostly near the thresholds
     thickness = max(0.0, CULL_PAD - 2 * growth + float(rng.uniform(-0.1, 0.6)) * growth)
     x = float(rng.uniform(-1.0, 1.0))
     lo, hi = np.full(3, -5.0), np.full(3, 5.0)
@@ -1283,35 +1220,35 @@ def _slab_case(seed: int):
             _swap(ends[1], axis), growth, bodies.tolist())
 
 
-def _slab_walls_off_past_the_step(seed: int) -> tuple[int, int]:
-    """`walled_off` on `_slab_case(seed)` fires for each quad exactly when
-    the inflated slab is thicker than that quad's check_step + CULL_PAD.
-    Returns how many of the two quads it fired for, and whether they
-    disagree."""
+def _slab_walls_off(seed: int) -> int:
+    """`walled_off` on `_slab_case(seed)` fires for each quad, however thin
+    the inflated slab, and an attempt at that level finds no path. Returns
+    how many of the two inflated slabs were thinner than CULL_PAD."""
     slab, a, b, growth, bodies = _slab_case(seed)
     axis = int(np.argmax(np.abs(b.as_array() - a.as_array())))
-    fired = []
+    thin = 0
     for body in bodies:
         quad = spaced_quad(body / 2, growth)
         model = CollisionModel(make_world([slab], **OPEN_BOUNDS), quad)
         row, = model.inflated
-        thick = row[MAX][axis] - row[MIN][axis] > model.check_step + CULL_PAD
-        fired.append(certified([slab], a, b, quad=quad))
-        assert fired[-1] is bool(thick)
-    return sum(fired), fired[0] != fired[1]
+        thin += row[MAX][axis] - row[MIN][axis] < CULL_PAD
+        assert certified([slab], a, b, quad=quad)
+        params = RrtParams(max_loops=60, seed=seed)
+        assert rrt_star_run(disc_between(a, b), model, params, 0).path is None
+    return thin
 
 
-def test_walled_off_flips_where_the_slab_passes_the_step_and_pad():
-    # a fixed seed sweep carries the floors, as in the best-parent tests
-    fired, flipped = np.sum([_slab_walls_off_past_the_step(seed) for seed in range(300)],
-                            axis=0)
-    assert 100 <= fired <= 500  # of 600: both answers are common
-    assert flipped >= 30
+def test_walled_off_fires_on_a_slab_of_any_thickness():
+    # an edge chain is continuous, so no thickness is needed: a slab that
+    # covers the span cuts every chain, and `segment_free` refuses the edge
+    # that crosses it. A fixed seed sweep carries the floor, as in the
+    # best-parent tests
+    assert sum(_slab_walls_off(seed) for seed in range(100)) >= 50
 
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
     def check(seed):
-        _slab_walls_off_past_the_step(seed)
+        _slab_walls_off(seed)
 
     check()
 
@@ -1381,8 +1318,7 @@ def test_walled_off_never_fires_on_the_demo(quad):
 def _single_box_span(seed: int):
     """(model, discontinuity, params) drawn from `seed`: one box, entry and
     exit in a random order along a random axis, near the box or across it.
-    The model checks segments at a drawn step, or at the coarsest its
-    growth allows.
+    The model's quad has a drawn body radius, which no answer depends on.
 
     Often one of the other two axes is one-signed, as z is above the ground,
     and the inflated box's face on it lies exactly on one level's window
@@ -1455,8 +1391,7 @@ def _padded_walled_off(d, window, model):
     """`walled_off` with CULL_PAD on every face of the span."""
     lo, hi = _span(d, window)
     return model.separates(d.entry_pose.position.as_array(),
-                           d.exit_pose.position.as_array(),
-                           lo - CULL_PAD, hi + CULL_PAD, model.check_step + CULL_PAD)
+                           d.exit_pose.position.as_array(), lo - CULL_PAD, hi + CULL_PAD)
 
 
 def _walled_off_levels(seed: int) -> tuple[int, int]:
@@ -1492,16 +1427,16 @@ def test_a_walled_off_level_never_finds_a_path():
 
 
 def test_no_tested_coordinate_passes_an_unpadded_span_face(monkeypatch):
-    # the induction behind walled_off's closed-face rule, against every point
-    # an attempt hands to free_points
+    # the induction behind walled_off's closed-face rule, against both ends of
+    # every segment an attempt hands to segment_free
     seen = []
-    free_points = CollisionModel.free_points
+    segment_free = CollisionModel.segment_free
 
-    def recording(self, pts):
-        seen.append(pts.copy())
-        return free_points(self, pts)
+    def recording(self, a, b):
+        seen.append(np.array([a, b], dtype=float))
+        return segment_free(self, a, b)
 
-    monkeypatch.setattr(CollisionModel, "free_points", recording)
+    monkeypatch.setattr(CollisionModel, "segment_free", recording)
 
     def unpadded_faces(d, model, params, level):
         lo, hi = _span(d, level_window(d, model, params, level)[0])
@@ -1587,11 +1522,10 @@ def test_nonnegative_interpolation_passes_its_larger_end_only_on_an_odd_tie():
 
 
 def test_the_interpolation_bound_needs_its_sign_and_parity_conditions():
-    # odd significand: the last sample edge_points takes passes the edge's end
+    # odd significand: the interpolation at t = 1 passes the larger end
     a, b = 0.015199091831556488, 0.6837413448974007
     assert not _even(b)
-    pts, _ = edge_points(np.array([[a, 0.0, 0.0]]), np.array([b, 0.0, 0.0]), 0.1)
-    assert pts[-1, 0] == _succ(b)
+    assert a + 1.0 * (b - a) == _succ(b)
     # mixed signs: an even significand is passed too
     a, b = -0.4535801222885679, 0.7884287034284043
     assert _even(b) and a + (b - a) == _succ(b)
@@ -1600,13 +1534,13 @@ def test_the_interpolation_bound_needs_its_sign_and_parity_conditions():
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 2 ** 53))
 def test_edge_sample_fractions_stay_at_most_one(n):
-    # edge_points' t = k * (1 / n) rises with k, so k = n - 1 bounds every k < n
+    # the reference sampler's t = k * (1 / n) rises with k, so k = n - 1
+    # bounds every k < n: the oracle's samples stay on the segment
     assert (n - 1.0) * (1.0 / n) <= 1.0
     if n <= 4000:
-        # from 0 to 1 along x each sample's x is its t, on both code paths
-        for origins in (np.zeros((1, 3)), np.zeros((2, 3))):
-            pts, _ = edge_points(origins, np.array([1.0, 0.0, 0.0]), 1.0 / n)
-            assert (pts[:, 0] <= 1.0).all() and pts[-1, 0] == 1.0
+        # from 0 to 1 along x each sample's x is its t
+        pts = segment_samples(np.zeros(3), np.array([1.0, 0.0, 0.0]), 1.0 / n)
+        assert (pts[:, 0] <= 1.0).all() and pts[-1, 0] == 1.0
 
 
 # params / tree validation ---------------------------------------------------
@@ -1642,7 +1576,7 @@ def test_tree_node_accessor_and_root_path():
     b = tree.add(row(1, 1, 0), a)
     assert tree.parents[b] == a
     assert Vec3.from_array(tree.positions[b]) == Vec3(1, 1, 0)
-    assert tree.costs[b] == pytest.approx(2.0)
+    assert tree.node_costs[b] == pytest.approx(2.0)
     assert tree.path_from_root(b).tolist() == [[0, 0, 0], [1, 0, 0], [1, 1, 0]]
 
 

@@ -1,9 +1,14 @@
+import ast
 import dataclasses
 import hashlib
 import importlib
 import inspect
 import math
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,8 +23,8 @@ from arcshot.local_planner import LocalPath, RrtParams
 from arcshot.pipeline import plan_shot, splice, validate
 from arcshot.shot import ArcShotSpec, GlobalPath, aimed_row, generate_arc
 from arcshot.world import AxisBox, CollisionModel, Cylinder, QuadModel, Vec3
-from conftest import (SCENARIO_DIR, demo_shot, demo_world, make_world, spaced_quad, wall_shot,
-                      wall_world)
+from conftest import (SCENARIO_DIR, demo_shot, demo_world, make_world, point_free, spaced_quad,
+                      wall_shot, wall_world)
 from test_discontinuity import thin_obstacles
 
 
@@ -107,10 +112,10 @@ def test_validate_finer_step_never_passes_where_coarser_failed(quad):
     assert validate(path, fine) is not None
 
 
-def test_only_edge_points_takes_a_check_spacing():
-    # the collision model owns the segment-check spacing (check_step), so the
-    # scan, the planner and validation cannot be handed different ones; the
-    # sampler is the one function that takes a spacing
+def test_no_stage_takes_or_reads_a_check_spacing():
+    # every stage asks the model's one segment predicate, so nothing samples
+    # a segment: no function takes a spacing, and the model's check_step is
+    # read only where the report records it
     takers = []
     for info in pkgutil.iter_modules(arcshot.__path__):
         module = importlib.import_module(f"arcshot.{info.name}")
@@ -124,13 +129,21 @@ def test_only_edge_points_takes_a_check_spacing():
                 functions = [(name, obj)] if inspect.isfunction(obj) else []
             takers += [f"{module.__name__}.{qualified}" for qualified, f in functions
                        if "step" in inspect.signature(f).parameters]
-    # the report records the spacing a plan was checked at, for report/1
-    assert takers == ["arcshot.pipeline.PlanReport.__init__", "arcshot.world.edge_points"]
+    # the report records report/1's collision_step and validation_step
+    assert takers == ["arcshot.pipeline.PlanReport.__init__"]
+    readers = [f"{path.name}: {line.strip()}"
+               for path in sorted(Path(arcshot.__file__).parent.glob("*.py"))
+               for line in path.read_text(encoding="utf-8").splitlines()
+               if ".check_step" in line]
+    assert readers == ["pipeline.py: step=model.check_step,"]
 
 
 def sequential_validate(path, model):
-    """Reference for `validate`: one `segment_free` call per segment."""
+    """Reference for `validate`: one `segment_free` call per segment, and a
+    single pose as one zero-length segment."""
     positions = path.position_array()
+    if len(path) == 1:
+        return None if model.segment_free(positions[0], positions[0]) else 0
     for i in range(len(path) - 1):
         if not model.segment_free(positions[i], positions[i + 1]):
             return i
@@ -251,7 +264,7 @@ def test_plan_shot_never_rejects_its_own_plan(obstacles, radius, z, samples, see
     model = CollisionModel(make_world(tuple(obstacles)), QuadModel())
     spec = ArcShotSpec(Vec3(radius, 0.0, z), Vec3(-radius, 0.0, z),
                        Vec3(0.0, 0.0, 1.5), "counterclockwise", samples)
-    assume(model.point_free(spec.start) and model.point_free(spec.end))
+    assume(point_free(model, spec.start) and point_free(model, spec.end))
     try:
         plan_shot(model, spec, RrtParams(max_loops=60, seed=seed))
     except LocalPlanFailed:
@@ -298,16 +311,16 @@ def test_plan_shot_is_deterministic(quad):
 # catch drift in the nodes the final path does not use; a change that moves
 # any node's bits on purpose re-records them and says why.
 TREE_SHA256 = {
-    "demo": ["cad5d8961f8f28fa24e7bae010acb8838757830b3fba8323a52bbafaba077ce0"],
-    # 1409 nodes: the tree buffer doubles past 64, 128, 256, 512 and 1024
-    "demo-2000": ["cb023b5d388308ea33a27d33c2d967039c973d555e8e1919f19dcedfb38dc01f"],
-    "wall": ["048f89543978c4568fddf1cbd2e6ac2bc07b90a8fe270f0b0d6271270f3b0d51"],
+    "demo": ["5feb2637858355ccf03f3a14845c3034082fe5d6b8d9913e91373ebbf6eb9891"],
+    # 1408 nodes: the tree buffer doubles past 64, 128, 256, 512 and 1024
+    "demo-2000": ["092dbf0067c4b514c9f80cf7dcf7b9142ed410baa4691fd9014c260a5d46ff3a"],
+    "wall": ["e02e86f22db40e37e73e87bc0c34402794a5f1516cd837e675cfda0e9ccf968b"],
 }
 
 
 def _tree_sha256(tree) -> str:
     digest = hashlib.sha256(tree.positions.tobytes())
-    digest.update(tree.costs.tobytes())
+    digest.update(np.array(tree.node_costs).tobytes())
     digest.update(np.array([-1] + tree.parents[1:], dtype=np.int64).tobytes())
     return digest.hexdigest()
 
@@ -331,6 +344,61 @@ def _plan(case: str, seed: int):
 def test_rrt_star_trees_keep_their_recorded_bytes(case):
     result = _plan(case, {"demo": 7, "demo-2000": 7, "wall": 1}[case])
     assert [_tree_sha256(t) for t in result.trees] == TREE_SHA256[case]
+
+
+def _dynamic_openblas() -> bool:
+    """Whether numpy runs on an OpenBLAS that picks its kernel at run time."""
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+def _openblas_core(output: str) -> str:
+    """The kernel OpenBLAS names at load time under OPENBLAS_VERBOSE=2."""
+    return next(line.split(":", 1)[1].strip() for line in output.splitlines()
+                if line.startswith("Core:"))
+
+
+@pytest.mark.skipif(not _dynamic_openblas(), reason="numpy's OpenBLAS is not DYNAMIC_ARCH")
+@pytest.mark.parametrize("kernel", ["Haswell", "Sandybridge", "Prescott"])
+def test_tree_pins_hold_under_every_openblas_kernel(kernel):
+    # the kernel OpenBLAS picks for the CPU must not move a tree's bits, so
+    # the pins hold on every host; some requested kernels load under another
+    # name (Prescott as Katmai here), so the check is that the kernel moved
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_VERBOSE="2",
+               PYTHONPATH=os.pathsep.join(filter(None, (str(root / "src"),
+                                                        os.environ.get("PYTHONPATH")))))
+    env.pop("OPENBLAS_CORETYPE", None)
+    default = subprocess.run([sys.executable, "-c", "import numpy"], env=env,
+                             capture_output=True, text=True, timeout=60)
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-s", "-p", "no:cacheprovider",
+         f"{Path(__file__).resolve()}::test_rrt_star_trees_keep_their_recorded_bytes"],
+        cwd=root, env=dict(env, OPENBLAS_CORETYPE=kernel), capture_output=True, text=True,
+        timeout=600)
+    output = run.stdout + run.stderr
+    core = _openblas_core(output)
+    assert core == kernel or core != _openblas_core(default.stdout + default.stderr)
+    assert run.returncode == 0, output
+    assert f"{len(TREE_SHA256)} passed" in output
+
+
+def test_no_source_sends_floats_through_blas():
+    # ndarray.dot, @, np.dot and a norm over a whole 1-D array call BLAS,
+    # whose bits follow the kernel OpenBLAS picks for the CPU
+    calls = []
+    for path in sorted(Path(arcshot.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                calls.append(f"{where} @")
+            elif isinstance(node, ast.Call):
+                name = ast.unparse(node.func)
+                if (name.endswith(".dot") or name in ("np.dot", "np.vdot", "np.inner", "np.matmul")
+                        or (name.endswith("linalg.norm")
+                            and not any(k.arg == "axis" for k in node.keywords))):
+                    calls.append(f"{where} {name}")
+    assert calls == []
 
 
 def _plan_facts(result):

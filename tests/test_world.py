@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from arcshot.world import (AXIS_X, AXIS_Y, BOTTOM, CULL_PAD, INDEX, MAX, MIN, RADIUS,
                            RADIUS_SQ, TOP, AxisBox, CollisionModel, Cylinder, QuadModel,
-                           Vec3, World, edge_points, obstacle_rows)
-from conftest import make_world, spaced_quad
-from world_reference import bounding_box, inflate, inflated_rows, packed_arrays
+                           Vec3, World, obstacle_rows)
+from conftest import make_world, point_free, spaced_quad
+from world_reference import (bounding_box, inflate, inflated_rows, packed_arrays,
+                             segment_pad_distance, segment_samples)
 
 
 # independent closed-form oracles -------------------------------------------
@@ -164,9 +165,10 @@ def test_pack_equals_the_per_obstacle_oracle(case):
     world, quad, box = case
     full = CollisionModel(world, quad)
     assert full.inflated.tobytes() == inflated_rows(world.obstacles, quad).tobytes()
-    # within keeps exactly the rows whose bounding box touches the padded box
-    lo = [v - CULL_PAD for v in (box.min.x, box.min.y, box.min.z)]
-    hi = [v + CULL_PAD for v in (box.max.x, box.max.y, box.max.z)]
+    # within keeps exactly the rows whose bounding box touches the box padded
+    # by twice CULL_PAD
+    lo = [v - 2 * CULL_PAD for v in (box.min.x, box.min.y, box.min.z)]
+    hi = [v + 2 * CULL_PAD for v in (box.max.x, box.max.y, box.max.z)]
     keep = [all(row[k] <= hi[k] and row[3 + k] >= lo[k] for k in range(3))
             for row in full.inflated.tolist()]
     local = full.within(box.min.as_array(), box.max.as_array())
@@ -176,25 +178,25 @@ def test_pack_equals_the_per_obstacle_oracle(case):
     assert local.raw.tobytes() == full.raw[np.array(keep, dtype=bool)].tobytes()
 
 
-# point_free -----------------------------------------------------------------
+# free_points of one point -------------------------------------------------------
 
 def test_is_free_empty_world():
     world = make_world()
     quad = QuadModel()
-    assert CollisionModel(world, quad).point_free(Vec3(3.0, -4.0, 5.0))
+    assert point_free(CollisionModel(world, quad), Vec3(3.0, -4.0, 5.0))
 
 
 def test_is_free_rejects_out_of_bounds():
     world = make_world()
     model = CollisionModel(world, QuadModel())
-    assert not model.point_free(Vec3(16.0, 0.0, 5.0))
-    assert not model.point_free(Vec3(0.0, 0.0, -0.1))
+    assert not point_free(model, Vec3(16.0, 0.0, 5.0))
+    assert not point_free(model, Vec3(0.0, 0.0, -0.1))
 
 
 def test_is_free_inside_inflated_cylinder():
     world = make_world((Cylinder(Vec3(0.0, 0.0, 0.0), 1.0, 5.0),))
     quad = QuadModel(body_radius=0.3, safety_margin=0.2)
-    assert not CollisionModel(world, quad).point_free(Vec3(0.0, 0.0, 2.5))  # on the axis
+    assert not point_free(CollisionModel(world, quad), Vec3(0.0, 0.0, 2.5))  # on the axis
 
 
 def test_is_free_near_inflated_boundary():
@@ -206,7 +208,7 @@ def test_is_free_near_inflated_boundary():
     inflated, = model.inflated
     for dist, expected in ((1.49, False), (1.51, True)):
         p = Vec3(dist, 0.0, 2.0)
-        assert model.point_free(p) is expected
+        assert point_free(model, p) is expected
         # closed-form point-in-cylinder oracle agrees
         assert point_in_row(inflated, p) is (not expected)
 
@@ -214,7 +216,7 @@ def test_is_free_near_inflated_boundary():
 def test_is_free_boundary_counts_as_collision():
     world = make_world((Cylinder(Vec3(0.0, 0.0, 0.0), 1.0, 5.0),))
     quad = QuadModel(body_radius=0.3, safety_margin=0.2)
-    assert not CollisionModel(world, quad).point_free(Vec3(1.5, 0.0, 2.0))
+    assert not point_free(CollisionModel(world, quad), Vec3(1.5, 0.0, 2.0))
 
 
 def test_bounds_faces_are_free_and_inflated_box_faces_are_blocked():
@@ -224,10 +226,10 @@ def test_bounds_faces_are_free_and_inflated_box_faces_are_blocked():
     model = CollisionModel(world, QuadModel(body_radius=0.3, safety_margin=0.2))
     for p in (Vec3(-15.0, 0.0, 5.0), Vec3(0.0, 15.0, 5.0), Vec3(0.0, 0.0, 0.0),
               Vec3(0.0, 0.0, 10.0), Vec3(15.0, -15.0, 10.0)):
-        assert model.point_free(p), p
+        assert point_free(model, p), p
     for p in (Vec3(1.5, 0.0, 2.0), Vec3(4.5, 0.0, 2.0), Vec3(3.0, -1.5, 2.0),
               Vec3(3.0, 1.5, 2.0), Vec3(3.0, 0.0, 3.5), Vec3(1.5, 1.5, 3.5)):
-        assert not model.point_free(p), p
+        assert not point_free(model, p), p
 
 
 def _random_world(rng) -> World:
@@ -246,7 +248,7 @@ def _random_world(rng) -> World:
 
 
 def test_free_points_keep_clearance_from_raw_surfaces():
-    # point_free => distance to every raw obstacle surface >= growth
+    # a free point => distance to every raw obstacle surface >= growth
     rng = np.random.default_rng(2024)
     quad = QuadModel(body_radius=0.3, safety_margin=0.2)
     for _ in range(20):
@@ -254,7 +256,7 @@ def test_free_points_keep_clearance_from_raw_surfaces():
         model = CollisionModel(world, quad)
         for _ in range(200):
             p = Vec3(rng.uniform(-15, 15), rng.uniform(-15, 15), rng.uniform(0, 10))
-            if model.point_free(p):
+            if point_free(model, p):
                 clearance = min(dist_to_obstacle(o, p) for o in world.obstacles)
                 assert clearance >= quad.growth - 1e-9
 
@@ -264,7 +266,7 @@ def test_is_free_is_pure():
     quad = QuadModel()
     p = Vec3(0.2, 0.2, 1.0)
     model = CollisionModel(world, quad)
-    assert model.point_free(p) == model.point_free(p)
+    assert point_free(model, p) == point_free(model, p)
 
 
 # within (culled models) -----------------------------------------------------
@@ -375,11 +377,11 @@ def test_within_keeps_touching_obstacles_and_drops_distant_ones():
     expected = inflated_rows(world.obstacles, quad)
     assert (local.inflated.tobytes()
             == expected[np.isin(expected[:, INDEX], [0, 1])].tobytes())
-    assert not local.point_free(Vec3(2.0, 0.5, 0.5))   # on the shared face
-    assert local.point_free(Vec3(2.0, 2.0, 0.5))       # bbox corner, outside the disk
+    assert not point_free(local, Vec3(2.0, 0.5, 0.5))   # on the shared face
+    assert point_free(local, Vec3(2.0, 2.0, 0.5))       # bbox corner, outside the disk
 
 
-# segment_clear ----------------------------------------------------------------
+# segment_free at its pad -------------------------------------------------------
 
 # (point touched, outward direction) on the model `_touch_model` builds
 _BALL_TOUCHES = {
@@ -430,11 +432,11 @@ def test_ball_free_clears_a_ball_past_its_pad_and_no_nearer(kind):
     for beyond, free in ((CULL_PAD / 2, False), (2 * CULL_PAD, True)):
         center = touch + (r + beyond) * outward
         rim = center - r * outward
-        assert model.segment_clear(center, rim) is free
-        assert model.segment_clear(rim, center) is free
+        assert model.segment_free(center, rim) is free
+        assert model.segment_free(rim, center) is free
     for a, b in ((center + r * outward, rim), (center - r * across, center + r * across),
                  (center, center)):
-        assert model.segment_clear(a, b)
+        assert model.segment_free(a, b)
 
 
 def _plane_segment(touch, outward, beyond, shape):
@@ -460,10 +462,10 @@ def test_segment_clear_clears_a_segment_past_its_pad_and_no_nearer(kind, shape):
     touch, outward = _touching(kind)
     for beyond, free in ((CULL_PAD / 2, False), (2 * CULL_PAD, True)):
         a, b = _plane_segment(touch, outward, beyond, shape)
-        assert model.segment_clear(a, b) is free
-        assert model.segment_clear(b, a) is free
+        assert model.segment_free(a, b) is free
+        assert model.segment_free(b, a) is free
         if free:
-            assert model.free_points(edge_points(a[None, :], b, 0.05)[0]).all()
+            assert model.free_points(segment_samples(a, b, 0.05)).all()
 
 
 @pytest.mark.parametrize("bottom", [0.0, -0.0])
@@ -473,31 +475,87 @@ def test_segment_clear_takes_a_ground_at_zero_unpadded_when_both_ends_are_on_it(
     world = make_world((Cylinder(Vec3(3, 3, 0), 0.5, 2.0),), lo=(-10, -10, bottom))
     model = CollisionModel(world, QuadModel())
     on = np.array([-3.0, 1.0, 0.0]), np.array([4.0, -2.0, 0.0])
-    assert model.segment_clear(*on)
-    assert model.free_points(edge_points(on[0][None, :], on[1], 0.05)[0]).all()
-    assert model.segment_clear(np.array([-3.0, 1.0, -0.0]), np.array([1.0, 1.0, 0.0]))
+    assert model.segment_free(*on)
+    assert model.free_points(segment_samples(*on, 0.05)).all()
+    assert model.segment_free(np.array([-3.0, 1.0, -0.0]), np.array([1.0, 1.0, 0.0]))
     # a grounded pillar, inflated to radius 1, is padded as usual
-    assert model.segment_clear(np.array([3.0, 4.0 + 2 * CULL_PAD, 0.0]),
+    assert model.segment_free(np.array([3.0, 4.0 + 2 * CULL_PAD, 0.0]),
                                np.array([-3.0, 4.0 + 2 * CULL_PAD, 0.0]))
-    assert not model.segment_clear(np.array([3.0, 4.0 + CULL_PAD / 2, 0.0]),
+    assert not model.segment_free(np.array([3.0, 4.0 + CULL_PAD / 2, 0.0]),
                                    np.array([-3.0, 4.0 + CULL_PAD / 2, 0.0]))
     for below in (-5e-324, -1e-12, -0.5):
         for a, b in ((np.array([-3.0, 1.0, below]), np.array([4.0, -2.0, 2.0])),
                      (np.array([-3.0, 1.0, 2.0]), np.array([4.0, -2.0, below]))):
-            assert not model.segment_clear(a, b)
+            assert not model.segment_free(a, b)
             assert not model.free_points(np.vstack([a, b])).all()
 
 
 @pytest.mark.parametrize("bottom", [5e-324, 1e-9, -1e-9, -3.0])
 def test_segment_clear_pads_any_other_bounds_bottom(bottom):
     model = CollisionModel(make_world(lo=(-10, -10, bottom)), QuadModel())
-    assert not model.segment_clear(np.array([-3.0, 1.0, bottom]),
+    assert not model.segment_free(np.array([-3.0, 1.0, bottom]),
                                    np.array([4.0, -2.0, bottom]))
     lifted = bottom + 2 * CULL_PAD
-    assert model.segment_clear(np.array([-3.0, 1.0, lifted]), np.array([4.0, -2.0, lifted]))
+    assert model.segment_free(np.array([-3.0, 1.0, lifted]), np.array([4.0, -2.0, lifted]))
     if bottom < -1.0:
         # bounds below ground: an end below z = 0 needs no exemption
-        assert model.segment_clear(np.array([-3.0, 1.0, -1.0]), np.array([4.0, -2.0, 2.0]))
+        assert model.segment_free(np.array([-3.0, 1.0, -1.0]), np.array([4.0, -2.0, 2.0]))
+
+
+def _binade_face_case(seed: int):
+    """(model, a, b): a box whose inflated face along a random axis lies a
+    few ulps below a power of two in magnitude, and a segment in the plane
+    CULL_PAD beyond that face, or a rounding-sized step nearer or farther,
+    where the pad's sum can round across a binade."""
+    rng = np.random.default_rng(seed)
+    quad = QuadModel()
+    axis, up = int(rng.integers(3)), bool(rng.integers(2))
+    power = 2.0 ** int(rng.integers(-1, 3))
+    face = power - int(rng.integers(1, 2000)) * float(np.spacing(power)) / 2
+    lo, hi = np.full(3, -3.0), np.full(3, 3.0)
+    if up:
+        hi[axis] = face - quad.growth
+        lo[axis] = hi[axis] - 1.0
+    else:
+        lo[axis] = quad.growth - face
+        hi[axis] = lo[axis] + 1.0
+    world = make_world((AxisBox(Vec3.from_array(lo), Vec3.from_array(hi)),),
+                       lo=(-20, -20, -20), hi=(20, 20, 20))
+    model = CollisionModel(world, quad)
+    row, = model.inflated
+    p = rng.uniform(row[MIN], row[MAX])
+    gap = CULL_PAD + float(rng.choice([0.0, 0.0, -1e-15, 1e-15]))
+    p[axis] = row[MAX][axis] + gap if up else row[MIN][axis] - gap
+    u = np.cross(np.eye(3)[axis], rng.normal(size=3))
+    u *= rng.uniform(0.0, 0.5) / np.linalg.norm(u)
+    return model, p - u, p + u
+
+
+def _culled_agrees(seed: int) -> bool:
+    """`segment_free` of `_binade_face_case(seed)` on the model culled to
+    the segment's box equals the full model's. Whether the segment is
+    refused by a row that a cull padded by one CULL_PAD would drop."""
+    model, a, b = _binade_face_case(seed)
+    free = model.segment_free(a, b)
+    assert model.within(np.minimum(a, b), np.maximum(a, b)).segment_free(a, b) is free
+    row, = model.inflated
+    lo, hi = np.minimum(a, b) - CULL_PAD, np.maximum(a, b) + CULL_PAD
+    return not free and not bool(np.all((row[MIN] <= hi) & (row[MAX] >= lo)))
+
+
+def test_a_culled_model_answers_segments_as_the_full_model():
+    # `within` keeps every row that reaches twice CULL_PAD round the box:
+    # segment_free grows a row by one pad, and at a binade boundary that
+    # sum's rounding can pass a cull of one pad, which the floor counts. A
+    # fixed seed sweep carries the floor
+    assert sum(_culled_agrees(seed) for seed in range(400)) >= 40
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def check(seed):
+        _culled_agrees(seed)
+
+    check()
 
 
 # segment_free ---------------------------------------------------------------
@@ -538,24 +596,29 @@ def test_segment_endpoints_checked():
 
 
 def test_coarse_sampling_is_optimistic():
-    # with nested sample points: fine says free => coarse says free
+    # with nested sample points: fine says free => coarse says free, and the
+    # predicate says free => both do; sampling also steps over obstacles
+    # that the predicate refuses, which the floor counts
     rng = np.random.default_rng(77)
     quad = QuadModel()
+    stepped_over = 0
     for _ in range(10):
         world = _random_world(rng)
         model = CollisionModel(world, quad)
         for _ in range(30):
-            a = Vec3(rng.uniform(-12, 12), rng.uniform(-12, 12), rng.uniform(0, 9))
-            b = Vec3(rng.uniform(-12, 12), rng.uniform(-12, 12), rng.uniform(0, 9))
-            if a.distance_to(b) == 0.0:
-                continue
-            step = a.distance_to(b) / 6  # divides evenly: halving nests points
+            a = rng.uniform((-12, -12, 0), (12, 12, 9))
+            b = rng.uniform((-12, -12, 0), (12, 12, 9))
+            step = float(np.linalg.norm(b - a)) / 6  # divides evenly: halving nests points
             # spacings up to 5 m, which no quad of this growth checks at
-            fine, coarse = (model.free_points(edge_points(a.as_array()[None, :], b.as_array(),
-                                                          s)[0]).all()
+            fine, coarse = (model.free_points(segment_samples(a, b, s)).all()
                             for s in (step / 2, step))
             if fine:
                 assert coarse
+            if model.segment_free(a, b):
+                assert fine
+            else:
+                stepped_over += bool(coarse)
+    assert stepped_over >= 5
 
 
 def _spacing_case(seed: int):
@@ -608,59 +671,57 @@ def _spacing_case(seed: int):
     return world, quads, positions
 
 
-def _spacing_follows_the_quad(seed: int) -> tuple[int, int]:
-    """`segments_free` of `_spacing_case(seed)` against one `edge_points`
-    sampling at body_radius / 2 per segment, on each model and on its copy
-    culled to the polyline. Returns the blocked segments and the segments
-    whose answer differs between the two quads."""
+def _segments_agree(seed: int) -> tuple[int, int]:
+    """`segments_free` of `_spacing_case(seed)` against `segment_free` per
+    segment, on the model of each quad and on its copy culled to the
+    polyline, which must all give one answer whatever the quad's spacing; a
+    free segment's samples at that spacing are free. Returns the blocked
+    segments and those whose samples at the coarser spacing are all free."""
     world, quads, positions = _spacing_case(seed)
-    answers = []
+    pairs = list(zip(positions, positions[1:]))
+    model = CollisionModel(world, quads[0])
+    expected = [model.segment_free(a, b) for a, b in pairs]
     for quad in quads:
         model = CollisionModel(world, quad)
-        expected = [bool(model.free_points(edge_points(a[None, :], b,
-                                                       quad.body_radius / 2)[0]).all())
-                    for a, b in zip(positions, positions[1:])]
         local = model.within(positions.min(axis=0), positions.max(axis=0))
         assert model.segments_free(positions).tolist() == expected
         assert local.segments_free(positions).tolist() == expected
-        assert [model.segment_free(a, b) for a, b in zip(positions, positions[1:])] == expected
-        answers.append(np.array(expected, dtype=bool))
-    return int((~answers[0]).sum()), int((answers[0] != answers[1]).sum())
+        assert [local.segment_free(a, b) for a, b in pairs] == expected
+    sampled = [bool(model.free_points(segment_samples(a, b, quads[0].body_radius / 2)).all())
+               for a, b in pairs]
+    assert all(s for s, free in zip(sampled, expected) if free)
+    return expected.count(False), sum(s and not free for s, free in zip(sampled, expected))
 
 
-def test_the_segment_check_spacing_follows_the_quad():
-    # quads of one growth inflate alike and differ only in their spacing; a
-    # fixed seed sweep carries the floors, as in the planner's properties
-    blocked, differ = np.sum([_spacing_follows_the_quad(seed) for seed in range(400)], axis=0)
+def test_segments_free_is_segment_free_at_every_spacing():
+    # quads of one growth inflate alike and differ only in their spacing,
+    # which no answer depends on; grazing polylines whose samples miss the
+    # obstacle are refused. A fixed seed sweep carries the floors, as in the
+    # planner's properties
+    blocked, stepped_over = np.sum([_segments_agree(seed) for seed in range(400)], axis=0)
     assert blocked >= 400
-    assert differ >= 20
+    assert stepped_over >= 20
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
     def check(seed):
-        _spacing_follows_the_quad(seed)
+        _segments_agree(seed)
 
     check()
 
 
-def test_segment_free_samples_at_the_models_check_step():
-    # an obstacle thinner than body_radius, inflated by it: the model checks
-    # half a body radius apart, and its answer is that sampling's
-    world = make_world((AxisBox(Vec3(-0.05, -5, 0), Vec3(0.05, 5, 5)),))
+def test_segment_free_refuses_a_corner_that_samples_step_over():
+    # the segment cuts 7 mm into the inflated box's vertical edge at
+    # (1, 1), between two samples half a body radius apart
+    world = make_world((AxisBox(Vec3(-3, -3, 0), Vec3(0.7, 0.7, 5)),))
     quad = QuadModel(body_radius=0.3, safety_margin=0.0)
     model = CollisionModel(world, quad)
-    assert model.check_step == quad.body_radius / 2
-    a, b = row(-3, 0, 2), row(3, 0, 2)
-    pts, _ = edge_points(a[None, :], b, quad.body_radius / 2)
-    assert len(pts) == 41
-    assert not model.free_points(pts).all()
+    a, b = row(-2, 3.99, 2), row(3.99, -2, 2)
+    assert model.free_points(segment_samples(a, b, model.check_step)).all()
+    obstacle, = world.obstacles
+    assert segment_pad_distance(inflate(obstacle, quad), a, b) == 0.0
     assert not model.segment_free(a, b)
-
-
-def test_edge_points_requires_positive_step():
-    for step in (0.0, -0.1):
-        with pytest.raises(ValueError):
-            edge_points(row(0, 0, 1)[None, :], row(1, 0, 1), step)
+    assert not model.segments_free(np.vstack([a, b]))[0]
 
 
 # type invariants ------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from arcshot.discontinuity import Discontinuity
 from arcshot.world import AxisBox, Vec3
+from world_reference import expanded
 
 
 def center(box: AxisBox) -> Vec3:
@@ -45,7 +46,7 @@ def initial_window(d: Discontinuity, pad: float, bounds: AxisBox) -> AxisBox:
         Vec3(min(a.x, b.x), min(a.y, b.y), min(a.z, b.z)),
         Vec3(max(a.x, b.x), max(a.y, b.y), max(a.z, b.z)),
     )
-    return clipped_to(box.expanded(pad), bounds)
+    return clipped_to(expanded(box, pad), bounds)
 
 
 def expand_window(box: AxisBox, growth: float, bounds: AxisBox) -> AxisBox:

@@ -1,5 +1,7 @@
 """The per-obstacle inflation that `CollisionModel` replaced with array
-arithmetic, kept as the oracle its packed rows are checked against."""
+arithmetic, kept as the oracle its packed rows are checked against, and the
+closed-form distances and segment sampling that the segment predicate's
+tests check its answers with."""
 
 from __future__ import annotations
 
@@ -7,7 +9,7 @@ import math
 
 import numpy as np
 
-from arcshot.world import AxisBox, Cylinder, Obstacle, QuadModel, Vec3
+from arcshot.world import CULL_PAD, AxisBox, Cylinder, Obstacle, QuadModel, Vec3, World
 
 
 def inflate(obstacle: Obstacle, quad: QuadModel) -> Obstacle:
@@ -28,7 +30,78 @@ def inflate(obstacle: Obstacle, quad: QuadModel) -> Obstacle:
             radius=obstacle.radius + g,
             height=top - new_base_z,
         )
-    return obstacle.expanded(g)
+    return expanded(obstacle, g)
+
+
+def expanded(box: AxisBox, amount: float) -> AxisBox:
+    """`box` grown by `amount` on every side."""
+    return AxisBox(
+        Vec3(box.min.x - amount, box.min.y - amount, box.min.z - amount),
+        Vec3(box.max.x + amount, box.max.y + amount, box.max.z + amount),
+    )
+
+
+def pad_distance(obstacle: Obstacle, p) -> float:
+    """How far the point `p` (three floats) lies outside the closed obstacle
+    in the measure CULL_PAD grows it by: the largest per-axis excess for a
+    box, the larger of the radial and the vertical excess for a cylinder;
+    0 inside it. It is at most the Euclidean distance, which is at most
+    sqrt(3) times it."""
+    x, y, z = p
+    if isinstance(obstacle, Cylinder):
+        c = obstacle.base_center
+        radial = math.hypot(x - c.x, y - c.y) - obstacle.radius
+        return max(radial, c.z - z, z - (c.z + obstacle.height), 0.0)
+    lo, hi = obstacle.min, obstacle.max
+    return max(lo.x - x, x - hi.x, lo.y - y, y - hi.y, lo.z - z, z - hi.z, 0.0)
+
+
+def segment_pad_distance(obstacle: Obstacle, a, b) -> float:
+    """Least `pad_distance` from the segment a->b to the obstacle, by
+    ternary search over the segment's parameter: that distance is convex
+    along a line, as a largest of convex functions, so the search closes in
+    on its minimum."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+
+    def at(t: float) -> float:
+        return pad_distance(obstacle, (a + t * (b - a)).tolist())
+
+    lo, hi = 0.0, 1.0
+    for _ in range(100):
+        m1, m2 = lo + (hi - lo) / 3, hi - (hi - lo) / 3
+        if at(m1) <= at(m2):
+            hi = m2
+        else:
+            lo = m1
+    return min(at(0.0), at(1.0), at((lo + hi) / 2))
+
+
+def pad_margin(world: World, quad: QuadModel, a, b) -> float:
+    """How far the segment a->b keeps inside what `segment_free` accepts:
+    the least of its `segment_pad_distance` to each obstacle inflated for
+    `quad`, less CULL_PAD, and of its ends' distances inside the bounds
+    shrunk by CULL_PAD (a bottom at exactly 0.0, the ground, is not shrunk).
+    The predicate must refuse a segment whose margin is below zero and
+    accept one whose margin is above it, up to rounding."""
+    lo = world.bounds.min.as_array() + CULL_PAD
+    if world.bounds.min.z == 0.0:
+        lo[2] = 0.0
+    hi = world.bounds.max.as_array() - CULL_PAD
+    ends = np.array([a, b], dtype=float)
+    gap = min((segment_pad_distance(inflate(o, quad), a, b) for o in world.obstacles),
+              default=math.inf)
+    return min(float((ends - lo).min()), float((hi - ends).min()), gap - CULL_PAD)
+
+
+def segment_samples(a, b, step: float) -> np.ndarray:
+    """Points along a->b at most `step` apart, both ends included, each
+    a + t * (b - a) with t = k * (1 / n) and the last t exactly 1: the
+    sampled edge check the program used before its segment predicate."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    n = float(max(math.ceil(math.dist(a.tolist(), b.tolist()) / step), 1))
+    t = np.arange(n + 1.0) * (1.0 / n)
+    t[-1] = 1.0
+    return a + t[:, None] * (b - a)
 
 
 def bounding_box(o: Obstacle) -> tuple[float, ...]:
