@@ -22,7 +22,7 @@ import numpy as np
 from .errors import EndpointBlocked
 from .shot import GlobalPath, Pose4
 # collision_model stays importable here for perfbench/tracing.py, which wraps it
-from .world import CollisionModel, collision_model
+from .world import CULL_PAD, CollisionModel, collision_model
 
 DEFAULT_MARGIN = 2
 
@@ -48,13 +48,20 @@ def find_discontinuities(path: GlobalPath, model: CollisionModel,
     padded blocked spans.
 
     Raises EndpointBlocked if either path endpoint, tested as a zero-length
-    segment, is not free.
+    segment, is not free, naming the bounds when it lies outside them as the
+    predicate shrinks them.
     """
     if margin < 1:
         raise ValueError(f"margin must be >= 1, got {margin}")
     positions = path.position_array()
     for index in (0, len(positions) - 1):
         end = positions[index].tolist()
+        if not model.in_bounds(end):
+            lo, hi = model.world.bounds.min, model.world.bounds.max
+            raise EndpointBlocked(
+                index, f"{tuple(end)} lies outside the world bounds {(lo.x, lo.y, lo.z)} "
+                       f"to {(hi.x, hi.y, hi.z)} shrunk by {CULL_PAD} m (a ground at 0.0 "
+                       f"is not shrunk)")
         if not model.segment_free(end, end):
             raise EndpointBlocked(index)
 

@@ -20,11 +20,12 @@ class DegenerateExtend(ArcshotError):
 
 
 class EndpointBlocked(ArcshotError):
-    """A shot endpoint is inside an obstacle; no plan can attach there."""
+    """A shot endpoint is inside an obstacle or outside the world bounds; no
+    plan can attach there. `reason` completes the message."""
 
-    def __init__(self, index: int):
+    def __init__(self, index: int, reason: str = "is in collision"):
         self.index = index
-        super().__init__(f"path endpoint at sample {index} is in collision")
+        super().__init__(f"path endpoint at sample {index} {reason}")
 
 
 class LocalPlanFailed(ArcshotError):

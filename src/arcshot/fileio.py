@@ -31,7 +31,8 @@ from .local_planner import RrtParams
 from .pipeline import PlanReport
 from .render import DEFAULT_WIDTH
 from .shot import ArcShotSpec, GlobalPath
-from .world import AxisBox, Cylinder, Obstacle, QuadModel, Vec3, World
+from .world import (AxisBox, Cylinder, Obstacle, QuadModel, Vec3, World, obstacle_rows,
+                    pack_rows, unpack_rows)
 
 WORLD_SCHEMA = "world/1"
 SHOT_SCHEMA = "shot/1"
@@ -160,7 +161,8 @@ def _write_json(file: Path, data: Any) -> None:
 # - shot/1 names `sample_count` `samples`, and requires `direction` although
 #   the dataclass defaults it;
 # - world/1 obstacles are a list tagged by `kind`, and a box obstacle needs
-#   positive extent in every axis (`_expect_obstacle`).
+#   positive extent in every axis (`_expect_obstacle`); they load as the
+#   packed rows of `World.rows`, the one field of type `np.ndarray`.
 
 def _same(value):
     return value
@@ -233,9 +235,10 @@ def _is_vec3(value) -> bool:
     return type(value) is list and len(value) == 3
 
 
-def _obstacles_in_bulk(value: Any) -> tuple[Obstacle, ...] | None:
-    """The obstacles `_expect_obstacles` loads, checked as whole arrays, or
-    None where any check fails, so the caller can name the fault with it.
+def _obstacles_in_bulk(value: Any) -> np.ndarray | None:
+    """The packed rows of the obstacles `_expect_obstacles` loads, checked as
+    whole arrays, or None where any check fails, so the caller can name the
+    fault with it.
 
     Passes exactly the lists that loader passes and whose every number is a
     plain int or float: numpy converts an int to the float `float()` gives,
@@ -268,28 +271,19 @@ def _obstacles_in_bulk(value: Any) -> tuple[Obstacle, ...] | None:
         return None
     try:
         cyl = np.array(cylinders, dtype=float).reshape(-1, 5)
-        box = np.array(boxes, dtype=float).reshape(-1, 2, 3)
+        box = np.array(boxes, dtype=float).reshape(-1, 6)
     except OverflowError:
         return None
     # a box needs min < max on every axis; -0.0 against 0.0 is no extent
     if not (np.isfinite(cyl).all() and np.isfinite(box).all()
-            and (cyl[:, 3:] > 0).all() and (box[:, 0] < box[:, 1]).all()):
+            and (cyl[:, 3:] > 0).all() and (box[:, :3] < box[:, 3:]).all()):
         return None
-    cyl_rows, box_rows = iter(cyl.tolist()), iter(box.reshape(-1, 6).tolist())
-    obstacles = []
-    for kind_is_box in is_box:
-        if kind_is_box:
-            x0, y0, z0, x1, y1, z1 = next(box_rows)
-            obstacles.append(AxisBox(Vec3(x0, y0, z0), Vec3(x1, y1, z1)))
-        else:
-            x, y, z, radius, height = next(cyl_rows)
-            obstacles.append(Cylinder(Vec3(x, y, z), radius, height))
-    return tuple(obstacles)
+    return pack_rows(cyl, box, is_box)
 
 
-def _load_obstacles(value: Any, path) -> tuple[Obstacle, ...]:
-    obstacles = _obstacles_in_bulk(value)
-    return _expect_obstacles(value, path) if obstacles is None else obstacles
+def _load_obstacles(value: Any, path) -> np.ndarray:
+    rows = _obstacles_in_bulk(value)
+    return obstacle_rows(_expect_obstacles(value, path)) if rows is None else rows
 
 
 # (load, dump) per field annotation; any other dataclass is a nested record
@@ -299,9 +293,8 @@ _FIELD_CODECS = {
     str: (_expect_str, _same),
     Vec3: (_expect_vec3, lambda v: [v.x, v.y, v.z]),
     tuple[int, ...]: (_list_of(_expect_int), list),
-    tuple[Obstacle, ...]: (_load_obstacles,
-                           lambda obstacles: [_OBSTACLES[_KIND[type(o)]].dump(o)
-                                              for o in obstacles]),
+    np.ndarray: (_load_obstacles, lambda rows: [_OBSTACLES[_KIND[type(o)]].dump(o)
+                                                for o in unpack_rows(rows)]),
 }
 
 
@@ -316,7 +309,7 @@ def _field_codec(hint) -> tuple:
 
 _KIND = {Cylinder: "cylinder", AxisBox: "box"}
 _OBSTACLES = {kind: _Record(cls, tag=("kind", kind)) for cls, kind in _KIND.items()}
-_WORLD = _Record(World, tag=("schema", WORLD_SCHEMA))
+_WORLD = _Record(World, tag=("schema", WORLD_SCHEMA), keys={"rows": "obstacles"})
 _SHOT = _Record(ArcShotSpec, tag=("schema", SHOT_SCHEMA),
                 keys={"sample_count": "samples"}, required=("direction",))
 _CONFIG = _Record(RunConfig, tag=("schema", CONFIG_SCHEMA))

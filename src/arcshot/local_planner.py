@@ -445,9 +445,10 @@ def rrt_star_run(d: Discontinuity, model: CollisionModel, params: RrtParams,
 
             dx, dy, dz = x_new[0] - ex, x_new[1] - ey, x_new[2] - ez
             goal_dist = math.sqrt(dx * dx + dy * dy + dz * dz)
-            if goal_dist <= params.goal_radius and model.segment_free(x_new, goal):
+            if goal_dist <= params.goal_radius:
+                # only a goal edge that would improve the path is worth its check
                 candidate = costs[node_id] + goal_dist
-                if candidate < best_cost:
+                if candidate < best_cost and model.segment_free(x_new, goal):
                     best_cost = candidate
                     best_node = node_id
 

@@ -57,7 +57,7 @@ def _polyline(canvas: _Canvas, points: np.ndarray, style: str) -> str:
 
 
 def _obstacle_layer(canvas: _Canvas, rows: np.ndarray, style: str) -> list[str]:
-    """A circle or rect per packed obstacle row (`world.obstacle_rows`), in
+    """A circle or rect per packed obstacle row (layout in `world.py`), in
     world order, as one element of the returned list (none for no rows)."""
     if not len(rows):
         return []

@@ -115,12 +115,66 @@ class QuadModel:
         return self.body_radius + self.safety_margin
 
 
-@dataclass(frozen=True)
+# Columns of a packed obstacle row: its closed bounding box (MIN, MAX, whose z
+# columns are a cylinder's BOTTOM and TOP), then a cylinder's axis, radius,
+# squared radius and HEIGHT, which are NaN for a box, then its INDEX in the
+# world. Cylinder rows come first, then box rows, each in world order.
+MIN, MAX = slice(0, 3), slice(3, 6)
+BOTTOM, TOP = 2, 5
+AXIS_X, AXIS_Y, RADIUS, RADIUS_SQ, HEIGHT, INDEX = range(6, 12)
+
+
+def _cylinder_rows(x, y, bottom, height, radius, index) -> np.ndarray:
+    # a radius or top near the float limit rounds its square or sum to inf
+    with np.errstate(over="ignore"):
+        return np.column_stack((x - radius, y - radius, bottom, x + radius, y + radius,
+                                bottom + height, x, y, radius, radius * radius, height,
+                                index))
+
+
+def pack_rows(cylinders: np.ndarray, boxes: np.ndarray, is_box) -> np.ndarray:
+    """Packed rows of cylinders given as (n, 5) rows (x, y, z of the base
+    center, radius, height) and boxes as (m, 6) rows (min, max), each kind in
+    world order; `is_box[i]` is the kind of the world's obstacle i."""
+    is_box = np.asarray(is_box, dtype=bool)
+    x, y, z, radius, height = cylinders.T
+    return np.vstack((
+        _cylinder_rows(x, y, z, height, radius, np.flatnonzero(~is_box)),
+        np.column_stack((boxes, np.full((len(boxes), 5), math.nan), np.flatnonzero(is_box))),
+    ))
+
+
+def obstacle_rows(obstacles: Sequence[Obstacle]) -> np.ndarray:
+    """The obstacles as packed rows, as they are (not inflated)."""
+    cylinders = [(o.base_center.x, o.base_center.y, o.base_center.z, o.radius, o.height)
+                 for o in obstacles if isinstance(o, Cylinder)]
+    boxes = [(o.min.x, o.min.y, o.min.z, o.max.x, o.max.y, o.max.z)
+             for o in obstacles if isinstance(o, AxisBox)]
+    return pack_rows(np.array(cylinders, dtype=float).reshape(-1, 5),
+                     np.array(boxes, dtype=float).reshape(-1, 6),
+                     [isinstance(o, AxisBox) for o in obstacles])
+
+
+def unpack_rows(rows: np.ndarray) -> tuple[Obstacle, ...]:
+    """The obstacles that `rows` packs, as dataclasses in world order."""
+    obstacles = [None] * len(rows)
+    for x0, y0, z0, x1, y1, z1, x, y, radius, _, height, i in rows.tolist():
+        obstacles[int(i)] = (AxisBox(Vec3(x0, y0, z0), Vec3(x1, y1, z1))
+                             if math.isnan(radius) else Cylinder(Vec3(x, y, z0), radius, height))
+    return tuple(obstacles)
+
+
+@dataclass(frozen=True, eq=False)
 class World:
-    """Static planning volume: bounds, obstacles, and the filming target."""
+    """Static planning volume: bounds, obstacles, and the filming target.
+
+    The obstacles are held once, as read-only packed `rows` (layout above;
+    `obstacle_rows` packs dataclasses). `obstacles` builds them as
+    dataclasses on its first read.
+    """
 
     bounds: AxisBox
-    obstacles: tuple[Obstacle, ...]
+    rows: np.ndarray
     target: Vec3
 
     def __post_init__(self):
@@ -129,40 +183,23 @@ class World:
             raise ValueError("World.bounds must have positive extent in every axis")
         if not b.contains(self.target):
             raise ValueError(f"World.target {self.target} lies outside bounds")
-        object.__setattr__(self, "obstacles", tuple(self.obstacles))
+        rows = np.array(self.rows, dtype=float).reshape(-1, INDEX + 1)
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, World) and self.bounds == other.bounds
+                and self.target == other.target
+                and np.array_equal(self.rows, other.rows, equal_nan=True))
+
+    @functools.cached_property
+    def obstacles(self) -> tuple[Obstacle, ...]:
+        return unpack_rows(self.rows)
 
 
 # Pad, meters, of every segment test and cull: far above the rounding of
 # computed points and of the tests themselves.
 CULL_PAD = 1e-6
-
-# Columns of a packed obstacle row: its closed bounding box (MIN, MAX, whose z
-# columns are a cylinder's BOTTOM and TOP), then a cylinder's axis, radius and
-# squared radius, which are NaN for a box, then its INDEX in
-# `World.obstacles`. Cylinder rows come first, then box rows, each in world
-# order.
-MIN, MAX = slice(0, 3), slice(3, 6)
-BOTTOM, TOP = 2, 5
-AXIS_X, AXIS_Y, RADIUS, RADIUS_SQ, INDEX = range(6, 11)
-
-
-def _cylinder_rows(x, y, bottom, top, radius, index) -> np.ndarray:
-    return np.column_stack((x - radius, y - radius, bottom, x + radius, y + radius,
-                            top, x, y, radius, radius * radius, index))
-
-
-def obstacle_rows(obstacles: Sequence[Obstacle]) -> np.ndarray:
-    """The obstacles as packed rows, as they are (not inflated)."""
-    cyl = np.array([(o.base_center.x, o.base_center.y, o.base_center.z, o.radius,
-                     o.height, i)
-                    for i, o in enumerate(obstacles) if isinstance(o, Cylinder)],
-                   dtype=float).reshape(-1, 6)
-    box = np.array([(o.min.x, o.min.y, o.min.z, o.max.x, o.max.y, o.max.z,
-                     math.nan, math.nan, math.nan, math.nan, i)
-                    for i, o in enumerate(obstacles) if isinstance(o, AxisBox)],
-                   dtype=float).reshape(-1, 11)
-    x, y, z, r, h, index = cyl.T
-    return np.vstack((_cylinder_rows(x, y, z, z + h, r, index), box))
 
 
 class CollisionModel:
@@ -170,14 +207,14 @@ class CollisionModel:
 
     `inflated` holds the inflated obstacles as packed rows (layout above), so
     batches of points are classified in one pass per obstacle kind; `raw`
-    holds the same obstacles as they are, row for row.
+    holds the same obstacles as they are, row for row: the world's `rows`.
     Cylinders grow radially and upward; their base also drops by the growth
     but never below ground (z=0), so pillars stay grounded. Boxes grow
     outward in every axis.
     """
 
     def __init__(self, world: World, quad: QuadModel):
-        rows = obstacle_rows(world.obstacles)
+        rows = world.rows
         g = quad.growth
         n = np.count_nonzero(rows[:, RADIUS] > 0)
         cyl, box = rows[:n], rows[n:]
@@ -186,10 +223,9 @@ class CollisionModel:
         # min(z, max(0, z - g)), signed zeros included: never raise the base,
         # which keeps inflation monotone for sunken cylinders
         bottom = np.where(lowered < z, lowered, z)
-        top = cyl[:, TOP] + g
         inflated = np.vstack((
-            _cylinder_rows(cyl[:, AXIS_X], cyl[:, AXIS_Y], bottom,
-                           bottom + (top - bottom), cyl[:, RADIUS] + g, cyl[:, INDEX]),
+            _cylinder_rows(cyl[:, AXIS_X], cyl[:, AXIS_Y], bottom, cyl[:, TOP] + g - bottom,
+                           cyl[:, RADIUS] + g, cyl[:, INDEX]),
             np.column_stack((box[:, MIN] - g, box[:, MAX] + g, box[:, AXIS_X:])),
         ))
         self._adopt(world, quad, inflated, rows)
@@ -270,6 +306,13 @@ class CollisionModel:
                     if t0 <= t1:
                         return False
         return True
+
+    def in_bounds(self, p) -> bool:
+        """True iff the point `p` (three floats) lies in the bounds as
+        `segment_free` shrinks them."""
+        (lx, ly, lz), (hx, hy, hz), _, _ = self._scalar_rows
+        x, y, z = p
+        return lx <= x <= hx and ly <= y <= hy and lz <= z <= hz
 
     @functools.cached_property
     def _scalar_rows(self) -> tuple[list, list, list, list]:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import settings
 
 from arcshot.shot import ArcShotSpec
-from arcshot.world import AxisBox, CollisionModel, Cylinder, QuadModel, Vec3, World
+from arcshot.world import AxisBox, CollisionModel, Cylinder, QuadModel, Vec3, World, obstacle_rows
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
@@ -17,7 +17,7 @@ SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 def make_world(obstacles=(), lo=(-15.0, -15.0, 0.0), hi=(15.0, 15.0, 10.0),
                target=(0.0, 0.0, 1.5)) -> World:
-    return World(AxisBox(Vec3(*lo), Vec3(*hi)), tuple(obstacles), Vec3(*target))
+    return World(AxisBox(Vec3(*lo), Vec3(*hi)), obstacle_rows(obstacles), Vec3(*target))
 
 
 def demo_world() -> World:
@@ -38,7 +38,7 @@ def wall_world() -> World:
     """A wall far wider than any level-0 search window; escape is over the top."""
     return World(
         AxisBox(Vec3(-20.0, -20.0, 0.0), Vec3(20.0, 20.0, 12.0)),
-        (AxisBox(Vec3(-0.6, 6.0, 0.0), Vec3(0.6, 14.0, 3.0)),),
+        obstacle_rows((AxisBox(Vec3(-0.6, 6.0, 0.0), Vec3(0.6, 14.0, 3.0)),)),
         Vec3(0.0, 0.0, 1.0),
     )
 

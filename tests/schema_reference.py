@@ -17,7 +17,7 @@ from arcshot.executor import FollowConfig
 from arcshot.fileio import RunConfig
 from arcshot.local_planner import RrtParams
 from arcshot.shot import ArcShotSpec
-from arcshot.world import AxisBox, Cylinder, Obstacle, QuadModel, Vec3, World
+from arcshot.world import AxisBox, Cylinder, Obstacle, QuadModel, Vec3, World, obstacle_rows
 
 WORLD_SCHEMA = "world/1"
 SHOT_SCHEMA = "shot/1"
@@ -123,12 +123,15 @@ def world_from_json(data: Any, path: str = "world") -> World:
     bounds = _build(f"{path}.bounds", AxisBox,
                     min=_expect_vec3(bounds_obj["min"], f"{path}.bounds.min"),
                     max=_expect_vec3(bounds_obj["max"], f"{path}.bounds.max"))
-    obstacles = tuple(
-        _obstacle_from_json(o, f"{path}.obstacles[{i}]")
-        for i, o in enumerate(_expect_list(obj["obstacles"], f"{path}.obstacles"))
-    )
-    return _build(path, World, bounds=bounds, obstacles=obstacles,
+    obstacles = obstacles_from_json(obj["obstacles"], f"{path}.obstacles")
+    return _build(path, World, bounds=bounds, rows=obstacle_rows(obstacles),
                   target=_expect_vec3(obj["target"], f"{path}.target"))
+
+
+def obstacles_from_json(data: Any, path: str = "world.obstacles") -> tuple:
+    """A world file's obstacles as the dataclasses they describe."""
+    return tuple(_obstacle_from_json(o, f"{path}[{i}]")
+                 for i, o in enumerate(_expect_list(data, path)))
 
 
 def world_to_json(world: World) -> dict:

@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 
 from arcshot import cli, fileio, pipeline
 from arcshot.shot import GlobalPath
-from arcshot.world import CollisionModel, QuadModel
+from arcshot.world import AxisBox, CollisionModel, Cylinder, QuadModel
 from conftest import SCENARIO_DIR
+import schema_reference
 from world_reference import pad_margin
 
 DEMO = SCENARIO_DIR / "demo"
@@ -88,6 +89,55 @@ def test_each_command_builds_one_collision_model_and_frees_it(command, tmp_path,
     assert len(built) == 1
     gc.collect()
     assert built[0]() is None
+
+
+def _cluttered_demo_world(count: int = 1000) -> dict:
+    """The demo world in bounds of 50 m with `count` more obstacles, every
+    number a float, in a ring beyond the demo shot's windows: cylinders at
+    odd indices, boxes at even ones."""
+    rng = np.random.default_rng(22)
+    world = json.loads((DEMO / "world.json").read_text(), parse_int=float)
+    world["bounds"] = {"min": [-25.0, -25.0, 0.0], "max": [25.0, 25.0, 10.0]}
+    for i in range(count):
+        angle, distance = rng.uniform(0.0, 2 * np.pi), rng.uniform(18.0, 23.0)
+        x, y = np.round(distance * np.array([np.cos(angle), np.sin(angle)]), 6).tolist()
+        size, height = np.round(rng.uniform((0.2, 1.0), (0.5, 6.0)), 6).tolist()
+        if i % 2:
+            world["obstacles"].append({"kind": "cylinder", "base_center": [x, y, 0.0],
+                                       "radius": size, "height": height})
+        else:
+            world["obstacles"].append({"kind": "box", "min": [x - size, y - size, 0.0],
+                                       "max": [x + size, y + size, height]})
+    return world
+
+
+def test_no_command_builds_an_obstacle_dataclass(tmp_path, monkeypatch):
+    # the loader hands the model packed rows; `World.obstacles` is built only
+    # when something reads it
+    data = _cluttered_demo_world()
+    world_file = tmp_path / "world.json"
+    world_file.write_text(json.dumps(data))
+    built = {Cylinder: 0, AxisBox: 0}
+    for cls in built:
+        def counting_init(self, *args, _init=cls.__init__, **kwargs):
+            built[type(self)] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counting_init)
+    world = ["--world", str(world_file), "--config", str(DEMO / "config.json")]
+    path = str(tmp_path / "plan" / "path.json")
+    assert cli.main(["plan", *world, "--shot", str(DEMO / "shot.json"), "--seed", "7",
+                     "--out", str(tmp_path / "plan")]) == cli.EXIT_OK
+    assert cli.main(["execute", *world, "--path", path,
+                     "--out", str(tmp_path / "exec")]) == cli.EXIT_OK
+    assert cli.main(["render", *world, "--shot", str(DEMO / "shot.json"), "--path", path,
+                     "--out", str(tmp_path / "render")]) == cli.EXIT_OK
+    # one box per command: the world's bounds
+    assert built == {Cylinder: 0, AxisBox: 3}
+    loaded = fileio.load_world(world_file)
+    assert loaded.obstacles == schema_reference.obstacles_from_json(data["obstacles"])
+    fileio.save_world(loaded, tmp_path / "saved.json")
+    assert (tmp_path / "saved.json").read_text() == json.dumps(data, indent=2,
+                                                                sort_keys=True) + "\n"
 
 
 def test_benchmark_tracer_still_wraps_the_planner(tmp_path, monkeypatch):
@@ -447,6 +497,26 @@ def test_blocked_endpoint_exit_code(tmp_path, capsys):
                      str(DEMO / "shot.json"), "--out", str(tmp_path / "out")])
     assert code == cli.EXIT_ENDPOINT_BLOCKED
     assert json.loads(capsys.readouterr().err)["error"]["kind"] == "EndpointBlocked"
+
+
+@pytest.mark.parametrize("start, message", [
+    # on the bounds top: outside the bounds as the predicate shrinks them
+    ([8.0, 0.0, 10.0], "path endpoint at sample 0 (8.0, 0.0, 10.0) lies outside the world "
+     "bounds (-15.0, -15.0, 0.0) to (15.0, 15.0, 10.0) shrunk by 1e-06 m (a ground at "
+     "0.0 is not shrunk)"),
+    # 1.22 m from the pillar's axis: outside its 0.8 m, inside its inflated 1.3 m
+    ([1.0, 9.5, 2.0], "path endpoint at sample 0 is in collision"),
+])
+def test_a_blocked_endpoint_names_its_cause(start, message, tmp_path, capsys):
+    shot = json.loads((DEMO / "shot.json").read_text())
+    (tmp_path / "shot.json").write_text(json.dumps(dict(shot, start=start)))
+    out = tmp_path / "out"
+    code = cli.main(["plan", "--world", str(DEMO / "world.json"), "--shot",
+                     str(tmp_path / "shot.json"), "--out", str(out)])
+    assert code == cli.EXIT_ENDPOINT_BLOCKED
+    assert json.loads(capsys.readouterr().err)["error"] == {"kind": "EndpointBlocked",
+                                                            "message": message}
+    assert not out.exists()
 
 
 def test_execute_writes_trajectory_and_render(tmp_path):

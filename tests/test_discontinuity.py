@@ -210,6 +210,7 @@ def test_blocked_endpoint_is_rejected(quad):
     with pytest.raises(EndpointBlocked) as err:
         find_discontinuities(straight_path(), CollisionModel(world, quad))
     assert err.value.index == 0
+    assert str(err.value) == "path endpoint at sample 0 is in collision"
 
 
 def test_an_endpoint_on_a_bounds_face_is_blocked_unless_it_is_the_ground(quad):
@@ -220,6 +221,7 @@ def test_an_endpoint_on_a_bounds_face_is_blocked_unless_it_is_the_ground(quad):
     with pytest.raises(EndpointBlocked) as err:
         find_discontinuities(path, model)
     assert err.value.index == 2
+    assert "lies outside the world bounds" in str(err.value)
     assert find_discontinuities(GlobalPath(path.rows[:2]), model) == []
 
 

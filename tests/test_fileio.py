@@ -20,8 +20,8 @@ from arcshot.executor import FollowConfig
 from arcshot.local_planner import RrtParams
 from arcshot.pipeline import plan_shot
 from arcshot.shot import GlobalPath
-from arcshot.world import CollisionModel, Cylinder, QuadModel
-from conftest import demo_shot, demo_world
+from arcshot.world import CollisionModel, Cylinder, QuadModel, obstacle_rows, unpack_rows
+from conftest import demo_shot, demo_world, make_world
 import schema_reference
 
 
@@ -596,15 +596,22 @@ def test_bulk_obstacles_equal_the_per_field_codec(obstacles):
         assert fileio._obstacles_in_bulk(obstacles) is None
         return
     got = fileio._obstacles_in_bulk(obstacles)
-    assert got == want
-    assert all(type(v) is float for o in got for v in _floats(o))
-    # the same bits: -0.0 stays -0.0
-    assert np.array([v for o in got for v in _floats(o)]).tobytes() == np.array(
+    # the same bits: -0.0 stays -0.0, and a box's NaN columns are the same NaN
+    assert got.tobytes() == obstacle_rows(want).tobytes()
+    with mock.patch.object(fileio, "_obstacles_in_bulk", return_value=None):
+        fallback = fileio._load_obstacles(copy.deepcopy(obstacles), "world.obstacles")
+    assert fallback.tobytes() == got.tobytes()
+    unpacked = unpack_rows(got)
+    assert unpacked == want
+    assert all(type(v) is float for o in unpacked for v in _floats(o))
+    assert np.array([v for o in unpacked for v in _floats(o)]).tobytes() == np.array(
         [v for o in want for v in _floats(o)]).tobytes()
     file = {"schema": "world/1", "bounds": {"min": [-1e301, -1e301, -1e301],
                                             "max": [1e301, 1e301, 1e301]},
             "target": [0, 0, 1], "obstacles": obstacles}
-    assert fileio.world_from_json(file) == schema_reference.world_from_json(file)
+    world = fileio.world_from_json(file)
+    assert world == schema_reference.world_from_json(file)
+    assert world.obstacles == schema_reference.obstacles_from_json(obstacles)
 
 
 def _clutter_file(count: int = 1003) -> dict:
@@ -694,14 +701,41 @@ def _counting(monkeypatch, name) -> list:
 def test_a_valid_clutter_world_takes_the_bulk_path(monkeypatch):
     file = _clutter_file()
     want = schema_reference.world_from_json(copy.deepcopy(file))
+    reference = schema_reference.obstacles_from_json(copy.deepcopy(file["obstacles"]))
     per_field = _counting(monkeypatch, "_expect_obstacles")
-    assert fileio.world_from_json(copy.deepcopy(file)) == want
+    world = fileio.world_from_json(copy.deepcopy(file))
+    assert world == want
+    assert world.rows.tobytes() == obstacle_rows(reference).tobytes()
     assert per_field == []
     # a faulty file goes to the per-field checks, which name the fault
     file["obstacles"][500]["kind"] = "sphere"
     with pytest.raises(SchemaError):
         fileio.world_from_json(file)
     assert len(per_field) == 1
+
+
+def test_a_model_of_a_loaded_world_equals_one_of_its_dataclasses(quad):
+    file = _clutter_file()
+    world = fileio.world_from_json(copy.deepcopy(file))
+    built = CollisionModel(make_world(schema_reference.obstacles_from_json(file["obstacles"]),
+                                      lo=(-25, -25, 0), hi=(25, 25, 10)), quad)
+    loaded = CollisionModel(world, quad)
+    assert loaded.raw is world.rows
+    assert loaded.raw.tobytes() == built.raw.tobytes()
+    assert loaded.inflated.tobytes() == built.inflated.tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(world_files(), st.sampled_from([QuadModel(), QuadModel(0.05, 0.0),
+                                       QuadModel(1.0, 1.0)]))
+def test_every_loaded_world_packs_as_its_dataclasses_do(file, quad):
+    world = fileio.world_from_json(copy.deepcopy(file))
+    obstacles = schema_reference.obstacles_from_json(file["obstacles"])
+    assert world.obstacles == obstacles
+    loaded = CollisionModel(world, quad)
+    built = CollisionModel(dataclasses.replace(world, rows=obstacle_rows(obstacles)), quad)
+    assert loaded.raw.tobytes() == built.raw.tobytes()
+    assert loaded.inflated.tobytes() == built.inflated.tobytes()
 
 
 @pytest.mark.parametrize("name", ["plan/path.json", "exec/trajectory.json"])

@@ -17,7 +17,7 @@ from arcshot.local_planner import (LocalPath, RrtParams, SearchWindow, Tree,
                                    plan_local_run, rrt_star_run, sample, walled_off)
 from arcshot.shot import Pose4, generate_arc
 from arcshot.world import (AXIS_X, AXIS_Y, BOTTOM, CULL_PAD, MAX, MIN, RADIUS, TOP, AxisBox,
-                           CollisionModel, Cylinder, QuadModel, Vec3, World)
+                           CollisionModel, Cylinder, QuadModel, Vec3, World, obstacle_rows)
 from conftest import (demo_shot, demo_world, make_world, point_free, spaced_quad, wall_shot,
                       wall_world)
 import rrt_reference
@@ -707,7 +707,7 @@ def _segment_case(seed: int):
         else:
             obstacles.append(AxisBox(Vec3.from_array(base),
                                      Vec3.from_array(base + rng.uniform(0.1, 2.0, 3))))
-    world = World(AxisBox(Vec3.from_array(lo), Vec3.from_array(hi)), tuple(obstacles),
+    world = World(AxisBox(Vec3.from_array(lo), Vec3.from_array(hi)), obstacle_rows(obstacles),
                   Vec3.from_array((lo + hi) / 2))
     model = CollisionModel(world, BP_QUAD)
     gap = float(rng.choice(_TOUCH))
@@ -836,8 +836,8 @@ def _clustered_case(seed: int):
     best = _cheapest(tree, x_new, radius)
     if rng.random() < 1 / 3 and best is not None:
         mid, half = (tree.positions[best] + x_new) / 2, rng.uniform(0.01, 0.1, 3)
-        world = dataclasses.replace(world, obstacles=world.obstacles + (
-            AxisBox(Vec3.from_array(mid - half), Vec3.from_array(mid + half)),))
+        world = dataclasses.replace(world, rows=obstacle_rows(world.obstacles + (
+            AxisBox(Vec3.from_array(mid - half), Vec3.from_array(mid + half)),)))
     return world, tree, x_new, radius, step
 
 
@@ -1113,6 +1113,51 @@ def test_blocked_loop_grows_the_oracle_tree(monkeypatch):
     check()
 
 
+def _goal_checks(d, model, params, level, monkeypatch) -> tuple[int, int]:
+    """Runs `rrt_star_run` with `segment_free` recorded and requires the
+    oracle's facts and, of every goal check, that its cost could beat the
+    best goal cost so far. Returns the goal checks made and the nodes within
+    `goal_radius` of the exit."""
+    goal = d.exit_pose.position.as_array().tolist()
+
+    def goal_dist(p) -> float:
+        dx, dy, dz = p[0] - goal[0], p[1] - goal[1], p[2] - goal[2]
+        return math.sqrt(dx * dx + dy * dy + dz * dz)
+
+    checks, segment_free = [], CollisionModel.segment_free
+
+    def recording(self, a, b):
+        free = segment_free(self, a, b)
+        if list(b) == goal:
+            checks.append((tuple(a), free))
+        return free
+
+    want = _run_facts(rrt_reference.rrt_star_run(d, model, params, level))
+    with monkeypatch.context() as m:
+        m.setattr(CollisionModel, "segment_free", recording)
+        run = rrt_star_run(d, model, params, level)
+    assert _run_facts(run) == want
+    node_of = {tuple(row): i for i, row in reversed(list(enumerate(run.tree.rows)))}
+    best = math.inf
+    for a, free in checks:
+        candidate = run.tree.node_costs[node_of[a]] + goal_dist(a)
+        assert candidate < best
+        if free:
+            best = candidate
+    assert best == (math.inf if run.path is None else run.path.cost)
+    return len(checks), sum(goal_dist(p) <= params.goal_radius for p in run.tree.rows[1:])
+
+
+def test_no_goal_check_is_made_for_a_cost_that_cannot_win(quad, monkeypatch):
+    model = CollisionModel(demo_world(), quad)
+    d, = find_discontinuities(generate_arc(demo_shot()), model)
+    checks, in_reach = _goal_checks(d, model, RrtParams(extend_dist=0.2, seed=7), 0,
+                                    monkeypatch)
+    assert 0 < checks < in_reach / 4
+    totals = [_goal_checks(*_blocked_case(seed)[:4], monkeypatch) for seed in range(40)]
+    assert sum(checks for checks, _ in totals) < sum(in_reach for _, in_reach in totals)
+
+
 # plan_local_run -------------------------------------------------------------
 
 def test_plan_local_succeeds_at_level_zero_when_easy(quad):
@@ -1376,7 +1421,8 @@ def _single_box_span(seed: int):
         else:
             box_lo[flat] = window.lo[k] + quad.growth
             box_hi[flat] = max(box_hi[flat], box_lo[flat])
-    world = World(bounds, (AxisBox(along(box_lo), along(box_hi)),), Vec3(0, 0, 0))
+    world = World(bounds, obstacle_rows((AxisBox(along(box_lo), along(box_hi)),)),
+                  Vec3(0, 0, 0))
     return CollisionModel(world, spaced_quad(u(0.1, 2.5), quad.growth)), d, params
 
 

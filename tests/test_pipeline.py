@@ -22,7 +22,7 @@ from arcshot.errors import EndpointBlocked, LocalPlanFailed, SpliceMismatch
 from arcshot.local_planner import LocalPath, RrtParams
 from arcshot.pipeline import plan_shot, splice, validate
 from arcshot.shot import ArcShotSpec, GlobalPath, aimed_row, generate_arc
-from arcshot.world import AxisBox, CollisionModel, Cylinder, QuadModel, Vec3
+from arcshot.world import AxisBox, CollisionModel, Cylinder, QuadModel, Vec3, obstacle_rows
 from conftest import (SCENARIO_DIR, demo_shot, demo_world, make_world, point_free, spaced_quad,
                       wall_shot, wall_world)
 from test_discontinuity import thin_obstacles
@@ -247,7 +247,7 @@ def test_plan_shot_repairs_a_thin_wall_between_samples(samples, quad):
     # inflated to 1.1 m thick, the wall falls between two arc samples: the
     # blocked-span scan must see the segment that validation would reject
     world = dataclasses.replace(
-        demo_world(), obstacles=(AxisBox(Vec3(-0.05, 7, 0), Vec3(0.05, 9, 5)),))
+        demo_world(), rows=obstacle_rows((AxisBox(Vec3(-0.05, 7, 0), Vec3(0.05, 9, 5)),)))
     model = CollisionModel(world, quad)
     spec = ArcShotSpec(Vec3(8, 0, 2), Vec3(-8, 0, 2), world.target,
                        "counterclockwise", samples)

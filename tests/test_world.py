@@ -49,7 +49,7 @@ def dist_to_obstacle(o, p: Vec3) -> float:
 
 def point_in_row(row: np.ndarray, p: Vec3) -> bool:
     """Closed-form membership of `p` in a packed obstacle row."""
-    x0, y0, z0, x1, y1, z1, cx, cy, r, _, _ = row.tolist()
+    x0, y0, z0, x1, y1, z1, cx, cy, r, *_ = row.tolist()
     if not z0 <= p.z <= z1:
         return False
     if math.isnan(r):

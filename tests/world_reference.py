@@ -121,11 +121,11 @@ def inflated_rows(obstacles, quad: QuadModel) -> np.ndarray:
         grown = inflate(o, quad)
         if isinstance(grown, Cylinder):
             c = grown.base_center
-            tail = (c.x, c.y, grown.radius, grown.radius * grown.radius)
+            tail = (c.x, c.y, grown.radius, grown.radius * grown.radius, grown.height)
         else:
-            tail = (math.nan,) * 4
+            tail = (math.nan,) * 5
         rows.append((*bounding_box(grown), *tail, i))
-    return np.array(rows, dtype=float).reshape(-1, 11)
+    return np.array(rows, dtype=float).reshape(-1, 12)
 
 
 def packed_arrays(obstacles, quad: QuadModel):
