@@ -401,7 +401,8 @@ def rrt_star_run(d: Discontinuity, model: CollisionModel, params: RrtParams,
     at the nodes added since, on Python floats with the full scans' bits, so
     the tree is the one a scan per loop grows. A sample that `extend` refuses,
     because it lies on its nearest node or a subnormal offset from it, is
-    skipped.
+    skipped, and so is a new node that `model.point_blocked` refuses, before
+    any candidate work: `_best_parent` would find every edge to it blocked.
     """
     window, model = level_window(d, model, params, level)
     rng = np.random.default_rng(
@@ -436,6 +437,8 @@ def rrt_star_run(d: Discontinuity, model: CollisionModel, params: RrtParams,
             try:
                 x_new = extend(near_pos, x_rand, params.extend_dist)
             except DegenerateExtend:  # a degenerate window collapses onto the tree
+                continue
+            if model.point_blocked(x_new):  # no edge to it can be free
                 continue
             near_ids.extend(range(count, len(tree)))
             parent = _best_parent(tree, x_new, radius, model, near_ids)

@@ -277,10 +277,11 @@ class CollisionModel:
         (the ground) is not shrunk: no point between two ends with z >= 0
         lies below 0. One scalar pass over this model's rows, which stops at
         the first it cannot clear, keeps the test cheap on a model culled
-        with `within`.
+        with `within`. A numpy row is read as Python floats, which a
+        subnormal direction divides to inf without a warning.
         """
-        ax, ay, az = a
-        bx, by, bz = b
+        ax, ay, az = a.tolist() if isinstance(a, np.ndarray) else a
+        bx, by, bz = b.tolist() if isinstance(b, np.ndarray) else b
         (lx, ly, lz), (hx, hy, hz), cylinders, boxes = self._scalar_rows
         if not (lx <= ax <= hx and lx <= bx <= hx and ly <= ay <= hy
                 and ly <= by <= hy and lz <= az <= hz and lz <= bz <= hz):
@@ -306,6 +307,43 @@ class CollisionModel:
                     if t0 <= t1:
                         return False
         return True
+
+    def point_blocked(self, p) -> bool:
+        """True iff the point `p` (three floats) lies outside the bounds as
+        `segment_free` shrinks them or in a closed inflated obstacle, not
+        grown by CULL_PAD; a numpy row is read as Python floats.
+
+        True means `segment_free(a, p)` and `segment_free(p, a)` are False
+        for every `a`: a box refuses `p`'s end of the edge in every slab
+        clip, exactly, since rounding is monotone; for a cylinder, that end
+        is a full pad inside the padded disk and z-range, which the rounding
+        of the computed closest point, far below the pad, cannot clear.
+        `segment_free(p, p)` is no such test: at the padded surface it has
+        no margin.
+        """
+        x, y, z = p.tolist() if isinstance(p, np.ndarray) else p
+        # `in_bounds` inline: the planner asks this once per loop
+        (lx, ly, lz), (hx, hy, hz), _, _ = self._scalar_rows
+        if not (lx <= x <= hx and ly <= y <= hy and lz <= z <= hz):
+            return True
+        cylinders, boxes = self._point_rows
+        for cx, cy, bottom, top, radius_sq in cylinders:
+            if bottom <= z <= top:
+                ex, ey = x - cx, y - cy
+                if ex * ex + ey * ey <= radius_sq:
+                    return True
+        for x0, y0, z0, x1, y1, z1 in boxes:
+            if x0 <= x <= x1 and y0 <= y <= y1 and z0 <= z <= z1:
+                return True
+        return False
+
+    @functools.cached_property
+    def _point_rows(self) -> tuple[list, list]:
+        """`point_blocked`'s inputs as Python floats, built on its first
+        call: the inflated cylinders as (axis x, axis y, bottom, top,
+        squared radius) and boxes as (MIN, MAX), as they are."""
+        return (self._cyl[:, [AXIS_X, AXIS_Y, BOTTOM, TOP, RADIUS_SQ]].tolist(),
+                self._box[:, :6].tolist())
 
     def in_bounds(self, p) -> bool:
         """True iff the point `p` (three floats) lies in the bounds as

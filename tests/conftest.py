@@ -7,10 +7,17 @@ import pytest
 from hypothesis import settings
 
 from arcshot.shot import ArcShotSpec
-from arcshot.world import AxisBox, CollisionModel, Cylinder, QuadModel, Vec3, World, obstacle_rows
+from arcshot.world import (CULL_PAD, AxisBox, CollisionModel, Cylinder, QuadModel, Vec3, World,
+                           obstacle_rows)
 
 settings.register_profile("deterministic", derandomize=True, deadline=None)
 settings.load_profile("deterministic")
+
+# how far a touching point or segment lies from what it touches: from
+# touching, through rounding-sized gaps the tests' CULL_PAD must cover, to
+# just clear of CULL_PAD
+TOUCH = (0.0, 1e-15, 1e-12, CULL_PAD - 1e-9, CULL_PAD, CULL_PAD + 1e-12,
+         CULL_PAD + 1e-9, CULL_PAD + 1e-7)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 

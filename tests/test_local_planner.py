@@ -18,8 +18,8 @@ from arcshot.local_planner import (LocalPath, RrtParams, SearchWindow, Tree,
 from arcshot.shot import Pose4, generate_arc
 from arcshot.world import (AXIS_X, AXIS_Y, BOTTOM, CULL_PAD, MAX, MIN, RADIUS, TOP, AxisBox,
                            CollisionModel, Cylinder, QuadModel, Vec3, World, obstacle_rows)
-from conftest import (demo_shot, demo_world, make_world, point_free, spaced_quad, wall_shot,
-                      wall_world)
+from conftest import (TOUCH, demo_shot, demo_world, make_world, point_free, spaced_quad,
+                      wall_shot, wall_world)
 import rrt_reference
 import window_reference
 from world_reference import inflate, pad_margin, segment_samples
@@ -671,12 +671,6 @@ def test_best_parent_when_the_cheapest_endpoint_is_blocked(seed):
 
 # segment_free: the one segment predicate -------------------------------------
 
-# how far a touching segment lies from what it touches: from touching, through
-# rounding-sized gaps the test's CULL_PAD must cover, to just clear of CULL_PAD
-_TOUCH = (0.0, 1e-15, 1e-12, CULL_PAD - 1e-9, CULL_PAD, CULL_PAD + 1e-12,
-          CULL_PAD + 1e-9, CULL_PAD + 1e-7)
-
-
 def _unit(v: np.ndarray) -> np.ndarray:
     return v / np.linalg.norm(v)
 
@@ -686,7 +680,7 @@ def _segment_case(seed: int):
     cylinders, some sunken, in bounds that reach below ground or stop at it
     (a bottom of 0.0 or -0.0), and a segment a->b that mostly touches a box
     face or corner, a cylinder's side, top or bottom, or a bounds face
-    (`_TOUCH`), lying in the plane that supports it there; `toward` is the
+    (`TOUCH`), lying in the plane that supports it there; `toward` is the
     unit normal of that plane toward what it touches. Some segments are
     axis-parallel, some have zero length, some lie on a ground at z = 0
     (`grounded`), and some have one end below ground."""
@@ -710,7 +704,7 @@ def _segment_case(seed: int):
     world = World(AxisBox(Vec3.from_array(lo), Vec3.from_array(hi)), obstacle_rows(obstacles),
                   Vec3.from_array((lo + hi) / 2))
     model = CollisionModel(world, BP_QUAD)
-    gap = float(rng.choice(_TOUCH))
+    gap = float(rng.choice(TOUCH))
     rows = model.inflated
     boxes, cylinders = rows[np.isnan(rows[:, RADIUS])], rows[rows[:, RADIUS] > 0]
     mode = int(rng.integers(7))
@@ -1158,6 +1152,48 @@ def test_no_goal_check_is_made_for_a_cost_that_cannot_win(quad, monkeypatch):
     assert sum(checks for checks, _ in totals) < sum(in_reach for _, in_reach in totals)
 
 
+def _point_refusals(d, model, params, level, monkeypatch) -> tuple[int, int, int]:
+    """Runs `rrt_star_run` with `point_blocked` and `segment_free` recorded
+    and the oracle with `segment_free` counted, and requires the oracle's
+    facts and that no edge check has an end the point test refused. Returns
+    the points refused and the edge checks of the run and of the oracle."""
+    refused, ends = set(), []
+    segment_free, point_blocked = CollisionModel.segment_free, CollisionModel.point_blocked
+
+    def recording(self, a, b):
+        ends.append((tuple(a), tuple(b)))
+        return segment_free(self, a, b)
+
+    def recording_point(self, p):
+        blocked = point_blocked(self, p)
+        if blocked:
+            refused.add(tuple(p))
+        return blocked
+
+    with monkeypatch.context() as m:
+        m.setattr(CollisionModel, "segment_free", recording)
+        want = _run_facts(rrt_reference.rrt_star_run(d, model, params, level))
+        oracle_checks = len(ends)
+        ends.clear()
+        m.setattr(CollisionModel, "point_blocked", recording_point)
+        got = _run_facts(rrt_star_run(d, model, params, level))
+    assert got == want
+    assert not refused.intersection(p for pair in ends for p in pair)
+    return len(refused), len(ends), oracle_checks
+
+
+def test_a_new_node_the_point_test_refuses_gets_no_edge_check(quad, monkeypatch):
+    model = CollisionModel(demo_world(), quad)
+    d, = find_discontinuities(generate_arc(demo_shot()), model)
+    refused, checks, oracle_checks = _point_refusals(
+        d, model, RrtParams(extend_dist=0.2, seed=7), 0, monkeypatch)
+    assert refused > 0
+    assert checks <= oracle_checks / 2
+    totals = np.sum([_point_refusals(*_blocked_case(seed)[:4], monkeypatch)
+                     for seed in range(40)], axis=0)
+    assert totals[0] > 0 and totals[1] < totals[2]
+
+
 # plan_local_run -------------------------------------------------------------
 
 def test_plan_local_succeeds_at_level_zero_when_easy(quad):
@@ -1474,15 +1510,22 @@ def test_a_walled_off_level_never_finds_a_path():
 
 def test_no_tested_coordinate_passes_an_unpadded_span_face(monkeypatch):
     # the induction behind walled_off's closed-face rule, against both ends of
-    # every segment an attempt hands to segment_free
+    # every segment an attempt hands to segment_free and every point it hands
+    # to point_blocked, as a zero-length pair: an attempt whose every new node
+    # is refused hands segment_free nothing
     seen = []
-    segment_free = CollisionModel.segment_free
+    segment_free, point_blocked = CollisionModel.segment_free, CollisionModel.point_blocked
 
     def recording(self, a, b):
         seen.append(np.array([a, b], dtype=float))
         return segment_free(self, a, b)
 
+    def recording_point(self, p):
+        seen.append(np.array([p, p], dtype=float))
+        return point_blocked(self, p)
+
     monkeypatch.setattr(CollisionModel, "segment_free", recording)
+    monkeypatch.setattr(CollisionModel, "point_blocked", recording_point)
 
     def unpadded_faces(d, model, params, level):
         lo, hi = _span(d, level_window(d, model, params, level)[0])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from arcshot.world import (AXIS_X, AXIS_Y, BOTTOM, CULL_PAD, INDEX, MAX, MIN, RADIUS,
                            RADIUS_SQ, TOP, AxisBox, CollisionModel, Cylinder, QuadModel,
                            Vec3, World, obstacle_rows)
-from conftest import make_world, point_free, spaced_quad
+from conftest import TOUCH, demo_world, make_world, point_free, spaced_quad
 from world_reference import (bounding_box, inflate, inflated_rows, packed_arrays,
                              segment_pad_distance, segment_samples)
 
@@ -722,6 +722,134 @@ def test_segment_free_refuses_a_corner_that_samples_step_over():
     assert segment_pad_distance(inflate(obstacle, quad), a, b) == 0.0
     assert not model.segment_free(a, b)
     assert not model.segments_free(np.vstack([a, b]))[0]
+
+
+# point_blocked: a new node no edge can reach ---------------------------------
+
+def _point_case(seed: int):
+    """(model, p, rng) drawn from `seed`: boxes and cylinders, some sunken,
+    in bounds that reach below ground or stop at it (a bottom of 0.0 or
+    -0.0), and a point inside an inflated obstacle, on or `TOUCH` off a box
+    face, edge or corner or a cylinder's side, rim, top or bottom (inside
+    or out), on or near a bounds face (inside or out), or anywhere; `rng`
+    draws the case's other ends."""
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform((-8, -8, -3), (-4, -4, 0))
+    if rng.random() < 0.3:
+        lo[2] = rng.choice([0.0, -0.0])
+    hi = rng.uniform((4, 4, 3), (8, 8, 8))
+    obstacles = []
+    for _ in range(int(rng.integers(1, 5))):
+        base = rng.uniform(lo + 1, hi - 1)
+        if rng.random() < 0.5:
+            if rng.random() < 0.4:
+                base[2] = rng.uniform(-2.0, 0.0)  # sunken: inflation keeps its base
+            obstacles.append(Cylinder(Vec3.from_array(base), float(rng.uniform(0.1, 1.0)),
+                                      float(rng.uniform(0.5, 3.0))))
+        else:
+            obstacles.append(AxisBox(Vec3.from_array(base),
+                                     Vec3.from_array(base + rng.uniform(0.1, 2.0, 3))))
+    world = World(AxisBox(Vec3.from_array(lo), Vec3.from_array(hi)), obstacle_rows(obstacles),
+                  Vec3.from_array((lo + hi) / 2))
+    model = CollisionModel(world, QuadModel(body_radius=float(rng.uniform(0.05, 0.4)),
+                                            safety_margin=float(rng.uniform(0.0, 0.3))))
+    rows = model.inflated
+    boxes, cylinders = rows[np.isnan(rows[:, RADIUS])], rows[rows[:, RADIUS] > 0]
+    gap = float(rng.choice(TOUCH)) * float(rng.choice([-1.0, 1.0]))  # below 0: inside
+    mode = int(rng.integers(6))
+    if mode == 1 and len(boxes):        # inside a box, or off a face, edge or corner
+        row = boxes[rng.integers(len(boxes))]
+        p = rng.uniform(row[MIN], row[MAX])
+        for axis in np.flatnonzero(rng.random(3) < 0.6):
+            p[axis] = row[MAX][axis] + gap if rng.random() < 0.5 else row[MIN][axis] - gap
+    elif mode == 2 and len(cylinders):  # inside a cylinder, or off its side or rim
+        row = cylinders[rng.integers(len(cylinders))]
+        a = rng.uniform(0, 2 * np.pi)
+        k = row[RADIUS] + gap if rng.random() < 0.7 else row[RADIUS] * np.sqrt(rng.uniform())
+        z = rng.choice([rng.uniform(row[BOTTOM], row[TOP]), row[BOTTOM], row[TOP]])
+        p = np.array([row[AXIS_X] + k * np.cos(a), row[AXIS_Y] + k * np.sin(a), z])
+    elif mode == 3 and len(cylinders):  # off a cylinder's top or bottom
+        row = cylinders[rng.integers(len(cylinders))]
+        a, k = rng.uniform(0, 2 * np.pi), row[RADIUS] * np.sqrt(rng.uniform())
+        z = row[TOP] + gap if rng.random() < 0.5 else row[BOTTOM] - gap
+        p = np.array([row[AXIS_X] + k * np.cos(a), row[AXIS_Y] + k * np.sin(a), z])
+    elif mode == 4:                     # on or off a bounds face
+        axis = int(rng.integers(3))
+        p = rng.uniform(lo, hi)
+        p[axis] = hi[axis] + gap if rng.random() < 0.5 else lo[axis] - gap
+    else:
+        p = rng.uniform(lo, hi)
+    return model, p, rng
+
+
+def _depth(model: CollisionModel, p: np.ndarray) -> float:
+    """Distance from `p` to the nearest surface of the inflated obstacles
+    that hold it (closed); inf when none does."""
+    x, y, z = p.tolist()
+    depths = [math.inf]
+    for x0, y0, z0, x1, y1, z1, cx, cy, r, *_ in model.inflated.tolist():
+        if math.isnan(r):
+            depth = min(x - x0, x1 - x, y - y0, y1 - y, z - z0, z1 - z)
+        else:
+            depth = min(r - math.hypot(x - cx, y - cy), z - z0, z1 - z)
+        if depth >= 0:
+            depths.append(depth)
+    return min(depths)
+
+
+def _point_test_is_sound(seed: int) -> tuple[bool, bool]:
+    """`point_blocked` of `_point_case(seed)`'s point: the same for its
+    floats, and exactly `free_points`' closed membership plus the bounds as
+    `segment_free` shrinks them. When it refuses p, `segment_free` refuses
+    every edge with an end at p, both ways: the zero-length one, one along
+    each axis and three from anywhere in the bounds; when
+    `segment_free(p, p)` accepts p, so does the point test. Returns whether
+    p was refused within 1e-9 m inside an inflated obstacle's surface and
+    whether it lies on a bounds face."""
+    model, p, rng = _point_case(seed)
+    blocked = model.point_blocked(p)
+    assert model.point_blocked(p.tolist()) is blocked
+    assert blocked is (not model.in_bounds(p.tolist()) or not model.free_points(p[None])[0])
+    if model.segment_free(p, p):
+        assert not blocked
+    lo, hi = model.world.bounds.min.as_array(), model.world.bounds.max.as_array()
+    if blocked:
+        ends = [p.copy()]
+        for axis in range(3):
+            ends.append(p.copy())
+            ends[-1][axis] = rng.uniform(lo[axis], hi[axis])
+        ends.extend(rng.uniform(lo, hi, (3, 3)))
+        for a in ends:
+            assert not model.segment_free(a, p)
+            assert not model.segment_free(p, a)
+    return blocked and _depth(model, p) <= 1e-9, bool(((p == lo) | (p == hi)).any())
+
+
+def test_a_refused_point_ends_no_free_edge():
+    # a fixed seed sweep carries the floors, as in the segment tests
+    surface, on_face = np.sum([_point_test_is_sound(seed) for seed in range(600)], axis=0)
+    assert surface >= 40
+    assert on_face >= 5
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def check(seed):
+        _point_test_is_sound(seed)
+
+    check()
+
+
+def test_a_numpy_row_with_a_subnormal_direction_gets_its_floats_answer():
+    # a numpy scalar division by a subnormal warns where a Python float's
+    # silently gives inf, which every slab clip then reads
+    model = CollisionModel(demo_world(), QuadModel())
+    a, b = np.array([0.0, 0.0, 1.0]), np.array([5e-324, 3.0, 1.0])
+    assert model.segment_free(a, b) is model.segment_free(a.tolist(), b.tolist()) is True
+    assert model.segment_free(b, a) is model.segment_free(b.tolist(), a.tolist()) is True
+    assert model.point_blocked(b) is model.point_blocked(b.tolist()) is False
+    c = np.array([5e-324, 8.8, 1.0])  # on the pillar's axis
+    assert model.segment_free(a, c) is False
+    assert model.point_blocked(c) is True
 
 
 # type invariants ------------------------------------------------------------
