@@ -305,17 +305,37 @@ def _best_parent(tree: Tree, x_new, radius: float, model: CollisionModel,
 
     Minimizes node cost plus edge length; ties resolve to the earliest
     insertion. Returns None when every in-radius edge is blocked. `near`
-    lists, in insertion order, node ids that hold every in-radius node (a
-    superset from the block scan); None means the whole tree. Distances,
-    totals and the cost order are Python floats with numpy's bits, so the
-    answer is the one a full-tree pass gives.
+    lists node ids that hold every in-radius node (a superset from the block
+    scan), strictly ascending; None means the whole tree. Distances, totals
+    and the cost order are Python floats with numpy's bits, so the answer
+    is the one a full-tree pass gives.
+
+    One pass keeps the cheapest candidate so far. Its strict `<` leaves a
+    tie with the first id seen, which is the least only because `near`
+    ascends. A node whose cost alone reaches that total is skipped before
+    its distance: cost + dist rounds to at least cost, so it cannot win.
+    Only when the winner's edge is blocked are all candidates ranked,
+    (total, id) as a stable argsort ranks them, and the rest tried in that
+    order.
     """
     ids = range(len(tree)) if near is None else near
     costs, rows = tree.node_costs, tree.rows
-    # (total, id) pairs: sorting breaks cost ties by id, as a stable argsort does
+    x, y, z = x_new
+    best, winner = math.inf, None
+    for i in ids:
+        cost = costs[i]
+        if cost >= best:
+            continue
+        px, py, pz = rows[i]
+        dx, dy, dz = px - x, py - y, pz - z
+        dist = math.sqrt(dx * dx + dy * dy + dz * dz)  # `_distances`' bits
+        if dist <= radius and cost + dist < best:
+            best, winner = cost + dist, i
+    if winner is None or model.segment_free(rows[winner], x_new):
+        return winner
     candidates = [(costs[i] + dist, i)
                   for i, dist in zip(ids, _distances(tree, x_new, ids)) if dist <= radius]
-    for _, i in sorted(candidates):
+    for _, i in sorted(candidates)[1:]:
         if model.segment_free(rows[i], x_new):
             return i
     return None

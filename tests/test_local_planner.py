@@ -370,6 +370,8 @@ def _older_candidates_hold_every_in_radius_node(seed: int) -> int:
     behind each sample's new node as seen from the sample (where the
     triangle inequality is tight), some moved by an ulp: every in-radius
     node of a sample's new node must be in its run of `_older_candidates`.
+    Each run must be strictly ascending, as `_best_parent`'s tie rule needs,
+    and stay so with the ids a block adds after its scan appended.
     Returns how many in-radius nodes lay beyond the bound without its pad."""
     rng = np.random.default_rng(seed)
     root = rng.uniform(-5, 5, 3)
@@ -393,6 +395,8 @@ def _older_candidates_hold_every_in_radius_node(seed: int) -> int:
     beyond, begin = 0, 0
     for scan, x_rand, near, end in zip(dist2, block.tolist(), nearest.tolist(), ends):
         run, begin = older[begin:end], end
+        ids = run + list(range(len(tree), len(tree) + local_planner.BLOCK - 1))
+        assert all(a < b for a, b in zip(ids, ids[1:]))
         if x_rand == tree.rows[near]:
             continue
         x_new = extend(tree.rows[near], x_rand, extend_dist)
@@ -864,6 +868,109 @@ def test_best_parent_matches_the_oracle_with_and_without_a_certificate():
     check()
 
 
+def _near_tie_case(seed: int):
+    """A tree round x_new (a 1/8 m grid point) whose node coordinates are
+    multiples of 2**-30, so every coordinate difference is exact and only
+    squares, sums and roots round. The root and the hubs lie beyond the
+    radius, since an in-radius ancestor's total never exceeds its
+    descendants'. Each hub differs from x_new along one axis and gets
+    children at offsets mirrored across the other two axes (same cost, same
+    distance: exact ties) and with those two swapped (summed in another
+    order: totals often one ulp apart). Some children get a child at x_new
+    or at x_new mirrored through them, whose cost is exactly the child's
+    total. A third of the cases put a box across the cheapest edge.
+    Returns the world, tree, x_new, radius, step and an ascending superset
+    of the in-radius ids, with some out-of-radius ids."""
+    rng = np.random.default_rng(seed)
+
+    def fine(a):
+        return np.round(np.asarray(a) * 2 ** 30) / 2 ** 30
+
+    x_new = np.round(rng.uniform(-3, 3, 3) * 8) / 8
+    radius = float(rng.uniform(0.8, 3.0))
+    u = _unit(rng.normal(size=3))
+    tree = Tree(Vec3.from_array(fine(x_new + rng.uniform(radius + 0.1, radius + 2) * u)))
+    for _ in range(int(rng.integers(0, 6))):
+        tree.add(fine(x_new + rng.uniform(-radius - 2, radius + 2, 3)),
+                 int(rng.integers(len(tree))))
+    for _ in range(int(rng.integers(1, 4))):
+        axis, side = int(rng.integers(3)), float(rng.choice([-1.0, 1.0]))
+        a, b = (k for k in range(3) if k != axis)
+        hub = x_new.copy()
+        hub[axis] += side * fine(rng.uniform(radius + 0.05, radius + 1.0))
+        h = tree.add(hub, int(rng.integers(len(tree))))
+        for _ in range(int(rng.integers(1, 3))):
+            # redrawn, up to 60 times, for a swapped total one ulp off
+            for _ in range(60):
+                o = fine(rng.uniform(-0.7, 0.7, 3))
+                o[axis] = -side * fine(rng.uniform(0.2, 1.2))
+                twins = []
+                for sa, sb, swap in ((1, 1, False), (-1, 1, False), (1, -1, False),
+                                     (1, 1, True)):
+                    t = o.copy()
+                    t[a], t[b] = sa * o[b if swap else a], sb * o[a if swap else b]
+                    twins.append(t)
+                base, swapped = (tree.node_costs[h] + rrt_reference._norm(t)
+                                 + rrt_reference._norm(hub + t - x_new)
+                                 for t in (twins[0], twins[3]))
+                if abs(base - swapped) == math.ulp(base):
+                    break
+            for k in rng.permutation([0, 3] + [1, 2][:int(rng.integers(0, 3))]):
+                child = tree.add(hub + twins[k], h)
+                if rng.random() < 0.3:
+                    c = tree.positions[child].copy()
+                    tree.add(x_new if rng.random() < 0.5 else 2 * c - x_new, child)
+    world = make_world(lo=(-10, -10, -10), hi=(10, 10, 10))
+    best = _cheapest(tree, x_new, radius)
+    if rng.random() < 1 / 3 and best is not None and tree.rows[best] != x_new.tolist():
+        mid, half = (tree.positions[best] + x_new) / 2, rng.uniform(0.005, 0.05, 3)
+        world = make_world((AxisBox(Vec3.from_array(mid - half), Vec3.from_array(mid + half)),),
+                           lo=(-10, -10, -10), hi=(10, 10, 10))
+    dists = rrt_reference._distances(tree, x_new)
+    near = np.flatnonzero((dists <= radius) | (rng.random(len(tree)) < 0.5)).tolist()
+    return world, tree, x_new, radius, float(rng.uniform(0.05, 0.4)), near
+
+
+def _near_ties_agree(seed: int) -> collections.Counter:
+    """`_near_tie_case(seed)` against the sequential oracle, with the whole
+    tree and with the superset. Counts cases whose least total is tied
+    exactly or by one ulp, and nodes met in id order whose cost equals the
+    least total of the candidates before them."""
+    world, tree, x_new, radius, step, near = _near_tie_case(seed)
+    model = bp_model(world, step)
+    expected = sequential_best_parent(tree, x_new, radius, model)
+    assert _best_parent(tree, x_new, radius, model) == expected
+    assert _best_parent(tree, x_new.tolist(), radius, model, near) == expected
+    dists = rrt_reference._distances(tree, x_new)
+    in_radius = np.flatnonzero(dists <= radius)
+    totals = np.array(tree.node_costs)[in_radius] + dists[in_radius]
+    seen = collections.Counter()
+    if in_radius.size:
+        low = totals.min()
+        seen["exact_tie"] += int((totals == low).sum() >= 2)
+        seen["ulp_tie"] += int((totals == np.nextafter(low, np.inf)).any())
+        seen["blocked"] += int(expected != in_radius[totals.argmin()])
+    best = math.inf
+    for i, total in zip(in_radius.tolist(), totals.tolist()):
+        seen["cost_is_best"] += tree.node_costs[i] == best
+        best = min(best, total)
+    return seen
+
+
+def test_best_parent_breaks_near_ties_as_linalg_norm_does():
+    # a fixed seed sweep carries the floors, as above
+    seen = sum((_near_ties_agree(seed) for seed in range(300)), collections.Counter())
+    assert seen["exact_tie"] >= 100 and seen["ulp_tie"] >= 50
+    assert seen["cost_is_best"] >= 60 and seen["blocked"] >= 40
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def check(seed):
+        _near_ties_agree(seed)
+
+    check()
+
+
 # rrt_star_run ---------------------------------------------------------------
 
 def empty_world_disc(distance=6.0):
@@ -1150,6 +1257,58 @@ def test_no_goal_check_is_made_for_a_cost_that_cannot_win(quad, monkeypatch):
     assert 0 < checks < in_reach / 4
     totals = [_goal_checks(*_blocked_case(seed)[:4], monkeypatch) for seed in range(40)]
     assert sum(checks for checks, _ in totals) < sum(in_reach for _, in_reach in totals)
+
+
+def _best_parent_work(d, model, params, level, monkeypatch) -> collections.Counter:
+    """Runs `rrt_star_run` with `_best_parent`, `_distances` and
+    `segment_free` recorded and requires the oracle's facts. A best-parent
+    call won by its cheapest candidate must check that one edge and never
+    rank the candidates, which only the fallback does (`_distances`); any
+    other call ranks once and checks at least one edge. Counts the calls of
+    each kind."""
+    work, seen = collections.Counter(), collections.Counter()
+    segment_free = CollisionModel.segment_free
+    best_parent, distances = local_planner._best_parent, local_planner._distances
+
+    def recording(self, a, b):
+        work["edges"] += 1
+        return segment_free(self, a, b)
+
+    def recording_distances(tree, p, ids):
+        work["ranked"] += 1
+        return distances(tree, p, ids)
+
+    def recording_best_parent(tree, x_new, radius, model, near=None):
+        work.clear()
+        parent = best_parent(tree, x_new, radius, model, near)
+        cheapest = _cheapest(tree, np.array(x_new), radius)
+        assert cheapest is not None  # x_new lies within extend_dist of its nearest node
+        if parent == cheapest:
+            assert +work == {"edges": 1}
+            seen["cheapest"] += 1
+        else:
+            assert work["ranked"] == 1 and work["edges"] >= 1 + (parent is not None)
+            seen["later" if parent is not None else "none"] += 1
+        return parent
+
+    want = _run_facts(rrt_reference.rrt_star_run(d, model, params, level))
+    with monkeypatch.context() as m:
+        m.setattr(CollisionModel, "segment_free", recording)
+        m.setattr(local_planner, "_distances", recording_distances)
+        m.setattr(local_planner, "_best_parent", recording_best_parent)
+        got = _run_facts(rrt_star_run(d, model, params, level))
+    assert got == want
+    return seen
+
+
+def test_a_cheapest_free_candidate_costs_one_edge_check_and_no_ranking(quad, monkeypatch):
+    model = CollisionModel(demo_world(), quad)
+    d, = find_discontinuities(generate_arc(demo_shot()), model)
+    seen = _best_parent_work(d, model, RrtParams(extend_dist=0.2, seed=7), 0, monkeypatch)
+    assert seen["cheapest"] >= 300
+    seen = sum((_best_parent_work(*_blocked_case(seed)[:4], monkeypatch) for seed in range(40)),
+               collections.Counter())
+    assert seen["cheapest"] >= 400 and seen["later"] >= 40 and seen["none"] >= 150
 
 
 def _point_refusals(d, model, params, level, monkeypatch) -> tuple[int, int, int]:
