@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EndpointBlocked
-from .shot import GlobalPath, Pose4
+from .shot import GlobalPath
 # collision_model stays importable here for perfbench/tracing.py, which wraps it
 from .world import CULL_PAD, CollisionModel, collision_model
 
@@ -29,12 +29,12 @@ DEFAULT_MARGIN = 2
 
 @dataclass(frozen=True)
 class Discontinuity:
-    """One obstructed stretch of the path with collision-free attachment poses."""
+    """One blocked stretch: its free end samples' indices and positions."""
 
     entry_index: int
     exit_index: int
-    entry_pose: Pose4
-    exit_pose: Pose4
+    entry: tuple[float, float, float]
+    exit: tuple[float, float, float]
 
     def __post_init__(self):
         if not 0 <= self.entry_index < self.exit_index:
@@ -54,8 +54,9 @@ def find_discontinuities(path: GlobalPath, model: CollisionModel,
     if margin < 1:
         raise ValueError(f"margin must be >= 1, got {margin}")
     positions = path.position_array()
-    for index in (0, len(positions) - 1):
-        end = positions[index].tolist()
+    rows = positions.tolist()
+    for index in (0, len(rows) - 1):
+        end = rows[index]
         if not model.in_bounds(end):
             lo, hi = model.world.bounds.min, model.world.bounds.max
             raise EndpointBlocked(
@@ -76,5 +77,5 @@ def find_discontinuities(path: GlobalPath, model: CollisionModel,
         else:
             spans.append([entry, exit_])
 
-    return [Discontinuity(entry, exit_, path[entry], path[exit_])
+    return [Discontinuity(entry, exit_, tuple(rows[entry]), tuple(rows[exit_]))
             for entry, exit_ in spans]

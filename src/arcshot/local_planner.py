@@ -23,7 +23,7 @@ import numpy as np
 from .discontinuity import Discontinuity
 from .errors import DegenerateExtend, LocalPlanFailed
 # collision_model stays importable here for perfbench/tracing.py, which wraps it
-from .world import CULL_PAD, AxisBox, CollisionModel, Vec3, collision_model
+from .world import CULL_PAD, AxisBox, CollisionModel, collision_model
 
 # Samples per block scan of the tree in `rrt_star_run`, set by measurement
 BLOCK = 8
@@ -77,7 +77,7 @@ class SearchWindow:
 
 
 class Tree:
-    """Append-only RRT node store.
+    """Append-only RRT node store, grown from a root of three floats.
 
     Positions live in a growing (3, capacity) buffer, one contiguous row per
     axis, so the block scans of the whole tree run as flat vector passes.
@@ -87,9 +87,9 @@ class Tree:
     a plain list. Node ids are insertion indices, root is 0.
     """
 
-    def __init__(self, root: Vec3):
+    def __init__(self, root):
         self._xyz = np.empty((3, 64), dtype=float)
-        self._xyz[:, 0] = root.as_array()
+        self._xyz[:, 0] = root
         self._count = 1
         self.rows: list[list[float]] = [self._xyz[:, 0].tolist()]
         self.node_costs: list[float] = [0.0]
@@ -168,9 +168,8 @@ def _clamped(lo: np.ndarray, hi: np.ndarray, bounds: AxisBox, level: int) -> Sea
 
 
 def initial_window(d: Discontinuity, pad: float, bounds: AxisBox) -> SearchWindow:
-    """Bounding box of the entry/exit poses, padded, clamped to world bounds."""
-    a = d.entry_pose.position.as_array()
-    b = d.exit_pose.position.as_array()
+    """Bounding box of the entry and exit, padded, clamped to world bounds."""
+    a, b = np.array((d.entry, d.exit))
     return _clamped(np.where(b < a, b, a) - pad, np.where(b > a, b, a) + pad, bounds, 0)
 
 
@@ -382,8 +381,7 @@ def walled_off(d: Discontinuity, window: SearchWindow, model: CollisionModel) ->
     (0.6837413448974007 - 0.015199091831556488) is 0.6837413448974008, one
     ulp above the larger operand.
     """
-    entry = d.entry_pose.position.as_array()
-    exit_ = d.exit_pose.position.as_array()
+    entry, exit_ = np.array((d.entry, d.exit))
     lo = np.minimum.reduce((window.lo, entry, exit_))
     hi = np.maximum.reduce((window.hi, entry, exit_))
     # a float64's significand is even when its lowest stored bit is 0
@@ -428,10 +426,8 @@ def rrt_star_run(d: Discontinuity, model: CollisionModel, params: RrtParams,
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=params.seed, spawn_key=(disc_index, level)))
 
-    exit_row = d.exit_pose.position.as_array()
-    goal = exit_row.tolist()
-    ex, ey, ez = goal
-    tree = Tree(d.entry_pose.position)
+    ex, ey, ez = goal = d.exit
+    tree = Tree(d.entry)
     rows, costs = tree.rows, tree.node_costs
     radius = params.neighbor_radius
 
@@ -477,7 +473,7 @@ def rrt_star_run(d: Discontinuity, model: CollisionModel, params: RrtParams,
 
     if best_node is None:
         return RrtRunResult(None, tree, window, params.max_loops)
-    positions = np.vstack((tree.path_from_root(best_node), exit_row))
+    positions = np.vstack((tree.path_from_root(best_node), goal))
     return RrtRunResult(LocalPath(positions, best_cost), tree, window,
                         params.max_loops)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -12,7 +13,7 @@ from .errors import SpliceMismatch, ValidationFailed
 from .local_planner import LocalPath, RrtParams, Tree, plan_local_run
 from .shot import ArcShotSpec, GlobalPath, aimed_row, generate_arc
 # collision_model stays importable here for perfbench/tracing.py, which wraps it
-from .world import CollisionModel, QuadModel, Vec3, collision_model
+from .world import CollisionModel, QuadModel, collision_model
 
 SPLICE_TOLERANCE = 1e-6
 
@@ -55,19 +56,24 @@ class PlanResult:
     trees: list[Tree]
 
 
+def _gap(a, b) -> float:
+    dx, dy, dz = a[0] - b[0], a[1] - b[1], a[2] - b[2]
+    return math.sqrt(dx * dx + dy * dy + dz * dz)  # `Vec3.distance_to`'s bits
+
+
 def splice(path: GlobalPath, d: Discontinuity, lp: LocalPath) -> GlobalPath:
     """Replace the samples strictly between entry and exit with the detour.
 
     Inserted samples keep the detour's own spacing and get target-facing yaw.
+    A detour end farther than SPLICE_TOLERANCE from the span's, or NaN, is a mismatch.
     """
-    entry, exit_ = d.entry_pose.position, d.exit_pose.position
-    first, last = (Vec3.from_array(p) for p in lp.positions[[0, -1]])
-    if first.distance_to(entry) > SPLICE_TOLERANCE:
+    first, last = (tuple(p) for p in lp.positions[[0, -1]].tolist())
+    if not _gap(first, d.entry) <= SPLICE_TOLERANCE:
         raise SpliceMismatch(
-            f"local path starts {first} but discontinuity enters at {entry}")
-    if last.distance_to(exit_) > SPLICE_TOLERANCE:
+            f"local path starts {first} but discontinuity enters at {d.entry}")
+    if not _gap(last, d.exit) <= SPLICE_TOLERANCE:
         raise SpliceMismatch(
-            f"local path ends {last} but discontinuity exits at {exit_}")
+            f"local path ends {last} but discontinuity exits at {d.exit}")
     if path.spec is None:
         raise SpliceMismatch("path carries no shot spec; cannot aim inserted samples")
 

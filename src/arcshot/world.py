@@ -49,10 +49,6 @@ class Vec3:
     def as_array(self) -> np.ndarray:
         return np.array((self.x, self.y, self.z), dtype=float)
 
-    @classmethod
-    def from_array(cls, arr) -> "Vec3":
-        return cls(float(arr[0]), float(arr[1]), float(arr[2]))
-
 
 @dataclass(frozen=True)
 class AxisBox:

@@ -71,14 +71,13 @@ def generate_arc(spec: ArcShotSpec) -> PosePath:
 
 
 def splice(path: PosePath, d: Discontinuity, positions: tuple[Vec3, ...]) -> PosePath:
-    entry = d.entry_pose.position
-    exit_ = d.exit_pose.position
-    if positions[0].distance_to(entry) > SPLICE_TOLERANCE:
-        raise SpliceMismatch(
-            f"local path starts {positions[0]} but discontinuity enters at {entry}")
-    if positions[-1].distance_to(exit_) > SPLICE_TOLERANCE:
-        raise SpliceMismatch(
-            f"local path ends {positions[-1]} but discontinuity exits at {exit_}")
+    first, last = positions[0], positions[-1]
+    if first.distance_to(Vec3(*d.entry)) > SPLICE_TOLERANCE:
+        raise SpliceMismatch(f"local path starts {(first.x, first.y, first.z)} "
+                             f"but discontinuity enters at {d.entry}")
+    if last.distance_to(Vec3(*d.exit)) > SPLICE_TOLERANCE:
+        raise SpliceMismatch(f"local path ends {(last.x, last.y, last.z)} "
+                             f"but discontinuity exits at {d.exit}")
     if path.spec is None:
         raise SpliceMismatch("path carries no shot spec; cannot aim inserted samples")
 

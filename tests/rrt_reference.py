@@ -83,8 +83,8 @@ def rrt_star_run(d: Discontinuity, model: CollisionModel, params: RrtParams,
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=params.seed, spawn_key=(disc_index, level)))
 
-    exit_row = d.exit_pose.position.as_array()
-    tree = Tree(d.entry_pose.position)
+    exit_row = np.array(d.exit)
+    tree = Tree(d.entry)
     radius = params.neighbor_radius
 
     best_cost = math.inf

@@ -16,8 +16,7 @@ from arcshot.errors import LocalPlanFailed
 from arcshot.executor import SimState, follow
 from arcshot.local_planner import RrtParams, rrt_star_run
 from arcshot.pipeline import plan_shot, validate
-from arcshot.shot import (CLOCKWISE, COUNTERCLOCKWISE, ArcShotSpec, Pose4,
-                          generate_arc, wrap_to_pi)
+from arcshot.shot import CLOCKWISE, COUNTERCLOCKWISE, ArcShotSpec, generate_arc, wrap_to_pi
 from arcshot.world import AxisBox, CollisionModel, Cylinder, QuadModel, Vec3, World
 from conftest import SCENARIO_DIR, demo_shot, demo_world, make_world, wall_shot, wall_world
 from test_discontinuity import (only_sample_hits, reference_spans, sample_reference_spans,
@@ -228,10 +227,8 @@ def test_criterion_5_near_optimal_in_the_open():
     started = time.perf_counter()
     quad = QuadModel()
     model = CollisionModel(make_world(lo=(-20, -20, 0), hi=(20, 20, 10)), quad)
-    entry = Pose4(Vec3(-3, 0, 2), 0.0)
-    exit_ = Pose4(Vec3(3, 0, 2), 0.0)
-    d = Discontinuity(1, 3, entry, exit_)
-    distance = entry.position.distance_to(exit_.position)
+    d = Discontinuity(1, 3, (-3.0, 0.0, 2.0), (3.0, 0.0, 2.0))
+    distance = math.dist(d.entry, d.exit)
     within = 0
     for seed in range(100):
         params = RrtParams(extend_dist=distance / 10, max_loops=500, seed=seed)

@@ -1,5 +1,6 @@
 import gc
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -612,6 +613,10 @@ def test_console_entry_point_runs():
 
 
 def test_cli_module_invocation_help():
+    # pytest puts src on sys.path, not on a subprocess's PYTHONPATH
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run([sys.executable, "-m", "arcshot.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0

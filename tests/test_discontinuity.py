@@ -110,8 +110,8 @@ def assert_spans_cover_exactly_the_blocked_segments(path, model, discs):
     for d in discs:
         assert d.entry_index > previous_exit
         previous_exit = d.exit_index
-        assert point_free(model, d.entry_pose.position)
-        assert point_free(model, d.exit_pose.position)
+        assert point_free(model, Vec3(*d.entry))
+        assert point_free(model, Vec3(*d.exit))
         for i in range(d.entry_index, d.exit_index):
             inside[i] = True
     for i, ok in enumerate(free):
@@ -144,7 +144,8 @@ def test_single_cylinder_blocks_three_middle_samples(quad):
     d = discs[0]
     assert (d.entry_index, d.exit_index) == (7, 13)
     assert blocked_segments(path, model) == (8, 9, 10, 11)
-    assert d.entry_pose == path[7] and d.exit_pose == path[13]
+    rows = path.position_array().tolist()
+    assert d.entry == tuple(rows[7]) and d.exit == tuple(rows[13])
     assert reference_spans(segment_flags(path, model), 2) == [(7, 13)]
     assert sample_reference_spans(flags, 2) == [(7, 13)]
 

@@ -15,7 +15,7 @@ from arcshot.local_planner import (LocalPath, RrtParams, SearchWindow, Tree,
                                    _best_parent, _distances, expand_window, extend,
                                    initial_window, level_window, nearest_vertex,
                                    plan_local_run, rrt_star_run, sample, walled_off)
-from arcshot.shot import Pose4, generate_arc
+from arcshot.shot import generate_arc
 from arcshot.world import (AXIS_X, AXIS_Y, BOTTOM, CULL_PAD, MAX, MIN, RADIUS, TOP, AxisBox,
                            CollisionModel, Cylinder, QuadModel, Vec3, World, obstacle_rows)
 from conftest import (TOUCH, demo_shot, demo_world, make_world, point_free, spaced_quad,
@@ -29,8 +29,9 @@ _coord = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)
 _point = st.tuples(_coord, _coord, _coord)
 
 
-def disc_between(a: Vec3, b: Vec3) -> Discontinuity:
-    return Discontinuity(0, 2, Pose4(a, 0.0), Pose4(b, 0.0))
+def disc_between(a, b) -> Discontinuity:
+    """A span from `a` to `b`, three numbers each."""
+    return Discontinuity(0, 2, tuple(map(float, a)), tuple(map(float, b)))
 
 
 def window(lo, hi, level: int = 0) -> SearchWindow:
@@ -40,7 +41,7 @@ def window(lo, hi, level: int = 0) -> SearchWindow:
 # windows --------------------------------------------------------------------
 
 def test_initial_window_pads_the_entry_exit_box():
-    d = disc_between(Vec3(0, 0, 2), Vec3(4, 0, 2))
+    d = disc_between((0, 0, 2), (4, 0, 2))
     w = initial_window(d, 1.0, BIG_BOUNDS)
     assert w.lo.tolist() == [-1, -1, 1]
     assert w.hi.tolist() == [5, 1, 3]
@@ -48,17 +49,17 @@ def test_initial_window_pads_the_entry_exit_box():
 
 
 def test_initial_window_degenerate_point_box():
-    p = Vec3(2, 2, 2)
+    p = (2.0, 2.0, 2.0)
     d = disc_between(p, p)
     w = initial_window(d, 0.0, BIG_BOUNDS)
     assert w.lo.tolist() == w.hi.tolist() == [2, 2, 2]
     rng = np.random.default_rng(0)
-    assert Vec3.from_array(sample(w, rng, 1)[0]) == p
+    assert tuple(sample(w, rng, 1)[0].tolist()) == p
 
 
 def test_initial_window_clamped_to_world_bounds():
     bounds = AxisBox(Vec3(0, 0, 0), Vec3(10, 10, 5))
-    d = disc_between(Vec3(0.5, 0.5, 4.5), Vec3(2, 2, 4.5))
+    d = disc_between((0.5, 0.5, 4.5), (2, 2, 4.5))
     w = initial_window(d, 2.0, bounds)
     assert w.lo.tolist() == [0, 0, 2.5]
     assert w.hi.tolist() == [4, 4, 5]
@@ -113,7 +114,7 @@ def _window_case(seed: int):
     def inside(v, w):
         return pick([v, w, float(rng.uniform(v, w))] + ([0.0, -0.0] if v <= 0.0 <= w else []))
 
-    ends = [Vec3(*(inside(v, w) for v, w in zip(lo, hi))) for _ in range(2)]
+    ends = [[inside(v, w) for v, w in zip(lo, hi)] for _ in range(2)]
     if rng.random() < 0.2:
         ends[1] = ends[0]
     pad = pick([0.0, -0.0, float(rng.uniform(0.0, 1e-3)), float(rng.uniform(0.0, 30.0))])
@@ -143,7 +144,7 @@ def _window_matches_reference(seed: int) -> tuple[bool, bool, bool, bool]:
         clamped |= bool((w.lo == b_lo).any() or (w.hi == b_hi).any())
         degenerate |= bool((w.lo == w.hi).any())
         negative_zero |= bool(np.signbit(corners[corners == 0.0]).any())
-    a, b = d.entry_pose.position.as_array(), d.exit_pose.position.as_array()
+    a, b = np.array(d.entry), np.array(d.exit)
     naive = (np.maximum(np.minimum(a, b) - pad, b_lo).tobytes(),
              np.minimum(np.maximum(a, b) + pad, b_hi).tobytes())
     return clamped, degenerate, negative_zero, naive != (first.lo.tobytes(), first.hi.tobytes())
@@ -166,7 +167,7 @@ def test_windows_equal_the_axis_box_reference():
 def test_a_window_that_overflows_is_refused():
     # the reference's Vec3 refuses an infinite corner; so do the rows
     huge = AxisBox(Vec3(-1e308, -1e308, -1e308), Vec3(1e308, 1e308, 1e308))
-    d = disc_between(Vec3(-1e308, 0, 0), Vec3(1e308, 0, 0))
+    d = disc_between((-1e308, 0, 0), (1e308, 0, 0))
     with np.errstate(over="ignore"):
         for build in (initial_window, window_reference.initial_window):
             with pytest.raises(ValueError):
@@ -209,27 +210,27 @@ def test_sample_sequences_repeat_with_the_seed():
 # nearest_vertex -------------------------------------------------------------
 
 def test_nearest_on_single_node_tree():
-    tree = Tree(Vec3(1, 2, 3))
+    tree = Tree((1, 2, 3))
     assert nearest_vertex(tree, np.array([50.0, 50.0, 50.0])) == 0
 
 
 def test_nearest_prefers_earlier_insertion_on_ties():
-    tree = Tree(Vec3(0, 0, 0))
+    tree = Tree((0, 0, 0))
     tree.add(np.array([10.0, 0.0, 0.0]), 0)
     assert nearest_vertex(tree, np.array([5.0, 0.0, 0.0])) == 0
 
 
 def test_nearest_matches_linear_scan_oracle():
     rng = np.random.default_rng(21)
-    tree = Tree(Vec3(0, 0, 0))
+    tree = Tree((0, 0, 0))
     for _ in range(199):
         parent = int(rng.integers(0, len(tree)))
         tree.add(rng.uniform(-10, 10, 3), parent)
     for _ in range(50):
         q = rng.uniform(-12, 12, 3)
         want = min(range(len(tree)),
-                   key=lambda i: Vec3.from_array(tree.positions[i]).distance_to(
-                       Vec3.from_array(q)))
+                   key=lambda i: Vec3(*tree.positions[i].tolist()).distance_to(
+                       Vec3(*q.tolist())))
         assert nearest_vertex(tree, q) == want
 
 
@@ -380,7 +381,7 @@ def _older_candidates_hold_every_in_radius_node(seed: int) -> int:
     directions = rng.normal(size=(local_planner.BLOCK, 3))
     block = root + rng.uniform(0.0, 6.0, (local_planner.BLOCK, 1)) * (
         directions / np.linalg.norm(directions, axis=1, keepdims=True))
-    tree = Tree(Vec3.from_array(root))
+    tree = Tree(root)
     for x_rand in block:
         away = np.array(extend(root.tolist(), x_rand.tolist(), extend_dist)) - x_rand
         if away.any():
@@ -457,7 +458,7 @@ def test_extend_rejects_degenerate_input():
 
 def test_best_parent_single_node_tree(quad):
     world = make_world()
-    tree = Tree(Vec3(0, 0, 2))
+    tree = Tree((0, 0, 2))
     model = CollisionModel(world, quad)
     assert _best_parent(tree, row(1, 0, 2), 2.0, model) == 0
 
@@ -465,12 +466,12 @@ def test_best_parent_single_node_tree(quad):
 def test_best_parent_breaks_cost_ties_by_insertion_order(quad):
     # root: 0 + 1.5 vs child: 1 + 0.5 -> tie at 1.5, root wins
     world = make_world()
-    tree = Tree(Vec3(0, 0, 2))
+    tree = Tree((0, 0, 2))
     child = tree.add(row(1, 0, 2), 0)
     assert tree.node_costs[child] == pytest.approx(1.0)
     x_new = row(1.5, 0, 2)
-    root_total = tree.node_costs[0] + Vec3(0, 0, 2).distance_to(Vec3.from_array(x_new))
-    child_total = tree.node_costs[child] + Vec3(1, 0, 2).distance_to(Vec3.from_array(x_new))
+    root_total = tree.node_costs[0] + Vec3(0, 0, 2).distance_to(Vec3(*x_new.tolist()))
+    child_total = tree.node_costs[child] + Vec3(1, 0, 2).distance_to(Vec3(*x_new.tolist()))
     assert root_total == pytest.approx(child_total)
     model = CollisionModel(world, quad)
     assert _best_parent(tree, x_new, 2.0, model) == 0
@@ -478,14 +479,14 @@ def test_best_parent_breaks_cost_ties_by_insertion_order(quad):
 
 def test_best_parent_skips_blocked_edges(quad):
     world = make_world((AxisBox(Vec3(0.9, -5, 0), Vec3(1.1, 5, 8)),))
-    tree = Tree(Vec3(0, 0, 2))
+    tree = Tree((0, 0, 2))
     model = CollisionModel(world, quad)
     assert _best_parent(tree, row(2.2, 0, 2), 3.0, model) is None
 
 
 def test_best_parent_ignores_nodes_outside_radius(quad):
     world = make_world()
-    tree = Tree(Vec3(0, 0, 2))
+    tree = Tree((0, 0, 2))
     model = CollisionModel(world, quad)
     assert _best_parent(tree, row(5, 0, 2), 1.0, model) is None
 
@@ -520,7 +521,7 @@ def test_candidate_distances_equal_linalg_norm(rows, p, seed):
 
 def _grow_tree(positions: np.ndarray, rng: np.random.Generator) -> Tree:
     """Tree over `positions` in order, each node under a random earlier one."""
-    tree = Tree(Vec3.from_array(positions[0]))
+    tree = Tree(positions[0])
     for p in positions[1:]:
         tree.add(p, int(rng.integers(0, len(tree))))
     return tree
@@ -589,7 +590,7 @@ def test_best_parent_falls_back_when_the_cheapest_edge_is_blocked(seed):
     u = rng.normal(size=3)
     x_new = root + rng.uniform(1.5, 3.0) * u / np.linalg.norm(u)
     mid, half = (root + x_new) / 2, rng.uniform(0.05, 0.3, 3)
-    world = make_world((AxisBox(Vec3.from_array(mid - half), Vec3.from_array(mid + half)),),
+    world = make_world((AxisBox(Vec3(*(mid - half).tolist()), Vec3(*(mid + half).tolist())),),
                        lo=(-10, -10, -10), hi=(10, 10, 10))
     model = CollisionModel(world, BP_QUAD)
     assume(model.free_points(np.vstack([root, x_new])).all())
@@ -606,9 +607,9 @@ def test_best_parent_falls_back_when_the_cheapest_edge_is_blocked(seed):
 def _random_obstacle(rng):
     lo = rng.uniform(-3, 3, 3)
     if rng.random() < 0.5:
-        return Cylinder(Vec3.from_array(lo), float(rng.uniform(0.1, 1.0)),
+        return Cylinder(Vec3(*lo.tolist()), float(rng.uniform(0.1, 1.0)),
                         float(rng.uniform(0.5, 3.0)))
-    return AxisBox(Vec3.from_array(lo), Vec3.from_array(lo + rng.uniform(0.1, 2.0, 3)))
+    return AxisBox(Vec3(*lo.tolist()), Vec3(*(lo + rng.uniform(0.1, 2.0, 3)).tolist()))
 
 
 @settings(max_examples=200, deadline=None)
@@ -638,7 +639,7 @@ def _cheapest_endpoint_blocked_case(seed: int):
     nothing, so its edge is the cheapest. None if the draws never give that."""
     rng = np.random.default_rng(seed)
     lo = rng.uniform(-6, 6, 3)
-    raw = AxisBox(Vec3.from_array(lo), Vec3.from_array(lo + rng.uniform(1, 4, 3)))
+    raw = AxisBox(Vec3(*lo.tolist()), Vec3(*(lo + rng.uniform(1, 4, 3)).tolist()))
     world = make_world((raw,), lo=(-20, -20, -20), hi=(20, 20, 20))
     model = CollisionModel(world, BP_QUAD)
     box, = model.inflated
@@ -700,13 +701,13 @@ def _segment_case(seed: int):
         if rng.random() < 0.5:
             if rng.random() < 0.4:
                 base[2] = rng.uniform(-2.0, 0.0)  # sunken: inflation keeps its base
-            obstacles.append(Cylinder(Vec3.from_array(base), float(rng.uniform(0.1, 1.0)),
+            obstacles.append(Cylinder(Vec3(*base.tolist()), float(rng.uniform(0.1, 1.0)),
                                       float(rng.uniform(0.5, 3.0))))
         else:
-            obstacles.append(AxisBox(Vec3.from_array(base),
-                                     Vec3.from_array(base + rng.uniform(0.1, 2.0, 3))))
-    world = World(AxisBox(Vec3.from_array(lo), Vec3.from_array(hi)), obstacle_rows(obstacles),
-                  Vec3.from_array((lo + hi) / 2))
+            obstacles.append(AxisBox(Vec3(*base.tolist()),
+                                     Vec3(*(base + rng.uniform(0.1, 2.0, 3)).tolist())))
+    world = World(AxisBox(Vec3(*lo.tolist()), Vec3(*hi.tolist())), obstacle_rows(obstacles),
+                  Vec3(*((lo + hi) / 2).tolist()))
     model = CollisionModel(world, BP_QUAD)
     gap = float(rng.choice(TOUCH))
     rows = model.inflated
@@ -835,7 +836,7 @@ def _clustered_case(seed: int):
     if rng.random() < 1 / 3 and best is not None:
         mid, half = (tree.positions[best] + x_new) / 2, rng.uniform(0.01, 0.1, 3)
         world = dataclasses.replace(world, rows=obstacle_rows(world.obstacles + (
-            AxisBox(Vec3.from_array(mid - half), Vec3.from_array(mid + half)),)))
+            AxisBox(Vec3(*(mid - half).tolist()), Vec3(*(mid + half).tolist())),)))
     return world, tree, x_new, radius, step
 
 
@@ -889,7 +890,7 @@ def _near_tie_case(seed: int):
     x_new = np.round(rng.uniform(-3, 3, 3) * 8) / 8
     radius = float(rng.uniform(0.8, 3.0))
     u = _unit(rng.normal(size=3))
-    tree = Tree(Vec3.from_array(fine(x_new + rng.uniform(radius + 0.1, radius + 2) * u)))
+    tree = Tree(fine(x_new + rng.uniform(radius + 0.1, radius + 2) * u))
     for _ in range(int(rng.integers(0, 6))):
         tree.add(fine(x_new + rng.uniform(-radius - 2, radius + 2, 3)),
                  int(rng.integers(len(tree))))
@@ -924,7 +925,7 @@ def _near_tie_case(seed: int):
     best = _cheapest(tree, x_new, radius)
     if rng.random() < 1 / 3 and best is not None and tree.rows[best] != x_new.tolist():
         mid, half = (tree.positions[best] + x_new) / 2, rng.uniform(0.005, 0.05, 3)
-        world = make_world((AxisBox(Vec3.from_array(mid - half), Vec3.from_array(mid + half)),),
+        world = make_world((AxisBox(Vec3(*(mid - half).tolist()), Vec3(*(mid + half).tolist())),),
                            lo=(-10, -10, -10), hi=(10, 10, 10))
     dists = rrt_reference._distances(tree, x_new)
     near = np.flatnonzero((dists <= radius) | (rng.random(len(tree)) < 0.5)).tolist()
@@ -976,7 +977,7 @@ def test_best_parent_breaks_near_ties_as_linalg_norm_does():
 def empty_world_disc(distance=6.0):
     world = make_world(lo=(-20, -20, 0), hi=(20, 20, 10))
     half = distance / 2
-    d = disc_between(Vec3(-half, 0, 2), Vec3(half, 0, 2))
+    d = disc_between((-half, 0, 2), (half, 0, 2))
     return world, d
 
 
@@ -986,8 +987,8 @@ def test_rrt_star_finds_near_straight_paths_in_the_open(quad):
     for seed in range(5):
         lp = rrt_star_run(d, model, RrtParams(extend_dist=1.0, seed=seed), 0).path
         assert lp is not None
-        assert Vec3.from_array(lp.positions[0]) == d.entry_pose.position
-        assert Vec3.from_array(lp.positions[-1]) == d.exit_pose.position
+        assert tuple(lp.positions[0].tolist()) == d.entry
+        assert tuple(lp.positions[-1].tolist()) == d.exit
         assert lp.cost <= 6.9
 
 
@@ -1003,7 +1004,7 @@ def test_rrt_star_returns_none_for_an_enclosed_exit(quad):
     )
     model = CollisionModel(make_world(shell), quad)
     assert point_free(model, exit_p)
-    d = disc_between(Vec3(0, 0, 2), exit_p)
+    d = disc_between((0, 0, 2), exit_p.as_array())
     params = RrtParams(seed=3, max_loops=300)
     assert rrt_star_run(d, model, params, 0).path is None
 
@@ -1012,7 +1013,7 @@ def test_rrt_star_detour_survives_dense_revalidation(quad):
     # cylinder sits off-axis so a detour fits inside the level-0 window
     world = make_world((Cylinder(Vec3(0, 0.9, 0), 0.5, 5.0),),
                        target=(0.0, 5.0, 1.5))
-    d = disc_between(Vec3(-3, 0, 2), Vec3(3, 0, 2))
+    d = disc_between((-3, 0, 2), (3, 0, 2))
     model = CollisionModel(world, quad)
     for seed in range(5):
         lp = rrt_star_run(d, model, RrtParams(seed=seed), 0).path
@@ -1034,8 +1035,8 @@ def test_rrt_star_tree_invariants(quad):
     for i in range(1, len(tree)):
         parent = tree.parents[i]
         assert parent is not None and parent < i
-        edge = Vec3.from_array(tree.positions[i]).distance_to(
-            Vec3.from_array(tree.positions[parent]))
+        edge = Vec3(*tree.positions[i].tolist()).distance_to(
+            Vec3(*tree.positions[parent].tolist()))
         recomputed[i] = recomputed[parent] + edge
         assert tree.node_costs[i] == pytest.approx(recomputed[i], rel=1e-9)
 
@@ -1051,7 +1052,7 @@ def test_a_sample_a_subnormal_away_from_its_nearest_node_is_skipped(quad, monkey
     # 5e-324 from a node at 0.0 squares to 0, so `extend` refuses the sample;
     # the loop skips it as it skips a sample on a node, and grows the same
     # tree from the samples after it (it once raised DegenerateExtend)
-    d = disc_between(Vec3(0, 0, 2), Vec3(3, 0, 2))
+    d = disc_between((0, 0, 2), (3, 0, 2))
     model = CollisionModel(make_world(), quad)
     params = RrtParams(max_loops=40, seed=3)
     with pytest.raises(DegenerateExtend):
@@ -1119,7 +1120,7 @@ def _blocked_case(seed: int):
             obstacles.append(Cylinder(Vec3(at[0], at[1], max(at[2] - size[2], 0.0)),
                                       float(size[0]), float(2 * size[2])))
         else:
-            obstacles.append(AxisBox(Vec3.from_array(at - size), Vec3.from_array(at + size)))
+            obstacles.append(AxisBox(Vec3(*(at - size).tolist()), Vec3(*(at + size).tolist())))
     world = make_world(tuple(obstacles), lo=(-12, -12, 0), hi=(12, 12, 10))
     quad = QuadModel(body_radius=float(rng.uniform(0.1, 0.4)),
                      safety_margin=float(rng.uniform(0.0, 0.3)))
@@ -1133,7 +1134,7 @@ def _blocked_case(seed: int):
                        goal_radius=float(rng.uniform(0.3, 1.5)),
                        window_pad=0.0 if flat else float(rng.uniform(0.0, 2.0)),
                        seed=seed)
-    d = disc_between(Vec3.from_array(entry), Vec3.from_array(exit_))
+    d = disc_between(entry, exit_)
     return d, CollisionModel(world, quad), params, int(rng.integers(0, 3)), grid
 
 
@@ -1219,7 +1220,7 @@ def _goal_checks(d, model, params, level, monkeypatch) -> tuple[int, int]:
     oracle's facts and, of every goal check, that its cost could beat the
     best goal cost so far. Returns the goal checks made and the nodes within
     `goal_radius` of the exit."""
-    goal = d.exit_pose.position.as_array().tolist()
+    goal = d.exit
 
     def goal_dist(p) -> float:
         dx, dy, dz = p[0] - goal[0], p[1] - goal[1], p[2] - goal[2]
@@ -1229,7 +1230,7 @@ def _goal_checks(d, model, params, level, monkeypatch) -> tuple[int, int]:
 
     def recording(self, a, b):
         free = segment_free(self, a, b)
-        if list(b) == goal:
+        if tuple(b) == goal:
             checks.append((tuple(a), free))
         return free
 
@@ -1423,7 +1424,7 @@ SLAB = AxisBox(Vec3(-0.5, -5, -5), Vec3(0.5, 5, 5))
 def certified(obstacles, a=Vec3(-3, 0, 0), b=Vec3(3, 0, 0), quad=QuadModel()):
     """walled_off at level 0 of the default window (x -4..4, y and z -1..1)."""
     model = CollisionModel(make_world(obstacles, **OPEN_BOUNDS), quad)
-    d = disc_between(a, b)
+    d = disc_between(a.as_array(), b.as_array())
     return walled_off(d, *level_window(d, model, RrtParams(), 0))
 
 
@@ -1456,7 +1457,7 @@ def _slab_case(seed: int):
     ends = [Vec3(-3, 0, 0), Vec3(3, 0, 0)]
     if rng.random() < 0.5:
         ends.reverse()
-    return (AxisBox(Vec3.from_array(lo), Vec3.from_array(hi)), _swap(ends[0], axis),
+    return (AxisBox(Vec3(*lo.tolist()), Vec3(*hi.tolist())), _swap(ends[0], axis),
             _swap(ends[1], axis), growth, bodies.tolist())
 
 
@@ -1474,7 +1475,8 @@ def _slab_walls_off(seed: int) -> int:
         thin += row[MAX][axis] - row[MIN][axis] < CULL_PAD
         assert certified([slab], a, b, quad=quad)
         params = RrtParams(max_loops=60, seed=seed)
-        assert rrt_star_run(disc_between(a, b), model, params, 0).path is None
+        assert rrt_star_run(disc_between(a.as_array(), b.as_array()), model, params,
+                            0).path is None
     return thin
 
 
@@ -1600,7 +1602,7 @@ def _single_box_span(seed: int):
     params = RrtParams(extend_dist=u(0.3, 2.5), goal_radius=u(0.3, 2.0), max_loops=150,
                        window_pad=u(0.2, 1.5), window_growth=u(1.2, 2.0),
                        seed=int(rng.integers(0, 2 ** 32, endpoint=True)))
-    d = disc_between(along(ends[0]), along(ends[1]))
+    d = disc_between(along(ends[0]).as_array(), along(ends[1]).as_array())
     quad = QuadModel()
     bounds = AxisBox(along(lo), along(hi))
     if flat is not None:
@@ -1623,7 +1625,7 @@ def _single_box_span(seed: int):
 
 def _span(d, window):
     """The box spanned by `window` and both endpoints, as (lo, hi)."""
-    ends = (d.entry_pose.position.as_array(), d.exit_pose.position.as_array())
+    ends = (np.array(d.entry), np.array(d.exit))
     return (np.minimum.reduce((window.lo, *ends)),
             np.maximum.reduce((window.hi, *ends)))
 
@@ -1631,8 +1633,7 @@ def _span(d, window):
 def _padded_walled_off(d, window, model):
     """`walled_off` with CULL_PAD on every face of the span."""
     lo, hi = _span(d, window)
-    return model.separates(d.entry_pose.position.as_array(),
-                           d.exit_pose.position.as_array(), lo - CULL_PAD, hi + CULL_PAD)
+    return model.separates(np.array(d.entry), np.array(d.exit), lo - CULL_PAD, hi + CULL_PAD)
 
 
 def _walled_off_levels(seed: int) -> tuple[int, int]:
@@ -1813,17 +1814,17 @@ def test_rrt_params_reject_nan(field):
 
 
 def test_tree_rejects_unknown_parents():
-    tree = Tree(Vec3(0, 0, 0))
+    tree = Tree((0, 0, 0))
     with pytest.raises(ValueError):
         tree.add(row(1, 0, 0), 5)
 
 
 def test_tree_node_accessor_and_root_path():
-    tree = Tree(Vec3(0, 0, 0))
+    tree = Tree((0, 0, 0))
     a = tree.add(row(1, 0, 0), 0)
     b = tree.add(row(1, 1, 0), a)
     assert tree.parents[b] == a
-    assert Vec3.from_array(tree.positions[b]) == Vec3(1, 1, 0)
+    assert tree.positions[b].tolist() == [1, 1, 0]
     assert tree.node_costs[b] == pytest.approx(2.0)
     assert tree.path_from_root(b).tolist() == [[0, 0, 0], [1, 0, 0], [1, 1, 0]]
 

@@ -76,11 +76,12 @@ def test_splices_equal_the_per_pose_splice():
         arc, old_arc = generate_arc(spec), ref.generate_arc(spec)
         entry = int(rng.integers(0, len(arc) - 1))
         exit_ = int(rng.integers(entry + 1, len(arc)))
-        d = Discontinuity(entry, exit_, arc[entry], arc[exit_])
+        d = Discontinuity(entry, exit_, tuple(arc.rows[entry, :3].tolist()),
+                          tuple(arc.rows[exit_, :3].tolist()))
         scale = max(abs(v) for v in (*arc.rows[entry, :3], *arc.rows[exit_, :3]))
         interior = [Vec3(*(rng.uniform(-1, 1, 3) * scale).tolist())
                     for _ in range(int(rng.integers(0, 21)))]
-        ends = [d.entry_pose.position, d.exit_pose.position]
+        ends = [Vec3(*d.entry), Vec3(*d.exit)]
         if i % 10 == 9:
             # a detour that misses one end by about the tolerance or more
             offset = float(rng.choice([1e-6, 2e-6, 0.5]))

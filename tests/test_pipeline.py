@@ -29,7 +29,8 @@ from test_discontinuity import thin_obstacles
 
 
 def fake_disc(path: GlobalPath, entry: int, exit_: int) -> Discontinuity:
-    return Discontinuity(entry, exit_, path[entry], path[exit_])
+    rows = path.position_array().tolist()
+    return Discontinuity(entry, exit_, tuple(rows[entry]), tuple(rows[exit_]))
 
 
 # splice ---------------------------------------------------------------------
@@ -37,8 +38,7 @@ def fake_disc(path: GlobalPath, entry: int, exit_: int) -> Discontinuity:
 def test_splice_straight_detour_drops_the_blocked_samples():
     arc = generate_arc(demo_shot())
     d = fake_disc(arc, 10, 16)
-    lp = LocalPath(arc.position_array()[[10, 16]],
-                   d.entry_pose.position.distance_to(d.exit_pose.position))
+    lp = LocalPath(arc.position_array()[[10, 16]], math.dist(d.entry, d.exit))
     out = splice(arc, d, lp)
     assert len(out) == len(arc) - (16 - 10 - 1)
     assert np.array_equal(out.rows[:11], arc.rows[:11])
@@ -48,15 +48,12 @@ def test_splice_straight_detour_drops_the_blocked_samples():
 def test_splice_inserts_the_detour_interior_verbatim():
     arc = generate_arc(demo_shot())
     d = fake_disc(arc, 20, 30)
-    interior = (Vec3(1.0, 9.0, 2.0), Vec3(0.0, 9.5, 2.1), Vec3(-1.0, 9.0, 2.0))
-    cost = sum(a.distance_to(b) for a, b in zip(
-        (d.entry_pose.position, *interior),
-        (*interior, d.exit_pose.position)))
-    out = splice(arc, d, LocalPath(
-        [p.as_array() for p in (d.entry_pose.position, *interior, d.exit_pose.position)],
-        cost))
+    interior = ((1.0, 9.0, 2.0), (0.0, 9.5, 2.1), (-1.0, 9.0, 2.0))
+    points = (d.entry, *interior, d.exit)
+    cost = sum(math.dist(a, b) for a, b in zip(points, points[1:]))
+    out = splice(arc, d, LocalPath(points, cost))
     replaced = [out[i] for i in range(21, 21 + len(interior))]
-    assert tuple(p.position for p in replaced) == interior
+    assert tuple((p.position.x, p.position.y, p.position.z) for p in replaced) == interior
     target = arc.spec.target
     for pose in replaced:
         p = pose.position
@@ -69,9 +66,20 @@ def test_splice_inserts_the_detour_interior_verbatim():
 def test_splice_rejects_mismatched_endpoints():
     arc = generate_arc(demo_shot())
     d = fake_disc(arc, 10, 16)
-    off = d.entry_pose.position + Vec3(1e-4, 0, 0)
+    off = (d.entry[0] + 1e-4, *d.entry[1:])
     with pytest.raises(SpliceMismatch):
-        splice(arc, d, LocalPath([off.as_array(), d.exit_pose.position.as_array()], 1.0))
+        splice(arc, d, LocalPath([off, d.exit], 1.0))
+
+
+@pytest.mark.parametrize("end", [0, -1])
+def test_splice_refuses_a_nan_detour_end(end):
+    # a NaN gap fails the tolerance test as a mismatch, not as a ValueError
+    arc = generate_arc(demo_shot())
+    d = fake_disc(arc, 10, 16)
+    positions = arc.position_array()[[10, 13, 16]]
+    positions[end] = math.nan
+    with pytest.raises(SpliceMismatch, match="nan"):
+        splice(arc, d, LocalPath(positions, math.nan))
 
 
 def test_splice_requires_a_shot_spec_for_yaw():
@@ -160,9 +168,9 @@ def test_validate_matches_the_per_segment_oracle(seed):
 
     def obstacle(lo):
         if rng.random() < 0.5:
-            return Cylinder(Vec3.from_array(lo), float(rng.uniform(0.1, 1.2)),
+            return Cylinder(Vec3(*lo.tolist()), float(rng.uniform(0.1, 1.2)),
                             float(rng.uniform(0.5, 4.0)))
-        return AxisBox(Vec3.from_array(lo), Vec3.from_array(lo + rng.uniform(0.1, 2.5, 3)))
+        return AxisBox(Vec3(*lo.tolist()), Vec3(*(lo + rng.uniform(0.1, 2.5, 3)).tolist()))
 
     obstacles = [obstacle(rng.uniform((-5, -5, 0), (5, 5, 4)))
                  for _ in range(int(rng.integers(0, 5)))]
@@ -399,6 +407,22 @@ def test_no_source_sends_floats_through_blas():
                             and not any(k.arg == "axis" for k in node.keywords))):
                     calls.append(f"{where} {name}")
     assert calls == []
+
+
+def test_no_planner_stage_names_vec3_or_pose4():
+    # the scan, the detour planner and the splice hand positions on as rows
+    # and three-float tuples; Vec3 and Pose4 stay at the file and API edges
+    names = []
+    for stage in ("discontinuity", "local_planner", "pipeline"):
+        path = Path(arcshot.__file__).parent / f"{stage}.py"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+            if isinstance(node, ast.Name) and node.id in ("Vec3", "Pose4"):
+                names.append(f"{where} {node.id}")
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names += [f"{where} import {alias.name}" for alias in node.names
+                          if alias.name.rsplit(".", 1)[-1] in ("Vec3", "Pose4")]
+    assert names == []
 
 
 def _plan_facts(result):

@@ -176,14 +176,14 @@ def test_obstacle_layer_equals_the_per_element_reference(canvas, obstacles):
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(_VALUE, _VALUE, st.integers(0, 10 ** 6)), max_size=10))
 def test_tree_overlay_equals_the_per_edge_reference(nodes):
-    tree = Tree(Vec3(0.0, -0.0, 0.0))
+    tree = Tree((0.0, -0.0, 0.0))
     world = make_world()
     with np.errstate(over="ignore"):
         for x, y, parent in nodes:
             tree.add(np.array([x, y, 0.0]), parent % len(tree))
         # a root-only tree draws no edge
         svg = render_scene(CollisionModel(world, QuadModel()),
-                           trees=[tree, Tree(Vec3(1.0, 1.0, 1.0))])
+                           trees=[tree, Tree((1.0, 1.0, 1.0))])
         lines = render_reference.tree_lines(_Canvas(world.bounds, 900), tree)
     assert _group(svg, "tree") == "".join(f"\n{line}" for line in lines) + "\n"
 

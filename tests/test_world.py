@@ -519,7 +519,7 @@ def _binade_face_case(seed: int):
     else:
         lo[axis] = quad.growth - face
         hi[axis] = lo[axis] + 1.0
-    world = make_world((AxisBox(Vec3.from_array(lo), Vec3.from_array(hi)),),
+    world = make_world((AxisBox(Vec3(*lo.tolist()), Vec3(*hi.tolist())),),
                        lo=(-20, -20, -20), hi=(20, 20, 20))
     model = CollisionModel(world, quad)
     row, = model.inflated
@@ -744,13 +744,13 @@ def _point_case(seed: int):
         if rng.random() < 0.5:
             if rng.random() < 0.4:
                 base[2] = rng.uniform(-2.0, 0.0)  # sunken: inflation keeps its base
-            obstacles.append(Cylinder(Vec3.from_array(base), float(rng.uniform(0.1, 1.0)),
+            obstacles.append(Cylinder(Vec3(*base.tolist()), float(rng.uniform(0.1, 1.0)),
                                       float(rng.uniform(0.5, 3.0))))
         else:
-            obstacles.append(AxisBox(Vec3.from_array(base),
-                                     Vec3.from_array(base + rng.uniform(0.1, 2.0, 3))))
-    world = World(AxisBox(Vec3.from_array(lo), Vec3.from_array(hi)), obstacle_rows(obstacles),
-                  Vec3.from_array((lo + hi) / 2))
+            obstacles.append(AxisBox(Vec3(*base.tolist()),
+                                     Vec3(*(base + rng.uniform(0.1, 2.0, 3)).tolist())))
+    world = World(AxisBox(Vec3(*lo.tolist()), Vec3(*hi.tolist())), obstacle_rows(obstacles),
+                  Vec3(*((lo + hi) / 2).tolist()))
     model = CollisionModel(world, QuadModel(body_radius=float(rng.uniform(0.05, 0.4)),
                                             safety_margin=float(rng.uniform(0.0, 0.3))))
     rows = model.inflated

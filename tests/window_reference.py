@@ -39,9 +39,9 @@ def clipped_to(box: AxisBox, other: AxisBox) -> AxisBox:
 
 
 def initial_window(d: Discontinuity, pad: float, bounds: AxisBox) -> AxisBox:
-    """Bounding box of the entry/exit poses, padded, clamped to world bounds."""
-    a = d.entry_pose.position
-    b = d.exit_pose.position
+    """Bounding box of the entry and exit, padded, clamped to world bounds."""
+    a = Vec3(*d.entry)
+    b = Vec3(*d.exit)
     box = AxisBox(
         Vec3(min(a.x, b.x), min(a.y, b.y), min(a.z, b.z)),
         Vec3(max(a.x, b.x), max(a.y, b.y), max(a.z, b.z)),
