@@ -8,8 +8,8 @@ result with a kinematic waypoint follower.
 from .discontinuity import Discontinuity, find_discontinuities
 from .errors import (ArcshotError, DegenerateArc, DegenerateExtend,
                      DegenerateHeading, EndpointBlocked, LocalPlanFailed,
-                     SchemaError, SpliceMismatch, TimeoutExceeded,
-                     VacuousBench, ValidationFailed)
+                     SchemaError, SpliceMismatch, TakeoffBlocked,
+                     TimeoutExceeded, VacuousBench, ValidationFailed)
 from .executor import FollowConfig, SimState, command_for, follow
 from .local_planner import (LocalPath, RrtParams, SearchWindow, Tree,
                             expand_window, extend, initial_window, nearest_vertex,

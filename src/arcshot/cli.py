@@ -20,11 +20,12 @@ from . import bench as bench_mod
 from . import fileio, render
 from .errors import (ArcshotError, DegenerateArc, DegenerateHeading,
                      EndpointBlocked, LocalPlanFailed, SchemaError,
-                     TimeoutExceeded, VacuousBench, ValidationFailed)
+                     TakeoffBlocked, TimeoutExceeded, VacuousBench,
+                     ValidationFailed)
 from .executor import SimState, follow
 from .pipeline import plan_shot, validate
 from .shot import generate_arc
-from .world import CollisionModel, Vec3
+from .world import CULL_PAD, CollisionModel, Vec3
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -43,6 +44,7 @@ _ERROR_EXITS = (
     (EndpointBlocked, EXIT_ENDPOINT_BLOCKED),
     (LocalPlanFailed, EXIT_LOCAL_PLAN_FAILED),
     (ValidationFailed, EXIT_VALIDATION_FAILED),
+    (TakeoffBlocked, EXIT_VALIDATION_FAILED),
     (TimeoutExceeded, EXIT_TIMEOUT),
     (VacuousBench, EXIT_VACUOUS_BENCH),
 )
@@ -137,6 +139,12 @@ def _cmd_execute(args) -> int:
     offending = validate(path, model)
     if offending is not None:
         raise ValidationFailed(offending)
+    # `follow` first climbs straight up from the ground to the first pose.
+    # `segment_free` keeps CULL_PAD from every bounds face but a ground at
+    # exactly 0.0, so the column starts one pad up, in any world.
+    bottom, top = (x, y, ground + CULL_PAD), (x, y, z)
+    if not model.segment_free(bottom, top):
+        raise TakeoffBlocked(bottom, top)
 
     out = _out_dir(args)
     try:

@@ -52,6 +52,14 @@ class ValidationFailed(ArcshotError):
         super().__init__(f"path segment {segment_index} is in collision")
 
 
+class TakeoffBlocked(ArcshotError):
+    """The vertical takeoff climb up to a path's first pose is not free."""
+
+    def __init__(self, bottom, top):
+        super().__init__(f"takeoff climb from {bottom} up to the first pose {top} "
+                         f"is in collision")
+
+
 class TimeoutExceeded(ArcshotError):
     """Simulation ran out of time; carries the partial state log."""
 

@@ -1,7 +1,10 @@
 """Kinematic waypoint follower: takeoff, then track the path with velocity
 commands, integrated with explicit Euler at a fixed rate.
 
-The loop runs on plain floats and logs one row (x, y, z, yaw, t) per state.
+`follow` runs one inner loop per waypoint on plain local floats and logs one
+row (x, y, z, yaw, t) per state. Each step is `command_for` and `wrap_to_pi`
+written out in place, every float operation in their order, so the log is
+theirs bit for bit; `command_for` stays the control law's one named form.
 `SimState` and `Vec3` appear only at the start state, the API boundary, and
 where `Vec3` raises its own error on a coordinate that overflowed.
 """
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import TimeoutExceeded
-from .shot import GlobalPath, wrap_to_pi
+from .shot import GlobalPath
 from .world import QuadModel, Vec3
 
 # Column order of a state log row.
@@ -73,7 +76,10 @@ def follow(path: GlobalPath, start: SimState, cfg: FollowConfig,
     TimeoutExceeded (carrying the partial log) if cfg.max_time elapses first, and
     ValueError where `Vec3` arithmetic would meet a non-finite coordinate.
     """
-    dt, tolerance, max_time = cfg.dt, cfg.waypoint_tolerance, cfg.max_time
+    dt, k_p, tolerance, max_time = cfg.dt, cfg.k_p, cfg.waypoint_tolerance, cfg.max_time
+    max_speed, max_yaw_rate = quad.max_speed, quad.max_yaw_rate
+    min_yaw_rate = -max_yaw_rate
+    sqrt, remainder, pi, tau, inf = math.sqrt, math.remainder, math.pi, math.tau, math.inf
 
     p = start.position
     targets = path.rows.tolist()
@@ -81,29 +87,40 @@ def follow(path: GlobalPath, start: SimState, cfg: FollowConfig,
 
     x, y, z, yaw, t = p.x, p.y, p.z, start.yaw, start.time
     log = [x, y, z, yaw, t]
-    active = 0
-    tx, ty, tz, tyaw = targets[0]
-    while True:
-        ex, ey, ez = tx - x, ty - y, tz - z
-        norm = math.sqrt(ex * ex + ey * ey + ez * ez)
-        if not norm < math.inf:
-            # An overflowed difference, or a position the last step overflowed,
-            # raises as Vec3 does; an overflow of the norm alone goes on.
-            Vec3(x, y, z) - Vec3(tx, ty, tz)
-        if norm <= tolerance:
-            active += 1
-            if active == len(targets):
-                return _rows(log)
-            tx, ty, tz, tyaw = targets[active]
-            continue
-        if t + dt > max_time:
-            raise TimeoutExceeded(_rows(log))
-        vx, vy, vz, yaw_rate = command_for(ex, ey, ez, norm, wrap_to_pi(tyaw - yaw),
-                                           cfg, quad)
-        x, y, z = x + vx * dt, y + vy * dt, z + vz * dt
-        yaw = wrap_to_pi(yaw + yaw_rate * dt)
-        t = t + dt
-        log += (x, y, z, yaw, t)
+    extend = log.extend
+    for tx, ty, tz, tyaw in targets:
+        while True:
+            ex, ey, ez = tx - x, ty - y, tz - z
+            norm = sqrt(ex * ex + ey * ey + ez * ez)
+            if not norm < inf:
+                # An overflowed difference, or a position the last step
+                # overflowed, raises as Vec3 does; an overflow of the norm
+                # alone goes on.
+                Vec3(x, y, z) - Vec3(tx, ty, tz)
+            if norm <= tolerance:
+                break
+            if t + dt > max_time:
+                raise TimeoutExceeded(_rows(log))
+            # command_for, with wrap_to_pi of the yaw error
+            k = max_speed / norm if k_p * norm > max_speed else k_p
+            yaw_err = remainder(tyaw - yaw, tau)
+            if yaw_err == -pi:
+                yaw_err = pi
+            yaw_rate = k_p * yaw_err
+            # max(-max_yaw_rate, min(max_yaw_rate, yaw_rate))
+            if not yaw_rate < max_yaw_rate:
+                yaw_rate = max_yaw_rate
+            elif not yaw_rate > min_yaw_rate:
+                yaw_rate = min_yaw_rate
+            x = x + ex * k * dt
+            y = y + ey * k * dt
+            z = z + ez * k * dt
+            yaw = remainder(yaw + yaw_rate * dt, tau)
+            if yaw == -pi:
+                yaw = pi
+            t = t + dt
+            extend((x, y, z, yaw, t))
+    return _rows(log)
 
 
 def _rows(log: list[float]) -> np.ndarray:

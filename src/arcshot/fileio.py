@@ -430,15 +430,16 @@ _TRAJECTORY_COLUMNS = [LOG_COLUMNS.index(k) for k in TRAJECTORY_KEYS]
 
 def _poses_json(keys: tuple[str, ...], values: list) -> str:
     """Text of a path file whose poses map the sorted `keys` to consecutive
-    runs of `values` (one or more poses).
+    runs of `values` (one or more poses), finite numbers.
 
     Equals `json.dumps(data, indent=2, sort_keys=True) + "\\n"` byte for byte:
-    each number is formatted by the compact C encoder, whose tokens are the
-    indented encoder's, and placed into a fixed per-pose template.
+    the encoder writes a finite float or an int as its `repr`, and the `str`
+    of a Python float or int, or of a numpy float64, is that same text. So
+    each value fills a `%s` slot of a fixed per-pose template and is
+    formatted once.
     """
-    tokens = json.dumps(values)[1:-1].split(", ")
     pose = "    {\n" + ",\n".join(f'      "{k}": %s' for k in keys) + "\n    }"
-    body = ",\n".join([pose] * (len(tokens) // len(keys))) % tuple(tokens)
+    body = ",\n".join([pose] * (len(values) // len(keys))) % tuple(values)
     return ('{\n  "poses": [\n' + body
             + f'\n  ],\n  "schema": "{PATH_SCHEMA}"\n}}\n')
 
@@ -452,8 +453,12 @@ def save_path(path_obj: GlobalPath, file: Path) -> None:
 
 
 def save_trajectory(log: np.ndarray, file: Path) -> None:
-    """Write a state log (rows with columns LOG_COLUMNS) as a path file with times."""
+    """Write a state log (rows with columns LOG_COLUMNS) as a path file with
+    times. Raises ValueError, writing nothing, on a non-finite value, which
+    the path loader would refuse."""
     rows = np.asarray(log, dtype=float)[:, _TRAJECTORY_COLUMNS]
+    if not np.isfinite(rows).all():
+        raise ValueError("trajectory log holds a non-finite value")
     _write_poses(file, TRAJECTORY_KEYS, rows.ravel().tolist())
 
 

@@ -65,7 +65,8 @@ def splice(path: GlobalPath, d: Discontinuity, lp: LocalPath) -> GlobalPath:
     """Replace the samples strictly between entry and exit with the detour.
 
     Inserted samples keep the detour's own spacing and get target-facing yaw.
-    A detour end farther than SPLICE_TOLERANCE from the span's, or NaN, is a mismatch.
+    A detour end farther than SPLICE_TOLERANCE from the span's, or NaN, is a
+    mismatch, and so is a non-finite interior row.
     """
     first, last = (tuple(p) for p in lp.positions[[0, -1]].tolist())
     if not _gap(first, d.entry) <= SPLICE_TOLERANCE:
@@ -74,6 +75,11 @@ def splice(path: GlobalPath, d: Discontinuity, lp: LocalPath) -> GlobalPath:
     if not _gap(last, d.exit) <= SPLICE_TOLERANCE:
         raise SpliceMismatch(
             f"local path ends {last} but discontinuity exits at {d.exit}")
+    bad = np.flatnonzero(~np.isfinite(lp.positions).all(axis=1))
+    if bad.size:
+        i = int(bad[0])
+        raise SpliceMismatch(
+            f"local path row {i} is not finite: {tuple(lp.positions[i].tolist())}")
     if path.spec is None:
         raise SpliceMismatch("path carries no shot spec; cannot aim inserted samples")
 

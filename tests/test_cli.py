@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -321,6 +322,84 @@ def test_execute_refuses_every_path_that_crosses_an_obstacle(tmp_path, capsys):
         capsys.readouterr()
         assert _execute(rows, out) == cli.EXIT_VALIDATION_FAILED
         assert json.loads(capsys.readouterr().err)["error"]["segment"] == first
+        assert not out.exists()
+
+    check()
+
+
+def _execute_in(world: dict, path_rows, out) -> int:
+    """`execute` of `path_rows` in `world` (a world/1 object), default config."""
+    world_file = out.parent / f"{out.name}-world.json"
+    world_file.write_text(json.dumps(world))
+    path = out.parent / f"{out.name}-path.json"
+    fileio.save_path(GlobalPath(np.asarray(path_rows, dtype=float)), path)
+    return cli.main(["execute", "--world", str(world_file), "--path", str(path),
+                     "--out", str(out)])
+
+
+def _flat_world(ground: float, obstacles=()) -> dict:
+    return {"schema": "world/1", "target": [0.0, 0.0, ground + 1.5],
+            "bounds": {"min": [-15.0, -15.0, ground], "max": [15.0, 15.0, ground + 10.0]},
+            "obstacles": list(obstacles)}
+
+
+def test_execute_refuses_a_path_whose_takeoff_climbs_through_an_obstacle(tmp_path, capsys):
+    # the path flies above the demo box, so `validate` passes it, but the
+    # climb from the ground up to its first pose goes through the box
+    out = tmp_path / "exec"
+    assert _execute([(-6.0, -6.0, 5.0, 0.0), (-6.0, -10.0, 5.0, 0.0)],
+                    out) == cli.EXIT_VALIDATION_FAILED
+    assert json.loads(capsys.readouterr().err)["error"] == {
+        "kind": "TakeoffBlocked", "message": "takeoff climb from (-6.0, -6.0, 1e-06) up "
+                                             "to the first pose (-6.0, -6.0, 5.0) is in collision"}
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("ground", [0.0, -2.0, 1.5])
+def test_execute_checks_the_takeoff_column_above_any_ground(ground, tmp_path, capsys):
+    # `segment_free` shrinks every bounds face by CULL_PAD but a ground at
+    # exactly 0.0; the column starts one pad up, so a free climb passes over
+    # any ground and a box over the takeoff point is found over any ground
+    box = {"kind": "box", "min": [-1.0, -1.0, ground + 1.0], "max": [1.0, 1.0, ground + 2.0]}
+    world = _flat_world(ground, [box])
+    pose = (0.0, 0.0, ground + 4.0, 0.0)
+    assert _execute_in(world, [pose], tmp_path / "blocked") == cli.EXIT_VALIDATION_FAILED
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == "TakeoffBlocked"
+    assert not (tmp_path / "blocked").exists()
+    aside = (4.0, 0.0, ground + 4.0, 0.0)
+    assert _execute_in(world, [aside], tmp_path / "free") == cli.EXIT_OK
+    log = fileio.load_path(tmp_path / "free" / "trajectory.json").rows
+    assert log[0, 2] == ground  # the vehicle still starts on the ground
+
+
+def test_execute_refuses_every_takeoff_through_an_obstacle(tmp_path, capsys):
+    # an obstacle anywhere under a random first pose, in worlds of several
+    # grounds: exit 6 names the climb, and no output directory is made
+    runs = iter(range(10 ** 6))
+    growth = QuadModel().growth
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from([0.0, -3.0, 2.5]), st.floats(-12.0, 12.0), st.floats(-12.0, 12.0),
+           st.sampled_from(["box", "cylinder"]), st.floats(0.05, 2.0),
+           st.floats(-0.95, 0.95), st.floats(-0.95, 0.95), st.floats(0.0, 2.0),
+           st.floats(0.1, 3.0), st.floats(1e-3, 3.9), st.floats(-math.pi, math.pi))
+    def check(ground, x, y, kind, size, off_x, off_y, lift, height, clearance, yaw):
+        # the raw obstacle holds the point (x, y, bottom) of the climb
+        cx, cy, bottom = x - off_x * size, y - off_y * size, ground + lift
+        if kind == "box":
+            obstacle = {"kind": "box", "min": [cx - size, cy - size, bottom],
+                        "max": [cx + size, cy + size, bottom + height]}
+        else:
+            obstacle = {"kind": "cylinder", "base_center": [cx, cy, bottom],
+                        "radius": size, "height": height}
+        # the path itself flies level, clear above the inflated obstacle
+        z = bottom + height + growth + clearance
+        rows = [(x, y, z, yaw), (x + (1.0 if x < 0 else -1.0), y, z, yaw)]
+        out = tmp_path / f"exec-{next(runs)}"
+        capsys.readouterr()
+        assert _execute_in(_flat_world(ground, [obstacle]), rows,
+                           out) == cli.EXIT_VALIDATION_FAILED
+        assert json.loads(capsys.readouterr().err)["error"]["kind"] == "TakeoffBlocked"
         assert not out.exists()
 
     check()

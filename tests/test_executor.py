@@ -230,16 +230,30 @@ def assert_replays_match(path, start, cfg, quad):
 
 
 _COORD = st.floats(-12.0, 12.0)
-# yaws on and next to the +-pi seam as well as anywhere in between
+# yaws on and next to the +-pi seam, signed zeros, as well as anywhere in between
 _YAW = st.one_of(
     st.floats(-math.pi, math.pi),
     st.sampled_from([math.pi, -math.pi, math.nextafter(math.pi, 0.0),
-                     math.nextafter(-math.pi, 0.0), math.pi - 1e-9, 1e-300]))
+                     math.nextafter(-math.pi, 0.0), math.pi - 1e-9, 1e-300, 0.0, -0.0]))
+# Edges of one step, each met at the first step: a yaw error of exactly -pi
+# (wrapped to +pi), a yaw rate clamped at exactly +-max_yaw_rate, a yaw error
+# of +-0.0, a command at exactly max_speed (`k_p * norm == max_speed`, which
+# stays proportional), and a timeout before the first target whose clock
+# reaches max_time exactly (`t + dt > max_time` goes on there).
+STEP_EDGES = ("yaw_seam", "yaw_clamp", "yaw_zero", "speed", "timeout")
+
+
+def first_step(path: GlobalPath, start: SimState):
+    """(ex, ey, ez, norm, yaw error) of the first step: the takeoff climb."""
+    ez = path.rows[0, 2].item() - start.position.z
+    return 0.0, 0.0, ez, math.sqrt(ez * ez), wrap_to_pi(path.rows[0, 3].item() - start.yaw)
 
 
 @st.composite
-def replay_cases(draw):
-    rows = [(draw(_COORD), draw(_COORD), draw(st.floats(0.5, 8.0)), draw(_YAW))
+def replay_cases(draw, edge="any"):
+    if edge == "any":
+        edge = draw(st.sampled_from((None, *STEP_EDGES)))
+    rows = [[draw(_COORD), draw(_COORD), draw(st.floats(0.5, 8.0)), draw(_YAW)]
             for _ in range(draw(st.integers(1, 5)))]
     start = SimState(Vec3(draw(_COORD), draw(_COORD), draw(st.floats(0.0, 3.0))),
                      draw(_YAW), draw(st.sampled_from([0.0, 0.37, 5.0])))
@@ -250,13 +264,96 @@ def replay_cases(draw):
     quad = QuadModel(max_speed=draw(st.floats(0.2, 6.0)),
                      max_yaw_rate=draw(st.floats(0.1, 3.0)))
     max_time = draw(st.floats(0.2, 12.0))
-    return GlobalPath(rows), start, replace(cfg, max_time=max_time), quad
+    if edge is not None:
+        # the first target lies beyond any tolerance, so a first step is taken
+        rows[0][2] = start.position.z + draw(st.floats(0.7, 5.0))
+    if edge == "yaw_seam":
+        yaw = draw(st.floats(-math.pi, 0.0, exclude_min=True).filter(
+            lambda yaw: yaw - (yaw + math.pi) == -math.pi))
+        start = replace(start, yaw=yaw + math.pi)
+        rows[0][3] = yaw
+    elif edge == "yaw_zero":
+        rows[0][3] = draw(st.sampled_from([0.0, -0.0]))
+        start = replace(start, yaw=draw(st.sampled_from([0.0, -0.0])))
+    path = GlobalPath(rows)
+    _, _, _, norm, yaw_err = first_step(path, start)
+    if edge == "yaw_clamp" and yaw_err != 0.0:
+        quad = replace(quad, max_yaw_rate=abs(cfg.k_p * yaw_err))
+    elif edge == "speed":
+        quad = replace(quad, max_speed=cfg.k_p * norm)
+    elif edge == "timeout":
+        # max_time is the clock after `steps` steps, where `t + dt > max_time`
+        # must not yet stop; no step covers more than max_speed * dt, so the
+        # first target stays out of reach
+        steps = draw(st.integers(1, 30))
+        max_time = start.time
+        for _ in range(steps):
+            max_time += cfg.dt
+        reach = 0.9 * (norm - cfg.waypoint_tolerance) / (steps * cfg.dt)
+        quad = replace(quad, max_speed=min(quad.max_speed, reach))
+    return path, start, replace(cfg, max_time=max_time), quad
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+@pytest.mark.parametrize("edge", STEP_EDGES)
+def test_replay_cases_meet_each_step_edge(edge, data):
+    path, start, cfg, quad = data.draw(replay_cases(edge))
+    ex, ey, ez, norm, yaw_err = first_step(path, start)
+    assert norm > cfg.waypoint_tolerance
+    if edge == "yaw_seam":
+        assert path.rows[0, 3] - start.yaw == -math.pi and yaw_err == math.pi
+    elif edge == "yaw_clamp":
+        assert yaw_err == 0.0 or abs(cfg.k_p * yaw_err) == quad.max_yaw_rate
+    elif edge == "yaw_zero":
+        assert yaw_err == 0.0
+    elif edge == "speed":
+        assert cfg.k_p * norm == quad.max_speed
+        assert command_for(ex, ey, ez, norm, yaw_err, cfg, quad)[2] == ez * cfg.k_p
+    outcome = assert_replays_match(path, start, cfg, quad)
+    if edge == "timeout":
+        assert outcome == "timeout"
+        with pytest.raises(TimeoutExceeded) as err:
+            follow(path, start, cfg, quad)
+        # the last logged step lands exactly on max_time
+        assert err.value.log[-1, 4] == cfg.max_time
 
 
 @settings(max_examples=150, deadline=None)
 @given(replay_cases())
 def test_float_follow_matches_the_vec3_reference_bit_for_bit(case):
     assert_replays_match(*case)
+
+
+def _gap(row, target) -> float:
+    ex, ey, ez = target[0] - row[0], target[1] - row[1], target[2] - row[2]
+    return math.sqrt(ex * ex + ey * ey + ez * ez)
+
+
+@settings(max_examples=100, deadline=None)
+@given(replay_cases())
+def test_every_logged_step_is_command_for_of_the_state_before_it(case):
+    # `follow` writes the control law out in place; `command_for` and
+    # `wrap_to_pi`, applied to each logged state and the target in force
+    # there, give the next state bit for bit
+    path, start, cfg, quad = case
+    try:
+        log = follow(path, start, cfg, quad)
+    except TimeoutExceeded as exc:
+        log = exc.log
+    targets = [[start.position.x, start.position.y, *path.rows[0, 2:].tolist()],
+               *path.rows.tolist()]
+    rows = log.tolist()
+    active = 0
+    for (x, y, z, yaw, t), after in zip(rows, rows[1:]):
+        while _gap((x, y, z), targets[active]) <= cfg.waypoint_tolerance:
+            active += 1
+        tx, ty, tz, tyaw = targets[active]
+        vx, vy, vz, yaw_rate = command_for(tx - x, ty - y, tz - z, _gap((x, y, z), (tx, ty, tz)),
+                                           wrap_to_pi(tyaw - yaw), cfg, quad)
+        want = (x + vx * cfg.dt, y + vy * cfg.dt, z + vz * cfg.dt,
+                wrap_to_pi(yaw + yaw_rate * cfg.dt), t + cfg.dt)
+        assert [v.hex() for v in after] == [v.hex() for v in want]
 
 
 def test_reference_cases_cover_saturation_and_timeouts():

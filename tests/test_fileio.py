@@ -67,6 +67,17 @@ def test_trajectory_serialization_keeps_time(tmp_path):
     assert len(fileio.load_path(file)) == 2
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_trajectory_writer_refuses_a_non_finite_log(value, tmp_path):
+    # the path loader refuses NaN and Infinity, so no such file is written
+    log = np.array([(0, 0, 0, 0.0, 0.0), (0, 0, 1, 0.1, 0.02), (0, 0, 2, 0.1, 0.04)])
+    log[1, 2] = value
+    file = tmp_path / "traj.json"
+    with pytest.raises(ValueError, match="non-finite"):
+        fileio.save_trajectory(log, file)
+    assert not file.exists()
+
+
 def indented_json(keys, values) -> str:
     """Reference for the pose writer: the indented encoder on built dicts."""
     m = len(keys)

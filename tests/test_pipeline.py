@@ -82,6 +82,17 @@ def test_splice_refuses_a_nan_detour_end(end):
         splice(arc, d, LocalPath(positions, math.nan))
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_splice_refuses_a_non_finite_detour_interior_row(value):
+    # an interior row is a mismatch too, named before `GlobalPath` sees it
+    arc = generate_arc(demo_shot())
+    d = fake_disc(arc, 10, 16)
+    positions = arc.position_array()[[10, 12, 13, 16]]
+    positions[2, 1] = value
+    with pytest.raises(SpliceMismatch, match=r"^local path row 2 is not finite: "):
+        splice(arc, d, LocalPath(positions, 1.0))
+
+
 def test_splice_requires_a_shot_spec_for_yaw():
     arc = generate_arc(demo_shot())
     bare = GlobalPath(arc.rows)  # no spec attached
