@@ -2,7 +2,8 @@
 
 Generate a desired arc around a filming target, find the spans an obstacle
 blocks, repair each with an expanding-window RRT* detour, and execute the
-result with a kinematic waypoint follower.
+result by tracking a reference that moves along it under speed and
+acceleration bounds.
 """
 
 from .discontinuity import Discontinuity, find_discontinuities
@@ -10,7 +11,7 @@ from .errors import (ArcshotError, DegenerateArc, DegenerateExtend,
                      DegenerateHeading, EndpointBlocked, LocalPlanFailed,
                      SchemaError, SpliceMismatch, TakeoffBlocked,
                      TimeoutExceeded, VacuousBench, ValidationFailed)
-from .executor import FollowConfig, SimState, command_for, follow
+from .executor import FollowConfig, SimState, follow
 from .local_planner import (LocalPath, RrtParams, SearchWindow, Tree,
                             expand_window, extend, initial_window, nearest_vertex,
                             plan_local_run, rrt_star_run, sample)

@@ -14,6 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from arcshot import cli, fileio, pipeline
+from arcshot.executor import MAX_ACCEL
 from arcshot.shot import GlobalPath
 from arcshot.world import AxisBox, CollisionModel, Cylinder, QuadModel
 from conftest import SCENARIO_DIR
@@ -612,6 +613,62 @@ def test_execute_writes_trajectory_and_render(tmp_path):
     assert log["poses"][0]["t"] == 0.0
     assert len(log["poses"]) > 100
     assert (exec_out / "execute.svg").exists()
+
+
+def test_demo_replay_time_does_not_grow_with_arc_samples(tmp_path, capsys):
+    # the replay's speed comes from the path's shape, not from how finely
+    # the arc is sampled: the same demo arc at 64 to 256 samples replays in
+    # about the same time, and none of them times out
+    sim_times = []
+    for samples in (64, 128, 200, 256):
+        shot = json.loads((DEMO / "shot.json").read_text())
+        shot["samples"] = samples
+        shot_file = tmp_path / f"shot-{samples}.json"
+        shot_file.write_text(json.dumps(shot))
+        out = tmp_path / str(samples)
+        assert cli.main(["plan", "--world", str(DEMO / "world.json"), "--shot", str(shot_file),
+                         "--config", str(DEMO / "config.json"), "--seed", "7",
+                         "--out", str(out / "plan")]) == cli.EXIT_OK
+        capsys.readouterr()
+        assert cli.main(["execute", "--world", str(DEMO / "world.json"),
+                         "--path", str(out / "plan" / "path.json"),
+                         "--config", str(DEMO / "config.json"), "--out", str(out / "exec"),
+                         "--format", "machine"]) == cli.EXIT_OK
+        sim_times.append(json.loads(capsys.readouterr().out)["sim_time_s"])
+    assert max(sim_times) <= 1.1 * min(sim_times), sim_times
+
+
+def test_golden_demo_replay_flies_the_shot():
+    # the committed demo replay: at most twice the time of flying its path
+    # and climb at max_speed, no velocity step above MAX_ACCEL from rest to
+    # rest, and the camera within 5 degrees of the bearing to the target
+    config = fileio.load_config(DEMO / "config.json")
+    world = fileio.load_world(DEMO / "world.json")
+    target, ground = world.target, world.bounds.min.z
+    path = fileio.load_path(GOLDEN / "plan" / "path.json").rows
+    log = fileio.load_path(GOLDEN / "exec" / "trajectory.json")
+    duration = json.loads((GOLDEN / "exec" / "trajectory.json").read_text())["poses"][-1]["t"]
+    length = np.linalg.norm(np.diff(path[:, :3], axis=0), axis=1).sum()
+    assert duration <= 2.0 * (length + path[0, 2] - ground) / config.quad.max_speed
+    dt = config.follow.dt
+    v = np.diff(log.rows[:, :3], axis=0) / dt
+    v = np.vstack([np.zeros(3), v, np.zeros(3)])
+    assert np.linalg.norm(np.diff(v, axis=0), axis=1).max() <= MAX_ACCEL * dt + 1e-9
+    xy = log.rows[:, :2]
+    bearing = np.arctan2(target.y - xy[:, 1], target.x - xy[:, 0])
+    off = np.abs(np.remainder(log.rows[:, 3] - bearing + np.pi, 2 * np.pi) - np.pi)
+    assert np.degrees(off).max() <= 5.0
+
+
+def test_main_reuses_one_parser_with_the_same_help(capsys):
+    assert cli._parser() is cli._parser()
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out == cli.build_parser().format_help()
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["execute", "--world"])
+    assert exit_.value.code == 2
 
 
 def test_bench_rejects_unobstructed_scenarios(tmp_path, capsys):

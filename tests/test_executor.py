@@ -1,5 +1,5 @@
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,64 +7,76 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arcshot.errors import TimeoutExceeded
-from arcshot.executor import FollowConfig, SimState, command_for, follow
+from arcshot.executor import (MAX_ACCEL, FollowConfig, SimState, follow, polyline,
+                              polyline_steps, reference_pieces)
 from arcshot.local_planner import RrtParams
 from arcshot.pipeline import plan_shot
-from arcshot.shot import GlobalPath, Pose4, wrap_to_pi
+from arcshot.shot import GlobalPath, wrap_to_pi
 from arcshot.world import CollisionModel, QuadModel, Vec3
 from conftest import demo_shot, demo_world
+import follow_reference
+from follow_reference import reference_follow
 
 
 CFG = FollowConfig()
-
-
-def command(state: SimState, target: Pose4, cfg: FollowConfig, quad: QuadModel):
-    """`command_for` fed as `follow` feeds it, from a state and a target pose."""
-    err = target.position - state.position
-    return command_for(err.x, err.y, err.z, err.norm(),
-                       wrap_to_pi(target.yaw - state.yaw), cfg, quad)
 
 
 def position(row) -> Vec3:
     return Vec3(*(float(v) for v in row[:3]))
 
 
+# The control law, on the Vec3 reference's `command`, whose steps `follow`
+# gives bit for bit (see the reference tests below).
+
+def law(p, q, position, cfg, quad, p_yaw=0.0, q_yaw=0.0, yaw=0.0):
+    """Velocity and yaw rate toward the reference at p, moving on to q."""
+    return follow_reference.command((p, p_yaw), (q, q_yaw), position, yaw, cfg, quad)
+
+
 def test_zero_command_at_the_target(quad):
-    state = SimState(Vec3(1, 2, 3), 0.5)
-    *linear, yaw_rate = command(state, Pose4(Vec3(1, 2, 3), 0.5), CFG, quad)
-    assert Vec3(*linear) == Vec3(0, 0, 0)
-    assert yaw_rate == 0.0
+    # a reference at rest, with the vehicle on it, commands nothing
+    p = Vec3(1.0, -2.0, 3.0)
+    assert law(p, p, p, CFG, quad, 0.5, 0.5, 0.5) == (Vec3(0.0, 0.0, 0.0), 0.0)
 
 
 def test_linear_command_saturates_at_max_speed():
-    quad = QuadModel(max_speed=2.0)
-    state = SimState(Vec3(0, 0, 0), 0.0)
-    *linear, _ = command(state, Pose4(Vec3(10, 0, 0), 0.0),
-                         FollowConfig(k_p=1.0), quad)
-    assert Vec3(*linear) == Vec3(2.0, 0.0, 0.0)
+    quad, cfg = QuadModel(max_speed=2.0), FollowConfig(k_p=1.0)
+    p = Vec3(0.0, 0.0, 0.0)
+    v, _ = law(p, Vec3(10.0 * cfg.dt, 0.0, 0.0), p, cfg, quad)
+    assert (v.x, v.y, v.z) == (pytest.approx(2.0), 0.0, 0.0)
+    # the error counts before the scaling: feedforward and error in one sum
+    v, _ = law(p, Vec3(0.0, 3.0 * cfg.dt, 0.0), Vec3(0.0, -1.0, 0.0), cfg, quad)
+    assert (v.x, v.y, v.z) == (0.0, pytest.approx(2.0), 0.0)
 
 
 def test_unsaturated_command_is_proportional(quad):
-    state = SimState(Vec3(0, 0, 0), 0.0)
-    vx, _, _, _ = command(state, Pose4(Vec3(0.5, 0, 0), 0.0),
-                          FollowConfig(k_p=1.0), quad)
-    assert vx == pytest.approx(0.5)
+    cfg = FollowConfig(k_p=1.0)
+    p = Vec3(0.0, 0.0, 0.0)
+    v, _ = law(p, Vec3(0.0, 0.25 * cfg.dt, 0.0), Vec3(-0.5, 0.0, 0.0), cfg, quad)
+    assert v.x == pytest.approx(0.5)
+    assert v.y == 0.25  # the reference's own velocity passes unchanged
 
 
 def test_yaw_command_takes_the_short_way_around(quad):
+    # the start yaw and the first pose's yaw lie on either side of the pi
+    # seam; the climb turns the yaw the short way, +2*eps, across the seam
     eps = 0.1
-    state = SimState(Vec3(0, 0, 0), math.pi - eps)
-    target = Pose4(Vec3(0, 0, 0), -(math.pi - eps))
-    *_, yaw_rate = command(state, target, FollowConfig(k_p=1.0), quad)
-    # crossing the pi seam: shortest rotation is +2*eps, not -2*(pi - eps)
-    assert yaw_rate == pytest.approx(2 * eps)
+    path = GlobalPath([(0.0, 0.0, 2.0, -(math.pi - eps))])
+    log = follow(path, SimState(Vec3(0.0, 0.0, 0.0), math.pi - eps), CFG, quad)
+    turns = [math.remainder(b - a, math.tau) for a, b in zip(log[:, 3], log[1:, 3])]
+    assert all(turn >= 0.0 for turn in turns)
+    assert sum(turns) == pytest.approx(2 * eps)
+    assert log[-1, 3] == pytest.approx(-(math.pi - eps))
 
 
 def test_yaw_command_saturates():
-    quad = QuadModel(max_yaw_rate=0.5)
-    state = SimState(Vec3(0, 0, 0), 0.0)
-    *_, yaw_rate = command(state, Pose4(Vec3(0, 0, 0), 3.0), FollowConfig(k_p=1.0), quad)
+    quad, cfg = QuadModel(max_yaw_rate=0.5), FollowConfig(k_p=1.0)
+    p = Vec3(0.0, 0.0, 0.0)
+    _, yaw_rate = law(p, p, p, cfg, quad, p_yaw=3.0, q_yaw=3.0, yaw=0.0)
     assert yaw_rate == 0.5
+    # a feedforward of -0.4 and an error of -0.2
+    _, yaw_rate = law(p, p, p, cfg, quad, p_yaw=0.0, q_yaw=-0.4 * cfg.dt, yaw=0.2)
+    assert yaw_rate == -0.5
 
 
 def test_takeoff_only_run_is_pure_vertical(quad):
@@ -153,73 +165,20 @@ def test_replayed_demo_plan_avoids_raw_obstacles(quad):
     assert model.free_points(log[:, :3]).all()
 
 
-# Vec3 reference follower ------------------------------------------------------
-# The follower as it was before the float loop, kept verbatim as the oracle:
-# the float loop must give every state, partial log and error bit for bit.
-
-@dataclass(frozen=True)
-class VelocityCommand:
-    linear: Vec3
-    yaw_rate: float
-
-
-def scaled(v: Vec3, k: float) -> Vec3:
-    return Vec3(v.x * k, v.y * k, v.z * k)
-
-
-def reference_command_for(state: SimState, target: Pose4, cfg: FollowConfig,
-                          quad: QuadModel) -> VelocityCommand:
-    err = target.position - state.position
-    speed = cfg.k_p * err.norm()
-    if speed > quad.max_speed:
-        linear = scaled(err, quad.max_speed / err.norm())
-    else:
-        linear = scaled(err, cfg.k_p)
-    yaw_err = wrap_to_pi(target.yaw - state.yaw)
-    yaw_rate = max(-quad.max_yaw_rate, min(quad.max_yaw_rate, cfg.k_p * yaw_err))
-    return VelocityCommand(linear, yaw_rate)
-
-
-def reference_follow(path: GlobalPath, start: SimState, cfg: FollowConfig,
-                     quad: QuadModel) -> list[SimState]:
-    first = path[0]
-    takeoff = Pose4(Vec3(start.position.x, start.position.y, first.position.z),
-                    first.yaw)
-    targets = [takeoff, *(path[i] for i in range(len(path)))]
-    state = start
-    log = [state]
-    active = 0
-    while True:
-        while (active < len(targets)
-               and state.position.distance_to(targets[active].position)
-               <= cfg.waypoint_tolerance):
-            active += 1
-        if active == len(targets):
-            return log
-        if state.time + cfg.dt > cfg.max_time:
-            raise TimeoutExceeded(log)
-        cmd = reference_command_for(state, targets[active], cfg, quad)
-        state = SimState(
-            position=state.position + scaled(cmd.linear, cfg.dt),
-            yaw=wrap_to_pi(state.yaw + cmd.yaw_rate * cfg.dt),
-            time=state.time + cfg.dt,
-        )
-        log.append(state)
-
+# Vec3 reference follower (tests/follow_reference.py) --------------------------
+# `follow` must give every state, partial log and error kind of the reference
+# bit for bit.
 
 def _outcome(run):
-    """("ok" | "timeout", rows as bytes) or ("error", message) of one replay."""
+    """("ok" | "timeout", rows as bytes) or ("error", "ValueError") of one replay."""
     def rows(log):
-        if isinstance(log, np.ndarray):
-            return log.tobytes()
-        return np.array([(s.position.x, s.position.y, s.position.z, s.yaw, s.time)
-                         for s in log], dtype=float).tobytes()
+        return (log if isinstance(log, np.ndarray) else follow_reference.rows(log)).tobytes()
     try:
         return "ok", rows(run())
     except TimeoutExceeded as exc:
         return "timeout", rows(exc.log)
     except ValueError as exc:
-        return "error", str(exc)
+        return "error", type(exc).__name__
 
 
 def assert_replays_match(path, start, cfg, quad):
@@ -229,69 +188,119 @@ def assert_replays_match(path, start, cfg, quad):
     return got[0]
 
 
+def _log(path, start, cfg, quad) -> np.ndarray:
+    """The replay's log, or its partial log on a timeout."""
+    try:
+        return follow(path, start, cfg, quad)
+    except TimeoutExceeded as exc:
+        return exc.log
+
+
+def first_yaw_rate(path, start, cfg, quad) -> float:
+    """The first step's yaw rate before its clamp, from the Vec3 reference."""
+    points = follow_reference.vertices(path, start)
+    pieces = follow_reference.profile(follow_reference.steps_of(points), cfg, quad)
+    p_yaw = wrap_to_pi(points[0].yaw)
+    _, q_yaw = follow_reference.reference_at(pieces, points[-1], cfg.dt)
+    return wrap_to_pi(q_yaw - p_yaw) / cfg.dt + cfg.k_p * wrap_to_pi(p_yaw - start.yaw)
+
+
 _COORD = st.floats(-12.0, 12.0)
 # yaws on and next to the +-pi seam, signed zeros, as well as anywhere in between
 _YAW = st.one_of(
     st.floats(-math.pi, math.pi),
     st.sampled_from([math.pi, -math.pi, math.nextafter(math.pi, 0.0),
                      math.nextafter(-math.pi, 0.0), math.pi - 1e-9, 1e-300, 0.0, -0.0]))
-# Edges of one step, each met at the first step: a yaw error of exactly -pi
-# (wrapped to +pi), a yaw rate clamped at exactly +-max_yaw_rate, a yaw error
-# of +-0.0, a command at exactly max_speed (`k_p * norm == max_speed`, which
-# stays proportional), and a timeout before the first target whose clock
+# Edges that every case of a kind meets: a first yaw error of exactly -pi
+# (wrapped to +pi), a first yaw rate past its clamp, yaw errors of +-0.0 all
+# the way, a reference that cruises at max_speed, and a timeout whose clock
 # reaches max_time exactly (`t + dt > max_time` goes on there).
 STEP_EDGES = ("yaw_seam", "yaw_clamp", "yaw_zero", "speed", "timeout")
 
 
-def first_step(path: GlobalPath, start: SimState):
-    """(ex, ey, ez, norm, yaw error) of the first step: the takeoff climb."""
-    ez = path.rows[0, 2].item() - start.position.z
-    return 0.0, 0.0, ez, math.sqrt(ez * ez), wrap_to_pi(path.rows[0, 3].item() - start.yaw)
+@st.composite
+def polylines(draw):
+    """Poses on random polylines: repeated poses, U-turns, steps far shorter
+    than a tick's travel, runs along one line and slight bends, as well as
+    anywhere."""
+    rows = [[draw(_COORD), draw(_COORD), draw(st.floats(0.5, 8.0)), draw(_YAW)]]
+    for _ in range(draw(st.integers(0, 5))):
+        x, y, z, _ = rows[-1]
+        kind = draw(st.sampled_from(["any", "any", "repeat", "near", "back", "on",
+                                     "bend", "bend"]))
+        if kind == "repeat":
+            rows.append([x, y, z, draw(_YAW)])
+        elif kind == "near":
+            step = draw(st.floats(1e-9, 0.05))
+            rows.append([x + step, y, z + step, draw(_YAW)])
+        elif kind == "back" and len(rows) > 1:
+            rows.append(list(rows[-2]))
+        elif kind == "on" and len(rows) > 1:
+            px, py, pz, _ = rows[-2]
+            rows.append([2 * x - px, 2 * y - py, 2 * z - pz, draw(_YAW)])
+        elif kind == "bend" and len(rows) > 1:
+            # a slight turn, met while still speeding up: the turn's cap
+            # and the speed change share one tick's velocity step
+            px, py, _, yaw = rows[-2]
+            heading = math.atan2(y - py, x - px) + draw(st.floats(-0.3, 0.3))
+            step = draw(st.floats(0.2, 3.0))
+            rows.append([x + step * math.cos(heading), y + step * math.sin(heading), z, yaw])
+        else:
+            rows.append([draw(_COORD), draw(_COORD), draw(st.floats(0.5, 8.0)), draw(_YAW)])
+    return rows
 
 
 @st.composite
-def replay_cases(draw, edge="any"):
+def replay_cases(draw, edge="any", max_time=None):
     if edge == "any":
         edge = draw(st.sampled_from((None, *STEP_EDGES)))
-    rows = [[draw(_COORD), draw(_COORD), draw(st.floats(0.5, 8.0)), draw(_YAW)]
-            for _ in range(draw(st.integers(1, 5)))]
+    rows = draw(polylines())
     start = SimState(Vec3(draw(_COORD), draw(_COORD), draw(st.floats(0.0, 3.0))),
                      draw(_YAW), draw(st.sampled_from([0.0, 0.37, 5.0])))
+    if draw(st.booleans()):  # the column rises from right under the first pose
+        start = replace(start, position=Vec3(rows[0][0], rows[0][1], start.position.z))
     dt = draw(st.floats(0.01, 0.05))
     cfg = FollowConfig(dt=dt, k_p=draw(st.floats(0.2, 0.99 / dt)),
                        waypoint_tolerance=draw(st.floats(0.05, 0.6)))
-    # slow vehicles far from the path saturate and time out with partial logs
     quad = QuadModel(max_speed=draw(st.floats(0.2, 6.0)),
                      max_yaw_rate=draw(st.floats(0.1, 3.0)))
-    max_time = draw(st.floats(0.2, 12.0))
-    if edge is not None:
-        # the first target lies beyond any tolerance, so a first step is taken
-        rows[0][2] = start.position.z + draw(st.floats(0.7, 5.0))
+    if max_time is None:
+        max_time = draw(st.floats(0.2, 40.0))
+    if edge in ("yaw_seam", "yaw_clamp"):
+        # no column: the reference starts at the first pose, with its yaw
+        start = replace(start, position=Vec3(*rows[0][:3]))
+        if all(row[:3] == rows[0][:3] for row in rows):
+            rows.append([rows[0][0] + 1.0, *rows[0][1:]])
+        max_time = start.time + max_time
     if edge == "yaw_seam":
         yaw = draw(st.floats(-math.pi, 0.0, exclude_min=True).filter(
             lambda yaw: yaw - (yaw + math.pi) == -math.pi))
         start = replace(start, yaw=yaw + math.pi)
         rows[0][3] = yaw
+    elif edge == "yaw_clamp":
+        start = replace(start, yaw=wrap_to_pi(rows[0][3] + draw(st.floats(0.5, 3.0))))
+        cfg = replace(cfg, k_p=0.99 / dt)
     elif edge == "yaw_zero":
-        rows[0][3] = draw(st.sampled_from([0.0, -0.0]))
+        for row in rows:
+            row[3] = draw(st.sampled_from([0.0, -0.0]))
         start = replace(start, yaw=draw(st.sampled_from([0.0, -0.0])))
-    path = GlobalPath(rows)
-    _, _, _, norm, yaw_err = first_step(path, start)
-    if edge == "yaw_clamp" and yaw_err != 0.0:
-        quad = replace(quad, max_yaw_rate=abs(cfg.k_p * yaw_err))
     elif edge == "speed":
-        quad = replace(quad, max_speed=cfg.k_p * norm)
+        # a straight climb long enough to reach max_speed and slow down again
+        rise = (quad.max_speed ** 2 / MAX_ACCEL + 2.0 * quad.max_speed * cfg.dt
+                + draw(st.floats(0.1, 2.0)))
+        rows = [[start.position.x, start.position.y, start.position.z + rise,
+                 wrap_to_pi(start.yaw)]]
+        max_time = 1e3
     elif edge == "timeout":
         # max_time is the clock after `steps` steps, where `t + dt > max_time`
-        # must not yet stop; no step covers more than max_speed * dt, so the
-        # first target stays out of reach
+        # must not yet stop; the reference cannot arrive that soon
+        rows[0][2] = start.position.z + draw(st.floats(0.7, 5.0))
         steps = draw(st.integers(1, 30))
         max_time = start.time
         for _ in range(steps):
             max_time += cfg.dt
-        reach = 0.9 * (norm - cfg.waypoint_tolerance) / (steps * cfg.dt)
-        quad = replace(quad, max_speed=min(quad.max_speed, reach))
-    return path, start, replace(cfg, max_time=max_time), quad
+        quad = replace(quad, max_speed=min(quad.max_speed, 0.5 / (steps * cfg.dt)))
+    return GlobalPath(rows), start, replace(cfg, max_time=max_time), quad
 
 
 @settings(max_examples=25, deadline=None)
@@ -299,19 +308,24 @@ def replay_cases(draw, edge="any"):
 @pytest.mark.parametrize("edge", STEP_EDGES)
 def test_replay_cases_meet_each_step_edge(edge, data):
     path, start, cfg, quad = data.draw(replay_cases(edge))
-    ex, ey, ez, norm, yaw_err = first_step(path, start)
-    assert norm > cfg.waypoint_tolerance
-    if edge == "yaw_seam":
-        assert path.rows[0, 3] - start.yaw == -math.pi and yaw_err == math.pi
-    elif edge == "yaw_clamp":
-        assert yaw_err == 0.0 or abs(cfg.k_p * yaw_err) == quad.max_yaw_rate
-    elif edge == "yaw_zero":
-        assert yaw_err == 0.0
-    elif edge == "speed":
-        assert cfg.k_p * norm == quad.max_speed
-        assert command_for(ex, ey, ez, norm, yaw_err, cfg, quad)[2] == ez * cfg.k_p
     outcome = assert_replays_match(path, start, cfg, quad)
-    if edge == "timeout":
+    yaw_rate = first_yaw_rate(path, start, cfg, quad)
+    if edge == "yaw_seam":
+        assert path.rows[0, 3] - start.yaw == -math.pi
+        assert wrap_to_pi(path.rows[0, 3] - start.yaw) == math.pi
+    elif edge == "yaw_clamp":
+        assert abs(yaw_rate) > quad.max_yaw_rate
+        log = _log(path, start, cfg, quad)
+        turn = math.remainder(log[1, 3] - log[0, 3], math.tau)
+        assert abs(turn) == pytest.approx(quad.max_yaw_rate * cfg.dt)
+    elif edge == "yaw_zero":
+        assert yaw_rate == 0.0
+        assert not _log(path, start, cfg, quad)[:, 3].any()
+    elif edge == "speed":
+        assert outcome == "ok"
+        speeds = np.linalg.norm(np.diff(_log(path, start, cfg, quad)[:, :3], axis=0), axis=1)
+        assert speeds.max() == pytest.approx(quad.max_speed * cfg.dt, rel=1e-9)
+    elif edge == "timeout":
         assert outcome == "timeout"
         with pytest.raises(TimeoutExceeded) as err:
             follow(path, start, cfg, quad)
@@ -325,77 +339,82 @@ def test_float_follow_matches_the_vec3_reference_bit_for_bit(case):
     assert_replays_match(*case)
 
 
-def _gap(row, target) -> float:
-    ex, ey, ez = target[0] - row[0], target[1] - row[1], target[2] - row[2]
-    return math.sqrt(ex * ex + ey * ey + ez * ez)
-
-
 @settings(max_examples=100, deadline=None)
 @given(replay_cases())
 def test_every_logged_step_is_command_for_of_the_state_before_it(case):
-    # `follow` writes the control law out in place; `command_for` and
-    # `wrap_to_pi`, applied to each logged state and the target in force
-    # there, give the next state bit for bit
+    # `follow` writes the control law out in place; the Vec3 reference's
+    # `command`, fed the reference at the tick before and after each logged
+    # state and that state itself, gives the next state bit for bit
     path, start, cfg, quad = case
-    try:
-        log = follow(path, start, cfg, quad)
-    except TimeoutExceeded as exc:
-        log = exc.log
-    targets = [[start.position.x, start.position.y, *path.rows[0, 2:].tolist()],
-               *path.rows.tolist()]
-    rows = log.tolist()
-    active = 0
-    for (x, y, z, yaw, t), after in zip(rows, rows[1:]):
-        while _gap((x, y, z), targets[active]) <= cfg.waypoint_tolerance:
-            active += 1
-        tx, ty, tz, tyaw = targets[active]
-        vx, vy, vz, yaw_rate = command_for(tx - x, ty - y, tz - z, _gap((x, y, z), (tx, ty, tz)),
-                                           wrap_to_pi(tyaw - yaw), cfg, quad)
-        want = (x + vx * cfg.dt, y + vy * cfg.dt, z + vz * cfg.dt,
+    log = _log(path, start, cfg, quad)
+    points = follow_reference.vertices(path, start)
+    pieces = follow_reference.profile(follow_reference.steps_of(points), cfg, quad)
+    ref = points[0].position, wrap_to_pi(points[0].yaw)
+    clock = 0.0
+    for (x, y, z, yaw, t), after in zip(log.tolist(), log[1:].tolist()):
+        clock = clock + cfg.dt
+        ref_next = follow_reference.reference_at(pieces, points[-1], clock)
+        v, yaw_rate = follow_reference.command(ref, ref_next, Vec3(x, y, z), yaw, cfg, quad)
+        ref = ref_next
+        want = (x + v.x * cfg.dt, y + v.y * cfg.dt, z + v.z * cfg.dt,
                 wrap_to_pi(yaw + yaw_rate * cfg.dt), t + cfg.dt)
         assert [v.hex() for v in after] == [v.hex() for v in want]
 
 
 def test_reference_cases_cover_saturation_and_timeouts():
-    # the property above only proves something if its cases reach both ends
-    # of the saturation test, the timeout and completion
+    # the properties only prove something if their cases reach both ends:
+    # a timeout, an arrival, and a start already at the only pose
     quad = QuadModel(max_speed=0.5)
     start = SimState(Vec3(0.0, 0.0, 0.0), math.pi)
     far = GlobalPath([(9.0, -9.0, 3.0, -math.pi + 1e-9)])
     near = GlobalPath([(0.1, 0.0, 0.3, -math.pi + 1e-9)])
     assert assert_replays_match(far, start, replace(CFG, max_time=2.0), quad) == "timeout"
     assert assert_replays_match(near, start, CFG, quad) == "ok"
-    # a waypoint exactly one tolerance away counts as reached
+    here = GlobalPath([(0.0, 0.0, 0.0, 0.5)])
+    assert assert_replays_match(here, start, CFG, quad) == "ok"
+    assert len(follow(here, start, CFG, quad)) == 1
+    # a pose one tolerance up is flown to, not counted as reached at the start
     at_tolerance = GlobalPath([(0.0, 0.0, CFG.waypoint_tolerance, 0.0)])
-    assert assert_replays_match(at_tolerance, start, CFG, quad) == "ok"
-    assert len(follow(at_tolerance, start, CFG, quad)) == 1
+    log = follow(at_tolerance, start, CFG, quad)
+    assert len(log) > 2 and log[-1, 2] == pytest.approx(CFG.waypoint_tolerance)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.tuples(_COORD, _COORD, _COORD), st.floats(0.01, 0.05), st.floats(0.05, 0.99),
-       st.floats(0.1, 3.0), _YAW, _YAW, st.booleans())
-def test_command_matches_the_vec3_reference(err, dt, k_p_dt, max_yaw_rate, state_yaw,
-                                            target_yaw, on_the_edge):
-    # `on_the_edge` puts max_speed at exactly k_p * norm, where only
-    # `k_p * norm > max_speed` in this order keeps the proportional command
+@given(st.tuples(_COORD, _COORD, _COORD), st.tuples(_COORD, _COORD, _COORD),
+       st.floats(0.01, 0.05), st.floats(0.05, 0.99), st.floats(0.1, 3.0), _YAW, _YAW,
+       st.floats(-3.0, 3.0), st.booleans())
+def test_command_matches_the_vec3_reference(feed, err, dt, k_p_dt, max_yaw_rate, ref_yaw,
+                                            state_yaw, yaw_step, on_the_edge):
+    # the Vec3 reference's command is the reference's step over dt plus k_p
+    # times the error, scaled by max_speed / speed only when `speed >
+    # max_speed` (`on_the_edge` puts max_speed at exactly the sum's speed,
+    # where it stays unscaled), and the yaw rate the same sum, clamped
     cfg = FollowConfig(dt=dt, k_p=k_p_dt / dt)
-    norm = Vec3(*err).norm()
-    max_speed = cfg.k_p * norm if on_the_edge and norm > 0 else 1.0
+    p = Vec3(0.0, 0.0, 0.0)
+    q = p + follow_reference.scaled(Vec3(*feed), dt)
+    position = p - Vec3(*err)
+    want = [(q.x - p.x) / dt + cfg.k_p * (p.x - position.x),
+            (q.y - p.y) / dt + cfg.k_p * (p.y - position.y),
+            (q.z - p.z) / dt + cfg.k_p * (p.z - position.z)]
+    speed = math.sqrt(want[0] * want[0] + want[1] * want[1] + want[2] * want[2])
+    max_speed = speed if on_the_edge and speed > 0 else 1.0
+    if speed > max_speed:
+        want = [v * (max_speed / speed) for v in want]
     quad = QuadModel(max_speed=max_speed, max_yaw_rate=max_yaw_rate)
-    state = SimState(Vec3(0.0, 0.0, 0.0), state_yaw)
-    target = Pose4(Vec3(*err), target_yaw)
-    want = reference_command_for(state, target, cfg, quad)
-    got = command(state, target, cfg, quad)
-    assert [v.hex() for v in got] == [
-        v.hex() for v in (want.linear.x, want.linear.y, want.linear.z, want.yaw_rate)]
+    next_yaw = wrap_to_pi(ref_yaw + yaw_step * dt)
+    rate = (wrap_to_pi(next_yaw - ref_yaw) / dt + cfg.k_p * wrap_to_pi(ref_yaw - state_yaw))
+    want.append(max(-max_yaw_rate, min(max_yaw_rate, rate)))
+    v, yaw_rate = follow_reference.command((p, ref_yaw), (q, next_yaw), position, state_yaw,
+                                           cfg, quad)
+    assert [x.hex() for x in (v.x, v.y, v.z, yaw_rate)] == [x.hex() for x in want]
 
 
 @pytest.mark.parametrize("start_x, target_x, quad, cfg, outcome", [
-    # the difference overflows: Vec3 raises at once
+    # the difference overflows: the polyline has no finite length
     (1.7e308, -1.7e308, QuadModel(), CFG, "error"),
-    # only the norm overflows: the command is zero and the replay times out
+    # only the squared length would overflow: the replay runs and times out
     (1e200, -1e200, QuadModel(), CFG, "timeout"),
-    # an unbounded speed from a config file: the command itself overflows
+    # an unbounded speed from a config file: the reference never arrives
     (0.0, 1.7976931348623157e308, QuadModel(max_speed=math.inf),
      FollowConfig(dt=0.5, k_p=math.nextafter(2.0, 0.0)), "error"),
 ])
@@ -404,3 +423,95 @@ def test_float_follow_overflows_like_the_vec3_reference(start_x, target_x, quad,
     path = GlobalPath([(start_x, 0.0, 1.0, 0.0), (target_x, 0.0, 1.0, 0.0)])
     start = SimState(Vec3(start_x, 0.0, 1.0), 0.0)
     assert assert_replays_match(path, start, replace(cfg, max_time=1.0), quad) == outcome
+
+
+# Properties of the replay ------------------------------------------------------
+
+def _polyline_gap(points: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """Distance from each point to the polyline through `vertices`."""
+    if len(vertices) == 1:
+        return np.linalg.norm(points - vertices[0], axis=1)
+    a, b = vertices[:-1], vertices[1:]
+    d = b - a
+    along = np.einsum("sk,psk->ps", d, points[:, None, :] - a)
+    squared = np.einsum("sk,sk->s", d, d)  # 0 on a step too short to square
+    f = np.divide(along, squared, out=np.zeros_like(along), where=squared > 0)
+    nearest = a + np.clip(f, 0.0, 1.0)[..., None] * d
+    return np.linalg.norm(points[:, None, :] - nearest, axis=2).min(axis=1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(replay_cases(), st.booleans())
+def test_replay_stays_within_its_limits_on_the_polyline(case, to_the_end):
+    path, start, cfg, quad = case
+    steps = polyline_steps(polyline(path, start))
+    pieces = reference_pieces(steps, cfg, quad)
+    finish = pieces[-1][3] if pieces else 0.0
+    # the reference never crawls: it takes at most twice as long as flying
+    # every step at max_speed, turning every yaw at max_yaw_rate and
+    # stopping at every vertex
+    plain = (sum(step[8] for step in steps) / quad.max_speed
+             + sum(abs(step[7]) for step in steps) / quad.max_yaw_rate
+             + (len(steps) + 1) * 2.0 * quad.max_speed / MAX_ACCEL)
+    assert finish <= 2.0 * plain
+    if to_the_end:  # time enough to arrive, however long the polyline
+        cfg = replace(cfg, max_time=start.time + finish + 1.0)
+    try:
+        log, arrived = follow(path, start, cfg, quad), True
+    except TimeoutExceeded as exc:
+        log, arrived = exc.log, False
+    assert len(log) >= 1
+    # times strictly dt apart, as the clock adds them
+    for a, b in zip(log[:, 4].tolist(), log[1:, 4].tolist()):
+        assert b == a + cfg.dt and b > a
+    # every state on the column-plus-path polyline
+    p = start.position
+    vertices = np.vstack([[p.x, p.y, p.z], [p.x, p.y, path.rows[0, 2]],
+                          path.rows[:, :3]])
+    assert _polyline_gap(log[:, :3], vertices).max() <= 1e-6
+    # speed, and velocity steps from rest to rest, within their bounds
+    v = np.diff(log[:, :3], axis=0) / cfg.dt
+    assert (np.linalg.norm(v, axis=1) <= quad.max_speed * (1 + 1e-9)).all()
+    v = np.vstack([np.zeros((1, 3)), v] + ([np.zeros((1, 3))] if arrived else []))
+    steps = np.linalg.norm(np.diff(v, axis=0), axis=1)
+    assert (steps <= MAX_ACCEL * cfg.dt + 1e-9).all(), steps.max()
+    # yaw steps within the yaw rate
+    turns = np.abs(np.remainder(np.diff(log[:, 3]) + np.pi, 2 * np.pi) - np.pi)
+    assert (turns <= quad.max_yaw_rate * cfg.dt + 1e-12).all()
+    if arrived:
+        assert position(log[-1]).distance_to(path[len(path) - 1].position) \
+            <= cfg.waypoint_tolerance
+    else:
+        assert log[-1, 4] + cfg.dt > cfg.max_time
+
+
+def test_the_profile_rests_at_both_ends_and_its_pieces_meet():
+    path = GlobalPath([(0, 0, 2, 0.0), (3, 0, 2, 0.5), (3, 0.02, 2, 0.5), (0, 0.02, 2, 0.0)])
+    start = SimState(Vec3(0, 0, 0), 0.0)
+    pieces = reference_pieces(polyline_steps(polyline(path, start)), CFG, QuadModel())
+    assert pieces[0][7] == 0.0 and pieces[-1][9] == 0.0
+    for a, b in zip(pieces, pieces[1:]):
+        assert b[0] == a[3]  # in time
+        assert b[7] == a[9]  # in speed
+
+
+def test_a_zone_takes_the_yaw_cap_of_a_short_turn_and_keeps_its_width(quad):
+    # a nanometre step that turns the yaw by 1.5 rad caps its speed near
+    # 1e-9 m/s; the corner zone around it, which holds its speed constant,
+    # takes that cap too rather than crawling at it over its millimetre
+    start = SimState(Vec3(0, 0, 0), 0.0)
+    path = GlobalPath([(0, 0, 2, 0.0), (3, 0, 2, 0.0), (3 + 1e-9, 1e-9, 2, 1.5),
+                       (3, 3, 2, 1.5)])
+    pieces = reference_pieces(polyline_steps(polyline(path, start)), CFG, quad)
+    assert pieces[-1][3] < 10.0
+    assert assert_replays_match(path, start, CFG, quad) == "ok"
+    # steps whose yaw caps, times dt, are below one ulp of the corner's arc
+    # length, 0.5 mm past it or right at it (5e-324 m): the corner's zone
+    # keeps a width, so it still bounds the corner's velocity step
+    for after in ([(3, 5e-4, 2, 0.0), (3, 5e-4 + 1e-15, 2, 1.5)], [(3, 5e-324, 2, 1.5)]):
+        path = GlobalPath([(0, 0, 2, 0.0), (3, 0, 2, 0.0), *after, (3, 3, 2, 1.5)])
+        assert assert_replays_match(path, start, CFG, quad) == "ok"
+        log = follow(path, start, CFG, quad)
+        v = np.vstack([np.zeros((1, 3)), np.diff(log[:, :3], axis=0) / CFG.dt, np.zeros((1, 3))])
+        assert np.linalg.norm(np.diff(v, axis=0), axis=1).max() <= MAX_ACCEL * CFG.dt + 1e-9
+        assert len(log) < 500
