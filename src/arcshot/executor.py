@@ -236,9 +236,11 @@ def follow(path: GlobalPath, start: SimState, cfg: FollowConfig,
     Each tick moves the reference `dt` further along its profile and
     commands its displacement over `dt` plus k_p times the error to it,
     scaled down to `max_speed`, and the yaw the same way, clamped to
-    `max_yaw_rate`. The replay ends at the first state, once the reference
-    has come to rest at the last pose, that lies within the waypoint
-    tolerance of that pose. Raises TimeoutExceeded (carrying the partial
+    `max_yaw_rate`. The k-th logged state's time is start.time + k * dt, so
+    a clock value is written no longer than its tick needs, where a running
+    sum of dt would drift into 17 digits. The replay ends at the first
+    state, once the reference has come to rest at the last pose, that lies
+    within the waypoint tolerance of that pose. Raises TimeoutExceeded (carrying the partial
     log) if cfg.max_time elapses first, and ValueError on a polyline whose
     length, or a reference whose duration, is not finite.
     """
@@ -254,11 +256,13 @@ def follow(path: GlobalPath, start: SimState, cfg: FollowConfig,
     finish = ends[-1] if ends else 0.0
     end_x, end_y, end_z, end_yaw = vertices[-1]
 
-    x, y, z, yaw, t = start.position.x, start.position.y, start.position.z, start.yaw, start.time
+    x, y, z, yaw = start.position.x, start.position.y, start.position.z, start.yaw
+    start_time = start.time
     rx, ry, rz, ryaw = vertices[0]
     ryaw = wrap_to_pi(ryaw)
     clock = 0.0  # time along the reference
-    log = [x, y, z, yaw, t]
+    log = [x, y, z, yaw, start_time]
+    ticks = 0  # states logged after the start
     extend = log.extend
     t3 = -1.0  # the end of the piece in force; none is yet
     while True:
@@ -266,7 +270,9 @@ def follow(path: GlobalPath, start: SimState, cfg: FollowConfig,
             ex, ey, ez = end_x - x, end_y - y, end_z - z
             if sqrt(ex * ex + ey * ey + ez * ez) <= tolerance:
                 return _rows(log)
-        if t + dt > max_time:
+        ticks += 1
+        t = start_time + ticks * dt  # the next state's time, not a running sum of dt
+        if t > max_time:
             raise TimeoutExceeded(_rows(log))
         clock = clock + dt
         if clock >= finish:
@@ -316,7 +322,6 @@ def follow(path: GlobalPath, start: SimState, cfg: FollowConfig,
         yaw = remainder(yaw + yaw_rate * dt, tau)
         if yaw == -pi:
             yaw = pi
-        t = t + dt
         extend((x, y, z, yaw, t))
         rx, ry, rz, ryaw = nx, ny, nz, nyaw
 

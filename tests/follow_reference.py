@@ -227,7 +227,8 @@ def reference_follow(path: GlobalPath, start: SimState, cfg: FollowConfig,
         if (clock >= finish
                 and state.position.distance_to(end.position) <= cfg.waypoint_tolerance):
             return log
-        if state.time + cfg.dt > cfg.max_time:
+        time = start.time + len(log) * cfg.dt
+        if time > cfg.max_time:
             raise TimeoutExceeded(log)
         if clock == 0.0:
             ref = points[0].position, wrap_to_pi(points[0].yaw)
@@ -237,7 +238,7 @@ def reference_follow(path: GlobalPath, start: SimState, cfg: FollowConfig,
         v, yaw_rate = command(ref, reference_at(pieces, end, clock), state.position,
                               state.yaw, cfg, quad)
         state = SimState(state.position + scaled(v, cfg.dt),
-                         wrap_to_pi(state.yaw + yaw_rate * cfg.dt), state.time + cfg.dt)
+                         wrap_to_pi(state.yaw + yaw_rate * cfg.dt), time)
         log.append(state)
 
 

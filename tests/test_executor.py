@@ -214,7 +214,7 @@ _YAW = st.one_of(
 # Edges that every case of a kind meets: a first yaw error of exactly -pi
 # (wrapped to +pi), a first yaw rate past its clamp, yaw errors of +-0.0 all
 # the way, a reference that cruises at max_speed, and a timeout whose clock
-# reaches max_time exactly (`t + dt > max_time` goes on there).
+# reaches max_time exactly (a next time above max_time stops it, equal goes on).
 STEP_EDGES = ("yaw_seam", "yaw_clamp", "yaw_zero", "speed", "timeout")
 
 
@@ -292,13 +292,11 @@ def replay_cases(draw, edge="any", max_time=None):
                  wrap_to_pi(start.yaw)]]
         max_time = 1e3
     elif edge == "timeout":
-        # max_time is the clock after `steps` steps, where `t + dt > max_time`
-        # must not yet stop; the reference cannot arrive that soon
+        # max_time is the clock after `steps` steps, start.time + steps * dt,
+        # where the replay must not yet stop; the reference cannot arrive that soon
         rows[0][2] = start.position.z + draw(st.floats(0.7, 5.0))
         steps = draw(st.integers(1, 30))
-        max_time = start.time
-        for _ in range(steps):
-            max_time += cfg.dt
+        max_time = start.time + steps * cfg.dt
         quad = replace(quad, max_speed=min(quad.max_speed, 0.5 / (steps * cfg.dt)))
     return GlobalPath(rows), start, replace(cfg, max_time=max_time), quad
 
@@ -351,13 +349,13 @@ def test_every_logged_step_is_command_for_of_the_state_before_it(case):
     pieces = follow_reference.profile(follow_reference.steps_of(points), cfg, quad)
     ref = points[0].position, wrap_to_pi(points[0].yaw)
     clock = 0.0
-    for (x, y, z, yaw, t), after in zip(log.tolist(), log[1:].tolist()):
+    for k, ((x, y, z, yaw, _), after) in enumerate(zip(log.tolist(), log[1:].tolist()), 1):
         clock = clock + cfg.dt
         ref_next = follow_reference.reference_at(pieces, points[-1], clock)
         v, yaw_rate = follow_reference.command(ref, ref_next, Vec3(x, y, z), yaw, cfg, quad)
         ref = ref_next
         want = (x + v.x * cfg.dt, y + v.y * cfg.dt, z + v.z * cfg.dt,
-                wrap_to_pi(yaw + yaw_rate * cfg.dt), t + cfg.dt)
+                wrap_to_pi(yaw + yaw_rate * cfg.dt), start.time + k * cfg.dt)
         assert [v.hex() for v in after] == [v.hex() for v in want]
 
 
@@ -461,9 +459,10 @@ def test_replay_stays_within_its_limits_on_the_polyline(case, to_the_end):
     except TimeoutExceeded as exc:
         log, arrived = exc.log, False
     assert len(log) >= 1
-    # times strictly dt apart, as the clock adds them
-    for a, b in zip(log[:, 4].tolist(), log[1:, 4].tolist()):
-        assert b == a + cfg.dt and b > a
+    # the k-th state at start.time + k * dt, so strictly increasing
+    times = log[:, 4].tolist()
+    assert times == [start.time + k * cfg.dt for k in range(len(log))]
+    assert all(a < b for a, b in zip(times, times[1:]))
     # every state on the column-plus-path polyline
     p = start.position
     vertices = np.vstack([[p.x, p.y, p.z], [p.x, p.y, path.rows[0, 2]],

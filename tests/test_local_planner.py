@@ -312,7 +312,8 @@ def _split_nearest_agrees(rows: np.ndarray, p: np.ndarray) -> collections.Counte
         near = int(dist2.argmin())
         for r in rows[count:]:
             tree.add(r, 0)
-        got = nearest_vertex(tree, p.tolist(), (near, float(dist2[near]), count))
+        got = nearest_vertex(tree, p.tolist(),
+                             (near, float(dist2[near]), list(range(count, len(tree)))))
         assert got == rrt_reference.nearest_vertex(tree, p) == nearest_vertex(tree, p)
         old, new = dist2[near], local_planner._square_distances(tree, p[None])[0, count:].min()
         seen["exact_tie"] += bool(old == new)
@@ -366,11 +367,45 @@ def test_nearest_keeps_the_full_scan_answer_across_a_block_boundary():
     check()
 
 
+def _prefilter(tree: Tree, points: np.ndarray) -> tuple[np.ndarray, float]:
+    """The float32 prefilter of the (b, 3) `points` against every node, as
+    `rrt_star_run` builds it, over the box of the points and nodes, and its
+    bound E."""
+    every = np.vstack((tree.positions, points))
+    lo, hi = every.min(axis=0), every.max(axis=0)
+    columns = np.empty((5, len(tree)), dtype=np.float32)
+    local_planner._node_columns(tree.xyz, lo, columns)
+    scan = np.einsum("ik,kj->ij", local_planner._sample_rows(points, lo), columns)
+    return scan, local_planner._scan_bound(lo, hi)
+
+
+def _block_candidates(tree: Tree, points: np.ndarray, radius: float, extend_dist: float):
+    """`_block_candidates` on the prefilter of `points`, checked against the
+    float64 full scan: the same nearest ids and squared distances, and each
+    run every node whose exact squared distance is at most its reach
+    squared, plus only nodes within 2E of that. Returns the full scan and
+    the candidates."""
+    scan, bound = _prefilter(tree, points)
+    nearest, near_dist2, older, ends = local_planner._block_candidates(
+        scan, points, tree.xyz, bound, radius, extend_dist)
+    dist2 = local_planner._square_distances(tree, points)
+    assert nearest.tolist() == dist2.argmin(axis=1).tolist()
+    assert near_dist2.tolist() == dist2.min(axis=1).tolist()
+    reach = radius + np.maximum(np.sqrt(near_dist2) - extend_dist, 0.0) + CULL_PAD
+    begin = 0
+    for scan_row, reach2, end in zip(dist2, (reach * reach).tolist(), ends):
+        run, begin = older[begin:end], end
+        assert run == sorted(set(run))
+        assert set(np.flatnonzero(scan_row <= reach2).tolist()) <= set(run)
+        assert (scan_row[run] <= reach2 + 2 * bound).all()
+    return dist2, (nearest, near_dist2, older, ends)
+
+
 def _older_candidates_hold_every_in_radius_node(seed: int) -> int:
-    """A block of samples round a root, and nodes at the neighbour radius
+    """Eight samples of a block round a root, and nodes at the neighbour radius
     behind each sample's new node as seen from the sample (where the
     triangle inequality is tight), some moved by an ulp: every in-radius
-    node of a sample's new node must be in its run of `_older_candidates`.
+    node of a sample's new node must be in its run of `_block_candidates`.
     Each run must be strictly ascending, as `_best_parent`'s tie rule needs,
     and stay so with the ids a block adds after its scan appended.
     Returns how many in-radius nodes lay beyond the bound without its pad."""
@@ -378,8 +413,10 @@ def _older_candidates_hold_every_in_radius_node(seed: int) -> int:
     root = rng.uniform(-5, 5, 3)
     extend_dist = float(rng.uniform(0.1, 2.0))
     radius = extend_dist * float(rng.uniform(1.5, 3.0))
-    directions = rng.normal(size=(local_planner.BLOCK, 3))
-    block = root + rng.uniform(0.0, 6.0, (local_planner.BLOCK, 1)) * (
+    # eight samples, a block's last few: with more, another sample's nodes
+    # are often nearer than the root and the bound is seldom tight
+    directions = rng.normal(size=(8, 3))
+    block = root + rng.uniform(0.0, 6.0, (8, 1)) * (
         directions / np.linalg.norm(directions, axis=1, keepdims=True))
     tree = Tree(root)
     for x_rand in block:
@@ -389,10 +426,7 @@ def _older_candidates_hold_every_in_radius_node(seed: int) -> int:
             for _ in range(3):
                 tree.add(np.nextafter(node, rng.choice([-np.inf, np.inf], 3))
                          if rng.random() < 0.5 else node, 0)
-    dist2 = local_planner._square_distances(tree, block)
-    nearest = dist2.argmin(axis=1)
-    near_dist2 = dist2[np.arange(len(block)), nearest]
-    older, ends = local_planner._older_candidates(dist2, near_dist2, radius, extend_dist)
+    dist2, (nearest, _, older, ends) = _block_candidates(tree, block, radius, extend_dist)
     beyond, begin = 0, 0
     for scan, x_rand, near, end in zip(dist2, block.tolist(), nearest.tolist(), ends):
         run, begin = older[begin:end], end
@@ -420,6 +454,58 @@ def test_older_candidates_hold_every_in_radius_node():
         _older_candidates_hold_every_in_radius_node(seed)
 
     check()
+
+
+@st.composite
+def _prefilter_case(draw):
+    """Nodes and a block of points in a box with offsets up to 1e4 m and
+    extents from 1e-3 to 1e3 m, some axes of zero extent, where near-ties
+    are common: a node or point is often an earlier node moved by an ulp or
+    two with `nextafter`, or a copy of it."""
+    offset = draw(hnp.arrays(np.float64, 3, elements=st.floats(-1e4, 1e4)))
+    extent = np.array(draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 1e3)),
+                                    min_size=3, max_size=3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    every = [offset + rng.random(3) * extent]
+    for _ in range(draw(st.integers(1, 80))):
+        if rng.random() < 0.5:
+            every.append(offset + rng.random(3) * extent)
+        else:
+            j = every[int(rng.integers(len(every)))]
+            for _ in range(int(rng.integers(0, 3))):
+                j = np.nextafter(j, rng.choice([-np.inf, np.inf], 3))
+            every.append(j)
+    every = np.array(every)
+    split = draw(st.integers(1, len(every) - 1))
+    points = every[rng.permutation(len(every))[:min(split, local_planner.BLOCK)]]
+    extend_dist = float(extent.max() or 1.0) * draw(st.floats(1e-3, 1.0))
+    return every[:split], points, extend_dist, extend_dist * draw(st.floats(1.01, 3.0))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_prefilter_case())
+def test_the_float32_prefilter_stays_within_its_bound(case):
+    # |D - exact| <= E for every pair, and the near-ties settled in float64
+    # give the full scan's nearest nodes and runs
+    rows, points, extend_dist, radius = case
+    tree = _grow_tree(rows, np.random.default_rng(0))
+    scan, bound = _prefilter(tree, points)
+    exact = local_planner._square_distances(tree, points)
+    assert (np.abs(scan.astype(float) - exact) <= bound).all()
+    _block_candidates(tree, points, radius, extend_dist)
+
+
+def test_tree_columns_follow_the_rows():
+    # `add` appends Python floats; the float64 columns catch up on a read
+    tree = Tree(np.array([1.0, 2.0, 3.0]))
+    assert tree.rows == [[1.0, 2.0, 3.0]] and all(type(c) is float for c in tree.rows[0])
+    for k in range(1, 150):
+        tree.add(np.array([k, -k, 0.5 * k]), k - 1)
+        if k % 7 == 0:
+            assert tree.xyz.tolist() == np.array(tree.rows).T.tolist()
+    assert all(type(c) is float for row in tree.rows for c in row)
+    assert tree.positions.tolist() == tree.rows
+    assert tree.path_from_root(149).tolist() == tree.rows
 
 
 # extend ---------------------------------------------------------------------
@@ -1158,9 +1244,15 @@ def _blocked_run_matches_the_oracle(seed: int, monkeypatch) -> collections.Count
                                ragged=params.max_loops % local_planner.BLOCK != 0)
     nearest, best_parent = local_planner.nearest_vertex, local_planner._best_parent
 
+    sizes = []  # the tree's size at each loop
+
     def recording_nearest(tree, p, block=None):
         near = nearest(tree, p, block)
-        count = block[2]
+        sizes.append(len(tree))
+        # the tree's size when this loop's block started
+        count = sizes[(len(sizes) - 1) // local_planner.BLOCK * local_planner.BLOCK]
+        _, best, recent = block
+        assert recent == sorted(set(recent)) and all(count <= i < len(tree) for i in recent)
         seen["degenerate"] += tree.rows[near] == p
         dx, dy, dz = (q - r for q, r in zip(p, tree.rows[near]))
         seen["subnormal"] += tree.rows[near] != p and dx * dx + dy * dy + dz * dz == 0.0
@@ -1170,12 +1262,20 @@ def _blocked_run_matches_the_oracle(seed: int, monkeypatch) -> collections.Count
             q *= q
             dist2 = q[0] + q[2] + q[1]
             old, new = dist2[:count].min(), dist2[count:].min()
+            assert old == best
+            # a node the block added that the pairwise bound left out is farther
+            left_out = sorted(set(range(count, len(tree))) - set(recent))
+            assert (dist2[left_out] > best).all()
             seen["exact_tie"] += bool(old == new)
             seen["ulp_tie"] += bool(new in (np.nextafter(old, -np.inf),
                                             np.nextafter(old, np.inf)))
         return near
 
     def recording_best_parent(tree, x_new, radius, model, near=None):
+        assert near == sorted(set(near))
+        in_radius = [i for i, d in enumerate(_distances(tree, x_new, range(len(tree))))
+                     if d <= radius]
+        assert set(in_radius) <= set(near)
         parent = best_parent(tree, x_new, radius, model, near)
         if parent is not None:
             cheapest = min((tree.node_costs[i] + d, i)

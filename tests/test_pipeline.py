@@ -417,6 +417,13 @@ def test_no_source_sends_floats_through_blas():
                         or (name.endswith("linalg.norm")
                             and not any(k.arg == "axis" for k in node.keywords))):
                     calls.append(f"{where} {name}")
+                # einsum's optimize path may contract through tensordot, and so
+                # through BLAS; only a literal falsy `optimize` (or none) is safe
+                elif name.endswith("einsum") and any(
+                        k.arg is None or (k.arg == "optimize" and not (
+                            isinstance(k.value, ast.Constant) and not k.value.value))
+                        for k in node.keywords):
+                    calls.append(f"{where} {name}")
     assert calls == []
 
 
