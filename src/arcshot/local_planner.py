@@ -12,17 +12,20 @@ step times an expansion factor, favoring long straight edges where the world
 allows them. Existing nodes are never rewired through new ones: each loop
 only picks the best parent for the node it inserts.
 
-Each loop's nearest node and parent candidates come from one scan of the
-tree per block of BLOCK samples: a float32 prefilter, one `np.einsum`
+Each loop's nearest node and parent candidates come from one float32
+threshold pass over the tree per block of BLOCK samples: one `np.einsum`
 without BLAS, within a proven bound of every exact squared distance
-(`_scan_bound`), whose near-ties are settled in float64 with the exact
-scan's bits, plus a bound between the block's samples for the nodes the
-block adds (`_block_pairs`). So every tree is bit for bit the one an
-exact float64 scan per loop grows.
+(`_scan_bound`), marks for each sample the near-ties of its nearest node
+and every node that can lie within the neighbour radius of its new node,
+and a second einsum of the block's samples against each other bounds the
+nodes the block adds (`_block_pairs`). Each loop settles its near-ties
+with the exact scan's bits, so every tree is bit for bit the one an exact
+float64 scan per loop grows.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -90,11 +93,10 @@ class Tree:
     `rows` holds every position as a list of three Python floats,
     `node_costs` every cost from the root and `parents` every parent id;
     `add` appends to those three lists only, so the per-loop work on the
-    few nodes a loop touches never leaves Python floats. A (3, capacity)
-    float64 buffer, one contiguous row per axis, mirrors `rows` for the
-    vector passes: it is filled from the rows added since its last fill
-    on each read of `xyz`, `positions` or `path_from_root`, which a block
-    scan makes once per block. Node ids are insertion indices, root is 0.
+    few nodes a loop touches never leaves Python floats. The float64
+    arrays for the exact scans, the path and the render are built from
+    `rows` on the first read after nodes were added. Node ids are insertion
+    indices, root is 0.
     """
 
     def __init__(self, root):
@@ -102,33 +104,22 @@ class Tree:
         self.rows: list[list[float]] = [[float(x), float(y), float(z)]]
         self.node_costs: list[float] = [0.0]
         self.parents: list[int | None] = [None]
-        self._xyz = np.empty((3, 64), dtype=float)
-        self._filled = 0
+        self._positions = np.empty((0, 3))
 
     def __len__(self) -> int:
         return len(self.rows)
 
-    def _flushed(self) -> np.ndarray:
-        """The float64 buffer, filled up to the last node."""
-        count = len(self.rows)
-        if self._filled < count:
-            if count > self._xyz.shape[1]:
-                grown = np.empty((3, 2 * count), dtype=float)
-                grown[:, :self._filled] = self._xyz[:, :self._filled]
-                self._xyz = grown
-            self._xyz[:, self._filled:count] = np.array(self.rows[self._filled:]).T
-            self._filled = count
-        return self._xyz
+    @property
+    def positions(self) -> np.ndarray:
+        """(n, 3) array of all node positions in insertion order."""
+        if len(self._positions) < len(self.rows):
+            self._positions = np.array(self.rows)
+        return self._positions
 
     @property
     def xyz(self) -> np.ndarray:
         """(3, n) view of all node positions, one row per axis."""
-        return self._flushed()[:, :len(self.rows)]
-
-    @property
-    def positions(self) -> np.ndarray:
-        """(n, 3) view of all node positions in insertion order."""
-        return self.xyz.T
+        return self.positions.T
 
     def add(self, position, parent: int) -> int:
         """Append the node at `position` (three floats) under `parent`."""
@@ -154,7 +145,7 @@ class Tree:
         while cursor is not None:
             chain.append(cursor)
             cursor = self.parents[cursor]
-        return self._flushed()[:, chain[::-1]].T
+        return self.positions[chain[::-1]]
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,25 +221,28 @@ def _square_distances(tree: Tree, points: np.ndarray) -> np.ndarray:
     return dist2
 
 
-def nearest_vertex(tree: Tree, p, block: tuple[int, float, list[int]] | None = None) -> int:
+def nearest_vertex(tree: Tree, p, ids: list[int] | None = None) -> int:
     """Id of the node closest to `p` (three floats); ties go to the earliest
     insertion.
 
-    Without `block`, one exact scan of the point `p` over the whole tree.
-    With `block` = (id, squared distance, recent ids), the nearest of the
-    nodes present when a block scan started as that scan found it, only the
-    `recent` ids, nodes added since in ascending order, are compared with
-    it, their squares summed x, z, y in Python floats (the same bits as the
-    scan's elementwise ops). Strict `<` keeps the earlier node on a tie, so
-    the answer is the full scan's first argmin as long as every node left
-    out of `recent` is farther than the scan's nearest.
+    Without `ids`, one exact scan of the point `p` over the whole tree.
+    With `ids`, a nonempty ascending list, only those nodes are compared
+    (a single id is the answer), their squares summed x, z, y in Python
+    floats (the same bits as the scan's elementwise ops). Strict `<` keeps
+    the earlier node on a tie, so the answer is the full scan's first
+    argmin as long as every node left out of `ids` is strictly farther than
+    the nearest: in `rrt_star_run`, `ids` are a block scan's near-ties of
+    the nodes present when the block began, then the nodes added since
+    that `_block_pairs` keeps.
     """
-    if block is None:
+    if ids is None:
         return int(_square_distances(tree, np.asarray(p, dtype=float)[None]).argmin())
-    near, best, recent = block
+    if len(ids) == 1:
+        return ids[0]
     x, y, z = p
     rows = tree.rows
-    for i in recent:
+    near, best = ids[0], math.inf
+    for i in ids:
         px, py, pz = rows[i]
         dx, dy, dz = px - x, py - y, pz - z
         dist2 = dx * dx + dz * dz + dy * dy
@@ -261,19 +255,19 @@ def _scan_bound(lo: np.ndarray, hi: np.ndarray) -> float:
     """E = 128 * 2**-24 * L**2, where L is the largest extent of the box
     [`lo`, `hi`] plus CULL_PAD: a bound on how far the float32 prefilter's
     value for a sample and a node differs from their exact squared distance
-    (summed x, z, y in float64), for every sample and node of an attempt
-    whose box spans its window, entry, exit and samples, and `lo` its low
-    corner.
+    (summed x, z, y in float64), for every sample and node, and every two
+    samples, of an attempt whose box spans its window, entry, exit and
+    samples, and `lo` its low corner.
 
     Proof. Let u = 2**-24. Every sample lies in the box, which `rrt_star_run`
     stretches over the samples too, and every node is a chain of `extend`
     steps between the entry and samples, so it lies in the box up to
     rounding far below CULL_PAD (see `walled_off`). So each coordinate less
-    `lo`, rounded in float64, is a value a_k of a sample or b_k of a node
-    with |a_k|, |b_k| <= L. The prefilter sums five products
-    of A = fl32(-2a, 1, |a|^2) and Q = fl32(b, |b|^2, 1), the squares summed
-    in float64 in any order. Rounding to float32 moves a value v by at most
-    u|v|, plus 2**-149 where it underflows.
+    `lo`, rounded in float64, is a value a_k of a sample or b_k of a node or
+    of a second sample with |a_k|, |b_k| <= L. The prefilter sums five
+    products of A = fl32(-2a, 1, |a|^2) and Q = fl32(b, |b|^2, 1), the
+    squares summed in float64 in any order. Rounding to float32 moves a
+    value v by at most u|v|, plus 2**-149 where it underflows.
     1. Operands. Each of the three products A_k Q_k differs from -2 a_k b_k
        by at most (2u + u^2) 2 L^2; each float32 square differs from |a|^2
        or |b|^2 by at most u 3 L^2 plus its float64 rounding, 2**-52 3 L^2.
@@ -289,7 +283,7 @@ def _scan_bound(lo: np.ndarray, hi: np.ndarray) -> float:
        translation and of its own five operations, under 2**-46 L^2.
     Together |D - exact| < 79 u L^2. The remaining 49 u L^2 of E covers
     the float64 rounding of L, of E and of the thresholds compared with D
-    (which are then rounded up to float32; one large enough for its
+    (exactly, or rounded up to float32 first; one large enough for its
     float64 rounding to matter exceeds every D, which is at most 13 L^2),
     and the underflow terms: each at most 2**-149, and L >= CULL_PAD. For
     coordinates far below 1e9 m, as CULL_PAD already assumes, nothing
@@ -310,69 +304,76 @@ def _sample_rows(points: np.ndarray, lo: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _node_columns(xyz: np.ndarray, lo: np.ndarray, out: np.ndarray) -> None:
-    """Write (5, k) float32 columns [x; y; z; |q|^2; 1] of the (3, k) node
-    positions `xyz` less `lo` into `out`, the squares summed in float64."""
-    q = xyz - lo[:, None]
-    out[:3] = q
-    out[3] = (q * q).sum(axis=0)
+def _node_columns(points: np.ndarray, lo: np.ndarray, out: np.ndarray) -> None:
+    """Write (5, k) float32 columns [x; y; z; |q|^2; 1] of the (k, 3)
+    `points` less `lo` into `out`, the squares summed in float64."""
+    q = np.subtract(points, lo)
+    out[:3] = q.T
+    out[3] = (q * q).sum(axis=1)
     out[4] = 1.0
 
 
 def _float32_at_least(values: np.ndarray) -> np.ndarray:
-    """The least float32 values no less than the float64 `values`."""
-    near = values.astype(np.float32)
-    return np.where(near < values, np.nextafter(near, np.float32(np.inf)), near)
+    """Float32 values no less than the float64 `values`, each at most one
+    float32 step above the least float32 no less than its value.
+
+    Proof. Let a <= v <= b be the adjacent float32 values around v (a = b
+    when v is one; b = inf above the largest finite float32, and a = 0
+    below the least subnormal). The cast rounds v to a or b, and the
+    float32 after a is b, so `nextafter` toward inf gives b or the float32
+    after b, both at least v. A value that rounds to the largest float32
+    gives inf; the block scan's thresholds stay far below it.
+    """
+    return np.nextafter(values.astype(np.float32), np.float32(np.inf))
 
 
-def _block_candidates(scan: np.ndarray, points: np.ndarray, xyz: np.ndarray, bound: float,
-                      radius: float, extend_dist: float
-                      ) -> tuple[np.ndarray, np.ndarray, list[int], list[int]]:
-    """Each of the (b, 3) `points`' nearest node and the nodes that can lie
-    within `radius` of its new node, from `scan`, the (b, n) float32
-    prefilter of the points against the n nodes at (3, n) `xyz`, which
-    differs from every exact squared distance by at most `bound` (E).
+def _grouped(ids: np.ndarray, rows: np.ndarray, count: int) -> list[list[int]]:
+    """`ids` in `count` lists by their `rows`, which ascend."""
+    ends = rows.searchsorted(np.arange(count + 1)).tolist()
+    ids = ids.tolist()
+    return [ids[begin:end] for begin, end in itertools.pairwise(ends)]
 
-    Returns the nearest ids, their exact squared distances, the ids of
-    every point's run in one list, in insertion order within a run, and the
-    end of each run.
 
-    Nearest. The exact nearest lies within E of its float32 value, which
-    lies within E of the row's float32 minimum m, so every node whose value
-    is at most m + 2E is measured again with the exact scan's bits (summed
-    x, z, y in float64); the least wins, a tie the earliest id.
+def _block_candidates(scan: np.ndarray, bound: float, radius: float, extend_dist: float
+                      ) -> tuple[np.ndarray, list[list[int]], list[list[int]]]:
+    """For each row of `scan`, the (b, n) float32 prefilter of a block's
+    samples against the n nodes, which differs from every exact squared
+    distance by at most `bound` (E): the near-ties of the sample's nearest
+    node and its run, the nodes that can lie within `radius` of its new node.
+
+    Returns `upper`, a bound from above on each sample's exact nearest
+    squared distance, then each sample's near-tie ids and its run, in
+    ascending lists.
+
+    Upper bound. Let m be the row's float32 minimum. The node it belongs to
+    lies within E of m, so u = m + E is at least the exact nearest squared
+    distance.
+    Near-ties. A node whose float32 value exceeds u + E (compared exactly
+    in float64) lies exactly farther than u, so strictly farther than the
+    nearest; the ties are the others, usually one node.
     Runs. An in-radius node of x_new lies within radius + |x_rand - x_new|
     of x_rand. x_new is x_rand or steps extend_dist toward it from a node no
     farther than the nearest, so |x_rand - x_new| is at most
-    max(0, sqrt(near_dist2) - extend_dist); CULL_PAD covers the rounding of
-    every distance involved for coordinates far below 1e9 m. A run holds
-    every node whose float32 value is at most that reach squared plus E,
-    so it holds every node whose exact value is at most the reach squared.
-    One pass over `scan` finds the nodes within the reach of an upper bound
-    on the nearest distance, m + E, which hold both the near-ties (that
-    reach exceeds sqrt(m + E), as radius > extend_dist) and the run.
+    max(0, sqrt(u) - extend_dist); CULL_PAD covers the rounding of every
+    distance involved for coordinates far below 1e9 m. A run holds every
+    node whose float32 value is at most that reach squared plus E, rounded
+    up to float32, so it holds every node whose exact value is at most the
+    reach squared. The reach exceeds sqrt(u), as radius > extend_dist, so a
+    run holds its near-ties, and one pass over `scan` finds both.
     """
-    count = scan.shape[1]
-    low = scan.min(axis=1).astype(float)  # float64, so adding E rounds in float64
-
-    def reach_squared(near_dist2):
-        reach = radius + np.maximum(np.sqrt(near_dist2) - extend_dist, 0.0) + CULL_PAD
-        return _float32_at_least(reach * reach + bound)
-
-    flat = np.flatnonzero(scan <= reach_squared(low + bound)[:, None])
-    which, ids = np.divmod(flat, count)
-    values = scan.ravel()[flat]
-    tie = values <= _float32_at_least(low + 2.0 * bound)[which]
-    which_tie, ids_tie = which[tie], ids[tie]
-    d = xyz[:, ids_tie] - points.T[:, which_tie]
-    d *= d
-    dist2 = d[0] + d[2] + d[1]
-    # a stable sort by row, then distance, keeps ascending ids within a tie
-    first = np.lexsort((dist2, which_tie))[which_tie.searchsorted(np.arange(len(scan)))]
-    nearest, near_dist2 = ids_tie[first], dist2[first]
-    run = values <= reach_squared(near_dist2)[which]
-    ends = np.cumsum(np.bincount(which[run], minlength=len(scan)))
-    return nearest, near_dist2, ids[run].tolist(), ends.tolist()
+    upper = np.add(np.minimum.reduce(scan, axis=1), bound, dtype=float)  # rounded in float64
+    reach = np.maximum(np.sqrt(upper), extend_dist)
+    reach += radius - extend_dist + CULL_PAD
+    reach *= reach
+    reach += bound
+    flat = (scan <= _float32_at_least(reach)[:, None]).ravel().nonzero()[0]
+    which, ids = np.divmod(flat, scan.shape[1])
+    tie = scan.ravel()[flat] <= (upper + bound)[which]  # float32 against float64: exact
+    tie_ids = ids[tie]
+    # each row holds its minimum; one tie per row is by far the most common
+    ties = ([[i] for i in tie_ids.tolist()] if len(tie_ids) == len(scan)
+            else _grouped(tie_ids, which[tie], len(scan)))
+    return upper, ties, _grouped(ids, which, len(scan))
 
 
 def _distances(tree: Tree, p, ids) -> list[float]:
@@ -517,32 +518,35 @@ class RrtRunResult:
     loops: int
 
 
-def _block_pairs(points: np.ndarray, near_dist2: np.ndarray, radius: float,
-                 extend_dist: float) -> list[list[int]]:
-    """For each of a block's (b, 3) `points`, in ascending order, the
-    earlier points of the block whose new nodes it must compare, given each
-    point's squared distance `near_dist2` to its nearest node at the
-    block's start.
+def _block_pairs(scan: np.ndarray, upper: np.ndarray, bound: float, radius: float,
+                 extend_dist: float, earlier: np.ndarray) -> list[list[int]]:
+    """For each of a block's samples, in ascending order, the earlier
+    samples of the block whose new nodes it must compare, from `scan`, the
+    (b, b) float32 prefilter of the samples against themselves (within
+    `bound` of every exact squared distance, see `_scan_bound`), `upper`,
+    each sample's bound from above on its exact nearest squared distance at
+    the block's start (`_block_candidates`), and `earlier`, a (b, b) mask
+    of the pairs (i, k) with k < i.
 
-    Point k's new node lies within s_k = max(0, sqrt(near_dist2_k) -
-    extend_dist) of point k, since it is point k or steps toward it from a
-    node no farther than k's nearest. So it can be nearer to point i than
-    i's nearest only if |p_i - p_k| <= sqrt(near_dist2_i) + s_k, and within
-    `radius` of point i's new node only if |p_i - p_k| <= radius + s_i +
-    s_k; a point is kept when either holds. CULL_PAD covers the rounding of
-    every distance involved, as in `_block_candidates`.
+    Sample k's new node lies within s_k = max(0, sqrt(upper_k) -
+    extend_dist) of sample k, since it is sample k or steps toward it from
+    a node no farther than k's nearest. So it can be nearer to sample i than
+    i's nearest only if |p_i - p_k| <= sqrt(upper_i) + s_k, and within
+    `radius` of sample i's new node only if |p_i - p_k| <= radius + s_i +
+    s_k. With R_i the larger of sqrt(upper_i) and radius + s_i, plus
+    CULL_PAD for the rounding of every distance involved, as in
+    `_block_candidates`, a pair is kept when its float32 value is at most
+    (R_i + s_k)^2 + E, compared exactly in float64, so every pair that
+    either bound keeps is.
     """
-    root = np.sqrt(near_dist2)
+    root = np.sqrt(upper)
     step = np.maximum(root - extend_dist, 0.0)
-    reach = np.maximum(root, radius + step) + CULL_PAD
-    x, y, z = points.T
-    dx, dy, dz = x[:, None] - x, y[:, None] - y, z[:, None] - z
-    apart = np.sqrt(dx * dx + dy * dy + dz * dz)
-    order = np.arange(len(points))
-    i, k = np.nonzero((apart <= reach[:, None] + step) & (order[:, None] > order))
-    ends = i.searchsorted(np.arange(len(points) + 1)).tolist()
-    k = k.tolist()
-    return [k[begin:end] for begin, end in zip(ends, ends[1:])]
+    apart = np.maximum(root, radius + step)[:, None] + (step + CULL_PAD)
+    apart *= apart
+    apart += bound
+    # float32 values against float64 bounds compare exactly
+    i, k = np.divmod(((scan <= apart) & earlier).ravel().nonzero()[0], len(scan))
+    return _grouped(k, i, len(scan))
 
 
 def rrt_star_run(d: Discontinuity, model: CollisionModel, params: RrtParams,
@@ -554,17 +558,18 @@ def rrt_star_run(d: Discontinuity, model: CollisionModel, params: RrtParams,
     so every attempt is reproducible and independent of the others.
 
     Samples are drawn once per attempt and handled in blocks of BLOCK. One
-    float32 prefilter per block, a single `np.einsum` of the block's sample
-    rows against the node columns (see `_scan_bound`), is settled in
-    float64 by `_block_candidates`: each sample's nearest node among the
-    nodes present when the block starts, and the older nodes that can lie
-    within the neighbour radius of its new node. Each loop then looks only
-    at those and at the nodes added since that `_block_pairs` cannot rule
-    out, on Python floats with the full scans' bits, so the tree is the one
-    a scan per loop grows. A sample that `extend` refuses, because it lies
-    on its nearest node or a subnormal offset from it, is skipped, and so is
-    a new node that `model.point_blocked` refuses, before any candidate
-    work: `_best_parent` would find every edge to it blocked.
+    float32 threshold pass per block, over a single `np.einsum` of the
+    block's sample rows against the node columns (see `_scan_bound`), gives
+    `_block_candidates`: each sample's near-ties among the nodes present when
+    the block starts, and the older nodes that can lie within the neighbour
+    radius of its new node. A second einsum of the block's rows against its
+    own samples' columns gives `_block_pairs`, which bounds the nodes the
+    block adds. Each loop then looks only at those, on Python floats with the
+    full scans' bits, so the tree is the one a scan per loop grows. A sample
+    that `extend` refuses, because it lies on its nearest node or a
+    subnormal offset from it, is skipped, and so is a new node that
+    `model.point_blocked` refuses, before any candidate work: `_best_parent`
+    would find every edge to it blocked.
     """
     window, model = level_window(d, model, params, level)
     rng = np.random.default_rng(
@@ -586,33 +591,39 @@ def rrt_star_run(d: Discontinuity, model: CollisionModel, params: RrtParams,
     lo = corners.min(axis=0)
     bound = _scan_bound(lo, corners.max(axis=0))
     sample_rows = _sample_rows(samples, lo)
+    sample_columns = np.empty((5, len(samples)), dtype=np.float32)
+    _node_columns(samples, lo, sample_columns)
     columns = np.empty((5, params.max_loops + 1), dtype=np.float32)  # a node per loop at most
+    earlier = np.tri(BLOCK, k=-1, dtype=bool)
     filled = 0
     for start in range(0, len(samples), BLOCK):
-        block = samples[start:start + BLOCK]
+        stop = start + BLOCK
+        block_rows = sample_rows[start:stop]
         count = len(tree)
-        xyz = tree.xyz
-        _node_columns(xyz[:, filled:], lo, columns[:, filled:count])
-        filled = count
-        scan = np.einsum("ik,kj->ij", sample_rows[start:start + BLOCK], columns[:, :count])
-        nearest, near_dist2, older, run_ends = _block_candidates(
-            scan, block, xyz, bound, radius, extend_dist)
-        pairs = _block_pairs(block, near_dist2, radius, extend_dist)
-        added = [-1] * len(block)  # the node each sample of the block added
-        begin = 0
-        for i, (x_rand, near, best, end) in enumerate(zip(block.tolist(), nearest.tolist(),
-                                                          near_dist2.tolist(), run_ends)):
-            near_ids, begin = older[begin:end], end
-            recent = [added[k] for k in pairs[i] if added[k] >= 0]
-            near_pos = rows[nearest_vertex(tree, x_rand, (near, best, recent))]
+        if filled < count:
+            # the new rows in one flat pass, faster than np.array on nested lists
+            flat = itertools.chain.from_iterable(rows[filled:])
+            new = np.fromiter(flat, float, 3 * (count - filled)).reshape(-1, 3)
+            _node_columns(new, lo, columns[:, filled:count])
+            filled = count
+        upper, ties, runs = _block_candidates(
+            np.einsum("ik,kj->ij", block_rows, columns[:, :count]), bound, radius, extend_dist)
+        b = len(block_rows)
+        pairs = _block_pairs(
+            np.einsum("ik,kj->ij", block_rows, sample_columns[:, start:stop]), upper, bound,
+            radius, extend_dist, earlier[:b, :b])
+        added = [-1] * b  # the node each sample of the block added
+        for i, (x_rand, tie, run, pair) in enumerate(zip(samples[start:stop].tolist(), ties,
+                                                         runs, pairs)):
+            recent = [added[k] for k in pair if added[k] >= 0]
+            near = nearest_vertex(tree, x_rand, tie + recent)
             try:
-                x_new = extend(near_pos, x_rand, extend_dist)
+                x_new = extend(rows[near], x_rand, extend_dist)
             except DegenerateExtend:  # a degenerate window collapses onto the tree
                 continue
             if model.point_blocked(x_new):  # no edge to it can be free
                 continue
-            near_ids += recent
-            parent = _best_parent(tree, x_new, radius, model, near_ids)
+            parent = _best_parent(tree, x_new, radius, model, run + recent)
             if parent is None:
                 continue
             node_id = added[i] = tree.add(x_new, parent)

@@ -10,6 +10,10 @@ must grow the same tree (positions, costs and parents, bit for bit), return
 the same path and cost, and report the same loop count. It shares `Tree`,
 `sample` and `level_window` with the planner, which the blocked loop left as
 they were.
+
+`block_pairs` is the float64 bound between a block's samples that the
+float32 one of `local_planner._block_pairs` replaced: its pairs, from the
+exact nearest distances, must be among the planner's.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from arcshot.discontinuity import Discontinuity
 from arcshot.errors import DegenerateExtend
 from arcshot.local_planner import (LocalPath, RrtParams, RrtRunResult, Tree, level_window,
                                    sample)
-from arcshot.world import CollisionModel
+from arcshot.world import CULL_PAD, CollisionModel
 
 
 def nearest_vertex(tree: Tree, p: np.ndarray) -> int:
@@ -113,3 +117,29 @@ def rrt_star_run(d: Discontinuity, model: CollisionModel, params: RrtParams,
     positions = np.vstack((tree.path_from_root(best_node), exit_row))
     return RrtRunResult(LocalPath(positions, best_cost), tree, window,
                         params.max_loops)
+
+
+def block_pairs(points: np.ndarray, near_dist2: np.ndarray, radius: float,
+                extend_dist: float) -> list[list[int]]:
+    """For each of a block's (b, 3) `points`, in ascending order, the
+    earlier points of the block whose new nodes it must compare, given each
+    point's exact squared distance `near_dist2` to its nearest node at the
+    block's start.
+
+    Point k's new node lies within s_k = max(0, sqrt(near_dist2_k) -
+    extend_dist) of point k. So it can be nearer to point i than i's
+    nearest only if |p_i - p_k| <= sqrt(near_dist2_i) + s_k, and within
+    `radius` of point i's new node only if |p_i - p_k| <= radius + s_i +
+    s_k; a point is kept when either holds, with CULL_PAD for rounding.
+    """
+    root = np.sqrt(near_dist2)
+    step = np.maximum(root - extend_dist, 0.0)
+    reach = np.maximum(root, radius + step) + CULL_PAD
+    x, y, z = points.T
+    dx, dy, dz = x[:, None] - x, y[:, None] - y, z[:, None] - z
+    apart = np.sqrt(dx * dx + dy * dy + dz * dz)
+    order = np.arange(len(points))
+    i, k = np.nonzero((apart <= reach[:, None] + step) & (order[:, None] > order))
+    ends = i.searchsorted(np.arange(len(points) + 1)).tolist()
+    k = k.tolist()
+    return [k[begin:end] for begin, end in zip(ends, ends[1:])]

@@ -300,22 +300,22 @@ def test_nearest_sums_squares_in_einsum_order():
 
 
 def _split_nearest_agrees(rows: np.ndarray, p: np.ndarray) -> collections.Counter:
-    """At every block boundary `count` of the tree over `rows`: a block scan
-    of `p` over the first `count` nodes, then `nearest_vertex` with that
-    answer once the rest are added, must pick the oracle's full-scan node.
-    Counts the boundaries where the best node before it and the best node
-    after it tie exactly or differ by 1 ulp in squared distance."""
+    """At every block boundary `count` of the tree over `rows`: an exact scan
+    of `p` over the first `count` nodes, then `nearest_vertex` on the nodes
+    that scan ties at its minimum and the nodes added since, must pick the
+    oracle's full-scan node. Counts the boundaries where the best node
+    before it and the best node after it tie exactly or differ by 1 ulp in
+    squared distance."""
     seen = collections.Counter()
     for count in range(1, len(rows)):
         tree = _grow_tree(rows[:count], np.random.default_rng(count))
         dist2 = local_planner._square_distances(tree, p[None])[0]
-        near = int(dist2.argmin())
+        ties = np.flatnonzero(dist2 == dist2.min()).tolist()
         for r in rows[count:]:
             tree.add(r, 0)
-        got = nearest_vertex(tree, p.tolist(),
-                             (near, float(dist2[near]), list(range(count, len(tree)))))
+        got = nearest_vertex(tree, p.tolist(), ties + list(range(count, len(tree))))
         assert got == rrt_reference.nearest_vertex(tree, p) == nearest_vertex(tree, p)
-        old, new = dist2[near], local_planner._square_distances(tree, p[None])[0, count:].min()
+        old, new = dist2.min(), local_planner._square_distances(tree, p[None])[0, count:].min()
         seen["exact_tie"] += bool(old == new)
         seen["ulp_tie"] += bool(new in (np.nextafter(old, -np.inf), np.nextafter(old, np.inf)))
     return seen
@@ -367,48 +367,67 @@ def test_nearest_keeps_the_full_scan_answer_across_a_block_boundary():
     check()
 
 
-def _prefilter(tree: Tree, points: np.ndarray) -> tuple[np.ndarray, float]:
-    """The float32 prefilter of the (b, 3) `points` against every node, as
-    `rrt_star_run` builds it, over the box of the points and nodes, and its
-    bound E."""
+def _prefilter(tree: Tree, points: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The float32 prefilters of the (b, 3) `points` against every node and
+    against each other, as `rrt_star_run` builds them, over the box of the
+    points and nodes, and their bound E."""
     every = np.vstack((tree.positions, points))
     lo, hi = every.min(axis=0), every.max(axis=0)
-    columns = np.empty((5, len(tree)), dtype=np.float32)
-    local_planner._node_columns(tree.xyz, lo, columns)
-    scan = np.einsum("ik,kj->ij", local_planner._sample_rows(points, lo), columns)
-    return scan, local_planner._scan_bound(lo, hi)
+    rows = local_planner._sample_rows(points, lo)
+    columns = np.empty((5, len(tree) + len(points)), dtype=np.float32)
+    local_planner._node_columns(every, lo, columns)
+    scan = np.einsum("ik,kj->ij", rows, columns[:, :len(tree)])
+    pair_scan = np.einsum("ik,kj->ij", rows, columns[:, len(tree):])
+    return scan, pair_scan, local_planner._scan_bound(lo, hi)
 
 
-def _block_candidates(tree: Tree, points: np.ndarray, radius: float, extend_dist: float):
-    """`_block_candidates` on the prefilter of `points`, checked against the
-    float64 full scan: the same nearest ids and squared distances, and each
-    run every node whose exact squared distance is at most its reach
-    squared, plus only nodes within 2E of that. Returns the full scan and
-    the candidates."""
-    scan, bound = _prefilter(tree, points)
-    nearest, near_dist2, older, ends = local_planner._block_candidates(
-        scan, points, tree.xyz, bound, radius, extend_dist)
+def _block_candidates(tree: Tree, points: np.ndarray, radius: float,
+                      extend_dist: float) -> tuple[np.ndarray, tuple, tuple]:
+    """`_block_candidates` and `_block_pairs` on the prefilters of `points`,
+    checked against the float64 full scan. `upper` is at least each exact
+    nearest squared distance, and at most 2E above it. Each tie list
+    ascends and holds the first exact nearest node, and every node left out
+    is strictly farther than it. Each run ascends, holds the ties and every
+    node whose exact squared distance is at most the reach of the exact
+    nearest squared, and only nodes within E (plus the float32 rounding up)
+    of the reach of `upper` squared. Each pair list ascends below its
+    sample and holds the pairs of the float64 bound (`block_pairs`).
+    Returns the full scan, the two prefilters and the candidates."""
+    scan, pair_scan, bound = _prefilter(tree, points)
+    upper, ties, runs = local_planner._block_candidates(scan, bound, radius, extend_dist)
     dist2 = local_planner._square_distances(tree, points)
-    assert nearest.tolist() == dist2.argmin(axis=1).tolist()
-    assert near_dist2.tolist() == dist2.min(axis=1).tolist()
-    reach = radius + np.maximum(np.sqrt(near_dist2) - extend_dist, 0.0) + CULL_PAD
-    begin = 0
-    for scan_row, reach2, end in zip(dist2, (reach * reach).tolist(), ends):
-        run, begin = older[begin:end], end
-        assert run == sorted(set(run))
-        assert set(np.flatnonzero(scan_row <= reach2).tolist()) <= set(run)
-        assert (scan_row[run] <= reach2 + 2 * bound).all()
-    return dist2, (nearest, near_dist2, older, ends)
+    near_dist2 = dist2.min(axis=1)
+    assert (upper >= near_dist2).all() and (upper <= near_dist2 + 2 * bound).all()
+
+    def reach2(near):
+        reach = radius + max(math.sqrt(near) - extend_dist, 0.0) + CULL_PAD
+        return reach * reach
+
+    assert len(ties) == len(runs) == len(points)
+    for row, tie, run, near, up in zip(dist2, ties, runs, near_dist2.tolist(), upper.tolist()):
+        assert tie == sorted(set(tie)) and run == sorted(set(run)) and set(tie) <= set(run)
+        assert int(row.argmin()) in tie and (np.delete(row, tie) > near).all()
+        assert set(np.flatnonzero(row <= reach2(near)).tolist()) <= set(run)
+        assert (row[run] <= (reach2(up) + bound) * (1 + 2 ** -22) + bound).all()
+    pairs = local_planner._block_pairs(pair_scan, upper, bound, radius, extend_dist,
+                                       np.tri(len(points), k=-1, dtype=bool))
+    want = rrt_reference.block_pairs(points, near_dist2, radius, extend_dist)
+    for i, (got, oracle) in enumerate(zip(pairs, want, strict=True)):
+        assert got == sorted(set(got)) and all(k < i for k in got) and set(oracle) <= set(got)
+    return dist2, (scan, pair_scan), (upper, ties, runs, pairs)
 
 
-def _older_candidates_hold_every_in_radius_node(seed: int) -> int:
+def _older_candidates_hold_every_in_radius_node(seed: int) -> collections.Counter:
     """Eight samples of a block round a root, and nodes at the neighbour radius
     behind each sample's new node as seen from the sample (where the
-    triangle inequality is tight), some moved by an ulp: every in-radius
-    node of a sample's new node must be in its run of `_block_candidates`.
-    Each run must be strictly ascending, as `_best_parent`'s tie rule needs,
-    and stay so with the ids a block adds after its scan appended.
-    Returns how many in-radius nodes lay beyond the bound without its pad."""
+    triangle inequality is tight), or at the radius from a sample that is
+    its own new node, some moved by an ulp: every in-radius node of a
+    sample's new node must be in its run of `_block_candidates`. Each run
+    must be strictly ascending, as `_best_parent`'s tie rule needs, and stay
+    so with the ids a block adds after its scan appended. Counts the
+    in-radius nodes that lay beyond the bound without its pad ("beyond"),
+    and those whose float32 value lay above the run's threshold without its
+    E ("needs_bound")."""
     rng = np.random.default_rng(seed)
     root = rng.uniform(-5, 5, 3)
     extend_dist = float(rng.uniform(0.1, 2.0))
@@ -423,13 +442,16 @@ def _older_candidates_hold_every_in_radius_node(seed: int) -> int:
         away = np.array(extend(root.tolist(), x_rand.tolist(), extend_dist)) - x_rand
         if away.any():
             node = x_rand + away * (1.0 + radius / np.linalg.norm(away))
-            for _ in range(3):
-                tree.add(np.nextafter(node, rng.choice([-np.inf, np.inf], 3))
-                         if rng.random() < 0.5 else node, 0)
-    dist2, (nearest, _, older, ends) = _block_candidates(tree, block, radius, extend_dist)
-    beyond, begin = 0, 0
-    for scan, x_rand, near, end in zip(dist2, block.tolist(), nearest.tolist(), ends):
-        run, begin = older[begin:end], end
+        else:  # x_rand is its own new node
+            direction = rng.normal(size=3)
+            node = x_rand + direction * (radius / np.linalg.norm(direction))
+        for _ in range(3):
+            tree.add(np.nextafter(node, rng.choice([-np.inf, np.inf], 3))
+                     if rng.random() < 0.5 else node, 0)
+    dist2, (scan32, _), (upper, _, runs, _) = _block_candidates(tree, block, radius, extend_dist)
+    seen = collections.Counter()
+    for scan, row32, up, x_rand, run in zip(dist2, scan32, upper.tolist(), block.tolist(), runs):
+        near = int(scan.argmin())
         ids = run + list(range(len(tree), len(tree) + local_planner.BLOCK - 1))
         assert all(a < b for a, b in zip(ids, ids[1:]))
         if x_rand == tree.rows[near]:
@@ -439,19 +461,65 @@ def _older_candidates_hold_every_in_radius_node(seed: int) -> int:
                      if dist <= radius]
         assert set(in_radius) <= set(run)
         bare = radius + max(math.sqrt(scan[near]) - extend_dist, 0.0)
-        beyond += int((scan[in_radius] > bare * bare).sum())
-    return beyond
+        seen["beyond"] += int((scan[in_radius] > bare * bare).sum())
+        reach = radius + max(math.sqrt(up) - extend_dist, 0.0) + CULL_PAD
+        unpadded = local_planner._float32_at_least(np.array([reach * reach]))[0]
+        seen["needs_bound"] += int((row32[in_radius] > unpadded).sum())
+    return seen
 
 
 def test_older_candidates_hold_every_in_radius_node():
-    # the pad is what keeps the nodes where the bound is tight: a fixed seed
-    # sweep shows that it is needed
-    assert sum(_older_candidates_hold_every_in_radius_node(seed) for seed in range(300)) >= 40
+    # the pad and the prefilter's bound E are what keep the nodes where the
+    # bound is tight: a fixed seed sweep shows that both are needed
+    seen = sum((_older_candidates_hold_every_in_radius_node(seed) for seed in range(300)),
+               collections.Counter())
+    assert seen["beyond"] >= 40 and seen["needs_bound"] >= 10
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
     def check(seed):
         _older_candidates_hold_every_in_radius_node(seed)
+
+    check()
+
+
+def _tight_pairs(seed: int) -> int:
+    """Four pairs of a block's samples, the second `radius` from the first,
+    each sample a hair from a node, so that each is its own new node and
+    the second's can lie within the radius of the first's: `_block_pairs`
+    must keep every such pair (and the float64 bound's pairs, which
+    `_block_candidates` checks). Returns how many of them lay above the
+    pair threshold without its E."""
+    rng = np.random.default_rng(seed)
+    extend_dist = float(rng.uniform(0.1, 2.0))
+    radius = extend_dist * float(rng.uniform(1.5, 3.0))
+    firsts = rng.uniform(-5.0, 5.0, (4, 3))
+    directions = rng.normal(size=(4, 3))
+    seconds = firsts + directions * (radius / np.linalg.norm(directions, axis=1, keepdims=True))
+    block = np.stack((firsts, seconds), axis=1).reshape(8, 3)
+    hair = rng.normal(size=(8, 3)) * (1e-3 * extend_dist)
+    tree = _grow_tree(block + hair, rng)
+    _, (_, pair_scan), (upper, _, _, pairs) = _block_candidates(tree, block, radius, extend_dist)
+    needs_bound = 0
+    for i in range(1, 8, 2):
+        k = i - 1
+        if math.dist(block[i], block[k]) <= radius:
+            assert k in pairs[i]
+            reach = max(math.sqrt(upper[i]), radius) + CULL_PAD
+            unpadded = local_planner._float32_at_least(np.array([reach * reach]))[0]
+            needs_bound += bool(pair_scan[i, k] > unpadded)
+    return needs_bound
+
+
+def test_tight_pairs_of_a_block_are_kept():
+    # a fixed seed sweep shows the prefilter's bound E is needed; hypothesis
+    # draws more seeds
+    assert sum(_tight_pairs(seed) for seed in range(300)) >= 10
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1))
+    def check(seed):
+        _tight_pairs(seed)
 
     check()
 
@@ -485,14 +553,60 @@ def _prefilter_case(draw):
 @settings(max_examples=300, deadline=None)
 @given(_prefilter_case())
 def test_the_float32_prefilter_stays_within_its_bound(case):
-    # |D - exact| <= E for every pair, and the near-ties settled in float64
-    # give the full scan's nearest nodes and runs
+    # |D - exact| <= E for every sample and node and every two samples, and
+    # the ties, runs and pairs hold what the full float64 scan needs
     rows, points, extend_dist, radius = case
     tree = _grow_tree(rows, np.random.default_rng(0))
-    scan, bound = _prefilter(tree, points)
+    scan, pair_scan, bound = _prefilter(tree, points)
     exact = local_planner._square_distances(tree, points)
     assert (np.abs(scan.astype(float) - exact) <= bound).all()
+    apart = local_planner._square_distances(_grow_tree(points, np.random.default_rng(0)), points)
+    assert (np.abs(pair_scan.astype(float) - apart) <= bound).all()
     _block_candidates(tree, points, radius, extend_dist)
+
+
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+
+@st.composite
+def _positive_double(draw) -> float:
+    """A positive float64: a float32 binade edge 2**k moved a few float64 or
+    float32 steps either way, an exact float32 value, a float32 or float64
+    subnormal, a value near the float32 maximum, or any other."""
+    kind = draw(st.sampled_from(("edge", "float32", "subnormal", "top", "any")))
+    if kind == "edge":
+        v = np.float64(2.0 ** draw(st.integers(-149, 127)))
+        if draw(st.booleans()):  # float32 steps
+            v = np.float32(v)
+        toward = draw(st.sampled_from((-np.inf, np.inf)))
+        for _ in range(draw(st.integers(0, 3))):
+            v = np.nextafter(v, v.dtype.type(toward))
+        return float(v) if v > 0 else 2.0 ** -149
+    if kind == "float32":
+        return draw(st.floats(min_value=2.0 ** -149, max_value=_FLOAT32_MAX, width=32))
+    if kind == "subnormal":
+        return draw(st.one_of(st.floats(min_value=5e-324, max_value=2.0 ** -126),
+                              st.floats(min_value=5e-324, max_value=2.0 ** -1022)))
+    if kind == "top":
+        return draw(st.floats(min_value=_FLOAT32_MAX * (1 - 2 ** -20),
+                              max_value=_FLOAT32_MAX * (1 + 2 ** -20)))
+    return draw(st.floats(min_value=5e-324, max_value=1e300))
+
+
+@settings(max_examples=2000, deadline=None)
+@given(_positive_double())
+def test_thresholds_round_up_to_float32_by_at_most_two_steps(v):
+    # every threshold the scan compares with is at least its float64 value,
+    # and at most two float32 steps above the greatest float32 not above it
+    inf32 = np.float32(np.inf)
+    with np.errstate(over="ignore"):
+        got = local_planner._float32_at_least(np.array([v]))
+        floor = np.float32(v)
+        if float(floor) > v:
+            floor = np.nextafter(floor, -inf32)
+        cap = np.nextafter(np.nextafter(floor, inf32), inf32)
+    assert got.dtype == np.float32 and got.shape == (1,)
+    assert float(got[0]) >= v and got[0] <= cap
 
 
 def test_tree_columns_follow_the_rows():
@@ -1235,10 +1349,11 @@ def _blocked_run_matches_the_oracle(seed: int, monkeypatch) -> collections.Count
     """`_blocked_case(seed)` run by `rrt_star_run` and by the oracle, which
     must give the same facts. Counts what the blocked run went through:
     degenerate samples (those that differ from their nearest node by a
-    subnormal on their own), nearest nodes added inside the current block, exact
-    and 1-ulp ties between the best node before the block and the best node
-    added in it, and best-parent calls won by the cheapest candidate and by
-    a later one."""
+    subnormal on their own), nearest nodes added inside the current block,
+    loops given several near-ties of the block scan, exact and 1-ulp ties
+    between the best node before the block and the best node added in it,
+    and best-parent calls won by the cheapest candidate and by a later
+    one."""
     d, model, params, level, grid = _blocked_case(seed)
     seen = collections.Counter(short=params.max_loops < local_planner.BLOCK,
                                ragged=params.max_loops % local_planner.BLOCK != 0)
@@ -1246,26 +1361,30 @@ def _blocked_run_matches_the_oracle(seed: int, monkeypatch) -> collections.Count
 
     sizes = []  # the tree's size at each loop
 
-    def recording_nearest(tree, p, block=None):
-        near = nearest(tree, p, block)
+    def recording_nearest(tree, p, ids=None):
+        near = nearest(tree, p, ids)
         sizes.append(len(tree))
         # the tree's size when this loop's block started
         count = sizes[(len(sizes) - 1) // local_planner.BLOCK * local_planner.BLOCK]
-        _, best, recent = block
-        assert recent == sorted(set(recent)) and all(count <= i < len(tree) for i in recent)
+        ties, recent = [i for i in ids if i < count], [i for i in ids if i >= count]
+        assert ids == ties + recent and ids == sorted(set(ids)) and ids[-1] < len(tree)
         seen["degenerate"] += tree.rows[near] == p
         dx, dy, dz = (q - r for q, r in zip(p, tree.rows[near]))
         seen["subnormal"] += tree.rows[near] != p and dx * dx + dy * dy + dz * dz == 0.0
         seen["in_block"] += near >= count
+        q = tree.xyz - np.array(p)[:, None]
+        q *= q
+        dist2 = q[0] + q[2] + q[1]
+        old = dist2[:count].min()
+        # the ties hold the scan's first nearest; an older node left out is farther
+        assert int(dist2[:count].argmin()) in ties
+        assert (np.delete(dist2[:count], ties) > old).all()
+        seen["several_ties"] += len(ties) > 1
         if count < len(tree):
-            q = tree.xyz - np.array(p)[:, None]
-            q *= q
-            dist2 = q[0] + q[2] + q[1]
-            old, new = dist2[:count].min(), dist2[count:].min()
-            assert old == best
+            new = dist2[count:].min()
             # a node the block added that the pairwise bound left out is farther
             left_out = sorted(set(range(count, len(tree))) - set(recent))
-            assert (dist2[left_out] > best).all()
+            assert (dist2[left_out] > old).all()
             seen["exact_tie"] += bool(old == new)
             seen["ulp_tie"] += bool(new in (np.nextafter(old, -np.inf),
                                             np.nextafter(old, np.inf)))
@@ -1303,7 +1422,7 @@ def test_blocked_loop_grows_the_oracle_tree(monkeypatch):
     # (1-ulp ties across a boundary are rare here; the test above has them)
     assert seen["short"] >= 50 and seen["ragged"] >= 100
     assert seen["degenerate"] >= 150 and seen["subnormal"] >= 2
-    assert seen["exact_tie"] >= 15
+    assert seen["exact_tie"] >= 15 and seen["several_ties"] >= 100
     assert seen["in_block"] >= 400
     assert seen["cheapest"] >= 1200 and seen["later"] >= 100
 
@@ -1313,6 +1432,24 @@ def test_blocked_loop_grows_the_oracle_tree(monkeypatch):
         _blocked_run_matches_the_oracle(seed, monkeypatch)
 
     check()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from((1, 6, 7, 31, 32, 33, 63, 64, 100, 128, 131)))
+def test_the_block_size_changes_only_the_speed(seed, max_loops):
+    # one tree (positions, parents and costs) and one path for every BLOCK,
+    # on `_blocked_case`'s windows, with budgets below, equal to and off the
+    # multiples of each block size
+    d, model, params, level, grid = _blocked_case(seed)
+    params = dataclasses.replace(params, max_loops=max_loops)
+    facts = []
+    with pytest.MonkeyPatch.context() as m:
+        if grid:
+            m.setattr(local_planner, "sample", _grid_sample)
+        for block in (1, 7, 32, 64, 128):
+            m.setattr(local_planner, "BLOCK", block)
+            facts.append(_run_facts(rrt_star_run(d, model, params, level)))
+    assert all(f == facts[0] for f in facts[1:])
 
 
 def _goal_checks(d, model, params, level, monkeypatch) -> tuple[int, int]:
