@@ -17,6 +17,8 @@ import sys
 from json import JSONDecodeError
 from pathlib import Path
 
+import numpy as np
+
 from . import bench as bench_mod
 from . import fileio, render
 from .errors import (ArcshotError, DegenerateArc, DegenerateHeading,
@@ -142,9 +144,10 @@ def _cmd_execute(args) -> int:
         raise ValidationFailed(offending)
     # `follow` first climbs straight up from the ground to the first pose.
     # `segment_free` keeps CULL_PAD from every bounds face but a ground at
-    # exactly 0.0, so the column starts one pad up, in any world.
+    # exactly 0.0, so the column starts one pad up, in any world. As a
+    # two-row polyline it is tested against the obstacles near it alone.
     bottom, top = (x, y, ground + CULL_PAD), (x, y, z)
-    if not model.segment_free(bottom, top):
+    if not model.segments_free(np.array((bottom, top)))[0]:
         raise TakeoffBlocked(bottom, top)
 
     out = _out_dir(args)

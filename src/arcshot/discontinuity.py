@@ -50,6 +50,12 @@ def find_discontinuities(path: GlobalPath, model: CollisionModel,
     Raises EndpointBlocked if either path endpoint, tested as a zero-length
     segment, is not free, naming the bounds when it lies outside them as the
     predicate shrinks them.
+
+    Every test here culls: `in_bounds` reads the bounds alone, and each
+    endpoint and the whole scan go through `segments_free`, which tests
+    only the obstacles near its polyline (the endpoint's padded point, the
+    path's bounding box), so a large world costs only its obstacles near
+    the path.
     """
     if margin < 1:
         raise ValueError(f"margin must be >= 1, got {margin}")
@@ -63,7 +69,7 @@ def find_discontinuities(path: GlobalPath, model: CollisionModel,
                 index, f"{tuple(end)} lies outside the world bounds {(lo.x, lo.y, lo.z)} "
                        f"to {(hi.x, hi.y, hi.z)} shrunk by {CULL_PAD} m (a ground at 0.0 "
                        f"is not shrunk)")
-        if not model.segment_free(end, end):
+        if not model.segments_free(positions[[index, index]])[0]:
             raise EndpointBlocked(index)
 
     free = model.segments_free(positions)

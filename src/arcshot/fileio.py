@@ -226,13 +226,7 @@ def _list_of(load_item):
 
 
 _expect_obstacles = _list_of(_expect_obstacle)
-_CYLINDER_KEYS = {"kind", "base_center", "radius", "height"}
-_BOX_KEYS = {"kind", "min", "max"}
 _NUMBER_TYPES = {int, float}
-
-
-def _is_vec3(value) -> bool:
-    return type(value) is list and len(value) == 3
 
 
 def _obstacles_in_bulk(value: Any) -> np.ndarray | None:
@@ -240,40 +234,51 @@ def _obstacles_in_bulk(value: Any) -> np.ndarray | None:
     whole arrays, or None where any check fails, so the caller can name the
     fault with it.
 
-    Passes exactly the lists that loader passes and whose every number is a
-    plain int or float: numpy converts an int to the float `float()` gives,
-    and raises OverflowError where `float()` does.
+    One pass over the entries takes a dict of 4 keys whose `kind` is
+    "cylinder" and that holds the three cylinder keys, or a dict of 3 keys
+    whose `kind` is "box" and that holds the two box keys, each vector a list
+    of 3; one type check then runs over all the numbers. So it passes exactly
+    the lists that loader passes and whose every number is a plain int or
+    float: numpy converts an int to the float `float()` gives, and raises
+    OverflowError where `float()` does.
     """
     if type(value) is not list:
         return None
     is_box, cylinders, boxes = [], [], []
-    for entry in value:
-        if type(entry) is not dict:
-            return None
-        keys = entry.keys()
-        if keys == _CYLINDER_KEYS and entry["kind"] == "cylinder":
-            center = entry["base_center"]
-            if not _is_vec3(center):
+    try:
+        for entry in value:
+            if type(entry) is not dict:
                 return None
-            cylinders += center
-            cylinders += (entry["radius"], entry["height"])
-            is_box.append(False)
-        elif keys == _BOX_KEYS and entry["kind"] == "box":
-            lo, hi = entry["min"], entry["max"]
-            if not (_is_vec3(lo) and _is_vec3(hi)):
+            # with its size fixed, a missing key raises KeyError below
+            kind = entry["kind"]
+            if kind == "cylinder" and len(entry) == 4:
+                center = entry["base_center"]
+                if type(center) is not list or len(center) != 3:
+                    return None
+                cylinders += center
+                cylinders.append(entry["radius"])
+                cylinders.append(entry["height"])
+                is_box.append(False)
+            elif kind == "box" and len(entry) == 3:
+                lo, hi = entry["min"], entry["max"]
+                if type(lo) is not list or type(hi) is not list or len(lo) != 3 or len(hi) != 3:
+                    return None
+                boxes += lo
+                boxes += hi
+                is_box.append(True)
+            else:
                 return None
-            boxes += lo
-            boxes += hi
-            is_box.append(True)
-        else:
-            return None
-    if not set(map(type, cylinders + boxes)) <= _NUMBER_TYPES:
+    except KeyError:
+        return None
+    numbers = cylinders + boxes
+    if not set(map(type, numbers)) <= _NUMBER_TYPES:
         return None
     try:
-        cyl = np.array(cylinders, dtype=float).reshape(-1, 5)
-        box = np.array(boxes, dtype=float).reshape(-1, 6)
+        numbers = np.array(numbers, dtype=float)
     except OverflowError:
         return None
+    cyl = numbers[:len(cylinders)].reshape(-1, 5)
+    box = numbers[len(cylinders):].reshape(-1, 6)
     # a box needs min < max on every axis; -0.0 against 0.0 is no extent
     if not (np.isfinite(cyl).all() and np.isfinite(box).all()
             and (cyl[:, 3:] > 0).all() and (box[:, :3] < box[:, 3:]).all()):

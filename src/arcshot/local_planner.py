@@ -549,10 +549,11 @@ def _block_pairs(scan: np.ndarray, upper: np.ndarray, bound: float, radius: floa
     return _grouped(k, i, len(scan))
 
 
-def rrt_star_run(d: Discontinuity, model: CollisionModel, params: RrtParams,
-                 level: int, disc_index: int = 0) -> RrtRunResult:
-    """Run the full RRT* loop once inside the level-expanded window, checking
-    every edge with `model.segment_free`.
+def rrt_star_run(d: Discontinuity, window: SearchWindow, model: CollisionModel,
+                 params: RrtParams, disc_index: int = 0) -> RrtRunResult:
+    """Run the full RRT* loop once inside `window`, checking every edge with
+    `model.segment_free`, where `model` is culled to the window: the pair
+    `level_window` returns, which `plan_local_run` builds once per level.
 
     The rng stream is derived from (seed, discontinuity index, window level),
     so every attempt is reproducible and independent of the others.
@@ -571,9 +572,8 @@ def rrt_star_run(d: Discontinuity, model: CollisionModel, params: RrtParams,
     `model.point_blocked` refuses, before any candidate work: `_best_parent`
     would find every edge to it blocked.
     """
-    window, model = level_window(d, model, params, level)
     rng = np.random.default_rng(
-        np.random.SeedSequence(entropy=params.seed, spawn_key=(disc_index, level)))
+        np.random.SeedSequence(entropy=params.seed, spawn_key=(disc_index, window.level)))
 
     ex, ey, ez = goal = d.exit
     tree = Tree(d.entry)
@@ -658,10 +658,11 @@ def plan_local_run(d: Discontinuity, model: CollisionModel, params: RrtParams,
     """
     loops = 0
     for level in range(params.fail_limit):
-        if walled_off(d, *level_window(d, model, params, level)):
+        window, local = level_window(d, model, params, level)
+        if walled_off(d, window, local):
             loops += params.max_loops
             continue
-        result = rrt_star_run(d, model, params, level, disc_index)
+        result = rrt_star_run(d, window, local, params, disc_index)
         loops += result.loops
         if result.path is not None:
             return replace(result, loops=loops)

@@ -207,6 +207,14 @@ class CollisionModel:
     Cylinders grow radially and upward; their base also drops by the growth
     but never below ground (z=0), so pillars stay grounded. Boxes grow
     outward in every axis.
+
+    Which tests cull: `segments_free` tests its polyline against the model
+    culled to the polyline's bounding box (`within`), so every edge check of
+    a command (the path scan and validation, each path endpoint as a
+    two-row polyline, the takeoff column) pays only for the obstacles near
+    it, and `in_bounds` reads the bounds alone. `segment_free`,
+    `point_blocked` and `free_points` test every row of the model they are
+    asked on: the planner asks them on a model culled to its window.
     """
 
     def __init__(self, world: World, quad: QuadModel):
@@ -247,10 +255,12 @@ class CollisionModel:
         of only the kept obstacles: `segment_free` grows each row by one pad,
         and the second covers the rounding of both tests.
         """
-        lo = lo - 2 * CULL_PAD
-        hi = hi + 2 * CULL_PAD
+        (lx, ly, lz), (hx, hy, hz) = (lo - 2 * CULL_PAD).tolist(), (hi + 2 * CULL_PAD).tolist()
         rows = self.inflated
-        keep = np.all((rows[:, MIN] <= hi) & (rows[:, MAX] >= lo), axis=1)
+        # one column against one float at a time: a third of the time of an
+        # (n, 3) compare reduced along its rows, on a world of 1000 rows
+        keep = ((rows[:, 0] <= hx) & (rows[:, 1] <= hy) & (rows[:, 2] <= hz)
+                & (rows[:, 3] >= lx) & (rows[:, 4] >= ly) & (rows[:, 5] >= lz))
         local = object.__new__(CollisionModel)
         local._adopt(self.world, self.quad, rows[keep], self.raw[keep])
         return local
@@ -319,7 +329,7 @@ class CollisionModel:
         """
         x, y, z = p.tolist() if isinstance(p, np.ndarray) else p
         # `in_bounds` inline: the planner asks this once per loop
-        (lx, ly, lz), (hx, hy, hz), _, _ = self._scalar_rows
+        (lx, ly, lz), (hx, hy, hz) = self._bounds
         if not (lx <= x <= hx and ly <= y <= hy and lz <= z <= hz):
             return True
         cylinders, boxes = self._point_rows
@@ -343,22 +353,29 @@ class CollisionModel:
 
     def in_bounds(self, p) -> bool:
         """True iff the point `p` (three floats) lies in the bounds as
-        `segment_free` shrinks them."""
-        (lx, ly, lz), (hx, hy, hz), _, _ = self._scalar_rows
+        `segment_free` shrinks them. It reads the bounds alone, never the
+        obstacles, so it costs the same on the full model as on a culled one."""
+        (lx, ly, lz), (hx, hy, hz) = self._bounds
         x, y, z = p
         return lx <= x <= hx and ly <= y <= hy and lz <= z <= hz
 
     @functools.cached_property
-    def _scalar_rows(self) -> tuple[list, list, list, list]:
-        """`segment_free`'s inputs as Python floats, built on its first
-        call: the bounds' min and max moved in by CULL_PAD (a bottom at 0.0
-        stays), then the cylinders as (axis x, axis y, bottom, top, radius)
-        and the boxes as (MIN, MAX), grown by CULL_PAD."""
+    def _bounds(self) -> tuple[list, list]:
+        """The bounds' min and max as Python floats, moved in by CULL_PAD (a
+        bottom at 0.0 stays), built on the first call that reads them."""
         lo, hi = self._lo + CULL_PAD, self._hi - CULL_PAD
         if self._lo[2] == 0.0:
             lo[2] = 0.0
+        return lo.tolist(), hi.tolist()
+
+    @functools.cached_property
+    def _scalar_rows(self) -> tuple[list, list, list, list]:
+        """`segment_free`'s inputs as Python floats, built on its first
+        call: `_bounds`, then the cylinders as (axis x, axis y, bottom, top,
+        radius) and the boxes as (MIN, MAX), grown by CULL_PAD."""
+        lo, hi = self._bounds
         cyl = self._cyl[:, [AXIS_X, AXIS_Y, BOTTOM, TOP, RADIUS]]
-        return (lo.tolist(), hi.tolist(),
+        return (lo, hi,
                 (cyl + (0.0, 0.0, -CULL_PAD, CULL_PAD, CULL_PAD)).tolist(),
                 (self._box[:, :6] + ((-CULL_PAD,) * 3 + (CULL_PAD,) * 3)).tolist())
 

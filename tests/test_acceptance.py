@@ -14,7 +14,7 @@ from arcshot.bench import BenchSpec, run_bench
 from arcshot.discontinuity import Discontinuity, find_discontinuities
 from arcshot.errors import LocalPlanFailed
 from arcshot.executor import SimState, follow
-from arcshot.local_planner import RrtParams, rrt_star_run
+from arcshot.local_planner import RrtParams, level_window, rrt_star_run
 from arcshot.pipeline import plan_shot, validate
 from arcshot.shot import CLOCKWISE, COUNTERCLOCKWISE, ArcShotSpec, generate_arc, wrap_to_pi
 from arcshot.world import AxisBox, CollisionModel, Cylinder, QuadModel, Vec3, World
@@ -232,7 +232,7 @@ def test_criterion_5_near_optimal_in_the_open():
     within = 0
     for seed in range(100):
         params = RrtParams(extend_dist=distance / 10, max_loops=500, seed=seed)
-        run = rrt_star_run(d, model, params, level=0)
+        run = rrt_star_run(d, *level_window(d, model, params, 0), params)
         if run.path is not None and run.path.cost <= 1.15 * distance:
             within += 1
     elapsed = time.perf_counter() - started

@@ -1,3 +1,4 @@
+import functools
 import gc
 import json
 import math
@@ -19,6 +20,7 @@ from arcshot.shot import GlobalPath
 from arcshot.world import AxisBox, CollisionModel, Cylinder, QuadModel
 from conftest import SCENARIO_DIR
 import schema_reference
+from test_fileio import _clutter_file
 from world_reference import pad_margin
 
 DEMO = SCENARIO_DIR / "demo"
@@ -141,6 +143,80 @@ def test_no_command_builds_an_obstacle_dataclass(tmp_path, monkeypatch):
     fileio.save_world(loaded, tmp_path / "saved.json")
     assert (tmp_path / "saved.json").read_text() == json.dumps(data, indent=2,
                                                                 sort_keys=True) + "\n"
+
+
+def _full_model_reads(monkeypatch, rows: int) -> list:
+    """Record each `segment_free` call and `_scalar_rows` build made on a
+    model that holds all `rows` rows of the world; both still run."""
+    reads = []
+    segment_free = CollisionModel.segment_free
+    scalar_rows = CollisionModel.__dict__["_scalar_rows"].func
+
+    def recording(self, a, b):
+        if len(self.inflated) == rows:
+            reads.append(("segment_free", tuple(a), tuple(b)))
+        return segment_free(self, a, b)
+
+    def recording_rows(self):
+        if len(self.inflated) == rows:
+            reads.append(("_scalar_rows",))
+        return scalar_rows(self)
+
+    built = functools.cached_property(recording_rows)
+    built.__set_name__(CollisionModel, "_scalar_rows")
+    monkeypatch.setattr(CollisionModel, "segment_free", recording)
+    monkeypatch.setattr(CollisionModel, "_scalar_rows", built)
+    return reads
+
+
+def test_edge_checks_in_a_large_world_test_only_nearby_obstacles(tmp_path, monkeypatch,
+                                                                  capsys):
+    # the endpoint tests, the scan, validation and the takeoff column all cull
+    # to what they test; blocked ones still exit as before, with their messages
+    data = _clutter_file()
+    rows = len(data["obstacles"])
+    world_file = tmp_path / "world.json"
+    world_file.write_text(json.dumps(data))
+    reads = _full_model_reads(monkeypatch, rows)
+    demo_shot = json.loads((DEMO / "shot.json").read_text())
+
+    def plan(start, end, out):
+        shot = tmp_path / f"{out}.json"
+        shot.write_text(json.dumps(dict(demo_shot, start=start, end=end)))
+        return cli.main(["plan", "--world", str(world_file), "--shot", str(shot),
+                         "--out", str(tmp_path / out)])
+
+    def execute(path, out):
+        return cli.main(["execute", "--world", str(world_file), "--path", str(path),
+                         "--out", str(tmp_path / out)])
+
+    assert plan([5.0, 0.0, 4.0], [-5.0, 0.0, 4.0], "plan") == cli.EXIT_OK
+    assert json.loads((tmp_path / "plan" / "report.json").read_text())["discontinuities"]
+    assert execute(tmp_path / "plan" / "path.json", "exec") == cli.EXIT_OK
+    capsys.readouterr()
+
+    blocked = [
+        (([5.0, 0.0, 4.0], [-5.0, 0.0, 2.0]), "path endpoint at sample 63 is in collision"),
+        (([5.0, 0.0, 10.0], [-5.0, 0.0, 4.0]),
+         "path endpoint at sample 0 (5.0, 0.0, 10.0) lies outside the world bounds "
+         "(-25.0, -25.0, 0.0) to (25.0, 25.0, 10.0) shrunk by 1e-06 m (a ground at 0.0 "
+         "is not shrunk)"),
+    ]
+    for (start, end), message in blocked:
+        assert plan(start, end, "blocked") == cli.EXIT_ENDPOINT_BLOCKED
+        assert json.loads(capsys.readouterr().err)["error"] == {"kind": "EndpointBlocked",
+                                                                "message": message}
+    # a path high above every obstacle whose climb starts at a pillar's foot
+    x, y, _ = data["obstacles"][1]["base_center"]
+    path = tmp_path / "above.json"
+    fileio.save_path(GlobalPath(np.array([(x, y, 9.0, 0.0), (x - 3.0, y, 9.0, 0.0)])), path)
+    assert execute(path, "climb") == cli.EXIT_VALIDATION_FAILED
+    assert json.loads(capsys.readouterr().err)["error"] == {
+        "kind": "TakeoffBlocked",
+        "message": f"takeoff climb from ({x}, {y}, 1e-06) up to the first pose "
+                   f"({x}, {y}, 9.0) is in collision"}
+    assert not (tmp_path / "climb").exists()
+    assert reads == []
 
 
 def test_benchmark_tracer_still_wraps_the_planner(tmp_path, monkeypatch):

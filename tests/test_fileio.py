@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arcshot import fileio
@@ -580,14 +580,65 @@ _SIZE = st.one_of(st.floats(0.01, 9), st.integers(1, 9),
                   st.sampled_from([5e-324, 2 ** 53 + 1, 2 ** 1000]))
 
 
+# numbers that every check passes, so one fault is the only one in its list
+_PLAIN_COORD = st.one_of(st.floats(-30, 30), st.integers(-30, 30))
+_PLAIN_SIZE = st.one_of(st.floats(0.01, 9), st.integers(1, 9))
+
+
 @st.composite
-def _bulk_obstacles(draw):
-    lo = draw(st.lists(_COORD, min_size=3, max_size=3))
+def _bulk_obstacles(draw, coord=_COORD, size=_SIZE):
+    lo = draw(st.lists(coord, min_size=3, max_size=3))
     if draw(st.booleans()):
-        return {"kind": "cylinder", "base_center": lo, "radius": draw(_SIZE),
-                "height": draw(_SIZE)}
+        return {"kind": "cylinder", "base_center": lo, "radius": draw(size),
+                "height": draw(size)}
     # a huge integer plus a small size can round to the same float: no extent
-    return {"kind": "box", "min": lo, "max": [v + draw(_SIZE) for v in lo]}
+    return {"kind": "box", "min": lo, "max": [v + draw(size) for v in lo]}
+
+
+# faults the bulk pass must hand to the per-field checks
+_NOT_A_NUMBER = st.sampled_from([True, False, "1", None])
+_NOT_AN_ENTRY = st.sampled_from([None, "box", 1.0, [], ["kind", "box"], ("kind", "box")])
+
+
+@st.composite
+def _malformed_obstacle(draw):
+    """A plain `_bulk_obstacles` entry with one fault that the loader refuses."""
+    obstacle = draw(_bulk_obstacles(_PLAIN_COORD, _PLAIN_SIZE))
+    vectors = [k for k in ("base_center", "min", "max") if k in obstacle]
+    fault = draw(st.sampled_from(["extra key", "missing key", "kind", "number", "vector",
+                                  "not a dict"]))
+    if fault == "extra key":
+        key = draw(st.sampled_from(sorted({"extra", "base_center", "radius", "height", "min",
+                                           "max"} - set(obstacle))))
+        obstacle[key] = [0.0, 0.0, 0.0] if key in ("base_center", "min", "max") else 1.0
+    elif fault == "missing key":
+        del obstacle[draw(st.sampled_from(sorted(obstacle)))]
+    elif fault == "kind":
+        obstacle["kind"] = draw(st.sampled_from(
+            ["box" if obstacle["kind"] == "cylinder" else "cylinder", "sphere", "", 1, None]))
+    elif fault == "number":
+        key = draw(st.sampled_from(sorted(set(obstacle) - {"kind"})))
+        if key in vectors:
+            obstacle[key][draw(st.integers(0, 2))] = draw(_NOT_A_NUMBER)
+        else:
+            obstacle[key] = draw(_NOT_A_NUMBER)
+    elif fault == "vector":
+        key = draw(st.sampled_from(vectors))
+        obstacle[key] = draw(st.sampled_from([tuple(obstacle[key]), obstacle[key][:2],
+                                              obstacle[key] + [0.0]]))
+    else:
+        return draw(_NOT_AN_ENTRY)
+    return obstacle
+
+
+@st.composite
+def _obstacle_lists(draw):
+    """Lists of `_bulk_obstacles`, or of plain ones with one malformed entry."""
+    if draw(st.booleans()):
+        return draw(st.lists(_bulk_obstacles(), max_size=8))
+    obstacles = draw(st.lists(_bulk_obstacles(_PLAIN_COORD, _PLAIN_SIZE), max_size=7))
+    obstacles.insert(draw(st.integers(0, len(obstacles))), draw(_malformed_obstacle()))
+    return obstacles
 
 
 def _floats(obstacle) -> list:
@@ -598,9 +649,30 @@ def _floats(obstacle) -> list:
     return [lo.x, lo.y, lo.z, hi.x, hi.y, hi.z]
 
 
-@settings(max_examples=300, deadline=None)
-@given(st.lists(_bulk_obstacles(), max_size=8))
+_CYL = {"kind": "cylinder", "base_center": [1, 2.5, 0], "radius": 1, "height": 2.0}
+_BOX = {"kind": "box", "min": [0, 0, 0], "max": [1.0, 1, 2]}
+
+
+@settings(max_examples=500, deadline=None)
+@given(_obstacle_lists())
+# one of each fault, after a valid entry
+@example([_CYL, dict(_CYL, extra=1)])
+@example([_BOX, {"kind": "cylinder", "base_center": [0, 0, 0], "radius": 1}])
+@example([_CYL, {"kind": "box", "base_center": [0, 0, 0], "radius": 1, "height": 1}])
+@example([_CYL, dict(_BOX, kind="cylinder")])
+@example([_BOX, dict(_CYL, radius=True)])
+@example([_CYL, dict(_BOX, min=[0, "1", 0])])
+@example([_BOX, dict(_CYL, base_center=[0, 0, None])])
+@example([_BOX, dict(_CYL, base_center=(1, 2.5, 0))])
+@example([_CYL, dict(_BOX, max=(1.0, 1, 2))])
+@example([_CYL, dict(_BOX, max=[1.0, 1])])
+@example([_CYL, dict(_BOX, max=[1.0, 1, 2, 3])])
+@example([_BOX, dict(_CYL, base_center=[1, 2.5])])
+@example([_CYL, ["kind", "box"]])
+@example([_CYL, _BOX])
 def test_bulk_obstacles_equal_the_per_field_codec(obstacles):
+    # the codec's exact bytes or None, and None whenever the codec raises:
+    # on valid lists and on lists with one malformed entry anywhere
     try:
         want = fileio._expect_obstacles(copy.deepcopy(obstacles), "world.obstacles")
     except SchemaError:

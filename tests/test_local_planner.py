@@ -1174,6 +1174,12 @@ def test_best_parent_breaks_near_ties_as_linalg_norm_does():
 
 # rrt_star_run ---------------------------------------------------------------
 
+def _attempt(d, model, params, level, disc_index=0):
+    """`rrt_star_run` at `level`, on the window and culled model that
+    `plan_local_run` hands it."""
+    return rrt_star_run(d, *level_window(d, model, params, level), params, disc_index)
+
+
 def empty_world_disc(distance=6.0):
     world = make_world(lo=(-20, -20, 0), hi=(20, 20, 10))
     half = distance / 2
@@ -1185,7 +1191,7 @@ def test_rrt_star_finds_near_straight_paths_in_the_open(quad):
     world, d = empty_world_disc()
     model = CollisionModel(world, quad)
     for seed in range(5):
-        lp = rrt_star_run(d, model, RrtParams(extend_dist=1.0, seed=seed), 0).path
+        lp = _attempt(d, model, RrtParams(extend_dist=1.0, seed=seed), 0).path
         assert lp is not None
         assert tuple(lp.positions[0].tolist()) == d.entry
         assert tuple(lp.positions[-1].tolist()) == d.exit
@@ -1206,7 +1212,7 @@ def test_rrt_star_returns_none_for_an_enclosed_exit(quad):
     assert point_free(model, exit_p)
     d = disc_between((0, 0, 2), exit_p.as_array())
     params = RrtParams(seed=3, max_loops=300)
-    assert rrt_star_run(d, model, params, 0).path is None
+    assert _attempt(d, model, params, 0).path is None
 
 
 def test_rrt_star_detour_survives_dense_revalidation(quad):
@@ -1216,7 +1222,7 @@ def test_rrt_star_detour_survives_dense_revalidation(quad):
     d = disc_between((-3, 0, 2), (3, 0, 2))
     model = CollisionModel(world, quad)
     for seed in range(5):
-        lp = rrt_star_run(d, model, RrtParams(seed=seed), 0).path
+        lp = _attempt(d, model, RrtParams(seed=seed), 0).path
         assert lp is not None
         for a, b in zip(lp.positions, lp.positions[1:]):
             assert model.free_points(segment_samples(a, b, model.check_step / 16)).all()
@@ -1227,7 +1233,7 @@ def test_rrt_star_tree_invariants(quad):
     arc = generate_arc(demo_shot())
     d = find_discontinuities(arc, model)[0]
     params = RrtParams(seed=8)
-    run = rrt_star_run(d, model, params, 0)
+    run = _attempt(d, model, params, 0)
     tree = run.tree
 
     # cost consistency: stored costs equal recomputed root sums
@@ -1263,7 +1269,7 @@ def test_a_sample_a_subnormal_away_from_its_nearest_node_is_skipped(quad, monkey
     for first in ([5e-324, 0.0, 2.0], [0.0, -5e-324, 2.0], [0.0, 0.0, 2.0]):
         samples = np.vstack([first, rest])
         monkeypatch.setattr(local_planner, "sample", lambda *args: samples)
-        run = rrt_star_run(d, model, params, 0)
+        run = _attempt(d, model, params, 0)
         assert len(run.tree) > 1
         runs.append(_run_facts(run))
     assert runs[0] == runs[1] == runs[2]
@@ -1274,15 +1280,15 @@ def test_rrt_star_is_deterministic(quad):
     arc = generate_arc(demo_shot())
     d = find_discontinuities(arc, model)[0]
     params = RrtParams(seed=17)
-    a = rrt_star_run(d, model, params, 0)
-    b = rrt_star_run(d, model, params, 0)
+    a = _attempt(d, model, params, 0)
+    b = _attempt(d, model, params, 0)
     assert len(a.tree) == len(b.tree)
     assert a.path is not None and b.path is not None
     assert np.array_equal(a.path.positions, b.path.positions)
     assert a.path.cost == b.path.cost
     assert a.path == b.path
     # a different discontinuity index derives a different stream
-    c = rrt_star_run(d, model, params, 0, disc_index=1)
+    c = _attempt(d, model, params, 0, disc_index=1)
     assert c.path is None or not np.array_equal(c.path.positions, a.path.positions)
 
 
@@ -1409,7 +1415,7 @@ def _blocked_run_matches_the_oracle(seed: int, monkeypatch) -> collections.Count
         want = _run_facts(rrt_reference.rrt_star_run(d, model, params, level))
         m.setattr(local_planner, "nearest_vertex", recording_nearest)
         m.setattr(local_planner, "_best_parent", recording_best_parent)
-        got = _run_facts(rrt_star_run(d, model, params, level))
+        got = _run_facts(_attempt(d, model, params, level))
     assert got == want
     seen["cases"] += 1
     return seen
@@ -1448,7 +1454,7 @@ def test_the_block_size_changes_only_the_speed(seed, max_loops):
             m.setattr(local_planner, "sample", _grid_sample)
         for block in (1, 7, 32, 64, 128):
             m.setattr(local_planner, "BLOCK", block)
-            facts.append(_run_facts(rrt_star_run(d, model, params, level)))
+            facts.append(_run_facts(_attempt(d, model, params, level)))
     assert all(f == facts[0] for f in facts[1:])
 
 
@@ -1474,7 +1480,7 @@ def _goal_checks(d, model, params, level, monkeypatch) -> tuple[int, int]:
     want = _run_facts(rrt_reference.rrt_star_run(d, model, params, level))
     with monkeypatch.context() as m:
         m.setattr(CollisionModel, "segment_free", recording)
-        run = rrt_star_run(d, model, params, level)
+        run = _attempt(d, model, params, level)
     assert _run_facts(run) == want
     node_of = {tuple(row): i for i, row in reversed(list(enumerate(run.tree.rows)))}
     best = math.inf
@@ -1534,7 +1540,7 @@ def _best_parent_work(d, model, params, level, monkeypatch) -> collections.Count
         m.setattr(CollisionModel, "segment_free", recording)
         m.setattr(local_planner, "_distances", recording_distances)
         m.setattr(local_planner, "_best_parent", recording_best_parent)
-        got = _run_facts(rrt_star_run(d, model, params, level))
+        got = _run_facts(_attempt(d, model, params, level))
     assert got == want
     return seen
 
@@ -1573,7 +1579,7 @@ def _point_refusals(d, model, params, level, monkeypatch) -> tuple[int, int, int
         oracle_checks = len(ends)
         ends.clear()
         m.setattr(CollisionModel, "point_blocked", recording_point)
-        got = _run_facts(rrt_star_run(d, model, params, level))
+        got = _run_facts(_attempt(d, model, params, level))
     assert got == want
     assert not refused.intersection(p for pair in ends for p in pair)
     return len(refused), len(ends), oracle_checks
@@ -1613,7 +1619,7 @@ def wall_disc(quad):
 def test_plan_local_expands_past_a_wide_wall(quad):
     model, d = wall_disc(quad)
     # level 0 alone cannot cross: the wall covers the whole initial window
-    assert rrt_star_run(d, model, WALL_PARAMS, 0).path is None
+    assert _attempt(d, model, WALL_PARAMS, 0).path is None
     out = plan_local_run(d, model, WALL_PARAMS)
     assert out.window.level >= 1
     assert out.loops == (out.window.level + 1) * WALL_PARAMS.max_loops
@@ -1633,9 +1639,9 @@ def test_plan_local_never_runs_a_walled_off_level(quad, monkeypatch):
     levels = []
     run = local_planner.rrt_star_run
 
-    def recording(d, model, params, level, *args, **kwargs):
-        levels.append(level)
-        return run(d, model, params, level, *args, **kwargs)
+    def recording(d, window, model, params, *args, **kwargs):
+        levels.append(window.level)
+        return run(d, window, model, params, *args, **kwargs)
 
     monkeypatch.setattr(local_planner, "rrt_star_run", recording)
     out = plan_local_run(d, model, WALL_PARAMS)
@@ -1649,6 +1655,30 @@ def test_plan_local_never_runs_a_walled_off_level(quad, monkeypatch):
         plan_local_run(d, model, params)
     assert err.value.levels_tried == 1
     assert levels == []
+
+
+def test_plan_local_culls_each_level_once(quad, monkeypatch):
+    # one window and one culled model per level: `walled_off` and the
+    # attempt read the same pair
+    model, d = wall_disc(quad)
+    culled, handed = [], []
+    within, run = CollisionModel.within, local_planner.rrt_star_run
+
+    def recording_within(self, lo, hi):
+        culled.append(within(self, lo, hi))
+        return culled[-1]
+
+    def recording_run(d, window, local, params, *args, **kwargs):
+        handed.append((window, local))
+        return run(d, window, local, params, *args, **kwargs)
+
+    monkeypatch.setattr(CollisionModel, "within", recording_within)
+    monkeypatch.setattr(local_planner, "rrt_star_run", recording_run)
+    out = plan_local_run(d, model, WALL_PARAMS)
+    assert len(culled) == out.window.level + 1 == 3
+    (window, local), = handed
+    assert local is culled[-1]
+    assert out.window is window and window.level == 2
 
 
 # walled_off -------------------------------------------------------------------
@@ -1712,8 +1742,8 @@ def _slab_walls_off(seed: int) -> int:
         thin += row[MAX][axis] - row[MIN][axis] < CULL_PAD
         assert certified([slab], a, b, quad=quad)
         params = RrtParams(max_loops=60, seed=seed)
-        assert rrt_star_run(disc_between(a.as_array(), b.as_array()), model, params,
-                            0).path is None
+        assert _attempt(disc_between(a.as_array(), b.as_array()), model, params,
+                        0).path is None
     return thin
 
 
@@ -1885,7 +1915,7 @@ def _walled_off_levels(seed: int) -> tuple[int, int]:
         if walled_off(d, window, local):
             fired += 1
             exact += not padded
-            assert rrt_star_run(d, model, params, level).path is None
+            assert rrt_star_run(d, window, local, params).path is None
         else:
             assert not padded
     return fired, exact
@@ -1929,7 +1959,7 @@ def test_no_tested_coordinate_passes_an_unpadded_span_face(monkeypatch):
         top = (lo >= 0) & _even(hi)
         bottom = (hi <= 0) & _even(lo)
         seen.clear()
-        rrt_star_run(d, model, params, level)
+        _attempt(d, model, params, level)
         pts = np.concatenate(seen)
         assert (pts[:, top] <= hi[top]).all()
         assert (pts[:, bottom] >= lo[bottom]).all()

@@ -323,6 +323,50 @@ def test_within_matches_full_model_inside_its_box(obstacles, box, fractions):
             <= {row.tobytes() for row in full.inflated})
 
 
+def _lifted(o, dz: float):
+    """Obstacle `o` moved up by `dz`."""
+    up = Vec3(0.0, 0.0, dz)
+    if isinstance(o, Cylinder):
+        return Cylinder(o.base_center + up, o.radius, o.height)
+    return AxisBox(o.min + up, o.max + up)
+
+
+def _edge_probes(model: CollisionModel, fractions: np.ndarray) -> np.ndarray:
+    """Points inside, on the faces and at the corners of the bounds as
+    `segment_free` shrinks them and of each inflated obstacle's bounding box
+    grown by CULL_PAD, and on each inflated cylinder's side grown by
+    CULL_PAD: the padded faces where a segment test has no margin."""
+    lo, hi = model._bounds
+    boxes = [AxisBox(Vec3(*lo), Vec3(*hi))]
+    sides = []
+    for row in model.inflated:
+        boxes.append(AxisBox(Vec3(*(row[MIN] - CULL_PAD)), Vec3(*(row[MAX] + CULL_PAD))))
+        if row[RADIUS] > 0:
+            angle = 2 * math.pi * fractions[:, 0]
+            reach = row[RADIUS] + CULL_PAD
+            sides.append(np.column_stack((
+                row[AXIS_X] + reach * np.cos(angle), row[AXIS_Y] + reach * np.sin(angle),
+                row[BOTTOM] + fractions[:, 2] * (row[TOP] - row[BOTTOM]))))
+    return np.vstack([_probe_points(b, fractions) for b in boxes] + sides)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_grid_obstacle(), max_size=6), st.sampled_from([0.0, -3.0, 2.5]),
+       st.lists(st.tuples(*[st.floats(0.0, 1.0)] * 3), min_size=1, max_size=2))
+def test_culled_edge_forms_answer_as_the_full_model(obstacles, ground, fractions):
+    # the forms the edge checks hand `segments_free`, which culls to their
+    # box: a zero-length segment at a path endpoint, and the takeoff column
+    # from one pad above the ground up to a pose
+    world = make_world(tuple(_lifted(o, ground) for o in obstacles), lo=(-8.0, -8.0, ground),
+                       hi=(8.0, 8.0, ground + 10.0), target=(0.0, 0.0, ground + 1.5))
+    full = CollisionModel(world, QuadModel(body_radius=0.25, safety_margin=0.25))
+    for p in _edge_probes(full, np.array(fractions)).tolist():
+        assert bool(full.segments_free(np.array([p, p]))[0]) is full.segment_free(p, p)
+        bottom = [p[0], p[1], ground + CULL_PAD]
+        column = np.array([bottom, p])
+        assert bool(full.segments_free(column)[0]) is full.segment_free(bottom, p)
+
+
 def _reference_free_points(model: CollisionModel, pts: np.ndarray) -> np.ndarray:
     """The original `CollisionModel.free_points` on the query arrays it once
     packed from the obstacles `model` keeps, the oracle for the lean one."""
