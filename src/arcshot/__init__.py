@@ -10,13 +10,14 @@ from .discontinuity import Discontinuity, find_discontinuities
 from .errors import (ArcshotError, DegenerateArc, DegenerateExtend,
                      DegenerateHeading, EndpointBlocked, LocalPlanFailed,
                      SchemaError, SpliceMismatch, TakeoffBlocked,
-                     TimeoutExceeded, VacuousBench, ValidationFailed)
-from .executor import FollowConfig, SimState, follow
+                     TimeoutExceeded, UnreadableInput, VacuousBench,
+                     ValidationFailed)
+from .executor import FollowConfig, follow
 from .local_planner import (LocalPath, RrtParams, SearchWindow, Tree,
                             expand_window, extend, initial_window, nearest_vertex,
                             plan_local_run, rrt_star_run, sample)
 from .pipeline import PlanReport, PlanResult, plan_shot, splice, validate
-from .shot import ArcShotSpec, GlobalPath, Pose4, aimed_row, generate_arc, wrap_to_pi
+from .shot import ArcShotSpec, GlobalPath, aimed_row, generate_arc, wrap_to_pi
 from .world import (AxisBox, CollisionModel, Cylinder, Obstacle, QuadModel, Vec3,
                     World)
 

@@ -23,12 +23,12 @@ from . import bench as bench_mod
 from . import fileio, render
 from .errors import (ArcshotError, DegenerateArc, DegenerateHeading,
                      EndpointBlocked, LocalPlanFailed, SchemaError,
-                     TakeoffBlocked, TimeoutExceeded, VacuousBench,
-                     ValidationFailed)
-from .executor import SimState, follow
+                     TakeoffBlocked, TimeoutExceeded, UnreadableInput,
+                     VacuousBench, ValidationFailed)
+from .executor import follow
 from .pipeline import plan_shot, validate
-from .shot import generate_arc
-from .world import CULL_PAD, CollisionModel, Vec3
+from .shot import ArcShotSpec, generate_arc
+from .world import CULL_PAD, CollisionModel, World
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -41,6 +41,7 @@ EXIT_TIMEOUT = 7
 EXIT_VACUOUS_BENCH = 8
 
 _ERROR_EXITS = (
+    (UnreadableInput, EXIT_PARSE),
     (SchemaError, EXIT_SCHEMA),
     (DegenerateArc, EXIT_SCHEMA),
     (DegenerateHeading, EXIT_SCHEMA),
@@ -87,9 +88,18 @@ def _load_run_config(args) -> fileio.RunConfig:
     return config
 
 
+def _load_shot(args, world: World) -> ArcShotSpec:
+    """The shot file, whose target must lie in the world's bounds, as the
+    world's own target must."""
+    spec = fileio.load_shot(Path(args.shot))
+    if not world.bounds.contains(spec.target):
+        raise SchemaError(f"shot.target: {spec.target} lies outside world.bounds")
+    return spec
+
+
 def _cmd_plan(args) -> int:
     world = fileio.load_world(Path(args.world))
-    spec = fileio.load_shot(Path(args.shot))
+    spec = _load_shot(args, world)
     config = _load_run_config(args)
     model = CollisionModel(world, config.quad)
 
@@ -137,7 +147,6 @@ def _cmd_execute(args) -> int:
     if not math.isfinite(z - ground):
         raise SchemaError(f"path.poses[0].z: expected a finite difference from "
                           f"world.bounds.min.z, got {z - ground!r}")
-    start = SimState(Vec3(x, y, ground), yaw)
     model = CollisionModel(world, config.quad)
     offending = validate(path, model)
     if offending is not None:
@@ -152,7 +161,7 @@ def _cmd_execute(args) -> int:
 
     out = _out_dir(args)
     try:
-        log = follow(path, start, config.follow, config.quad)
+        log = follow(path, (x, y, ground, yaw, 0.0), config.follow, config.quad)
     except TimeoutExceeded as exc:
         fileio.save_trajectory(exc.log, out / "trajectory.json")
         raise
@@ -181,7 +190,7 @@ def _cmd_execute(args) -> int:
 
 def _cmd_bench(args) -> int:
     world = fileio.load_world(Path(args.world))
-    spec = fileio.load_shot(Path(args.shot))
+    spec = _load_shot(args, world)
     config = _load_run_config(args)
     bench_spec = fileio.load_bench(Path(args.bench))
 
@@ -207,7 +216,7 @@ def _cmd_render(args) -> int:
 
     arc = None
     if args.shot:
-        arc = generate_arc(fileio.load_shot(Path(args.shot)))
+        arc = generate_arc(_load_shot(args, world))
     final_path = fileio.load_path(Path(args.path)) if args.path else None
     trajectory = None
     if args.trajectory:
@@ -278,7 +287,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.handler(args)
-    except (JSONDecodeError, UnicodeDecodeError, FileNotFoundError) as exc:
+    except (JSONDecodeError, UnicodeDecodeError) as exc:
         return _fail(exc, EXIT_PARSE)
     except ArcshotError as exc:
         for klass, code in _ERROR_EXITS:

@@ -72,5 +72,10 @@ class VacuousBench(ArcshotError):
     """Benchmark scenario has no obstructed span, so there is nothing to time."""
 
 
+class UnreadableInput(ArcshotError):
+    """An input file could not be read: missing, a directory, or not
+    readable; the message carries the operating system's reason."""
+
+
 class SchemaError(ArcshotError):
     """An input file violates its schema; message carries the field path."""

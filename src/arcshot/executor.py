@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import TimeoutExceeded
 from .shot import GlobalPath, wrap_to_pi
-from .world import QuadModel, Vec3
+from .world import QuadModel
 
 # Column order of a state log row.
 LOG_COLUMNS = ("x", "y", "z", "yaw", "t")
@@ -35,13 +35,6 @@ MAX_ACCEL = 4.0
 # A zone's acceleration bound less than this share of MAX_ACCEL above its
 # floor is set to the floor, 0 or MAX_ACCEL / 2 (see `reference_pieces`).
 BOUND_FLOOR = 1e-3
-
-
-@dataclass(frozen=True)
-class SimState:
-    position: Vec3
-    yaw: float
-    time: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -71,15 +64,21 @@ class FollowConfig:
                 f"k_p * dt must be < 1 for stable tracking, got {self.k_p * self.dt}")
 
 
-def polyline(path: GlobalPath, start: SimState) -> list[list[float]]:
+def polyline(path: GlobalPath, start) -> list[list[float]]:
     """Vertices [x, y, z, yaw] the reference runs through: the start, the
     top of the takeoff column at the first pose's altitude, then the poses.
     A vertex at the position of the one before it only gives that one its
-    yaw, so every step has a positive length."""
-    p = start.position
+    yaw, so every step has a positive length.
+
+    `start` is the log's first row, five floats in LOG_COLUMNS order; a
+    non-finite x, y or z raises ValueError."""
+    x, y, z, yaw, _ = (float(v) for v in start)
+    for name, value in zip(LOG_COLUMNS, (x, y, z)):
+        if not math.isfinite(value):
+            raise ValueError(f"start.{name} must be finite, got {value!r}")
     rows = path.rows.tolist()
-    vertices = [[p.x, p.y, p.z, start.yaw]]
-    for v in [[p.x, p.y, rows[0][2], rows[0][3]], *rows]:
+    vertices = [[x, y, z, yaw]]
+    for v in [[x, y, rows[0][2], rows[0][3]], *rows]:
         if v[:3] == vertices[-1][:3]:
             vertices[-1][3] = v[3]
         else:
@@ -228,15 +227,16 @@ def reference_pieces(steps: list[tuple[float, ...]], cfg: FollowConfig,
     return timed
 
 
-def follow(path: GlobalPath, start: SimState, cfg: FollowConfig,
+def follow(path: GlobalPath, start, cfg: FollowConfig,
            quad: QuadModel) -> np.ndarray:
-    """Simulate the replay; returns the state log as an (n, 5) array with
-    columns LOG_COLUMNS, the start state first.
+    """Simulate the replay from `start`, the log's first row (five floats in
+    LOG_COLUMNS order, as `polyline` takes it); returns the state log as an
+    (n, 5) array with columns LOG_COLUMNS, `start` first.
 
     Each tick moves the reference `dt` further along its profile and
     commands its displacement over `dt` plus k_p times the error to it,
     scaled down to `max_speed`, and the yaw the same way, clamped to
-    `max_yaw_rate`. The k-th logged state's time is start.time + k * dt, so
+    `max_yaw_rate`. The k-th logged state's time is start's t + k * dt, so
     a clock value is written no longer than its tick needs, where a running
     sum of dt would drift into 17 digits. The replay ends at the first
     state, once the reference has come to rest at the last pose, that lies
@@ -256,8 +256,7 @@ def follow(path: GlobalPath, start: SimState, cfg: FollowConfig,
     finish = ends[-1] if ends else 0.0
     end_x, end_y, end_z, end_yaw = vertices[-1]
 
-    x, y, z, yaw = start.position.x, start.position.y, start.position.z, start.yaw
-    start_time = start.time
+    x, y, z, yaw, start_time = (float(v) for v in start)
     rx, ry, rz, ryaw = vertices[0]
     ryaw = wrap_to_pi(ryaw)
     clock = 0.0  # time along the reference

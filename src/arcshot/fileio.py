@@ -25,7 +25,7 @@ import numpy as np
 
 from .bench import BenchSpec
 from .discontinuity import DEFAULT_MARGIN
-from .errors import SchemaError
+from .errors import SchemaError, UnreadableInput
 from .executor import LOG_COLUMNS, FollowConfig
 from .local_planner import RrtParams
 from .pipeline import PlanReport
@@ -147,7 +147,12 @@ def _build(path, factory, **kwargs):
 
 
 def _read_json(file: Path) -> Any:
-    return json.loads(Path(file).read_text(encoding="utf-8"))
+    """The JSON in an input file; an OSError reading it is UnreadableInput."""
+    try:
+        text = Path(file).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise UnreadableInput(str(exc)) from exc
+    return json.loads(text)
 
 
 def _write_json(file: Path, data: Any) -> None:
@@ -476,9 +481,9 @@ def report_to_json(report: PlanReport) -> dict:
         "schema": REPORT_SCHEMA,
         "seed": report.seed,
         "margin": report.margin,
-        # planner and validation share one step; both keys keep the report/1 layout
-        "collision_step": report.step,
-        "validation_step": report.step,
+        # report/1's two spacings, which no stage reads: half the vehicle radius
+        "collision_step": report.quad.body_radius / 2,
+        "validation_step": report.quad.body_radius / 2,
         "params": dataclasses.asdict(report.params),
         "quad": dataclasses.asdict(report.quad),
         "discontinuities": [

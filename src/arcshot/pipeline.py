@@ -43,7 +43,6 @@ class PlanReport:
     params: RrtParams
     quad: QuadModel
     margin: int
-    step: float  # report/1's collision_step and validation_step
 
 
 @dataclass
@@ -58,13 +57,16 @@ class PlanResult:
 
 def _gap(a, b) -> float:
     dx, dy, dz = a[0] - b[0], a[1] - b[1], a[2] - b[2]
-    return math.sqrt(dx * dx + dy * dy + dz * dz)  # `Vec3.distance_to`'s bits
+    # summed squares, as the per-pose splice in tests/path_reference.py sums
+    # them: math.dist's bits may differ at the tolerance
+    return math.sqrt(dx * dx + dy * dy + dz * dz)
 
 
-def splice(path: GlobalPath, d: Discontinuity, lp: LocalPath) -> GlobalPath:
+def splice(path: GlobalPath, d: Discontinuity, lp: LocalPath, target) -> GlobalPath:
     """Replace the samples strictly between entry and exit with the detour.
 
-    Inserted samples keep the detour's own spacing and get target-facing yaw.
+    Inserted samples keep the detour's own spacing and get yaw that faces
+    `target`, the shot's target, as `aimed_row` aims it.
     A detour end farther than SPLICE_TOLERANCE from the span's, or NaN, is a
     mismatch, and so is a non-finite interior row.
     """
@@ -80,14 +82,10 @@ def splice(path: GlobalPath, d: Discontinuity, lp: LocalPath) -> GlobalPath:
         i = int(bad[0])
         raise SpliceMismatch(
             f"local path row {i} is not finite: {tuple(lp.positions[i].tolist())}")
-    if path.spec is None:
-        raise SpliceMismatch("path carries no shot spec; cannot aim inserted samples")
-
-    target = path.spec.target
     inserted = [aimed_row(x, y, z, target) for x, y, z in lp.positions[1:-1].tolist()]
     return GlobalPath(np.concatenate((path.rows[:d.entry_index + 1],
                                       np.reshape(inserted, (-1, 4)),
-                                      path.rows[d.exit_index:])), path.spec)
+                                      path.rows[d.exit_index:])))
 
 
 def validate(path: GlobalPath, model: CollisionModel) -> int | None:
@@ -143,7 +141,7 @@ def plan_shot(model: CollisionModel, spec: ArcShotSpec, params: RrtParams,
     # splice back to front so earlier spans keep their indices
     for d, lp in sorted(zip(discontinuities, local_paths),
                         key=lambda pair: pair[0].entry_index, reverse=True):
-        final = splice(final, d, lp)
+        final = splice(final, d, lp, spec.target)
 
     offending = validate(final, model)
     if offending is not None:
@@ -158,6 +156,5 @@ def plan_shot(model: CollisionModel, spec: ArcShotSpec, params: RrtParams,
         params=params,
         quad=model.quad,
         margin=margin,
-        step=model.check_step,
     )
     return PlanResult(arc, final, discontinuities, local_paths, report, trees)

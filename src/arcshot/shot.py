@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -27,17 +26,9 @@ def wrap_to_pi(angle: float) -> float:
     return math.pi if wrapped == -math.pi else wrapped
 
 
-@dataclass(frozen=True)
-class Pose4:
-    """Planning state: 3-D position plus yaw, yaw normalized to (-pi, pi]."""
-
-    position: Vec3
-    yaw: float
-
-    def __post_init__(self):
-        if not math.isfinite(self.yaw):
-            raise ValueError(f"Pose4.yaw must be finite, got {self.yaw!r}")
-        object.__setattr__(self, "yaw", wrap_to_pi(self.yaw))
+def _radius(p: Vec3, center: Vec3) -> float:
+    """Horizontal distance from `p` to the vertical axis through `center`."""
+    return math.hypot(p.x - center.x, p.y - center.y)
 
 
 @dataclass(frozen=True)
@@ -57,19 +48,18 @@ class ArcShotSpec:
                 f"got {self.direction!r}")
         if self.sample_count < 2:
             raise ValueError(f"sample_count must be >= 2, got {self.sample_count}")
-        if self.start.horizontal_distance_to(self.target) == 0.0:
+        if _radius(self.start, self.target) == 0.0:
             raise DegenerateArc("shot start sits on the target's vertical axis")
-        if self.end.horizontal_distance_to(self.target) == 0.0:
+        if _radius(self.end, self.target) == 0.0:
             raise DegenerateArc("shot end sits on the target's vertical axis")
 
 
 @dataclass(frozen=True, eq=False)
 class GlobalPath:
     """Ordered pose sequence of a desired or final shot: read-only (n, 4) float
-    rows (x, y, z, yaw), yaw wrapped as `Pose4` wraps it; `path[i]` is a `Pose4`."""
+    rows (x, y, z, yaw), each yaw wrapped to (-pi, pi] by `wrap_to_pi`."""
 
     rows: np.ndarray
-    spec: Optional[ArcShotSpec] = None
 
     def __post_init__(self):
         rows = np.array(self.rows, dtype=float)
@@ -85,15 +75,10 @@ class GlobalPath:
         object.__setattr__(self, "rows", rows)
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, GlobalPath) and self.spec == other.spec
-                and np.array_equal(self.rows, other.rows))
+        return isinstance(other, GlobalPath) and np.array_equal(self.rows, other.rows)
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def __getitem__(self, i: int) -> Pose4:
-        x, y, z, yaw = self.rows[i].tolist()
-        return Pose4(Vec3(x, y, z), yaw)
 
     def position_array(self) -> np.ndarray:
         """Read-only (n, 3) view of the rows' positions."""
@@ -132,8 +117,8 @@ def generate_arc(spec: ArcShotSpec) -> GlobalPath:
     yaw faces the target. Each sample uses libm's `math.cos`, `math.sin` and
     `math.atan2`, whose bits numpy's versions need not match.
     """
-    r0 = spec.start.horizontal_distance_to(spec.target)
-    r1 = spec.end.horizontal_distance_to(spec.target)
+    r0 = _radius(spec.start, spec.target)
+    r1 = _radius(spec.end, spec.target)
     if r0 == 0.0 or r1 == 0.0:
         raise DegenerateArc("arc radius is zero")
 
@@ -150,4 +135,4 @@ def generate_arc(spec: ArcShotSpec) -> GlobalPath:
         rows.append(aimed_row(spec.target.x + radius * math.cos(angle),
                               spec.target.y + radius * math.sin(angle),
                               spec.start.z + (spec.end.z - spec.start.z) * t, spec.target))
-    return GlobalPath(rows, spec)
+    return GlobalPath(rows)

@@ -31,21 +31,6 @@ class Vec3:
             if not math.isfinite(v):
                 raise ValueError(f"Vec3.{name} must be finite, got {v!r}")
 
-    def __add__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
-
-    def __sub__(self, other: "Vec3") -> "Vec3":
-        return Vec3(self.x - other.x, self.y - other.y, self.z - other.z)
-
-    def norm(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
-
-    def distance_to(self, other: "Vec3") -> float:
-        return (self - other).norm()
-
-    def horizontal_distance_to(self, other: "Vec3") -> float:
-        return math.hypot(self.x - other.x, self.y - other.y)
-
     def as_array(self) -> np.ndarray:
         return np.array((self.x, self.y, self.z), dtype=float)
 
@@ -413,14 +398,6 @@ class CollisionModel:
             inside = ((p >= box[:, MIN]) & (p <= box[:, MAX])).all(axis=2)
             free &= ~inside.any(axis=1)
         return free
-
-    @property
-    def check_step(self) -> float:
-        """Half the vehicle radius: the spacing report/1 records as
-        `collision_step` and `validation_step`. No stage reads it. Samples
-        of a segment that `segment_free` accepts are free at this spacing,
-        as at any other."""
-        return self.quad.body_radius / 2
 
     def segments_free(self, positions: np.ndarray) -> np.ndarray:
         """Mask over the n-1 segments of an (n, 3) polyline: `segment_free`

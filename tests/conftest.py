@@ -56,10 +56,10 @@ def wall_shot() -> ArcShotSpec:
 
 
 def spaced_quad(step: float, growth: float) -> QuadModel:
-    """A quad whose growth is exactly `growth` and whose `check_step` is
-    `step`, or growth / 2, the coarsest spacing that growth allows, when
-    `step` is coarser; an ulp finer when no margin adds up to the growth.
-    Quads of one growth inflate every obstacle alike."""
+    """A quad whose growth is exactly `growth` and whose report/1 spacing,
+    half its body radius, is `step`, or growth / 2, the coarsest spacing
+    that growth allows, when `step` is coarser; an ulp finer when no margin
+    adds up to the growth. Quads of one growth inflate every obstacle alike."""
     body = min(2.0 * step, growth)
     while True:
         margin = growth - body
@@ -67,6 +67,18 @@ def spaced_quad(step: float, growth: float) -> QuadModel:
             if body + m == growth:
                 return QuadModel(body_radius=body, safety_margin=m)
         body = math.nextafter(body, 0.0)
+
+
+def distance(a, b) -> float:
+    """Distance between two points of three floats: the square root of the
+    difference's squares summed in x, y, z order."""
+    dx, dy, dz = a[0] - b[0], a[1] - b[1], a[2] - b[2]
+    return math.sqrt(dx * dx + dy * dy + dz * dz)
+
+
+def horizontal_distance(a: Vec3, b: Vec3) -> float:
+    """Distance between two `Vec3`s in the horizontal plane."""
+    return math.hypot(a.x - b.x, a.y - b.y)
 
 
 def point_free(model: CollisionModel, p: Vec3) -> bool:

@@ -1,8 +1,9 @@
 """Vec3 reference for `executor.follow`: the takeoff-and-path polyline, its
-trapezoidal speed profile and the tracking law, written out with `Vec3`
-arithmetic, one object and one tick at a time, with no cached index. Each
-float operation is the one `follow` makes, in the same order, so the two
-agree bit for bit; where a coordinate overflows, `Vec3` raises ValueError.
+trapezoidal speed profile and the tracking law, written out on `Vec3`
+records with the `add`, `sub`, `length`, `scaled` and `divided` helpers
+below, one object and one tick at a time, with no cached index. Each float
+operation is the one `follow` makes, in the same order, so the two agree
+bit for bit; where a coordinate overflows, `Vec3` raises ValueError.
 """
 
 from __future__ import annotations
@@ -13,9 +14,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from arcshot.errors import TimeoutExceeded
-from arcshot.executor import BOUND_FLOOR, MAX_ACCEL, FollowConfig, SimState
+from arcshot.executor import BOUND_FLOOR, MAX_ACCEL, FollowConfig
 from arcshot.shot import GlobalPath, wrap_to_pi
 from arcshot.world import QuadModel, Vec3
+
+
+def add(a: Vec3, b: Vec3) -> Vec3:
+    return Vec3(a.x + b.x, a.y + b.y, a.z + b.z)
+
+
+def sub(a: Vec3, b: Vec3) -> Vec3:
+    return Vec3(a.x - b.x, a.y - b.y, a.z - b.z)
+
+
+def length(v: Vec3) -> float:
+    return math.sqrt(v.x * v.x + v.y * v.y + v.z * v.z)
 
 
 def scaled(v: Vec3, k: float) -> Vec3:
@@ -24,6 +37,15 @@ def scaled(v: Vec3, k: float) -> Vec3:
 
 def divided(v: Vec3, k: float) -> Vec3:
     return Vec3(v.x / k, v.y / k, v.z / k)
+
+
+@dataclass(frozen=True)
+class State:
+    """One logged state: position, yaw and time."""
+
+    position: Vec3
+    yaw: float
+    time: float
 
 
 @dataclass
@@ -44,7 +66,7 @@ class Step:
 
     def at(self, f: float) -> tuple[Vec3, float]:
         """Position and yaw a fraction `f` of the way along the step."""
-        return (self.start.position + scaled(self.delta, f),
+        return (add(self.start.position, scaled(self.delta, f)),
                 wrap_to_pi(self.start.yaw + f * self.yaw_turn))
 
 
@@ -83,12 +105,13 @@ class Piece:
         return self.length - r * (self.v1 + half * r)
 
 
-def vertices(path: GlobalPath, start: SimState) -> list[Vertex]:
-    first = path[0]
-    candidates = [Vertex(Vec3(start.position.x, start.position.y, first.position.z),
-                         first.yaw)]
-    candidates += [Vertex(path[i].position, path[i].yaw) for i in range(len(path))]
-    kept = [Vertex(start.position, start.yaw)]
+def vertices(path: GlobalPath, start) -> list[Vertex]:
+    """The polyline's vertices from `start`, a log row (x, y, z, yaw, t)."""
+    x, y, z, yaw, _ = start
+    rows = path.rows.tolist()
+    candidates = [Vertex(Vec3(x, y, rows[0][2]), rows[0][3])]
+    candidates += [Vertex(Vec3(*row[:3]), row[3]) for row in rows]
+    kept = [Vertex(Vec3(x, y, z), yaw)]
     for v in candidates:
         if v.position == kept[-1].position:
             kept[-1].yaw = v.yaw  # no step: the later pose's yaw only
@@ -98,7 +121,7 @@ def vertices(path: GlobalPath, start: SimState) -> list[Vertex]:
 
 
 def steps_of(points: list[Vertex]) -> list[Step]:
-    steps = [Step(a, b.position - a.position, wrap_to_pi(b.yaw - a.yaw))
+    steps = [Step(a, sub(b.position, a.position), wrap_to_pi(b.yaw - a.yaw))
              for a, b in zip(points, points[1:])]
     total = 0.0
     for step in steps:
@@ -115,7 +138,7 @@ def zones_of(steps: list[Step], starts: list[float], cfg: FollowConfig,
     turns = []  # (arc length, |u_out - u_in|) of each vertex that turns
     for i in range(1, len(steps)):
         a, b = steps[i - 1], steps[i]
-        c = (divided(b.delta, b.length) - divided(a.delta, a.length)).norm()
+        c = length(sub(divided(b.delta, b.length), divided(a.delta, a.length)))
         if c > 0.0:
             turns.append((starts[i], c))
     zones = []
@@ -205,8 +228,8 @@ def command(ref, ref_next, position: Vec3, yaw: float, cfg: FollowConfig,
     """Velocity and yaw rate: the reference's step over dt plus k_p times the
     error to it, the velocity scaled down to max_speed, the yaw rate clamped."""
     (p, p_yaw), (q, q_yaw) = ref, ref_next
-    v = divided(q - p, cfg.dt) + scaled(p - position, cfg.k_p)
-    speed = v.norm()
+    v = add(divided(sub(q, p), cfg.dt), scaled(sub(p, position), cfg.k_p))
+    speed = length(v)
     if speed > quad.max_speed:
         v = scaled(v, quad.max_speed / speed)
     yaw_rate = (wrap_to_pi(q_yaw - p_yaw) / cfg.dt
@@ -214,20 +237,22 @@ def command(ref, ref_next, position: Vec3, yaw: float, cfg: FollowConfig,
     return v, max(-quad.max_yaw_rate, min(quad.max_yaw_rate, yaw_rate))
 
 
-def reference_follow(path: GlobalPath, start: SimState, cfg: FollowConfig,
-                     quad: QuadModel) -> list[SimState]:
+def reference_follow(path: GlobalPath, start, cfg: FollowConfig,
+                     quad: QuadModel) -> list[State]:
+    """The replay from `start`, a log row (x, y, z, yaw, t), as states."""
+    x, y, z, yaw, start_time = start
+    state = State(Vec3(x, y, z), yaw, start_time)
     points = vertices(path, start)
     pieces = profile(steps_of(points), cfg, quad)
     finish = pieces[-1].t3 if pieces else 0.0
     end = points[-1]
-    state = start
     log = [state]
     clock = 0.0
     while True:
         if (clock >= finish
-                and state.position.distance_to(end.position) <= cfg.waypoint_tolerance):
+                and length(sub(state.position, end.position)) <= cfg.waypoint_tolerance):
             return log
-        time = start.time + len(log) * cfg.dt
+        time = start_time + len(log) * cfg.dt
         if time > cfg.max_time:
             raise TimeoutExceeded(log)
         if clock == 0.0:
@@ -237,11 +262,11 @@ def reference_follow(path: GlobalPath, start: SimState, cfg: FollowConfig,
         clock = clock + cfg.dt
         v, yaw_rate = command(ref, reference_at(pieces, end, clock), state.position,
                               state.yaw, cfg, quad)
-        state = SimState(state.position + scaled(v, cfg.dt),
-                         wrap_to_pi(state.yaw + yaw_rate * cfg.dt), time)
+        state = State(add(state.position, scaled(v, cfg.dt)),
+                      wrap_to_pi(state.yaw + yaw_rate * cfg.dt), time)
         log.append(state)
 
 
-def rows(log: list[SimState]) -> np.ndarray:
+def rows(log: list[State]) -> np.ndarray:
     return np.array([(s.position.x, s.position.y, s.position.z, s.yaw, s.time)
                      for s in log], dtype=float).reshape(-1, 5)

@@ -1,7 +1,8 @@
 """The per-pose path code that `GlobalPath`'s (n, 4) rows replaced: a path as
-a tuple of `Pose4`, the arc sampler and splice that built one pose at a
+a tuple of `Pose`, the arc sampler and splice that built one pose at a
 time, the path loader that validated each pose on its own, and the path
-file text those poses map to.
+file text those poses map to. Positions are `Vec3` records, and `add`,
+`sub` and `length` below do their arithmetic.
 
 Kept as the oracle the array code is checked against: on the same inputs it
 must give equal paths, equal file bytes and the same SchemaError text.
@@ -12,23 +13,51 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Optional
+from typing import Any
 
 from arcshot.discontinuity import Discontinuity
 from arcshot.errors import DegenerateArc, DegenerateHeading, SchemaError, SpliceMismatch
-from arcshot.shot import ArcShotSpec, Pose4, _sweep, wrap_to_pi
+from arcshot.shot import ArcShotSpec, _sweep, wrap_to_pi
 from arcshot.world import Vec3
 
 PATH_SCHEMA = "path/1"
 SPLICE_TOLERANCE = 1e-6
 
 
+def add(a: Vec3, b: Vec3) -> Vec3:
+    return Vec3(a.x + b.x, a.y + b.y, a.z + b.z)
+
+
+def sub(a: Vec3, b: Vec3) -> Vec3:
+    return Vec3(a.x - b.x, a.y - b.y, a.z - b.z)
+
+
+def length(v: Vec3) -> float:
+    return math.sqrt(v.x * v.x + v.y * v.y + v.z * v.z)
+
+
+def horizontal_distance(a: Vec3, b: Vec3) -> float:
+    return math.hypot(a.x - b.x, a.y - b.y)
+
+
+@dataclass(frozen=True)
+class Pose:
+    """Planning state: 3-D position plus yaw, yaw normalized to (-pi, pi]."""
+
+    position: Vec3
+    yaw: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.yaw):
+            raise ValueError(f"Pose.yaw must be finite, got {self.yaw!r}")
+        object.__setattr__(self, "yaw", wrap_to_pi(self.yaw))
+
+
 @dataclass(frozen=True)
 class PosePath:
-    """Ordered pose sequence, one `Pose4` per sample."""
+    """Ordered pose sequence, one `Pose` per sample."""
 
-    poses: tuple[Pose4, ...]
-    spec: Optional[ArcShotSpec] = None
+    poses: tuple[Pose, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "poses", tuple(self.poses))
@@ -46,8 +75,8 @@ def face_target(p: Vec3, target: Vec3) -> float:
 
 
 def generate_arc(spec: ArcShotSpec) -> PosePath:
-    r0 = spec.start.horizontal_distance_to(spec.target)
-    r1 = spec.end.horizontal_distance_to(spec.target)
+    r0 = horizontal_distance(spec.start, spec.target)
+    r1 = horizontal_distance(spec.end, spec.target)
     if r0 == 0.0 or r1 == 0.0:
         raise DegenerateArc("arc radius is zero")
 
@@ -66,25 +95,22 @@ def generate_arc(spec: ArcShotSpec) -> PosePath:
             spec.target.y + radius * math.sin(angle),
             spec.start.z + (spec.end.z - spec.start.z) * t,
         )
-        poses.append(Pose4(pos, face_target(pos, spec.target)))
-    return PosePath(tuple(poses), spec)
+        poses.append(Pose(pos, face_target(pos, spec.target)))
+    return PosePath(tuple(poses))
 
 
-def splice(path: PosePath, d: Discontinuity, positions: tuple[Vec3, ...]) -> PosePath:
+def splice(path: PosePath, d: Discontinuity, positions: tuple[Vec3, ...],
+           target: Vec3) -> PosePath:
     first, last = positions[0], positions[-1]
-    if first.distance_to(Vec3(*d.entry)) > SPLICE_TOLERANCE:
+    if length(sub(first, Vec3(*d.entry))) > SPLICE_TOLERANCE:
         raise SpliceMismatch(f"local path starts {(first.x, first.y, first.z)} "
                              f"but discontinuity enters at {d.entry}")
-    if last.distance_to(Vec3(*d.exit)) > SPLICE_TOLERANCE:
+    if length(sub(last, Vec3(*d.exit))) > SPLICE_TOLERANCE:
         raise SpliceMismatch(f"local path ends {(last.x, last.y, last.z)} "
                              f"but discontinuity exits at {d.exit}")
-    if path.spec is None:
-        raise SpliceMismatch("path carries no shot spec; cannot aim inserted samples")
-
-    target = path.spec.target
-    inserted = tuple(Pose4(p, face_target(p, target)) for p in positions[1:-1])
+    inserted = tuple(Pose(p, face_target(p, target)) for p in positions[1:-1])
     poses = path.poses[:d.entry_index + 1] + inserted + path.poses[d.exit_index:]
-    return PosePath(poses, path.spec)
+    return PosePath(poses)
 
 
 def path_text(path: PosePath) -> str:
@@ -150,7 +176,7 @@ def path_from_json(data: Any, path: str = "path") -> PosePath:
         _check_keys(p, {"x", "y", "z", "yaw", "t"}, ("x", "y", "z", "yaw"),
                     f"{path}.poses[{i}]")
         poses.append(_build(
-            f"{path}.poses[{i}]", Pose4,
+            f"{path}.poses[{i}]", Pose,
             position=Vec3(_expect_number(p["x"], f"{path}.poses[{i}].x"),
                           _expect_number(p["y"], f"{path}.poses[{i}].y"),
                           _expect_number(p["z"], f"{path}.poses[{i}].z")),
@@ -162,7 +188,7 @@ def path_from_json(data: Any, path: str = "path") -> PosePath:
     return _build(path, PosePath, poses=tuple(poses))
 
 
-def _check_finite_steps(poses: list[Pose4], path: str) -> None:
+def _check_finite_steps(poses: list[Pose], path: str) -> None:
     coords = [(q.position.x, q.position.y, q.position.z) for q in poses]
     for i in range(1, len(coords)):
         for axis, a, b in zip("xyz", coords[i - 1], coords[i]):

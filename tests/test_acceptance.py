@@ -13,12 +13,13 @@ from arcshot import bench, cli, fileio
 from arcshot.bench import BenchSpec, run_bench
 from arcshot.discontinuity import Discontinuity, find_discontinuities
 from arcshot.errors import LocalPlanFailed
-from arcshot.executor import SimState, follow
+from arcshot.executor import follow
 from arcshot.local_planner import RrtParams, level_window, rrt_star_run
 from arcshot.pipeline import plan_shot, validate
 from arcshot.shot import CLOCKWISE, COUNTERCLOCKWISE, ArcShotSpec, generate_arc, wrap_to_pi
 from arcshot.world import AxisBox, CollisionModel, Cylinder, QuadModel, Vec3, World
-from conftest import SCENARIO_DIR, demo_shot, demo_world, make_world, wall_shot, wall_world
+from conftest import (SCENARIO_DIR, demo_shot, demo_world, distance, horizontal_distance,
+                      make_world, wall_shot, wall_world)
 from test_discontinuity import (only_sample_hits, reference_spans, sample_reference_spans,
                                 segment_flags)
 
@@ -97,38 +98,37 @@ def test_criterion_2_arc_properties_hold_on_100_random_specs():
             start = Vec3(*rng.uniform(-10, 10, 2), rng.uniform(0, 6))
             end = Vec3(*rng.uniform(-10, 10, 2), rng.uniform(0, 6))
             target = Vec3(*rng.uniform(-3, 3, 2), rng.uniform(0, 3))
-            if (start.horizontal_distance_to(target) > 0.5
-                    and end.horizontal_distance_to(target) > 0.5):
+            if (horizontal_distance(start, target) > 0.5
+                    and horizontal_distance(end, target) > 0.5):
                 break
         direction = CLOCKWISE if rng.random() < 0.5 else COUNTERCLOCKWISE
         spec = ArcShotSpec(start, end, target, direction, int(rng.integers(8, 100)))
         path = generate_arc(spec)
         n = len(path) - 1
 
-        for got, want in ((path[0].position, start), (path[-1].position, end)):
-            assert got.distance_to(want) <= rel * max(1.0, want.norm())
+        for got, want in ((path.rows[0, :3], start), (path.rows[-1, :3], end)):
+            want = (want.x, want.y, want.z)
+            assert distance(got, want) <= rel * max(1.0, distance(want, (0.0, 0.0, 0.0)))
 
         angles = [math.atan2(y - target.y, x - target.x)
                   for x, y, _, _ in path.rows.tolist()]
         deltas = [wrap_to_pi(b - a) for a, b in zip(angles, angles[1:])]
         sign = 1.0 if direction == COUNTERCLOCKWISE else -1.0
-        r0 = start.horizontal_distance_to(target)
-        r1 = end.horizontal_distance_to(target)
+        r0 = horizontal_distance(start, target)
+        r1 = horizontal_distance(end, target)
         for i, d in enumerate(deltas):
             assert math.copysign(1.0, d) == sign
             assert abs(d - deltas[0]) <= rel * abs(deltas[0]) + 1e-12
-        for i in range(len(path)):
-            pose = path[i]
+        for i, (x, y, z, yaw) in enumerate(path.rows.tolist()):
             t = i / n
             want_r = r0 + (r1 - r0) * t
             want_z = start.z + (end.z - start.z) * t
-            assert pose.position.horizontal_distance_to(target) == \
-                pytest.approx(want_r, rel=rel)
-            assert pose.position.z == pytest.approx(want_z, rel=rel, abs=1e-12)
-            off_x = target.x - pose.position.x
-            off_y = target.y - pose.position.y
+            assert horizontal_distance(Vec3(x, y, z), target) == pytest.approx(want_r, rel=rel)
+            assert z == pytest.approx(want_z, rel=rel, abs=1e-12)
+            off_x = target.x - x
+            off_y = target.y - y
             norm = math.hypot(off_x, off_y)
-            dot = (math.cos(pose.yaw) * off_x + math.sin(pose.yaw) * off_y) / norm
+            dot = (math.cos(yaw) * off_x + math.sin(yaw) * off_y) / norm
             assert dot >= 1.0 - rel
     _ok(2, "endpoints, spacing, linearity, and yaw verified on 100 specs")
 
@@ -335,8 +335,7 @@ def test_criterion_9_replay_avoids_raw_obstacles():
     started = time.perf_counter()
     world, spec, config, result = _bundled_plan()
     path = result.final_path
-    start = SimState(Vec3(path[0].position.x, path[0].position.y,
-                          world.bounds.min.z), 0.0)
+    start = (*path.rows[0, :2].tolist(), world.bounds.min.z, 0.0, 0.0)
     log = follow(path, start, config.follow, config.quad)
     point_quad = QuadModel(body_radius=1e-9, safety_margin=0.0)
     raw_model = CollisionModel(world, point_quad)

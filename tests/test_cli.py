@@ -562,6 +562,44 @@ def test_a_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"]["kind"] == "UnicodeDecodeError"
 
 
+@pytest.mark.parametrize("command, flag, where", [
+    ("plan", "--world", "directory"), ("execute", "--path", "directory"),
+    ("plan", "--config", "missing")])
+def test_an_input_that_cannot_be_read_is_a_parse_error(command, flag, where, tmp_path, capsys):
+    # opening a directory or a missing file fails in the operating system,
+    # before any JSON is parsed: unreadable input, exit 2, and nothing written
+    args = _command_args(command, tmp_path)
+    args[args.index(flag) + 1] = str(DEMO if where == "directory" else tmp_path / "none.json")
+    assert cli.main(args) == cli.EXIT_PARSE
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == "UnreadableInput"
+    assert not (tmp_path / command).exists()
+
+
+def test_an_output_that_cannot_be_written_is_an_internal_error(tmp_path, capsys):
+    # the output directory is a file: writing fails, which is no input's fault
+    args = _command_args("plan", tmp_path)
+    (tmp_path / "plan").write_text("")
+    assert cli.main(args) == cli.EXIT_INTERNAL
+    assert json.loads(capsys.readouterr().err)["error"]["kind"] == "FileExistsError"
+
+
+@pytest.mark.parametrize("command", ["plan", "bench", "render"])
+def test_a_shot_target_outside_the_world_bounds_is_a_schema_error(command, tmp_path, capsys):
+    # the demo world's bounds top is 10: the shot's target must lie in the
+    # bounds, as the world's own target must
+    shot = json.loads((DEMO / "shot.json").read_text())
+    shot["target"] = [0.0, 0.0, 50.0]
+    bad = tmp_path / "shot.json"
+    bad.write_text(json.dumps(shot))
+    args = _command_args(command, tmp_path)
+    args[args.index("--shot") + 1] = str(bad)
+    assert cli.main(args) == cli.EXIT_SCHEMA
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "SchemaError"
+    assert error["message"].startswith("shot.target: ")
+    assert not (tmp_path / command).exists()
+
+
 def test_plan_is_byte_identical_across_runs(tmp_path):
     for name in ("a", "b"):
         assert cli.main(["plan", *demo_args(tmp_path / name)]) == cli.EXIT_OK

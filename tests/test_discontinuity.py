@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from arcshot.discontinuity import Discontinuity, find_discontinuities
 from arcshot.errors import EndpointBlocked
-from arcshot.shot import ArcShotSpec, GlobalPath, Pose4, generate_arc
+from arcshot.shot import ArcShotSpec, GlobalPath, generate_arc
 from arcshot.world import AxisBox, CollisionModel, Cylinder, QuadModel, Vec3
 from conftest import make_world, point_free
 
@@ -26,7 +26,7 @@ def segment_flags(path: GlobalPath, model: CollisionModel) -> list[bool]:
 
 
 def sample_flags(path: GlobalPath, model: CollisionModel) -> list[bool]:
-    return [point_free(model, path[i].position) for i in range(len(path))]
+    return [point_free(model, Vec3(*p)) for p in path.position_array().tolist()]
 
 
 def blocked_segments(path: GlobalPath, model: CollisionModel) -> tuple[int, ...]:
@@ -232,11 +232,11 @@ def test_margin_must_be_positive(quad):
 
 
 def test_discontinuity_invariant_validation():
-    pose = Pose4(Vec3(0, 0, 0), 0.0)
-    Discontinuity(0, 1, pose, pose)
+    p = (0.0, 0.0, 0.0)
+    Discontinuity(0, 1, p, p)
     for entry, exit_ in ((3, 3), (5, 3), (-1, 3)):
         with pytest.raises(ValueError):
-            Discontinuity(entry, exit_, pose, pose)
+            Discontinuity(entry, exit_, p, p)
 
 
 def _random_scan_world(rng):
@@ -311,7 +311,8 @@ def test_spans_cover_exactly_the_blocked_segments(obstacles, radius, z, samples,
     model = CollisionModel(make_world(tuple(obstacles)), QuadModel())
     path = generate_arc(ArcShotSpec(Vec3(radius, 0.0, z), Vec3(-radius, 0.0, z),
                                     Vec3(0.0, 0.0, 1.5), "counterclockwise", samples))
-    assume(point_free(model, path[0].position) and point_free(model, path[-1].position))
+    assume(point_free(model, Vec3(*path.rows[0, :3].tolist()))
+           and point_free(model, Vec3(*path.rows[-1, :3].tolist())))
     discs = find_discontinuities(path, model, margin)
     assert [(d.entry_index, d.exit_index) for d in discs] == \
         reference_spans(segment_flags(path, model), margin)

@@ -7,22 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arcshot.errors import TimeoutExceeded
-from arcshot.executor import (MAX_ACCEL, FollowConfig, SimState, follow, polyline,
-                              polyline_steps, reference_pieces)
+from arcshot.executor import (MAX_ACCEL, FollowConfig, follow, polyline, polyline_steps,
+                              reference_pieces)
 from arcshot.local_planner import RrtParams
 from arcshot.pipeline import plan_shot
 from arcshot.shot import GlobalPath, wrap_to_pi
 from arcshot.world import CollisionModel, QuadModel, Vec3
-from conftest import demo_shot, demo_world
+from conftest import demo_shot, demo_world, distance
 import follow_reference
 from follow_reference import reference_follow
 
 
 CFG = FollowConfig()
-
-
-def position(row) -> Vec3:
-    return Vec3(*(float(v) for v in row[:3]))
 
 
 # The control law, on the Vec3 reference's `command`, whose steps `follow`
@@ -62,7 +58,7 @@ def test_yaw_command_takes_the_short_way_around(quad):
     # seam; the climb turns the yaw the short way, +2*eps, across the seam
     eps = 0.1
     path = GlobalPath([(0.0, 0.0, 2.0, -(math.pi - eps))])
-    log = follow(path, SimState(Vec3(0.0, 0.0, 0.0), math.pi - eps), CFG, quad)
+    log = follow(path, (0.0, 0.0, 0.0, math.pi - eps, 0.0), CFG, quad)
     turns = [math.remainder(b - a, math.tau) for a, b in zip(log[:, 3], log[1:, 3])]
     assert all(turn >= 0.0 for turn in turns)
     assert sum(turns) == pytest.approx(2 * eps)
@@ -81,27 +77,27 @@ def test_yaw_command_saturates():
 
 def test_takeoff_only_run_is_pure_vertical(quad):
     path = GlobalPath([(2.0, -1.0, 2.0, 1.0)])
-    start = SimState(Vec3(2.0, -1.0, 0.0), 0.0)
+    start = (2.0, -1.0, 0.0, 0.0, 0.0)
     log = follow(path, start, replace(CFG, max_time=60.0), quad)
     zs = log[:, 2].tolist()
     assert all(x == 2.0 and y == -1.0 for x, y in log[:, :2].tolist())
     assert zs == sorted(zs)
-    assert position(log[-1]).distance_to(path[0].position) <= CFG.waypoint_tolerance
+    assert distance(log[-1, :3], path.rows[0, :3]) <= CFG.waypoint_tolerance
 
 
 def test_two_waypoint_path_converges(quad):
     path = GlobalPath([(0, 0, 2, 0.0), (4, 0, 2, 0.0)])
-    start = SimState(Vec3(0, 0, 0), 0.0)
+    start = (0, 0, 0, 0.0, 0.0)
     log = follow(path, start, CFG, quad)
-    assert position(log[-1]).distance_to(Vec3(4, 0, 2)) <= CFG.waypoint_tolerance
+    assert distance(log[-1, :3], (4, 0, 2)) <= CFG.waypoint_tolerance
 
 
 def test_commands_respect_limits_along_the_whole_log(quad):
     path = GlobalPath([(0, 0, 2, 0.0), (6, 3, 2, 2.0)])
-    start = SimState(Vec3(0, 0, 0), -2.0)
+    start = (0, 0, 0, -2.0, 0.0)
     log = follow(path, start, CFG, quad)
     for a, b in zip(log, log[1:]):
-        assert position(a).distance_to(position(b)) <= \
+        assert distance(a[:3], b[:3]) <= \
             quad.max_speed * CFG.dt + 1e-12
         dyaw = math.remainder(b[3] - a[3], math.tau)
         assert abs(dyaw) <= quad.max_yaw_rate * CFG.dt + 1e-12
@@ -110,12 +106,12 @@ def test_commands_respect_limits_along_the_whole_log(quad):
 
 def test_waypoints_are_reached_in_order(quad):
     path = GlobalPath([(1, 0, 2, 0.0), (2, 1, 2, 0.0), (3, 0, 2, 0.0)])
-    start = SimState(Vec3(0, 0, 0), 0.0)
+    start = (0, 0, 0, 0.0, 0.0)
     log = follow(path, start, CFG, quad)
     first_hit = []
     for waypoint in path.position_array():
         hit = next(i for i, row in enumerate(log)
-                   if position(row).distance_to(position(waypoint))
+                   if distance(row[:3], waypoint)
                    <= CFG.waypoint_tolerance)
         first_hit.append(hit)
     assert first_hit == sorted(first_hit)
@@ -123,7 +119,7 @@ def test_waypoints_are_reached_in_order(quad):
 
 def test_follow_is_deterministic(quad):
     path = GlobalPath([(0, 0, 2, 0.0), (4, 2, 3, 1.0)])
-    start = SimState(Vec3(0, 0, 0), 0.0)
+    start = (0, 0, 0, 0.0, 0.0)
     a = follow(path, start, CFG, quad)
     b = follow(path, start, CFG, quad)
     assert a.tobytes() == b.tobytes()
@@ -131,7 +127,7 @@ def test_follow_is_deterministic(quad):
 
 def test_timeout_carries_the_partial_log(quad):
     path = GlobalPath([(10, 10, 5, 0.0)])
-    start = SimState(Vec3(-10, -10, 0), 0.0)
+    start = (-10, -10, 0, 0.0, 0.0)
     with pytest.raises(TimeoutExceeded) as err:
         follow(path, start, replace(CFG, max_time=1.0), quad)
     log = err.value.log
@@ -157,7 +153,7 @@ def test_replayed_demo_plan_avoids_raw_obstacles(quad):
     result = plan_shot(CollisionModel(world, quad), demo_shot(),
                        RrtParams(extend_dist=0.2, seed=7))
     path = result.final_path
-    start = SimState(Vec3(path[0].position.x, path[0].position.y, 0.0), 0.0)
+    start = (*path.rows[0, :2].tolist(), 0.0, 0.0, 0.0)
     log = follow(path, start, CFG, quad)
     # check against raw (uninflated) obstacles via a point-sized vehicle
     point_quad = QuadModel(body_radius=1e-9, safety_margin=0.0)
@@ -202,7 +198,7 @@ def first_yaw_rate(path, start, cfg, quad) -> float:
     pieces = follow_reference.profile(follow_reference.steps_of(points), cfg, quad)
     p_yaw = wrap_to_pi(points[0].yaw)
     _, q_yaw = follow_reference.reference_at(pieces, points[-1], cfg.dt)
-    return wrap_to_pi(q_yaw - p_yaw) / cfg.dt + cfg.k_p * wrap_to_pi(p_yaw - start.yaw)
+    return wrap_to_pi(q_yaw - p_yaw) / cfg.dt + cfg.k_p * wrap_to_pi(p_yaw - start[3])
 
 
 _COORD = st.floats(-12.0, 12.0)
@@ -255,10 +251,11 @@ def replay_cases(draw, edge="any", max_time=None):
     if edge == "any":
         edge = draw(st.sampled_from((None, *STEP_EDGES)))
     rows = draw(polylines())
-    start = SimState(Vec3(draw(_COORD), draw(_COORD), draw(st.floats(0.0, 3.0))),
-                     draw(_YAW), draw(st.sampled_from([0.0, 0.37, 5.0])))
+    # the log's first row, x, y, z, yaw, t
+    start = [draw(_COORD), draw(_COORD), draw(st.floats(0.0, 3.0)), draw(_YAW),
+             draw(st.sampled_from([0.0, 0.37, 5.0]))]
     if draw(st.booleans()):  # the column rises from right under the first pose
-        start = replace(start, position=Vec3(rows[0][0], rows[0][1], start.position.z))
+        start[:2] = rows[0][:2]
     dt = draw(st.floats(0.01, 0.05))
     cfg = FollowConfig(dt=dt, k_p=draw(st.floats(0.2, 0.99 / dt)),
                        waypoint_tolerance=draw(st.floats(0.05, 0.6)))
@@ -268,37 +265,36 @@ def replay_cases(draw, edge="any", max_time=None):
         max_time = draw(st.floats(0.2, 40.0))
     if edge in ("yaw_seam", "yaw_clamp"):
         # no column: the reference starts at the first pose, with its yaw
-        start = replace(start, position=Vec3(*rows[0][:3]))
+        start[:3] = rows[0][:3]
         if all(row[:3] == rows[0][:3] for row in rows):
             rows.append([rows[0][0] + 1.0, *rows[0][1:]])
-        max_time = start.time + max_time
+        max_time = start[4] + max_time
     if edge == "yaw_seam":
         yaw = draw(st.floats(-math.pi, 0.0, exclude_min=True).filter(
             lambda yaw: yaw - (yaw + math.pi) == -math.pi))
-        start = replace(start, yaw=yaw + math.pi)
+        start[3] = yaw + math.pi
         rows[0][3] = yaw
     elif edge == "yaw_clamp":
-        start = replace(start, yaw=wrap_to_pi(rows[0][3] + draw(st.floats(0.5, 3.0))))
+        start[3] = wrap_to_pi(rows[0][3] + draw(st.floats(0.5, 3.0)))
         cfg = replace(cfg, k_p=0.99 / dt)
     elif edge == "yaw_zero":
         for row in rows:
             row[3] = draw(st.sampled_from([0.0, -0.0]))
-        start = replace(start, yaw=draw(st.sampled_from([0.0, -0.0])))
+        start[3] = draw(st.sampled_from([0.0, -0.0]))
     elif edge == "speed":
         # a straight climb long enough to reach max_speed and slow down again
         rise = (quad.max_speed ** 2 / MAX_ACCEL + 2.0 * quad.max_speed * cfg.dt
                 + draw(st.floats(0.1, 2.0)))
-        rows = [[start.position.x, start.position.y, start.position.z + rise,
-                 wrap_to_pi(start.yaw)]]
+        rows = [[start[0], start[1], start[2] + rise, wrap_to_pi(start[3])]]
         max_time = 1e3
     elif edge == "timeout":
-        # max_time is the clock after `steps` steps, start.time + steps * dt,
+        # max_time is the clock after `steps` steps, start's t + steps * dt,
         # where the replay must not yet stop; the reference cannot arrive that soon
-        rows[0][2] = start.position.z + draw(st.floats(0.7, 5.0))
+        rows[0][2] = start[2] + draw(st.floats(0.7, 5.0))
         steps = draw(st.integers(1, 30))
-        max_time = start.time + steps * cfg.dt
+        max_time = start[4] + steps * cfg.dt
         quad = replace(quad, max_speed=min(quad.max_speed, 0.5 / (steps * cfg.dt)))
-    return GlobalPath(rows), start, replace(cfg, max_time=max_time), quad
+    return GlobalPath(rows), tuple(start), replace(cfg, max_time=max_time), quad
 
 
 @settings(max_examples=25, deadline=None)
@@ -309,8 +305,8 @@ def test_replay_cases_meet_each_step_edge(edge, data):
     outcome = assert_replays_match(path, start, cfg, quad)
     yaw_rate = first_yaw_rate(path, start, cfg, quad)
     if edge == "yaw_seam":
-        assert path.rows[0, 3] - start.yaw == -math.pi
-        assert wrap_to_pi(path.rows[0, 3] - start.yaw) == math.pi
+        assert path.rows[0, 3] - start[3] == -math.pi
+        assert wrap_to_pi(path.rows[0, 3] - start[3]) == math.pi
     elif edge == "yaw_clamp":
         assert abs(yaw_rate) > quad.max_yaw_rate
         log = _log(path, start, cfg, quad)
@@ -355,7 +351,7 @@ def test_every_logged_step_is_command_for_of_the_state_before_it(case):
         v, yaw_rate = follow_reference.command(ref, ref_next, Vec3(x, y, z), yaw, cfg, quad)
         ref = ref_next
         want = (x + v.x * cfg.dt, y + v.y * cfg.dt, z + v.z * cfg.dt,
-                wrap_to_pi(yaw + yaw_rate * cfg.dt), start.time + k * cfg.dt)
+                wrap_to_pi(yaw + yaw_rate * cfg.dt), start[4] + k * cfg.dt)
         assert [v.hex() for v in after] == [v.hex() for v in want]
 
 
@@ -363,7 +359,7 @@ def test_reference_cases_cover_saturation_and_timeouts():
     # the properties only prove something if their cases reach both ends:
     # a timeout, an arrival, and a start already at the only pose
     quad = QuadModel(max_speed=0.5)
-    start = SimState(Vec3(0.0, 0.0, 0.0), math.pi)
+    start = (0.0, 0.0, 0.0, math.pi, 0.0)
     far = GlobalPath([(9.0, -9.0, 3.0, -math.pi + 1e-9)])
     near = GlobalPath([(0.1, 0.0, 0.3, -math.pi + 1e-9)])
     assert assert_replays_match(far, start, replace(CFG, max_time=2.0), quad) == "timeout"
@@ -389,8 +385,8 @@ def test_command_matches_the_vec3_reference(feed, err, dt, k_p_dt, max_yaw_rate,
     # where it stays unscaled), and the yaw rate the same sum, clamped
     cfg = FollowConfig(dt=dt, k_p=k_p_dt / dt)
     p = Vec3(0.0, 0.0, 0.0)
-    q = p + follow_reference.scaled(Vec3(*feed), dt)
-    position = p - Vec3(*err)
+    q = follow_reference.add(p, follow_reference.scaled(Vec3(*feed), dt))
+    position = follow_reference.sub(p, Vec3(*err))
     want = [(q.x - p.x) / dt + cfg.k_p * (p.x - position.x),
             (q.y - p.y) / dt + cfg.k_p * (p.y - position.y),
             (q.z - p.z) / dt + cfg.k_p * (p.z - position.z)]
@@ -419,7 +415,7 @@ def test_command_matches_the_vec3_reference(feed, err, dt, k_p_dt, max_yaw_rate,
 def test_float_follow_overflows_like_the_vec3_reference(start_x, target_x, quad, cfg,
                                                         outcome):
     path = GlobalPath([(start_x, 0.0, 1.0, 0.0), (target_x, 0.0, 1.0, 0.0)])
-    start = SimState(Vec3(start_x, 0.0, 1.0), 0.0)
+    start = (start_x, 0.0, 1.0, 0.0, 0.0)
     assert assert_replays_match(path, start, replace(cfg, max_time=1.0), quad) == outcome
 
 
@@ -453,20 +449,19 @@ def test_replay_stays_within_its_limits_on_the_polyline(case, to_the_end):
              + (len(steps) + 1) * 2.0 * quad.max_speed / MAX_ACCEL)
     assert finish <= 2.0 * plain
     if to_the_end:  # time enough to arrive, however long the polyline
-        cfg = replace(cfg, max_time=start.time + finish + 1.0)
+        cfg = replace(cfg, max_time=start[4] + finish + 1.0)
     try:
         log, arrived = follow(path, start, cfg, quad), True
     except TimeoutExceeded as exc:
         log, arrived = exc.log, False
     assert len(log) >= 1
-    # the k-th state at start.time + k * dt, so strictly increasing
+    # the k-th state at start's t + k * dt, so strictly increasing
     times = log[:, 4].tolist()
-    assert times == [start.time + k * cfg.dt for k in range(len(log))]
+    assert times == [start[4] + k * cfg.dt for k in range(len(log))]
     assert all(a < b for a, b in zip(times, times[1:]))
     # every state on the column-plus-path polyline
-    p = start.position
-    vertices = np.vstack([[p.x, p.y, p.z], [p.x, p.y, path.rows[0, 2]],
-                          path.rows[:, :3]])
+    x, y, z = start[:3]
+    vertices = np.vstack([[x, y, z], [x, y, path.rows[0, 2]], path.rows[:, :3]])
     assert _polyline_gap(log[:, :3], vertices).max() <= 1e-6
     # speed, and velocity steps from rest to rest, within their bounds
     v = np.diff(log[:, :3], axis=0) / cfg.dt
@@ -478,15 +473,14 @@ def test_replay_stays_within_its_limits_on_the_polyline(case, to_the_end):
     turns = np.abs(np.remainder(np.diff(log[:, 3]) + np.pi, 2 * np.pi) - np.pi)
     assert (turns <= quad.max_yaw_rate * cfg.dt + 1e-12).all()
     if arrived:
-        assert position(log[-1]).distance_to(path[len(path) - 1].position) \
-            <= cfg.waypoint_tolerance
+        assert distance(log[-1, :3], path.rows[-1, :3]) <= cfg.waypoint_tolerance
     else:
         assert log[-1, 4] + cfg.dt > cfg.max_time
 
 
 def test_the_profile_rests_at_both_ends_and_its_pieces_meet():
     path = GlobalPath([(0, 0, 2, 0.0), (3, 0, 2, 0.5), (3, 0.02, 2, 0.5), (0, 0.02, 2, 0.0)])
-    start = SimState(Vec3(0, 0, 0), 0.0)
+    start = (0, 0, 0, 0.0, 0.0)
     pieces = reference_pieces(polyline_steps(polyline(path, start)), CFG, QuadModel())
     assert pieces[0][7] == 0.0 and pieces[-1][9] == 0.0
     for a, b in zip(pieces, pieces[1:]):
@@ -498,7 +492,7 @@ def test_a_zone_takes_the_yaw_cap_of_a_short_turn_and_keeps_its_width(quad):
     # a nanometre step that turns the yaw by 1.5 rad caps its speed near
     # 1e-9 m/s; the corner zone around it, which holds its speed constant,
     # takes that cap too rather than crawling at it over its millimetre
-    start = SimState(Vec3(0, 0, 0), 0.0)
+    start = (0, 0, 0, 0.0, 0.0)
     path = GlobalPath([(0, 0, 2, 0.0), (3, 0, 2, 0.0), (3 + 1e-9, 1e-9, 2, 1.5),
                        (3, 3, 2, 1.5)])
     pieces = reference_pieces(polyline_steps(polyline(path, start)), CFG, quad)

@@ -18,8 +18,8 @@ from arcshot.local_planner import (LocalPath, RrtParams, SearchWindow, Tree,
 from arcshot.shot import generate_arc
 from arcshot.world import (AXIS_X, AXIS_Y, BOTTOM, CULL_PAD, MAX, MIN, RADIUS, TOP, AxisBox,
                            CollisionModel, Cylinder, QuadModel, Vec3, World, obstacle_rows)
-from conftest import (TOUCH, demo_shot, demo_world, make_world, point_free, spaced_quad,
-                      wall_shot, wall_world)
+from conftest import (TOUCH, demo_shot, demo_world, distance, make_world, point_free,
+                      spaced_quad, wall_shot, wall_world)
 import rrt_reference
 import window_reference
 from world_reference import inflate, pad_margin, segment_samples
@@ -229,8 +229,7 @@ def test_nearest_matches_linear_scan_oracle():
     for _ in range(50):
         q = rng.uniform(-12, 12, 3)
         want = min(range(len(tree)),
-                   key=lambda i: Vec3(*tree.positions[i].tolist()).distance_to(
-                       Vec3(*q.tolist())))
+                   key=lambda i: distance(tree.positions[i].tolist(), q.tolist()))
         assert nearest_vertex(tree, q) == want
 
 
@@ -642,11 +641,11 @@ def test_extend_returns_nearby_points_directly():
        st.floats(-20, 20), st.floats(-20, 20), st.floats(-20, 20),
        st.floats(0.05, 5))
 def test_extend_travels_min_of_step_and_distance(ax, ay, az, bx, by, bz, step):
-    a, b = Vec3(ax, ay, az), Vec3(bx, by, bz)
-    if a.distance_to(b) == 0.0:
+    a, b = (ax, ay, az), (bx, by, bz)
+    if distance(a, b) == 0.0:
         return
-    moved = Vec3(*extend([ax, ay, az], [bx, by, bz], step)).distance_to(a)
-    assert moved == pytest.approx(min(step, a.distance_to(b)), rel=1e-9)
+    moved = distance(extend([ax, ay, az], [bx, by, bz], step), a)
+    assert moved == pytest.approx(min(step, distance(a, b)), rel=1e-9)
 
 
 def test_extend_rejects_degenerate_input():
@@ -670,8 +669,8 @@ def test_best_parent_breaks_cost_ties_by_insertion_order(quad):
     child = tree.add(row(1, 0, 2), 0)
     assert tree.node_costs[child] == pytest.approx(1.0)
     x_new = row(1.5, 0, 2)
-    root_total = tree.node_costs[0] + Vec3(0, 0, 2).distance_to(Vec3(*x_new.tolist()))
-    child_total = tree.node_costs[child] + Vec3(1, 0, 2).distance_to(Vec3(*x_new.tolist()))
+    root_total = tree.node_costs[0] + distance((0, 0, 2), x_new.tolist())
+    child_total = tree.node_costs[child] + distance((1, 0, 2), x_new.tolist())
     assert root_total == pytest.approx(child_total)
     model = CollisionModel(world, quad)
     assert _best_parent(tree, x_new, 2.0, model) == 0
@@ -970,10 +969,11 @@ def _check_segment(seed: int) -> tuple[bool, bool, bool]:
     on the model culled round it, which must agree, and whether the segment
     touches and whether it lies on the ground.
 
-    True: every point of a sampling at `check_step` and at `check_step / 16`
-    is free, and so are those points moved half the pad toward what the
-    segment touches (the pad, not luck in the rounding, keeps them free; on
-    a ground at z = 0 the move stops at the ground, which is not padded).
+    True: every point of a sampling at half the body radius (the report's
+    spacing) and at a sixteenth of that is free, and so are those points
+    moved half the pad toward what the segment touches (the pad, not luck
+    in the rounding, keeps them free; on a ground at z = 0 the move stops at
+    the ground, which is not padded).
     False: an end lies outside the shrunk bounds, or the segment comes
     within CULL_PAD plus rounding of an inflated obstacle, in the measure the
     pad grows it by; away from that rounding, the converse holds too
@@ -981,7 +981,7 @@ def _check_segment(seed: int) -> tuple[bool, bool, bool]:
     model, a, b, toward, touching, grounded = _segment_case(seed)
     free = model.segment_free(a, b)
     assert model.within(np.minimum(a, b), np.maximum(a, b)).segment_free(a, b) is free
-    step = model.check_step
+    step = model.quad.body_radius / 2
     if free:
         for pts in (segment_samples(a, b, step), segment_samples(a, b, step / 16)):
             assert model.free_points(pts).all()
@@ -1225,7 +1225,7 @@ def test_rrt_star_detour_survives_dense_revalidation(quad):
         lp = _attempt(d, model, RrtParams(seed=seed), 0).path
         assert lp is not None
         for a, b in zip(lp.positions, lp.positions[1:]):
-            assert model.free_points(segment_samples(a, b, model.check_step / 16)).all()
+            assert model.free_points(segment_samples(a, b, model.quad.body_radius / 32)).all()
 
 
 def test_rrt_star_tree_invariants(quad):
@@ -1241,8 +1241,7 @@ def test_rrt_star_tree_invariants(quad):
     for i in range(1, len(tree)):
         parent = tree.parents[i]
         assert parent is not None and parent < i
-        edge = Vec3(*tree.positions[i].tolist()).distance_to(
-            Vec3(*tree.positions[parent].tolist()))
+        edge = distance(tree.positions[i].tolist(), tree.positions[parent].tolist())
         recomputed[i] = recomputed[parent] + edge
         assert tree.node_costs[i] == pytest.approx(recomputed[i], rel=1e-9)
 

@@ -1,11 +1,13 @@
 import ast
 import dataclasses
+import fnmatch
 import hashlib
 import importlib
 import inspect
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -39,7 +41,7 @@ def test_splice_straight_detour_drops_the_blocked_samples():
     arc = generate_arc(demo_shot())
     d = fake_disc(arc, 10, 16)
     lp = LocalPath(arc.position_array()[[10, 16]], math.dist(d.entry, d.exit))
-    out = splice(arc, d, lp)
+    out = splice(arc, d, lp, demo_shot().target)
     assert len(out) == len(arc) - (16 - 10 - 1)
     assert np.array_equal(out.rows[:11], arc.rows[:11])
     assert np.array_equal(out.rows[11:], arc.rows[16:])
@@ -51,13 +53,12 @@ def test_splice_inserts_the_detour_interior_verbatim():
     interior = ((1.0, 9.0, 2.0), (0.0, 9.5, 2.1), (-1.0, 9.0, 2.0))
     points = (d.entry, *interior, d.exit)
     cost = sum(math.dist(a, b) for a, b in zip(points, points[1:]))
-    out = splice(arc, d, LocalPath(points, cost))
-    replaced = [out[i] for i in range(21, 21 + len(interior))]
-    assert tuple((p.position.x, p.position.y, p.position.z) for p in replaced) == interior
-    target = arc.spec.target
-    for pose in replaced:
-        p = pose.position
-        assert pose.yaw == aimed_row(p.x, p.y, p.z, target)[3]
+    target = demo_shot().target
+    out = splice(arc, d, LocalPath(points, cost), target)
+    replaced = out.rows[21:21 + len(interior)].tolist()
+    assert tuple(tuple(row[:3]) for row in replaced) == interior
+    for x, y, z, yaw in replaced:
+        assert yaw == aimed_row(x, y, z, target)[3]
     # outside the span nothing moved
     assert np.array_equal(out.rows[:21], arc.rows[:21])
     assert np.array_equal(out.rows[21 + len(interior):], arc.rows[30:])
@@ -68,7 +69,7 @@ def test_splice_rejects_mismatched_endpoints():
     d = fake_disc(arc, 10, 16)
     off = (d.entry[0] + 1e-4, *d.entry[1:])
     with pytest.raises(SpliceMismatch):
-        splice(arc, d, LocalPath([off, d.exit], 1.0))
+        splice(arc, d, LocalPath([off, d.exit], 1.0), demo_shot().target)
 
 
 @pytest.mark.parametrize("end", [0, -1])
@@ -79,7 +80,7 @@ def test_splice_refuses_a_nan_detour_end(end):
     positions = arc.position_array()[[10, 13, 16]]
     positions[end] = math.nan
     with pytest.raises(SpliceMismatch, match="nan"):
-        splice(arc, d, LocalPath(positions, math.nan))
+        splice(arc, d, LocalPath(positions, math.nan), demo_shot().target)
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
@@ -90,16 +91,7 @@ def test_splice_refuses_a_non_finite_detour_interior_row(value):
     positions = arc.position_array()[[10, 12, 13, 16]]
     positions[2, 1] = value
     with pytest.raises(SpliceMismatch, match=r"^local path row 2 is not finite: "):
-        splice(arc, d, LocalPath(positions, 1.0))
-
-
-def test_splice_requires_a_shot_spec_for_yaw():
-    arc = generate_arc(demo_shot())
-    bare = GlobalPath(arc.rows)  # no spec attached
-    d = fake_disc(bare, 10, 16)
-    lp = LocalPath(bare.position_array()[[10, 16]], 1.0)
-    with pytest.raises(SpliceMismatch):
-        splice(bare, d, lp)
+        splice(arc, d, LocalPath(positions, 1.0), demo_shot().target)
 
 
 # validate -------------------------------------------------------------------
@@ -115,7 +107,6 @@ def test_validate_reports_the_first_offending_segment(quad):
                        target=(0.0, 5.0, 1.0))
     path = GlobalPath([(x, 0.0, 2.0, 0.0) for x in (-5.0, -3.0, 3.0, 5.0)])
     model = CollisionModel(world, quad)
-    assert model.check_step == 0.15
     assert validate(path, model) == 1
 
 
@@ -124,7 +115,7 @@ def test_validate_finer_step_never_passes_where_coarser_failed(quad):
     world = make_world((Cylinder(Vec3(0.0, 0.0, 0.0), 1.0, 5.0),), target=(0.0, 5.0, 1.0))
     coarse, fine = (CollisionModel(world, QuadModel(body, quad.growth - body))
                     for body in (0.5, 0.25))
-    assert (coarse.check_step, fine.check_step) == (0.25, 0.125)
+    assert (coarse.quad.body_radius / 2, fine.quad.body_radius / 2) == (0.25, 0.125)
     assert coarse.inflated.tobytes() == fine.inflated.tobytes()
     path = GlobalPath([(x, 0.0, 2.0, 0.0) for x in (-6.0, 0.0, 6.0)])
     assert validate(path, coarse) is not None
@@ -133,8 +124,8 @@ def test_validate_finer_step_never_passes_where_coarser_failed(quad):
 
 def test_no_stage_takes_or_reads_a_check_spacing():
     # every stage asks the model's one segment predicate, so nothing samples
-    # a segment: no function takes a spacing, and the model's check_step is
-    # read only where the report records it
+    # a segment: no function takes a spacing, and the report's spacing, half
+    # the vehicle radius, is derived only where report/1 writes it
     takers = []
     for info in pkgutil.iter_modules(arcshot.__path__):
         module = importlib.import_module(f"arcshot.{info.name}")
@@ -148,13 +139,15 @@ def test_no_stage_takes_or_reads_a_check_spacing():
                 functions = [(name, obj)] if inspect.isfunction(obj) else []
             takers += [f"{module.__name__}.{qualified}" for qualified, f in functions
                        if "step" in inspect.signature(f).parameters]
-    # the report records report/1's collision_step and validation_step
-    assert takers == ["arcshot.pipeline.PlanReport.__init__"]
-    readers = [f"{path.name}: {line.strip()}"
+    assert takers == []
+    derived = [f"{path.name}: {line.strip()}"
                for path in sorted(Path(arcshot.__file__).parent.glob("*.py"))
                for line in path.read_text(encoding="utf-8").splitlines()
-               if ".check_step" in line]
-    assert readers == ["pipeline.py: step=model.check_step,"]
+               if "step" in line and "body_radius" in line]
+    assert derived == [f"fileio.py: \"{key}\": report.quad.body_radius / 2,"
+                       for key in ("collision_step", "validation_step")]
+    source = inspect.getsource(fileio.report_to_json)
+    assert all(line.split(": ", 1)[1] in source for line in derived)
 
 
 def sequential_validate(path, model):
@@ -251,8 +244,7 @@ def test_plan_shot_two_obstacles_two_spans(quad):
     final = result.final_path
     arc_positions = {tuple(p) for p in final.position_array().tolist()}
     for i in outside:
-        p = arc[i].position
-        assert (p.x, p.y, p.z) in arc_positions
+        assert tuple(arc.rows[i, :3].tolist()) in arc_positions
 
 
 def test_plan_shot_propagates_endpoint_blocked(quad):
@@ -308,7 +300,8 @@ def test_plan_shot_report_snapshot(quad):
     assert report.params == params
     assert report.quad == quad
     assert report.margin == 2
-    assert report.step == quad.body_radius / 2
+    payload = fileio.report_to_json(report)
+    assert payload["collision_step"] == payload["validation_step"] == quad.body_radius / 2
     assert report.total_loops == sum(r.loops for r in report.discontinuities)
     assert report.total_nodes == sum(len(t) for t in result.trees)
     for r in report.discontinuities:
@@ -428,19 +421,40 @@ def test_no_source_sends_floats_through_blas():
 
 
 def test_no_planner_stage_names_vec3_or_pose4():
-    # the scan, the detour planner and the splice hand positions on as rows
-    # and three-float tuples; Vec3 and Pose4 stay at the file and API edges
+    # the scan, the detour planner, the splice, the replay, the command line,
+    # the render and the bench hand positions on as rows and three-float
+    # tuples, and a replay starts from a log row; Vec3 stays at the world/1
+    # and shot/1 records, which world, shot and fileio handle
+    banned = ("Vec3", "Pose4", "SimState")
     names = []
-    for stage in ("discontinuity", "local_planner", "pipeline"):
+    for stage in ("discontinuity", "local_planner", "pipeline", "executor", "cli", "render",
+                  "bench"):
         path = Path(arcshot.__file__).parent / f"{stage}.py"
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             where = f"{path.name}:{getattr(node, 'lineno', 0)}"
-            if isinstance(node, ast.Name) and node.id in ("Vec3", "Pose4"):
+            if isinstance(node, ast.Name) and node.id in banned:
                 names.append(f"{where} {node.id}")
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 names += [f"{where} import {alias.name}" for alias in node.names
-                          if alias.name.rsplit(".", 1)[-1] in ("Vec3", "Pose4")]
+                          if alias.name.rsplit(".", 1)[-1] in banned]
     assert names == []
+
+
+def test_every_test_the_docs_cite_is_defined():
+    # a test renamed or folded into another leaves no stale citation: every
+    # `test_...` name inside backticks in README.md and ROADMAP.md, where a
+    # trailing `*` stands for any ending, names a test under tests/ or perfbench/
+    root = Path(__file__).resolve().parent.parent
+    defined = {node.name for folder in ("tests", "perfbench")
+               for file in (root / folder).glob("*.py")
+               for node in ast.walk(ast.parse(file.read_text(encoding="utf-8")))
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("test_")}
+    cited = {(doc, name) for doc in ("README.md", "ROADMAP.md")
+             for span in re.findall(r"`([^`]*)`", (root / doc).read_text(encoding="utf-8"))
+             for name in re.findall(r"(?<![\w/.])test_[\w*]+(?![\w.])", span)}
+    assert len(cited) >= 30
+    assert [f"{doc}: {name}" for doc, name in sorted(cited)
+            if not fnmatch.filter(defined, name)] == []
 
 
 def _plan_facts(result):

@@ -28,7 +28,7 @@ def test_arc_polyline_has_one_vertex_per_sample(quad):
     svg = render_scene(CollisionModel(world, quad), arc=arc)
     polyline = _group(svg, "arc")
     points = re.search(r'points="([^"]+)"', polyline).group(1).split()
-    assert len(points) == arc.spec.sample_count
+    assert len(points) == demo_shot().sample_count
 
 
 def test_plan_render_highlights_each_discontinuity_once(quad):

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arcshot.errors import DegenerateArc, DegenerateHeading
-from arcshot.shot import (CLOCKWISE, COUNTERCLOCKWISE, ArcShotSpec, GlobalPath,
-                          Pose4, aimed_row, generate_arc, wrap_to_pi)
+from arcshot.shot import (CLOCKWISE, COUNTERCLOCKWISE, ArcShotSpec, GlobalPath, aimed_row,
+                          generate_arc, wrap_to_pi)
 from arcshot.world import Vec3
+from conftest import horizontal_distance
 
 REL = 1e-9
 
@@ -79,19 +80,19 @@ def quarter_spec(direction):
 
 def test_arc_counterclockwise_quarter_point():
     path = generate_arc(quarter_spec(COUNTERCLOCKWISE))
-    mid = path[4]
-    assert mid.position.x == pytest.approx(0.0, abs=1e-9)
-    assert mid.position.y == pytest.approx(5.0, rel=REL)
-    assert mid.position.z == pytest.approx(2.0, rel=REL)
-    assert mid.yaw == pytest.approx(-math.pi / 2, rel=REL)
+    x, y, z, yaw = path.rows[4].tolist()
+    assert x == pytest.approx(0.0, abs=1e-9)
+    assert y == pytest.approx(5.0, rel=REL)
+    assert z == pytest.approx(2.0, rel=REL)
+    assert yaw == pytest.approx(-math.pi / 2, rel=REL)
 
 
 def test_arc_clockwise_mirrors_the_sweep():
     path = generate_arc(quarter_spec(CLOCKWISE))
-    mid = path[4]
-    assert mid.position.x == pytest.approx(0.0, abs=1e-9)
-    assert mid.position.y == pytest.approx(-5.0, rel=REL)
-    assert mid.yaw == pytest.approx(math.pi / 2, rel=REL)
+    x, y, _, yaw = path.rows[4].tolist()
+    assert x == pytest.approx(0.0, abs=1e-9)
+    assert y == pytest.approx(-5.0, rel=REL)
+    assert yaw == pytest.approx(math.pi / 2, rel=REL)
 
 
 def test_arc_radius_and_altitude_interpolate_linearly():
@@ -136,8 +137,7 @@ def _random_spec(rng) -> ArcShotSpec:
         start = Vec3(rng.uniform(-10, 10), rng.uniform(-10, 10), rng.uniform(0, 8))
         end = Vec3(rng.uniform(-10, 10), rng.uniform(-10, 10), rng.uniform(0, 8))
         target = Vec3(rng.uniform(-3, 3), rng.uniform(-3, 3), rng.uniform(0, 3))
-        if (start.horizontal_distance_to(target) > 0.5
-                and end.horizontal_distance_to(target) > 0.5):
+        if horizontal_distance(start, target) > 0.5 and horizontal_distance(end, target) > 0.5:
             direction = CLOCKWISE if rng.random() < 0.5 else COUNTERCLOCKWISE
             return ArcShotSpec(start, end, target, direction,
                                int(rng.integers(8, 100)))
@@ -156,11 +156,11 @@ def test_endpoint_fidelity_on_random_specs():
     for _ in range(50):
         spec = _random_spec(rng)
         path = generate_arc(spec)
-        for got, want in ((path[0].position, spec.start),
-                          (path[-1].position, spec.end)):
-            assert got.x == pytest.approx(want.x, rel=REL, abs=1e-9)
-            assert got.y == pytest.approx(want.y, rel=REL, abs=1e-9)
-            assert got.z == pytest.approx(want.z, rel=REL, abs=1e-9)
+        for (x, y, z, _), want in ((path.rows[0].tolist(), spec.start),
+                                   (path.rows[-1].tolist(), spec.end)):
+            assert x == pytest.approx(want.x, rel=REL, abs=1e-9)
+            assert y == pytest.approx(want.y, rel=REL, abs=1e-9)
+            assert z == pytest.approx(want.z, rel=REL, abs=1e-9)
 
 
 def test_equal_angular_spacing_with_one_sign():
@@ -180,8 +180,8 @@ def test_radial_distance_is_linear_in_sample_index():
     for _ in range(50):
         spec = _random_spec(rng)
         path = generate_arc(spec)
-        r0 = spec.start.horizontal_distance_to(spec.target)
-        r1 = spec.end.horizontal_distance_to(spec.target)
+        r0 = horizontal_distance(spec.start, spec.target)
+        r1 = horizontal_distance(spec.end, spec.target)
         n = len(path) - 1
         for i, (x, y, _, _) in enumerate(path.rows.tolist()):
             want = r0 + (r1 - r0) * i / n
@@ -218,9 +218,9 @@ def test_reversal_symmetry():
 # pose normalization ---------------------------------------------------------
 
 def test_pose_normalizes_yaw_on_construction():
-    pose = Pose4(Vec3(0, 0, 0), 3 * math.pi)
-    assert pose.yaw == pytest.approx(math.pi)
-    assert Pose4(Vec3(0, 0, 0), -math.pi).yaw == math.pi
+    path = GlobalPath([(0, 0, 0, 3 * math.pi), (0, 0, 0, -math.pi)])
+    assert path.rows[0, 3] == pytest.approx(math.pi)
+    assert path.rows[1, 3] == math.pi
 
 
 def test_global_path_requires_poses():
@@ -236,17 +236,16 @@ def _bits(values) -> list[int]:
     return np.asarray(values, dtype=float).view(np.int64).tolist()
 
 
-def test_global_path_wraps_each_row_yaw_as_pose4_does():
+def test_global_path_wraps_each_row_yaw_with_wrap_to_pi():
     rng = np.random.default_rng(16)
     yaws = [math.pi, -math.pi, 3 * math.pi, -3 * math.pi, 1e300, -1e300, 0.0, -0.0,
             math.tau, *rng.uniform(-10, 10, 200), *rng.uniform(-1e9, 1e9, 50)]
     path = GlobalPath([(1.0, 2.0, 3.0, yaw) for yaw in yaws])
     assert path.rows[1, 3] == math.pi  # -pi maps to pi
-    # Pose4 wraps with math.remainder; compare every bit, the sign of zero too
-    want = [Pose4(Vec3(1.0, 2.0, 3.0), yaw).yaw for yaw in yaws]
+    # compare every bit of `wrap_to_pi`'s math.remainder, the sign of zero too
+    want = [wrap_to_pi(yaw) for yaw in yaws]
     assert _bits(path.rows[:, 3]) == _bits(want)
-    assert _bits([path[i].yaw for i in range(len(yaws))]) == _bits(want)
-    assert path[-1] == Pose4(Vec3(1.0, 2.0, 3.0), yaws[-1])
+    assert path.rows[:, :3].tolist() == [[1.0, 2.0, 3.0]] * len(yaws)
 
 
 def test_global_path_rows_are_read_only_and_not_shared():
@@ -275,12 +274,11 @@ def test_global_path_rejects_rows_of_the_wrong_shape():
         GlobalPath([(0.0, 0.0, 0.0)])
 
 
-def test_global_paths_compare_by_rows_and_spec():
+def test_global_paths_compare_by_rows():
     spec = quarter_spec(COUNTERCLOCKWISE)
     arc = generate_arc(spec)
     assert arc == generate_arc(spec)
-    assert arc == GlobalPath(arc.rows.copy(), spec)
-    assert arc != GlobalPath(arc.rows)  # no spec
+    assert arc == GlobalPath(arc.rows.copy())
     moved = arc.rows.copy()
     moved[3, 2] += 1e-9
-    assert arc != GlobalPath(moved, spec)
+    assert arc != GlobalPath(moved)

@@ -325,10 +325,12 @@ def test_within_matches_full_model_inside_its_box(obstacles, box, fractions):
 
 def _lifted(o, dz: float):
     """Obstacle `o` moved up by `dz`."""
-    up = Vec3(0.0, 0.0, dz)
+    def up(p: Vec3) -> Vec3:
+        return Vec3(p.x, p.y, p.z + dz)
+
     if isinstance(o, Cylinder):
-        return Cylinder(o.base_center + up, o.radius, o.height)
-    return AxisBox(o.min + up, o.max + up)
+        return Cylinder(up(o.base_center), o.radius, o.height)
+    return AxisBox(up(o.min), up(o.max))
 
 
 def _edge_probes(model: CollisionModel, fractions: np.ndarray) -> np.ndarray:
@@ -627,7 +629,7 @@ def test_grazing_segment_matches_fine_sampling_oracle():
     a, b = row(-3.0, 1.4, 2.0), row(3.0, 1.4, 2.0)
     coarse, fine = (CollisionModel(world, QuadModel(body_radius=body, safety_margin=0.5 - body))
                     for body in (0.4, 0.04))
-    assert (coarse.check_step, fine.check_step) == (0.2, 0.02)
+    assert (coarse.quad.body_radius / 2, fine.quad.body_radius / 2) == (0.2, 0.02)
     assert coarse.inflated.tobytes() == fine.inflated.tobytes()
     assert coarse.segment_free(a, b) is fine.segment_free(a, b) is False
 
@@ -761,7 +763,7 @@ def test_segment_free_refuses_a_corner_that_samples_step_over():
     quad = QuadModel(body_radius=0.3, safety_margin=0.0)
     model = CollisionModel(world, quad)
     a, b = row(-2, 3.99, 2), row(3.99, -2, 2)
-    assert model.free_points(segment_samples(a, b, model.check_step)).all()
+    assert model.free_points(segment_samples(a, b, quad.body_radius / 2)).all()
     obstacle, = world.obstacles
     assert segment_pad_distance(inflate(obstacle, quad), a, b) == 0.0
     assert not model.segment_free(a, b)
