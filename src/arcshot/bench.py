@@ -98,7 +98,7 @@ def run_bench(model: CollisionModel, spec: ArcShotSpec, params: RrtParams,
             started = time.perf_counter()
             try:
                 result = plan_shot(model, spec, run_params, margin)
-                cost = sum(lp.cost for lp in result.local_paths)
+                cost = sum(r.cost for r in result.report.discontinuities)
             except (LocalPlanFailed, ValidationFailed):
                 cost = None
             duration = time.perf_counter() - started

@@ -59,7 +59,7 @@ def find_discontinuities(path: GlobalPath, model: CollisionModel,
     """
     if margin < 1:
         raise ValueError(f"margin must be >= 1, got {margin}")
-    positions = path.position_array()
+    positions = path.rows[:, :3]
     rows = positions.tolist()
     for index in (0, len(rows) - 1):
         end = rows[index]

@@ -71,11 +71,12 @@ def polyline(path: GlobalPath, start) -> list[list[float]]:
     yaw, so every step has a positive length.
 
     `start` is the log's first row, five floats in LOG_COLUMNS order; a
-    non-finite x, y or z raises ValueError."""
-    x, y, z, yaw, _ = (float(v) for v in start)
-    for name, value in zip(LOG_COLUMNS, (x, y, z)):
+    non-finite one raises ValueError that names it."""
+    values = [float(v) for v in start]
+    for name, value in zip(LOG_COLUMNS, values):
         if not math.isfinite(value):
             raise ValueError(f"start.{name} must be finite, got {value!r}")
+    x, y, z, yaw, _ = values
     rows = path.rows.tolist()
     vertices = [[x, y, z, yaw]]
     for v in [[x, y, rows[0][2], rows[0][3]], *rows]:
@@ -240,9 +241,10 @@ def follow(path: GlobalPath, start, cfg: FollowConfig,
     a clock value is written no longer than its tick needs, where a running
     sum of dt would drift into 17 digits. The replay ends at the first
     state, once the reference has come to rest at the last pose, that lies
-    within the waypoint tolerance of that pose. Raises TimeoutExceeded (carrying the partial
-    log) if cfg.max_time elapses first, and ValueError on a polyline whose
-    length, or a reference whose duration, is not finite.
+    within the waypoint tolerance of that pose. Raises TimeoutExceeded
+    (carrying the partial log) if cfg.max_time elapses first, and ValueError
+    on a non-finite start value, or on a polyline whose length, or a
+    reference whose duration, is not finite.
     """
     dt, k_p, tolerance, max_time = cfg.dt, cfg.k_p, cfg.waypoint_tolerance, cfg.max_time
     max_speed, max_yaw_rate = quad.max_speed, quad.max_yaw_rate

@@ -7,7 +7,7 @@ sorted, indented JSON so identical inputs produce identical bytes.
 World, shot, config and bench files are declared once, by the dataclasses
 they build: a record's keys are its fields, a key is required exactly when
 its field has no default, and the field's annotation picks the parser
-(`_FIELD_CODECS`, or a nested record for a dataclass). The exceptions are
+(`_FIELD_LOADERS`, or a nested record for a dataclass). The exceptions are
 listed in one place, above `_Record`.
 """
 
@@ -31,8 +31,7 @@ from .local_planner import RrtParams
 from .pipeline import PlanReport
 from .render import DEFAULT_WIDTH
 from .shot import ArcShotSpec, GlobalPath
-from .world import (AxisBox, Cylinder, Obstacle, QuadModel, Vec3, World, obstacle_rows,
-                    pack_rows, unpack_rows)
+from .world import AxisBox, Cylinder, Obstacle, QuadModel, Vec3, World, obstacle_rows, pack_rows
 
 WORLD_SCHEMA = "world/1"
 SHOT_SCHEMA = "shot/1"
@@ -147,17 +146,20 @@ def _build(path, factory, **kwargs):
 
 
 def _read_json(file: Path) -> Any:
-    """The JSON in an input file; an OSError reading it is UnreadableInput."""
+    """The JSON in an input file. An OSError reading it is UnreadableInput,
+    and so is JSON that the decoder refuses although it parses: nesting
+    deeper than the interpreter's recursion limit, or an integer longer
+    than its digit limit. Malformed JSON raises JSONDecodeError."""
     try:
         text = Path(file).read_text(encoding="utf-8")
     except OSError as exc:
         raise UnreadableInput(str(exc)) from exc
-    return json.loads(text)
-
-
-def _write_json(file: Path, data: Any) -> None:
-    Path(file).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n",
-                          encoding="utf-8")
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except (RecursionError, ValueError) as exc:
+        raise UnreadableInput(f"{file}: {exc}") from exc
 
 
 # -- world, shot, config and bench files -------------------------------------
@@ -169,24 +171,20 @@ def _write_json(file: Path, data: Any) -> None:
 #   positive extent in every axis (`_expect_obstacle`); they load as the
 #   packed rows of `World.rows`, the one field of type `np.ndarray`.
 
-def _same(value):
-    return value
-
-
 class _Record:
-    """Loads and dumps one dataclass as a JSON object. `tag` is a (key, value)
-    pair that is written first and allowed on load, where the caller checks
-    it; `keys` renames fields; `required` requires keys of defaulted fields."""
+    """Loads one dataclass from a JSON object. `tag` is a (key, value) pair
+    that is allowed on load, where the caller checks it; `keys` renames
+    fields; `required` requires keys of defaulted fields."""
 
     def __init__(self, cls, tag: tuple[str, str] | None = None,
                  keys: dict[str, str] | None = None, required: tuple[str, ...] = ()):
         hints = typing.get_type_hints(cls)
         self.cls, self.tag = cls, tag
-        self.fields = []  # (key, field name, load, dump) in declared order
+        self.fields = []  # (key, field name, load) in declared order
         self.required = []  # keys in declared order
         for f in dataclasses.fields(cls):
             key = (keys or {}).get(f.name, f.name)
-            self.fields.append((key, f.name, *_field_codec(hints[f.name])))
+            self.fields.append((key, f.name, _field_loader(hints[f.name])))
             if key in required or (f.default is dataclasses.MISSING
                                    and f.default_factory is dataclasses.MISSING):
                 self.required.append(key)
@@ -196,7 +194,7 @@ class _Record:
         obj = _expect_mapping(value, path)
         _check_keys(obj, self.allowed, self.required, path)
         kwargs = {}
-        for key, name, load, _ in self.fields:
+        for key, name, load in self.fields:
             if key in obj:
                 kwargs[name] = load(obj[key], (path, key))
         return _build(path, self.cls, **kwargs)
@@ -204,12 +202,6 @@ class _Record:
     def load_file(self, data: Any, path: str):
         _check_schema(_expect_mapping(data, path), self.tag[1], path)
         return self.load(data, path)
-
-    def dump(self, record) -> dict:
-        data = dict([self.tag]) if self.tag else {}
-        for key, name, _, dump in self.fields:
-            data[key] = dump(getattr(record, name))
-        return data
 
 
 def _expect_obstacle(value: Any, path) -> Obstacle:
@@ -296,29 +288,27 @@ def _load_obstacles(value: Any, path) -> np.ndarray:
     return obstacle_rows(_expect_obstacles(value, path)) if rows is None else rows
 
 
-# (load, dump) per field annotation; any other dataclass is a nested record
-_FIELD_CODECS = {
-    float: (_expect_number, _same),
-    int: (_expect_int, _same),
-    str: (_expect_str, _same),
-    Vec3: (_expect_vec3, lambda v: [v.x, v.y, v.z]),
-    tuple[int, ...]: (_list_of(_expect_int), list),
-    np.ndarray: (_load_obstacles, lambda rows: [_OBSTACLES[_KIND[type(o)]].dump(o)
-                                                for o in unpack_rows(rows)]),
+# the loader per field annotation; any other dataclass is a nested record
+_FIELD_LOADERS = {
+    float: _expect_number,
+    int: _expect_int,
+    str: _expect_str,
+    Vec3: _expect_vec3,
+    tuple[int, ...]: _list_of(_expect_int),
+    np.ndarray: _load_obstacles,
 }
 
 
-def _field_codec(hint) -> tuple:
-    if hint in _FIELD_CODECS:
-        return _FIELD_CODECS[hint]
+def _field_loader(hint):
+    if hint in _FIELD_LOADERS:
+        return _FIELD_LOADERS[hint]
     if not dataclasses.is_dataclass(hint):
-        raise TypeError(f"no file codec for fields of type {hint!r}")
-    record = _Record(hint)
-    return record.load, record.dump
+        raise TypeError(f"no file loader for fields of type {hint!r}")
+    return _Record(hint).load
 
 
-_KIND = {Cylinder: "cylinder", AxisBox: "box"}
-_OBSTACLES = {kind: _Record(cls, tag=("kind", kind)) for cls, kind in _KIND.items()}
+_OBSTACLES = {"cylinder": _Record(Cylinder, tag=("kind", "cylinder")),
+              "box": _Record(AxisBox, tag=("kind", "box"))}
 _WORLD = _Record(World, tag=("schema", WORLD_SCHEMA), keys={"rows": "obstacles"})
 _SHOT = _Record(ArcShotSpec, tag=("schema", SHOT_SCHEMA),
                 keys={"sample_count": "samples"}, required=("direction",))
@@ -334,20 +324,12 @@ def load_world(file: Path) -> World:
     return world_from_json(_read_json(file))
 
 
-def save_world(world: World, file: Path) -> None:
-    _write_json(file, _WORLD.dump(world))
-
-
 def shot_from_json(data: Any, path: str = "shot") -> ArcShotSpec:
     return _SHOT.load_file(data, path)
 
 
 def load_shot(file: Path) -> ArcShotSpec:
     return shot_from_json(_read_json(file))
-
-
-def save_shot(spec: ArcShotSpec, file: Path) -> None:
-    _write_json(file, _SHOT.dump(spec))
 
 
 def config_from_json(data: Any, path: str = "config") -> RunConfig:
@@ -381,9 +363,9 @@ def _pose_values_in_bulk(poses: Any) -> np.ndarray | None:
         if type(entry) is not dict:
             return None
         keys = entry.keys()
-        if keys == _TIMED_POSE_KEYS:
+        if keys == _TIMED_KEYS:
             values += _timed_pose(entry)
-        elif keys == _UNTIMED_POSE_KEYS:
+        elif keys == _UNTIMED_KEYS:
             values += _untimed_pose(entry)
             values.append(0.0)
         else:
@@ -391,7 +373,7 @@ def _pose_values_in_bulk(poses: Any) -> np.ndarray | None:
     if not set(map(type, values)) <= _NUMBER_TYPES:
         return None
     try:
-        rows = np.array(values, dtype=float).reshape(-1, len(_POSE_KEYS))
+        rows = np.array(values, dtype=float).reshape(-1, len(LOG_COLUMNS))
     except OverflowError:
         return None
     return rows if np.isfinite(rows).all() else None
@@ -406,11 +388,11 @@ def path_from_json(data: Any, path: str = "path") -> GlobalPath:
         values = []
         for i, entry in enumerate(_expect_list(obj["poses"], f"{path}.poses")):
             at = f"{path}.poses[{i}]"
-            _check_keys(_expect_mapping(entry, at), _POSE_KEYS, _POSE_KEYS[:4], at)
+            _check_keys(_expect_mapping(entry, at), LOG_COLUMNS, LOG_COLUMNS[:4], at)
             # only trajectory logs carry `t`; a pose without one passes as t = 0
             values += [_expect_number(entry.get(key, 0.0), (at, key))
-                       for key in _POSE_KEYS]
-    rows = np.reshape(values, (-1, len(_POSE_KEYS)))[:, :4]
+                       for key in LOG_COLUMNS]
+    rows = np.reshape(values, (-1, len(LOG_COLUMNS)))[:, :4]
     # following a path steers along the steps between consecutive positions
     with np.errstate(over="ignore"):
         steps = np.diff(rows[:, :3], axis=0)
@@ -426,11 +408,11 @@ def load_path(file: Path) -> GlobalPath:
     return path_from_json(_read_json(file))
 
 
-# A pose's keys as the path loader reads them: a path row's columns, then time.
-_POSE_KEYS = ("x", "y", "z", "yaw", "t")
-_TIMED_POSE_KEYS, _UNTIMED_POSE_KEYS = set(_POSE_KEYS), set(_POSE_KEYS[:4])
-_timed_pose, _untimed_pose = (operator.itemgetter(*_POSE_KEYS),
-                              operator.itemgetter(*_POSE_KEYS[:4]))
+# A pose's keys as the path loader reads them, LOG_COLUMNS: a path row's
+# columns, then time.
+_TIMED_KEYS, _UNTIMED_KEYS = set(LOG_COLUMNS), set(LOG_COLUMNS[:4])
+_timed_pose, _untimed_pose = (operator.itemgetter(*LOG_COLUMNS),
+                              operator.itemgetter(*LOG_COLUMNS[:4]))
 # Pose keys in the order `json.dumps(sort_keys=True)` writes them.
 PATH_KEYS = ("x", "y", "yaw", "z")
 TRAJECTORY_KEYS = ("t", "x", "y", "yaw", "z")
@@ -506,8 +488,11 @@ def report_to_json(report: PlanReport) -> dict:
 
 
 def save_report(report: PlanReport, file: Path) -> None:
-    _write_json(file, report_to_json(report))
+    save_json(report_to_json(report), file)
 
 
 def save_json(data: Any, file: Path) -> None:
-    _write_json(file, data)
+    """Write `data` as sorted, indented JSON, so identical data gives
+    identical bytes."""
+    Path(file).write_text(json.dumps(data, indent=2, sort_keys=True) + "\n",
+                          encoding="utf-8")

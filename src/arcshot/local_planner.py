@@ -94,8 +94,8 @@ class Tree:
     `node_costs` every cost from the root and `parents` every parent id;
     `add` appends to those three lists only, so the per-loop work on the
     few nodes a loop touches never leaves Python floats. The float64
-    arrays for the exact scans, the path and the render are built from
-    `rows` on the first read after nodes were added. Node ids are insertion
+    `positions` array, for the path and the render, is built from `rows`
+    on the first read after nodes were added. Node ids are insertion
     indices, root is 0.
     """
 
@@ -115,11 +115,6 @@ class Tree:
         if len(self._positions) < len(self.rows):
             self._positions = np.array(self.rows)
         return self._positions
-
-    @property
-    def xyz(self) -> np.ndarray:
-        """(3, n) view of all node positions, one row per axis."""
-        return self.positions.T
 
     def add(self, position, parent: int) -> int:
         """Append the node at `position` (three floats) under `parent`."""
@@ -200,43 +195,21 @@ def sample(window: SearchWindow, rng: np.random.Generator, count: int) -> np.nda
     return rng.uniform(window.lo, window.hi, size=(count, 3))
 
 
-def _square_distances(tree: Tree, points: np.ndarray) -> np.ndarray:
-    """(b, n) squared distances from each of the (b, 3) `points` to every
-    node, summed x, z, y in that order: the exact float64 scan that the
-    float32 prefilter of `rrt_star_run` reproduces.
+def nearest_vertex(tree: Tree, p, ids: list[int]) -> int:
+    """Id of the node closest to `p` (three floats) among `ids`, a nonempty
+    ascending list of node ids (a single id is the answer); ties go to the
+    earliest insertion.
 
-    That is bit for bit what `np.einsum("ij,ij->i", d, d)` gives on C-ordered
-    (n, 3) rows, the scan the recorded trees were grown with. Summing x, y, z
-    instead resolves some 1-ulp near-ties the other way.
+    Squared distances sum x, z, y in Python floats, the bits of an exact
+    float64 scan that sums them in that order, as `np.einsum("ij,ij->i",
+    d, d)` does on C-ordered (n, 3) rows; summing x, y, z instead resolves
+    some 1-ulp near-ties the other way. Strict `<` keeps the earlier node on
+    a tie, so the answer is a full-tree scan's first argmin as long as every
+    node left out of `ids` is strictly farther than the nearest: in
+    `rrt_star_run`, `ids` are a block scan's near-ties of the nodes present
+    when the block began, then the nodes added since that `_block_pairs`
+    keeps.
     """
-    x, y, z = tree.xyz
-    dist2 = np.subtract(x, points[:, 0, None])
-    dist2 *= dist2
-    q = np.subtract(z, points[:, 2, None])
-    q *= q
-    dist2 += q
-    np.subtract(y, points[:, 1, None], out=q)
-    q *= q
-    dist2 += q
-    return dist2
-
-
-def nearest_vertex(tree: Tree, p, ids: list[int] | None = None) -> int:
-    """Id of the node closest to `p` (three floats); ties go to the earliest
-    insertion.
-
-    Without `ids`, one exact scan of the point `p` over the whole tree.
-    With `ids`, a nonempty ascending list, only those nodes are compared
-    (a single id is the answer), their squares summed x, z, y in Python
-    floats (the same bits as the scan's elementwise ops). Strict `<` keeps
-    the earlier node on a tie, so the answer is the full scan's first
-    argmin as long as every node left out of `ids` is strictly farther than
-    the nearest: in `rrt_star_run`, `ids` are a block scan's near-ties of
-    the nodes present when the block began, then the nodes added since
-    that `_block_pairs` keeps.
-    """
-    if ids is None:
-        return int(_square_distances(tree, np.asarray(p, dtype=float)[None]).argmin())
     if len(ids) == 1:
         return ids[0]
     x, y, z = p
@@ -411,17 +384,16 @@ def extend(from_point, toward, extend_dist: float):
     return [fx + ox * scale, fy + oy * scale, fz + oz * scale]
 
 
-def _best_parent(tree: Tree, x_new, radius: float, model: CollisionModel,
-                 near=None) -> int | None:
+def _best_parent(tree: Tree, x_new, radius: float, model: CollisionModel, near) -> int | None:
     """Cheapest in-radius node whose straight edge to `x_new` (three floats)
     passes `model.segment_free`.
 
     Minimizes node cost plus edge length; ties resolve to the earliest
     insertion. Returns None when every in-radius edge is blocked. `near`
     lists node ids that hold every in-radius node (a superset from the block
-    scan), strictly ascending; None means the whole tree. Distances, totals
-    and the cost order are Python floats with numpy's bits, so the answer
-    is the one a full-tree pass gives.
+    scan), strictly ascending. Distances, totals and the cost order are
+    Python floats with numpy's bits, so the answer is the one a full-tree
+    pass gives.
 
     One pass keeps the cheapest candidate so far. Its strict `<` leaves a
     tie with the first id seen, which is the least only because `near`
@@ -431,11 +403,10 @@ def _best_parent(tree: Tree, x_new, radius: float, model: CollisionModel,
     (total, id) as a stable argsort ranks them, and the rest tried in that
     order.
     """
-    ids = range(len(tree)) if near is None else near
     costs, rows = tree.node_costs, tree.rows
     x, y, z = x_new
     best, winner = math.inf, None
-    for i in ids:
+    for i in near:
         cost = costs[i]
         if cost >= best:
             continue
@@ -447,7 +418,7 @@ def _best_parent(tree: Tree, x_new, radius: float, model: CollisionModel,
     if winner is None or model.segment_free(rows[winner], x_new):
         return winner
     candidates = [(costs[i] + dist, i)
-                  for i, dist in zip(ids, _distances(tree, x_new, ids)) if dist <= radius]
+                  for i, dist in zip(near, _distances(tree, x_new, near)) if dist <= radius]
     for _, i in sorted(candidates)[1:]:
         if model.segment_free(rows[i], x_new):
             return i

@@ -50,7 +50,6 @@ class PlanResult:
     arc: GlobalPath
     final_path: GlobalPath
     discontinuities: list[Discontinuity]
-    local_paths: list[LocalPath]
     report: PlanReport
     trees: list[Tree]
 
@@ -95,7 +94,7 @@ def validate(path: GlobalPath, model: CollisionModel) -> int | None:
     Returns the index of the first offending segment, or None when the whole
     path is collision-free.
     """
-    positions = path.position_array()
+    positions = path.rows[:, :3]
     if len(positions) == 1:
         positions = positions[[0, 0]]
     blocked = np.flatnonzero(~model.segments_free(positions))
@@ -118,14 +117,14 @@ def plan_shot(model: CollisionModel, spec: ArcShotSpec, params: RrtParams,
     arc = generate_arc(spec)
     discontinuities = find_discontinuities(arc, model, margin)
 
-    local_paths: list[LocalPath] = []
+    detours: list[LocalPath] = []
     trees: list[Tree] = []
     disc_reports: list[DiscontinuityReport] = []
     for i, d in enumerate(discontinuities):
         started = time.perf_counter()
         result = plan_local_run(d, model, params, disc_index=i)
         duration = time.perf_counter() - started
-        local_paths.append(result.path)
+        detours.append(result.path)
         trees.append(result.tree)
         disc_reports.append(DiscontinuityReport(
             entry_index=d.entry_index,
@@ -139,7 +138,7 @@ def plan_shot(model: CollisionModel, spec: ArcShotSpec, params: RrtParams,
 
     final = arc
     # splice back to front so earlier spans keep their indices
-    for d, lp in sorted(zip(discontinuities, local_paths),
+    for d, lp in sorted(zip(discontinuities, detours),
                         key=lambda pair: pair[0].entry_index, reverse=True):
         final = splice(final, d, lp, spec.target)
 
@@ -157,4 +156,4 @@ def plan_shot(model: CollisionModel, spec: ArcShotSpec, params: RrtParams,
         quad=model.quad,
         margin=margin,
     )
-    return PlanResult(arc, final, discontinuities, local_paths, report, trees)
+    return PlanResult(arc, final, discontinuities, report, trees)

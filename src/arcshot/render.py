@@ -89,8 +89,8 @@ def render_scene(model: CollisionModel, *,
                  width: int = DEFAULT_WIDTH) -> str:
     """Top-down orthographic view of a scenario and any planning artifacts.
 
-    Draws `model.raw`, the obstacles of `model.world`, with `model.inflated`
-    dashed around them.
+    Draws the obstacles of `model.world`, with `model.inflated` dashed
+    around them.
     `trajectory` holds state log rows whose first two columns are x and y.
     """
     world = model.world
@@ -118,7 +118,7 @@ def render_scene(model: CollisionModel, *,
     parts.append('</g>')
 
     parts.append('<g id="obstacles">')
-    parts += _obstacle_layer(canvas, model.raw,
+    parts += _obstacle_layer(canvas, world.rows,
                              'fill="#9a9a9a" stroke="#5a5a5a" stroke-width="1"')
     parts.append('</g>')
 

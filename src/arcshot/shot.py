@@ -80,10 +80,6 @@ class GlobalPath:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def position_array(self) -> np.ndarray:
-        """Read-only (n, 3) view of the rows' positions."""
-        return self.rows[:, :3]
-
 
 def aimed_row(x: float, y: float, z: float, target: Vec3) -> tuple[float, ...]:
     """Path row (x, y, z, yaw) whose yaw faces the target horizontally."""
@@ -117,10 +113,9 @@ def generate_arc(spec: ArcShotSpec) -> GlobalPath:
     yaw faces the target. Each sample uses libm's `math.cos`, `math.sin` and
     `math.atan2`, whose bits numpy's versions need not match.
     """
+    # ArcShotSpec refuses a zero radius at either end
     r0 = _radius(spec.start, spec.target)
     r1 = _radius(spec.end, spec.target)
-    if r0 == 0.0 or r1 == 0.0:
-        raise DegenerateArc("arc radius is zero")
 
     a0 = math.atan2(spec.start.y - spec.target.y, spec.start.x - spec.target.x)
     a1 = math.atan2(spec.end.y - spec.target.y, spec.end.x - spec.target.x)

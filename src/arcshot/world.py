@@ -136,22 +136,12 @@ def obstacle_rows(obstacles: Sequence[Obstacle]) -> np.ndarray:
                      [isinstance(o, AxisBox) for o in obstacles])
 
 
-def unpack_rows(rows: np.ndarray) -> tuple[Obstacle, ...]:
-    """The obstacles that `rows` packs, as dataclasses in world order."""
-    obstacles = [None] * len(rows)
-    for x0, y0, z0, x1, y1, z1, x, y, radius, _, height, i in rows.tolist():
-        obstacles[int(i)] = (AxisBox(Vec3(x0, y0, z0), Vec3(x1, y1, z1))
-                             if math.isnan(radius) else Cylinder(Vec3(x, y, z0), radius, height))
-    return tuple(obstacles)
-
-
 @dataclass(frozen=True, eq=False)
 class World:
     """Static planning volume: bounds, obstacles, and the filming target.
 
     The obstacles are held once, as read-only packed `rows` (layout above;
-    `obstacle_rows` packs dataclasses). `obstacles` builds them as
-    dataclasses on its first read.
+    `obstacle_rows` packs dataclasses).
     """
 
     bounds: AxisBox
@@ -173,10 +163,6 @@ class World:
                 and self.target == other.target
                 and np.array_equal(self.rows, other.rows, equal_nan=True))
 
-    @functools.cached_property
-    def obstacles(self) -> tuple[Obstacle, ...]:
-        return unpack_rows(self.rows)
-
 
 # Pad, meters, of every segment test and cull: far above the rounding of
 # computed points and of the tests themselves.
@@ -187,8 +173,7 @@ class CollisionModel:
     """Point/segment c-free queries against one world inflated for one vehicle.
 
     `inflated` holds the inflated obstacles as packed rows (layout above), so
-    batches of points are classified in one pass per obstacle kind; `raw`
-    holds the same obstacles as they are, row for row: the world's `rows`.
+    batches of points are classified in one pass per obstacle kind.
     Cylinders grow radially and upward; their base also drops by the growth
     but never below ground (z=0), so pillars stay grounded. Boxes grow
     outward in every axis.
@@ -217,14 +202,12 @@ class CollisionModel:
                            cyl[:, RADIUS] + g, cyl[:, INDEX]),
             np.column_stack((box[:, MIN] - g, box[:, MAX] + g, box[:, AXIS_X:])),
         ))
-        self._adopt(world, quad, inflated, rows)
+        self._adopt(world, quad, inflated)
 
-    def _adopt(self, world: World, quad: QuadModel, inflated: np.ndarray,
-               raw: np.ndarray) -> None:
+    def _adopt(self, world: World, quad: QuadModel, inflated: np.ndarray) -> None:
         self.world = world
         self.quad = quad
         self.inflated = inflated
-        self.raw = raw
         n = np.count_nonzero(inflated[:, RADIUS] > 0)
         self._cyl, self._box = inflated[:n], inflated[n:]
         self._lo = world.bounds.min.as_array()
@@ -247,7 +230,7 @@ class CollisionModel:
         keep = ((rows[:, 0] <= hx) & (rows[:, 1] <= hy) & (rows[:, 2] <= hz)
                 & (rows[:, 3] >= lx) & (rows[:, 4] >= ly) & (rows[:, 5] >= lz))
         local = object.__new__(CollisionModel)
-        local._adopt(self.world, self.quad, rows[keep], self.raw[keep])
+        local._adopt(self.world, self.quad, rows[keep])
         return local
 
     def segment_free(self, a, b) -> bool:

@@ -13,7 +13,8 @@ they were.
 
 `block_pairs` is the float64 bound between a block's samples that the
 float32 one of `local_planner._block_pairs` replaced: its pairs, from the
-exact nearest distances, must be among the planner's.
+exact nearest distances, must be among the planner's. `square_distances`
+is the exact float64 scan that the planner's float32 prefilter bounds.
 """
 
 from __future__ import annotations
@@ -29,22 +30,34 @@ from arcshot.local_planner import (LocalPath, RrtParams, RrtRunResult, Tree, lev
 from arcshot.world import CULL_PAD, CollisionModel
 
 
-def nearest_vertex(tree: Tree, p: np.ndarray) -> int:
-    """Id of the node closest to `p`; ties go to the earliest insertion.
-    Squared distances sum x, z, y in that order, as
-    `np.einsum("ij,ij->i", d, d)` does on C-ordered (n, 3) rows."""
-    q = tree.xyz - p[:, None]
+def square_distances(tree: Tree, points: np.ndarray) -> np.ndarray:
+    """(b, n) squared distances from each of the (b, 3) `points` to every
+    node, summed x, z, y in that order: bit for bit what
+    `np.einsum("ij,ij->i", d, d)` gives on C-ordered (n, 3) rows, the scan
+    the recorded trees were grown with. Summing x, y, z instead resolves
+    some 1-ulp near-ties the other way."""
+    x, y, z = tree.positions.T
+    dist2 = np.subtract(x, points[:, 0, None])
+    dist2 *= dist2
+    q = np.subtract(z, points[:, 2, None])
     q *= q
-    dist2 = q[0]
-    dist2 += q[2]
-    dist2 += q[1]
-    return int(dist2.argmin())
+    dist2 += q
+    np.subtract(y, points[:, 1, None], out=q)
+    q *= q
+    dist2 += q
+    return dist2
+
+
+def nearest_vertex(tree: Tree, p: np.ndarray) -> int:
+    """Id of the node closest to `p`, by `square_distances`; ties go to the
+    earliest insertion."""
+    return int(square_distances(tree, p[None])[0].argmin())
 
 
 def _distances(tree: Tree, p: np.ndarray) -> np.ndarray:
     """(n,) distances from `p` to every node, bit for bit
     `np.linalg.norm(tree.positions - p, axis=1)`."""
-    q = tree.xyz - p[:, None]
+    q = tree.positions.T - p[:, None]
     q *= q
     dists = q[0]
     dists += q[1]
@@ -75,7 +88,7 @@ def _best_parent(tree: Tree, x_new: np.ndarray, radius: float,
     candidates = (dists <= radius).nonzero()[0]
     totals = np.array(tree.node_costs)[candidates] + dists[candidates]
     for i in candidates[totals.argsort(kind="stable")]:
-        if model.segment_free(tree.xyz[:, i].tolist(), x_new.tolist()):
+        if model.segment_free(tree.positions[i].tolist(), x_new.tolist()):
             return int(i)
     return None
 

@@ -1,10 +1,11 @@
 """The world, shot, config and bench loaders, and the world and shot writers,
-as they were hand-written before `arcshot.fileio` derived them from the
-dataclasses they build.
+as they were hand-written before `arcshot.fileio` derived its loaders from
+the dataclasses they build.
 
-Kept verbatim as a reference: for an input with one fault, the record codec
-must raise the same SchemaError text as these loaders, and it must write the
-same JSON as these writers.
+Kept as a reference: for an input with one fault, the record codec must
+raise the same SchemaError text as these loaders, and load the same values
+from a valid one. The program writes no world or shot file; tests write
+theirs with these writers.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from arcshot.fileio import RunConfig
 from arcshot.local_planner import RrtParams
 from arcshot.shot import ArcShotSpec
 from arcshot.world import AxisBox, Cylinder, Obstacle, QuadModel, Vec3, World, obstacle_rows
+from world_reference import unpack_rows
 
 WORLD_SCHEMA = "world/1"
 SHOT_SCHEMA = "shot/1"
@@ -136,7 +138,7 @@ def obstacles_from_json(data: Any, path: str = "world.obstacles") -> tuple:
 
 def world_to_json(world: World) -> dict:
     obstacles = []
-    for o in world.obstacles:
+    for o in unpack_rows(world.rows):
         if isinstance(o, Cylinder):
             obstacles.append({
                 "kind": "cylinder",

@@ -20,6 +20,7 @@ from arcshot.shot import CLOCKWISE, COUNTERCLOCKWISE, ArcShotSpec, generate_arc,
 from arcshot.world import AxisBox, CollisionModel, Cylinder, QuadModel, Vec3, World
 from conftest import (SCENARIO_DIR, demo_shot, demo_world, distance, horizontal_distance,
                       make_world, wall_shot, wall_world)
+import schema_reference
 from test_discontinuity import (only_sample_hits, reference_spans, sample_reference_spans,
                                 segment_flags)
 
@@ -59,8 +60,8 @@ def _determinism_scenarios(tmp_path):
                            Vec3(0, 0, 1.5), direction, samples)
         base = tmp_path / f"scenario_{i}"
         base.mkdir()
-        fileio.save_world(world, base / "world.json")
-        fileio.save_shot(spec, base / "shot.json")
+        fileio.save_json(schema_reference.world_to_json(world), base / "world.json")
+        fileio.save_json(schema_reference.shot_to_json(spec), base / "shot.json")
         fileio.save_json({"schema": "config/1", "rrt": {"extend_dist": 0.25}},
                          base / "config.json")
         scenarios.append((base / "world.json", base / "shot.json",
@@ -164,7 +165,7 @@ def test_criterion_3_matches_the_reference_scan():
         model = CollisionModel(world, quad)
         for _ in range(5):
             path = generate_arc(_half_arc(rng))
-            flags = model.free_points(path.position_array()).tolist()
+            flags = model.free_points(path.rows[:, :3]).tolist()
             assert flags[0] and flags[-1], "arc endpoints must stay clear"
             got = [(d.entry_index, d.exit_index)
                    for d in find_discontinuities(path, model, margin=2)]

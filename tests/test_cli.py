@@ -21,7 +21,7 @@ from arcshot.world import AxisBox, CollisionModel, Cylinder, QuadModel
 from conftest import SCENARIO_DIR
 import schema_reference
 from test_fileio import _clutter_file
-from world_reference import pad_margin
+from world_reference import pad_margin, unpack_rows
 
 DEMO = SCENARIO_DIR / "demo"
 GOLDEN = Path(__file__).parent / "golden"
@@ -117,8 +117,8 @@ def _cluttered_demo_world(count: int = 1000) -> dict:
 
 
 def test_no_command_builds_an_obstacle_dataclass(tmp_path, monkeypatch):
-    # the loader hands the model packed rows; `World.obstacles` is built only
-    # when something reads it
+    # the loader hands the model packed rows, which no command turns back
+    # into dataclasses
     data = _cluttered_demo_world()
     world_file = tmp_path / "world.json"
     world_file.write_text(json.dumps(data))
@@ -139,10 +139,9 @@ def test_no_command_builds_an_obstacle_dataclass(tmp_path, monkeypatch):
     # one box per command: the world's bounds
     assert built == {Cylinder: 0, AxisBox: 3}
     loaded = fileio.load_world(world_file)
-    assert loaded.obstacles == schema_reference.obstacles_from_json(data["obstacles"])
-    fileio.save_world(loaded, tmp_path / "saved.json")
-    assert (tmp_path / "saved.json").read_text() == json.dumps(data, indent=2,
-                                                                sort_keys=True) + "\n"
+    assert unpack_rows(loaded.rows) == schema_reference.obstacles_from_json(data["obstacles"])
+    assert json.dumps(schema_reference.world_to_json(loaded), sort_keys=True) == json.dumps(
+        data, sort_keys=True)
 
 
 def _full_model_reads(monkeypatch, rows: int) -> list:
@@ -364,7 +363,8 @@ def _crossing_path(seed: int) -> tuple[np.ndarray, int | None]:
     when a segment's margin lies within rounding of zero."""
     rng = np.random.default_rng(seed)
     world = fileio.load_world(DEMO / "world.json")
-    obstacle = world.obstacles[int(rng.integers(len(world.obstacles)))]
+    obstacles = unpack_rows(world.rows)
+    obstacle = obstacles[int(rng.integers(len(obstacles)))]
     if hasattr(obstacle, "radius"):
         c = obstacle.base_center
         middle = np.array([c.x, c.y, c.z + obstacle.height * rng.uniform(0.2, 0.8)])
@@ -572,6 +572,28 @@ def test_an_input_that_cannot_be_read_is_a_parse_error(command, flag, where, tmp
     args[args.index(flag) + 1] = str(DEMO if where == "directory" else tmp_path / "none.json")
     assert cli.main(args) == cli.EXIT_PARSE
     assert json.loads(capsys.readouterr().err)["error"]["kind"] == "UnreadableInput"
+    assert not (tmp_path / command).exists()
+
+
+@pytest.mark.parametrize("text, reason", [
+    ("[" * 200_000 + "]" * 200_000, "maximum recursion depth exceeded"),
+    ('{"schema": ' + "7" * 5000 + "}", "Exceeds the limit (4300 digits)")])
+@pytest.mark.parametrize("command, flag", [
+    ("plan", "--world"), ("plan", "--shot"), ("plan", "--config"), ("execute", "--path"),
+    ("bench", "--bench")])
+def test_json_the_decoder_refuses_is_a_parse_error(command, flag, text, reason, tmp_path,
+                                                   capsys):
+    # valid JSON syntax that the decoder cannot hold, nested too deep or an
+    # integer too long, is unreadable input like any other: exit 2, nothing
+    # written
+    args = _command_args(command, tmp_path)
+    bad = tmp_path / "refused.json"
+    bad.write_text(text)
+    args[args.index(flag) + 1] = str(bad)
+    assert cli.main(args) == cli.EXIT_PARSE
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "UnreadableInput"
+    assert error["message"].startswith(f"{bad}: ") and reason in error["message"]
     assert not (tmp_path / command).exists()
 
 

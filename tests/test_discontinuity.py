@@ -20,17 +20,17 @@ def straight_path(n=21, x0=-10.0, x1=10.0, z=2.0) -> GlobalPath:
 def segment_flags(path: GlobalPath, model: CollisionModel) -> list[bool]:
     """Free flag of every segment i (samples i -> i+1), one `segment_free`
     call each against the whole model."""
-    positions = path.position_array()
+    positions = path.rows[:, :3]
     return [model.segment_free(positions[i], positions[i + 1])
             for i in range(len(path) - 1)]
 
 
 def sample_flags(path: GlobalPath, model: CollisionModel) -> list[bool]:
-    return [point_free(model, Vec3(*p)) for p in path.position_array().tolist()]
+    return [point_free(model, Vec3(*p)) for p in path.rows[:, :3].tolist()]
 
 
 def blocked_segments(path: GlobalPath, model: CollisionModel) -> tuple[int, ...]:
-    free = model.segments_free(path.position_array())
+    free = model.segments_free(path.rows[:, :3])
     return tuple(np.flatnonzero(~free).tolist())
 
 
@@ -104,7 +104,7 @@ def only_sample_hits(flags: list[bool], seg_free: list[bool]) -> bool:
 def assert_spans_cover_exactly_the_blocked_segments(path, model, discs):
     """Sound, complete, ordered, disjoint: every blocked segment lies inside a
     span, and the segments just outside each bracket are free."""
-    free = model.segments_free(path.position_array()).tolist()
+    free = model.segments_free(path.rows[:, :3]).tolist()
     inside = [False] * len(free)
     previous_exit = -1
     for d in discs:
@@ -144,7 +144,7 @@ def test_single_cylinder_blocks_three_middle_samples(quad):
     d = discs[0]
     assert (d.entry_index, d.exit_index) == (7, 13)
     assert blocked_segments(path, model) == (8, 9, 10, 11)
-    rows = path.position_array().tolist()
+    rows = path.rows[:, :3].tolist()
     assert d.entry == tuple(rows[7]) and d.exit == tuple(rows[13])
     assert reference_spans(segment_flags(path, model), 2) == [(7, 13)]
     assert sample_reference_spans(flags, 2) == [(7, 13)]

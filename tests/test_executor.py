@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arcshot.errors import TimeoutExceeded
-from arcshot.executor import (MAX_ACCEL, FollowConfig, follow, polyline, polyline_steps,
-                              reference_pieces)
+from arcshot.executor import (LOG_COLUMNS, MAX_ACCEL, FollowConfig, follow, polyline,
+                              polyline_steps, reference_pieces)
 from arcshot.local_planner import RrtParams
 from arcshot.pipeline import plan_shot
 from arcshot.shot import GlobalPath, wrap_to_pi
@@ -109,7 +109,7 @@ def test_waypoints_are_reached_in_order(quad):
     start = (0, 0, 0, 0.0, 0.0)
     log = follow(path, start, CFG, quad)
     first_hit = []
-    for waypoint in path.position_array():
+    for waypoint in path.rows[:, :3]:
         hit = next(i for i, row in enumerate(log)
                    if distance(row[:3], waypoint)
                    <= CFG.waypoint_tolerance)
@@ -133,6 +133,18 @@ def test_timeout_carries_the_partial_log(quad):
     log = err.value.log
     assert len(log) > 1
     assert log[-1, 4] <= 1.0
+
+
+@pytest.mark.parametrize("column", range(len(LOG_COLUMNS)))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_follow_refuses_a_non_finite_start_value(column, bad, quad):
+    # a NaN yaw or time would fill the log with NaN, and a NaN time never
+    # times out; the error names the column
+    start = [0.0, 0.0, 1.0, 0.5, 0.0]
+    start[column] = bad
+    with pytest.raises(ValueError) as err:
+        follow(GlobalPath([(0, 0, 1, 0.5), (2, 0, 1, 0.5)]), start, CFG, quad)
+    assert str(err.value) == f"start.{LOG_COLUMNS[column]} must be finite, got {bad!r}"
 
 
 def test_follow_config_stability_guard():

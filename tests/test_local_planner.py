@@ -22,7 +22,7 @@ from conftest import (TOUCH, demo_shot, demo_world, distance, make_world, point_
                       spaced_quad, wall_shot, wall_world)
 import rrt_reference
 import window_reference
-from world_reference import inflate, pad_margin, segment_samples
+from world_reference import inflate, pad_margin, segment_samples, unpack_rows
 
 BIG_BOUNDS = AxisBox(Vec3(-100, -100, -100), Vec3(100, 100, 100))
 _coord = st.floats(-20.0, 20.0, allow_nan=False, allow_infinity=False)
@@ -209,15 +209,23 @@ def test_sample_sequences_repeat_with_the_seed():
 
 # nearest_vertex -------------------------------------------------------------
 
+def _nearest_of_all(tree: Tree, p: np.ndarray) -> int:
+    """`nearest_vertex` over every node of `tree`, checked against the
+    reference's full-tree scan."""
+    near = nearest_vertex(tree, p, list(range(len(tree))))
+    assert near == rrt_reference.nearest_vertex(tree, p)
+    return near
+
+
 def test_nearest_on_single_node_tree():
     tree = Tree((1, 2, 3))
-    assert nearest_vertex(tree, np.array([50.0, 50.0, 50.0])) == 0
+    assert _nearest_of_all(tree, np.array([50.0, 50.0, 50.0])) == 0
 
 
 def test_nearest_prefers_earlier_insertion_on_ties():
     tree = Tree((0, 0, 0))
     tree.add(np.array([10.0, 0.0, 0.0]), 0)
-    assert nearest_vertex(tree, np.array([5.0, 0.0, 0.0])) == 0
+    assert _nearest_of_all(tree, np.array([5.0, 0.0, 0.0])) == 0
 
 
 def test_nearest_matches_linear_scan_oracle():
@@ -230,7 +238,7 @@ def test_nearest_matches_linear_scan_oracle():
         q = rng.uniform(-12, 12, 3)
         want = min(range(len(tree)),
                    key=lambda i: distance(tree.positions[i].tolist(), q.tolist()))
-        assert nearest_vertex(tree, q) == want
+        assert _nearest_of_all(tree, q) == want
 
 
 # coordinates: ordinary, with a full 53-bit mantissa (so sums of squares
@@ -285,7 +293,7 @@ def test_nearest_breaks_near_ties_as_einsum_does(case):
     # 1-ulp near-tie would grow a different tree
     p, rows = case
     tree = _grow_tree(rows, np.random.default_rng(0))
-    assert nearest_vertex(tree, p) == _einsum_nearest(tree, p)
+    assert _nearest_of_all(tree, p) == _einsum_nearest(tree, p)
 
 
 def test_nearest_sums_squares_in_einsum_order():
@@ -295,7 +303,7 @@ def test_nearest_sums_squares_in_einsum_order():
     q = rows * rows
     assert (q[0, 0] + q[0, 2]) + q[0, 1] < (q[0, 0] + q[0, 1]) + q[0, 2]
     tree = _grow_tree(rows, np.random.default_rng(0))
-    assert nearest_vertex(tree, np.zeros(3)) == _einsum_nearest(tree, np.zeros(3)) == 0
+    assert _nearest_of_all(tree, np.zeros(3)) == _einsum_nearest(tree, np.zeros(3)) == 0
 
 
 def _split_nearest_agrees(rows: np.ndarray, p: np.ndarray) -> collections.Counter:
@@ -308,13 +316,13 @@ def _split_nearest_agrees(rows: np.ndarray, p: np.ndarray) -> collections.Counte
     seen = collections.Counter()
     for count in range(1, len(rows)):
         tree = _grow_tree(rows[:count], np.random.default_rng(count))
-        dist2 = local_planner._square_distances(tree, p[None])[0]
+        dist2 = rrt_reference.square_distances(tree, p[None])[0]
         ties = np.flatnonzero(dist2 == dist2.min()).tolist()
         for r in rows[count:]:
             tree.add(r, 0)
         got = nearest_vertex(tree, p.tolist(), ties + list(range(count, len(tree))))
-        assert got == rrt_reference.nearest_vertex(tree, p) == nearest_vertex(tree, p)
-        old, new = dist2.min(), local_planner._square_distances(tree, p[None])[0, count:].min()
+        assert got == _nearest_of_all(tree, p)
+        old, new = dist2.min(), rrt_reference.square_distances(tree, p[None])[0, count:].min()
         seen["exact_tie"] += bool(old == new)
         seen["ulp_tie"] += bool(new in (np.nextafter(old, -np.inf), np.nextafter(old, np.inf)))
     return seen
@@ -394,7 +402,7 @@ def _block_candidates(tree: Tree, points: np.ndarray, radius: float,
     Returns the full scan, the two prefilters and the candidates."""
     scan, pair_scan, bound = _prefilter(tree, points)
     upper, ties, runs = local_planner._block_candidates(scan, bound, radius, extend_dist)
-    dist2 = local_planner._square_distances(tree, points)
+    dist2 = rrt_reference.square_distances(tree, points)
     near_dist2 = dist2.min(axis=1)
     assert (upper >= near_dist2).all() and (upper <= near_dist2 + 2 * bound).all()
 
@@ -557,9 +565,9 @@ def test_the_float32_prefilter_stays_within_its_bound(case):
     rows, points, extend_dist, radius = case
     tree = _grow_tree(rows, np.random.default_rng(0))
     scan, pair_scan, bound = _prefilter(tree, points)
-    exact = local_planner._square_distances(tree, points)
+    exact = rrt_reference.square_distances(tree, points)
     assert (np.abs(scan.astype(float) - exact) <= bound).all()
-    apart = local_planner._square_distances(_grow_tree(points, np.random.default_rng(0)), points)
+    apart = rrt_reference.square_distances(_grow_tree(points, np.random.default_rng(0)), points)
     assert (np.abs(pair_scan.astype(float) - apart) <= bound).all()
     _block_candidates(tree, points, radius, extend_dist)
 
@@ -615,7 +623,7 @@ def test_tree_columns_follow_the_rows():
     for k in range(1, 150):
         tree.add(np.array([k, -k, 0.5 * k]), k - 1)
         if k % 7 == 0:
-            assert tree.xyz.tolist() == np.array(tree.rows).T.tolist()
+            assert tree.positions.T.tolist() == np.array(tree.rows).T.tolist()
     assert all(type(c) is float for row in tree.rows for c in row)
     assert tree.positions.tolist() == tree.rows
     assert tree.path_from_root(149).tolist() == tree.rows
@@ -659,7 +667,7 @@ def test_best_parent_single_node_tree(quad):
     world = make_world()
     tree = Tree((0, 0, 2))
     model = CollisionModel(world, quad)
-    assert _best_parent(tree, row(1, 0, 2), 2.0, model) == 0
+    assert _best_parent(tree, row(1, 0, 2), 2.0, model, range(len(tree))) == 0
 
 
 def test_best_parent_breaks_cost_ties_by_insertion_order(quad):
@@ -673,21 +681,21 @@ def test_best_parent_breaks_cost_ties_by_insertion_order(quad):
     child_total = tree.node_costs[child] + distance((1, 0, 2), x_new.tolist())
     assert root_total == pytest.approx(child_total)
     model = CollisionModel(world, quad)
-    assert _best_parent(tree, x_new, 2.0, model) == 0
+    assert _best_parent(tree, x_new, 2.0, model, range(len(tree))) == 0
 
 
 def test_best_parent_skips_blocked_edges(quad):
     world = make_world((AxisBox(Vec3(0.9, -5, 0), Vec3(1.1, 5, 8)),))
     tree = Tree((0, 0, 2))
     model = CollisionModel(world, quad)
-    assert _best_parent(tree, row(2.2, 0, 2), 3.0, model) is None
+    assert _best_parent(tree, row(2.2, 0, 2), 3.0, model, range(len(tree))) is None
 
 
 def test_best_parent_ignores_nodes_outside_radius(quad):
     world = make_world()
     tree = Tree((0, 0, 2))
     model = CollisionModel(world, quad)
-    assert _best_parent(tree, row(5, 0, 2), 1.0, model) is None
+    assert _best_parent(tree, row(5, 0, 2), 1.0, model, range(len(tree))) is None
 
 
 def sequential_best_parent(tree, x_new, radius, model):
@@ -756,11 +764,11 @@ def test_best_parent_matches_sequential_oracle(seed, grid):
     world, tree, x_new, radius, step = _random_case(seed, grid)
     model = bp_model(world, step)
     expected = sequential_best_parent(tree, x_new, radius, model)
-    assert _best_parent(tree, x_new, radius, model) == expected
+    assert _best_parent(tree, x_new, radius, model, range(len(tree))) == expected
     # culled to a box holding the tree and x_new, as in an RRT* attempt
     pts = np.vstack([tree.positions, x_new])
     local = model.within(pts.min(axis=0), pts.max(axis=0))
-    assert _best_parent(tree, x_new, radius, local) == expected
+    assert _best_parent(tree, x_new, radius, local, range(len(tree))) == expected
 
 
 BP_QUAD = QuadModel(body_radius=0.2, safety_margin=0.1)
@@ -775,7 +783,7 @@ def bp_model(world: World, step: float) -> CollisionModel:
 def _assert_matches_oracle(world, tree, x_new, radius, step):
     model = bp_model(world, step)
     expected = sequential_best_parent(tree, x_new, radius, model)
-    assert _best_parent(tree, x_new, radius, model) == expected
+    assert _best_parent(tree, x_new, radius, model, range(len(tree))) == expected
     return expected
 
 
@@ -817,7 +825,7 @@ def test_best_parent_rejects_a_new_node_inside_an_obstacle(seed):
     rng = np.random.default_rng(seed)
     world = make_world(tuple(_random_obstacle(rng) for _ in range(int(rng.integers(1, 4)))),
                        lo=(-10, -10, -10), hi=(10, 10, 10))
-    inflated = inflate(world.obstacles[0], BP_QUAD)
+    inflated = inflate(unpack_rows(world.rows)[0], BP_QUAD)
     if isinstance(inflated, Cylinder):
         c = inflated.base_center
         r, a = inflated.radius * rng.uniform(0, 0.95), rng.uniform(0, 2 * np.pi)
@@ -1035,7 +1043,7 @@ def _clustered_case(seed: int):
     best = _cheapest(tree, x_new, radius)
     if rng.random() < 1 / 3 and best is not None:
         mid, half = (tree.positions[best] + x_new) / 2, rng.uniform(0.01, 0.1, 3)
-        world = dataclasses.replace(world, rows=obstacle_rows(world.obstacles + (
+        world = dataclasses.replace(world, rows=obstacle_rows(unpack_rows(world.rows) + (
             AxisBox(Vec3(*(mid - half).tolist()), Vec3(*(mid + half).tolist())),)))
     return world, tree, x_new, radius, step
 
@@ -1047,10 +1055,10 @@ def _best_parent_agrees(seed: int) -> bool | None:
     world, tree, x_new, radius, step = _clustered_case(seed)
     model = bp_model(world, step)
     expected = sequential_best_parent(tree, x_new, radius, model)
-    assert _best_parent(tree, x_new, radius, model) == expected
+    assert _best_parent(tree, x_new, radius, model, range(len(tree))) == expected
     pts = np.vstack([tree.positions, x_new])
     local = model.within(pts.min(axis=0), pts.max(axis=0))
-    assert _best_parent(tree, x_new, radius, local) == expected
+    assert _best_parent(tree, x_new, radius, local, range(len(tree))) == expected
     best = _cheapest(tree, x_new, radius)
     return None if best is None else model.segment_free(tree.positions[best], x_new)
 
@@ -1140,7 +1148,7 @@ def _near_ties_agree(seed: int) -> collections.Counter:
     world, tree, x_new, radius, step, near = _near_tie_case(seed)
     model = bp_model(world, step)
     expected = sequential_best_parent(tree, x_new, radius, model)
-    assert _best_parent(tree, x_new, radius, model) == expected
+    assert _best_parent(tree, x_new, radius, model, range(len(tree))) == expected
     assert _best_parent(tree, x_new.tolist(), radius, model, near) == expected
     dists = rrt_reference._distances(tree, x_new)
     in_radius = np.flatnonzero(dists <= radius)
@@ -1366,7 +1374,7 @@ def _blocked_run_matches_the_oracle(seed: int, monkeypatch) -> collections.Count
 
     sizes = []  # the tree's size at each loop
 
-    def recording_nearest(tree, p, ids=None):
+    def recording_nearest(tree, p, ids):
         near = nearest(tree, p, ids)
         sizes.append(len(tree))
         # the tree's size when this loop's block started
@@ -1377,9 +1385,7 @@ def _blocked_run_matches_the_oracle(seed: int, monkeypatch) -> collections.Count
         dx, dy, dz = (q - r for q, r in zip(p, tree.rows[near]))
         seen["subnormal"] += tree.rows[near] != p and dx * dx + dy * dy + dz * dz == 0.0
         seen["in_block"] += near >= count
-        q = tree.xyz - np.array(p)[:, None]
-        q *= q
-        dist2 = q[0] + q[2] + q[1]
+        dist2 = rrt_reference.square_distances(tree, np.array(p)[None])[0]
         old = dist2[:count].min()
         # the ties hold the scan's first nearest; an older node left out is farther
         assert int(dist2[:count].argmin()) in ties
@@ -1395,7 +1401,7 @@ def _blocked_run_matches_the_oracle(seed: int, monkeypatch) -> collections.Count
                                             np.nextafter(old, np.inf)))
         return near
 
-    def recording_best_parent(tree, x_new, radius, model, near=None):
+    def recording_best_parent(tree, x_new, radius, model, near):
         assert near == sorted(set(near))
         in_radius = [i for i, d in enumerate(_distances(tree, x_new, range(len(tree))))
                      if d <= radius]
@@ -1521,7 +1527,7 @@ def _best_parent_work(d, model, params, level, monkeypatch) -> collections.Count
         work["ranked"] += 1
         return distances(tree, p, ids)
 
-    def recording_best_parent(tree, x_new, radius, model, near=None):
+    def recording_best_parent(tree, x_new, radius, model, near):
         work.clear()
         parent = best_parent(tree, x_new, radius, model, near)
         cheapest = _cheapest(tree, np.array(x_new), radius)

@@ -31,7 +31,7 @@ from test_discontinuity import thin_obstacles
 
 
 def fake_disc(path: GlobalPath, entry: int, exit_: int) -> Discontinuity:
-    rows = path.position_array().tolist()
+    rows = path.rows[:, :3].tolist()
     return Discontinuity(entry, exit_, tuple(rows[entry]), tuple(rows[exit_]))
 
 
@@ -40,7 +40,7 @@ def fake_disc(path: GlobalPath, entry: int, exit_: int) -> Discontinuity:
 def test_splice_straight_detour_drops_the_blocked_samples():
     arc = generate_arc(demo_shot())
     d = fake_disc(arc, 10, 16)
-    lp = LocalPath(arc.position_array()[[10, 16]], math.dist(d.entry, d.exit))
+    lp = LocalPath(arc.rows[[10, 16], :3], math.dist(d.entry, d.exit))
     out = splice(arc, d, lp, demo_shot().target)
     assert len(out) == len(arc) - (16 - 10 - 1)
     assert np.array_equal(out.rows[:11], arc.rows[:11])
@@ -77,7 +77,7 @@ def test_splice_refuses_a_nan_detour_end(end):
     # a NaN gap fails the tolerance test as a mismatch, not as a ValueError
     arc = generate_arc(demo_shot())
     d = fake_disc(arc, 10, 16)
-    positions = arc.position_array()[[10, 13, 16]]
+    positions = arc.rows[[10, 13, 16], :3]
     positions[end] = math.nan
     with pytest.raises(SpliceMismatch, match="nan"):
         splice(arc, d, LocalPath(positions, math.nan), demo_shot().target)
@@ -88,7 +88,7 @@ def test_splice_refuses_a_non_finite_detour_interior_row(value):
     # an interior row is a mismatch too, named before `GlobalPath` sees it
     arc = generate_arc(demo_shot())
     d = fake_disc(arc, 10, 16)
-    positions = arc.position_array()[[10, 12, 13, 16]]
+    positions = arc.rows[[10, 12, 13, 16], :3]
     positions[2, 1] = value
     with pytest.raises(SpliceMismatch, match=r"^local path row 2 is not finite: "):
         splice(arc, d, LocalPath(positions, 1.0), demo_shot().target)
@@ -153,7 +153,7 @@ def test_no_stage_takes_or_reads_a_check_spacing():
 def sequential_validate(path, model):
     """Reference for `validate`: one `segment_free` call per segment, and a
     single pose as one zero-length segment."""
-    positions = path.position_array()
+    positions = path.rows[:, :3]
     if len(path) == 1:
         return None if model.segment_free(positions[0], positions[0]) else 0
     for i in range(len(path) - 1):
@@ -199,7 +199,6 @@ def test_plan_shot_in_an_empty_world_returns_the_arc(quad):
     assert np.array_equal(result.final_path.rows, arc.rows)
     assert result.final_path == arc
     assert result.discontinuities == []
-    assert result.local_paths == []
     assert result.report.total_nodes == 0
     assert result.report.discontinuities == ()
 
@@ -242,7 +241,7 @@ def test_plan_shot_two_obstacles_two_spans(quad):
     outside = [i for i in range(len(arc))
                if not any(lo <= i <= hi for lo, hi in spans)]
     final = result.final_path
-    arc_positions = {tuple(p) for p in final.position_array().tolist()}
+    arc_positions = {tuple(p) for p in final.rows[:, :3].tolist()}
     for i in outside:
         assert tuple(arc.rows[i, :3].tolist()) in arc_positions
 
@@ -262,7 +261,7 @@ def test_plan_shot_repairs_a_thin_wall_between_samples(samples, quad):
     model = CollisionModel(world, quad)
     spec = ArcShotSpec(Vec3(8, 0, 2), Vec3(-8, 0, 2), world.target,
                        "counterclockwise", samples)
-    assert model.free_points(generate_arc(spec).position_array()).all()
+    assert model.free_points(generate_arc(spec).rows[:, :3]).all()
     result = plan_shot(model, spec, RrtParams())
     assert len(result.discontinuities) == 1
     assert validate(result.final_path, model) is None
@@ -314,7 +313,8 @@ def test_plan_shot_is_deterministic(quad):
     a = plan_shot(model, demo_shot(), params)
     b = plan_shot(model, demo_shot(), params)
     assert np.array_equal(a.final_path.rows, b.final_path.rows)
-    assert [lp.cost for lp in a.local_paths] == [lp.cost for lp in b.local_paths]
+    assert [r.cost for r in a.report.discontinuities] == [
+        r.cost for r in b.report.discontinuities]
     assert a.report.total_nodes == b.report.total_nodes
 
 
@@ -438,6 +438,46 @@ def test_no_planner_stage_names_vec3_or_pose4():
                 names += [f"{where} import {alias.name}" for alias in node.names
                           if alias.name.rsplit(".", 1)[-1] in banned]
     assert names == []
+
+
+def test_every_source_definition_has_a_source_reader():
+    # what only tests reach is code the program carries for nothing: every
+    # module-level function or class and every method (dunders aside) under
+    # src/arcshot is read somewhere there, outside its own body, as a name,
+    # as an attribute, or by an import outside __init__.py, which only
+    # re-exports
+    allowed = {
+        # perfbench/tracing.py wraps it by name to count the points checked
+        "world.CollisionModel.free_points",
+    }
+    package = Path(arcshot.__file__).parent
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(package.glob("*.py"))}
+    reads = []  # (name, node that reads it)
+    for stem, module in modules.items():
+        for node in ast.walk(module):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.append((node.id, node))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                reads.append((node.attr, node))
+            elif isinstance(node, ast.ImportFrom) and stem != "__init__":
+                reads += [(alias.name, node) for alias in node.names]
+    unread = []
+    for stem, module in modules.items():
+        for top in module.body:
+            if not isinstance(top, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            definitions = [(top.name, top)]
+            if isinstance(top, ast.ClassDef):
+                definitions += [(f"{top.name}.{f.name}", f) for f in top.body
+                                if isinstance(f, ast.FunctionDef)
+                                and not (f.name.startswith("__") and f.name.endswith("__"))]
+            for qualified, node in definitions:
+                name, inside = qualified.rsplit(".", 1)[-1], set(map(id, ast.walk(node)))
+                if not any(read == name and id(at) not in inside for read, at in reads):
+                    unread.append(f"{stem}.{qualified}")
+    # the allowlist names only what the check would flag
+    assert sorted(unread) == sorted(allowed)
 
 
 def test_every_test_the_docs_cite_is_defined():

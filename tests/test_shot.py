@@ -254,10 +254,9 @@ def test_global_path_rows_are_read_only_and_not_shared():
     with pytest.raises(ValueError, match="read-only"):
         path.rows[0, 0] = 9.0
     with pytest.raises(ValueError, match="read-only"):
-        path.position_array()[1, 2] = 9.0
+        path.rows[:, :3][1, 2] = 9.0
     source[0, 0] = 9.0
     assert path.rows.tolist() == [[1.0, 2.0, 3.0, 0.5], [4.0, 5.0, 6.0, 0.25]]
-    assert np.shares_memory(path.position_array(), path.rows)
 
 
 @pytest.mark.parametrize("column", range(4))

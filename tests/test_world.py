@@ -10,7 +10,7 @@ from arcshot.world import (AXIS_X, AXIS_Y, BOTTOM, CULL_PAD, INDEX, MAX, MIN, RA
                            Vec3, World, obstacle_rows)
 from conftest import TOUCH, demo_world, make_world, point_free, spaced_quad
 from world_reference import (bounding_box, inflate, inflated_rows, packed_arrays,
-                             segment_pad_distance, segment_samples)
+                             segment_pad_distance, segment_samples, unpack_rows)
 
 
 # independent closed-form oracles -------------------------------------------
@@ -164,7 +164,7 @@ def _any_world(draw):
 def test_pack_equals_the_per_obstacle_oracle(case):
     world, quad, box = case
     full = CollisionModel(world, quad)
-    assert full.inflated.tobytes() == inflated_rows(world.obstacles, quad).tobytes()
+    assert full.inflated.tobytes() == inflated_rows(unpack_rows(world.rows), quad).tobytes()
     # within keeps exactly the rows whose bounding box touches the box padded
     # by twice CULL_PAD
     lo = [v - 2 * CULL_PAD for v in (box.min.x, box.min.y, box.min.z)]
@@ -173,9 +173,10 @@ def test_pack_equals_the_per_obstacle_oracle(case):
             for row in full.inflated.tolist()]
     local = full.within(box.min.as_array(), box.max.as_array())
     assert local.inflated.tobytes() == full.inflated[np.array(keep, dtype=bool)].tobytes()
-    assert full.raw.tobytes() == obstacle_rows(world.obstacles).tobytes()
-    assert full.raw[:, INDEX].tolist() == full.inflated[:, INDEX].tolist()
-    assert local.raw.tobytes() == full.raw[np.array(keep, dtype=bool)].tobytes()
+    # the world's rows, which the render draws, list the obstacles in the
+    # inflated rows' order
+    assert world.rows.tobytes() == obstacle_rows(unpack_rows(world.rows)).tobytes()
+    assert world.rows[:, INDEX].tolist() == full.inflated[:, INDEX].tolist()
 
 
 # free_points of one point -------------------------------------------------------
@@ -253,11 +254,11 @@ def test_free_points_keep_clearance_from_raw_surfaces():
     quad = QuadModel(body_radius=0.3, safety_margin=0.2)
     for _ in range(20):
         world = _random_world(rng)
-        model = CollisionModel(world, quad)
+        model, obstacles = CollisionModel(world, quad), unpack_rows(world.rows)
         for _ in range(200):
             p = Vec3(rng.uniform(-15, 15), rng.uniform(-15, 15), rng.uniform(0, 10))
             if point_free(model, p):
-                clearance = min(dist_to_obstacle(o, p) for o in world.obstacles)
+                clearance = min(dist_to_obstacle(o, p) for o in obstacles)
                 assert clearance >= quad.growth - 1e-9
 
 
@@ -372,7 +373,8 @@ def test_culled_edge_forms_answer_as_the_full_model(obstacles, ground, fractions
 def _reference_free_points(model: CollisionModel, pts: np.ndarray) -> np.ndarray:
     """The original `CollisionModel.free_points` on the query arrays it once
     packed from the obstacles `model` keeps, the oracle for the lean one."""
-    kept = [model.world.obstacles[int(i)] for i in model.inflated[:, INDEX]]
+    obstacles = unpack_rows(model.world.rows)
+    kept = [obstacles[int(i)] for i in model.inflated[:, INDEX]]
     cyl, box_min, box_max = packed_arrays(kept, model.quad)
     pts = np.atleast_2d(pts)
     free = np.all((pts >= model.world.bounds.min.as_array())
@@ -420,7 +422,7 @@ def test_within_keeps_touching_obstacles_and_drops_distant_ones():
     distant = Cylinder(Vec3(-6.0, -6.0, 0.0), 0.5, 1.0)
     world = make_world((touching, corner, distant))
     local = CollisionModel(world, quad).within(np.zeros(3), np.full(3, 2.0))
-    expected = inflated_rows(world.obstacles, quad)
+    expected = inflated_rows(unpack_rows(world.rows), quad)
     assert (local.inflated.tobytes()
             == expected[np.isin(expected[:, INDEX], [0, 1])].tobytes())
     assert not point_free(local, Vec3(2.0, 0.5, 0.5))   # on the shared face
@@ -676,7 +678,7 @@ def _spacing_case(seed: int):
     world = _random_world(rng)
     if rng.random() < 0.5:
         x = rng.uniform(-6, 6)
-        world = make_world(world.obstacles + (AxisBox(
+        world = make_world(unpack_rows(world.rows) + (AxisBox(
             Vec3(x, rng.uniform(-8, -2), 0.0),
             Vec3(x + rng.uniform(0.0, 0.1), rng.uniform(2, 8), rng.uniform(1, 8))),))
     growth = float(rng.uniform(0.05, 0.8))
@@ -764,7 +766,7 @@ def test_segment_free_refuses_a_corner_that_samples_step_over():
     model = CollisionModel(world, quad)
     a, b = row(-2, 3.99, 2), row(3.99, -2, 2)
     assert model.free_points(segment_samples(a, b, quad.body_radius / 2)).all()
-    obstacle, = world.obstacles
+    obstacle, = unpack_rows(world.rows)
     assert segment_pad_distance(inflate(obstacle, quad), a, b) == 0.0
     assert not model.segment_free(a, b)
     assert not model.segments_free(np.vstack([a, b]))[0]

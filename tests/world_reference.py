@@ -1,7 +1,8 @@
 """The per-obstacle inflation that `CollisionModel` replaced with array
-arithmetic, kept as the oracle its packed rows are checked against, and the
+arithmetic, kept as the oracle its packed rows are checked against, the
 closed-form distances and segment sampling that the segment predicate's
-tests check its answers with."""
+tests check its answers with, and `unpack_rows`, which turns a world's
+packed rows back into the obstacle dataclasses these work on."""
 
 from __future__ import annotations
 
@@ -10,6 +11,15 @@ import math
 import numpy as np
 
 from arcshot.world import CULL_PAD, AxisBox, Cylinder, Obstacle, QuadModel, Vec3, World
+
+
+def unpack_rows(rows: np.ndarray) -> tuple[Obstacle, ...]:
+    """The obstacles that `rows` packs, as dataclasses in world order."""
+    obstacles = [None] * len(rows)
+    for x0, y0, z0, x1, y1, z1, x, y, radius, _, height, i in rows.tolist():
+        obstacles[int(i)] = (AxisBox(Vec3(x0, y0, z0), Vec3(x1, y1, z1))
+                             if math.isnan(radius) else Cylinder(Vec3(x, y, z0), radius, height))
+    return tuple(obstacles)
 
 
 def inflate(obstacle: Obstacle, quad: QuadModel) -> Obstacle:
@@ -88,7 +98,7 @@ def pad_margin(world: World, quad: QuadModel, a, b) -> float:
         lo[2] = 0.0
     hi = world.bounds.max.as_array() - CULL_PAD
     ends = np.array([a, b], dtype=float)
-    gap = min((segment_pad_distance(inflate(o, quad), a, b) for o in world.obstacles),
+    gap = min((segment_pad_distance(inflate(o, quad), a, b) for o in unpack_rows(world.rows)),
               default=math.inf)
     return min(float((ends - lo).min()), float((hi - ends).min()), gap - CULL_PAD)
 
