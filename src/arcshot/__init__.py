@@ -16,7 +16,7 @@ from .executor import FollowConfig, follow
 from .local_planner import (LocalPath, RrtParams, SearchWindow, Tree,
                             expand_window, extend, initial_window, nearest_vertex,
                             plan_local_run, rrt_star_run, sample)
-from .pipeline import PlanReport, PlanResult, plan_shot, splice, validate
+from .pipeline import PlanResult, plan_shot, splice, validate
 from .shot import ArcShotSpec, GlobalPath, aimed_row, generate_arc, wrap_to_pi
 from .world import (AxisBox, CollisionModel, Cylinder, Obstacle, QuadModel, Vec3,
                     World)

@@ -37,6 +37,8 @@ class BenchSpec:
             raise ValueError("bench needs at least one loop budget")
         if any(v < 1 for v in self.loops):
             raise ValueError(f"loop budgets must be >= 1, got {self.loops}")
+        if len(set(self.loops)) < len(self.loops):
+            raise ValueError(f"loop budgets must differ, got {self.loops}")
         if self.repetitions < 1:
             raise ValueError(f"repetitions must be >= 1, got {self.repetitions}")
 
@@ -98,7 +100,7 @@ def run_bench(model: CollisionModel, spec: ArcShotSpec, params: RrtParams,
             started = time.perf_counter()
             try:
                 result = plan_shot(model, spec, run_params, margin)
-                cost = sum(r.cost for r in result.report.discontinuities)
+                cost = sum(r.path.cost for r in result.detours)
             except (LocalPlanFailed, ValidationFailed):
                 cost = None
             duration = time.perf_counter() - started

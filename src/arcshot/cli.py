@@ -109,28 +109,27 @@ def _cmd_plan(args) -> int:
     svg = render.render_scene(
         model, arc=result.arc, discontinuities=result.discontinuities,
         final_path=result.final_path,
-        trees=result.trees if args.overlay_tree else None,
+        trees=[r.tree for r in result.detours] if args.overlay_tree else None,
         width=config.render_width)
     fileio.save_path(result.final_path, out / "path.json")
-    fileio.save_report(result.report, out / "report.json")
+    fileio.save_report(result, out / "report.json")
     (out / "plan.svg").write_text(svg, encoding="utf-8")
 
-    report = result.report
+    nodes = sum(len(r.tree) for r in result.detours)
     _emit(
         args,
         (f"planned {len(result.final_path)} poses, "
          f"{len(result.discontinuities)} discontinuit"
          f"{'y' if len(result.discontinuities) == 1 else 'ies'}, "
-         f"{report.total_nodes} nodes, {report.total_duration_s:.3f} s\n"
+         f"{nodes} nodes, {result.duration_s:.3f} s\n"
          f"wrote {out / 'path.json'}, {out / 'report.json'}, {out / 'plan.svg'}"),
         {
             "status": "ok",
             "poses": len(result.final_path),
             "discontinuities": len(result.discontinuities),
-            "total_nodes": report.total_nodes,
-            "total_duration_s": report.total_duration_s,
-            "expansion_levels": [r.expansion_level
-                                 for r in report.discontinuities],
+            "total_nodes": nodes,
+            "total_duration_s": result.duration_s,
+            "expansion_levels": [r.window.level for r in result.detours],
             "out_dir": str(out),
         },
     )

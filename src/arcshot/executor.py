@@ -242,9 +242,9 @@ def follow(path: GlobalPath, start, cfg: FollowConfig,
     sum of dt would drift into 17 digits. The replay ends at the first
     state, once the reference has come to rest at the last pose, that lies
     within the waypoint tolerance of that pose. Raises TimeoutExceeded
-    (carrying the partial log) if cfg.max_time elapses first, and ValueError
-    on a non-finite start value, or on a polyline whose length, or a
-    reference whose duration, is not finite.
+    (carrying the partial log) if more than cfg.max_time elapses since
+    start's t first, and ValueError on a non-finite start value, or on a
+    polyline whose length, or a reference whose duration, is not finite.
     """
     dt, k_p, tolerance, max_time = cfg.dt, cfg.k_p, cfg.waypoint_tolerance, cfg.max_time
     max_speed, max_yaw_rate = quad.max_speed, quad.max_yaw_rate
@@ -272,9 +272,10 @@ def follow(path: GlobalPath, start, cfg: FollowConfig,
             if sqrt(ex * ex + ey * ey + ez * ez) <= tolerance:
                 return _rows(log)
         ticks += 1
-        t = start_time + ticks * dt  # the next state's time, not a running sum of dt
-        if t > max_time:
+        elapsed = ticks * dt  # since start, not a running sum of dt
+        if elapsed > max_time:
             raise TimeoutExceeded(_rows(log))
+        t = start_time + elapsed  # the next state's time
         clock = clock + dt
         if clock >= finish:
             nx, ny, nz, nyaw = end_x, end_y, end_z, end_yaw

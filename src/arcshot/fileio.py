@@ -28,7 +28,7 @@ from .discontinuity import DEFAULT_MARGIN
 from .errors import SchemaError, UnreadableInput
 from .executor import LOG_COLUMNS, FollowConfig
 from .local_planner import RrtParams
-from .pipeline import PlanReport
+from .pipeline import PlanResult
 from .render import DEFAULT_WIDTH
 from .shot import ArcShotSpec, GlobalPath
 from .world import AxisBox, Cylinder, Obstacle, QuadModel, Vec3, World, obstacle_rows, pack_rows
@@ -456,39 +456,41 @@ def save_trajectory(log: np.ndarray, file: Path) -> None:
 
 # -- plan report ------------------------------------------------------------
 
-def report_to_json(report: PlanReport) -> dict:
-    """Deterministic report payload: wall-clock durations are deliberately
-    left out so identical inputs always produce identical report bytes."""
+def report_to_json(result: PlanResult) -> dict:
+    """Deterministic report payload, read off the plan: wall-clock durations
+    are deliberately left out so identical inputs always produce identical
+    report bytes."""
+    nodes = [len(run.tree) for run in result.detours]
     return {
         "schema": REPORT_SCHEMA,
-        "seed": report.seed,
-        "margin": report.margin,
+        "seed": result.params.seed,
+        "margin": result.margin,
         # report/1's two spacings, which no stage reads: half the vehicle radius
-        "collision_step": report.quad.body_radius / 2,
-        "validation_step": report.quad.body_radius / 2,
-        "params": dataclasses.asdict(report.params),
-        "quad": dataclasses.asdict(report.quad),
+        "collision_step": result.quad.body_radius / 2,
+        "validation_step": result.quad.body_radius / 2,
+        "params": dataclasses.asdict(result.params),
+        "quad": dataclasses.asdict(result.quad),
         "discontinuities": [
             {
-                "entry_index": r.entry_index,
-                "exit_index": r.exit_index,
-                "node_count": r.node_count,
-                "loops": r.loops,
-                "expansion_level": r.expansion_level,
-                "cost": r.cost,
+                "entry_index": d.entry_index,
+                "exit_index": d.exit_index,
+                "node_count": n,
+                "loops": run.loops,
+                "expansion_level": run.window.level,
+                "cost": run.path.cost,
             }
-            for r in report.discontinuities
+            for d, run, n in zip(result.discontinuities, result.detours, nodes)
         ],
         "totals": {
-            "discontinuities": len(report.discontinuities),
-            "nodes": report.total_nodes,
-            "loops": report.total_loops,
+            "discontinuities": len(result.detours),
+            "nodes": sum(nodes),
+            "loops": sum(run.loops for run in result.detours),
         },
     }
 
 
-def save_report(report: PlanReport, file: Path) -> None:
-    save_json(report_to_json(report), file)
+def save_report(result: PlanResult, file: Path) -> None:
+    save_json(report_to_json(result), file)
 
 
 def save_json(data: Any, file: Path) -> None:

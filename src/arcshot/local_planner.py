@@ -94,9 +94,8 @@ class Tree:
     `node_costs` every cost from the root and `parents` every parent id;
     `add` appends to those three lists only, so the per-loop work on the
     few nodes a loop touches never leaves Python floats. The float64
-    `positions` array, for the path and the render, is built from `rows`
-    on the first read after nodes were added. Node ids are insertion
-    indices, root is 0.
+    `positions` array, for the render, is built from `rows` on each read.
+    Node ids are insertion indices, root is 0.
     """
 
     def __init__(self, root):
@@ -104,7 +103,6 @@ class Tree:
         self.rows: list[list[float]] = [[float(x), float(y), float(z)]]
         self.node_costs: list[float] = [0.0]
         self.parents: list[int | None] = [None]
-        self._positions = np.empty((0, 3))
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -112,9 +110,7 @@ class Tree:
     @property
     def positions(self) -> np.ndarray:
         """(n, 3) array of all node positions in insertion order."""
-        if len(self._positions) < len(self.rows):
-            self._positions = np.array(self.rows)
-        return self._positions
+        return np.array(self.rows)
 
     def add(self, position, parent: int) -> int:
         """Append the node at `position` (three floats) under `parent`."""
@@ -140,7 +136,7 @@ class Tree:
         while cursor is not None:
             chain.append(cursor)
             cursor = self.parents[cursor]
-        return self.positions[chain[::-1]]
+        return np.array([self.rows[i] for i in reversed(chain)])
 
 
 @dataclass(frozen=True, eq=False)

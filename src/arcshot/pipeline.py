@@ -10,7 +10,7 @@ import numpy as np
 
 from .discontinuity import DEFAULT_MARGIN, Discontinuity, find_discontinuities
 from .errors import SpliceMismatch, ValidationFailed
-from .local_planner import LocalPath, RrtParams, Tree, plan_local_run
+from .local_planner import LocalPath, RrtParams, RrtRunResult, plan_local_run
 from .shot import ArcShotSpec, GlobalPath, aimed_row, generate_arc
 # collision_model stays importable here for perfbench/tracing.py, which wraps it
 from .world import CollisionModel, QuadModel, collision_model
@@ -18,40 +18,23 @@ from .world import CollisionModel, QuadModel, collision_model
 SPLICE_TOLERANCE = 1e-6
 
 
-@dataclass(frozen=True)
-class DiscontinuityReport:
-    """Planner effort spent on one blocked span."""
-
-    entry_index: int
-    exit_index: int
-    node_count: int
-    loops: int
-    expansion_level: int
-    cost: float
-    duration_s: float
-
-
-@dataclass(frozen=True)
-class PlanReport:
-    """Per-discontinuity effort plus totals and the exact inputs used."""
-
-    discontinuities: tuple[DiscontinuityReport, ...]
-    total_nodes: int
-    total_loops: int
-    total_duration_s: float
-    seed: int
-    params: RrtParams
-    quad: QuadModel
-    margin: int
-
-
 @dataclass
 class PlanResult:
+    """One plan: the arc, the spliced path, the blocked spans, and for span i
+    its winning `RrtRunResult` as `plan_local_run` returns it, `detours[i]`.
+
+    `duration_s` is the wall time of the detour loop, and params, quad and
+    margin are the exact inputs used.
+    """
+
     arc: GlobalPath
     final_path: GlobalPath
     discontinuities: list[Discontinuity]
-    report: PlanReport
-    trees: list[Tree]
+    detours: list[RrtRunResult]
+    duration_s: float
+    params: RrtParams
+    quad: QuadModel
+    margin: int
 
 
 def _gap(a, b) -> float:
@@ -117,43 +100,20 @@ def plan_shot(model: CollisionModel, spec: ArcShotSpec, params: RrtParams,
     arc = generate_arc(spec)
     discontinuities = find_discontinuities(arc, model, margin)
 
-    detours: list[LocalPath] = []
-    trees: list[Tree] = []
-    disc_reports: list[DiscontinuityReport] = []
-    for i, d in enumerate(discontinuities):
-        started = time.perf_counter()
-        result = plan_local_run(d, model, params, disc_index=i)
-        duration = time.perf_counter() - started
-        detours.append(result.path)
-        trees.append(result.tree)
-        disc_reports.append(DiscontinuityReport(
-            entry_index=d.entry_index,
-            exit_index=d.exit_index,
-            node_count=len(result.tree),
-            loops=result.loops,
-            expansion_level=result.window.level,
-            cost=result.path.cost,
-            duration_s=duration,
-        ))
+    started = time.perf_counter()
+    detours = [plan_local_run(d, model, params, disc_index=i)
+               for i, d in enumerate(discontinuities)]
+    duration = time.perf_counter() - started
 
     final = arc
     # splice back to front so earlier spans keep their indices
-    for d, lp in sorted(zip(discontinuities, detours),
-                        key=lambda pair: pair[0].entry_index, reverse=True):
-        final = splice(final, d, lp, spec.target)
+    for d, run in sorted(zip(discontinuities, detours),
+                         key=lambda pair: pair[0].entry_index, reverse=True):
+        final = splice(final, d, run.path, spec.target)
 
     offending = validate(final, model)
     if offending is not None:
         raise ValidationFailed(offending)
 
-    report = PlanReport(
-        discontinuities=tuple(disc_reports),
-        total_nodes=sum(r.node_count for r in disc_reports),
-        total_loops=sum(r.loops for r in disc_reports),
-        total_duration_s=sum(r.duration_s for r in disc_reports),
-        seed=params.seed,
-        params=params,
-        quad=model.quad,
-        margin=margin,
-    )
-    return PlanResult(arc, final, discontinuities, report, trees)
+    return PlanResult(arc, final, discontinuities, detours, duration, params,
+                      model.quad, margin)

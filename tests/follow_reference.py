@@ -252,9 +252,10 @@ def reference_follow(path: GlobalPath, start, cfg: FollowConfig,
         if (clock >= finish
                 and length(sub(state.position, end.position)) <= cfg.waypoint_tolerance):
             return log
-        time = start_time + len(log) * cfg.dt
-        if time > cfg.max_time:
+        elapsed = len(log) * cfg.dt
+        if elapsed > cfg.max_time:
             raise TimeoutExceeded(log)
+        time = start_time + elapsed
         if clock == 0.0:
             ref = points[0].position, wrap_to_pi(points[0].yaw)
         else:

@@ -270,7 +270,7 @@ def test_criterion_10_bench_trees_are_internally_consistent():
     for loops, rep in itertools.product((150, 500), range(20)):
         run_params = dataclasses.replace(
             params, max_loops=loops, seed=bench._rep_seed(2025, loops, rep))
-        for tree in plan_shot(model, demo_shot(), run_params).trees:
+        for tree in [r.tree for r in plan_shot(model, demo_shot(), run_params).detours]:
             positions = tree.positions
             costs = np.array(tree.node_costs)
             recomputed = np.zeros(len(tree))
@@ -302,7 +302,7 @@ def test_criterion_7_wall_needs_window_expansion():
         plan_shot(model, spec, dataclasses.replace(params, fail_limit=1))
 
     result = plan_shot(model, spec, params)
-    level = result.report.discontinuities[0].expansion_level
+    level = fileio.report_to_json(result)["discontinuities"][0]["expansion_level"]
     assert level >= 1
     _ok(7, f"fail_limit=1 aborts, fail_limit=4 recovers at level {level}")
 

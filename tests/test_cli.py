@@ -1,11 +1,13 @@
 import functools
 import gc
+import importlib
 import json
 import math
 import os
 import shutil
 import subprocess
 import sys
+import tomllib
 import weakref
 from pathlib import Path
 
@@ -820,6 +822,20 @@ def test_bench_rejects_unobstructed_scenarios(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"]["kind"] == "VacuousBench"
 
 
+def test_bench_refuses_a_repeated_loop_budget(tmp_path, capsys):
+    # a budget listed twice would plan the same seeds twice and print two
+    # rows that each average both cells: a schema error, before any output
+    spec = tmp_path / "bench.json"
+    spec.write_text(json.dumps({"schema": "bench/1", "loops": [50, 50], "repetitions": 2}))
+    code = cli.main(["bench", "--world", str(DEMO / "world.json"),
+                     "--shot", str(DEMO / "shot.json"),
+                     "--bench", str(spec), "--out", str(tmp_path / "out")])
+    assert code == cli.EXIT_SCHEMA
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error["kind"] == "SchemaError" and error["message"].startswith("bench: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_bench_small_sweep_writes_all_artifacts(tmp_path):
     spec = tmp_path / "bench.json"
     spec.write_text(json.dumps(
@@ -882,6 +898,23 @@ def test_console_entry_point_runs():
     proc = subprocess.run([exe, "--help"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "plan" in proc.stdout and "bench" in proc.stdout
+
+
+def test_console_script_target_runs_help():
+    # the [project.scripts] target, resolved by import and run as the
+    # installed console script would run it, without needing it on PATH
+    root = Path(__file__).resolve().parent.parent
+    with open(root / "pyproject.toml", "rb") as f:
+        target = tomllib.load(f)["project"]["scripts"]["arcshot"]
+    module, _, attr = target.partition(":")
+    assert callable(getattr(importlib.import_module(module), attr))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(root / "src"), os.environ.get("PYTHONPATH")))))
+    run = (f"import importlib, sys; sys.argv = ['arcshot', '--help']; "
+           f"importlib.import_module({module!r}).{attr}()")
+    proc = subprocess.run([sys.executable, "-c", run], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    assert all(command in proc.stdout for command in ("plan", "execute", "bench", "render"))
 
 
 def test_cli_module_invocation_help():

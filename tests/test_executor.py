@@ -135,6 +135,15 @@ def test_timeout_carries_the_partial_log(quad):
     assert log[-1, 4] <= 1.0
 
 
+@pytest.mark.parametrize("t", [0.0, 100.0, 200.0])
+def test_max_time_bounds_the_time_elapsed_since_the_start(t):
+    # a replay that starts late on the clock gets the same max_time as one at 0
+    path = GlobalPath([(0, 0, 1, 0.5), (2, 0, 1, 0.5)])
+    log = follow(path, (0, 0, 1, 0.5, t), FollowConfig(), QuadModel())
+    assert len(log) == 76
+    assert log[-1, 4] - t == pytest.approx(1.5)
+
+
 @pytest.mark.parametrize("column", range(len(LOG_COLUMNS)))
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_follow_refuses_a_non_finite_start_value(column, bad, quad):
@@ -221,8 +230,8 @@ _YAW = st.one_of(
                      math.nextafter(-math.pi, 0.0), math.pi - 1e-9, 1e-300, 0.0, -0.0]))
 # Edges that every case of a kind meets: a first yaw error of exactly -pi
 # (wrapped to +pi), a first yaw rate past its clamp, yaw errors of +-0.0 all
-# the way, a reference that cruises at max_speed, and a timeout whose clock
-# reaches max_time exactly (a next time above max_time stops it, equal goes on).
+# the way, a reference that cruises at max_speed, and a timeout whose elapsed
+# time reaches max_time exactly (a next step past max_time stops it, equal goes on).
 STEP_EDGES = ("yaw_seam", "yaw_clamp", "yaw_zero", "speed", "timeout")
 
 
@@ -280,7 +289,6 @@ def replay_cases(draw, edge="any", max_time=None):
         start[:3] = rows[0][:3]
         if all(row[:3] == rows[0][:3] for row in rows):
             rows.append([rows[0][0] + 1.0, *rows[0][1:]])
-        max_time = start[4] + max_time
     if edge == "yaw_seam":
         yaw = draw(st.floats(-math.pi, 0.0, exclude_min=True).filter(
             lambda yaw: yaw - (yaw + math.pi) == -math.pi))
@@ -300,11 +308,11 @@ def replay_cases(draw, edge="any", max_time=None):
         rows = [[start[0], start[1], start[2] + rise, wrap_to_pi(start[3])]]
         max_time = 1e3
     elif edge == "timeout":
-        # max_time is the clock after `steps` steps, start's t + steps * dt,
-        # where the replay must not yet stop; the reference cannot arrive that soon
+        # max_time is the time `steps` steps take, steps * dt, after which
+        # the replay must not yet stop; the reference cannot arrive that soon
         rows[0][2] = start[2] + draw(st.floats(0.7, 5.0))
         steps = draw(st.integers(1, 30))
-        max_time = start[4] + steps * cfg.dt
+        max_time = steps * cfg.dt
         quad = replace(quad, max_speed=min(quad.max_speed, 0.5 / (steps * cfg.dt)))
     return GlobalPath(rows), tuple(start), replace(cfg, max_time=max_time), quad
 
@@ -335,8 +343,8 @@ def test_replay_cases_meet_each_step_edge(edge, data):
         assert outcome == "timeout"
         with pytest.raises(TimeoutExceeded) as err:
             follow(path, start, cfg, quad)
-        # the last logged step lands exactly on max_time
-        assert err.value.log[-1, 4] == cfg.max_time
+        # the last logged step lands exactly max_time after the start
+        assert err.value.log[-1, 4] == start[4] + cfg.max_time
 
 
 @settings(max_examples=150, deadline=None)
@@ -461,7 +469,7 @@ def test_replay_stays_within_its_limits_on_the_polyline(case, to_the_end):
              + (len(steps) + 1) * 2.0 * quad.max_speed / MAX_ACCEL)
     assert finish <= 2.0 * plain
     if to_the_end:  # time enough to arrive, however long the polyline
-        cfg = replace(cfg, max_time=start[4] + finish + 1.0)
+        cfg = replace(cfg, max_time=finish + 1.0)
     try:
         log, arrived = follow(path, start, cfg, quad), True
     except TimeoutExceeded as exc:
@@ -487,7 +495,7 @@ def test_replay_stays_within_its_limits_on_the_polyline(case, to_the_end):
     if arrived:
         assert distance(log[-1, :3], path.rows[-1, :3]) <= cfg.waypoint_tolerance
     else:
-        assert log[-1, 4] + cfg.dt > cfg.max_time
+        assert len(log) * cfg.dt > cfg.max_time
 
 
 def test_the_profile_rests_at_both_ends_and_its_pieces_meet():

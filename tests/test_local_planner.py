@@ -617,7 +617,7 @@ def test_thresholds_round_up_to_float32_by_at_most_two_steps(v):
 
 
 def test_tree_columns_follow_the_rows():
-    # `add` appends Python floats; the float64 columns catch up on a read
+    # `add` appends Python floats; `positions` is built from them on each read
     tree = Tree(np.array([1.0, 2.0, 3.0]))
     assert tree.rows == [[1.0, 2.0, 3.0]] and all(type(c) is float for c in tree.rows[0])
     for k in range(1, 150):

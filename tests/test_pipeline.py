@@ -144,7 +144,7 @@ def test_no_stage_takes_or_reads_a_check_spacing():
                for path in sorted(Path(arcshot.__file__).parent.glob("*.py"))
                for line in path.read_text(encoding="utf-8").splitlines()
                if "step" in line and "body_radius" in line]
-    assert derived == [f"fileio.py: \"{key}\": report.quad.body_radius / 2,"
+    assert derived == [f"fileio.py: \"{key}\": result.quad.body_radius / 2,"
                        for key in ("collision_step", "validation_step")]
     source = inspect.getsource(fileio.report_to_json)
     assert all(line.split(": ", 1)[1] in source for line in derived)
@@ -199,8 +199,9 @@ def test_plan_shot_in_an_empty_world_returns_the_arc(quad):
     assert np.array_equal(result.final_path.rows, arc.rows)
     assert result.final_path == arc
     assert result.discontinuities == []
-    assert result.report.total_nodes == 0
-    assert result.report.discontinuities == ()
+    report = fileio.report_to_json(result)
+    assert report["totals"]["nodes"] == 0
+    assert report["discontinuities"] == []
 
 
 def test_plan_shot_demo_repairs_exactly_one_span(quad):
@@ -294,17 +295,15 @@ def test_plan_shot_report_snapshot(quad):
     world = demo_world()
     params = RrtParams(extend_dist=0.2, seed=11)
     result = plan_shot(CollisionModel(world, quad), demo_shot(), params, margin=2)
-    report = result.report
-    assert report.seed == 11
-    assert report.params == params
-    assert report.quad == quad
-    assert report.margin == 2
-    payload = fileio.report_to_json(report)
-    assert payload["collision_step"] == payload["validation_step"] == quad.body_radius / 2
-    assert report.total_loops == sum(r.loops for r in report.discontinuities)
-    assert report.total_nodes == sum(len(t) for t in result.trees)
-    for r in report.discontinuities:
-        assert r.duration_s >= 0.0
+    report = fileio.report_to_json(result)
+    assert report["seed"] == 11
+    assert report["params"] == dataclasses.asdict(params)
+    assert report["quad"] == dataclasses.asdict(quad)
+    assert report["margin"] == 2
+    assert report["collision_step"] == report["validation_step"] == quad.body_radius / 2
+    assert report["totals"]["loops"] == sum(r["loops"] for r in report["discontinuities"])
+    assert report["totals"]["nodes"] == sum(len(r.tree) for r in result.detours)
+    assert result.duration_s >= 0.0
 
 
 def test_plan_shot_is_deterministic(quad):
@@ -313,9 +312,9 @@ def test_plan_shot_is_deterministic(quad):
     a = plan_shot(model, demo_shot(), params)
     b = plan_shot(model, demo_shot(), params)
     assert np.array_equal(a.final_path.rows, b.final_path.rows)
-    assert [r.cost for r in a.report.discontinuities] == [
-        r.cost for r in b.report.discontinuities]
-    assert a.report.total_nodes == b.report.total_nodes
+    assert [r.path.cost for r in a.detours] == [r.path.cost for r in b.detours]
+    assert (fileio.report_to_json(a)["totals"]["nodes"]
+            == fileio.report_to_json(b)["totals"]["nodes"])
 
 
 # Each winning RRT* tree as sha256 over its positions bytes, costs bytes and
@@ -355,7 +354,7 @@ def _plan(case: str, seed: int):
 @pytest.mark.parametrize("case", sorted(TREE_SHA256))
 def test_rrt_star_trees_keep_their_recorded_bytes(case):
     result = _plan(case, {"demo": 7, "demo-2000": 7, "wall": 1}[case])
-    assert [_tree_sha256(t) for t in result.trees] == TREE_SHA256[case]
+    assert [_tree_sha256(r.tree) for r in result.detours] == TREE_SHA256[case]
 
 
 def _dynamic_openblas() -> bool:
@@ -498,12 +497,9 @@ def test_every_test_the_docs_cite_is_defined():
 
 
 def _plan_facts(result):
-    """Final path, report without its wall-clock durations, winning trees."""
-    report = dataclasses.replace(
-        result.report, total_duration_s=0.0,
-        discontinuities=tuple(dataclasses.replace(r, duration_s=0.0)
-                              for r in result.report.discontinuities))
-    return result.final_path, report, [_tree_sha256(t) for t in result.trees]
+    """Final path, report, which holds no wall-clock duration, winning trees."""
+    return (result.final_path, fileio.report_to_json(result),
+            [_tree_sha256(r.tree) for r in result.detours])
 
 
 @pytest.mark.parametrize("case, seed", [(case, seed) for case in ("demo", "wall")

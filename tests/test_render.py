@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from arcshot import fileio
 from arcshot.bench import BenchResult, BenchRow
 from arcshot.local_planner import RrtParams, Tree
 from arcshot.pipeline import plan_shot
@@ -48,10 +49,11 @@ def test_tree_overlay_edge_count_matches_the_report(quad):
     result = plan_shot(model, demo_shot(), RrtParams(extend_dist=0.2, seed=7))
     svg = render_scene(model, arc=generate_arc(demo_shot()),
                        discontinuities=result.discontinuities,
-                       final_path=result.final_path, trees=result.trees)
+                       final_path=result.final_path,
+                       trees=[r.tree for r in result.detours])
     edges = _group(svg, "tree").count("<line")
     # every node except each tree's root contributes exactly one parent edge
-    expected = result.report.total_nodes - len(result.trees)
+    expected = fileio.report_to_json(result)["totals"]["nodes"] - len(result.detours)
     assert edges == expected
 
 
@@ -191,10 +193,10 @@ def test_tree_overlay_equals_the_per_edge_reference(nodes):
 def test_planned_tree_overlay_equals_the_per_edge_reference(quad):
     model = CollisionModel(demo_world(), quad)
     result = plan_shot(model, demo_shot(), RrtParams(extend_dist=0.2, seed=7))
-    svg = render_scene(model, trees=result.trees)
+    trees = [r.tree for r in result.detours]
+    svg = render_scene(model, trees=trees)
     canvas = _Canvas(model.world.bounds, 900)
-    lines = [line for tree in result.trees
-             for line in render_reference.tree_lines(canvas, tree)]
+    lines = [line for tree in trees for line in render_reference.tree_lines(canvas, tree)]
     assert len(lines) > 100
     assert _group(svg, "tree") == "".join(f"\n{line}" for line in lines) + "\n"
 
